@@ -462,15 +462,9 @@ let run_cmd =
                   failwith ("degraded: " ^ Recover.degraded_to_string d)
               in
               let verdict prog outs =
-                let reference, _ =
-                  Ref.run
-                    (Halo_ckks.Ref_backend.create ~enc_noise:0.0
-                       ~mult_noise:0.0 ~boot_noise:0.0 ~rescale_noise:0.0
-                       ~slots:p.slots ~max_level:prog.Ir.max_level
-                       ~scale_bits:51 ())
-                    ~bindings ~inputs prog
-                in
-                Halo_runtime.Guard.check ~margin:guard_margin prog ~reference
+                Halo_runtime.Guard.check ~margin:guard_margin prog
+                  ~reference:
+                    (Halo_runtime.Interp.reference ~bindings ~inputs prog)
                   ~observed:outs
               in
               let outs = exec compiled in
@@ -529,8 +523,8 @@ let run_cmd =
       value & flag
       & info [ "guard" ]
           ~doc:
-            "Also run noiselessly and check the observed error against the \
-             static noise bound.")
+            "Also compute the exact cleartext reference and check the \
+             observed error against the static noise bound.")
   in
   let checkpoint_dir_arg =
     Arg.(
@@ -1322,8 +1316,8 @@ let serve_cmd =
       value & flag
       & info [ "guard-batches" ]
           ~doc:
-            "Run a noiseless reference for every batch and fail it on a \
-             noise breach against the static bound.")
+            "Compute the exact cleartext reference for every batch and fail \
+             it on a noise breach against the static bound.")
   in
   let drain_arg =
     Arg.(
@@ -1601,16 +1595,9 @@ let soak_cmd =
       let total = Stats.create () in
       for trial = 0 to trials - 1 do
         let inputs = b.gen_inputs ~seed:(seed + trial) ~size in
-        (* Fault-free reference: the exact semantics, from a noiseless
-           backend, used both as the recovery target and as the guard's
-           reference. *)
-        let clean, _ =
-          Ref.run
-            (Halo_ckks.Ref_backend.create ~enc_noise:0.0 ~mult_noise:0.0
-               ~boot_noise:0.0 ~rescale_noise:0.0 ~slots
-               ~max_level:compiled.max_level ~scale_bits:51 ())
-            ~bindings ~inputs compiled
-        in
+        (* Fault-free reference: the exact semantics, used both as the
+           recovery target and as the guard's reference. *)
+        let clean = Halo_runtime.Interp.reference ~bindings ~inputs compiled in
         let stats = Stats.create () in
         let st =
           Faulty.wrap
@@ -1650,8 +1637,8 @@ let soak_cmd =
            re-executed once under the next-safer strategy on a fresh,
            fault-free backend (the injector models this trial's hostile
            environment; the replan models handing the request to a healthy
-           executor), guarded against the replanned program's own
-           noiseless reference. *)
+           executor), guarded against the replanned program's own exact
+           reference. *)
         let replan v =
           match Strategy.safer strategy with
           | Some s when rescue ->
@@ -1661,14 +1648,8 @@ let soak_cmd =
             let replanned =
               Strategy.compile ~bindings ~strategy:s (b.build ~slots ~size)
             in
-            let noiseless = Some 0.0 in
-            let clean2, _ =
-              Ref.run
-                (Halo_ckks.Ref_backend.create ?enc_noise:noiseless
-                   ?mult_noise:noiseless ?boot_noise:noiseless
-                   ?rescale_noise:noiseless ~slots
-                   ~max_level:replanned.Ir.max_level ~scale_bits:51 ())
-                ~bindings ~inputs replanned
+            let clean2 =
+              Halo_runtime.Interp.reference ~bindings ~inputs replanned
             in
             Stats.record_replan stats;
             let outs2, rstats =

@@ -1,10 +1,12 @@
 (** Backend interface for the interpreter.
 
-    Two implementations ship with the library: [Halo_ckks.Ref_backend]
+    Three implementations ship with the library: [Halo_ckks.Ref_backend]
     (cleartext-tracking with calibrated noise — scales to the paper's
-    workloads) and {!Lattice_backend} (real RLWE ciphertexts at
-    test-friendly parameters).  Both enforce the same level/scale
-    discipline, so a program that runs on one runs on the other.
+    workloads), {!Lattice_backend} (real RLWE ciphertexts at
+    test-friendly parameters) and {!Clear_backend} (the exact cleartext
+    semantics behind {!Interp.reference}).  The first two enforce the same
+    level/scale discipline, so a program that runs on one runs on the
+    other; the clear backend checks nothing and adds no noise.
 
     Discipline violations raise {!Halo_error.Backend_error} carrying the
     backend's {!name}, the operation and the operand level; decorators such

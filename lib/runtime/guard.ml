@@ -76,14 +76,10 @@ module R = Interp.Make (Halo_ckks.Ref_backend)
 
 let run_ref ?units ?margin ?backend_seed ?(scale_bits = 51) ?(bindings = [])
     ~inputs p =
-  let make ?seed ~noisy () =
-    let noiseless = if noisy then None else Some 0.0 in
-    Halo_ckks.Ref_backend.create ?seed ?enc_noise:noiseless
-      ?mult_noise:noiseless ?boot_noise:noiseless ?rescale_noise:noiseless
-      ~slots:p.Ir.slots ~max_level:p.Ir.max_level ~scale_bits ()
+  let st =
+    Halo_ckks.Ref_backend.create ?seed:backend_seed ~slots:p.Ir.slots
+      ~max_level:p.Ir.max_level ~scale_bits ()
   in
-  let observed, stats =
-    R.run (make ?seed:backend_seed ~noisy:true ()) ~bindings ~inputs p
-  in
-  let reference, _ = R.run (make ~noisy:false ()) ~bindings ~inputs p in
+  let observed, stats = R.run st ~bindings ~inputs p in
+  let reference = Interp.reference ~bindings ~inputs p in
   (observed, stats, check ?units ?margin p ~reference ~observed)

@@ -13,9 +13,9 @@
     bound on the paper's workloads).
 
     {!run_ref} is the reference-backend convenience used by the CLI: it
-    executes the program twice on [Halo_ckks.Ref_backend] — once with
-    calibrated noise, once noiseless (the exact semantics) — and checks the
-    difference, so a verdict needs no cleartext re-implementation of the
+    executes the program on [Halo_ckks.Ref_backend] with calibrated noise
+    and checks the outputs against {!Interp.reference} (the exact
+    semantics), so a verdict needs no cleartext re-implementation of the
     program. *)
 
 type verdict =
@@ -50,8 +50,8 @@ val check :
   reference:float array list ->
   observed:float array list ->
   verdict
-(** [reference] are the exact (noise-free) outputs, [observed] the decrypted
-    ones; both in the program's output order. *)
+(** [reference] are the exact outputs ({!Interp.reference}), [observed]
+    the decrypted ones; both in the program's output order. *)
 
 val run_ref :
   ?units:Halo.Noise_budget.units ->

@@ -54,11 +54,6 @@ module Make (B : Backend.S) = struct
           if j < len then values.(j) else 0.0)
     end
 
-  let rotate_plain values offset =
-    let n = Array.length values in
-    let shift = ((offset mod n) + n) mod n in
-    Array.init n (fun i -> values.((i + shift) mod n))
-
   let site_of (i : Ir.instr) =
     Halo_error.site
       ?var:(match i.results with v :: _ -> Some v | [] -> None)
@@ -76,6 +71,8 @@ module Make (B : Backend.S) = struct
       | Some x -> x
       | None -> err ?site "use of undefined variable %%%d" v
     in
+    (* Plaintext rotations and rotate-sums are the cleartext semantics. *)
+    let clear = Clear_backend.create ~slots in
     let level_of ct = B.level st ct in
     let record op ct = Stats.record stats op ~level:(level_of ct) in
     (* Inputs: replicate across the slots, encrypt the cipher ones. *)
@@ -94,6 +91,70 @@ module Make (B : Backend.S) = struct
         in
         Hashtbl.replace env inp.in_var v)
       p.inputs;
+    let binary kind lhs rhs =
+      match (kind, lhs, rhs) with
+      | Ir.Add, Plain a, Plain b -> Plain (Array.map2 ( +. ) a b)
+      | Ir.Sub, Plain a, Plain b -> Plain (Array.map2 ( -. ) a b)
+      | Ir.Mul, Plain a, Plain b -> Plain (Array.map2 ( *. ) a b)
+      | Ir.Add, Cipher a, Cipher b ->
+        record Cost.Addcc a;
+        Cipher (B.addcc st a b)
+      | Ir.Sub, Cipher a, Cipher b ->
+        record Cost.Subcc a;
+        Cipher (B.subcc st a b)
+      | Ir.Mul, Cipher a, Cipher b ->
+        record Cost.Multcc a;
+        Stats.record_key_switch stats;
+        Cipher (B.multcc st a b)
+      | Ir.Add, Cipher a, Plain b | Ir.Add, Plain b, Cipher a ->
+        record Cost.Addcp a;
+        Cipher (B.addcp st a b)
+      | Ir.Sub, Cipher a, Plain b ->
+        record Cost.Addcp a;
+        Cipher (B.addcp st a (Array.map Float.neg b))
+      | Ir.Sub, Plain a, Cipher b ->
+        record Cost.Addcp b;
+        Cipher (B.addcp st (B.negate st b) a)
+      | Ir.Mul, Cipher a, Plain b | Ir.Mul, Plain b, Cipher a ->
+        record Cost.Multcp a;
+        Cipher (B.multcp st a b)
+    in
+    let rotate v offset =
+      match v with
+      | Plain a -> Plain (Clear_backend.rotate clear a ~offset)
+      | Cipher _ when offset = 0 -> v
+      | Cipher c ->
+        record Cost.Rotate c;
+        Stats.record_key_switch stats;
+        Cipher (B.rotate st c ~offset)
+    in
+    (* Composite pack/unpack run the exact recipe [Lower_pack] emits, through
+       the same [binary] and [rotate] paths: a zero/one mask selecting
+       segment [index] of each [period]-slot block. *)
+    let mask ~period ~num_e index =
+      Plain
+        (Array.init slots (fun j ->
+             if j mod period / num_e = index then 1.0 else 0.0))
+    in
+    let pack srcs ~num_e =
+      let period = Sizes.round_pow2 (List.length srcs) * num_e in
+      let masked idx src = binary Ir.Mul src (mask ~period ~num_e idx) in
+      match List.mapi masked srcs with
+      | [] -> err "pack: no sources"
+      | m :: ms -> List.fold_left (binary Ir.Add) m ms
+    in
+    let unpack src ~index ~num_e ~count =
+      let period = Sizes.round_pow2 count * num_e in
+      (* Rotate segment [index] to the front, mask it, then replicate it
+         across the slots by rotate-and-add doubling. *)
+      let rec spread v step =
+        if step >= period then v
+        else spread (binary Ir.Add v (rotate v (-step))) (step * 2)
+      in
+      spread
+        (binary Ir.Mul (rotate src (index * num_e)) (mask ~period ~num_e 0))
+        num_e
+    in
     let rec exec_block (b : Ir.block) args =
       List.iter2 (fun prm v -> Hashtbl.replace env prm v) b.params args;
       List.iter (fun (i : Ir.instr) -> exec_instr i) b.instrs
@@ -109,34 +170,6 @@ module Make (B : Backend.S) = struct
             ierr "vector constant has %d elements but declares size %d"
               (Array.length xs) size;
           replicate ~slots xs
-      in
-      let binary kind lhs rhs =
-        match (kind, lhs, rhs) with
-        | Ir.Add, Plain a, Plain b -> Plain (Array.map2 ( +. ) a b)
-        | Ir.Sub, Plain a, Plain b -> Plain (Array.map2 ( -. ) a b)
-        | Ir.Mul, Plain a, Plain b -> Plain (Array.map2 ( *. ) a b)
-        | Ir.Add, Cipher a, Cipher b ->
-          record Cost.Addcc a;
-          Cipher (B.addcc st a b)
-        | Ir.Sub, Cipher a, Cipher b ->
-          record Cost.Subcc a;
-          Cipher (B.subcc st a b)
-        | Ir.Mul, Cipher a, Cipher b ->
-          record Cost.Multcc a;
-          Stats.record_key_switch stats;
-          Cipher (B.multcc st a b)
-        | Ir.Add, Cipher a, Plain b | Ir.Add, Plain b, Cipher a ->
-          record Cost.Addcp a;
-          Cipher (B.addcp st a b)
-        | Ir.Sub, Cipher a, Plain b ->
-          record Cost.Addcp a;
-          Cipher (B.addcp st a (Array.map Float.neg b))
-        | Ir.Sub, Plain a, Cipher b ->
-          record Cost.Addcp b;
-          Cipher (B.addcp st (B.negate st b) a)
-        | Ir.Mul, Cipher a, Plain b | Ir.Mul, Plain b, Cipher a ->
-          record Cost.Multcp a;
-          Cipher (B.multcp st a b)
       in
       match i.op with
       | Ir.For fo ->
@@ -184,24 +217,14 @@ module Make (B : Backend.S) = struct
               Hashtbl.replace env (Ir.result i)
                 (binary kind (value_of lhs) (value_of rhs))
             | Ir.Rotate { src; offset } ->
-              let v =
-                match value_of src with
-                | Plain a -> Plain (rotate_plain a offset)
-                | Cipher c ->
-                  if offset = 0 then Cipher c
-                  else begin
-                    record Cost.Rotate c;
-                    Stats.record_key_switch stats;
-                    Cipher (B.rotate st c ~offset)
-                  end
-              in
-              Hashtbl.replace env (Ir.result i) v
+              Hashtbl.replace env (Ir.result i) (rotate (value_of src) offset)
             | Ir.RotateMany { src; offsets } ->
               (match value_of src with
                | Plain a ->
                  List.iter2
                    (fun r offset ->
-                     Hashtbl.replace env r (Plain (rotate_plain a offset)))
+                     Hashtbl.replace env r
+                       (Plain (Clear_backend.rotate clear a ~offset)))
                    i.results offsets
                | Cipher c ->
                  (* Zero offsets short-circuit exactly as single rotates do;
@@ -231,40 +254,22 @@ module Make (B : Backend.S) = struct
                  in
                  bind i.results offsets rotated)
             | Ir.RotSum { src; terms } ->
+              let resolved =
+                List.map
+                  (fun (o, cv) ->
+                    match cv with
+                    | None -> (o, None)
+                    | Some v ->
+                      (match value_of v with
+                       | Plain m -> (o, Some m)
+                       | Cipher _ -> ierr "rot_sum: cipher coefficient"))
+                  terms
+              in
               (match value_of src with
                | Plain a ->
-                 (* Cleartext semantics: rescale is value-preserving, so a
-                    weighted group is just Σ coeff ⊙ rot(src). *)
-                 let term_value (o, c) =
-                   let r = rotate_plain a o in
-                   match c with
-                   | None -> r
-                   | Some v ->
-                     (match value_of v with
-                      | Plain m -> Array.map2 ( *. ) r m
-                      | Cipher _ -> ierr "rot_sum: cipher coefficient")
-                 in
-                 let sum =
-                   match terms with
-                   | [] -> ierr "rot_sum: empty term list"
-                   | t :: ts ->
-                     List.fold_left
-                       (fun acc t -> Array.map2 ( +. ) acc (term_value t))
-                       (term_value t) ts
-                 in
-                 Hashtbl.replace env (Ir.result i) (Plain sum)
+                 Hashtbl.replace env (Ir.result i)
+                   (Plain (Clear_backend.rot_sum clear a ~terms:resolved))
                | Cipher c ->
-                 let resolved =
-                   List.map
-                     (fun (o, cv) ->
-                       match cv with
-                       | None -> (o, None)
-                       | Some v ->
-                         (match value_of v with
-                          | Plain m -> (o, Some m)
-                          | Cipher _ -> ierr "rot_sum: cipher coefficient"))
-                     terms
-                 in
                  (* Accounting mirrors the unfused sequence so fused and
                     unfused runs report the same op counts: a rotate and key
                     switch per nonzero offset, a multcp+rescale per weighted
@@ -313,9 +318,12 @@ module Make (B : Backend.S) = struct
                  Stats.record_bootstrap stats ~target;
                  Hashtbl.replace env (Ir.result i)
                    (Cipher (B.bootstrap st c ~target)))
-            | Ir.Pack _ | Ir.Unpack _ ->
-              ierr "composite pack/unpack reached the interpreter; compile \
-                    with lowering"
+            | Ir.Pack { srcs; num_e } ->
+              Hashtbl.replace env (Ir.result i)
+                (pack (List.map value_of srcs) ~num_e)
+            | Ir.Unpack { src; index; num_e; count } ->
+              Hashtbl.replace env (Ir.result i)
+                (unpack (value_of src) ~index ~num_e ~count)
             | Ir.For _ -> assert false)
     in
     let input_values =
@@ -332,3 +340,8 @@ module Make (B : Backend.S) = struct
     in
     (outputs, stats)
 end
+
+module Clear = Make (Clear_backend)
+
+let reference ?bindings ~inputs (p : Ir.program) =
+  fst (Clear.run (Clear_backend.create ~slots:p.slots) ?bindings ~inputs p)

@@ -1,11 +1,18 @@
-(** The interpreter: executes a compiled (normalized, pack-lowered) program
-    against a backend, with dynamic iteration-count bindings and latency
-    accounting.
+(** The interpreter: executes a program against a backend, with dynamic
+    iteration-count bindings and latency accounting.
 
-    Plaintext values flow as cleartext slot vectors; mixed operations map to
+    Plaintext values flow as cleartext slot vectors, rotated and
+    rotate-summed by {!Clear_backend}; mixed operations map to
     [addcp]/[multcp]; loop-carried values are rebound each iteration.  Input
     vectors shorter than the slot count are replicated (period padded to a
     power of two), the layout the paper's packing optimization relies on.
+    Composite [pack]/[unpack] run the mask-multiply-rotate-add recipe
+    {!Halo.Lower_pack} emits, through the same operation paths, so a lowered
+    and an unlowered program compute the same values.
+
+    The interpreter over {!Clear_backend} is the single cleartext semantics:
+    {!reference} is what compiler passes are fingerprinted with and what
+    noisy executions are guarded against.
 
     Failures raise {!Halo_error.Interp_error} carrying the instruction's
     result variable and operation name, so a fuzz-oracle or soak failure is
@@ -63,8 +70,18 @@ module Make (B : Backend.S) : sig
     Halo.Ir.program ->
     float array list * Stats.t
   (** Outputs are decrypted slot vectors (cleartext outputs pass through).
-      Raises {!Halo_error.Interp_error} on missing inputs/bindings, a
-      mis-sized vector constant, or a composite [pack]/[unpack] (compile
-      with lowering enabled).  When [stats] is supplied the counters are
+      Raises {!Halo_error.Interp_error} on missing inputs/bindings or a
+      mis-sized vector constant.  When [stats] is supplied the counters are
       accumulated into it (and it is the returned record). *)
 end
+
+val reference :
+  ?bindings:(string * int) list ->
+  inputs:(string * float array) list ->
+  Halo.Ir.program ->
+  float array list
+(** The exact outputs: the program run on {!Clear_backend}, where levels,
+    scales and noise do not exist and [rescale]/[modswitch]/[bootstrap] are
+    identity.  Invariant under every legal compiler transformation, and
+    equal slot for slot to a noiseless {!Halo_ckks.Ref_backend} run.
+    Raises like {!Make.run}. *)

@@ -71,7 +71,7 @@ type sup_cfg = {
   s_quarantine_after : int;
       (** solo failures that quarantine a tenant durably; [0] disables *)
   s_guard : bool;
-      (** run a noiseless reference per batch and abort on a noise breach *)
+      (** compute the exact reference per batch and abort on a noise breach *)
   s_rescue : bool;
       (** run the {!Halo_runtime.Noise_monitor} inside every batch, and
           re-execute solo batches that still breach under a recompiled
@@ -116,7 +116,7 @@ type request = {
     lanes (request-major, then program-output-major); the other three are
     structured failure reports shared by every member of the batch:
     [Degraded] is retry-budget exhaustion, [Deadline] a blown virtual-time
-    budget, [Breach] a noise-guard violation against the noiseless
+    budget, [Breach] a noise-guard violation against the exact
     reference. *)
 type batch_status =
   | Ok of float array list list

@@ -18,9 +18,6 @@ module Store = Halo_persist.Store
 module Faulty = Faults.Make (Ref_backend)
 module Recover = Resilient.Make (Faulty)
 
-(* Noiseless reference interpreter for the per-batch guard (s_guard). *)
-module Plain = Interp.Make (Ref_backend)
-
 type reject =
   | Queue_full of { depth : int }
   | Unknown_program of string
@@ -596,16 +593,6 @@ let fault_config (cfg : Codec.config) (b : batch) =
       ~spike_prob:f.f_spike ~spike_magnitude:f.f_magnitude ~schedule
       ~seed:(f.f_seed + b.b_key) ()
 
-(* Noiseless reference for the batch guard: the exact semantics of the
-   batch program on its packed inputs. *)
-let reference_outputs (cfg : Codec.config) (prog : Ir.program) inputs =
-  let nb =
-    Ref_backend.create ~seed:0 ~enc_noise:0.0 ~mult_noise:0.0 ~boot_noise:0.0
-      ~rescale_noise:0.0 ~slots:prog.Ir.slots ~max_level:prog.Ir.max_level
-      ~scale_bits:cfg.backend.scale_bits ()
-  in
-  fst (Plain.run nb ~inputs prog)
-
 (* Execute one batch.  Pure function of (config, batch): the backend and
    fault seeds derive from the batch key, not from scheduling, and the
    deadline clock is virtual, so the entry is bit-identical for any pool
@@ -675,7 +662,7 @@ let exec_batch (cfg : Codec.config) (b : batch) =
         else
           match
             Guard.check ~margin:cfg.margin prog
-              ~reference:(reference_outputs cfg prog inputs)
+              ~reference:(Interp.reference ~inputs prog)
               ~observed:outputs
           with
           | Guard.Breach { observed; bound; output; slot } ->

@@ -199,18 +199,6 @@ let search ~exhaustive ~bindings (p : Ir.program) =
 (* Verification of the winning plan                                    *)
 (* ------------------------------------------------------------------ *)
 
-let max_deviation a b =
-  List.fold_left2
-    (fun acc xs ys ->
-      let n = min (Array.length xs) (Array.length ys) in
-      let worst = ref acc in
-      for i = 0 to n - 1 do
-        let d = Float.abs (xs.(i) -. ys.(i)) in
-        if d > !worst then worst := d
-      done;
-      !worst)
-    0.0 a b
-
 let compile_plan ?(verify = true) ?tol ~bindings (plan : Plan.t) p =
   Pipeline.compile ~bindings ~rotate_fuse:plan.Plan.p_rotate_fuse
     ~lazy_switch:plan.Plan.p_lazy_switch ~unroll_factor:plan.Plan.p_unroll
@@ -260,7 +248,7 @@ let tune ?(exhaustive = false) ?(bindings = []) ?(name = "program") ?tol
   let tuned_fp =
     Pipeline.fingerprint ~bindings ~inputs:(Pipeline.fixed_inputs p) tuned
   in
-  let drift = max_deviation reference tuned_fp in
+  let drift = Pipeline.max_deviation reference tuned_fp in
   let tol = Option.value tol ~default:1e-6 in
   if drift > tol then
     raise

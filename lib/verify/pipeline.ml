@@ -12,143 +12,8 @@ let fail ~strategy ~pass_name fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Cleartext evaluation: the semantic fingerprint                      *)
+(* The semantic fingerprint                                            *)
 (* ------------------------------------------------------------------ *)
-
-exception Eval_error of string
-
-let eval_err fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
-
-let replicate ~slots values =
-  let len = Array.length values in
-  if len = 0 then eval_err "empty vector";
-  if len >= slots then Array.sub values 0 slots
-  else begin
-    let period = Sizes.round_pow2 len in
-    if slots mod period <> 0 then
-      eval_err "period %d does not divide slot count %d" period slots;
-    Array.init slots (fun i ->
-        let j = i mod period in
-        if j < len then values.(j) else 0.0)
-  end
-
-let rotate values offset =
-  let n = Array.length values in
-  let shift = ((offset mod n) + n) mod n in
-  Array.init n (fun i -> values.((i + shift) mod n))
-
-(* Executes a program over plain slot vectors, ignoring levels, scales and
-   encryption status entirely: rescale, modswitch and bootstrap are identity,
-   and composite pack/unpack follow exactly the mask-multiply-rotate-add
-   recipe that [Lower_pack] emits.  Because the fingerprint is insensitive to
-   everything a pass is allowed to change (scale management, bootstrap
-   placement, loop structure), any drift between two pipeline stages is a
-   genuine semantic bug in the pass between them. *)
-let eval ?(bindings = []) ~inputs (p : Ir.program) =
-  let slots = p.slots in
-  let env : (Ir.var, float array) Hashtbl.t = Hashtbl.create 256 in
-  let value_of v =
-    match Hashtbl.find_opt env v with
-    | Some x -> x
-    | None -> eval_err "use of undefined variable %%%d" v
-  in
-  List.iter
-    (fun (inp : Ir.input) ->
-      let raw =
-        match List.assoc_opt inp.in_name inputs with
-        | Some r -> r
-        | None -> eval_err "missing input %S" inp.in_name
-      in
-      Hashtbl.replace env inp.in_var (replicate ~slots raw))
-    p.inputs;
-  let binary kind a b =
-    let f =
-      match kind with Ir.Add -> ( +. ) | Ir.Sub -> ( -. ) | Ir.Mul -> ( *. )
-    in
-    Array.map2 f a b
-  in
-  let rec exec_block (b : Ir.block) args =
-    List.iter2 (fun prm v -> Hashtbl.replace env prm v) b.params args;
-    List.iter
-      (fun (i : Ir.instr) ->
-        let result v = Hashtbl.replace env (Ir.result i) v in
-        match i.op with
-        | Ir.Const { value = Ir.Splat x; _ } -> result (Array.make slots x)
-        | Ir.Const { value = Ir.Vector xs; _ } -> result (replicate ~slots xs)
-        | Ir.Binary { kind; lhs; rhs } ->
-          result (binary kind (value_of lhs) (value_of rhs))
-        | Ir.Rotate { src; offset } -> result (rotate (value_of src) offset)
-        | Ir.RotateMany { src; offsets } ->
-          let a = value_of src in
-          List.iter2
-            (fun r offset -> Hashtbl.replace env r (rotate a offset))
-            i.results offsets
-        | Ir.RotSum { src; terms } ->
-          (* Rescale is identity here, so a weighted group is exactly
-             Σ coeff ⊙ rot(src), folded in term order (the same IEEE add
-             order as the unfused add chain). *)
-          let a = value_of src in
-          let term (o, c) =
-            let r = rotate a o in
-            match c with
-            | None -> r
-            | Some v -> Array.map2 ( *. ) r (value_of v)
-          in
-          (match terms with
-           | [] -> eval_err "empty rot_sum"
-           | t :: ts ->
-             result
-               (List.fold_left
-                  (fun acc t -> Array.map2 ( +. ) acc (term t))
-                  (term t) ts))
-        | Ir.Rescale { src } | Ir.Modswitch { src; _ } | Ir.Bootstrap { src; _ }
-          ->
-          result (value_of src)
-        | Ir.Pack { srcs; num_e } ->
-          let arrs = Array.of_list (List.map value_of srcs) in
-          let segments = Sizes.round_pow2 (Array.length arrs) in
-          let period = segments * num_e in
-          result
-            (Array.init slots (fun j ->
-                 let seg = j mod period / num_e in
-                 if seg < Array.length arrs then arrs.(seg).(j) else 0.0))
-        | Ir.Unpack { src; index; num_e; count } ->
-          let a = value_of src in
-          let segments = Sizes.round_pow2 count in
-          let period = segments * num_e in
-          let masked =
-            Array.init slots (fun j ->
-                if j mod period / num_e = index then a.(j) else 0.0)
-          in
-          let positioned =
-            if index = 0 then masked else rotate masked (index * num_e)
-          in
-          let rec repl v step =
-            let v = Array.map2 ( +. ) v (rotate v (-step)) in
-            if step * 2 >= period then v else repl v (step * 2)
-          in
-          result (if period <= num_e then positioned else repl positioned num_e)
-        | Ir.For fo ->
-          let n =
-            try Ir.eval_count ~bindings fo.count
-            with Not_found ->
-              eval_err "missing binding for iteration count %s"
-                (Ir.count_to_string fo.count)
-          in
-          let rec iterate k args =
-            if k = 0 then args
-            else begin
-              exec_block fo.body args;
-              iterate (k - 1) (List.map value_of fo.body.yields)
-            end
-          in
-          let final = iterate n (List.map value_of fo.inits) in
-          List.iter2 (fun r v -> Hashtbl.replace env r v) i.results final)
-      b.instrs
-  in
-  exec_block p.body
-    (List.map (fun (inp : Ir.input) -> value_of inp.in_var) p.inputs);
-  List.map value_of p.body.yields
 
 (* Deterministic pseudo-random inputs in [-0.9, 0.9]: the magnitude bound
    keeps generated programs (whose combinators are contraction maps, see
@@ -164,9 +29,14 @@ let fixed_inputs (p : Ir.program) =
             (float_of_int h /. float_of_int 0x3FFFFFFF *. 1.8) -. 0.9) ))
     p.inputs
 
+(* The program's outputs under the exact cleartext semantics
+   ({!Halo_runtime.Interp.reference}): insensitive to everything a pass is
+   allowed to change (scale management, bootstrap placement, loop structure,
+   pack lowering), so any drift between two pipeline stages is a genuine
+   semantic bug in the pass between them. *)
 let fingerprint ?bindings ?inputs (p : Ir.program) =
   let inputs = match inputs with Some i -> i | None -> fixed_inputs p in
-  eval ?bindings ~inputs p
+  Halo_runtime.Interp.reference ?bindings ~inputs p
 
 (* ------------------------------------------------------------------ *)
 (* Checked pass running                                                *)
@@ -190,7 +60,7 @@ type state = {
 }
 
 let try_fingerprint st p =
-  match eval ~bindings:st.bindings ~inputs:st.inputs p with
+  match fingerprint ~bindings:st.bindings ~inputs:st.inputs p with
   | fp -> Some fp
   | exception _ ->
     (* Unevaluable stages (missing bindings, mid-transform shapes) simply

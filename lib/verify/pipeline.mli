@@ -4,8 +4,9 @@
     {!Halo.Strategy.compile} but validates the IR after {e every} pass (at the
     strength the pipeline has established so far, see
     {!Halo.Strategy.milestone}) and compares a semantic fingerprint — the
-    program's outputs under a cleartext evaluator on fixed inputs — across
-    consecutive evaluable stages.  The first broken invariant or fingerprint
+    program's outputs under {!Halo_runtime.Interp.reference}, the single
+    cleartext semantics, on fixed inputs — across consecutive evaluable
+    stages.  The first broken invariant or fingerprint
     drift raises {!Verification_failure} naming the offending pass. *)
 
 open Halo
@@ -16,20 +17,6 @@ exception Verification_failure of {
   detail : string;
 }
 
-exception Eval_error of string
-
-val eval :
-  ?bindings:(string * int) list ->
-  inputs:(string * float array) list ->
-  Ir.program ->
-  float array list
-(** Cleartext reference evaluation: levels, scales and encryption status are
-    ignored ([rescale]/[modswitch]/[bootstrap] are identity) and composite
-    [pack]/[unpack] follow the exact mask-and-rotate recipe of
-    {!Halo.Lower_pack}, so the result is invariant under every legal compiler
-    transformation.  Raises {!Eval_error} on malformed programs or missing
-    inputs/bindings. *)
-
 val fixed_inputs : Ir.program -> (string * float array) list
 (** Deterministic pseudo-random inputs in [[-0.9, 0.9]], keyed on input
     order, shared by the fingerprinter and the differential oracle. *)
@@ -39,7 +26,13 @@ val fingerprint :
   ?inputs:(string * float array) list ->
   Ir.program ->
   float array list
-(** [eval] on {!fixed_inputs} (or the given inputs). *)
+(** {!Halo_runtime.Interp.reference} on {!fixed_inputs} (or the given
+    inputs): the program's exact outputs, invariant under every legal
+    compiler transformation. *)
+
+val max_deviation : float array list -> float array list -> float
+(** Largest absolute slot-wise difference between two output lists,
+    compared output by output over the shorter length; [0.] when equal. *)
 
 type pass_report = {
   pass_name : string;

@@ -1,7 +1,8 @@
 (* Tests for the verification subsystem: the structural IR validator (one
    deliberately broken program per rule), the checked pass pipeline with
-   semantic fingerprints, bug-injection attribution, and the differential
-   fuzz oracle across all five strategies. *)
+   semantic fingerprints, bug-injection attribution, the cleartext
+   reference against independent oracles and a golden digest, and the
+   differential fuzz oracle across all five strategies. *)
 
 open Halo
 module Ir_check = Halo_verify.Ir_check
@@ -349,6 +350,118 @@ let test_fingerprint_source_vs_compiled () =
         source_fp fp)
     Strategy.all
 
+(* ------------------------------------------------------------------ *)
+(* The cleartext semantics against independent oracles                 *)
+(* ------------------------------------------------------------------ *)
+
+module R = Halo_runtime.Interp.Make (Halo_ckks.Ref_backend)
+
+(* A noiseless reference backend reaches the same values through its full
+   level and scale discipline, so on every compiled program it must agree
+   with [Interp.reference] exactly. *)
+let test_reference_matches_noiseless_ref () =
+  for seed = 0 to 19 do
+    let g = Gen.generate seed in
+    let inputs = Pipeline.fixed_inputs g.prog in
+    List.iter
+      (fun strategy ->
+        let p = Strategy.compile ~bindings:g.bindings ~strategy g.prog in
+        let st =
+          Halo_ckks.Ref_backend.create ~enc_noise:0.0 ~mult_noise:0.0
+            ~boot_noise:0.0 ~rescale_noise:0.0 ~slots:p.slots
+            ~max_level:p.max_level ~scale_bits:51 ()
+        in
+        let noiseless, _ = R.run st ~bindings:g.bindings ~inputs p in
+        let exact =
+          Halo_runtime.Interp.reference ~bindings:g.bindings ~inputs p
+        in
+        if not (List.equal (Array.for_all2 ( = )) exact noiseless) then
+          Alcotest.failf "seed %d, %s: reference differs from noiseless run"
+            seed (Strategy.to_string strategy))
+      Strategy.all
+  done
+
+(* Two cipher values carried through the loop: packing merges them, so
+   the unlowered program keeps composite pack/unpack. *)
+let two_carried_program () =
+  Dsl.build ~name:"two" ~slots:256 ~max_level:16 (fun b ->
+      let x = Dsl.input b "x" ~size:16 in
+      let outs =
+        Dsl.for_ b ~count:(dyn "K") ~init:[ x; x ] (fun b -> function
+          | [ u; v ] ->
+            let u' = Dsl.mul b u (Dsl.const b 0.9) in
+            [ u'; Dsl.add b v (Dsl.mul b u' (Dsl.const b 0.1)) ]
+          | _ -> assert false)
+      in
+      List.iter (Dsl.output b) outs)
+
+let test_unlowered_pack_matches_lowered () =
+  let p = two_carried_program () and bindings = [ ("K", 7) ] in
+  let compile lower =
+    Strategy.compile ~bindings ~lower ~strategy:Strategy.Packing_unrolling p
+  in
+  let unlowered = compile false and lowered = compile true in
+  let composite = function Ir.Pack _ | Ir.Unpack _ -> true | _ -> false in
+  Alcotest.(check bool) "composite ops kept" true
+    (Ir.count_ops ~p:composite unlowered.body > 0);
+  let inputs = Pipeline.fixed_inputs p in
+  let run q = Halo_runtime.Interp.reference ~bindings ~inputs q in
+  let d = Pipeline.max_deviation (run unlowered) (run lowered) in
+  if d > 1e-12 then Alcotest.failf "unlowered drifts from lowered by %g" d
+
+(* ------------------------------------------------------------------ *)
+(* Golden digest: per-pass drift and source fingerprints, bit for bit  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every per-pass drift and every source fingerprint, printed as hex
+   floats, for Gen seeds [0, 40) and the seven ML programs (1024 slots, 64
+   samples, 4 iterations) under every strategy.  Any change to the
+   cleartext semantics (a reordered fold, a different mask recipe, a walker
+   rewrite) moves some bit and with it the digest; update [golden_digest]
+   only for an intended semantic change. *)
+let golden_digest = "f8f9c3882c9dd010a8f552140b243d56"
+
+let semantic_digest () =
+  let buf = Buffer.create 65536 in
+  let program ~tag ~bindings p =
+    Printf.bprintf buf "%s source" tag;
+    (match Pipeline.fingerprint ~bindings p with
+     | fp -> List.iter (Array.iter (Printf.bprintf buf " %h")) fp
+     | exception e -> Printf.bprintf buf " raised %s" (Printexc.to_string e));
+    Buffer.add_char buf '\n';
+    List.iter
+      (fun strategy ->
+        Printf.bprintf buf "%s %s" tag (Strategy.to_string strategy);
+        (match Pipeline.compile ~bindings ~strategy p with
+         | _, reports ->
+           List.iter
+             (fun (r : Pipeline.pass_report) ->
+               Printf.bprintf buf " %s=%s" r.pass_name
+                 (match r.drift with
+                  | None -> "-"
+                  | Some d -> Printf.sprintf "%h" d))
+             reports
+         | exception e ->
+           Printf.bprintf buf " raised %s" (Printexc.to_string e));
+        Buffer.add_char buf '\n')
+      Strategy.all
+  in
+  for seed = 0 to 39 do
+    let g = Gen.generate seed in
+    program ~tag:(Printf.sprintf "seed %d" seed) ~bindings:g.bindings g.prog
+  done;
+  List.iter
+    (fun (b : Halo_ml.Bench_def.t) ->
+      program ~tag:b.name
+        ~bindings:(Halo_ml.Workloads.default_bindings b ~iters:4)
+        (b.build ~slots:1024 ~size:64))
+    Halo_ml.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_digest () =
+  Alcotest.(check string) "drift and fingerprint digest" golden_digest
+    (semantic_digest ())
+
 let test_fuzz_50_seeds () =
   let reports = Oracle.fuzz ~seeds:(List.init 50 (fun i -> i)) () in
   List.iter
@@ -391,6 +504,11 @@ let () =
           Alcotest.test_case "generator is deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "fingerprint source vs compiled" `Quick
             test_fingerprint_source_vs_compiled;
+          Alcotest.test_case "reference = noiseless ref backend" `Quick
+            test_reference_matches_noiseless_ref;
+          Alcotest.test_case "unlowered pack = lowered" `Quick
+            test_unlowered_pack_matches_lowered;
+          Alcotest.test_case "golden drift digest" `Quick test_golden_digest;
           Alcotest.test_case "50-seed differential fuzz" `Slow test_fuzz_50_seeds;
         ] );
     ]
