@@ -2,11 +2,12 @@
 
    [Ref] below is a frozen copy of the pre-optimization kernels (division
    per butterfly, psi-twist + bit-reversal cyclic NTT, Fermat-inverse
-   rescale, multiply-per-index automorphism) so the comparison survives
-   further changes to the library.  Every op asserts bit-identity between
-   the two implementations on the same inputs before timing; the process
-   exits nonzero if any assertion fails.  Results go to stdout and, with
-   [--json PATH], to a halo-bench-kernels/v1 JSON report. *)
+   rescale, multiply-per-index automorphism, per-element-division key
+   switch) so the comparison survives further changes to the library.
+   Every op asserts bit-identity between the two implementations on the
+   same inputs before timing; the process exits nonzero if any assertion
+   fails.  Results go to stdout and, with [--json PATH], to a
+   halo-bench-kernels/v1 JSON report. *)
 
 open Halo_ckks
 
@@ -133,6 +134,75 @@ module Ref = struct
       out
     in
     Array.mapi (fun i r -> apply moduli.(i) r) res
+
+  (* Seed key switch (decompose + apply): a hardware [mod] per element in
+     the digit embed and in the division by P, and a MAC that fully reduces
+     after every multiply-add.  [k0s]/[k1s] are the Shoup companions of the
+     key residues, as the seed stored them. *)
+  let key_switch (params : Params.t) ~k0 ~k1 ~k0s ~k1s (d : Rns_poly.t) =
+    let n = params.n and lq = params.max_level in
+    let chain_q t = if t < lq then params.moduli.(t) else params.special in
+    let chain_ntt t = if t < lq then Params.ntt_at params ~idx:t else params.ntt_special in
+    let res = (Rns_poly.to_coeff params d).res in
+    let l = Array.length res in
+    let positions = Array.append (Array.init l (fun t -> t)) [| lq |] in
+    let np = Array.length positions in
+    (* The seed's fan-out rule: tiny rings stay sequential. *)
+    let par k f =
+      if n >= 512 then Domain_pool.parallel_for ~n:k f
+      else
+        for i = 0 to k - 1 do
+          f i
+        done
+    in
+    let digits = Array.make np [||] in
+    par np (fun pos ->
+        let t = positions.(pos) in
+        let q = chain_q t in
+        digits.(pos) <-
+          Array.init l (fun i ->
+              let qi = params.moduli.(i) in
+              let dst = Array.make n 0 in
+              for j = 0 to n - 1 do
+                dst.(j) <- Modarith.reduce ~m:q (Modarith.center ~m:qi res.(i).(j))
+              done;
+              Ntt.forward_in_place (chain_ntt t) dst;
+              dst));
+    let u0 = Array.make np [||] and u1 = Array.make np [||] in
+    par np (fun pos ->
+        let t = positions.(pos) in
+        let q = chain_q t in
+        let a0 = Array.make n 0 and a1 = Array.make n 0 in
+        for i = 0 to l - 1 do
+          let d_ntt = digits.(pos).(i) in
+          for j = 0 to n - 1 do
+            let dj = d_ntt.(j) in
+            a0.(j) <-
+              Modarith.add ~m:q a0.(j)
+                (Modarith.mul_shoup ~m:q dj k0.(i).(t).(j) k0s.(i).(t).(j));
+            a1.(j) <-
+              Modarith.add ~m:q a1.(j)
+                (Modarith.mul_shoup ~m:q dj k1.(i).(t).(j) k1s.(i).(t).(j))
+          done
+        done;
+        Ntt.inverse_in_place (chain_ntt t) a0;
+        Ntt.inverse_in_place (chain_ntt t) a1;
+        u0.(pos) <- a0;
+        u1.(pos) <- a1);
+    let divide_by_p u =
+      let p = params.special in
+      let out = Array.make l [||] in
+      par l (fun t ->
+          let q = params.moduli.(t) in
+          out.(t) <-
+            Array.init n (fun j ->
+                let rep = Modarith.center ~m:p u.(l).(j) in
+                let diff = Modarith.sub ~m:q u.(t).(j) (Modarith.reduce ~m:q rep) in
+                Modarith.mul_shoup ~m:q diff params.special_inv.(t)
+                  params.special_inv_shoup.(t)));
+      out
+    in
+    (divide_by_p u0, divide_by_p u1)
 end
 
 (* ---------------------------------------------------------------- *)
@@ -257,6 +327,27 @@ let bench_size ~min_time ~limbs log_n =
            (Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res))
     ~ref_f:(fun () -> Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res)
     ~new_f:(fun () -> Rns_poly.automorphism params ~k pa_eval);
+  (* Key switch at full level L on an NTT-resident operand (as the
+     pipeline hands c1 over): division-free, lazily reduced decompose +
+     apply vs the seed loops, same relinearization key. *)
+  let keys = Keys.keygen params in
+  let sk = Keys.relin_key keys in
+  let k0, k1 = Keys.switch_key_raw sk in
+  let companions h =
+    Array.map
+      (Array.mapi (fun t limb ->
+           let q = if t < limbs then params.moduli.(t) else params.special in
+           Array.map (fun w -> Modarith.shoup ~m:q w) limb))
+      h
+  in
+  let k0s = companions k0 and k1s = companions k1 in
+  let ref_ks () = Ref.key_switch params ~k0 ~k1 ~k0s ~k1s pa_eval in
+  let new_ks () = Keys.apply keys sk (Keys.decompose keys pa_eval) in
+  record "keyswitch" ~limbs
+    ~identical:
+      (let (r0, r1), (n0, n1) = (ref_ks (), new_ks ()) in
+       residues_equal r0 n0.res && residues_equal r1 n1.res)
+    ~ref_f:ref_ks ~new_f:new_ks;
   List.rev !out
 
 let json_of_results ~min_time results =

@@ -440,9 +440,39 @@ type decomposed = {
   digits : int array array array;
 }
 
+let check_len n a = if Array.length a <> n then invalid_arg "Keys: limb length mismatch"
+
+(* [x mod q] for [0 <= x < 2^31], with [one_s = Modarith.shoup ~m:q 1]: the
+   Shoup multiply by 1 leaves [x - floor(x * one_s / 2^31) * q] in [0, 2q)
+   and one masked subtraction finishes it -- no division, no branch. *)
+let[@inline] reduce31 ~q ~one_s x =
+  let r = x - (((x * one_s) lsr 31) * q) - q in
+  r + (q land (r asr 62))
+
+(* [x mod q] for any [0 <= x < 2^62]: split [x = hi * 2^31 + lo] with both
+   halves below 2^31 and reduce each as a Shoup product -- [hi] by
+   [r31 = 2^31 mod q], [lo] by 1.  Each product lies in [0, 2q), so the sum
+   is below 4q and two masked subtractions bring it into [0, q). *)
+type reducer = { rq : int; r31 : int; r31_s : int; one_s : int }
+
+let reducer q =
+  let r31 = (1 lsl 31) mod q in
+  { rq = q; r31; r31_s = Modarith.shoup ~m:q r31; one_s = Modarith.shoup ~m:q 1 }
+
+let[@inline] reduce62 { rq = q; r31; r31_s; one_s } x =
+  let hi = x lsr 31 and lo = x land 0x7FFFFFFF in
+  let r =
+    (hi * r31) - (((hi * r31_s) lsr 31) * q) + lo - (((lo * one_s) lsr 31) * q) - (2 * q)
+  in
+  let r = r + ((2 * q) land (r asr 62)) - q in
+  r + (q land (r asr 62))
+
 let decompose keys d =
   let params = keys.params in
   let n = params.n in
+  (* An Eval-domain input already holds digit i's transform at position
+     t = i (center then embed mod q_i is the identity): copy, not NTT. *)
+  let resident = match Rns_poly.domain d with Rns_poly.Eval -> Some d.res | Coeff -> None in
   (* Digit decomposition needs centered coefficient-domain residues, so this
      is one of the two coefficient boundaries of the NTT-resident pipeline
      (the other is rescale). *)
@@ -458,92 +488,102 @@ let decompose keys d =
   par params np (fun pos ->
       let t = positions.(pos) in
       let q = chain_modulus params t in
+      let one_s = Modarith.shoup ~m:q 1 in
       let ctx = chain_ntt params t in
       for i = 0 to l - 1 do
-        let qi = params.moduli.(i) in
-        let src = res.(i) in
-        (* Center mod q_i and embed mod q directly into the retained digit
-           array, then transform it in place: the loop allocates nothing
-           beyond its outputs. *)
-        let dst = Array.make n 0 in
-        for j = 0 to n - 1 do
-          dst.(j) <- Modarith.reduce ~m:q (Modarith.center ~m:qi src.(j))
-        done;
-        Ntt.forward_in_place ctx dst;
-        digits.(pos).(i) <- dst
+        match resident with
+        | Some r when t = i -> digits.(pos).(i) <- Array.copy r.(i)
+        | _ ->
+          let qi = params.moduli.(i) in
+          let half = qi / 2 in
+          let src = res.(i) in
+          check_len n src;
+          (* Center mod q_i and embed mod q branch-free: one masked add when
+             (-q_i/2, q_i/2] fits in (-q, q), else reduce x mod q and
+             subtract [q_i]_q under the centering mask. *)
+          let dst = Array.make n 0 in
+          if half < q then
+            for j = 0 to n - 1 do
+              let x = Array.unsafe_get src j in
+              let c = x - (qi land ((half - x) asr 62)) in
+              Array.unsafe_set dst j (c + (q land (c asr 62)))
+            done
+          else begin
+            let qi_q = reduce31 ~q ~one_s qi in
+            for j = 0 to n - 1 do
+              let x = Array.unsafe_get src j in
+              let r = reduce31 ~q ~one_s x - (qi_q land ((half - x) asr 62)) in
+              Array.unsafe_set dst j (r + (q land (r asr 62)))
+            done
+          end;
+          Ntt.forward_in_place ctx dst;
+          digits.(pos).(i) <- dst
       done);
   { d_level = l; positions; digits }
 
+(* Exact division by P of the extended-basis pair: for each ciphertext
+   modulus, (u_t - [center_P(u_P)]_q) * P^-1 mod q, division-free. *)
 let divide_by_p (params : Params.t) ~level:l u =
   let n = params.n in
   let p = params.special in
+  let half = p / 2 in
   let special = u.(l) in
   let out = Array.make l [||] in
   par params l (fun t ->
       let q = params.moduli.(t) in
+      let one_s = Modarith.shoup ~m:q 1 in
+      let p_q = reduce31 ~q ~one_s p in
       let p_inv = params.special_inv.(t) in
       let p_inv_shoup = params.special_inv_shoup.(t) in
-      out.(t) <-
-        Array.init n (fun j ->
-            let rep = Modarith.center ~m:p special.(j) in
-            let diff = Modarith.sub ~m:q u.(t).(j) (Modarith.reduce ~m:q rep) in
-            Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup));
+      let ut = u.(t) in
+      List.iter (check_len n) [ ut; special ];
+      let dst = Array.make n 0 in
+      for j = 0 to n - 1 do
+        let x = Array.unsafe_get special j in
+        let r = reduce31 ~q ~one_s x - (p_q land ((half - x) asr 62)) in
+        let r = r + (q land (r asr 62)) in
+        let diff = Array.unsafe_get ut j - r in
+        let diff = diff + (q land (diff asr 62)) in
+        let v = (diff * p_inv) - (((diff * p_inv_shoup) lsr 31) * q) - q in
+        Array.unsafe_set dst j (v + (q land (v asr 62)))
+      done;
+      out.(t) <- dst);
   Rns_poly.of_residues out
 
-(* Inner product of the shared digits with one switching key.  When [perm]
-   is given it is the evaluation-domain slot permutation of a Galois
-   automorphism: reading the digits through it applies the automorphism to
-   the decomposed polynomial on the fly, fused into the MAC, so the hoisted
-   rotation path allocates no permuted copies.  All arithmetic here is
-   exact modular integer arithmetic, so the result is bit-identical to
-   decomposing the (permuted) polynomial from scratch. *)
-let apply_perm keys ?perm sk dec =
-  let params = keys.params in
-  let n = params.n in
-  let l = dec.d_level in
-  let np = Array.length dec.positions in
-  let u0 = Array.make np [||] and u1 = Array.make np [||] in
-  par params np (fun pos ->
-      let t = dec.positions.(pos) in
-      let q = chain_modulus params t in
-      let ctx = chain_ntt params t in
-      let a0 = Array.make n 0 and a1 = Array.make n 0 in
-      for i = 0 to l - 1 do
-        let d_ntt = dec.digits.(pos).(i) in
-        let k0 = sk.k0.(i).(t) and k1 = sk.k1.(i).(t) in
-        let k0s = sk.k0s.(i).(t) and k1s = sk.k1s.(i).(t) in
-        match perm with
-        | None ->
-          for j = 0 to n - 1 do
-            let dj = d_ntt.(j) in
-            a0.(j) <-
-              Modarith.add ~m:q a0.(j) (Modarith.mul_shoup ~m:q dj k0.(j) k0s.(j));
-            a1.(j) <-
-              Modarith.add ~m:q a1.(j) (Modarith.mul_shoup ~m:q dj k1.(j) k1s.(j))
-          done
-        | Some perm ->
-          for j = 0 to n - 1 do
-            let dj = d_ntt.(perm.(j)) in
-            a0.(j) <-
-              Modarith.add ~m:q a0.(j) (Modarith.mul_shoup ~m:q dj k0.(j) k0s.(j));
-            a1.(j) <-
-              Modarith.add ~m:q a1.(j) (Modarith.mul_shoup ~m:q dj k1.(j) k1s.(j))
-          done
-      done;
-      (* Back to the coefficient domain for the exact division by P. *)
-      Ntt.inverse_in_place ctx a0;
-      Ntt.inverse_in_place ctx a1;
-      u0.(pos) <- a0;
-      u1.(pos) <- a1);
-  (divide_by_p params ~level:l u0, divide_by_p params ~level:l u1)
-
-let apply keys sk dec = apply_perm keys sk dec
-
-let apply_rotated keys sk ~k dec =
-  let perm = Ntt.eval_perm (Params.ntt_at keys.params ~idx:0) ~k in
-  apply_perm keys ~perm sk dec
-
-let key_switch keys sk d = apply keys sk (decompose keys d)
+(* The one digit/key MAC kernel of every key switch: at chain position
+   [pos], out.(j) <- out.(j) + sum_i d_i.(perm.(j)) * k_i.(j) mod q for both
+   key halves.  [perm] is the slot permutation of a Galois automorphism
+   (identity for k = 1): reading the digits through it applies the
+   automorphism on the fly, with no permuted copies.  Each Shoup product
+   d*w - floor(d*w'/2^31)*q is left in [0, 2q) and summed unreduced: with
+   [out] in [0, q) and l digits the sum stays below (2l + 1) * q < 2^62, so
+   one [reduce62] per element closes it.  (out + d*w may pass max_int before
+   the subtraction; int arithmetic wraps mod 2^63, so the result is exact.) *)
+let mac_into params ~perm sk dec pos out0 out1 =
+  let t = dec.positions.(pos) in
+  let q = chain_modulus params t in
+  let n = Array.length perm in
+  List.iter (check_len n) [ out0; out1 ];
+  for i = 0 to dec.d_level - 1 do
+    let d = dec.digits.(pos).(i) in
+    let k0 = sk.k0.(i).(t) and k0s = sk.k0s.(i).(t) in
+    let k1 = sk.k1.(i).(t) and k1s = sk.k1s.(i).(t) in
+    List.iter (check_len n) [ d; k0; k0s; k1; k1s ];
+    for j = 0 to n - 1 do
+      let dj = Array.unsafe_get d (Array.unsafe_get perm j) in
+      Array.unsafe_set out0 j
+        (Array.unsafe_get out0 j + (dj * Array.unsafe_get k0 j)
+        - (((dj * Array.unsafe_get k0s j) lsr 31) * q));
+      Array.unsafe_set out1 j
+        (Array.unsafe_get out1 j + (dj * Array.unsafe_get k1 j)
+        - (((dj * Array.unsafe_get k1s j) lsr 31) * q))
+    done
+  done;
+  let red = reducer q in
+  for j = 0 to n - 1 do
+    Array.unsafe_set out0 j (reduce62 red (Array.unsafe_get out0 j));
+    Array.unsafe_set out1 j (reduce62 red (Array.unsafe_get out1 j))
+  done
 
 (* --- lazy key switching: accumulate MACs, mod down once ----------------- *)
 
@@ -572,55 +612,30 @@ let mac_create keys dec =
     mac1 = Array.init np (fun _ -> Array.make n 0);
   }
 
-let mac_accumulate keys ?k ?coeff sk dec mac =
+let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
   let params = keys.params in
   let n = params.n in
-  let l = dec.d_level in
-  if mac.mac_level <> l then invalid_arg "Keys.mac_accumulate: level mismatch";
-  let perm =
-    match k with
-    | None -> None
-    | Some k -> Some (Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k)
-  in
+  if mac.mac_level <> dec.d_level then invalid_arg "Keys.mac_accumulate: level mismatch";
+  (* Slot orderings depend only on n: every chain position shares it. *)
+  let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
   let np = Array.length dec.positions in
   par params np (fun pos ->
-      let t = dec.positions.(pos) in
-      let q = chain_modulus params t in
-      let a0 = Array.make n 0 and a1 = Array.make n 0 in
-      for i = 0 to l - 1 do
-        let d_ntt = dec.digits.(pos).(i) in
-        let k0 = sk.k0.(i).(t) and k1 = sk.k1.(i).(t) in
-        let k0s = sk.k0s.(i).(t) and k1s = sk.k1s.(i).(t) in
-        match perm with
-        | None ->
-          for j = 0 to n - 1 do
-            let dj = d_ntt.(j) in
-            a0.(j) <-
-              Modarith.add ~m:q a0.(j) (Modarith.mul_shoup ~m:q dj k0.(j) k0s.(j));
-            a1.(j) <-
-              Modarith.add ~m:q a1.(j) (Modarith.mul_shoup ~m:q dj k1.(j) k1s.(j))
-          done
-        | Some perm ->
-          for j = 0 to n - 1 do
-            let dj = d_ntt.(perm.(j)) in
-            a0.(j) <-
-              Modarith.add ~m:q a0.(j) (Modarith.mul_shoup ~m:q dj k0.(j) k0s.(j));
-            a1.(j) <-
-              Modarith.add ~m:q a1.(j) (Modarith.mul_shoup ~m:q dj k1.(j) k1s.(j))
-          done
-      done;
       let acc0 = mac.mac0.(pos) and acc1 = mac.mac1.(pos) in
       match coeff with
-      | None ->
-        for j = 0 to n - 1 do
-          acc0.(j) <- Modarith.add ~m:q acc0.(j) a0.(j);
-          acc1.(j) <- Modarith.add ~m:q acc1.(j) a1.(j)
-        done
+      | None -> mac_into params ~perm sk dec pos acc0 acc1
       | Some c ->
+        let a0 = Array.make n 0 and a1 = Array.make n 0 in
+        mac_into params ~perm sk dec pos a0 a1;
         let cv = c.(pos) in
+        List.iter (check_len n) [ cv; acc0; acc1 ];
+        let red = reducer (chain_modulus params dec.positions.(pos)) in
+        (* acc + c * a <= (q - 1) + (q - 1)^2 < 2^62: one reduction. *)
         for j = 0 to n - 1 do
-          acc0.(j) <- Modarith.add ~m:q acc0.(j) (Modarith.mul ~m:q cv.(j) a0.(j));
-          acc1.(j) <- Modarith.add ~m:q acc1.(j) (Modarith.mul ~m:q cv.(j) a1.(j))
+          let cj = Array.unsafe_get cv j in
+          Array.unsafe_set acc0 j
+            (reduce62 red (Array.unsafe_get acc0 j + (cj * Array.unsafe_get a0 j)));
+          Array.unsafe_set acc1 j
+            (reduce62 red (Array.unsafe_get acc1 j + (cj * Array.unsafe_get a1 j)))
         done)
 
 let mac_finish keys mac =
@@ -633,6 +648,16 @@ let mac_finish keys mac =
       Ntt.inverse_in_place ctx mac.mac1.(pos));
   ( divide_by_p params ~level:mac.mac_level mac.mac0,
     divide_by_p params ~level:mac.mac_level mac.mac1 )
+
+(* A single key switch is a one-member accumulation: the same MAC kernel,
+   inverse transforms and division by P as a lazy group. *)
+let apply_rotated keys sk ~k dec =
+  let m = mac_create keys dec in
+  mac_accumulate keys ~k sk dec m;
+  mac_finish keys m
+
+let apply keys sk dec = apply_rotated keys sk ~k:1 dec
+let key_switch keys sk d = apply keys sk (decompose keys d)
 
 (* NTT-domain images of a centered integer polynomial at every extended
    chain position for a level-[level] ciphertext: the plaintext factors of

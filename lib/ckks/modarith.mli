@@ -27,7 +27,9 @@ val mul_shoup : m:int -> int -> int -> int -> int
 (** [mul_shoup ~m a w w_shoup] is [a * w mod m] computed without a hardware
     division, where [w_shoup = shoup ~m w].  Requires [0 <= a < 2^31] and
     [w < m]; this is the hot-path multiply of the NTT butterflies and of the
-    precomputed-inverse rescale paths. *)
+    precomputed-inverse rescale paths.  With [w = 1] it is a division-free
+    reduction: [mul_shoup ~m a 1 (shoup ~m 1) = a mod m] for any
+    [0 <= a < 2^31], which is how the key-switch kernels reduce. *)
 
 val reduce : m:int -> int -> int
 (** Reduce an arbitrary (possibly negative) integer into [0, m). *)

@@ -29,6 +29,14 @@ let test_shoup_matches_mul =
       let a = a mod m and w = w mod m in
       Modarith.mul_shoup ~m a w (Modarith.shoup ~m w) = Modarith.mul ~m a w)
 
+let test_shoup_by_one =
+  QCheck.Test.make ~name:"mul_shoup by 1 reduces any a < 2^31" ~count:2000
+    QCheck.(pair (int_range 0 (Modarith.max_modulus - 1)) (int_range 0 10))
+    (fun (a, pick) ->
+      let moduli = chain_moduli () in
+      let m = List.nth moduli (pick mod List.length moduli) in
+      Modarith.mul_shoup ~m a 1 (Modarith.shoup ~m 1) = a mod m)
+
 let test_shoup_edges () =
   List.iter
     (fun m ->
@@ -238,6 +246,199 @@ let test_pipeline_domain_equivalence () =
     resident
 
 (* ------------------------------------------------------------------ *)
+(* Key switching: division-free kernels vs a naive reference          *)
+(* ------------------------------------------------------------------ *)
+
+(* The key switch spelled out with Modarith.mul / add / reduce / center,
+   one full reduction per step: the semantics the lazily reduced,
+   division-free kernels of Keys must reproduce bit for bit. *)
+module Naive = struct
+  let chain_q (p : Params.t) t = if t < p.max_level then p.moduli.(t) else p.special
+
+  let chain_ctx (p : Params.t) t =
+    if t < p.max_level then Params.ntt_at p ~idx:t else p.ntt_special
+
+  let positions (p : Params.t) l = Array.append (Array.init l Fun.id) [| p.max_level |]
+
+  (* digits.(pos).(i): NTT image of the i-th centered digit at position pos. *)
+  let decompose p d =
+    let d = Rns_poly.to_coeff p d in
+    let l = Rns_poly.level d in
+    Array.map
+      (fun t ->
+        let q = chain_q p t in
+        Array.init l (fun i ->
+            let qi = p.moduli.(i) in
+            Ntt.forward (chain_ctx p t)
+              (Array.map
+                 (fun x -> Modarith.reduce ~m:q (Modarith.center ~m:qi x))
+                 d.res.(i))))
+      (positions p l)
+
+  (* One member's inner product per position and key half, each term
+     multiplied by [coeff.(pos).(j)] when given, added into [acc]. *)
+  let accumulate (p : Params.t) ?(perm = Array.init p.n Fun.id) ?coeff (k0, k1) digits acc =
+    Array.iteri
+      (fun pos t ->
+        let q = chain_q p t in
+        let l = Array.length digits.(pos) in
+        List.iter
+          (fun (kh, out) ->
+            for j = 0 to p.n - 1 do
+              let s = ref 0 in
+              for i = 0 to l - 1 do
+                s := Modarith.add ~m:q !s
+                       (Modarith.mul ~m:q digits.(pos).(i).(perm.(j)) kh.(i).(t).(j))
+              done;
+              let s = match coeff with None -> !s | Some c -> Modarith.mul ~m:q c.(pos).(j) !s in
+              out.(j) <- Modarith.add ~m:q out.(j) s
+            done)
+          [ (k0, fst acc.(pos)); (k1, snd acc.(pos)) ])
+      (positions p (Array.length digits - 1))
+
+  let create (p : Params.t) digits =
+    Array.map (fun _ -> (Array.make p.n 0, Array.make p.n 0)) digits
+
+  let divide_by_p (p : Params.t) l u =
+    Rns_poly.of_residues
+      (Array.init l (fun t ->
+           let q = p.moduli.(t) in
+           let p_inv = Modarith.inv ~m:q (Modarith.reduce ~m:q p.special) in
+           Array.init p.n (fun j ->
+               let rep = Modarith.reduce ~m:q (Modarith.center ~m:p.special u.(l).(j)) in
+               Modarith.mul ~m:q (Modarith.sub ~m:q u.(t).(j) rep) p_inv)))
+
+  let finish p acc =
+    let l = Array.length acc - 1 in
+    let half f =
+      Array.mapi (fun pos t -> Ntt.inverse (chain_ctx p t) (f acc.(pos))) (positions p l)
+    in
+    (divide_by_p p l (half fst), divide_by_p p l (half snd))
+end
+
+let deep_keys_memo = ref None
+
+let keys_for (p : Params.t) =
+  if p == params () then test_keys ()
+  else
+    match !deep_keys_memo with
+    | Some k -> k
+    | None ->
+      let k = Keys.keygen p in
+      deep_keys_memo := Some k;
+      k
+
+(* Per extended-chain position residues: random, or all q - 1. *)
+let chain_vecs st (p : Params.t) ~worst ~level =
+  Array.map
+    (fun t ->
+      let q = Naive.chain_q p t in
+      if worst then Array.make p.n (q - 1) else rand_vec st ~n:p.n ~q)
+    (Naive.positions p level)
+
+(* A switching key with every residue random, or every residue q - 1 (with
+   all-(q - 1) digits this hits the bound of the unreduced MAC sum). *)
+let switch_key_of st (p : Params.t) ~worst =
+  let half () =
+    Array.init p.max_level (fun _ -> chain_vecs st p ~worst ~level:p.max_level)
+  in
+  let k0 = half () and k1 = half () in
+  (Keys.switch_key_of_raw p ~k0 ~k1, (k0, k1))
+
+(* A level-[level] polynomial whose digits are random, or all q - 1: the
+   evaluation-domain constant -1 centers to -1 in every digit, and -1 maps
+   to q - 1 at every position in every slot. *)
+let ks_input st (p : Params.t) ~worst ~level =
+  if worst then
+    Rns_poly.of_residues ~domain:Rns_poly.Eval
+      (Array.init level (fun i -> Array.make p.n (p.moduli.(i) - 1)))
+  else rand_poly st p ~level
+
+let check_pair msg (a0, a1) (b0, b1) =
+  check_res (msg ^ " u0") a0 b0;
+  check_res (msg ^ " u1") a1 b1
+
+let test_keyswitch_kernels (p : Params.t) () =
+  let keys = keys_for p in
+  let st = Random.State.make [| 0x5e1f; p.n |] in
+  let perm_of k = Ntt.eval_perm (Params.ntt_at p ~idx:0) ~k in
+  List.iter
+    (fun (level, worst) ->
+      let tag = Printf.sprintf "n=%d level=%d%s" p.n level (if worst then " worst" else "") in
+      let sk, raw = switch_key_of st p ~worst in
+      let d = ks_input st p ~worst ~level in
+      let dec = Keys.decompose keys d in
+      let digits = Naive.decompose p d in
+      let one_member ?perm ?coeff () =
+        let acc = Naive.create p digits in
+        Naive.accumulate p ?perm ?coeff raw digits acc;
+        Naive.finish p acc
+      in
+      check_pair (tag ^ " apply") (Keys.apply keys sk dec) (one_member ());
+      let k = Keys.galois_element p ~offset:3 in
+      check_pair (tag ^ " apply_rotated")
+        (Keys.apply_rotated keys sk ~k dec)
+        (one_member ~perm:(perm_of k) ());
+      (* Pure and weighted groups of three members, one unrotated. *)
+      let ks = [ Some k; None; Some (Keys.galois_element p ~offset:(-5)) ] in
+      List.iter
+        (fun weighted ->
+          let m = Keys.mac_create keys dec in
+          let acc = Naive.create p digits in
+          List.iter
+            (fun k ->
+              let coeff = if weighted then Some (chain_vecs st p ~worst ~level) else None in
+              Keys.mac_accumulate keys ?k ?coeff sk dec m;
+              let perm = Option.map perm_of k in
+              Naive.accumulate p ?perm ?coeff raw digits acc)
+            ks;
+          check_pair
+            (Printf.sprintf "%s mac %s" tag (if weighted then "with coeff" else "pure"))
+            (Keys.mac_finish keys m) (Naive.finish p acc))
+        [ false; true ])
+    [ (1, false); (1, true); (p.max_level, false); (p.max_level, true) ]
+
+(* Decomposing an Eval-domain polynomial copies the diagonal digits instead
+   of re-transforming them; the result must equal, residue for residue,
+   decomposing the same polynomial forced to the coefficient domain. *)
+let test_decompose_domains (p : Params.t) () =
+  let keys = keys_for p in
+  let st = Random.State.make [| 0xdec0; p.n |] in
+  List.iter
+    (fun level ->
+      let a = rand_poly st p ~level in
+      let ae = Rns_poly.to_eval p a in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d level=%d" p.n level)
+        true
+        (Keys.decompose keys ae = Keys.decompose keys a))
+    [ 1; 3; p.max_level ]
+
+(* n >= 512, so decompose / apply / mac_accumulate really fan out over the
+   pool; a sequential run must agree bit for bit. *)
+let test_keyswitch_pool_sizes () =
+  let p = Params.test_deep () in
+  let keys = keys_for p in
+  let st = Random.State.make [| 0x9001 |] in
+  let sk, _ = switch_key_of st p ~worst:false in
+  let d = Rns_poly.to_eval p (rand_poly st p ~level:p.max_level) in
+  let coeff = chain_vecs st p ~worst:false ~level:p.max_level in
+  let k = Keys.galois_element p ~offset:7 in
+  let run () =
+    let dec = Keys.decompose keys d in
+    let m = Keys.mac_create keys dec in
+    Keys.mac_accumulate keys ~k ~coeff sk dec m;
+    Keys.mac_accumulate keys ~coeff sk dec m;
+    (dec, Keys.apply keys sk dec, Keys.apply_rotated keys sk ~k dec, Keys.mac_finish keys m)
+  in
+  let dec_s, a_s, r_s, m_s = Domain_pool.sequentially run in
+  let dec_p, a_p, r_p, m_p = run () in
+  Alcotest.(check bool) "decompose" true (dec_s = dec_p);
+  check_pair "apply" a_s a_p;
+  check_pair "apply_rotated" r_s r_p;
+  check_pair "mac" m_s m_p
+
+(* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,7 +470,7 @@ let () =
     [
       ( "shoup",
         Alcotest.test_case "edge cases" `Quick test_shoup_edges
-        :: qsuite [ test_shoup_matches_mul ] );
+        :: qsuite [ test_shoup_matches_mul; test_shoup_by_one ] );
       ( "ntt",
         Alcotest.test_case "length guard" `Quick test_ntt_length_guard
         :: qsuite [ test_ntt_roundtrip; test_negacyclic_vs_schoolbook ] );
@@ -286,6 +487,17 @@ let () =
           Alcotest.test_case "resident = forced-coefficient" `Quick
             test_pipeline_domain_equivalence;
         ] );
+      ( "keyswitch",
+        List.concat_map
+          (fun (name, p) ->
+            [
+              Alcotest.test_case ("kernels = naive reference, " ^ name) `Quick
+                (test_keyswitch_kernels p);
+              Alcotest.test_case ("decompose Eval = Coeff, " ^ name) `Quick
+                (test_decompose_domains p);
+            ])
+          [ ("test_small", params ()); ("test_deep", Params.test_deep ()) ]
+        @ [ Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes ] );
       ( "pool",
         [
           Alcotest.test_case "exception propagates, pool stays usable" `Quick
