@@ -1425,7 +1425,10 @@ let serve_crash_soak ~trials ~seed ~dir ~kill_after ~verbose =
     let r = Server.open_resume ~dir:dir_b in
     Server.run_until_drained r;
     let same_out = opened_equal (serve_opened a) (serve_opened r) in
-    let same_report = Server.report a = Server.report r in
+    let same_report =
+      Server.report a = Server.report r
+      && Halo_runtime.Stats.equal (Server.stats a) (Server.stats r)
+    in
     let damaged = Server.damaged r in
     if same_out && same_report && damaged = [] then begin
       incr ok;
@@ -1506,7 +1509,7 @@ let crash_soak (b : Halo_ml.Bench_def.t) ~strategy ~iters ~size ~trials ~seed
      | ( Ref_run.Rec.R.Complete { outputs = a; stats = sa },
          Ref_run.Rec.R.Complete { outputs = c; stats = sc } ) ->
        let same_out = bit_identical a c in
-       let same_stats = Stats.to_string sa = Stats.to_string sc in
+       let same_stats = Stats.equal sa sc in
        if same_out && same_stats && damaged = [] then begin
          incr ok;
          report "recovered"
@@ -1688,18 +1691,7 @@ let soak_cmd =
              report "recovered" (" guard: " ^ Guard.verdict_to_string v))
          | Recover.Degraded d ->
            report "degraded" (" " ^ Recover.degraded_to_string d));
-        total.Stats.injected_faults <-
-          total.Stats.injected_faults + stats.Stats.injected_faults;
-        total.Stats.retries <- total.Stats.retries + stats.Stats.retries;
-        total.Stats.checkpoint_restores <-
-          total.Stats.checkpoint_restores + stats.Stats.checkpoint_restores;
-        total.Stats.backoff_us <- total.Stats.backoff_us +. stats.Stats.backoff_us;
-        total.Stats.rescues <- total.Stats.rescues + stats.Stats.rescues;
-        total.Stats.rescue_aborts <-
-          total.Stats.rescue_aborts + stats.Stats.rescue_aborts;
-        total.Stats.replans <- total.Stats.replans + stats.Stats.replans;
-        total.Stats.guard_trips <-
-          total.Stats.guard_trips + stats.Stats.guard_trips
+        Stats.merge ~into:total stats
       done;
       Printf.printf
         "recovered %d/%d trials (%.1f%%); %d faults injected, %d retries, %d \
@@ -1950,8 +1942,7 @@ let chaos_soak ~trials ~rounds ~clients ~per_client ~seed ~dir ~kill_after
     let no_lost = complete (a, ca) && complete (b, cb) in
     let same_opened = opened_equal (serve_opened a) (serve_opened b) in
     let same_stats =
-      Halo_runtime.Stats.to_string (Server.stats a)
-      = Halo_runtime.Stats.to_string (Server.stats b)
+      Halo_runtime.Stats.equal (Server.stats a) (Server.stats b)
     in
     let same_quarantine = Server.quarantine a = Server.quarantine b in
     (* Under --rescue, injected noise spikes can push a healthy tenant's

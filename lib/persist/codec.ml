@@ -25,9 +25,8 @@ type kind =
 
 let format_version = 5
 
-(* Version 3 frames (pre key-cache statistics) remain decodable: the only
-   payload difference is the stats record's trailing cache counters, which
-   [decode_stats] skips for older frames. *)
+(* Version 3 and 4 frames remain decodable: the only payload difference is
+   that their stats record stops short (see [stats_counters]). *)
 let min_format_version = 3
 let magic = "HALO"
 let header_len = 4 + 1 + 1 + 8 + 8
@@ -345,79 +344,32 @@ let decode_program r =
 
 (* --- statistics --------------------------------------------------------- *)
 
-let encode_stats b (s : Stats.t) =
-  Wire.i64 b s.addcc;
-  Wire.i64 b s.addcp;
-  Wire.i64 b s.subcc;
-  Wire.i64 b s.multcc;
-  Wire.i64 b s.multcp;
-  Wire.i64 b s.rotate;
-  Wire.i64 b s.rescale;
-  Wire.i64 b s.modswitch;
-  Wire.i64 b s.bootstrap;
-  Wire.f64 b s.total_latency_us;
-  Wire.f64 b s.bootstrap_latency_us;
-  Wire.i64 b s.injected_faults;
-  Wire.i64 b s.retries;
-  Wire.i64 b s.checkpoint_restores;
-  Wire.f64 b s.backoff_us;
-  Wire.i64 b s.checkpoint_writes;
-  Wire.i64 b s.checkpoint_bytes;
-  Wire.i64 b s.guard_trips;
-  Wire.i64 b s.key_switches;
-  Wire.i64 b s.hoisted_groups;
-  Wire.i64 b s.decompositions_saved;
-  Wire.i64 b s.deadline_aborts;
-  Wire.i64 b s.key_cache_hits;
-  Wire.i64 b s.key_cache_misses;
-  Wire.i64 b s.key_cache_evictions;
-  Wire.i64 b s.key_cache_regens;
-  Wire.i64 b s.digit_reuses;
-  Wire.i64 b s.lazy_rotsums;
-  Wire.i64 b s.rescues;
-  Wire.i64 b s.rescue_aborts;
-  Wire.i64 b s.replans
+(* The stats record is [Stats.counters] in order, 8 bytes a counter.  The
+   table is append-only, so an older frame holds a prefix of it: version 3
+   the first 22 counters, version 4 the first 28 (key-cache counters added),
+   version 5 all 31 (rescue counters added).  Counters past the prefix
+   decode as zero.  A new counter bumps [format_version] and adds the
+   previous version's count here. *)
+let stats_counters = function
+  | 3 -> 22
+  | 4 -> 28
+  | _ -> List.length Stats.counters
+
+let encode_stats b s =
+  List.iter
+    (function
+      | _, Stats.Int (get, _) -> Wire.i64 b (get s)
+      | _, Stats.Us (get, _) -> Wire.f64 b (get s))
+    Stats.counters
 
 let decode_stats r =
-  let s = Stats.create () in
-  s.Stats.addcc <- Wire.ri64 r;
-  s.Stats.addcp <- Wire.ri64 r;
-  s.Stats.subcc <- Wire.ri64 r;
-  s.Stats.multcc <- Wire.ri64 r;
-  s.Stats.multcp <- Wire.ri64 r;
-  s.Stats.rotate <- Wire.ri64 r;
-  s.Stats.rescale <- Wire.ri64 r;
-  s.Stats.modswitch <- Wire.ri64 r;
-  s.Stats.bootstrap <- Wire.ri64 r;
-  s.Stats.total_latency_us <- Wire.rf64 r;
-  s.Stats.bootstrap_latency_us <- Wire.rf64 r;
-  s.Stats.injected_faults <- Wire.ri64 r;
-  s.Stats.retries <- Wire.ri64 r;
-  s.Stats.checkpoint_restores <- Wire.ri64 r;
-  s.Stats.backoff_us <- Wire.rf64 r;
-  s.Stats.checkpoint_writes <- Wire.ri64 r;
-  s.Stats.checkpoint_bytes <- Wire.ri64 r;
-  s.Stats.guard_trips <- Wire.ri64 r;
-  s.Stats.key_switches <- Wire.ri64 r;
-  s.Stats.hoisted_groups <- Wire.ri64 r;
-  s.Stats.decompositions_saved <- Wire.ri64 r;
-  s.Stats.deadline_aborts <- Wire.ri64 r;
-  (* Cache counters arrived with format version 4; version-3 frames end the
-     stats record here and decode with the counters at zero. *)
-  if r.Wire.version > 3 then begin
-    s.Stats.key_cache_hits <- Wire.ri64 r;
-    s.Stats.key_cache_misses <- Wire.ri64 r;
-    s.Stats.key_cache_evictions <- Wire.ri64 r;
-    s.Stats.key_cache_regens <- Wire.ri64 r;
-    s.Stats.digit_reuses <- Wire.ri64 r;
-    s.Stats.lazy_rotsums <- Wire.ri64 r
-  end;
-  (* Rescue counters arrived with format version 5. *)
-  if r.Wire.version > 4 then begin
-    s.Stats.rescues <- Wire.ri64 r;
-    s.Stats.rescue_aborts <- Wire.ri64 r;
-    s.Stats.replans <- Wire.ri64 r
-  end;
+  let s = Stats.create () and n = stats_counters r.Wire.version in
+  List.iteri
+    (fun i -> function
+      | _ when i >= n -> ()
+      | _, Stats.Int (_, set) -> set s (Wire.ri64 r)
+      | _, Stats.Us (_, set) -> set s (Wire.rf64 r))
+    Stats.counters;
   s
 
 (* --- run manifest ------------------------------------------------------- *)

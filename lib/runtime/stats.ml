@@ -141,74 +141,87 @@ let record_rescue t ~target =
 let record_rescue_abort t = t.rescue_aborts <- t.rescue_aborts + 1
 let record_replan t = t.replans <- t.replans + 1
 
+type field =
+  | Int of (t -> int) * (t -> int -> unit)
+  | Us of (t -> float) * (t -> float -> unit)
+
+(* Every counter, once, as (name, getter/setter).  The order is the persist
+   frame's field order and is append-only: a new counter goes at the end,
+   and [Halo_persist.Codec] bumps its format version. *)
+let counters =
+  [
+    ("addcc", Int ((fun t -> t.addcc), fun t v -> t.addcc <- v));
+    ("addcp", Int ((fun t -> t.addcp), fun t v -> t.addcp <- v));
+    ("subcc", Int ((fun t -> t.subcc), fun t v -> t.subcc <- v));
+    ("multcc", Int ((fun t -> t.multcc), fun t v -> t.multcc <- v));
+    ("multcp", Int ((fun t -> t.multcp), fun t v -> t.multcp <- v));
+    ("rotate", Int ((fun t -> t.rotate), fun t v -> t.rotate <- v));
+    ("rescale", Int ((fun t -> t.rescale), fun t v -> t.rescale <- v));
+    ("modswitch", Int ((fun t -> t.modswitch), fun t v -> t.modswitch <- v));
+    ("bootstrap", Int ((fun t -> t.bootstrap), fun t v -> t.bootstrap <- v));
+    ( "total_latency_us",
+      Us ((fun t -> t.total_latency_us), fun t v -> t.total_latency_us <- v) );
+    ( "bootstrap_latency_us",
+      Us ((fun t -> t.bootstrap_latency_us), fun t v -> t.bootstrap_latency_us <- v) );
+    ( "injected_faults",
+      Int ((fun t -> t.injected_faults), fun t v -> t.injected_faults <- v) );
+    ("retries", Int ((fun t -> t.retries), fun t v -> t.retries <- v));
+    ( "checkpoint_restores",
+      Int ((fun t -> t.checkpoint_restores), fun t v -> t.checkpoint_restores <- v) );
+    ("backoff_us", Us ((fun t -> t.backoff_us), fun t v -> t.backoff_us <- v));
+    ( "checkpoint_writes",
+      Int ((fun t -> t.checkpoint_writes), fun t v -> t.checkpoint_writes <- v) );
+    ( "checkpoint_bytes",
+      Int ((fun t -> t.checkpoint_bytes), fun t v -> t.checkpoint_bytes <- v) );
+    ( "guard_trips",
+      Int ((fun t -> t.guard_trips), fun t v -> t.guard_trips <- v) );
+    ( "key_switches",
+      Int ((fun t -> t.key_switches), fun t v -> t.key_switches <- v) );
+    ( "hoisted_groups",
+      Int ((fun t -> t.hoisted_groups), fun t v -> t.hoisted_groups <- v) );
+    ( "decompositions_saved",
+      Int ((fun t -> t.decompositions_saved), fun t v -> t.decompositions_saved <- v) );
+    ( "deadline_aborts",
+      Int ((fun t -> t.deadline_aborts), fun t v -> t.deadline_aborts <- v) );
+    ( "key_cache_hits",
+      Int ((fun t -> t.key_cache_hits), fun t v -> t.key_cache_hits <- v) );
+    ( "key_cache_misses",
+      Int ((fun t -> t.key_cache_misses), fun t v -> t.key_cache_misses <- v) );
+    ( "key_cache_evictions",
+      Int ((fun t -> t.key_cache_evictions), fun t v -> t.key_cache_evictions <- v) );
+    ( "key_cache_regens",
+      Int ((fun t -> t.key_cache_regens), fun t v -> t.key_cache_regens <- v) );
+    ( "digit_reuses",
+      Int ((fun t -> t.digit_reuses), fun t v -> t.digit_reuses <- v) );
+    ( "lazy_rotsums",
+      Int ((fun t -> t.lazy_rotsums), fun t v -> t.lazy_rotsums <- v) );
+    ("rescues", Int ((fun t -> t.rescues), fun t v -> t.rescues <- v));
+    ( "rescue_aborts",
+      Int ((fun t -> t.rescue_aborts), fun t v -> t.rescue_aborts <- v) );
+    ("replans", Int ((fun t -> t.replans), fun t v -> t.replans <- v));
+  ]
+
 let assign ~into src =
-  into.addcc <- src.addcc;
-  into.addcp <- src.addcp;
-  into.subcc <- src.subcc;
-  into.multcc <- src.multcc;
-  into.multcp <- src.multcp;
-  into.rotate <- src.rotate;
-  into.rescale <- src.rescale;
-  into.modswitch <- src.modswitch;
-  into.bootstrap <- src.bootstrap;
-  into.total_latency_us <- src.total_latency_us;
-  into.bootstrap_latency_us <- src.bootstrap_latency_us;
-  into.injected_faults <- src.injected_faults;
-  into.retries <- src.retries;
-  into.checkpoint_restores <- src.checkpoint_restores;
-  into.backoff_us <- src.backoff_us;
-  into.checkpoint_writes <- src.checkpoint_writes;
-  into.checkpoint_bytes <- src.checkpoint_bytes;
-  into.guard_trips <- src.guard_trips;
-  into.key_switches <- src.key_switches;
-  into.hoisted_groups <- src.hoisted_groups;
-  into.decompositions_saved <- src.decompositions_saved;
-  into.deadline_aborts <- src.deadline_aborts;
-  into.key_cache_hits <- src.key_cache_hits;
-  into.key_cache_misses <- src.key_cache_misses;
-  into.key_cache_evictions <- src.key_cache_evictions;
-  into.key_cache_regens <- src.key_cache_regens;
-  into.digit_reuses <- src.digit_reuses;
-  into.lazy_rotsums <- src.lazy_rotsums;
-  into.rescues <- src.rescues;
-  into.rescue_aborts <- src.rescue_aborts;
-  into.replans <- src.replans
+  List.iter
+    (function
+      | _, Int (get, set) -> set into (get src)
+      | _, Us (get, set) -> set into (get src))
+    counters
 
 let merge ~into src =
-  into.addcc <- into.addcc + src.addcc;
-  into.addcp <- into.addcp + src.addcp;
-  into.subcc <- into.subcc + src.subcc;
-  into.multcc <- into.multcc + src.multcc;
-  into.multcp <- into.multcp + src.multcp;
-  into.rotate <- into.rotate + src.rotate;
-  into.rescale <- into.rescale + src.rescale;
-  into.modswitch <- into.modswitch + src.modswitch;
-  into.bootstrap <- into.bootstrap + src.bootstrap;
-  into.total_latency_us <- into.total_latency_us +. src.total_latency_us;
-  into.bootstrap_latency_us <-
-    into.bootstrap_latency_us +. src.bootstrap_latency_us;
-  into.injected_faults <- into.injected_faults + src.injected_faults;
-  into.retries <- into.retries + src.retries;
-  into.checkpoint_restores <-
-    into.checkpoint_restores + src.checkpoint_restores;
-  into.backoff_us <- into.backoff_us +. src.backoff_us;
-  into.checkpoint_writes <- into.checkpoint_writes + src.checkpoint_writes;
-  into.checkpoint_bytes <- into.checkpoint_bytes + src.checkpoint_bytes;
-  into.guard_trips <- into.guard_trips + src.guard_trips;
-  into.key_switches <- into.key_switches + src.key_switches;
-  into.hoisted_groups <- into.hoisted_groups + src.hoisted_groups;
-  into.decompositions_saved <-
-    into.decompositions_saved + src.decompositions_saved;
-  into.deadline_aborts <- into.deadline_aborts + src.deadline_aborts;
-  into.key_cache_hits <- into.key_cache_hits + src.key_cache_hits;
-  into.key_cache_misses <- into.key_cache_misses + src.key_cache_misses;
-  into.key_cache_evictions <- into.key_cache_evictions + src.key_cache_evictions;
-  into.key_cache_regens <- into.key_cache_regens + src.key_cache_regens;
-  into.digit_reuses <- into.digit_reuses + src.digit_reuses;
-  into.lazy_rotsums <- into.lazy_rotsums + src.lazy_rotsums;
-  into.rescues <- into.rescues + src.rescues;
-  into.rescue_aborts <- into.rescue_aborts + src.rescue_aborts;
-  into.replans <- into.replans + src.replans
+  List.iter
+    (function
+      | _, Int (get, set) -> set into (get into + get src)
+      | _, Us (get, set) -> set into (get into +. get src))
+    counters
+
+let equal a b =
+  List.for_all
+    (function
+      | _, Int (get, _) -> get a = get b
+      | _, Us (get, _) ->
+        Int64.equal (Int64.bits_of_float (get a)) (Int64.bits_of_float (get b)))
+    counters
 
 let total_ops t =
   t.addcc + t.addcp + t.subcc + t.multcc + t.multcp + t.rotate + t.rescale
@@ -217,46 +230,23 @@ let total_ops t =
 let compute_latency_us t = t.total_latency_us -. t.bootstrap_latency_us
 
 let to_string t =
-  Printf.sprintf
+  let b = Buffer.create 256 in
+  Printf.bprintf b
     "addcc=%d addcp=%d subcc=%d multcc=%d multcp=%d rotate=%d rescale=%d \
      modswitch=%d bootstrap=%d latency=%.0fus (bootstrap %.0fus, %.1f%%)"
     t.addcc t.addcp t.subcc t.multcc t.multcp t.rotate t.rescale t.modswitch
     t.bootstrap t.total_latency_us t.bootstrap_latency_us
     (if t.total_latency_us > 0.0 then
        100.0 *. t.bootstrap_latency_us /. t.total_latency_us
-     else 0.0)
-  ^ (if t.injected_faults = 0 && t.retries = 0 && t.checkpoint_restores = 0 then
-       ""
-     else
-       Printf.sprintf " faults=%d retries=%d restores=%d backoff=%.0fus"
-         t.injected_faults t.retries t.checkpoint_restores t.backoff_us)
-  ^ (if t.checkpoint_writes = 0 then ""
-     else
-       Printf.sprintf " checkpoints=%d (%d bytes)" t.checkpoint_writes
-         t.checkpoint_bytes)
-  ^ (if t.guard_trips = 0 then "" else Printf.sprintf " guard_trips=%d" t.guard_trips)
-  ^ (if t.key_switches = 0 && t.hoisted_groups = 0 then ""
-     else
-       Printf.sprintf
-         " key_switches=%d hoisted_groups=%d decompositions_saved=%d"
-         t.key_switches t.hoisted_groups t.decompositions_saved)
-  ^ (if t.lazy_rotsums = 0 then ""
-     else Printf.sprintf " lazy_rotsums=%d" t.lazy_rotsums)
-  ^ (if
-       t.key_cache_hits = 0 && t.key_cache_misses = 0
-       && t.key_cache_evictions = 0 && t.key_cache_regens = 0
-       && t.digit_reuses = 0
-     then ""
-     else
-       Printf.sprintf
-         " key_cache_hits=%d key_cache_misses=%d key_cache_evictions=%d \
-          key_cache_regens=%d digit_reuses=%d"
-         t.key_cache_hits t.key_cache_misses t.key_cache_evictions
-         t.key_cache_regens t.digit_reuses)
-  ^ (if t.rescues = 0 && t.rescue_aborts = 0 && t.replans = 0 then ""
-     else
-       Printf.sprintf " rescues=%d rescue_aborts=%d replans=%d" t.rescues
-         t.rescue_aborts t.replans)
-  ^
-  if t.deadline_aborts = 0 then ""
-  else Printf.sprintf " deadline_aborts=%d" t.deadline_aborts
+     else 0.0);
+  (* The header above prints the first 11 counters (ops and latency). *)
+  List.iteri
+    (fun i (name, field) ->
+      match field with
+      | Int (get, _) when i >= 11 && get t <> 0 ->
+        Printf.bprintf b " %s=%d" name (get t)
+      | Us (get, _) when i >= 11 && get t <> 0.0 ->
+        Printf.bprintf b " %s=%.0f" name (get t)
+      | _ -> ())
+    counters;
+  Buffer.contents b

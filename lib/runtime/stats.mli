@@ -8,7 +8,12 @@
     The resilience counters ([injected_faults], [retries],
     [checkpoint_restores], [backoff_us]) are filled in by the
     fault-injection and retry layers ({!Faults}, {!Resilient}); they stay
-    zero on a plain interpreter run. *)
+    zero on a plain interpreter run.
+
+    Each counter is declared once more, in {!counters}: {!assign},
+    {!merge}, {!equal}, {!to_string} and the persist codec all walk that
+    table, so adding a counter means a record field, its [create] value and
+    one table entry (plus a persist format-version bump). *)
 
 type t = {
   mutable addcc : int;
@@ -116,6 +121,14 @@ val record_rescue_abort : t -> unit
 val record_replan : t -> unit
 (** Count one re-execution under a recompiled safer strategy. *)
 
+type field =
+  | Int of (t -> int) * (t -> int -> unit)
+  | Us of (t -> float) * (t -> float -> unit)  (** a latency in µs *)
+
+val counters : (string * field) list
+(** Every counter as (name, getter/setter), in record order.  This is the
+    persist frame's field order and is append-only. *)
+
 val assign : into:t -> t -> unit
 (** Overwrite every counter of [into] with [src]'s values.  Crash recovery
     uses this to reinstall the statistics snapshot stored with a checkpoint,
@@ -127,8 +140,13 @@ val merge : into:t -> t -> unit
     parallel on the domain pool) and folds the per-batch records in batch
     order, so the aggregate is deterministic for any pool size. *)
 
+val equal : t -> t -> bool
+(** Every counter equal: integers by [=], latencies bit for bit. *)
+
 val total_ops : t -> int
 val compute_latency_us : t -> float
 (** Non-bootstrap latency. *)
 
 val to_string : t -> string
+(** The op counts and latency, then [name=value] for every other nonzero
+    counter, in {!counters} order. *)

@@ -15,6 +15,12 @@ module Crc32 = Halo_persist.Crc32
 module Ref_run = Halo_persist.Ref_run
 module Stats = Halo_runtime.Stats
 
+(* Exact stats comparison, printed as the stats line on failure. *)
+let stats_t =
+  Alcotest.testable
+    (fun ppf s -> Format.pp_print_string ppf (Stats.to_string s))
+    Stats.equal
+
 let params () = Params.test_small ()
 
 (* ------------------------------------------------------------------ *)
@@ -174,8 +180,83 @@ let test_stats_roundtrip () =
   let b = Buffer.create 64 in
   Codec.encode_stats b s;
   let s' = Codec.decode_stats (Wire.reader (Buffer.contents b)) in
-  Alcotest.(check string) "all counters round-trip" (Stats.to_string s)
-    (Stats.to_string s')
+  Alcotest.check stats_t "all counters round-trip" s s'
+
+(* Counter k (in declaration order) holds k, or k + 0.25 for a latency. *)
+let numbered_stats () =
+  {
+    Stats.addcc = 1;
+    addcp = 2;
+    subcc = 3;
+    multcc = 4;
+    multcp = 5;
+    rotate = 6;
+    rescale = 7;
+    modswitch = 8;
+    bootstrap = 9;
+    total_latency_us = 10.25;
+    bootstrap_latency_us = 11.25;
+    injected_faults = 12;
+    retries = 13;
+    checkpoint_restores = 14;
+    backoff_us = 15.25;
+    checkpoint_writes = 16;
+    checkpoint_bytes = 17;
+    guard_trips = 18;
+    key_switches = 19;
+    hoisted_groups = 20;
+    decompositions_saved = 21;
+    deadline_aborts = 22;
+    key_cache_hits = 23;
+    key_cache_misses = 24;
+    key_cache_evictions = 25;
+    key_cache_regens = 26;
+    digit_reuses = 27;
+    lazy_rotsums = 28;
+    rescues = 29;
+    rescue_aborts = 30;
+    replans = 31;
+  }
+
+(* The stats frame is positional and fixed-width: pin its bytes, and check
+   that a version-3 (22 counters) or version-4 (28 counters) prefix decodes
+   with the later counters left at zero. *)
+let test_stats_wire_format () =
+  let s = numbered_stats () in
+  let b = Buffer.create 256 in
+  Codec.encode_stats b s;
+  let bytes = Buffer.contents b in
+  Alcotest.(check int) "frame length" 248 (String.length bytes);
+  Alcotest.(check string) "frame digest" "c688dae6479e5b89e318bab3fe7658af"
+    (Digest.to_hex (Digest.string bytes));
+  Alcotest.(check bool) "full frame round-trips" true
+    (s = Codec.decode_stats (Wire.reader bytes));
+  let prefix ~version ~counters =
+    let r = Wire.reader ~version (String.sub bytes 0 (8 * counters)) in
+    let s' = Codec.decode_stats r in
+    Alcotest.(check int)
+      (Printf.sprintf "v%d prefix consumed" version)
+      (8 * counters) r.Wire.pos;
+    s'
+  in
+  let v3 = prefix ~version:3 ~counters:22 in
+  Alcotest.(check bool) "v3 restores counters 1-22, zeroes the rest" true
+    ({
+       s with
+       key_cache_hits = 0;
+       key_cache_misses = 0;
+       key_cache_evictions = 0;
+       key_cache_regens = 0;
+       digit_reuses = 0;
+       lazy_rotsums = 0;
+       rescues = 0;
+       rescue_aborts = 0;
+       replans = 0;
+     }
+     = v3);
+  let v4 = prefix ~version:4 ~counters:28 in
+  Alcotest.(check bool) "v4 restores counters 1-28, zeroes the rest" true
+    ({ s with rescues = 0; rescue_aborts = 0; replans = 0 } = v4)
 
 let backend_cfg ?(seed = 7) (p : Ir.program) =
   {
@@ -467,9 +548,7 @@ let check_resumed ~name ~outs ~stats (outcome, damaged) =
     (name ^ ": outputs bit-identical")
     true
     (bits_identical outs' outs);
-  Alcotest.(check string)
-    (name ^ ": statistics identical")
-    (Stats.to_string stats) (Stats.to_string stats')
+  Alcotest.check stats_t (name ^ ": statistics identical") stats stats'
 
 let test_kill_anywhere_resume_bit_identical () =
   let m =
@@ -524,8 +603,7 @@ let test_resume_after_corrupt_tail () =
     (List.exists (fun (f, _) -> String.equal f victim) damaged);
   let outs', stats' = complete outcome in
   Alcotest.(check bool) "outputs bit-identical" true (bits_identical outs' outs);
-  Alcotest.(check string) "statistics identical" (Stats.to_string stats)
-    (Stats.to_string stats');
+  Alcotest.check stats_t "statistics identical" stats stats';
   rm_rf dir
 
 let test_manifest_reload_round () =
@@ -596,6 +674,8 @@ let () =
           Alcotest.test_case "compiled program" `Quick test_program_roundtrip;
           Alcotest.test_case "rng state replays" `Quick test_rng_roundtrip;
           Alcotest.test_case "statistics" `Quick test_stats_roundtrip;
+          Alcotest.test_case "statistics wire format" `Quick
+            test_stats_wire_format;
           Alcotest.test_case "manifest" `Quick test_manifest_roundtrip;
         ] );
       ( "adversarial",

@@ -308,6 +308,61 @@ let test_stats_latency_accounting () =
   Alcotest.(check bool) "encode latency added" true
     (s.Stats.total_latency_us > compute +. boot)
 
+let stats_header =
+  "addcc=1 addcp=2 subcc=3 multcc=4 multcp=5 rotate=6 rescale=7 modswitch=8 \
+   bootstrap=9 latency=10us (bootstrap 11us, 109.8%)"
+
+(* Counter k of the table holds k (k + 0.25 for a latency). *)
+let numbered_stats () =
+  let s = Stats.create () in
+  List.iteri
+    (fun i -> function
+      | _, Stats.Int (_, set) -> set s (i + 1)
+      | _, Stats.Us (_, set) -> set s (float_of_int (i + 1) +. 0.25))
+    Stats.counters;
+  s
+
+let test_stats_to_string_covers_counters () =
+  (* Every counter is nonzero, so after the fixed header each remaining
+     table entry prints exactly once, as name=value, in table order. *)
+  let line = Stats.to_string (numbered_stats ()) in
+  let n = String.length stats_header in
+  Alcotest.(check string) "header unchanged" stats_header (String.sub line 0 n);
+  let expected =
+    List.filteri (fun i _ -> i >= 11) Stats.counters
+    |> List.mapi (fun i (name, _) -> Printf.sprintf "%s=%d" name (i + 12))
+  in
+  Alcotest.(check (list string)) "every other counter, once, in order" expected
+    (String.split_on_char ' ' (String.sub line (n + 1) (String.length line - n - 1)));
+  Alcotest.(check string) "zero counters are not printed"
+    "addcc=0 addcp=0 subcc=0 multcc=0 multcp=0 rotate=0 rescale=0 modswitch=0 \
+     bootstrap=0 latency=0us (bootstrap 0us, 0.0%)"
+    (Stats.to_string (Stats.create ()))
+
+let test_stats_assign_merge () =
+  let s = numbered_stats () in
+  let copy = Stats.create () in
+  Stats.assign ~into:copy s;
+  Alcotest.(check bool) "assign copies every counter" true (Stats.equal s copy);
+  Stats.merge ~into:copy s;
+  List.iteri
+    (fun i -> function
+      | name, Stats.Int (get, _) ->
+        Alcotest.(check int) ("merge adds " ^ name) (2 * (i + 1)) (get copy)
+      | name, Stats.Us (get, _) ->
+        Alcotest.(check (float 0.0)) ("merge adds " ^ name)
+          (2.0 *. (float_of_int (i + 1) +. 0.25))
+          (get copy))
+    Stats.counters;
+  (* One ulp of latency is below the printed line's 1 us rounding but not
+     below [equal]'s. *)
+  let nudged = Stats.create () in
+  Stats.assign ~into:nudged s;
+  nudged.Stats.backoff_us <- Float.succ s.Stats.backoff_us;
+  Alcotest.(check bool) "equal sees one ulp" false (Stats.equal s nudged);
+  Alcotest.(check string) "the printed line does not" (Stats.to_string s)
+    (Stats.to_string nudged)
+
 let test_const_size_mismatch () =
   (* Regression: the interpreter used to compare a vector constant's declared
      size against itself, so any mismatched constant slipped through.  A
@@ -426,6 +481,10 @@ let () =
           Alcotest.test_case "op counting" `Quick test_stats_counting;
           Alcotest.test_case "bootstrap latency split" `Quick test_stats_bootstrap_latency;
           Alcotest.test_case "latency accounting is exact" `Quick test_stats_latency_accounting;
+          Alcotest.test_case "to_string covers every counter" `Quick
+            test_stats_to_string_covers_counters;
+          Alcotest.test_case "assign, merge and equal cover every counter" `Quick
+            test_stats_assign_merge;
           Alcotest.test_case "missing input" `Quick test_missing_input;
           Alcotest.test_case "missing binding" `Quick test_missing_binding;
           Alcotest.test_case "const size mismatch" `Quick test_const_size_mismatch;
