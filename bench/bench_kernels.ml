@@ -240,11 +240,34 @@ let residues_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> arrays_equal x y) a b
 
-let multiset_equal a b =
-  let sa = Array.copy a and sb = Array.copy b in
-  Array.sort compare sa;
-  Array.sort compare sb;
-  arrays_equal sa sb
+(* The optimized transform emits the evaluations in another order than the
+   seed's (bit-reversed, twist merged in).  Transforming the monomial X
+   under both reads the order off: each slot holds a distinct odd power of
+   psi.  [slot_map.(i)] is the seed index of the optimized slot i. *)
+let slot_map ref_ctx new_ctx =
+  let n = Ntt.n new_ctx in
+  let x = Array.init n (fun i -> if i = 1 then 1 else 0) in
+  let seed_index = Hashtbl.create n in
+  Array.iteri (fun k v -> Hashtbl.replace seed_index v k) (Ref.forward ref_ctx x);
+  Array.map (Hashtbl.find seed_index) (Ntt.forward new_ctx x)
+
+(* Both roundtrips are exact, and -- forward -- the seed and optimized
+   transforms of [v] agree slot for slot under the map, or -- inverse --
+   [v] read as an evaluation vector through the map comes back to the same
+   coefficients from both. *)
+let ntt_identical ~inverse ref_ctx new_ctx v =
+  let map = slot_map ref_ctx new_ctx in
+  arrays_equal (Ref.inverse ref_ctx (Ref.forward ref_ctx v)) v
+  && arrays_equal (Ntt.inverse new_ctx (Ntt.forward new_ctx v)) v
+  &&
+  if inverse then begin
+    let seed_order = Array.make (Array.length v) 0 in
+    Array.iteri (fun i k -> seed_order.(k) <- v.(i)) map;
+    arrays_equal (Ntt.inverse new_ctx v) (Ref.inverse ref_ctx seed_order)
+  end
+  else
+    let f = Ref.forward ref_ctx v in
+    arrays_equal (Ntt.forward new_ctx v) (Array.map (fun k -> f.(k)) map)
 
 let bench_size ~min_time ~limbs log_n =
   let params = Params.make ~log_n ~max_level:limbs ~base_bits:31 ~scale_bits:27 () in
@@ -276,17 +299,25 @@ let bench_size ~min_time ~limbs log_n =
       (if r.identical then "bit-identical" else "MISMATCH");
     out := r :: !out
   in
-  (* NTT forward: orderings differ (the new transform emits bit-reversed
-     evaluations with the twist merged in), so identity here means same
-     multiset of evaluations and both roundtrips exact. *)
-  let scratch = Array.copy a1 in
-  record "ntt_forward" ~limbs:1
-    ~identical:
-      (multiset_equal (Ref.forward ref_ctx a1) (Ntt.forward new_ctx a1)
-      && arrays_equal (Ref.inverse ref_ctx (Ref.forward ref_ctx a1)) a1
-      && arrays_equal (Ntt.inverse new_ctx (Ntt.forward new_ctx a1)) a1)
-    ~ref_f:(fun () -> Ref.forward ref_ctx a1)
-    ~new_f:(fun () -> Ntt.forward_in_place new_ctx scratch);
+  let ntt_row op ~inverse ref_ctx new_ctx v =
+    let scratch = Array.copy v in
+    record op ~limbs:1
+      ~identical:(ntt_identical ~inverse ref_ctx new_ctx v)
+      ~ref_f:(fun () -> (if inverse then Ref.inverse else Ref.forward) ref_ctx v)
+      ~new_f:(fun () ->
+        (if inverse then Ntt.inverse_in_place else Ntt.forward_in_place) new_ctx scratch)
+  in
+  (* NTT on the 31-bit base prime: the fully reduced kernels. *)
+  ntt_row "ntt_forward" ~inverse:false ref_ctx new_ctx a1;
+  (* NTT on a 27-bit scale prime: the lazy radix-4 kernels, which run most
+     transforms of a key switch. *)
+  if limbs > 1 then begin
+    let q1 = params.moduli.(1) in
+    let ctx1 = Params.ntt_at params ~idx:1 and ref1 = Ref.make_ctx ~q:q1 ~n in
+    let v = rand_vec st ~n ~q:q1 in
+    ntt_row "ntt_forward_scale" ~inverse:false ref1 ctx1 v;
+    ntt_row "ntt_inverse_scale" ~inverse:true ref1 ctx1 v
+  end;
   (* Negacyclic multiply, coefficients in / coefficients out: the
      acceptance-criterion kernel. *)
   record "negacyclic_mul" ~limbs:1
@@ -386,10 +417,10 @@ let () =
       ( "--tiny",
         Arg.Unit
           (fun () ->
-            log_sizes := [ 6 ];
+            log_sizes := [ 6; 7 ];
             limbs := 3;
             min_time := 0.01),
-        "CI smoke mode: one tiny ring" );
+        "CI smoke mode: two tiny rings, even and odd log n" );
     ]
   in
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))

@@ -106,8 +106,10 @@ let shoup_companions params h =
     h
 
 let ntt_of_centered params t coeffs =
-  let q = chain_modulus params t in
-  Ntt.forward (chain_ntt params t) (Array.map (fun c -> Modarith.reduce ~m:q c) coeffs)
+  let red = Modarith.reducer (chain_modulus params t) in
+  let a = Array.map (Modarith.embed red) coeffs in
+  Ntt.forward_in_place (chain_ntt params t) a;
+  a
 
 (* Switching key from s' (given by centered integer coefficients) to the main
    secret s: for each digit i, (k0_i, k1_i) with
@@ -125,16 +127,15 @@ let make_switch_key params rng ~secret_coeffs ~source_coeffs =
     for t = 0 to len - 1 do
       let q = chain_modulus params t in
       let ctx = chain_ntt params t in
-      let a = Array.init n (fun _ -> Random.State.full_int rng q) in
-      let a_ntt = Ntt.forward ctx a in
-      let as_ntt = Array.init n (fun j -> Modarith.mul ~m:q a_ntt.(j) s_ntt.(t).(j)) in
+      let a_ntt = Array.init n (fun _ -> Random.State.full_int rng q) in
+      Ntt.forward_in_place ctx a_ntt;
+      let as_ntt = Ntt.pointwise_mul ctx a_ntt s_ntt.(t) in
       let e_ntt = ntt_of_centered params t e in
       let payload_ntt =
-        if t = i then begin
-          let p_mod_q = Modarith.reduce ~m:q params.special in
-          let src = ntt_of_centered params t source_coeffs in
-          Array.map (fun c -> Modarith.mul ~m:q c p_mod_q) src
-        end
+        if t = i then
+          Ntt.pointwise_mul ctx
+            (ntt_of_centered params t source_coeffs)
+            (Array.make n (params.special mod q))
         else Array.make n 0
       in
       let b_ntt =
@@ -442,31 +443,6 @@ type decomposed = {
 
 let check_len n a = if Array.length a <> n then invalid_arg "Keys: limb length mismatch"
 
-(* [x mod q] for [0 <= x < 2^31], with [one_s = Modarith.shoup ~m:q 1]: the
-   Shoup multiply by 1 leaves [x - floor(x * one_s / 2^31) * q] in [0, 2q)
-   and one masked subtraction finishes it -- no division, no branch. *)
-let[@inline] reduce31 ~q ~one_s x =
-  let r = x - (((x * one_s) lsr 31) * q) - q in
-  r + (q land (r asr 62))
-
-(* [x mod q] for any [0 <= x < 2^62]: split [x = hi * 2^31 + lo] with both
-   halves below 2^31 and reduce each as a Shoup product -- [hi] by
-   [r31 = 2^31 mod q], [lo] by 1.  Each product lies in [0, 2q), so the sum
-   is below 4q and two masked subtractions bring it into [0, q). *)
-type reducer = { rq : int; r31 : int; r31_s : int; one_s : int }
-
-let reducer q =
-  let r31 = (1 lsl 31) mod q in
-  { rq = q; r31; r31_s = Modarith.shoup ~m:q r31; one_s = Modarith.shoup ~m:q 1 }
-
-let[@inline] reduce62 { rq = q; r31; r31_s; one_s } x =
-  let hi = x lsr 31 and lo = x land 0x7FFFFFFF in
-  let r =
-    (hi * r31) - (((hi * r31_s) lsr 31) * q) + lo - (((lo * one_s) lsr 31) * q) - (2 * q)
-  in
-  let r = r + ((2 * q) land (r asr 62)) - q in
-  r + (q land (r asr 62))
-
 let decompose keys d =
   let params = keys.params in
   let n = params.n in
@@ -488,7 +464,7 @@ let decompose keys d =
   par params np (fun pos ->
       let t = positions.(pos) in
       let q = chain_modulus params t in
-      let one_s = Modarith.shoup ~m:q 1 in
+      let red = Modarith.reducer q in
       let ctx = chain_ntt params t in
       for i = 0 to l - 1 do
         match resident with
@@ -509,10 +485,10 @@ let decompose keys d =
               Array.unsafe_set dst j (c + (q land (c asr 62)))
             done
           else begin
-            let qi_q = reduce31 ~q ~one_s qi in
+            let qi_q = Modarith.reduce31 red qi in
             for j = 0 to n - 1 do
               let x = Array.unsafe_get src j in
-              let r = reduce31 ~q ~one_s x - (qi_q land ((half - x) asr 62)) in
+              let r = Modarith.reduce31 red x - (qi_q land ((half - x) asr 62)) in
               Array.unsafe_set dst j (r + (q land (r asr 62)))
             done
           end;
@@ -531,8 +507,8 @@ let divide_by_p (params : Params.t) ~level:l u =
   let out = Array.make l [||] in
   par params l (fun t ->
       let q = params.moduli.(t) in
-      let one_s = Modarith.shoup ~m:q 1 in
-      let p_q = reduce31 ~q ~one_s p in
+      let red = Modarith.reducer q in
+      let p_q = Modarith.reduce31 red p in
       let p_inv = params.special_inv.(t) in
       let p_inv_shoup = params.special_inv_shoup.(t) in
       let ut = u.(t) in
@@ -540,7 +516,7 @@ let divide_by_p (params : Params.t) ~level:l u =
       let dst = Array.make n 0 in
       for j = 0 to n - 1 do
         let x = Array.unsafe_get special j in
-        let r = reduce31 ~q ~one_s x - (p_q land ((half - x) asr 62)) in
+        let r = Modarith.reduce31 red x - (p_q land ((half - x) asr 62)) in
         let r = r + (q land (r asr 62)) in
         let diff = Array.unsafe_get ut j - r in
         let diff = diff + (q land (diff asr 62)) in
@@ -579,10 +555,10 @@ let mac_into params ~perm sk dec pos out0 out1 =
         - (((dj * Array.unsafe_get k1s j) lsr 31) * q))
     done
   done;
-  let red = reducer q in
+  let red = Modarith.reducer q in
   for j = 0 to n - 1 do
-    Array.unsafe_set out0 j (reduce62 red (Array.unsafe_get out0 j));
-    Array.unsafe_set out1 j (reduce62 red (Array.unsafe_get out1 j))
+    Array.unsafe_set out0 j (Modarith.reduce62 red (Array.unsafe_get out0 j));
+    Array.unsafe_set out1 j (Modarith.reduce62 red (Array.unsafe_get out1 j))
   done
 
 (* --- lazy key switching: accumulate MACs, mod down once ----------------- *)
@@ -628,14 +604,14 @@ let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
         mac_into params ~perm sk dec pos a0 a1;
         let cv = c.(pos) in
         List.iter (check_len n) [ cv; acc0; acc1 ];
-        let red = reducer (chain_modulus params dec.positions.(pos)) in
+        let red = Modarith.reducer (chain_modulus params dec.positions.(pos)) in
         (* acc + c * a <= (q - 1) + (q - 1)^2 < 2^62: one reduction. *)
         for j = 0 to n - 1 do
           let cj = Array.unsafe_get cv j in
           Array.unsafe_set acc0 j
-            (reduce62 red (Array.unsafe_get acc0 j + (cj * Array.unsafe_get a0 j)));
+            (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Array.unsafe_get a0 j)));
           Array.unsafe_set acc1 j
-            (reduce62 red (Array.unsafe_get acc1 j + (cj * Array.unsafe_get a1 j)))
+            (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Array.unsafe_get a1 j)))
         done)
 
 let mac_finish keys mac =

@@ -31,6 +31,32 @@ val mul_shoup : m:int -> int -> int -> int -> int
     reduction: [mul_shoup ~m a 1 (shoup ~m 1) = a mod m] for any
     [0 <= a < 2^31], which is how the key-switch kernels reduce. *)
 
+(** {2 Division-free reduction}
+
+    A [reducer] fixes a modulus [q < 2^31] together with the Shoup
+    companions of 1 and of [2^31 mod q]; it reduces values wider than a
+    residue with multiply-shift-subtract steps and masked corrections, no
+    hardware division and no data-dependent branch.  Build one per
+    modulus outside the hot loop. *)
+
+type reducer
+
+val reducer : int -> reducer
+(** [reducer q] for an odd modulus [1 < q < 2^31]. *)
+
+val reduce31 : reducer -> int -> int
+(** [reduce31 r x = x mod q].  Requires [0 <= x < 2^31]. *)
+
+val reduce62 : reducer -> int -> int
+(** [reduce62 r x = x mod q].  Requires [0 <= x < 2^62]: every product of
+    two residues below [2^31] qualifies, and so does a sum of such products
+    that stays below [2^62] (the lazily accumulated key-switch MAC). *)
+
+val embed : reducer -> int -> int
+(** [embed r x] is the residue of a signed integer: [Modarith.reduce ~m:q x]
+    without the division.  Requires [x > min_int] (so [|x| < 2^62]); this
+    is how centered coefficients enter the residue ring. *)
+
 val reduce : m:int -> int -> int
 (** Reduce an arbitrary (possibly negative) integer into [0, m). *)
 

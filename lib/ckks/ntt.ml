@@ -4,8 +4,12 @@
    to bit-reversed order, the inverse a Gentleman-Sande pass over
    psi^{-bitrev(i)} taking it back, so neither the pre/post multiplication
    by psi^i nor an explicit bit-reversal permutation of the data is needed.
-   Every butterfly multiply is a Shoup multiply (precomputed companions,
-   one conditional subtraction) instead of a hardware division. *)
+   Every butterfly multiply is a Shoup multiply (precomputed companions)
+   instead of a hardware division.  Moduli below 2^29 -- the scale primes,
+   most of every chain -- run lazy radix-4 kernels that keep values in
+   [0, 4q) / [0, 2q) between butterflies; the 31-bit base and special
+   primes run fully reduced radix-2 loops (see [lazy_bound]).  Pointwise
+   products reduce with [Modarith.reduce62], division-free. *)
 
 type ctx = {
   q : int;
@@ -16,6 +20,8 @@ type ctx = {
   inv_tw_shoup : int array;
   n_inv : int;
   n_inv_shoup : int;
+  lazy_kernels : bool; (* q < lazy_bound: the lazy radix-4 transforms fit *)
+  red : Modarith.reducer; (* division-free reduction of pointwise products *)
   slot_exp : int array; (* slot i of the eval domain holds p(psi^slot_exp.(i)) *)
   idx_of_exp : int array; (* inverse of slot_exp over odd exponents, size 2n *)
 }
@@ -54,8 +60,11 @@ let bitrev ~bits i =
 let check_len ctx a =
   if Array.length a <> ctx.n then invalid_arg "Ntt: length mismatch"
 
-let forward_in_place ctx a =
-  check_len ctx a;
+(* Fully reduced radix-2 loops: every value stays in [0, q) between
+   butterflies.  Only the 31-bit moduli (base and special prime) run these;
+   see [lazy_bound]. *)
+
+let forward_exact ctx a =
   let q = ctx.q and n = ctx.n in
   let tw = ctx.fwd_tw and tws = ctx.fwd_tw_shoup in
   let t = ref n in
@@ -82,8 +91,7 @@ let forward_in_place ctx a =
     m := !m lsl 1
   done
 
-let inverse_in_place ctx a =
-  check_len ctx a;
+let inverse_exact ctx a =
   let q = ctx.q and n = ctx.n in
   let tw = ctx.inv_tw and tws = ctx.inv_tw_shoup in
   let t = ref 1 in
@@ -110,9 +118,164 @@ let inverse_in_place ctx a =
     done;
     t := half lsl 1;
     m := h
+  done
+
+(* Lazy radix-4 kernels (Harvey's lazy butterflies), for q < [lazy_bound].
+   Then every value below 4q is below 2^31, so for any x < 4q:
+   - the Shoup product [x * w - floor(x * w' / 2^31) * q] is valid (its
+     quotient estimate is short by at most one because x < 2^31) and lies
+     in [0, 2q);
+   - x * w' < 2^31 * 2^31 = 2^62 and x * w < 4q * q < 2^60 fit the 63-bit
+     native int.
+   At a 31-bit modulus even 2q passes 2^31 and x * w' can overflow, so no
+   lazy form fits and the base and special primes keep the exact loops.
+
+   Forward (Cooley-Tukey), values in [0, 4q): take u mod 2q with one masked
+   2q correction, v = Shoup (x * w) in [0, 2q), and emit u + v and
+   u - v + 2q, both in [0, 4q).  A final pass brings [0, 4q) to [0, q).
+   Inverse (Gentleman-Sande), values in [0, 2q): emit (u + v) mod 2q (one
+   masked correction) and Shoup ((u - v + 2q) * w) in [0, 2q); the n^-1
+   pass reduces to [0, q).
+
+   Stages run in pairs as radix-4 butterflies over the radix-2 twiddle
+   tables, so each quadruple is loaded and stored once per two stages.
+   Forward pairs CT stages (m, 2m): block i of stage m (twiddle m + i)
+   splits into blocks 2i and 2i + 1 of stage 2m (twiddles 2m + 2i and
+   2m + 2i + 1).  Inverse pairs GS stages the other way: blocks 2b and
+   2b + 1 of the stage with h blocks (twiddles h + 2b and h + 2b + 1) merge
+   into block b of the next (twiddle h/2 + b).  With odd log n the
+   unpaired radix-2 stage is the first forward stage and the last inverse
+   one. *)
+let lazy_bound = 1 lsl 29
+
+let forward_lazy ctx a =
+  let q = ctx.q and n = ctx.n in
+  let q2 = 2 * q in
+  let tw = ctx.fwd_tw and tws = ctx.fwd_tw_shoup in
+  (* [m] blocks of size [t] at the current stage. *)
+  let m = ref 1 and t = ref n in
+  if log2 n land 1 = 1 then begin
+    let half = n lsr 1 in
+    let w = Array.unsafe_get tw 1 and ws = Array.unsafe_get tws 1 in
+    for j = 0 to half - 1 do
+      let u = Array.unsafe_get a j - q2 in
+      let u = u + (q2 land (u asr 62)) in
+      let x = Array.unsafe_get a (j + half) in
+      let v = (x * w) - (((x * ws) lsr 31) * q) in
+      Array.unsafe_set a j (u + v);
+      Array.unsafe_set a (j + half) (u - v + q2)
+    done;
+    m := 2;
+    t := half
+  end;
+  while !m < n do
+    let mm = !m and bs = !t in
+    let h = bs lsr 2 in
+    for i = 0 to mm - 1 do
+      let j1 = i * bs in
+      let w1 = Array.unsafe_get tw (mm + i) and w1s = Array.unsafe_get tws (mm + i) in
+      let k = (2 * mm) + (2 * i) in
+      let w2 = Array.unsafe_get tw k and w2s = Array.unsafe_get tws k in
+      let w3 = Array.unsafe_get tw (k + 1) and w3s = Array.unsafe_get tws (k + 1) in
+      for j = j1 to j1 + h - 1 do
+        let x0 = Array.unsafe_get a j - q2 in
+        let x0 = x0 + (q2 land (x0 asr 62)) in
+        let x1 = Array.unsafe_get a (j + h) - q2 in
+        let x1 = x1 + (q2 land (x1 asr 62)) in
+        let x2 = Array.unsafe_get a (j + (2 * h)) in
+        let x3 = Array.unsafe_get a (j + (3 * h)) in
+        (* stage m: (x0, x2) and (x1, x3) by w1 *)
+        let v = (x2 * w1) - (((x2 * w1s) lsr 31) * q) in
+        let y0 = x0 + v - q2 in
+        let y0 = y0 + (q2 land (y0 asr 62)) in
+        let y2 = x0 - v + q2 in
+        let v = (x3 * w1) - (((x3 * w1s) lsr 31) * q) in
+        let y1 = x1 + v and y3 = x1 - v + q2 in
+        (* stage 2m: (y0, y1) by w2 and (y2, y3) by w3 *)
+        let v = (y1 * w2) - (((y1 * w2s) lsr 31) * q) in
+        Array.unsafe_set a j (y0 + v);
+        Array.unsafe_set a (j + h) (y0 - v + q2);
+        let y2 = y2 - q2 in
+        let y2 = y2 + (q2 land (y2 asr 62)) in
+        let v = (y3 * w3) - (((y3 * w3s) lsr 31) * q) in
+        Array.unsafe_set a (j + (2 * h)) (y2 + v);
+        Array.unsafe_set a (j + (3 * h)) (y2 - v + q2)
+      done
+    done;
+    m := mm * 4;
+    t := h
   done;
-  let ni = ctx.n_inv and nis = ctx.n_inv_shoup in
   for j = 0 to n - 1 do
+    let x = Array.unsafe_get a j - q2 in
+    let x = x + (q2 land (x asr 62)) - q in
+    Array.unsafe_set a j (x + (q land (x asr 62)))
+  done
+
+let inverse_lazy ctx a =
+  let q = ctx.q and n = ctx.n in
+  let q2 = 2 * q in
+  let tw = ctx.inv_tw and tws = ctx.inv_tw_shoup in
+  (* [h] blocks with half-size [t] at the current stage. *)
+  let h = ref (n lsr 1) and t = ref 1 in
+  while !h >= 2 do
+    let hh = !h and tt = !t in
+    let hb = hh lsr 1 in
+    for b = 0 to hb - 1 do
+      let j1 = 4 * b * tt in
+      let k = hh + (2 * b) in
+      let wa = Array.unsafe_get tw k and was = Array.unsafe_get tws k in
+      let wb = Array.unsafe_get tw (k + 1) and wbs = Array.unsafe_get tws (k + 1) in
+      let wc = Array.unsafe_get tw (hb + b) and wcs = Array.unsafe_get tws (hb + b) in
+      for j = j1 to j1 + tt - 1 do
+        let x0 = Array.unsafe_get a j and x1 = Array.unsafe_get a (j + tt) in
+        let x2 = Array.unsafe_get a (j + (2 * tt)) and x3 = Array.unsafe_get a (j + (3 * tt)) in
+        (* stage h: (x0, x1) by wa and (x2, x3) by wb *)
+        let y0 = x0 + x1 - q2 in
+        let y0 = y0 + (q2 land (y0 asr 62)) in
+        let d = x0 - x1 + q2 in
+        let y1 = (d * wa) - (((d * was) lsr 31) * q) in
+        let y2 = x2 + x3 - q2 in
+        let y2 = y2 + (q2 land (y2 asr 62)) in
+        let d = x2 - x3 + q2 in
+        let y3 = (d * wb) - (((d * wbs) lsr 31) * q) in
+        (* stage h/2: (y0, y2) and (y1, y3) by wc *)
+        let s = y0 + y2 - q2 in
+        Array.unsafe_set a j (s + (q2 land (s asr 62)));
+        let d = y0 - y2 + q2 in
+        Array.unsafe_set a (j + (2 * tt)) ((d * wc) - (((d * wcs) lsr 31) * q));
+        let s = y1 + y3 - q2 in
+        Array.unsafe_set a (j + tt) (s + (q2 land (s asr 62)));
+        let d = y1 - y3 + q2 in
+        Array.unsafe_set a (j + (3 * tt)) ((d * wc) - (((d * wcs) lsr 31) * q))
+      done
+    done;
+    h := hb lsr 1;
+    t := tt * 4
+  done;
+  if !h = 1 then begin
+    let half = !t in
+    let w = Array.unsafe_get tw 1 and ws = Array.unsafe_get tws 1 in
+    for j = 0 to half - 1 do
+      let u = Array.unsafe_get a j and v = Array.unsafe_get a (j + half) in
+      let s = u + v - q2 in
+      Array.unsafe_set a j (s + (q2 land (s asr 62)));
+      let d = u - v + q2 in
+      Array.unsafe_set a (j + half) ((d * w) - (((d * ws) lsr 31) * q))
+    done
+  end
+
+let forward_in_place ctx a =
+  check_len ctx a;
+  if ctx.lazy_kernels then forward_lazy ctx a else forward_exact ctx a
+
+let inverse_in_place ctx a =
+  check_len ctx a;
+  if ctx.lazy_kernels then inverse_lazy ctx a else inverse_exact ctx a;
+  (* Inputs in [0, 2q) (lazy) or [0, q) (exact): the Shoup product by n^-1
+     lies in [0, 2q) and one masked subtraction reduces it. *)
+  let q = ctx.q in
+  let ni = ctx.n_inv and nis = ctx.n_inv_shoup in
+  for j = 0 to ctx.n - 1 do
     let x = Array.unsafe_get a j in
     let qh = (x * nis) lsr 31 in
     let r0 = (x * ni) - (qh * q) - q in
@@ -129,18 +292,23 @@ let inverse ctx values =
   inverse_in_place ctx a;
   a
 
-let pointwise_mul ctx a b =
-  let m = ctx.q in
-  Array.init ctx.n (fun i -> Modarith.mul ~m a.(i) b.(i))
-
-let pointwise_mul_in_place ctx a b =
+(* Residues are below 2^31, so a product is below 2^62: one division-free
+   [Modarith.reduce62] per slot.  [dst] has length n (it is [a] or fresh). *)
+let mul_into ctx dst a b =
   check_len ctx a;
   check_len ctx b;
-  let m = ctx.q in
+  let red = ctx.red in
   for i = 0 to ctx.n - 1 do
-    Array.unsafe_set a i
-      ((Array.unsafe_get a i * Array.unsafe_get b i) mod m)
+    Array.unsafe_set dst i
+      (Modarith.reduce62 red (Array.unsafe_get a i * Array.unsafe_get b i))
   done
+
+let pointwise_mul ctx a b =
+  let c = Array.make ctx.n 0 in
+  mul_into ctx c a b;
+  c
+
+let pointwise_mul_in_place ctx a b = mul_into ctx a a b
 
 let negacyclic_mul ctx a b =
   let fa = forward ctx a and fb = forward ctx b in
@@ -171,6 +339,8 @@ let make_ctx ~q ~n =
       inv_tw_shoup = Array.map (fun w -> Modarith.shoup ~m:q w) inv_tw;
       n_inv;
       n_inv_shoup = Modarith.shoup ~m:q n_inv;
+      lazy_kernels = q < lazy_bound;
+      red = Modarith.reducer q;
       slot_exp = [||];
       idx_of_exp = [||];
     }

@@ -8,6 +8,13 @@
     into the twiddles); pointwise products in that domain are negacyclic
     convolutions in the coefficient domain.
 
+    The kernel is fixed per context by the modulus: for [q < 2^29] the
+    transforms are lazy radix-4 (Harvey butterflies, values kept in
+    [[0, 4q)] forward and [[0, 2q)] inverse, reduced once at the end), and
+    for larger moduli fully reduced radix-2.  Both produce the same exact
+    residues in [[0, q)], so the choice is invisible to callers.  Pointwise
+    products are division-free ({!Modarith.reduce62}).
+
     The in-place variants are the kernel-layer entry points: they mutate
     their argument and allocate nothing. *)
 

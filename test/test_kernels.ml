@@ -101,6 +101,166 @@ let test_ntt_length_guard () =
     (Invalid_argument "Ntt: length mismatch") (fun () ->
       Ntt.forward_in_place ctx (Array.make (n / 2) 0))
 
+(* Edge cases on both sides of the lazy-kernel dispatch bound (q < 2^29
+   runs the lazy radix-4 kernels, larger moduli the fully reduced radix-2
+   loops).  The primes are NTT-friendly up to n = 2048, so one prime serves
+   every ring size below. *)
+let edge_n_max = 2048
+
+let ntt_prime_above ~n start =
+  let step = 2 * n in
+  let rec go q = if Primes.is_prime q then q else go (q + step) in
+  go ((((start - 1) / step) + 1) * step + 1)
+
+let edge_primes () =
+  let n = edge_n_max in
+  [
+    ("largest below 2^29", Primes.ntt_prime_below ~n ((1 lsl 29) - 1));
+    ("27-bit", Primes.ntt_prime_below ~n ((1 lsl 27) - 1));
+    ("smallest above 2^29", ntt_prime_above ~n (1 lsl 29));
+    ("31-bit base", Primes.ntt_prime_below ~n ((1 lsl 31) - 1));
+  ]
+
+let edge_sizes = [ 2; 4; 8; 16; 1024; 2048 ]
+
+(* Random and all-(q - 1) inputs: the largest residue drives every lazy
+   intermediate to the top of its range. *)
+let edge_inputs st ~n ~q = [ ("random", rand_vec st ~n ~q); ("all q-1", Array.make n (q - 1)) ]
+
+let test_ntt_edges () =
+  let st = Random.State.make [| 0xed6e |] in
+  List.iter
+    (fun (pname, q) ->
+      Alcotest.(check bool) (pname ^ " NTT-friendly") true ((q - 1) mod (2 * edge_n_max) = 0);
+      List.iter
+        (fun n ->
+          let ctx = Ntt.make_ctx ~q ~n in
+          List.iter
+            (fun (iname, a) ->
+              let tag = Printf.sprintf "%s q=%d n=%d %s" pname q n iname in
+              let f = Ntt.forward ctx a in
+              Alcotest.(check bool) (tag ^ ": forward in [0, q)") true
+                (Array.for_all (fun x -> 0 <= x && x < q) f);
+              Alcotest.(check (array int)) (tag ^ ": inverse . forward") a (Ntt.inverse ctx f);
+              Alcotest.(check (array int)) (tag ^ ": forward . inverse") a
+                (Ntt.forward ctx (Ntt.inverse ctx a));
+              if n <= 64 then begin
+                let b = rand_vec st ~n ~q in
+                Alcotest.(check (array int)) (tag ^ ": negacyclic = schoolbook")
+                  (schoolbook_negacyclic ~q a b) (Ntt.negacyclic_mul ctx a b);
+                Alcotest.(check (array int)) (tag ^ ": squared = schoolbook")
+                  (schoolbook_negacyclic ~q a a) (Ntt.negacyclic_mul ctx a a)
+              end)
+            (edge_inputs st ~n ~q))
+        edge_sizes)
+    (edge_primes ())
+
+let test_pointwise_edges () =
+  let st = Random.State.make [| 0x9017 |] in
+  List.iter
+    (fun (pname, q) ->
+      let n = 16 in
+      let ctx = Ntt.make_ctx ~q ~n in
+      List.iter
+        (fun (a, b) ->
+          let expect = Array.map2 (fun x y -> Modarith.mul ~m:q x y) a b in
+          Alcotest.(check (array int)) (pname ^ " pointwise_mul") expect (Ntt.pointwise_mul ctx a b);
+          let c = Array.copy a in
+          Ntt.pointwise_mul_in_place ctx c b;
+          Alcotest.(check (array int)) (pname ^ " pointwise_mul_in_place") expect c)
+        [
+          (rand_vec st ~n ~q, rand_vec st ~n ~q);
+          (Array.make n (q - 1), Array.make n (q - 1));
+          (Array.init n (fun i -> q - 1 - i), Array.init n (fun i -> if i = 0 then 0 else q - i));
+        ])
+    (edge_primes ())
+
+(* MD5 of forward and inverse outputs on fixed inputs, for every extended
+   chain modulus of [Params.test_deep] (15 lazy-path scale primes, the base
+   and the special prime on the exact path).  The digests were recorded with
+   the fully reduced radix-2 kernels before the lazy kernels existed: the
+   transform is exact, so any kernel must reproduce them. *)
+let deep_chain_golden =
+  [
+    (2147389441, "d8aafcf7af49192e05ed4e047e24c660");
+    (134176769, "13b7819c521b4e6ed4134e58e41749d1");
+    (134111233, "7ab8ae546abbfc1714a8243befa1ffec");
+    (134025217, "94b2de18b28b73d1cc6fff4ab0bf4232");
+    (134012929, "418161f66335e34bb3310b460cacf27e");
+    (133963777, "36d768384a3864b8fd574c60dbeeefef");
+    (133881857, "46929db4a18247b50849936e81d3f77e");
+    (133857281, "138577d7728589895f9a3fa2561283c4");
+    (133844993, "022f923ac81274eb2c13d153cb5c1e85");
+    (133746689, "322a6953c504ffd3a1659e609ae30b81");
+    (133681153, "86d8cc575a12582689a6fb35c7c6607f");
+    (133644289, "df74143893156120b61307be426a7a5f");
+    (133611521, "54c4137be70fe06c08710b5f36f42eab");
+    (133513217, "3829380d108a4dafec07ba6d0257c9d5");
+    (133509121, "413496fe1441f5dd938ac1439a25b6c9");
+    (133500929, "2f384239db5dc9ca20c7122022bcfcb7");
+    (2147377153, "f930f78db56d673fdd88691bfe8390f9");
+  ]
+
+let ntt_digest ctx =
+  let q = Ntt.q ctx and n = Ntt.n ctx in
+  let st = Random.State.make [| 0x601d; q |] in
+  let buf = Buffer.create (n * 24) in
+  let add a = Array.iter (fun x -> Buffer.add_string buf (string_of_int x); Buffer.add_char buf ',') a in
+  List.iter
+    (fun a ->
+      add (Ntt.forward ctx a);
+      add (Ntt.inverse ctx a))
+    [ rand_vec st ~n ~q; Array.make n (q - 1) ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_ntt_golden () =
+  let p = Params.test_deep () in
+  let ctxs = Array.to_list p.ntts @ [ p.ntt_special ] in
+  Alcotest.(check (list (pair int string))) "test_deep forward/inverse digests"
+    deep_chain_golden
+    (List.map (fun ctx -> (Ntt.q ctx, ntt_digest ctx)) ctxs)
+
+(* ------------------------------------------------------------------ *)
+(* Division-free reduction                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_reducer =
+  QCheck.Test.make ~name:"reduce31 / reduce62 / embed = mod over the chain and edge primes"
+    ~count:2000
+    QCheck.(quad (int_range 0 max_int) (int_range 0 max_int) (int_range 0 20) bool)
+    (fun (a, b, pick, neg) ->
+      let moduli = chain_moduli () @ List.map snd (edge_primes ()) in
+      let q = List.nth moduli (pick mod List.length moduli) in
+      let red = Modarith.reducer q in
+      let x31 = a land (Modarith.max_modulus - 1) in
+      let x62 = a lsr 1 in
+      let s = if neg then -b else b in
+      Modarith.reduce31 red x31 = x31 mod q
+      && Modarith.reduce62 red x62 = x62 mod q
+      && Modarith.embed red s = Modarith.reduce ~m:q s)
+
+let test_reducer_edges () =
+  List.iter
+    (fun q ->
+      let red = Modarith.reducer q in
+      let top62 = (1 lsl 62) - 1 in
+      List.iter
+        (fun x ->
+          Alcotest.(check int) (Printf.sprintf "q=%d reduce62 %d" q x) (x mod q)
+            (Modarith.reduce62 red x))
+        [ 0; 1; q - 1; q; (q - 1) * (q - 1); top62; (1 lsl 31) - 1; 1 lsl 31 ];
+      List.iter
+        (fun x ->
+          Alcotest.(check int) (Printf.sprintf "q=%d reduce31 %d" q x) (x mod q)
+            (Modarith.reduce31 red x))
+        [ 0; q - 1; q; (1 lsl 31) - 1 ];
+      List.iter
+        (fun x ->
+          Alcotest.(check int) (Printf.sprintf "q=%d embed %d" q x) (Modarith.reduce ~m:q x)
+            (Modarith.embed red x))
+        [ 0; 1; -1; q; -q; -(q - 1); max_int; min_int + 1; -top62 ])
+    (chain_moduli () @ List.map snd (edge_primes ()))
+
 (* ------------------------------------------------------------------ *)
 (* Rescale precomputation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -473,7 +633,13 @@ let () =
         :: qsuite [ test_shoup_matches_mul; test_shoup_by_one ] );
       ( "ntt",
         Alcotest.test_case "length guard" `Quick test_ntt_length_guard
+        :: Alcotest.test_case "edges around the lazy bound" `Quick test_ntt_edges
+        :: Alcotest.test_case "pointwise products at the edges" `Quick test_pointwise_edges
+        :: Alcotest.test_case "test_deep golden digests" `Quick test_ntt_golden
         :: qsuite [ test_ntt_roundtrip; test_negacyclic_vs_schoolbook ] );
+      ( "reduce",
+        Alcotest.test_case "edge values" `Quick test_reducer_edges
+        :: qsuite [ test_reducer ] );
       ( "params",
         [ Alcotest.test_case "rescale tables" `Quick test_rescale_tables ] );
       ( "domains",
