@@ -2,8 +2,9 @@
 
    [Ref] below is a frozen copy of the pre-optimization kernels (division
    per butterfly, psi-twist + bit-reversal cyclic NTT, Fermat-inverse
-   rescale, multiply-per-index automorphism, per-element-division key
-   switch) so the comparison survives further changes to the library.
+   rescale, multiply-per-index automorphism) so the comparison survives
+   further changes to the library; the key switch is compared with a naive
+   hybrid reference (hardware [mod] per step, constants recomputed).
    Every op asserts bit-identity between the two implementations on the
    same inputs before timing; the process exits nonzero if any assertion
    fails.  Results go to stdout and, with [--json PATH], to a
@@ -135,74 +136,75 @@ module Ref = struct
     in
     Array.mapi (fun i r -> apply moduli.(i) r) res
 
-  (* Seed key switch (decompose + apply): a hardware [mod] per element in
-     the digit embed and in the division by P, and a MAC that fully reduces
-     after every multiply-add.  [k0s]/[k1s] are the Shoup companions of the
-     key residues, as the seed stored them. *)
-  let key_switch (params : Params.t) ~k0 ~k1 ~k0s ~k1s (d : Rns_poly.t) =
-    let n = params.n and lq = params.max_level in
-    let chain_q t = if t < lq then params.moduli.(t) else params.special in
-    let chain_ntt t = if t < lq then Params.ntt_at params ~idx:t else params.ntt_special in
+  (* Naive hybrid key switch (decompose + apply): the semantics of
+     [Keys.key_switch] spelled out with a hardware [mod] per step and every
+     base-conversion constant recomputed from the primes.  Digits of
+     [alpha] primes are lifted by a centered fast base conversion, the MAC
+     fully reduces after every multiply-add, and ModDown converts the
+     special residues centered and divides by P, all in the coefficient
+     domain. *)
+  let key_switch (params : Params.t) ~k0 ~k1 (d : Rns_poly.t) =
+    let n = params.n and lq = params.max_level and alpha = params.alpha in
+    let kk = Array.length params.specials in
+    let chain_ntt t = Params.ntt_at params ~idx:t in
+    let chain_q t = Ntt.q (chain_ntt t) in
     let res = (Rns_poly.to_coeff params d).res in
     let l = Array.length res in
-    let positions = Array.append (Array.init l (fun t -> t)) [| lq |] in
+    let positions = Array.init (l + kk) (fun pos -> if pos < l then pos else lq + pos - l) in
     let np = Array.length positions in
-    (* The seed's fan-out rule: tiny rings stay sequential. *)
-    let par k f =
-      if n >= 512 then Domain_pool.parallel_for ~n:k f
-      else
-        for i = 0 to k - 1 do
-          f i
-        done
-    in
-    let digits = Array.make np [||] in
-    par np (fun pos ->
-        let t = positions.(pos) in
-        let q = chain_q t in
-        digits.(pos) <-
-          Array.init l (fun i ->
-              let qi = params.moduli.(i) in
-              let dst = Array.make n 0 in
-              for j = 0 to n - 1 do
-                dst.(j) <- Modarith.reduce ~m:q (Modarith.center ~m:qi res.(i).(j))
-              done;
-              Ntt.forward_in_place (chain_ntt t) dst;
-              dst));
-    let u0 = Array.make np [||] and u1 = Array.make np [||] in
-    par np (fun pos ->
-        let t = positions.(pos) in
-        let q = chain_q t in
-        let a0 = Array.make n 0 and a1 = Array.make n 0 in
-        for i = 0 to l - 1 do
-          let d_ntt = digits.(pos).(i) in
+    let prod ~m a = Array.fold_left (fun acc q -> Modarith.mul ~m acc (q mod m)) 1 a in
+    let without a i = Array.of_list (List.filteri (fun i' _ -> i' <> i) (Array.to_list a)) in
+    let convert ~src xs m =
+      let out = Array.make n 0 in
+      Array.iteri
+        (fun i b ->
+          let hat_inv = Modarith.inv ~m:b (prod ~m:b (without src i)) in
+          let hat_m = prod ~m (without src i) in
           for j = 0 to n - 1 do
-            let dj = d_ntt.(j) in
-            a0.(j) <-
-              Modarith.add ~m:q a0.(j)
-                (Modarith.mul_shoup ~m:q dj k0.(i).(t).(j) k0s.(i).(t).(j));
-            a1.(j) <-
-              Modarith.add ~m:q a1.(j)
-                (Modarith.mul_shoup ~m:q dj k1.(i).(t).(j) k1s.(i).(t).(j))
-          done
-        done;
-        Ntt.inverse_in_place (chain_ntt t) a0;
-        Ntt.inverse_in_place (chain_ntt t) a1;
-        u0.(pos) <- a0;
-        u1.(pos) <- a1);
-    let divide_by_p u =
-      let p = params.special in
-      let out = Array.make l [||] in
-      par l (fun t ->
-          let q = params.moduli.(t) in
-          out.(t) <-
-            Array.init n (fun j ->
-                let rep = Modarith.center ~m:p u.(l).(j) in
-                let diff = Modarith.sub ~m:q u.(t).(j) (Modarith.reduce ~m:q rep) in
-                Modarith.mul_shoup ~m:q diff params.special_inv.(t)
-                  params.special_inv_shoup.(t)));
+            let y = Modarith.center ~m:b (Modarith.mul ~m:b xs.(i).(j) hat_inv) in
+            out.(j) <- Modarith.add ~m out.(j) (Modarith.mul ~m (Modarith.reduce ~m y) hat_m)
+          done)
+        src;
       out
     in
-    (divide_by_p u0, divide_by_p u1)
+    let beta = (l + alpha - 1) / alpha in
+    let digits =
+      Array.map
+        (fun t ->
+          Array.init beta (fun j ->
+              let own = Array.init (min alpha (l - (j * alpha))) (fun i -> (j * alpha) + i) in
+              let a =
+                convert
+                  ~src:(Array.map (fun i -> params.moduli.(i)) own)
+                  (Array.map (fun i -> res.(i)) own)
+                  (chain_q t)
+              in
+              Ntt.forward_in_place (chain_ntt t) a;
+              a))
+        positions
+    in
+    let mac kh =
+      Array.init np (fun pos ->
+          let t = positions.(pos) in
+          let q = chain_q t in
+          let a = Array.make n 0 in
+          for i = 0 to beta - 1 do
+            for j = 0 to n - 1 do
+              a.(j) <- Modarith.add ~m:q a.(j) (Modarith.mul ~m:q digits.(pos).(i).(j) kh.(i).(t).(j))
+            done
+          done;
+          Ntt.inverse_in_place (chain_ntt t) a;
+          a)
+    in
+    let mod_down u =
+      let su = Array.sub u l kk in
+      Array.init l (fun t ->
+          let q = params.moduli.(t) in
+          let corr = convert ~src:params.specials su q in
+          let p_inv = Modarith.inv ~m:q (prod ~m:q params.specials) in
+          Array.init n (fun j -> Modarith.mul ~m:q (Modarith.sub ~m:q u.(t).(j) corr.(j)) p_inv))
+    in
+    (mod_down (mac k0), mod_down (mac k1))
 end
 
 (* ---------------------------------------------------------------- *)
@@ -269,7 +271,7 @@ let ntt_identical ~inverse ref_ctx new_ctx v =
     let f = Ref.forward ref_ctx v in
     arrays_equal (Ntt.forward new_ctx v) (Array.map (fun k -> f.(k)) map)
 
-let bench_size ~min_time ~limbs log_n =
+let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
   let params = Params.make ~log_n ~max_level:limbs ~base_bits:31 ~scale_bits:27 () in
   let n = params.n in
   let q = params.moduli.(0) in
@@ -358,27 +360,31 @@ let bench_size ~min_time ~limbs log_n =
            (Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res))
     ~ref_f:(fun () -> Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res)
     ~new_f:(fun () -> Rns_poly.automorphism params ~k pa_eval);
-  (* Key switch at full level L on an NTT-resident operand (as the
-     pipeline hands c1 over): division-free, lazily reduced decompose +
-     apply vs the seed loops, same relinearization key. *)
-  let keys = Keys.keygen params in
+  (* Key switch on an NTT-resident operand (as the pipeline hands c1 over)
+     at several levels of one chain: division-free, lazily reduced
+     decompose + apply vs the naive hybrid reference, same relinearization
+     key.  The level dependence is the point: digits, conversions and
+     transforms all grow with the level. *)
+  let ks_params = Params.make ~log_n ~max_level:ks_max ~base_bits:31 ~scale_bits:27 () in
+  let keys = Keys.keygen ks_params in
   let sk = Keys.relin_key keys in
   let k0, k1 = Keys.switch_key_raw sk in
-  let companions h =
-    Array.map
-      (Array.mapi (fun t limb ->
-           let q = if t < limbs then params.moduli.(t) else params.special in
-           Array.map (fun w -> Modarith.shoup ~m:q w) limb))
-      h
-  in
-  let k0s = companions k0 and k1s = companions k1 in
-  let ref_ks () = Ref.key_switch params ~k0 ~k1 ~k0s ~k1s pa_eval in
-  let new_ks () = Keys.apply keys sk (Keys.decompose keys pa_eval) in
-  record "keyswitch" ~limbs
-    ~identical:
-      (let (r0, r1), (n0, n1) = (ref_ks (), new_ks ()) in
-       residues_equal r0 n0.res && residues_equal r1 n1.res)
-    ~ref_f:ref_ks ~new_f:new_ks;
+  List.iter
+    (fun level ->
+      let d =
+        Rns_poly.to_eval ks_params
+          (Rns_poly.of_residues
+             (Array.init level (fun i -> rand_vec st ~n ~q:ks_params.moduli.(i))))
+      in
+      let ref_ks () = Ref.key_switch ks_params ~k0 ~k1 d in
+      let new_ks () = Keys.apply keys sk (Keys.decompose keys d) in
+      record "keyswitch" ~limbs:level
+        ~identical:
+          (let (r0, r1), (n0, n1) = (ref_ks (), new_ks ()) in
+           residues_equal r0 (Rns_poly.to_coeff ks_params n0).res
+           && residues_equal r1 (Rns_poly.to_coeff ks_params n1).res)
+        ~ref_f:ref_ks ~new_f:new_ks)
+    (ks_levels ks_params);
   List.rev !out
 
 let json_of_results ~min_time results =
@@ -403,6 +409,10 @@ let json_of_results ~min_time results =
 let () =
   let log_sizes = ref [ 10; 11; 12 ] in
   let limbs = ref 8 in
+  (* Key-switch rows: levels 4, 8 and 16 of a 16-level chain (alpha = 4);
+     --tiny runs levels 1, alpha and alpha + 1 of its 3-level chain. *)
+  let ks_max = ref 16 in
+  let ks_levels = ref (fun (_ : Params.t) -> [ 4; 8; 16 ]) in
   let min_time = ref 0.2 in
   let json_path = ref "" in
   let set_sizes s =
@@ -419,6 +429,8 @@ let () =
           (fun () ->
             log_sizes := [ 6; 7 ];
             limbs := 3;
+            ks_max := 3;
+            ks_levels := (fun p -> [ 1; p.Params.alpha; p.Params.alpha + 1 ]);
             min_time := 0.01),
         "CI smoke mode: two tiny rings, even and odd log n" );
     ]
@@ -429,7 +441,9 @@ let () =
     (String.concat "," (List.map string_of_int !log_sizes))
     !limbs;
   let results =
-    List.concat_map (bench_size ~min_time:!min_time ~limbs:!limbs) !log_sizes
+    List.concat_map
+      (bench_size ~min_time:!min_time ~limbs:!limbs ~ks_max:!ks_max ~ks_levels:!ks_levels)
+      !log_sizes
   in
   if !json_path <> "" then begin
     let oc = open_out !json_path in

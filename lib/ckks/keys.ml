@@ -1,10 +1,11 @@
 type secret = { coeffs : int array }
 
-(* k0.(i).(t) / k1.(i).(t): NTT-domain residues of the i-th digit key over
-   chain position t, where t < max_level indexes ciphertext moduli and
-   t = max_level is the special prime.  k0s/k1s hold the Shoup companions of
-   every key residue: the key side of the switch MAC is fixed at generation,
-   so the inner product runs entirely on division-free multiplies. *)
+(* k0.(j).(t) / k1.(j).(t): NTT-domain residues of the j-th digit key over
+   extended-chain position t, where t < max_level indexes ciphertext moduli
+   and t >= max_level the special primes.  k0s/k1s hold the Shoup companions
+   of every key residue: the key side of the switch MAC is fixed at
+   generation, so the inner product runs entirely on division-free
+   multiplies. *)
 type switch_key = {
   k0 : int array array array;
   k1 : int array array array;
@@ -70,15 +71,10 @@ let par (params : Params.t) n f =
       f i
     done
 
-(* Chain accessors: position t is a ciphertext modulus for t < L, the special
-   prime for t = L. *)
-let chain_modulus (params : Params.t) t =
-  if t < params.max_level then params.moduli.(t) else params.special
-
-let chain_ntt (params : Params.t) t =
-  if t < params.max_level then Params.ntt_at params ~idx:t else params.ntt_special
-
-let chain_len (params : Params.t) = params.max_level + 1
+(* Extended-chain accessors: position t is a ciphertext modulus for t < L,
+   special prime t - L for t >= L. *)
+let chain_ntt (params : Params.t) t = Params.ntt_at params ~idx:t
+let chain_modulus params t = Ntt.q (chain_ntt params t)
 
 (* Exact negacyclic product of two small integer polynomials, used only at
    key generation for s^2 (coefficients stay below n, far from overflow). *)
@@ -112,16 +108,16 @@ let ntt_of_centered params t coeffs =
   a
 
 (* Switching key from s' (given by centered integer coefficients) to the main
-   secret s: for each digit i, (k0_i, k1_i) with
-   k0_i = -k1_i * s + e_i + P * D_i * s'  over Q*P,
-   where D_i is the CRT idempotent of q_i (so P*D_i*s' has residue
-   [P]_{q_i} * s' at position i and zero elsewhere, including mod P). *)
+   secret s: for each digit j, (k0_j, k1_j) with
+   k0_j = -k1_j * s + e_j + P * D_j * s'  over Q*P,
+   where D_j is the CRT idempotent of the digit's primes I_j = {t : t / alpha
+   = j} (so P*D_j*s' has residue [P]_{q_t} * s' at every t in I_j and zero
+   elsewhere, including at every special prime). *)
 let make_switch_key params rng ~secret_coeffs ~source_coeffs =
   let n = (params : Params.t).n in
-  let l = params.max_level in
-  let len = chain_len params in
+  let len = Params.chain_len params in
   let s_ntt = Array.init len (fun t -> ntt_of_centered params t secret_coeffs) in
-  let digit i =
+  let digit j =
     let e = Sampler.gaussian rng ~n ~sigma:params.sigma in
     let k0 = Array.make len [||] and k1 = Array.make len [||] in
     for t = 0 to len - 1 do
@@ -132,24 +128,25 @@ let make_switch_key params rng ~secret_coeffs ~source_coeffs =
       let as_ntt = Ntt.pointwise_mul ctx a_ntt s_ntt.(t) in
       let e_ntt = ntt_of_centered params t e in
       let payload_ntt =
-        if t = i then
+        if t < params.max_level && t / params.alpha = j then
+          (* P mod q_t is minus the ModDown table's -P mod q_t. *)
           Ntt.pointwise_mul ctx
             (ntt_of_centered params t source_coeffs)
-            (Array.make n (params.special mod q))
+            (Array.make n (Modarith.neg ~m:q params.mod_down.neg_prod.(t)))
         else Array.make n 0
       in
       let b_ntt =
-        Array.init n (fun j ->
+        Array.init n (fun i ->
             Modarith.add ~m:q
-              (Modarith.sub ~m:q e_ntt.(j) as_ntt.(j))
-              payload_ntt.(j))
+              (Modarith.sub ~m:q e_ntt.(i) as_ntt.(i))
+              payload_ntt.(i))
       in
       k0.(t) <- b_ntt;
       k1.(t) <- a_ntt
     done;
     (k0, k1)
   in
-  let digits = Array.init l digit in
+  let digits = Array.init (Params.digits params ~level:params.max_level) digit in
   let k0 = Array.map fst digits and k1 = Array.map snd digits in
   { k0; k1; k0s = shoup_companions params k0; k1s = shoup_companions params k1 }
 
@@ -366,14 +363,15 @@ let set_rng_state keys rng = keys.rng <- Random.State.copy rng
 let switch_key_raw sk = (sk.k0, sk.k1)
 
 let switch_key_of_raw (params : Params.t) ~k0 ~k1 =
-  let l = params.max_level and n = params.n in
+  let dnum = Params.digits params ~level:params.max_level in
+  let len = Params.chain_len params and n = params.n in
   let check_half name h =
-    if Array.length h <> l then
-      invalid_arg (Printf.sprintf "Keys.switch_key_of_raw: %s has %d digits, expected %d" name (Array.length h) l);
+    if Array.length h <> dnum then
+      invalid_arg (Printf.sprintf "Keys.switch_key_of_raw: %s has %d digits, expected %d" name (Array.length h) dnum);
     Array.iter
       (fun digit ->
-        if Array.length digit <> l + 1 then
-          invalid_arg (Printf.sprintf "Keys.switch_key_of_raw: %s digit spans %d chain positions, expected %d" name (Array.length digit) (l + 1));
+        if Array.length digit <> len then
+          invalid_arg (Printf.sprintf "Keys.switch_key_of_raw: %s digit spans %d chain positions, expected %d" name (Array.length digit) len);
         Array.iter
           (fun limb ->
             if Array.length limb <> n then
@@ -429,102 +427,155 @@ let of_parts params ~secret ~pk0 ~pk1 ~relin ~rotations ~rng =
 
 (* --- key switching: decompose once, apply per key ----------------------- *)
 
-(* The mod-up/decompose product of [key_switch], reusable across several
-   [apply] calls (hoisted rotations): [digits.(pos).(i)] is the NTT-domain
-   image of the i-th centered digit at extended-chain position
-   [positions.(pos)].  Decomposition is the expensive half of a key switch
-   (l forward transforms per chain position); everything downstream of it is
-   a pointwise inner product with the switching key. *)
+(* The ModUp product of [key_switch], reusable across several [apply] calls
+   (hoisted rotations): [digits.(pos).(j)] is the NTT-domain image of the
+   j-th lifted digit at extended-chain position [positions.(pos)].
+   Decomposition is the expensive half of a key switch (a base conversion
+   and a forward transform per digit and foreign position); everything
+   downstream of it is a pointwise inner product with the switching key. *)
 type decomposed = {
-  d_level : int;  (* number of digits = ciphertext level l *)
-  positions : int array;  (* chain positions: 0..l-1 then the special prime *)
+  d_level : int;  (* ciphertext level l *)
+  positions : int array;  (* chain positions: 0..l-1 then the K specials *)
   digits : int array array array;
 }
 
 let check_len n a = if Array.length a <> n then invalid_arg "Keys: limb length mismatch"
 
+(* The l ciphertext positions of a level-l polynomial, then the specials. *)
+let positions (params : Params.t) l =
+  Array.init (l + Array.length params.specials) (fun pos ->
+      if pos < l then pos else params.max_level + pos - l)
+
+(* y.(j) <- src.(j) * (B / b_i)^-1 mod b_i: the first step of a fast base
+   conversion from source prime i of [basis]. *)
+let scale_limb (basis : Params.basis) ~q i src =
+  let w = basis.hat_inv.(i) and ws = basis.hat_inv_shoup.(i) in
+  let n = Array.length src in
+  let y = Array.make n 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set y j (Modarith.mul_shoup ~m:q (Array.unsafe_get src j) w ws)
+  done;
+  y
+
+(* Centered fast base conversion of the scaled source limbs [ys] (ys.(i) in
+   [0, b_i), one per source prime of [basis]) to chain position [t]:
+   dst.(j) = sum_i center(ys.(i).(j)) * (B / b_i) mod m_t.  Centering is a
+   correction, not a branch: center(y) = y - b_i exactly when y > b_i / 2,
+   and b_i * (B / b_i) = B, so such a term adds neg_prod = -B mod m_t.  It
+   makes the conversion an odd function, so it commutes with the Galois
+   automorphisms (signed coefficient permutations).  Each Shoup product is
+   left in [0, 2m) and each correction below m, so the accumulator stays
+   below 3 * alpha * m < 2^62 (params.ml) until one [Modarith.reduce62]
+   closes it.  (The sum may pass max_int before the subtraction; int
+   arithmetic wraps mod 2^63, so the result is exact.) *)
+let convert params (basis : Params.basis) ys t =
+  let m = chain_modulus params t in
+  let n = (params : Params.t).n in
+  let neg = basis.neg_prod.(t) in
+  let dst = Array.make n 0 in
+  Array.iteri
+    (fun i y ->
+      check_len n y;
+      let half = chain_modulus params basis.src.(i) / 2 in
+      let w = basis.hat.(t).(i) and ws = basis.hat_shoup.(t).(i) in
+      for j = 0 to n - 1 do
+        let yj = Array.unsafe_get y j in
+        Array.unsafe_set dst j
+          (Array.unsafe_get dst j + (yj * w)
+          - (((yj * ws) lsr 31) * m)
+          + (neg land ((half - yj) asr 62)))
+      done)
+    ys;
+  let red = Modarith.reducer m in
+  for j = 0 to n - 1 do
+    Array.unsafe_set dst j (Modarith.reduce62 red (Array.unsafe_get dst j))
+  done;
+  dst
+
+(* ModUp: digit j of a level-l polynomial is d mod Q_I over its primes I_j.
+   Scale each limb by (Q_I / q_t)^-1 mod q_t, convert each digit centered to
+   every foreign position (the other ciphertext primes and the specials),
+   and transform.  A digit's own limbs need no conversion: the lifted digit
+   is d mod q_t there, so they are copies of the Eval-domain input (or
+   transforms of its coefficient limbs). *)
 let decompose keys d =
   let params = keys.params in
-  let n = params.n in
-  (* An Eval-domain input already holds digit i's transform at position
-     t = i (center then embed mod q_i is the identity): copy, not NTT. *)
+  let alpha = params.alpha in
+  (* An Eval-domain input already holds every digit's own limbs: copy, not
+     NTT. *)
   let resident = match Rns_poly.domain d with Rns_poly.Eval -> Some d.res | Coeff -> None in
-  (* Digit decomposition needs centered coefficient-domain residues, so this
-     is one of the two coefficient boundaries of the NTT-resident pipeline
-     (the other is rescale). *)
+  (* The conversion needs coefficient-domain residues, so this is one of
+     the two coefficient boundaries of the NTT-resident pipeline (the other
+     is rescale). *)
   let d = Rns_poly.to_coeff params d in
   let l = Rns_poly.level d in
   let res = (d : Rns_poly.t).res in
-  (* Positions 0..l-1 are ciphertext moduli, position l is the special
-     prime.  Each position's digit transforms are independent of the
-     others: fan them out over the domain pool. *)
-  let positions = Array.append (Array.init l (fun t -> t)) [| params.max_level |] in
+  let beta = Params.digits params ~level:l in
+  let basis j = params.mod_up.(j).(min alpha (l - (j * alpha)) - 1) in
+  let ys = Array.make l [||] in
+  par params l (fun t ->
+      check_len params.n res.(t);
+      ys.(t) <- scale_limb (basis (t / alpha)) ~q:params.moduli.(t) (t mod alpha) res.(t));
+  let positions = positions params l in
   let np = Array.length positions in
-  let digits = Array.init np (fun _ -> Array.make l [||]) in
+  let digits = Array.init np (fun _ -> Array.make beta [||]) in
+  (* Each position's digit images are independent of the others: fan them
+     out over the domain pool. *)
   par params np (fun pos ->
       let t = positions.(pos) in
-      let q = chain_modulus params t in
-      let red = Modarith.reducer q in
       let ctx = chain_ntt params t in
-      for i = 0 to l - 1 do
-        match resident with
-        | Some r when t = i -> digits.(pos).(i) <- Array.copy r.(i)
-        | _ ->
-          let qi = params.moduli.(i) in
-          let half = qi / 2 in
-          let src = res.(i) in
-          check_len n src;
-          (* Center mod q_i and embed mod q branch-free: one masked add when
-             (-q_i/2, q_i/2] fits in (-q, q), else reduce x mod q and
-             subtract [q_i]_q under the centering mask. *)
-          let dst = Array.make n 0 in
-          if half < q then
-            for j = 0 to n - 1 do
-              let x = Array.unsafe_get src j in
-              let c = x - (qi land ((half - x) asr 62)) in
-              Array.unsafe_set dst j (c + (q land (c asr 62)))
-            done
-          else begin
-            let qi_q = Modarith.reduce31 red qi in
-            for j = 0 to n - 1 do
-              let x = Array.unsafe_get src j in
-              let r = Modarith.reduce31 red x - (qi_q land ((half - x) asr 62)) in
-              Array.unsafe_set dst j (r + (q land (r asr 62)))
-            done
-          end;
+      for j = 0 to beta - 1 do
+        if pos < l && pos / alpha = j then
+          digits.(pos).(j) <-
+            (match resident with
+            | Some r -> Array.copy r.(pos)
+            | None -> Ntt.forward ctx res.(pos))
+        else begin
+          let b = basis j in
+          let dst = convert params b (Array.sub ys (j * alpha) (Array.length b.src)) t in
           Ntt.forward_in_place ctx dst;
-          digits.(pos).(i) <- dst
+          digits.(pos).(j) <- dst
+        end
       done);
   { d_level = l; positions; digits }
 
-(* Exact division by P of the extended-basis pair: for each ciphertext
-   modulus, (u_t - [center_P(u_P)]_q) * P^-1 mod q, division-free. *)
-let divide_by_p (params : Params.t) ~level:l u =
-  let n = params.n in
-  let p = params.special in
-  let half = p / 2 in
-  let special = u.(l) in
-  let out = Array.make l [||] in
+(* ModDown of both halves of an extended-basis pair, Eval domain in and out:
+   inverse-transform only the K special limbs, convert them centered to
+   every ciphertext prime, forward-transform that correction, subtract it and
+   scale by P^-1.  The centered conversion returns the special part up to
+   v * P with |v| < K/2, so the result is the exact division by P up to that
+   rounding (params.ml). *)
+let mod_down (params : Params.t) ~level:l u0 u1 =
+  let k = Array.length params.specials in
+  let basis = params.mod_down in
+  let ys0 = Array.make k [||] and ys1 = Array.make k [||] in
+  par params k (fun i ->
+      let t = params.max_level + i in
+      let ctx = chain_ntt params t and q = chain_modulus params t in
+      List.iter
+        (fun (u, ys) ->
+          Ntt.inverse_in_place ctx u.(l + i);
+          ys.(i) <- scale_limb basis ~q i u.(l + i))
+        [ (u0, ys0); (u1, ys1) ]);
+  let out0 = Array.make l [||] and out1 = Array.make l [||] in
   par params l (fun t ->
       let q = params.moduli.(t) in
-      let red = Modarith.reducer q in
-      let p_q = Modarith.reduce31 red p in
-      let p_inv = params.special_inv.(t) in
-      let p_inv_shoup = params.special_inv_shoup.(t) in
-      let ut = u.(t) in
-      List.iter (check_len n) [ ut; special ];
-      let dst = Array.make n 0 in
-      for j = 0 to n - 1 do
-        let x = Array.unsafe_get special j in
-        let r = Modarith.reduce31 red x - (p_q land ((half - x) asr 62)) in
-        let r = r + (q land (r asr 62)) in
-        let diff = Array.unsafe_get ut j - r in
-        let diff = diff + (q land (diff asr 62)) in
-        let v = (diff * p_inv) - (((diff * p_inv_shoup) lsr 31) * q) - q in
-        Array.unsafe_set dst j (v + (q land (v asr 62)))
-      done;
-      out.(t) <- dst);
-  Rns_poly.of_residues out
+      let p_inv = params.p_inv.(t) and p_inv_shoup = params.p_inv_shoup.(t) in
+      List.iter
+        (fun (u, ys, out) ->
+          let ut = u.(t) in
+          check_len params.n ut;
+          let dst = convert params basis ys t in
+          Ntt.forward_in_place (chain_ntt params t) dst;
+          for j = 0 to params.n - 1 do
+            let diff = Array.unsafe_get ut j - Array.unsafe_get dst j in
+            let diff = diff + (q land (diff asr 62)) in
+            Array.unsafe_set dst j (Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup)
+          done;
+          out.(t) <- dst)
+        [ (u0, ys0, out0); (u1, ys1, out1) ]);
+  ( Rns_poly.of_residues ~domain:Rns_poly.Eval out0,
+    Rns_poly.of_residues ~domain:Rns_poly.Eval out1 )
 
 (* The one digit/key MAC kernel of every key switch: at chain position
    [pos], out.(j) <- out.(j) + sum_i d_i.(perm.(j)) * k_i.(j) mod q for both
@@ -532,15 +583,16 @@ let divide_by_p (params : Params.t) ~level:l u =
    (identity for k = 1): reading the digits through it applies the
    automorphism on the fly, with no permuted copies.  Each Shoup product
    d*w - floor(d*w'/2^31)*q is left in [0, 2q) and summed unreduced: with
-   [out] in [0, q) and l digits the sum stays below (2l + 1) * q < 2^62, so
-   one [reduce62] per element closes it.  (out + d*w may pass max_int before
-   the subtraction; int arithmetic wraps mod 2^63, so the result is exact.) *)
+   [out] in [0, q) and dnum digits the sum stays below (2 dnum + 1) * q
+   (params.ml), far below 2^62, so one [Modarith.reduce62] per element
+   closes it.  (out + d*w may pass max_int before the subtraction; int
+   arithmetic wraps mod 2^63, so the result is exact.) *)
 let mac_into params ~perm sk dec pos out0 out1 =
   let t = dec.positions.(pos) in
   let q = chain_modulus params t in
   let n = Array.length perm in
   List.iter (check_len n) [ out0; out1 ];
-  for i = 0 to dec.d_level - 1 do
+  for i = 0 to Array.length dec.digits.(pos) - 1 do
     let d = dec.digits.(pos).(i) in
     let k0 = sk.k0.(i).(t) and k0s = sk.k0s.(i).(t) in
     let k1 = sk.k1.(i).(t) and k1s = sk.k1s.(i).(t) in
@@ -566,24 +618,18 @@ let mac_into params ~perm sk dec pos out0 out1 =
 (* Extended-basis MAC accumulator for a whole rotate-and-sum reduction: each
    [mac_accumulate] adds one rotation's digit/key inner product (optionally
    scaled by a plaintext factor) into the running sums mod Q*P, still in the
-   NTT domain; [mac_finish] pays the inverse transforms and the exact
-   division by P once for the whole group.  Modular addition is exact,
-   associative and commutative, so the finished pair is bit-identical
-   whether the digits were shared (lazy) or recomputed per term (eager),
-   for any accumulation partitioning across the domain pool. *)
-type mac = {
-  mac_level : int;
-  mac_positions : int array;
-  mac0 : int array array;
-  mac1 : int array array;
-}
+   NTT domain; [mac_finish] pays the mod-down once for the whole group.
+   Modular addition is exact, associative and commutative, so the finished
+   pair is bit-identical whether the digits were shared (lazy) or
+   recomputed per term (eager), for any accumulation partitioning across
+   the domain pool. *)
+type mac = { mac_level : int; mac0 : int array array; mac1 : int array array }
 
 let mac_create keys dec =
   let n = keys.params.n in
   let np = Array.length dec.positions in
   {
     mac_level = dec.d_level;
-    mac_positions = Array.copy dec.positions;
     mac0 = Array.init np (fun _ -> Array.make n 0);
     mac1 = Array.init np (fun _ -> Array.make n 0);
   }
@@ -614,19 +660,12 @@ let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
             (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Array.unsafe_get a1 j)))
         done)
 
-let mac_finish keys mac =
-  (* Consumes the accumulator: the inverse transforms run in place. *)
-  let params = keys.params in
-  let np = Array.length mac.mac_positions in
-  par params np (fun pos ->
-      let ctx = chain_ntt params mac.mac_positions.(pos) in
-      Ntt.inverse_in_place ctx mac.mac0.(pos);
-      Ntt.inverse_in_place ctx mac.mac1.(pos));
-  ( divide_by_p params ~level:mac.mac_level mac.mac0,
-    divide_by_p params ~level:mac.mac_level mac.mac1 )
+(* Consumes the accumulator: the special limbs' inverse transforms run in
+   place. *)
+let mac_finish keys mac = mod_down keys.params ~level:mac.mac_level mac.mac0 mac.mac1
 
-(* A single key switch is a one-member accumulation: the same MAC kernel,
-   inverse transforms and division by P as a lazy group. *)
+(* A single key switch is a one-member accumulation: the same MAC kernel
+   and mod-down as a lazy group. *)
 let apply_rotated keys sk ~k dec =
   let m = mac_create keys dec in
   mac_accumulate keys ~k sk dec m;
@@ -638,14 +677,13 @@ let key_switch keys sk d = apply keys sk (decompose keys d)
 (* NTT-domain images of a centered integer polynomial at every extended
    chain position for a level-[level] ciphertext: the plaintext factors of
    a lazy rotate-and-sum must multiply the MAC over Q AND the special
-   prime.  The first [level] rows double as the evaluation-domain residues
-   of the mod-Q encoding, so callers pay only one extra transform (the
-   special prime) over a plain [multcp] encode. *)
+   primes.  The first [level] rows double as the evaluation-domain residues
+   of the mod-Q encoding, so callers pay only K extra transforms (the
+   special primes) over a plain [multcp] encode. *)
 let ext_of_centered keys ~level coeffs =
   let params = keys.params in
-  let np = level + 1 in
-  let out = Array.make np [||] in
-  par params np (fun pos ->
-      let t = if pos < level then pos else params.max_level in
-      out.(pos) <- ntt_of_centered params t coeffs);
+  let positions = positions params level in
+  let out = Array.make (Array.length positions) [||] in
+  par params (Array.length positions) (fun pos ->
+      out.(pos) <- ntt_of_centered params positions.(pos) coeffs);
   out

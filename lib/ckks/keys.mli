@@ -1,12 +1,13 @@
-(** Key material: ternary secret, public encryption key, and BV-style
-    switching keys (relinearization and Galois/rotation keys) with per-prime
-    digit decomposition and one special prime.
+(** Key material: ternary secret, public encryption key, and hybrid
+    switching keys (relinearization and Galois/rotation keys).
 
-    Switching keys live modulo [Q * P] where [P] is the special prime.  The
-    per-prime decomposition keeps every digit's coefficients below its prime,
-    so no multi-precision base extension is required, and dividing the
-    switched ciphertext by [P] (an exact RNS rescale) keeps the added noise
-    at the scale of a fresh encryption error.
+    Switching keys live modulo [Q * P] where [P] is the product of the
+    [K = alpha] special primes ({!Params.t}).  A ciphertext polynomial is
+    split into digits of [alpha] consecutive primes; ModUp lifts each digit
+    to the other primes and the specials by a centered fast base conversion
+    (native-int RNS arithmetic, no multi-precision), and ModDown divides
+    the switched pair by [P], keeping the added noise at the scale of a
+    fresh encryption error (bound in [params.ml]).
 
     {b Memory-bounded key cache.}  Rotation keys are generated on first use
     and kept in an LRU cache bounded by a byte budget ([HALO_KEY_BUDGET] or
@@ -23,8 +24,9 @@
 type secret = private { coeffs : int array (* ternary *) }
 
 type switch_key
-(** One key per RNS digit, stored in the NTT domain over the extended chain
-    (all ciphertext moduli followed by the special prime). *)
+(** One key per digit ([ceil (max_level / alpha)] of them), stored in the
+    NTT domain over the extended chain (all ciphertext moduli followed by
+    the special primes). *)
 
 type cached_key
 (** A resident rotation key plus its measured byte footprint and LRU tick. *)
@@ -111,13 +113,14 @@ val record_digit_hit : t -> unit
 (** {2 Hoisted key switching}
 
     [key_switch] split into its two halves so the expensive half can be
-    shared.  [decompose] performs the mod-up/digit decomposition (the
-    per-prime centered digits, lifted to the NTT domain over the extended
-    chain) once; [apply] is the cheap per-key inner product.  A group of
+    shared.  [decompose] performs ModUp (the digits, lifted by a centered
+    base conversion to the NTT domain over the extended chain) once;
+    [apply] is the cheap per-key inner product plus ModDown.  A group of
     rotations of one ciphertext decomposes [c1] once and calls
     [apply_rotated] per offset — every result is bit-identical to the
     corresponding single-rotation key switch because the whole path is
-    exact modular integer arithmetic. *)
+    exact modular integer arithmetic and the centered conversion commutes
+    with the Galois automorphisms. *)
 
 type decomposed
 (** Reusable mod-up product: NTT-domain digits over the extended chain. *)
@@ -125,8 +128,8 @@ type decomposed
 val decompose : t -> Rns_poly.t -> decomposed
 
 val apply : t -> switch_key -> decomposed -> Rns_poly.t * Rns_poly.t
-(** The per-key half of [key_switch]: digit/key inner product, inverse
-    transforms, exact division by the special prime. *)
+(** The per-key half of [key_switch]: digit/key inner product and ModDown.
+    The result is in the [Eval] domain. *)
 
 val apply_rotated : t -> switch_key -> k:int -> decomposed -> Rns_poly.t * Rns_poly.t
 (** [apply_rotated keys sk ~k dec] key-switches the Galois automorphism
@@ -140,9 +143,8 @@ val apply_rotated : t -> switch_key -> k:int -> decomposed -> Rns_poly.t * Rns_p
     An extended-basis MAC accumulator for a whole rotate-and-sum reduction:
     each {!mac_accumulate} adds one rotation's digit/key inner product
     (optionally scaled by a plaintext factor) into running sums modulo
-    [Q * P], still in the NTT domain; {!mac_finish} pays the inverse
-    transforms and the exact division by [P] {e once} for the whole group
-    instead of once per member.  Modular addition is exact and associative,
+    [Q * P], still in the NTT domain; {!mac_finish} pays ModDown {e once}
+    for the whole group instead of once per member.  Modular addition is exact and associative,
     so the finished pair is bit-identical whether the digits were shared
     across members (lazy) or recomputed per member (eager). *)
 
@@ -161,12 +163,14 @@ val mac_accumulate :
     accumulator's. *)
 
 val mac_finish : t -> mac -> Rns_poly.t * Rns_poly.t
-(** Inverse transforms plus exact division by [P], once for the whole
-    group.  Consumes the accumulator (the transforms run in place). *)
+(** ModDown, once for the whole group: inverse transforms of the special
+    limbs only, centered conversion to the ciphertext primes, division by
+    [P].  Returns [Eval]-domain polynomials.  Consumes the accumulator (the
+    special limbs are transformed in place). *)
 
 val ext_of_centered : t -> level:int -> int array -> int array array
 (** NTT-domain images of a centered integer polynomial at every extended
-    chain position ([level] ciphertext moduli then the special prime),
+    chain position ([level] ciphertext moduli then the special primes),
     shaped for [mac_accumulate]'s [?coeff].  The first [level] rows are
     exactly the evaluation-domain mod-Q residues of the polynomial. *)
 

@@ -1,17 +1,28 @@
+type basis = {
+  src : int array;
+  hat_inv : int array;
+  hat_inv_shoup : int array;
+  hat : int array array;
+  hat_shoup : int array array;
+  neg_prod : int array;
+}
+
 type t = {
   n : int;
   slots : int;
   max_level : int;
   moduli : int array;
-  special : int;
+  specials : int array;
+  alpha : int;
   scale : float;
   sigma : float;
   ntts : Ntt.ctx array;
-  ntt_special : Ntt.ctx;
   rescale_inv : int array array;
   rescale_inv_shoup : int array array;
-  special_inv : int array;
-  special_inv_shoup : int array;
+  mod_up : basis array array;
+  mod_down : basis;
+  p_inv : int array;
+  p_inv_shoup : int array;
 }
 
 type spec = { spec_log_n : int; spec_log_q : int; spec_scale_bits : int; spec_max_level : int }
@@ -19,29 +30,126 @@ type spec = { spec_log_n : int; spec_log_q : int; spec_scale_bits : int; spec_ma
 let paper_spec =
   { spec_log_n = 17; spec_log_q = 1479; spec_scale_bits = 51; spec_max_level = 16 }
 
+(* Hybrid key switching (see DESIGN.md section 12).  The ciphertext chain
+   q_0 .. q_{L-1} splits into dnum = ceil(L / alpha) digits of alpha
+   consecutive primes, digit j holding the primes I_j = {j*alpha, ...}
+   (product Q_I), and the switching keys live modulo Q * P, P the product of
+   K = alpha special primes.  Special primes sit below 2^29 so that their
+   transforms take the lazy radix-4 NTT path.
+
+   Error bound.  ModUp lifts digit j by a centered fast base conversion,
+   which returns d_j + u*Q_I with |u| <= alpha/2, so every lifted digit
+   coefficient is below alpha * Q_I / 2 in magnitude.  The switch adds
+   sum_j ModUp(d_j) * e_j and divides it by P; ModDown's centered
+   conversion of the special residues is exact up to a multiple v*P with
+   |v| < K/2, so it adds an error below K/2 to each coefficient of both
+   output halves.  Per coefficient, with errors bounded by B_e:
+
+     |e_ks| <= dnum * n * (alpha * Q_I / 2) * B_e / P + (K / 2) * (1 + n)
+
+   (the second term is the rounding of u0 plus that of u1 times a ternary
+   secret).  [make] checks log2 P >= log2 Q_I as bit lengths (P has at
+   least as many bits as every Q_I, so Q_I < 2P); the first term is then
+   below dnum * n * alpha * B_e: the switch stays at the scale of a fresh
+   encryption error whatever the level.  Bit lengths, not exact logarithms:
+   digit 0 holds the 31-bit base prime, and at alpha = 2 two primes below
+   2^29 can fall short of base * q_1 by a factor 1 - 10^-4 (n = 2^10,
+   2^12), which costs nothing in the bound.
+
+   Lazy bounds.  The digit/key MAC sums dnum Shoup products, each in
+   [0, 2q), onto a residue below q: the sum stays below (2*dnum + 1) * q.
+   A conversion accumulator sums alpha Shoup products in [0, 2q) and at
+   most alpha centering corrections below q: it stays below 3 * alpha * q.
+   Keys closes each with one Barrett step sized by that bound. *)
+let special_bits = 29
+
+(* alpha = K: a quarter of the chain, rounded up, so the full chain splits
+   into at most 4 digits.  At least 2: a lone sub-2^29 special prime cannot
+   cover the 31-bit base prime. *)
+let digit_width ~max_level = max 2 ((max_level + 3) / 4)
+
+(* Fast base conversion tables from the source primes [chain.(src.(i))]
+   (product B) to every extended-chain modulus m_t:
+   hat_inv.(i) = (B / b_i)^-1 mod b_i, hat.(t).(i) = (B / b_i) mod m_t and
+   neg_prod.(t) = -B mod m_t, with Shoup companions for the fixed
+   multiplicands. *)
+let make_basis chain src =
+  let k = Array.length src in
+  let b i = chain.(src.(i)) in
+  (* Product of the source primes but [skip] (-1: all of them) mod m. *)
+  let prod_mod m ~skip =
+    let acc = ref 1 in
+    for i = 0 to k - 1 do
+      if i <> skip then acc := Modarith.mul ~m !acc (b i mod m)
+    done;
+    !acc
+  in
+  let hat = Array.map (fun m -> Array.init k (fun i -> prod_mod m ~skip:i)) chain in
+  let hat_inv = Array.init k (fun i -> Modarith.inv ~m:(b i) hat.(src.(i)).(i)) in
+  {
+    src;
+    hat_inv;
+    hat_inv_shoup = Array.mapi (fun i w -> Modarith.shoup ~m:(b i) w) hat_inv;
+    hat;
+    hat_shoup = Array.mapi (fun t row -> Array.map (Modarith.shoup ~m:chain.(t)) row) hat;
+    neg_prod = Array.map (fun m -> Modarith.neg ~m (prod_mod m ~skip:(-1))) chain;
+  }
+
+(* The [count] largest NTT primes below 2^special_bits that are not
+   ciphertext primes: a shared prime would make P = 0 mod q_t, with no
+   P^-1.  (A base prime of at most 29 bits, or 29-bit rescale primes, would
+   otherwise be picked again.) *)
+let special_primes ~n ~count moduli =
+  let rec collect acc start remaining =
+    if remaining = 0 then Array.of_list (List.rev acc)
+    else
+      let q = Primes.ntt_prime_below ~n start in
+      if Array.mem q moduli then collect acc (q - 1) remaining
+      else collect (q :: acc) (q - 1) (remaining - 1)
+  in
+  collect [] ((1 lsl special_bits) - 1) count
+
+(* Bit length of a product of primes (never a power of two, so the float
+   sum of logarithms is nowhere near an integer boundary). *)
+let bits_of_prod a =
+  1 + int_of_float (Array.fold_left (fun acc q -> acc +. Float.log2 (float_of_int q)) 0.0 a)
+
 let make ?(sigma = 3.2) ~log_n ~max_level ~base_bits ~scale_bits () =
   if base_bits > 31 then invalid_arg "Params.make: base_bits > 31";
   if scale_bits >= base_bits then
     invalid_arg "Params.make: scale_bits must be below base_bits";
   if max_level < 1 then invalid_arg "Params.make: max_level < 1";
   let n = 1 lsl log_n in
-  (* The base prime and the special prime sit near 2^base_bits (the special
-     prime must dominate every rescale prime for key-switching noise), while
-     rescale primes sit near 2^scale_bits so that rescaling divides the scale
-     by approximately the scale itself. *)
+  (* The base prime sits near 2^base_bits (it carries the decrypted
+     plaintext), rescale primes near 2^scale_bits so that rescaling divides
+     the scale by approximately the scale itself. *)
   let base = Primes.ntt_prime_below ~n ((1 lsl base_bits) - 1) in
-  let special = Primes.ntt_prime_below ~n (base - 1) in
   let rescale_primes =
     Primes.ntt_primes ~n ~bits:scale_bits ~count:(max_level - 1)
   in
   let moduli = Array.of_list (base :: rescale_primes) in
-  let ntts = Array.map (fun q -> Ntt.make_ctx ~q ~n) moduli in
+  let alpha = digit_width ~max_level in
+  let specials = special_primes ~n ~count:alpha moduli in
+  (* Key-switching noise precondition: no digit may outgrow P, or the
+     digit/error product divided by P exceeds a fresh encryption error (see
+     the bound above).  Digit 0, which holds the base prime, is the widest. *)
+  let dnum = (max_level + alpha - 1) / alpha in
+  let widest =
+    Array.fold_left max 0
+      (Array.init dnum (fun j ->
+           bits_of_prod (Array.sub moduli (j * alpha) (min alpha (max_level - (j * alpha))))))
+  in
+  if bits_of_prod specials < widest then
+    invalid_arg
+      (Printf.sprintf "Params.make: P has %d bits, the widest key-switching digit %d"
+         (bits_of_prod specials) widest);
+  (* Extended chain: the ciphertext moduli, then the special primes. *)
+  let chain = Array.append moduli specials in
+  let ntts = Array.map (fun q -> Ntt.make_ctx ~q ~n) chain in
   (* Precomputed inverse tables: rescale_inv.(j).(i) = moduli.(j)^{-1} mod
      moduli.(i) for i < j (the constants of an exact rescale dropping prime
-     j), special_inv.(t) = special^{-1} mod moduli.(t) (the division by P
-     closing every key switch).  Each carries its Shoup companion so the
-     hot loops never call Modarith.inv (a full Fermat exponentiation) nor a
-     hardware division. *)
+     j), each with its Shoup companion so the hot loops never call
+     Modarith.inv (a full Fermat exponentiation) nor a hardware division. *)
   let rescale_inv =
     Array.init max_level (fun j ->
         Array.init j (fun i ->
@@ -51,26 +159,35 @@ let make ?(sigma = 3.2) ~log_n ~max_level ~base_bits ~scale_bits () =
     Array.init max_level (fun j ->
         Array.init j (fun i -> Modarith.shoup ~m:moduli.(i) rescale_inv.(j).(i)))
   in
-  let special_inv =
-    Array.map (fun q -> Modarith.inv ~m:q (special mod q)) moduli
+  (* ModUp tables per digit j and width s (the last digit of a level-l
+     ciphertext keeps only its first s = l - j*alpha primes); ModDown
+     tables from the specials, plus P^{-1} mod q_t. *)
+  let mod_up =
+    Array.init dnum (fun j ->
+        let width = min alpha (max_level - (j * alpha)) in
+        Array.init width (fun s -> make_basis chain (Array.init (s + 1) (fun i -> (j * alpha) + i))))
   in
-  let special_inv_shoup =
-    Array.mapi (fun i w -> Modarith.shoup ~m:moduli.(i) w) special_inv
+  let mod_down = make_basis chain (Array.init alpha (fun k -> max_level + k)) in
+  let p_inv =
+    Array.init max_level (fun t ->
+        Modarith.inv ~m:moduli.(t) (Modarith.neg ~m:moduli.(t) mod_down.neg_prod.(t)))
   in
   {
     n;
     slots = n / 2;
     max_level;
     moduli;
-    special;
+    specials;
+    alpha;
     scale = Float.of_int (1 lsl scale_bits);
     sigma;
     ntts;
-    ntt_special = Ntt.make_ctx ~q:special ~n;
     rescale_inv;
     rescale_inv_shoup;
-    special_inv;
-    special_inv_shoup;
+    mod_up;
+    mod_down;
+    p_inv;
+    p_inv_shoup = Array.mapi (fun t w -> Modarith.shoup ~m:moduli.(t) w) p_inv;
   }
 
 let test_small_memo = ref None
@@ -94,6 +211,8 @@ let test_deep () =
 
 let modulus_at p ~level = p.moduli.(level - 1)
 let ntt_at p ~idx = p.ntts.(idx)
+let chain_len p = p.max_level + Array.length p.specials
+let digits p ~level = (level + p.alpha - 1) / p.alpha
 
 (* FNV-1a over the fields that determine ciphertext compatibility.  The NTT
    contexts and inverse tables are derived from these, so hashing them would
@@ -115,6 +234,7 @@ let fingerprint p =
   let h = fnv_int fnv_seed p.n in
   let h = fnv_int h p.max_level in
   let h = Array.fold_left fnv_int h p.moduli in
-  let h = fnv_int h p.special in
+  let h = fnv_int h (Array.length p.specials) in
+  let h = Array.fold_left fnv_int h p.specials in
   let h = fnv_int h (Int64.to_int (Int64.bits_of_float p.scale) land max_int) in
   fnv_int h (Int64.to_int (Int64.bits_of_float p.sigma) land max_int)

@@ -2,8 +2,16 @@
 
     A parameter set fixes the ring degree [n], the modulus chain (one base
     prime that is never dropped, [max_level - 1] rescale primes close to the
-    encoding scale, and one special prime reserved for key switching), the
+    encoding scale), the special primes reserved for key switching, the
     default encoding scale and the error distribution width.
+
+    Key switching is hybrid: the ciphertext chain splits into digits of
+    [alpha] consecutive primes, and the switching keys live modulo [Q * P]
+    where [P] is the product of [K = alpha] special primes below [2^29].
+    [alpha] is fixed by one rule, [max 2 (ceil (max_level / 4))], so the full
+    chain has at most 4 digits ([Params.test_deep]: 4 digits of 4 primes and
+    4 special primes).  The error bound and the lazy-reduction bounds of the
+    key-switch kernels are stated in [params.ml].
 
     The paper's evaluation uses [n = 2^17, log Q = 1479, R_f = 2^51, L = 16],
     which needs multi-precision arithmetic; we expose that set as a
@@ -11,25 +19,40 @@
     backend on small NTT-friendly parameter sets whose arithmetic fits the
     63-bit native [int] (see DESIGN.md, substitution table). *)
 
+(** Fast base conversion tables from a set of source primes (product [B])
+    to every position of the extended chain ([moduli] then [specials]). *)
+type basis = private {
+  src : int array;  (** extended-chain positions of the source primes *)
+  hat_inv : int array;  (** [hat_inv.(i) = (B / b_i)^-1 mod b_i] *)
+  hat_inv_shoup : int array;  (** Shoup companions of [hat_inv] *)
+  hat : int array array;  (** [hat.(t).(i) = (B / b_i) mod m_t] *)
+  hat_shoup : int array array;  (** Shoup companions of [hat] *)
+  neg_prod : int array;  (** [neg_prod.(t) = -B mod m_t], the centering correction *)
+}
+
 type t = private {
   n : int;  (** polynomial modulus degree (power of two) *)
   slots : int;  (** [n / 2] *)
   max_level : int;  (** [L]: number of ciphertext moduli *)
   moduli : int array;  (** length [max_level]; [moduli.(0)] is the base *)
-  special : int;  (** key-switching special prime *)
+  specials : int array;  (** the [K] key-switching special primes *)
+  alpha : int;  (** primes per key-switching digit; also [K] *)
   scale : float;  (** default encoding scale *)
   sigma : float;  (** error distribution standard deviation *)
-  ntts : Ntt.ctx array;  (** NTT context per ciphertext modulus *)
-  ntt_special : Ntt.ctx;
+  ntts : Ntt.ctx array;
+      (** NTT context per extended-chain position: the [max_level]
+          ciphertext moduli, then the special primes *)
   rescale_inv : int array array;
       (** [rescale_inv.(j).(i) = moduli.(j)^-1 mod moduli.(i)] for [i < j]:
           the constants of an exact rescale dropping prime [j]. *)
   rescale_inv_shoup : int array array;
       (** Shoup companions of {!rescale_inv} (see {!Modarith.mul_shoup}). *)
-  special_inv : int array;
-      (** [special_inv.(t) = special^-1 mod moduli.(t)], closing every key
-          switch without a per-call Fermat exponentiation. *)
-  special_inv_shoup : int array;  (** Shoup companions of {!special_inv}. *)
+  mod_up : basis array array;
+      (** [mod_up.(j).(s - 1)]: ModUp tables of digit [j] cut to its first
+          [s] primes (the last digit below full level is partial). *)
+  mod_down : basis;  (** ModDown tables from the special primes *)
+  p_inv : int array;  (** [p_inv.(t) = P^-1 mod moduli.(t)] *)
+  p_inv_shoup : int array;  (** Shoup companions of {!p_inv} *)
 }
 
 val make :
@@ -42,7 +65,11 @@ val make :
   t
 (** Builds a parameter set.  Requires [base_bits <= 31] and
     [scale_bits < base_bits].  Rescale primes are chosen just below
-    [2^scale_bits] so that rescaling approximately preserves the scale. *)
+    [2^scale_bits] so that rescaling approximately preserves the scale, the
+    special primes are the [alpha] largest NTT primes below [2^29] that are
+    not ciphertext primes.  Raises
+    [Invalid_argument] unless [log2 P >= log2 Q_I] in bit lengths for every
+    digit [I]: the key-switching noise precondition. *)
 
 val test_small : unit -> t
 (** [n = 2^10], [L = 8] — fast enough for unit tests. *)
@@ -60,10 +87,18 @@ val modulus_at : t -> level:int -> int
 (** The prime dropped when rescaling from [level], i.e. [moduli.(level - 1)]. *)
 
 val ntt_at : t -> idx:int -> Ntt.ctx
+(** The NTT context at extended-chain position [idx]. *)
+
+val chain_len : t -> int
+(** [max_level + K]: the length of the extended chain. *)
+
+val digits : t -> level:int -> int
+(** [ceil (level / alpha)]: the key-switching digits of a level-[level]
+    ciphertext. *)
 
 val fingerprint : t -> int64
 (** FNV-1a hash of the fields that determine ciphertext compatibility
-    ([n], [max_level], the modulus chain, the special prime, the scale and
+    ([n], [max_level], the modulus chain, every special prime, the scale and
     the error width).  The durable artifact store stamps every frame with
     this value so that bytes written under one parameter set are rejected
     loudly — never decoded wrongly — under another. *)

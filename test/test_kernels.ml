@@ -17,7 +17,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let chain_moduli () =
   let p = params () in
-  Array.to_list p.moduli @ [ p.special ]
+  Array.to_list p.moduli @ Array.to_list p.specials
 
 let test_shoup_matches_mul =
   QCheck.Test.make ~name:"mul_shoup = a * w mod m over the whole chain"
@@ -175,11 +175,14 @@ let test_pointwise_edges () =
         ])
     (edge_primes ())
 
-(* MD5 of forward and inverse outputs on fixed inputs, for every extended
-   chain modulus of [Params.test_deep] (15 lazy-path scale primes, the base
-   and the special prime on the exact path).  The digests were recorded with
-   the fully reduced radix-2 kernels before the lazy kernels existed: the
-   transform is exact, so any kernel must reproduce them. *)
+(* MD5 of forward and inverse outputs on fixed inputs, for every ciphertext
+   modulus of [Params.test_deep] (15 lazy-path scale primes and the base
+   prime on the exact path), the 31-bit special prime of the earlier
+   one-special-prime layout (kept as an exact-path case), and the four
+   special primes below 2^29 (lazy path).  The first 17 digests were
+   recorded with the fully reduced radix-2 kernels before the lazy kernels
+   existed, the last four with the lazy kernels of the same transform: it
+   is exact, so any kernel must reproduce them. *)
 let deep_chain_golden =
   [
     (2147389441, "d8aafcf7af49192e05ed4e047e24c660");
@@ -199,6 +202,10 @@ let deep_chain_golden =
     (133509121, "413496fe1441f5dd938ac1439a25b6c9");
     (133500929, "2f384239db5dc9ca20c7122022bcfcb7");
     (2147377153, "f930f78db56d673fdd88691bfe8390f9");
+    (536813569, "3efbaf5c8a053d3110428778a71314fd");
+    (536752129, "d04ab3730ac21ffaf8a1f169911c51e2");
+    (536743937, "7ec9cbaee6475ca48f134f89e0412221");
+    (536719361, "3b01f0b6c0899912e0e3b3c2f82f7463");
   ]
 
 let ntt_digest ctx =
@@ -215,7 +222,12 @@ let ntt_digest ctx =
 
 let test_ntt_golden () =
   let p = Params.test_deep () in
-  let ctxs = Array.to_list p.ntts @ [ p.ntt_special ] in
+  let ctx t = Params.ntt_at p ~idx:t in
+  let ctxs =
+    List.init p.max_level ctx
+    @ Ntt.make_ctx ~q:2147377153 ~n:p.n
+      :: List.init (Array.length p.specials) (fun k -> ctx (p.max_level + k))
+  in
   Alcotest.(check (list (pair int string))) "test_deep forward/inverse digests"
     deep_chain_golden
     (List.map (fun ctx -> (Ntt.q ctx, ntt_digest ctx)) ctxs)
@@ -279,14 +291,107 @@ let test_rescale_tables () =
         (Modarith.shoup ~m:q p.rescale_inv.(j).(i))
         p.rescale_inv_shoup.(j).(i)
     done
-  done;
-  Array.iteri
-    (fun t q ->
-      Alcotest.(check int)
-        (Printf.sprintf "special_inv.(%d)" t)
-        (Modarith.inv ~m:q (p.special mod q))
-        p.special_inv.(t))
-    p.moduli
+  done
+
+(* Hybrid key-switching parameters: alpha = K = max 2 (ceil (L / 4)), the
+   special primes are the K largest NTT primes below 2^29 that are not
+   ciphertext primes, and the widest
+   digit (digit 0, which holds the 31-bit base prime) has no more bits
+   than P. *)
+let bits_of_prod a =
+  1 + int_of_float (Array.fold_left (fun acc q -> acc +. Float.log2 (float_of_int q)) 0.0 a)
+
+(* A 29-bit base prime, which is also the largest NTT prime below 2^29. *)
+let base29 () = Params.make ~log_n:10 ~max_level:8 ~base_bits:29 ~scale_bits:28 ()
+
+let test_digit_rule () =
+  List.iter
+    (fun (name, (p : Params.t), alpha) ->
+      Alcotest.(check int) (name ^ " alpha") alpha p.alpha;
+      Alcotest.(check int) (name ^ " K = alpha") alpha (Array.length p.specials);
+      Alcotest.(check int) (name ^ " digits at full level") 4 (Params.digits p ~level:p.max_level);
+      Alcotest.(check int) (name ^ " chain length") (p.max_level + alpha) (Params.chain_len p);
+      let rec next q =
+        let q = Primes.ntt_prime_below ~n:p.n q in
+        if Array.mem q p.moduli then next (q - 1) else q
+      in
+      Array.iteri
+        (fun k q ->
+          let expect = next (if k = 0 then (1 lsl 29) - 1 else p.specials.(k - 1) - 1) in
+          Alcotest.(check int) (Printf.sprintf "%s special %d" name k) expect q;
+          Alcotest.(check bool) (name ^ " special not a ciphertext prime") false
+            (Array.mem q p.moduli))
+        p.specials;
+      Alcotest.(check bool) (name ^ " log2 P >= log2 Q_0") true
+        (bits_of_prod p.specials >= bits_of_prod (Array.sub p.moduli 0 alpha)))
+    [
+      ("test_small", params (), 2);
+      ("test_deep", Params.test_deep (), 4);
+      ("base_bits 29", base29 (), 2);
+    ];
+  (* The 29-bit base prime is the largest NTT prime below 2^29: the
+     specials skip it. *)
+  let b = base29 () in
+  Alcotest.(check int) "base_bits 29: base is the first candidate"
+    (Primes.ntt_prime_below ~n:b.n ((1 lsl 29) - 1))
+    b.moduli.(0);
+  let short = Params.make ~log_n:6 ~max_level:3 ~base_bits:31 ~scale_bits:27 () in
+  Alcotest.(check int) "L = 3: alpha floor of 2" 2 short.alpha;
+  Alcotest.(check int) "L = 3: two digits" 2 (Params.digits short ~level:3)
+
+(* Scale primes wider than the special primes break log2 P >= log2 Q_I:
+   rejected, never built. *)
+let test_noise_precondition () =
+  List.iter
+    (fun (max_level, scale_bits) ->
+      match Params.make ~log_n:10 ~max_level ~base_bits:31 ~scale_bits () with
+      | _ -> Alcotest.failf "L=%d scale_bits=%d accepted" max_level scale_bits
+      | exception Invalid_argument _ -> ())
+    [ (8, 28); (16, 29); (16, 30) ]
+
+(* Base-conversion tables against one-reduction-per-step recomputation. *)
+let test_keyswitch_tables () =
+  List.iter
+    (fun (p : Params.t) ->
+      let chain = Array.append p.moduli p.specials in
+      let prod ~m a = Array.fold_left (fun acc q -> Modarith.mul ~m acc (q mod m)) 1 a in
+      let check_basis tag (b : Params.basis) =
+        let src = Array.map (fun t -> chain.(t)) b.src in
+        let without i = Array.of_list (List.filteri (fun i' _ -> i' <> i) (Array.to_list src)) in
+        Array.iteri
+          (fun t m ->
+            Alcotest.(check int) (Printf.sprintf "%s neg_prod.(%d)" tag t)
+              (Modarith.neg ~m (prod ~m src)) b.neg_prod.(t);
+            Array.iteri
+              (fun i _ ->
+                Alcotest.(check int) (Printf.sprintf "%s hat.(%d).(%d)" tag t i)
+                  (prod ~m (without i)) b.hat.(t).(i);
+                Alcotest.(check int) (Printf.sprintf "%s hat_shoup.(%d).(%d)" tag t i)
+                  (Modarith.shoup ~m b.hat.(t).(i)) b.hat_shoup.(t).(i))
+              src)
+          chain;
+        Array.iteri
+          (fun i q ->
+            Alcotest.(check int) (Printf.sprintf "%s hat_inv.(%d)" tag i)
+              (Modarith.inv ~m:q (prod ~m:q (without i))) b.hat_inv.(i))
+          src
+      in
+      Array.iteri
+        (fun j widths ->
+          Array.iteri
+            (fun s b ->
+              Alcotest.(check (array int)) (Printf.sprintf "mod_up.(%d).(%d) primes" j s)
+                (Array.init (s + 1) (fun i -> (j * p.alpha) + i)) b.Params.src;
+              check_basis (Printf.sprintf "n=%d mod_up.(%d).(%d)" p.n j s) b)
+            widths)
+        p.mod_up;
+      check_basis (Printf.sprintf "n=%d mod_down" p.n) p.mod_down;
+      Array.iteri
+        (fun t q ->
+          Alcotest.(check int) (Printf.sprintf "p_inv.(%d)" t)
+            (Modarith.inv ~m:q (prod ~m:q p.specials)) p.p_inv.(t))
+        p.moduli)
+    [ params (); Params.test_deep (); base29 () ]
 
 (* ------------------------------------------------------------------ *)
 (* Coeff/Eval domain invariant                                         *)
@@ -409,30 +514,54 @@ let test_pipeline_domain_equivalence () =
 (* Key switching: division-free kernels vs a naive reference          *)
 (* ------------------------------------------------------------------ *)
 
-(* The key switch spelled out with Modarith.mul / add / reduce / center,
-   one full reduction per step: the semantics the lazily reduced,
-   division-free kernels of Keys must reproduce bit for bit. *)
+(* The hybrid key switch spelled out with Modarith.mul / add / reduce /
+   center, one full reduction per step and every constant recomputed from
+   the primes: the semantics the lazily reduced, division-free kernels of
+   Keys must reproduce bit for bit. *)
 module Naive = struct
-  let chain_q (p : Params.t) t = if t < p.max_level then p.moduli.(t) else p.special
+  let chain_q (p : Params.t) t = Ntt.q (Params.ntt_at p ~idx:t)
+  let specials (p : Params.t) = Array.length p.specials
 
-  let chain_ctx (p : Params.t) t =
-    if t < p.max_level then Params.ntt_at p ~idx:t else p.ntt_special
+  let positions (p : Params.t) l =
+    Array.init (l + specials p) (fun pos -> if pos < l then pos else p.max_level + pos - l)
 
-  let positions (p : Params.t) l = Array.append (Array.init l Fun.id) [| p.max_level |]
+  let prod ~m a = Array.fold_left (fun acc q -> Modarith.mul ~m acc (Modarith.reduce ~m q)) 1 a
+  let without a i = Array.of_list (List.filteri (fun i' _ -> i' <> i) (Array.to_list a))
 
-  (* digits.(pos).(i): NTT image of the i-th centered digit at position pos. *)
-  let decompose p d =
+  (* Centered fast base conversion of the residue vectors [xs] (mod the
+     primes [src], product B) to modulus m:
+     sum_i center(x_i * (B / b_i)^-1 mod b_i) * (B / b_i) mod m. *)
+  let convert ~src xs m =
+    let n = Array.length xs.(0) in
+    let out = Array.make n 0 in
+    Array.iteri
+      (fun i b ->
+        let hat_inv = Modarith.inv ~m:b (prod ~m:b (without src i)) in
+        let hat_m = prod ~m (without src i) in
+        for j = 0 to n - 1 do
+          let y = Modarith.center ~m:b (Modarith.mul ~m:b xs.(i).(j) hat_inv) in
+          out.(j) <- Modarith.add ~m out.(j) (Modarith.mul ~m (Modarith.reduce ~m y) hat_m)
+        done)
+      src;
+    out
+
+  (* ModUp: digits.(pos).(j) is the NTT image at position pos of digit j
+     (primes j*alpha .. min((j+1)*alpha, l) - 1) converted to that
+     position's modulus -- at the digit's own primes too, where the
+     conversion returns the input residue. *)
+  let decompose (p : Params.t) d =
     let d = Rns_poly.to_coeff p d in
     let l = Rns_poly.level d in
+    let beta = (l + p.alpha - 1) / p.alpha in
     Array.map
       (fun t ->
-        let q = chain_q p t in
-        Array.init l (fun i ->
-            let qi = p.moduli.(i) in
-            Ntt.forward (chain_ctx p t)
-              (Array.map
-                 (fun x -> Modarith.reduce ~m:q (Modarith.center ~m:qi x))
-                 d.res.(i))))
+        Array.init beta (fun j ->
+            let own = Array.init (min p.alpha (l - (j * p.alpha))) (fun i -> (j * p.alpha) + i) in
+            Ntt.forward (Params.ntt_at p ~idx:t)
+              (convert
+                 ~src:(Array.map (fun i -> p.moduli.(i)) own)
+                 (Array.map (fun i -> d.res.(i)) own)
+                 (chain_q p t))))
       (positions p l)
 
   (* One member's inner product per position and key half, each term
@@ -441,39 +570,35 @@ module Naive = struct
     Array.iteri
       (fun pos t ->
         let q = chain_q p t in
-        let l = Array.length digits.(pos) in
         List.iter
           (fun (kh, out) ->
             for j = 0 to p.n - 1 do
               let s = ref 0 in
-              for i = 0 to l - 1 do
-                s := Modarith.add ~m:q !s
-                       (Modarith.mul ~m:q digits.(pos).(i).(perm.(j)) kh.(i).(t).(j))
-              done;
+              Array.iteri
+                (fun i d -> s := Modarith.add ~m:q !s (Modarith.mul ~m:q d.(perm.(j)) kh.(i).(t).(j)))
+                digits.(pos);
               let s = match coeff with None -> !s | Some c -> Modarith.mul ~m:q c.(pos).(j) !s in
               out.(j) <- Modarith.add ~m:q out.(j) s
             done)
           [ (k0, fst acc.(pos)); (k1, snd acc.(pos)) ])
-      (positions p (Array.length digits - 1))
+      (positions p (Array.length digits - specials p))
 
   let create (p : Params.t) digits =
     Array.map (fun _ -> (Array.make p.n 0, Array.make p.n 0)) digits
 
-  let divide_by_p (p : Params.t) l u =
-    Rns_poly.of_residues
-      (Array.init l (fun t ->
-           let q = p.moduli.(t) in
-           let p_inv = Modarith.inv ~m:q (Modarith.reduce ~m:q p.special) in
-           Array.init p.n (fun j ->
-               let rep = Modarith.reduce ~m:q (Modarith.center ~m:p.special u.(l).(j)) in
-               Modarith.mul ~m:q (Modarith.sub ~m:q u.(t).(j) rep) p_inv)))
-
-  let finish p acc =
-    let l = Array.length acc - 1 in
+  (* ModDown in the coefficient domain: (u_t - convert(u_specials)) * P^-1. *)
+  let finish (p : Params.t) acc =
+    let l = Array.length acc - specials p in
     let half f =
-      Array.mapi (fun pos t -> Ntt.inverse (chain_ctx p t) (f acc.(pos))) (positions p l)
+      let u = Array.mapi (fun pos t -> Ntt.inverse (Params.ntt_at p ~idx:t) (f acc.(pos))) (positions p l) in
+      Rns_poly.of_residues
+        (Array.init l (fun t ->
+             let q = p.moduli.(t) in
+             let corr = convert ~src:p.specials (Array.sub u l (specials p)) q in
+             let p_inv = Modarith.inv ~m:q (prod ~m:q p.specials) in
+             Array.init p.n (fun j -> Modarith.mul ~m:q (Modarith.sub ~m:q u.(t).(j) corr.(j)) p_inv)))
     in
-    (divide_by_p p l (half fst), divide_by_p p l (half snd))
+    (half fst, half snd)
 end
 
 let deep_keys_memo = ref None
@@ -496,67 +621,140 @@ let chain_vecs st (p : Params.t) ~worst ~level =
       if worst then Array.make p.n (q - 1) else rand_vec st ~n:p.n ~q)
     (Naive.positions p level)
 
-(* A switching key with every residue random, or every residue q - 1 (with
-   all-(q - 1) digits this hits the bound of the unreduced MAC sum). *)
+(* A switching key (dnum digits over the L + K extended-chain positions)
+   with every residue random, or every residue q - 1 (with all-(q - 1)
+   digits this hits the bound of the unreduced MAC sum). *)
 let switch_key_of st (p : Params.t) ~worst =
   let half () =
-    Array.init p.max_level (fun _ -> chain_vecs st p ~worst ~level:p.max_level)
+    Array.init (Params.digits p ~level:p.max_level) (fun _ ->
+        chain_vecs st p ~worst ~level:p.max_level)
   in
   let k0 = half () and k1 = half () in
   (Keys.switch_key_of_raw p ~k0 ~k1, (k0, k1))
 
-(* A level-[level] polynomial whose digits are random, or all q - 1: the
-   evaluation-domain constant -1 centers to -1 in every digit, and -1 maps
-   to q - 1 at every position in every slot. *)
-let ks_input st (p : Params.t) ~worst ~level =
-  if worst then
-    Rns_poly.of_residues ~domain:Rns_poly.Eval
-      (Array.init level (fun i -> Array.make p.n (p.moduli.(i) - 1)))
-  else rand_poly st p ~level
+(* Key-switch inputs at a level: random coefficients; the Eval-domain
+   constant -1 (all q - 1 in every slot, the digits' own limbs at the top of
+   the MAC range); and the coefficient-domain polynomial whose scaled limbs
+   x * (Q_I / q_t)^-1 are all q_t - 1 (every centering correction fires and
+   every conversion product is at its largest). *)
+let ks_inputs st (p : Params.t) ~level =
+  let scaled_top =
+    Array.init level (fun t ->
+        let j = t / p.alpha in
+        let own = Array.init (min p.alpha (level - (j * p.alpha))) (fun i -> p.moduli.((j * p.alpha) + i)) in
+        let q = p.moduli.(t) in
+        let hat = Naive.prod ~m:q (Naive.without own (t - (j * p.alpha))) in
+        Array.make p.n (Modarith.mul ~m:q (q - 1) hat))
+  in
+  [
+    ("random", false, rand_poly st p ~level);
+    ( "all q-1",
+      true,
+      Rns_poly.of_residues ~domain:Rns_poly.Eval
+        (Array.init level (fun i -> Array.make p.n (p.moduli.(i) - 1))) );
+    ("scaled q-1", true, Rns_poly.of_residues scaled_top);
+  ]
 
-let check_pair msg (a0, a1) (b0, b1) =
-  check_res (msg ^ " u0") a0 b0;
-  check_res (msg ^ " u1") a1 b1
+(* Residue equality after lifting both sides to the coefficient domain. *)
+let check_pair p msg (a0, a1) (b0, b1) =
+  check_res (msg ^ " u0") (Rns_poly.to_coeff p a0) (Rns_poly.to_coeff p b0);
+  check_res (msg ^ " u1") (Rns_poly.to_coeff p a1) (Rns_poly.to_coeff p b1)
 
 let test_keyswitch_kernels (p : Params.t) () =
   let keys = keys_for p in
   let st = Random.State.make [| 0x5e1f; p.n |] in
   let perm_of k = Ntt.eval_perm (Params.ntt_at p ~idx:0) ~k in
   List.iter
-    (fun (level, worst) ->
-      let tag = Printf.sprintf "n=%d level=%d%s" p.n level (if worst then " worst" else "") in
-      let sk, raw = switch_key_of st p ~worst in
-      let d = ks_input st p ~worst ~level in
-      let dec = Keys.decompose keys d in
-      let digits = Naive.decompose p d in
-      let one_member ?perm ?coeff () =
-        let acc = Naive.create p digits in
-        Naive.accumulate p ?perm ?coeff raw digits acc;
-        Naive.finish p acc
-      in
-      check_pair (tag ^ " apply") (Keys.apply keys sk dec) (one_member ());
-      let k = Keys.galois_element p ~offset:3 in
-      check_pair (tag ^ " apply_rotated")
-        (Keys.apply_rotated keys sk ~k dec)
-        (one_member ~perm:(perm_of k) ());
-      (* Pure and weighted groups of three members, one unrotated. *)
-      let ks = [ Some k; None; Some (Keys.galois_element p ~offset:(-5)) ] in
+    (fun level ->
       List.iter
-        (fun weighted ->
-          let m = Keys.mac_create keys dec in
-          let acc = Naive.create p digits in
+        (fun (iname, worst, d) ->
+          let tag = Printf.sprintf "n=%d level=%d %s" p.n level iname in
+          let sk, raw = switch_key_of st p ~worst in
+          let dec = Keys.decompose keys d in
+          let digits = Naive.decompose p d in
+          let one_member ?perm ?coeff () =
+            let acc = Naive.create p digits in
+            Naive.accumulate p ?perm ?coeff raw digits acc;
+            Naive.finish p acc
+          in
+          check_pair p (tag ^ " apply") (Keys.apply keys sk dec) (one_member ());
+          let k = Keys.galois_element p ~offset:3 in
+          check_pair p (tag ^ " apply_rotated")
+            (Keys.apply_rotated keys sk ~k dec)
+            (one_member ~perm:(perm_of k) ());
+          (* Pure and weighted groups of three members, one unrotated. *)
+          let ks = [ Some k; None; Some (Keys.galois_element p ~offset:(-5)) ] in
           List.iter
-            (fun k ->
-              let coeff = if weighted then Some (chain_vecs st p ~worst ~level) else None in
-              Keys.mac_accumulate keys ?k ?coeff sk dec m;
-              let perm = Option.map perm_of k in
-              Naive.accumulate p ?perm ?coeff raw digits acc)
-            ks;
-          check_pair
-            (Printf.sprintf "%s mac %s" tag (if weighted then "with coeff" else "pure"))
-            (Keys.mac_finish keys m) (Naive.finish p acc))
-        [ false; true ])
-    [ (1, false); (1, true); (p.max_level, false); (p.max_level, true) ]
+            (fun weighted ->
+              let m = Keys.mac_create keys dec in
+              let acc = Naive.create p digits in
+              List.iter
+                (fun k ->
+                  let coeff = if weighted then Some (chain_vecs st p ~worst ~level) else None in
+                  Keys.mac_accumulate keys ?k ?coeff sk dec m;
+                  let perm = Option.map perm_of k in
+                  Naive.accumulate p ?perm ?coeff raw digits acc)
+                ks;
+              check_pair p
+                (Printf.sprintf "%s mac %s" tag (if weighted then "with coeff" else "pure"))
+                (Keys.mac_finish keys m) (Naive.finish p acc))
+            [ false; true ])
+        (ks_inputs st p ~level))
+    (List.sort_uniq compare [ 1; p.alpha; p.alpha + 1; p.max_level ])
+
+(* Key-switch error at every level of test_deep, measured exactly: a
+   rotation decrypts to aut(m) + e_ks and a relinearized product to
+   m_a * m_b + e_ks, where aut(m) and m_a * m_b are computed from the
+   operands' decryptions mod Q.  The bound is the worst case stated in
+   params.ml,
+     |e_ks| <= dnum * n * (alpha * Q_I / 2) * B_e / P + (K / 2) * (1 + n),
+   with Q_I < 2P and B_e = 24: the Box-Muller sampler draws u1 >= 1e-12,
+   so |z| <= sqrt (2 ln 10^12) < 7.44 and |e| <= round (7.44 * 3.2).
+   That is a worst-case sanity check (about 8e5 at n = 2048), not a
+   noise-regression guard: a key switch several times noisier than today's
+   still passes it.  The error must also be one integer: its centered
+   residue at every ciphertext prime equals the base prime's, so a ModDown
+   wrong only at some limb t >= 1 fails too. *)
+let ks_error_bound (p : Params.t) =
+  let b_e = 24.0 and n = float_of_int p.n in
+  let dnum = float_of_int (Params.digits p ~level:p.max_level) in
+  let alpha = float_of_int p.alpha and k = float_of_int (Array.length p.specials) in
+  (dnum *. n *. alpha *. b_e) +. (k /. 2.0 *. (1.0 +. n))
+
+let test_keyswitch_error_per_level () =
+  let p = Params.test_deep () in
+  let keys = keys_for p in
+  let bound = ks_error_bound p in
+  let rng = Random.State.make [| 0xe7703 |] in
+  let phase (ct : Eval.ct) =
+    Rns_poly.add p ct.c0 (Rns_poly.mul p ct.c1 (Keys.secret_poly keys ~level:(Eval.level ct)))
+  in
+  let max_err a b =
+    let diff = (Rns_poly.to_coeff p (Rns_poly.sub p a b) : Rns_poly.t).res in
+    let e = Array.map (fun c -> Modarith.center ~m:p.moduli.(0) c) diff.(0) in
+    Array.iteri
+      (fun t r ->
+        Array.iteri
+          (fun j c ->
+            if Modarith.center ~m:p.moduli.(t) c <> e.(j) then
+              Alcotest.failf "limb %d coefficient %d: error %d, base limb %d" t j
+                (Modarith.center ~m:p.moduli.(t) c) e.(j))
+          r)
+      diff;
+    Array.fold_left (fun acc x -> Float.max acc (Float.abs (float_of_int x))) 0.0 e
+  in
+  let k = Keys.galois_element p ~offset:1 in
+  for level = 1 to p.max_level do
+    let v () = Array.init p.slots (fun _ -> Random.State.float rng 1.0 -. 0.5) in
+    let a = Eval.encrypt keys ~level (v ()) and b = Eval.encrypt keys ~level (v ()) in
+    let rot = max_err (phase (Eval.rotate keys a ~offset:1)) (Rns_poly.automorphism p ~k (phase a)) in
+    let mul = max_err (phase (Eval.multcc keys a b)) (Rns_poly.mul p (phase a) (phase b)) in
+    List.iter
+      (fun (op, e) ->
+        if e > bound then
+          Alcotest.failf "level %d %s: key-switch error %g above the bound %g" level op e bound)
+      [ ("rotate", rot); ("multcc", mul) ]
+  done
 
 (* Decomposing an Eval-domain polynomial copies the diagonal digits instead
    of re-transforming them; the result must equal, residue for residue,
@@ -594,9 +792,9 @@ let test_keyswitch_pool_sizes () =
   let dec_s, a_s, r_s, m_s = Domain_pool.sequentially run in
   let dec_p, a_p, r_p, m_p = run () in
   Alcotest.(check bool) "decompose" true (dec_s = dec_p);
-  check_pair "apply" a_s a_p;
-  check_pair "apply_rotated" r_s r_p;
-  check_pair "mac" m_s m_p
+  check_pair p "apply" a_s a_p;
+  check_pair p "apply_rotated" r_s r_p;
+  check_pair p "mac" m_s m_p
 
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
@@ -641,7 +839,12 @@ let () =
         Alcotest.test_case "edge values" `Quick test_reducer_edges
         :: qsuite [ test_reducer ] );
       ( "params",
-        [ Alcotest.test_case "rescale tables" `Quick test_rescale_tables ] );
+        [
+          Alcotest.test_case "rescale tables" `Quick test_rescale_tables;
+          Alcotest.test_case "digit rule" `Quick test_digit_rule;
+          Alcotest.test_case "noise precondition rejects" `Quick test_noise_precondition;
+          Alcotest.test_case "key-switch tables" `Quick test_keyswitch_tables;
+        ] );
       ( "domains",
         Alcotest.test_case "ops agree across domains" `Quick test_domain_ops_agree
         :: Alcotest.test_case "automorphism k mod 2n" `Quick
@@ -663,7 +866,11 @@ let () =
                 (test_decompose_domains p);
             ])
           [ ("test_small", params ()); ("test_deep", Params.test_deep ()) ]
-        @ [ Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes ] );
+        @ [
+            Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes;
+            Alcotest.test_case "error bound at every level, test_deep" `Quick
+              test_keyswitch_error_per_level;
+          ] );
       ( "pool",
         [
           Alcotest.test_case "exception propagates, pool stays usable" `Quick

@@ -400,6 +400,76 @@ let test_reject_fingerprint_mismatch () =
       expect_persist "foreign parameter fingerprint" (fun () ->
           Store.load_rns p ~path))
 
+(* The reason a frame was refused: the stamp check and the key-shape check
+   must be told apart. *)
+let persist_reason name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Persist_error, decode succeeded" name
+  | exception Halo_error.Persist_error { reason; _ } -> reason
+  | exception e ->
+    Alcotest.failf "%s: expected Persist_error, got %s" name (Printexc.to_string e)
+
+(* FNV-1a as [Params.fingerprint] computes it, over the fields of the
+   earlier one-special-prime layout: n, max_level, the ciphertext moduli,
+   one 31-bit special prime, the scale and the error width. *)
+let one_special_fingerprint (p : Params.t) ~special =
+  let fnv h v =
+    let rec go h v i =
+      if i = 8 then h
+      else
+        go (Int64.mul (Int64.logxor h (Int64.of_int (v land 0xff))) 0x100000001b3L) (v lsr 8) (i + 1)
+    in
+    go h v 0
+  in
+  let bits f = Int64.to_int (Int64.bits_of_float f) land max_int in
+  List.fold_left fnv 0xcbf29ce484222325L
+    ((p.n :: p.max_level :: Array.to_list p.moduli)
+    @ [ special; bits p.scale; bits p.sigma ])
+
+let test_reject_old_special_set () =
+  (* A key frame of the one-special-prime layout -- one digit per ciphertext
+     prime, each spanning L + 1 chain positions -- stamped with that
+     layout's fingerprint.  The store must refuse it on the stamp, before
+     the key-shape check ever sees the digits. *)
+  let p = params () in
+  let keys = Keys.keygen ~seed:5 p in
+  let special = Primes.ntt_prime_below ~n:p.n (p.moduli.(0) - 1) in
+  let old_fp = one_special_fingerprint p ~special in
+  Alcotest.(check bool) "special set enters the fingerprint" false
+    (Int64.equal old_fp (Params.fingerprint p));
+  let payload b =
+    Wire.int_array b keys.secret.coeffs;
+    Codec.encode_rns b keys.pk0;
+    Codec.encode_rns b keys.pk1;
+    let half () =
+      Wire.i64 b p.max_level;
+      for _ = 1 to p.max_level do
+        Wire.i64 b (p.max_level + 1);
+        for _ = 0 to p.max_level do
+          Wire.int_array b (Array.make p.n 0)
+        done
+      done
+    in
+    half ();
+    half ();
+    Wire.list b (fun _ () -> ()) [];
+    Codec.encode_rng b (Keys.rng_state keys)
+  in
+  let dir = fresh_dir "old-special" in
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "keys.halo" in
+  let load_stamped fingerprint =
+    write_raw path (Codec.frame ~kind:Codec.Keys_frame ~fingerprint payload);
+    persist_reason "old-layout key frame" (fun () -> Store.load_keys p ~path)
+  in
+  Alcotest.(check string) "refused by the fingerprint check"
+    "artifact was written under different parameters" (load_stamped old_fp);
+  (* Control: the same bytes under the current stamp get as far as the
+     shape check, so the refusal above is the stamp's. *)
+  Alcotest.(check string) "same payload, current stamp: shape check"
+    "malformed switching key" (load_stamped (Params.fingerprint p));
+  rm_rf dir
+
 let test_reject_wrong_kind () =
   with_artifact (fun ~p ~path ~bytes:_ ->
       expect_persist "rns frame read as a ciphertext" (fun () ->
@@ -687,6 +757,8 @@ let () =
             test_reject_version_mismatch;
           Alcotest.test_case "parameter fingerprint" `Quick
             test_reject_fingerprint_mismatch;
+          Alcotest.test_case "key frame of another special set" `Quick
+            test_reject_old_special_set;
           Alcotest.test_case "wrong artifact kind" `Quick test_reject_wrong_kind;
           Alcotest.test_case "trailing garbage" `Quick
             test_reject_trailing_garbage;
