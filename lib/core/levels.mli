@@ -1,8 +1,14 @@
-(** Pure level tracking: the same result-level rules that {!Normalize}
-    materializes (eager alignment to the minimum operand level, one level
-    consumed per ciphertext multiplication, pack/unpack masks), but without
-    rewriting.  Used by {!Dacapo} to find where a block runs out of levels
-    and by {!Loop_codegen} to measure body consumption. *)
+(** Pure level tracking under plain alignment: operands meet at the
+    minimum operand level, one level is consumed per ciphertext
+    multiplication and per pack/unpack mask, and nothing is lowered
+    otherwise.  Used by {!Dacapo} to find where a block runs out of levels
+    and by {!Loop_codegen} to measure body consumption.
+
+    The levels it gives are exact at the sinks — loop inits and yields,
+    bootstraps, packs, unpacks and program outputs — and those are the
+    levels the compiler's decisions rest on.  Between sinks they are upper
+    bounds: {!Normalize} runs each op at the level its result is consumed
+    at, so an intermediate value in normalized code may sit lower. *)
 
 exception Underflow of { index : int; msg : string }
 (** [index] is the position (within the walked instruction sequence) of the

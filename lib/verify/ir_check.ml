@@ -130,12 +130,66 @@ let leveled (p : Ir.program) =
      | exception Typecheck.Type_error msg ->
        [ { path = "program"; rule = "levels"; msg } ])
 
+let level_waste (p : Ir.program) =
+  (* Per read variable: whether some reader is not a modswitch. *)
+  let direct = Hashtbl.create 256 in
+  let read ~via_modswitch v =
+    if not via_modswitch then Hashtbl.replace direct v true
+    else if not (Hashtbl.mem direct v) then Hashtbl.replace direct v false
+  in
+  Ir.iter_blocks
+    (fun b ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          let via_modswitch = match i.op with Ir.Modswitch _ -> true | _ -> false in
+          List.iter (read ~via_modswitch) (Ir.op_operands i.op))
+        b.instrs;
+      List.iter (read ~via_modswitch:false) b.yields)
+    p.body;
+  let out = ref [] in
+  let rec walk path (b : Ir.block) =
+    let units = ref [] and groups = Hashtbl.create 8 in
+    List.iteri
+      (fun idx (i : Ir.instr) ->
+        let ipath = Printf.sprintf "%s.%d" path idx in
+        match i.op with
+        | Ir.For fo -> walk (ipath ^ ".for") fo.body
+        | Ir.Rotate { src; offset } when offset <> 0 ->
+          (match Hashtbl.find_opt groups src with
+           | Some vs -> vs := Ir.result i :: !vs
+           | None ->
+             let vs = ref [ Ir.result i ] in
+             Hashtbl.replace groups src vs;
+             units := (ipath, vs) :: !units)
+        | Ir.Rotate _ | Ir.RotateMany _ | Ir.RotSum _ | Ir.Binary _ | Ir.Rescale _ ->
+          units := (ipath, ref i.results) :: !units
+        | _ -> ())
+      b.instrs;
+    List.iter
+      (fun (path, vs) ->
+        let vs = List.rev !vs in
+        let readers = List.filter_map (Hashtbl.find_opt direct) vs in
+        if readers <> [] && not (List.mem true readers) then
+          out :=
+            {
+              path;
+              rule = "level-waste";
+              msg =
+                Printf.sprintf "%s read only through modswitch"
+                  (String.concat ", " (List.map (Printf.sprintf "%%%d") vs));
+            }
+            :: !out)
+      (List.rev !units)
+  in
+  walk "body" p.body;
+  List.rev !out
+
 let typed (p : Ir.program) =
   match structural p with
   | _ :: _ as vs -> vs
   | [] ->
     (match Typecheck.verify p with
-     | Ok () -> []
+     | Ok () -> level_waste p
      | Error msg -> [ { path = "program"; rule = "typecheck"; msg } ])
 
 let at (m : Strategy.milestone) p =

@@ -23,7 +23,7 @@
     {!leveled} adds the {!Halo.Levels} walk ([levels] rule: bootstraps placed,
     boundaries set, no level underflow); {!typed} adds the strict
     {!Halo.Typecheck.verify} ([typecheck] rule: scales managed, levels
-    aligned). *)
+    aligned) and {!level_waste}. *)
 
 type violation = { path : string; rule : string; msg : string }
 
@@ -33,6 +33,15 @@ val violations_to_string : violation list -> string
 val structural : Halo.Ir.program -> violation list
 val leveled : Halo.Ir.program -> violation list
 val typed : Halo.Ir.program -> violation list
+
+val level_waste : Halo.Ir.program -> violation list
+(** [level-waste]: a value produced by [rotate], [rotate_many], [rot_sum],
+    a binary op or [rescale] whose every reader is a [modswitch] — the op
+    ran at a level nobody consumes it at.  The nonzero rotations of one
+    source within one block (the group rotate-fuse hoists) count as one
+    value, as do the results of one [rotate_many].  Normalized code has
+    none: {!Halo.Normalize} produces every value at the level its most
+    demanding reader wants. *)
 
 val at : Halo.Strategy.milestone -> Halo.Ir.program -> violation list
 (** Check at the strength a pipeline milestone guarantees. *)

@@ -377,6 +377,116 @@ let test_unroll_static_remainder () =
   Alcotest.(check bool) "loops retained" true (total_iterations >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Normalize: demand-driven level placement                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A hand-built program over input %0 (cipher, level 16).  [body] appends
+   instructions through [emit] (which returns the result variable), may use
+   the plain constant [c], and returns the value fed to a two-iteration loop
+   with boundary 2 (whose body adds [c]) plus extra program outputs. *)
+let boundary2_program body =
+  let next = ref 0 in
+  let fresh () = incr next; !next in
+  let instrs = ref [] in
+  let emit op =
+    let r = fresh () in
+    instrs := { Ir.results = [ r ]; op } :: !instrs;
+    r
+  in
+  let c = emit (Ir.Const { value = Ir.Splat 0.5; size = 8 }) in
+  let init, outs = body ~emit ~c in
+  let param = fresh () in
+  let q = fresh () in
+  let res = fresh () in
+  let loop =
+    Ir.For
+      {
+        count = Ir.Static 2;
+        inits = [ init ];
+        body =
+          {
+            params = [ param ];
+            instrs = [ { results = [ q ]; op = Ir.Binary { kind = Ir.Add; lhs = param; rhs = c } } ];
+            yields = [ q ];
+          };
+        boundary = Some 2;
+      }
+  in
+  instrs := { Ir.results = [ res ]; op = loop } :: !instrs;
+  {
+    Ir.prog_name = "boundary2";
+    slots = 64;
+    max_level = 16;
+    inputs = [ { Ir.in_name = "x"; in_var = 0; in_status = Ir.Cipher; in_size = 8 } ];
+    body = { params = [ 0 ]; instrs = List.rev !instrs; yields = res :: outs };
+    next_var = !next + 1;
+  }
+
+let rotation_srcs (p : Ir.program) =
+  let acc = ref [] in
+  Ir.iter_blocks
+    (fun b ->
+      List.iter
+        (fun (i : Ir.instr) ->
+          match i.op with Ir.Rotate { src; _ } -> acc := src :: !acc | _ -> ())
+        b.instrs)
+    p.body;
+  List.rev !acc
+
+let count_modswitches (p : Ir.program) =
+  Ir.count_ops ~p:(function Ir.Modswitch _ -> true | _ -> false) p.body
+
+let same_reference p q =
+  let inputs = [ ("x", Array.init 8 (fun k -> 0.1 *. float_of_int (k - 3))) ] in
+  let run = Halo_runtime.Interp.reference ~inputs in
+  Alcotest.(check (list (array (float 0.0)))) "reference outputs bit-identical" (run p) (run q)
+
+(* Linear's shape: a rotate-and-sum doubling chain at level 16, a multcp,
+   then a loop entered at boundary 2.  The chain's value is consumed at
+   level 3 (one multcp above the boundary), so that is where the six
+   rotations run.  Lowering only where operands meet ran them at 16 and
+   spent one modswitch at the loop init. *)
+let test_normalize_lowers_to_demand () =
+  let p =
+    boundary2_program (fun ~emit ~c ->
+        let s = ref 0 in
+        for k = 0 to 5 do
+          let r = emit (Ir.Rotate { src = !s; offset = 1 lsl k }) in
+          s := emit (Ir.Binary { kind = Ir.Add; lhs = !s; rhs = r })
+        done;
+        (emit (Ir.Binary { kind = Ir.Mul; lhs = !s; rhs = c }), []))
+  in
+  let q = Normalize.program p in
+  let env = Typecheck.infer_program q in
+  let srcs = rotation_srcs q in
+  Alcotest.(check int) "six rotations" 6 (List.length srcs);
+  List.iter
+    (fun v ->
+      Alcotest.(check string) "rotation level" "cipher@3"
+        (Typecheck.ty_to_string (Hashtbl.find env v)))
+    srcs;
+  Alcotest.(check bool) "no more modswitches than the old rule's one" true
+    (count_modswitches q <= 1);
+  same_reference p q
+
+(* Rotations of one source are wanted at 16 (a program output) and at 3
+   (into the loop): both run at 16, on the same value, so rotate-fuse
+   still sees one group. *)
+let test_normalize_keeps_rotation_groups () =
+  let p =
+    boundary2_program (fun ~emit ~c ->
+        let high = emit (Ir.Rotate { src = 0; offset = 1 }) in
+        let low = emit (Ir.Rotate { src = 0; offset = 2 }) in
+        (emit (Ir.Binary { kind = Ir.Mul; lhs = low; rhs = c }), [ high ]))
+  in
+  let q = Normalize.program p in
+  Alcotest.(check (list int)) "both rotations read the input" [ 0; 0 ] (rotation_srcs q);
+  let fused = Rotate_fuse.program q in
+  Alcotest.(check int) "one rotate_many" 1
+    (Ir.count_ops ~p:(function Ir.RotateMany _ -> true | _ -> false) fused.body);
+  same_reference p q
+
+(* ------------------------------------------------------------------ *)
 (* Target-level tuning                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -726,6 +836,12 @@ let () =
           Alcotest.test_case "shallow loop unrolls" `Quick test_unroll_shallow;
           Alcotest.test_case "deep loop kept" `Quick test_unroll_skips_deep;
           Alcotest.test_case "static remainder" `Quick test_unroll_static_remainder;
+        ] );
+      ( "normalize",
+        [
+          Alcotest.test_case "lowers to demand" `Quick test_normalize_lowers_to_demand;
+          Alcotest.test_case "keeps rotation groups" `Quick
+            test_normalize_keeps_rotation_groups;
         ] );
       ( "tuning",
         [

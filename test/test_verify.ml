@@ -171,6 +171,25 @@ let test_check_typecheck () =
               }) ]
        [ 3 ] 4)
 
+let test_check_level_waste () =
+  (* A rotation at level 8 read only through a modswitch to level 3. *)
+  expect_rule ~check:Ir_check.typed "level-waste"
+    (mk
+       [ instr [ 1 ] (Ir.Rotate { src = 0; offset = 1 });
+         instr [ 2 ] (Ir.Modswitch { src = 1; down = 5 }) ]
+       [ 2 ] 3);
+  (* Two same-source rotations are one value: one direct reader is enough. *)
+  match
+    Ir_check.typed
+      (mk
+         [ instr [ 1 ] (Ir.Rotate { src = 0; offset = 1 });
+           instr [ 2 ] (Ir.Rotate { src = 0; offset = 2 });
+           instr [ 3 ] (Ir.Modswitch { src = 1; down = 5 }) ]
+         [ 2; 3 ] 4)
+  with
+  | [] -> ()
+  | vs -> Alcotest.failf "rotation group flagged: %s" (Ir_check.violations_to_string vs)
+
 (* ------------------------------------------------------------------ *)
 (* Checked pipeline on a healthy program                               *)
 (* ------------------------------------------------------------------ *)
@@ -414,16 +433,26 @@ let test_unlowered_pack_matches_lowered () =
 (* ------------------------------------------------------------------ *)
 
 (* Every per-pass drift and every source fingerprint, printed as hex
-   floats, for Gen seeds [0, 40) and the seven ML programs (1024 slots, 64
-   samples, 4 iterations) under every strategy.  Any change to the
-   cleartext semantics (a reordered fold, a different mask recipe, a walker
-   rewrite) moves some bit and with it the digest; update [golden_digest]
-   only for an intended semantic change. *)
+   floats, for every [corpus] program under every strategy.  Any change to
+   the cleartext semantics (a reordered fold, a different mask recipe, a
+   walker rewrite) moves some bit and with it the digest; update
+   [golden_digest] only for an intended semantic change. *)
 let golden_digest = "f8f9c3882c9dd010a8f552140b243d56"
+
+(* Gen seeds [0, 40) and the seven ML programs (1024 slots, 64 samples, 4
+   iterations), each as (tag, bindings, program). *)
+let corpus () =
+  List.init 40 (fun seed ->
+      let g = Gen.generate seed in
+      (Printf.sprintf "seed %d" seed, g.bindings, g.prog))
+  @ List.map
+      (fun (b : Halo_ml.Bench_def.t) ->
+        (b.name, Halo_ml.Workloads.default_bindings b ~iters:4, b.build ~slots:1024 ~size:64))
+      Halo_ml.Workloads.all
 
 let semantic_digest () =
   let buf = Buffer.create 65536 in
-  let program ~tag ~bindings p =
+  let program (tag, bindings, p) =
     Printf.bprintf buf "%s source" tag;
     (match Pipeline.fingerprint ~bindings p with
      | fp -> List.iter (Array.iter (Printf.bprintf buf " %h")) fp
@@ -446,21 +475,74 @@ let semantic_digest () =
         Buffer.add_char buf '\n')
       Strategy.all
   in
-  for seed = 0 to 39 do
-    let g = Gen.generate seed in
-    program ~tag:(Printf.sprintf "seed %d" seed) ~bindings:g.bindings g.prog
-  done;
-  List.iter
-    (fun (b : Halo_ml.Bench_def.t) ->
-      program ~tag:b.name
-        ~bindings:(Halo_ml.Workloads.default_bindings b ~iters:4)
-        (b.build ~slots:1024 ~size:64))
-    Halo_ml.Workloads.all;
+  List.iter program (corpus ());
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_golden_digest () =
   Alcotest.(check string) "drift and fingerprint digest" golden_digest
     (semantic_digest ())
+
+(* ------------------------------------------------------------------ *)
+(* Demand-driven level placement                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every corpus program under every strategy: no op runs at a level that
+   only a modswitch reads. *)
+let test_corpus_no_level_waste () =
+  let compiled = ref 0 in
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun strategy ->
+          incr compiled;
+          match Ir_check.level_waste (Strategy.compile ~bindings ~strategy p) with
+          | [] -> ()
+          | vs ->
+            Alcotest.failf "%s under %s: %d violations, first %s" tag
+              (Strategy.to_string strategy) (List.length vs)
+              (Ir_check.to_string (List.hd vs)))
+        Strategy.all)
+    (corpus ());
+  Alcotest.(check int) "programs compiled" 235 !compiled
+
+(* Same-source rotations run at one level, so rotate-fuse still sees one
+   group per source: within a block, the nonzero rotations of a variable
+   all read the same value, never two different modswitch copies of it (or
+   the variable and a copy). *)
+let test_corpus_rotation_groups_whole () =
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun strategy ->
+          let q = Strategy.compile ~bindings ~rotate_fuse:false ~strategy p in
+          let copy_of = Hashtbl.create 64 in
+          Ir.iter_blocks
+            (fun b ->
+              List.iter
+                (fun (i : Ir.instr) ->
+                  match i.op with
+                  | Ir.Modswitch { src; _ } -> Hashtbl.replace copy_of (Ir.result i) src
+                  | _ -> ())
+                b.instrs)
+            q.body;
+          let root v = Option.value ~default:v (Hashtbl.find_opt copy_of v) in
+          Ir.iter_blocks
+            (fun b ->
+              let read = Hashtbl.create 8 in
+              List.iter
+                (fun (i : Ir.instr) ->
+                  match i.op with
+                  | Ir.Rotate { src; offset } when offset <> 0 ->
+                    (match Hashtbl.find_opt read (root src) with
+                     | Some s when s <> src ->
+                       Alcotest.failf "%s under %s: rotations of %%%d read %%%d and %%%d"
+                         tag (Strategy.to_string strategy) (root src) s src
+                     | _ -> Hashtbl.replace read (root src) src)
+                  | _ -> ())
+                b.instrs)
+            q.body)
+        Strategy.all)
+    (corpus ())
 
 let test_fuzz_50_seeds () =
   let reports = Oracle.fuzz ~seeds:(List.init 50 (fun i -> i)) () in
@@ -490,6 +572,7 @@ let () =
           Alcotest.test_case "pack-shape" `Quick test_check_pack_shape;
           Alcotest.test_case "levels" `Quick test_check_levels;
           Alcotest.test_case "typecheck" `Quick test_check_typecheck;
+          Alcotest.test_case "level-waste" `Quick test_check_level_waste;
         ] );
       ( "pipeline",
         [
@@ -510,5 +593,11 @@ let () =
             test_unlowered_pack_matches_lowered;
           Alcotest.test_case "golden drift digest" `Quick test_golden_digest;
           Alcotest.test_case "50-seed differential fuzz" `Slow test_fuzz_50_seeds;
+        ] );
+      ( "levels",
+        [
+          Alcotest.test_case "no level waste on the corpus" `Quick test_corpus_no_level_waste;
+          Alcotest.test_case "rotation groups stay whole" `Quick
+            test_corpus_rotation_groups_whole;
         ] );
     ]
