@@ -347,19 +347,7 @@ let bit_identical a b =
               x y)
        a b
 
-let default_backend_cfg ~slots ~max_level =
-  {
-    Persist.Codec.slots;
-    max_level;
-    scale_bits = 51;
-    seed = 0xB00;
-    enc_noise = 1e-7;
-    mult_noise = 1e-8;
-    boot_noise = 1e-5;
-    rescale_noise = Float.ldexp 1.0 (-25);
-  }
-
-let report_checkpointed ?out (outcome, damaged) =
+let report_run ?out ?verdict (outcome, damaged) =
   List.iter
     (fun (f, reason) ->
       Printf.printf "  warning: discarded damaged journal entry %s (%s)\n" f
@@ -374,16 +362,33 @@ let report_checkpointed ?out (outcome, damaged) =
        write_outputs path outputs;
        Printf.printf "  wrote outputs to %s\n" path
      | None -> ());
+    Option.iter
+      (fun v ->
+        Printf.printf "  noise guard: %s\n"
+          (Halo_runtime.Guard.verdict_to_string v))
+      verdict;
     0
   | Ref_run.Rec.R.Degraded d ->
     Printf.printf "  %s\n" (Ref_run.Rec.R.degraded_to_string d);
     1
+
+let simulated_crash writes =
+  Printf.printf "simulated crash after %d checkpoint writes\n" writes;
+  (* the exit status a SIGKILLed process would report *)
+  exit 137
 
 let run_cmd =
   let run file strategy bindings no_fuse no_lazy unroll_factor boot_slack
       manifest seed guard guard_margin rescue rescue_margin max_rescues
       checkpoint_dir every retain guard_every kill_after out =
     handle_code (fun () ->
+        if kill_after <> None && checkpoint_dir = None then begin
+          prerr_endline
+            "run: --kill-after needs --checkpoint-dir (it counts durable \
+             checkpoint writes)";
+          2
+        end
+        else
         let p = load file in
         let compiled =
           compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
@@ -397,125 +402,43 @@ let run_cmd =
                 Array.init i.in_size (fun _ -> Random.State.float rng 2.0 -. 1.0) ))
             p.inputs
         in
-        match checkpoint_dir with
-        | Some dir ->
-          if guard then
-            Printf.printf
-              "note: --guard is a decrypt-time check; with --checkpoint-dir \
-               use --guard-every for the in-loop guard\n";
-          let manifest =
-            {
-              Persist.Codec.prog = compiled;
-              strategy = Strategy.to_string strategy;
-              bindings;
-              inputs;
-              backend =
-                default_backend_cfg ~slots:p.slots ~max_level:compiled.max_level;
-              every_n = every;
-              retain;
-              guard_every;
-              guard_margin;
-              rescue;
-              rescue_margin;
-              max_rescues;
-            }
-          in
-          Ref_run.start ~dir manifest;
-          Printf.printf "running %S with checkpoints in %s (every %d, retain %d)\n"
-            p.prog_name dir every retain;
-          (match Ref_run.exec ?kill_after ~dir ~resume:false manifest with
-           | result -> report_checkpointed ?out result
-           | exception Ref_run.Simulated_crash { writes } ->
-             Printf.printf "simulated crash after %d checkpoint writes\n" writes;
-             (* the exit status a SIGKILLed process would report *)
-             exit 137)
-        | None ->
-          let module Ref = Halo_runtime.Interp.Make (Halo_ckks.Ref_backend) in
-          let outs, stats, verdict =
-            if rescue then begin
-              (* Monitored execution: the resilient runtime threads the
-                 noise monitor through every top-level iteration.  The
-                 monitor consumes no RNG and never fires while headroom
-                 stays above the rescue margin, so on a quiet program this
-                 is bit-identical to the unmonitored run. *)
-              let module Recover =
-                Halo_runtime.Resilient.Make (Halo_ckks.Ref_backend)
+        let manifest =
+          Ref_run.manifest ~every_n:every ~retain ~guard_every ~guard_margin
+            ~rescue ~rescue_margin ~max_rescues ~strategy ~bindings ~inputs
+            compiled
+        in
+        (match checkpoint_dir with
+         | Some dir ->
+           Ref_run.start ~dir manifest;
+           Printf.printf
+             "running %S with checkpoints in %s (every %d, retain %d)\n"
+             p.prog_name dir every retain
+         | None -> ());
+        match Ref_run.exec ?kill_after ?dir:checkpoint_dir manifest with
+        | exception Ref_run.Simulated_crash { writes } -> simulated_crash writes
+        | outcome, damaged ->
+          let outcome, verdict =
+            if not guard then (outcome, None)
+            else begin
+              let recompile s =
+                Strategy.compile ~bindings ~rotate_fuse:(not no_fuse)
+                  ~lazy_switch:(not no_lazy) ~strategy:s p
               in
-              let stats = Halo_runtime.Stats.create () in
-              let exec prog =
-                let st =
-                  Halo_ckks.Ref_backend.create ~slots:p.slots
-                    ~max_level:prog.Ir.max_level ~scale_bits:51 ()
-                in
-                let threshold =
-                  Noise_budget.threshold ~margin:guard_margin
-                    (Halo_runtime.Guard.analyze prog)
-                in
-                let mcfg =
-                  Halo_runtime.Noise_monitor.config ~rescue_margin
-                    ~max_rescues ~threshold ()
-                in
-                let monitor = Recover.M.create ~cfg:mcfg ~stats () in
-                match Recover.run ~monitor ~stats st ~bindings ~inputs prog with
-                | Recover.Complete { outputs; _ } -> outputs
-                | Recover.Degraded d ->
-                  failwith ("degraded: " ^ Recover.degraded_to_string d)
-              in
-              let verdict prog outs =
-                Halo_runtime.Guard.check ~margin:guard_margin prog
-                  ~reference:
-                    (Halo_runtime.Interp.reference ~bindings ~inputs prog)
-                  ~observed:outs
-              in
-              let outs = exec compiled in
-              if not guard then (outs, stats, None)
-              else
-                match verdict compiled outs with
-                | Halo_runtime.Guard.Breach _ as v -> (
-                  (* The triggering breach counts exactly once, even though
-                     the replanned run is guarded again below. *)
-                  Halo_runtime.Stats.record_guard_trip stats;
-                  match Strategy.safer strategy with
-                  | None -> (outs, stats, Some v)
-                  | Some s ->
-                    Printf.printf "  noise guard: %s\n"
-                      (Halo_runtime.Guard.verdict_to_string v);
-                    Printf.printf "  replanning under %s\n"
-                      (Strategy.to_string s);
-                    let replanned =
-                      Strategy.compile ~bindings ~rotate_fuse:(not no_fuse)
-                        ~lazy_switch:(not no_lazy) ~strategy:s p
-                    in
-                    Halo_runtime.Stats.record_replan stats;
-                    let outs = exec replanned in
-                    (outs, stats, Some (verdict replanned outs)))
-                | v -> (outs, stats, Some v)
+              let g = Ref_run.guard ~recompile manifest outcome in
+              Option.iter
+                (fun (breach, s) ->
+                  Printf.printf "  noise guard: %s\n"
+                    (Halo_runtime.Guard.verdict_to_string breach);
+                  Printf.printf "  replanning under %s\n"
+                    (Strategy.to_string s))
+                g.replan;
+              (g.outcome, g.verdict)
             end
-            else if guard then
-              let o, s, v =
-                Halo_runtime.Guard.run_ref ~margin:guard_margin ~bindings
-                  ~inputs compiled
-              in
-              (o, s, Some v)
-            else
-              let st =
-                Halo_ckks.Ref_backend.create ~slots:p.slots
-                  ~max_level:p.max_level ~scale_bits:51 ()
-              in
-              let o, s = Ref.run st ~bindings ~inputs compiled in
-              (o, s, None)
           in
-          Printf.printf "ran %S with seeded random inputs (seed %d)\n"
-            p.prog_name seed;
-          print_outputs outs;
-          Printf.printf "  %s\n" (Halo_runtime.Stats.to_string stats);
-          (match out with Some path -> write_outputs path outs | None -> ());
-          (match verdict with
-           | Some v ->
-             Printf.printf "  noise guard: %s\n"
-               (Halo_runtime.Guard.verdict_to_string v)
-           | None -> ());
-          0)
+          if checkpoint_dir = None then
+            Printf.printf "ran %S with seeded random inputs (seed %d)\n"
+              p.prog_name seed;
+          report_run ?out ?verdict (outcome, damaged))
   in
   let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED") in
   let guard_arg =
@@ -588,10 +511,9 @@ let resume_cmd =
           manifest.Persist.Codec.prog.prog_name dir manifest.strategy
           manifest.every_n manifest.retain;
         match Ref_run.exec ?kill_after ~dir ~resume:true manifest with
-        | result -> report_checkpointed ?out result
+        | result -> report_run ?out result
         | exception Ref_run.Simulated_crash { writes } ->
-          Printf.printf "simulated crash after %d checkpoint writes\n" writes;
-          exit 137)
+          simulated_crash writes)
   in
   let dir_arg =
     Arg.(
@@ -885,10 +807,7 @@ let serve_config ?(sup = Halo_serve.Serve_codec.default_sup)
     ~batch_window ~lane ~rotate_fuse ~backend_seed ~policy ~faults () =
   {
     Halo_serve.Serve_codec.backend =
-      {
-        (default_backend_cfg ~slots ~max_level) with
-        Persist.Codec.seed = backend_seed;
-      };
+      Ref_run.default_backend ~seed:backend_seed ~slots ~max_level ();
     queue_depth;
     batch_window;
     lane;
@@ -922,25 +841,20 @@ let serve_submit ?kill_after server reqs =
   Server.run_until_drained ?kill_after server;
   (!accepted, !rejected)
 
-(* The simulation holds every tenant's key (the workload derives them from
-   tenant ids), so the CLI can open each sealed result for display. *)
-let serve_opened server =
-  List.map
-    (fun (id, o) ->
-      match o with
-      | Server.Served { batch_key; lanes; sealed } ->
-        let outs =
-          List.map
-            (fun (s : Tenant.sealed) ->
-              Tenant.open_sealed
-                (Tenant.create ~id:s.Tenant.s_tenant
-                   ~key_seed:(Tenant.default_key_seed ~id:s.Tenant.s_tenant))
-                s)
-            sealed
-        in
-        (id, Ok (batch_key, lanes, outs))
-      | Server.Failed f -> (id, Error f))
-    (Server.results server)
+(* Two servers' opened results agree: same requests, batches and lanes,
+   bit-identical outputs, equal failures. *)
+let opened_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (ida, ra) (idb, rb) ->
+         ida = idb
+         &&
+         match (ra, rb) with
+         | Ok (ka, la, outa), Ok (kb, lb, outb) ->
+           ka = kb && la = lb && bit_identical outa outb
+         | Error (fa : Server.failure), Error fb -> fa = fb
+         | _ -> false)
+       a b
 
 let write_serve_outputs path opened =
   let buf = Buffer.create 4096 in
@@ -1122,7 +1036,7 @@ let serve_cmd =
                  d.dr_accepted d.dr_served d.dr_failed d.dr_clock_us
                  (List.length d.dr_quarantined)
              | None -> ());
-            let opened = serve_opened server in
+            let opened = Workload.opened server in
             if verbose then
               List.iter
                 (fun (id, r) ->
@@ -1383,19 +1297,6 @@ let serve_cmd =
 let serve_crash_soak ~trials ~seed ~dir ~kill_after ~verbose =
   let slots = 64 and max_level = 16 and lane = 8 in
   let clients = 6 and per_client = 4 in
-  let opened_equal a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (ida, ra) (idb, rb) ->
-           ida = idb
-           &&
-           match (ra, rb) with
-           | Ok (ka, la, outa), Ok (kb, lb, outb) ->
-             ka = kb && la = lb && bit_identical outa outb
-           | Error (fa : Server.failure), Error fb -> fa = fb
-           | _ -> false)
-         a b
-  in
   Printf.printf
     "serve crash soak: %d trials, %d clients x %d requests, kill after \
      %d+trial journal writes (dirs under %s)\n"
@@ -1424,7 +1325,7 @@ let serve_crash_soak ~trials ~seed ~dir ~kill_after ~verbose =
     in
     let r = Server.open_resume ~dir:dir_b in
     Server.run_until_drained r;
-    let same_out = opened_equal (serve_opened a) (serve_opened r) in
+    let same_out = opened_equal (Workload.opened a) (Workload.opened r) in
     let same_report =
       Server.report a = Server.report r
       && Halo_runtime.Stats.equal (Server.stats a) (Server.stats r)
@@ -1467,24 +1368,8 @@ let crash_soak (b : Halo_ml.Bench_def.t) ~strategy ~iters ~size ~trials ~seed
   for trial = 0 to trials - 1 do
     let inputs = b.gen_inputs ~seed:(seed + trial) ~size in
     let manifest =
-      {
-        Persist.Codec.prog = compiled;
-        strategy = Strategy.to_string strategy;
-        bindings;
-        inputs;
-        backend =
-          {
-            (default_backend_cfg ~slots ~max_level:compiled.max_level) with
-            Persist.Codec.seed = 1000 + trial;
-          };
-        every_n = 1;
-        retain = 4;
-        guard_every = 0;
-        guard_margin = Halo_runtime.Guard.margin ();
-        rescue = false;
-        rescue_margin = Halo_runtime.Noise_monitor.default_rescue_margin;
-        max_rescues = Halo_runtime.Noise_monitor.default_max_rescues;
-      }
+      Ref_run.manifest ~backend_seed:(1000 + trial) ~strategy ~bindings ~inputs
+        compiled
     in
     let dir_a = Filename.concat dir (Printf.sprintf "trial%d-baseline" trial) in
     let dir_b = Filename.concat dir (Printf.sprintf "trial%d-crashed" trial) in
@@ -1532,9 +1417,6 @@ let soak_cmd =
   let module Resilient = Halo_runtime.Resilient in
   let module Guard = Halo_runtime.Guard in
   let module Stats = Halo_runtime.Stats in
-  let module Faulty = Halo_runtime.Faults.Make (Halo_ckks.Ref_backend) in
-  let module Recover = Halo_runtime.Resilient.Make (Faulty) in
-  let module Ref = Halo_runtime.Interp.Make (Halo_ckks.Ref_backend) in
   let run serve name strategy iters size trials seed fault_rate boot_rate
       spike_rate spike_magnitude no_retry max_attempts kill_after
       checkpoint_dir guard_margin rescue rescue_margin max_rescues verbose =
@@ -1594,103 +1476,54 @@ let soak_cmd =
         trials iters size fault_rate boot_rate spike_rate
         (if no_retry then " [retries disabled]" else "")
         (if rescue then " [rescue enabled]" else "");
+      let recompile s =
+        Strategy.compile ~bindings ~strategy:s (b.build ~slots ~size)
+      in
       let recovered = ref 0 in
       let total = Stats.create () in
       for trial = 0 to trials - 1 do
-        let inputs = b.gen_inputs ~seed:(seed + trial) ~size in
-        (* Fault-free reference: the exact semantics, used both as the
-           recovery target and as the guard's reference. *)
-        let clean = Halo_runtime.Interp.reference ~bindings ~inputs compiled in
         let stats = Stats.create () in
-        let st =
-          Faulty.wrap
-            ~on_fault:(fun _ -> Stats.record_fault stats)
-            (Faults.config ~transient_prob:fault_rate ~bootstrap_prob:boot_rate
-               ~spike_prob:spike_rate ~spike_magnitude
-               ~seed:((seed * 7919) + trial)
-               ())
-            (Halo_ckks.Ref_backend.create ~seed:(1000 + trial) ~slots
-               ~max_level:compiled.max_level ~scale_bits:51 ())
+        let manifest =
+          Ref_run.manifest ~backend_seed:(1000 + trial) ~guard_margin ~rescue
+            ~rescue_margin ~max_rescues ~strategy ~bindings
+            ~inputs:(b.gen_inputs ~seed:(seed + trial) ~size)
+            compiled
         in
-        let report outcome detail =
-          if verbose || outcome <> "recovered" then
-            Printf.printf "  trial %2d: %s (%d faults, %d retries, %d \
-                           restores)%s\n"
-              trial outcome stats.Stats.injected_faults stats.Stats.retries
-              stats.Stats.checkpoint_restores detail
+        let faults =
+          Faults.config ~transient_prob:fault_rate ~bootstrap_prob:boot_rate
+            ~spike_prob:spike_rate ~spike_magnitude
+            ~seed:((seed * 7919) + trial)
+            ()
         in
-        (* Runtime noise monitor: same threshold the decrypt-time guard
-           below checks against, so a rescue fires exactly when an injected
-           spike (or genuine drift) eats into the guarded headroom. *)
-        let monitor =
-          if not rescue then None
-          else begin
-            let threshold =
-              Noise_budget.threshold ~margin:guard_margin
-                (Guard.analyze compiled)
-            in
-            let mcfg =
-              Halo_runtime.Noise_monitor.config ~rescue_margin ~max_rescues
-                ~threshold ()
-            in
-            Some (Recover.M.create ~cfg:mcfg ~stats ())
-          end
+        (* A breach under rescue replans on a fault-free executor: the
+           injector models this trial's hostile environment, the replan a
+           hand-off to a healthy one. *)
+        let g =
+          Ref_run.guard ~recompile manifest
+            (fst (Ref_run.exec ~faults ~policy ~stats manifest))
         in
-        (* Conservative replan: a run that still breaches after rescue is
-           re-executed once under the next-safer strategy on a fresh,
-           fault-free backend (the injector models this trial's hostile
-           environment; the replan models handing the request to a healthy
-           executor), guarded against the replanned program's own exact
-           reference. *)
-        let replan v =
-          match Strategy.safer strategy with
-          | Some s when rescue ->
-            (* The triggering breach counts exactly once, even though the
-               replanned run is guarded again. *)
-            Stats.record_guard_trip stats;
-            let replanned =
-              Strategy.compile ~bindings ~strategy:s (b.build ~slots ~size)
-            in
-            let clean2 =
-              Halo_runtime.Interp.reference ~bindings ~inputs replanned
-            in
-            Stats.record_replan stats;
-            let outs2, rstats =
-              Ref.run
-                (Halo_ckks.Ref_backend.create ~seed:(1000 + trial) ~slots
-                   ~max_level:replanned.Ir.max_level ~scale_bits:51 ())
-                ~bindings ~inputs replanned
-            in
-            Stats.merge ~into:stats rstats;
-            (match
-               Guard.check ~margin:guard_margin replanned ~reference:clean2
-                 ~observed:outs2
-             with
-             | Guard.Breach _ as v2 ->
-               report "guard breach"
-                 (" after replan " ^ Guard.verdict_to_string v2)
-             | v2 ->
-               incr recovered;
-               report "recovered"
-                 (Printf.sprintf " replanned under %s, guard: %s"
-                    (Strategy.to_string s)
-                    (Guard.verdict_to_string v2)))
-          | _ -> report "guard breach" (" " ^ Guard.verdict_to_string v)
+        let guard =
+          Option.fold ~none:"" ~some:Guard.verdict_to_string g.verdict
         in
-        (match Recover.run ~policy ?monitor ~stats st ~bindings ~inputs
-                 compiled
-         with
-         | Recover.Complete { outputs; _ } -> (
-           match
-             Guard.check ~margin:guard_margin compiled ~reference:clean
-               ~observed:outputs
-           with
-           | Guard.Breach _ as v -> replan v
-           | v ->
-             incr recovered;
-             report "recovered" (" guard: " ^ Guard.verdict_to_string v))
-         | Recover.Degraded d ->
-           report "degraded" (" " ^ Recover.degraded_to_string d));
+        let status, detail =
+          match (g.outcome, g.verdict, g.replan) with
+          | Ref_run.Rec.R.Degraded d, _, _ ->
+            ("degraded", " " ^ Ref_run.Rec.R.degraded_to_string d)
+          | _, Some (Guard.Breach _), None -> ("guard breach", " " ^ guard)
+          | _, Some (Guard.Breach _), Some _ ->
+            ("guard breach", " after replan " ^ guard)
+          | _, _, None -> ("recovered", " guard: " ^ guard)
+          | _, _, Some (_, s) ->
+            ( "recovered",
+              Printf.sprintf " replanned under %s, guard: %s"
+                (Strategy.to_string s) guard )
+        in
+        if status = "recovered" then incr recovered;
+        if verbose || status <> "recovered" then
+          Printf.printf
+            "  trial %2d: %s (%d faults, %d retries, %d restores)%s\n" trial
+            status stats.Stats.injected_faults stats.Stats.retries
+            stats.Stats.checkpoint_restores detail;
         Stats.merge ~into:total stats
       done;
       Printf.printf
@@ -1875,19 +1708,6 @@ let chaos_soak ~trials ~rounds ~clients ~per_client ~seed ~dir ~kill_after
       (round_reqs trial r)
   in
   let chaos_path d = Filename.concat d "chaos.halo" in
-  let opened_equal a b =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (ida, ra) (idb, rb) ->
-           ida = idb
-           &&
-           match (ra, rb) with
-           | Ok (ka, la, outa), Ok (kb, lb, outb) ->
-             ka = kb && la = lb && bit_identical outa outb
-           | Error (fa : Server.failure), Error fb -> fa = fb
-           | _ -> false)
-         a b
-  in
   Printf.printf
     "chaos soak: %d trials, %d rounds x %d clients x %d requests, tenant 0 \
      poisoned, kill after %d+3*trial journal writes (dirs under %s)\n"
@@ -1940,7 +1760,7 @@ let chaos_soak ~trials ~rounds ~clients ~per_client ~seed ~dir ~kill_after
       && List.length (Server.results s) = c.Server.accepted
     in
     let no_lost = complete (a, ca) && complete (b, cb) in
-    let same_opened = opened_equal (serve_opened a) (serve_opened b) in
+    let same_opened = opened_equal (Workload.opened a) (Workload.opened b) in
     let same_stats =
       Halo_runtime.Stats.equal (Server.stats a) (Server.stats b)
     in

@@ -1,20 +1,49 @@
-(** Checkpointed execution driver for the reference backend: the glue used
-    by [halo_cli run --checkpoint-dir], [halo_cli resume], the crash-recovery
-    soak mode and the test suite.
+(** The reference-backend execution driver: the one path from a compiled
+    program to an execution, used by [halo_cli run] (every flag
+    combination), [halo_cli resume], both benchmark soaks and the tests.
 
-    A checkpoint directory holds a [manifest.halo] (everything needed to
-    restart: compiled program, bindings, input vectors, backend
-    configuration, cadences) and a [journal/] of checkpoint entries.  All
-    writes are atomic and fsynced ({!Store}), so the directory is valid
-    after a kill at any instant. *)
+    {!exec} runs a {!Codec.manifest} under the resilient runtime,
+    optionally journaled, optionally fault-injected; {!guard} checks the
+    decrypted outputs and replans on a breach.  A checkpoint directory
+    holds a [manifest.halo] and a [journal/] of entries, all written
+    atomically and fsynced ({!Store}), so it is valid after a kill at any
+    instant. *)
 
-module Rec : module type of Recovery.Make (Halo_ckks.Ref_backend)
+module Faulty : module type of Halo_runtime.Faults.Make (Halo_ckks.Ref_backend)
+(** The reference backend behind the fault injector (invisible when it
+    injects nothing). *)
+
+module Rec : module type of Recovery.Make (Faulty)
 
 exception Simulated_crash of { writes : int }
 (** Raised (when [kill_after] is set) right after the [writes]-th durable
     checkpoint append — from the process's point of view an abrupt abort,
     from the journal's point of view indistinguishable from a SIGKILL,
     since every preceding append is already fsynced. *)
+
+val default_backend :
+  ?seed:int -> slots:int -> max_level:int -> unit -> Codec.backend_cfg
+(** [Halo_ckks.Ref_backend.create]'s defaults (seed [0xB00], 51 scale
+    bits, calibrated noise knobs) at the given geometry. *)
+
+val manifest :
+  ?backend_seed:int ->
+  ?every_n:int ->
+  ?retain:int ->
+  ?guard_every:int ->
+  ?guard_margin:float ->
+  ?rescue:bool ->
+  ?rescue_margin:float ->
+  ?max_rescues:int ->
+  strategy:Halo.Strategy.t ->
+  bindings:(string * int) list ->
+  inputs:(string * float array) list ->
+  Halo.Ir.program ->
+  Codec.manifest
+(** The compiled program on {!default_backend} at its own geometry.
+    Defaults: checkpoint every iteration, retain 4, no in-loop guard,
+    {!Halo_runtime.Guard.margin}[ ()], monitor off with the
+    {!Halo_runtime.Noise_monitor} defaults. *)
 
 val manifest_path : string -> string
 (** [<dir>/manifest.halo] *)
@@ -28,28 +57,54 @@ val rescue_path : string -> int -> string
 
 val start : dir:string -> Codec.manifest -> unit
 (** Create the directory structure and durably write the manifest.  Must be
-    called once before the first {!exec} on a fresh directory. *)
+    called once before the first journaled {!exec} on a fresh directory. *)
 
 val load : dir:string -> Codec.manifest
 (** Load and validate the manifest of an existing checkpoint directory. *)
 
 val exec :
+  ?faults:Halo_runtime.Faults.config ->
+  ?policy:Halo_runtime.Resilient.policy ->
+  ?stats:Halo_runtime.Stats.t ->
   ?kill_after:int ->
-  dir:string ->
-  resume:bool ->
+  ?dir:string ->
+  ?resume:bool ->
   Codec.manifest ->
   Rec.R.outcome * (string * string) list
-(** Run the manifest's program under the resilient runtime with the journal
-    sink attached (and the in-loop guard, when [manifest.guard_every > 0];
-    and the runtime noise monitor, when [manifest.rescue] — each fired
-    rescue bootstrap is journaled to {!rescue_path} keyed by its sequence
-    number, so kill/resume leaves byte-identical rescue records).
+(** Run the manifest's program under the resilient runtime, with the
+    in-loop guard when [manifest.guard_every > 0] and the noise monitor
+    when [manifest.rescue].  [stats] (fresh by default) receives every
+    counter, one [injected_faults] per fault of [faults] included.
 
-    With [resume:true] the journal is scanned first: each top-level loop
-    fast-forwards to its newest intact entry, and damaged entries are
-    returned as [(filename, reason)] warnings — never an exception.  With
-    [resume:false] existing entries are ignored (a fresh run re-executes
-    from the start and overwrites the journal by retention).
+    With [dir] the journal sink is attached and each fired rescue is
+    journaled to {!rescue_path} under its sequence number, so kill/resume
+    leaves byte-identical rescue records.  [resume:true] scans the journal
+    first: each top-level loop fast-forwards to its newest intact entry,
+    and damaged entries come back as [(filename, reason)] warnings, never
+    an exception.  [kill_after] raises {!Simulated_crash} after that many
+    checkpoint appends (restored writes count).  Without [dir] nothing
+    touches the disk.
 
-    [kill_after] simulates a crash by raising {!Simulated_crash} after that
-    many checkpoint appends (counting restored writes on resume). *)
+    Raises [Invalid_argument] for [faults] with [dir] (the journal does
+    not checkpoint the injector's RNG) and for [kill_after] or
+    [resume:true] without [dir]. *)
+
+type guarded = {
+  outcome : Rec.R.outcome;  (** the replanned run's, if it replanned *)
+  verdict : Halo_runtime.Guard.verdict option;  (** [None] when degraded *)
+  replan : (Halo_runtime.Guard.verdict * Halo.Strategy.t) option;
+      (** the breach that triggered a replan, and its strategy *)
+}
+
+val guard :
+  recompile:(Halo.Strategy.t -> Halo.Ir.program) ->
+  Codec.manifest ->
+  Rec.R.outcome ->
+  guarded
+(** Decrypt-time guard of an {!exec} outcome against
+    {!Halo_runtime.Interp.reference} at [manifest.guard_margin].  On a
+    [Breach] with [manifest.rescue] it records one [guard_trips]; if
+    [manifest.strategy] has a {!Halo.Strategy.safer} rung, [recompile]
+    builds the program under it, one [replans] is recorded, and {!exec}
+    re-runs it fault-free, in memory and monitored, counting into the
+    outcome's statistics.  A degraded outcome passes through. *)

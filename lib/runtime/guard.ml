@@ -22,8 +22,6 @@ let verdict_to_string = function
        (observed error %.3e unchecked)"
       observed
 
-let analyze ?units p = Noise_budget.analyze ?units p
-
 let default_margin = 10.0
 
 (* The effective margin: [HALO_GUARD_MARGIN] overrides the default so every
@@ -71,15 +69,3 @@ let check ?units ?margin:margin_opt p ~reference ~observed =
     | None ->
       Healthy
         { observed = !worst; bound = report.Noise_budget.worst *. margin }
-
-module R = Interp.Make (Halo_ckks.Ref_backend)
-
-let run_ref ?units ?margin ?backend_seed ?(scale_bits = 51) ?(bindings = [])
-    ~inputs p =
-  let st =
-    Halo_ckks.Ref_backend.create ?seed:backend_seed ~slots:p.Ir.slots
-      ~max_level:p.Ir.max_level ~scale_bits ()
-  in
-  let observed, stats = R.run st ~bindings ~inputs p in
-  let reference = Interp.reference ~bindings ~inputs p in
-  (observed, stats, check ?units ?margin p ~reference ~observed)

@@ -8,7 +8,10 @@ let default_rescue_margin = 2.0
 let default_max_rescues = 4
 
 let config ?(rescue_margin = default_rescue_margin)
-    ?(max_rescues = default_max_rescues) ~threshold () =
+    ?(max_rescues = default_max_rescues) ~margin prog =
+  let threshold =
+    Halo.Noise_budget.threshold ~margin (Halo.Noise_budget.analyze prog)
+  in
   if not (threshold > 0.0) then
     invalid_arg "Noise_monitor.config: threshold must be positive";
   if not (rescue_margin >= 1.0) then

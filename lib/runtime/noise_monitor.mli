@@ -25,7 +25,7 @@
 
 type config = {
   threshold : float;
-      (** the largest estimate tolerable at decrypt — normally
+      (** the largest estimate tolerable at decrypt:
           {!Halo.Noise_budget.threshold} of the compiled program *)
   rescue_margin : float;
       (** fire when [threshold / estimate] drops below this *)
@@ -41,10 +41,14 @@ val default_max_rescues : int
 (** [4] *)
 
 val config :
-  ?rescue_margin:float -> ?max_rescues:int -> threshold:float -> unit ->
-  config
-(** Raises [Invalid_argument] on a non-positive threshold, a margin below
-    [1.0] or a negative budget. *)
+  ?rescue_margin:float -> ?max_rescues:int -> margin:float ->
+  Halo.Ir.program -> config
+(** The monitor for a compiled program: [threshold] is
+    {!Halo.Noise_budget.threshold} of its static analysis at the guard
+    [margin], so a rescue defends exactly the headroom the decrypt-time
+    guard checks.  Raises [Invalid_argument] on a non-positive threshold
+    (e.g. a non-positive [margin]), a rescue margin below [1.0] or a
+    negative budget. *)
 
 type rescue_event = {
   r_seq : int;  (** 0-based rescue sequence number within the run *)

@@ -211,7 +211,7 @@ let compile_def (cfg : Codec.config) (def : Codec.prog_def) =
     solo;
     outputs = List.length solo.body.yields;
     can_batch = Slot_batch.slotwise solo;
-    bound = Guard.analyze solo;
+    bound = Noise_budget.analyze solo;
     wrappers = Hashtbl.create 4;
     safer;
   }
@@ -640,17 +640,13 @@ let exec_batch (cfg : Codec.config) (b : batch) =
      the monitor-off server. *)
   let monitor =
     if not cfg.sup.s_rescue then None
-    else begin
-      let threshold =
-        Noise_budget.threshold ~margin:cfg.margin (Guard.analyze prog)
-      in
+    else
       let mcfg =
         Halo_runtime.Noise_monitor.config
           ~rescue_margin:cfg.sup.s_rescue_margin
-          ~max_rescues:cfg.sup.s_max_rescues ~threshold ()
+          ~max_rescues:cfg.sup.s_max_rescues ~margin:cfg.margin prog
       in
       Some (Recover.M.create ~cfg:mcfg ~stats ())
-    end
   in
   let status =
     match

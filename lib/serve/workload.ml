@@ -69,3 +69,20 @@ let requests ?(mix = batchable_names) ~seed ~clients ~per_client ~lane () =
                w_payload = [ ("x", v) ];
                w_tol = infinity;
              })))
+
+let opened server =
+  let key (s : Tenant.sealed) =
+    Tenant.create ~id:s.s_tenant
+      ~key_seed:(Tenant.default_key_seed ~id:s.s_tenant)
+  in
+  List.map
+    (fun (id, o) ->
+      match o with
+      | Server.Served { batch_key; lanes; sealed } ->
+        ( id,
+          Ok
+            ( batch_key,
+              lanes,
+              List.map (fun s -> Tenant.open_sealed (key s) s) sealed ) )
+      | Server.Failed f -> (id, Error f))
+    (Server.results server)

@@ -50,3 +50,11 @@ val requests :
     with {!Tenant.default_key_seed}.  Programs cycle through [mix]
     (default {!batchable_names}); vector sizes are seeded-random in
     [[1, lane]] with ragged tails, values in [[-1, 1]].  Pure in [seed]. *)
+
+val opened :
+  Server.t ->
+  (int * (int * int * float array list, Server.failure) result) list
+(** {!Server.results} with every served request's outputs opened under
+    its tenant's {!Tenant.default_key_seed} key — the keys the simulated
+    clients hold: [(request id, Ok (batch key, lanes, outputs))] or the
+    failure. *)

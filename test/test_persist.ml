@@ -729,6 +729,145 @@ let test_guard_trips_survive_resume () =
     (Ref_run.exec ~dir ~resume:true m);
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* The driver without a journal                                        *)
+(* ------------------------------------------------------------------ *)
+
+let markov_program () =
+  Parser.parse_program
+    {|program "markov" slots=64 level=16 {
+  input %0 "distribution" cipher size=4
+  %1 = const [0.9, 0.8, 0.7, 0.6] size=4
+  %2 = const [0.1, 0.2, 0.3, 0.4] size=4
+  %4 = for K init(%0) {
+    ^(%3):
+    %5 = mul %3, %1
+    %6 = rotate %3, 1
+    %7 = mul %6, %2
+    %8 = add %5, %7
+    yield %8
+  }
+  output %4
+}|}
+
+let markov_inputs = [ ("distribution", [| 0.4; 0.3; 0.2; 0.1 |]) ]
+
+module Ref_interp = Halo_runtime.Interp.Make (Ref_backend)
+
+let test_exec_in_memory_is_interp () =
+  (* Without a directory the driver is the interpreter behind an idle
+     resilient runtime and, with or without an empty fault config, a
+     fault injector that draws nothing: outputs and every counter must
+     match a bare interpreter run bit for bit. *)
+  let lin = Halo_ml.Linear_reg.benchmark in
+  let cases =
+    [
+      ( lin.Halo_ml.Bench_def.build ~slots:64 ~size:16,
+        Halo_ml.Workloads.default_bindings lin ~iters:4,
+        lin.Halo_ml.Bench_def.gen_inputs ~seed:3 ~size:16 );
+      (markov_program (), [ ("K", 25) ], markov_inputs);
+    ]
+  in
+  List.iter
+    (fun (traced, bindings, inputs) ->
+      List.iter
+        (fun strategy ->
+          let prog = Strategy.compile ~bindings ~strategy traced in
+          let name =
+            Printf.sprintf "%s/%s" prog.Ir.prog_name
+              (Strategy.to_string strategy)
+          in
+          let outs, stats =
+            Ref_interp.run
+              (Ref_backend.create ~slots:prog.slots ~max_level:prog.max_level
+                 ~scale_bits:51 ())
+              ~bindings ~inputs prog
+          in
+          let m = Ref_run.manifest ~strategy ~bindings ~inputs prog in
+          List.iter
+            (fun (how, faults) ->
+              let outcome, damaged = Ref_run.exec ?faults m in
+              Alcotest.(check int) (name ^ how ^ ": no journal") 0
+                (List.length damaged);
+              let outs', stats' = complete outcome in
+              Alcotest.(check bool)
+                (name ^ how ^ ": outputs bit-identical")
+                true (bits_identical outs outs');
+              Alcotest.check stats_t (name ^ how ^ ": statistics identical")
+                stats stats')
+            [
+              ("", None);
+              ( " with empty faults",
+                Some (Halo_runtime.Faults.config ~seed:0 ()) );
+            ])
+        Strategy.all)
+    cases
+
+let test_guard_after_checkpointed_run () =
+  (* [run --guard --checkpoint-dir]: the decrypt-time verdict, and the
+     replan a breach triggers under rescue, must not depend on whether the
+     run was journaled.  A margin of 0.01 forces the breach. *)
+  let traced = markov_program () and bindings = [ ("K", 25) ] in
+  let recompile strategy = Strategy.compile ~bindings ~strategy traced in
+  List.iter
+    (fun guard_margin ->
+      let m =
+        Ref_run.manifest ~guard_margin ~rescue:true ~strategy:Strategy.Halo
+          ~bindings ~inputs:markov_inputs
+          (recompile Strategy.Halo)
+      in
+      let dir = fresh_dir "guarded" in
+      Ref_run.start ~dir m;
+      let journaled = Ref_run.guard ~recompile m (fst (Ref_run.exec ~dir m)) in
+      let in_memory = Ref_run.guard ~recompile m (fst (Ref_run.exec m)) in
+      let name = Printf.sprintf "margin %g" guard_margin in
+      let show (g : Ref_run.guarded) =
+        ( Option.map Halo_runtime.Guard.verdict_to_string g.verdict,
+          Option.map
+            (fun (v, s) ->
+              Halo_runtime.Guard.verdict_to_string v ^ " -> "
+              ^ Strategy.to_string s)
+            g.replan )
+      in
+      Alcotest.(check bool) (name ^ ": replans iff the margin is tight")
+        (guard_margin < 1.0) (in_memory.replan <> None);
+      Alcotest.(check (pair (option string) (option string)))
+        (name ^ ": same verdict and replan") (show in_memory) (show journaled);
+      let outs, _ = complete in_memory.outcome in
+      let outs', _ = complete journaled.outcome in
+      Alcotest.(check bool) (name ^ ": same outputs") true
+        (bits_identical outs outs');
+      rm_rf dir)
+    [ Halo_runtime.Guard.default_margin; 0.01 ]
+
+let test_exec_without_dir () =
+  (* The in-loop guard needs no journal: [run --guard-every] without a
+     directory counts the trips the journaled run counts.  A kill needs a
+     journal to count writes in, and the injector's RNG is not journaled,
+     so both are refused. *)
+  let m =
+    manifest ~guard_every:1
+      ~bindings:[ ("K", 12) ]
+      ~inputs:[ ("x", Array.make 8 10.0) ]
+      (overflow_program ())
+  in
+  let _, journaled = baseline m in
+  let _, stats = complete (fst (Ref_run.exec m)) in
+  Alcotest.(check bool) "the guard tripped" true (stats.Stats.guard_trips > 0);
+  Alcotest.(check int) "same trips as the journaled run"
+    journaled.Stats.guard_trips stats.Stats.guard_trips;
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s was accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "kill_after without a directory" (fun () ->
+      Ref_run.exec ~kill_after:1 m);
+  refused "resume without a directory" (fun () -> Ref_run.exec ~resume:true m);
+  refused "faults with a directory" (fun () ->
+      Ref_run.exec ~faults:(Halo_runtime.Faults.config ~seed:0 ())
+        ~dir:(fresh_dir "faulty") m)
+
 let () =
   Alcotest.run "halo_persist"
     [
@@ -780,5 +919,14 @@ let () =
             test_manifest_reload_round;
           Alcotest.test_case "guard trips survive resume" `Quick
             test_guard_trips_survive_resume;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "in-memory exec is the interpreter" `Quick
+            test_exec_in_memory_is_interp;
+          Alcotest.test_case "guard after a checkpointed run" `Quick
+            test_guard_after_checkpointed_run;
+          Alcotest.test_case "in-loop guard without a journal" `Quick
+            test_exec_without_dir;
         ] );
     ]

@@ -42,18 +42,19 @@ let backend ?seed (p : Ir.program) =
   Halo_ckks.Ref_backend.create ?seed ~slots:p.slots ~max_level:p.max_level
     ~scale_bits:51 ()
 
-let threshold ?(margin = Guard.default_margin) p =
-  Noise_budget.threshold ~margin (Guard.analyze p)
-
-let monitor_cfg ?margin ?(rescue_margin = Monitor.default_rescue_margin)
-    ?(max_rescues = Monitor.default_max_rescues) p =
-  Monitor.config ~rescue_margin ~max_rescues ~threshold:(threshold ?margin p)
-    ()
+let monitor_cfg p = Monitor.config ~margin:Guard.default_margin p
 
 let complete = function
   | Recover.Complete { outputs; stats } -> (outputs, stats)
   | Recover.Degraded d ->
     Alcotest.failf "unexpected degradation: %s" (Recover.degraded_to_string d)
+
+let run_complete outcome =
+  match outcome with
+  | Ref_run.Rec.R.Complete { outputs; stats } -> (outputs, stats)
+  | Ref_run.Rec.R.Degraded d ->
+    Alcotest.failf "unexpected degradation: %s"
+      (Ref_run.Rec.R.degraded_to_string d)
 
 let bit_identical a b =
   List.length a = List.length b
@@ -148,53 +149,47 @@ let test_replan_ladder_descends () =
 
 let test_breach_recovers_under_replan () =
   (* A large spike corrupts the payload itself, which no rescue bootstrap
-     can clean: the run breaches at decrypt.  Recompiling one rung down the
-     ladder and re-executing fault-free must produce a healthy verdict —
-     the end-to-end story the CLI soak drives.  Uses the linear benchmark
-     because its static analysis is bounded under every ladder rung, so the
-     guard emits a real Breach rather than an Unbounded shrug. *)
+     can clean: the run breaches at decrypt.  The driver's guard must
+     recompile one rung down the ladder, re-execute fault-free and come
+     back healthy — the code path [halo_cli run --rescue --guard] and the
+     fault soak both take.  Uses the linear benchmark because its static
+     analysis is bounded under every ladder rung, so the guard emits a real
+     Breach rather than an Unbounded shrug. *)
   let size = 16 in
   let bench = Halo_ml.Linear_reg.benchmark in
   let traced = bench.Halo_ml.Bench_def.build ~slots:64 ~size in
-  let lin_bindings = [ ("iters", 8) ] in
-  let inputs = bench.Halo_ml.Bench_def.gen_inputs ~seed:5 ~size in
-  let noiseless p =
-    let z = Some 0.0 in
-    Halo_ckks.Ref_backend.create ?enc_noise:z ?mult_noise:z ?boot_noise:z
-      ?rescale_noise:z ~slots:p.Ir.slots ~max_level:p.Ir.max_level
-      ~scale_bits:51 ()
+  let m =
+    Ref_run.manifest ~backend_seed:42 ~guard_margin:Guard.default_margin
+      ~rescue:true ~strategy:Strategy.Halo
+      ~bindings:[ ("iters", 8) ]
+      ~inputs:(bench.Halo_ml.Bench_def.gen_inputs ~seed:5 ~size)
+      (Strategy.compile ~strategy:Strategy.Halo traced)
   in
-  let p = Strategy.compile ~strategy:Strategy.Halo traced in
-  let stats = Stats.create () in
-  let st =
-    Faulty.wrap
-      (Faults.config
-         ~schedule:[ { Faults.at = 20; kind = Faults.Noise_spike } ]
-         ~spike_magnitude:5e-2 ~seed:3 ())
-      (backend ~seed:42 p)
+  let faults =
+    Faults.config
+      ~schedule:[ { Faults.at = 20; kind = Faults.Noise_spike } ]
+      ~spike_magnitude:5e-2 ~seed:3 ()
   in
-  let monitor = PM.create ~cfg:(monitor_cfg p) ~stats () in
-  let outcome =
-    Recover.run ~monitor ~stats st ~bindings:lin_bindings ~inputs p
-  in
-  let outs, _ = complete outcome in
-  let reference, _ = R.run (noiseless p) ~bindings:lin_bindings ~inputs p in
-  (match Guard.check p ~reference ~observed:outs with
-   | Guard.Breach _ -> ()
-   | v ->
-     Alcotest.failf "expected a breach from the spiked run, got %s"
-       (Guard.verdict_to_string v));
-  match Strategy.safer Strategy.Halo with
-  | None -> Alcotest.fail "no safer strategy below halo"
-  | Some s ->
-    let p' = Strategy.compile ~strategy:s traced in
-    let outs', _, verdict =
-      Guard.run_ref ~backend_seed:42 ~bindings:lin_bindings ~inputs p'
-    in
-    Alcotest.(check bool) "replanned run is healthy" true
-      (Guard.healthy verdict);
-    Alcotest.(check int) "replanned outputs intact" (List.length outs)
-      (List.length outs')
+  let spiked, _ = Ref_run.exec ~faults m in
+  let spiked_outs, _ = run_complete spiked in
+  let recompile s = Strategy.compile ~strategy:s traced in
+  let g = Ref_run.guard ~recompile m spiked in
+  (match g.Ref_run.replan with
+   | Some (Guard.Breach _, s) ->
+     Alcotest.(check string) "replanned one rung down" "packing+unrolling"
+       (Strategy.to_string s)
+   | Some (v, _) ->
+     Alcotest.failf "replanned on a non-breach: %s" (Guard.verdict_to_string v)
+   | None -> Alcotest.fail "expected the spiked run to breach and replan");
+  (match g.Ref_run.verdict with
+   | Some v ->
+     Alcotest.(check bool) "replanned run is healthy" true (Guard.healthy v)
+   | None -> Alcotest.fail "replanned run degraded");
+  let outs, stats = run_complete g.Ref_run.outcome in
+  Alcotest.(check int) "one guard trip" 1 stats.Stats.guard_trips;
+  Alcotest.(check int) "one replan" 1 stats.Stats.replans;
+  Alcotest.(check int) "replanned outputs intact" (List.length spiked_outs)
+    (List.length outs)
 
 (* ------------------------------------------------------------------ *)
 (* Kill/resume reproducibility of the rescue journal                   *)
@@ -253,13 +248,6 @@ let rescue_frames dir =
   |> List.filter (fun f -> String.length f > 7 && String.sub f 0 7 = "rescue-")
   |> List.sort compare
   |> List.map (fun f -> (f, read_file (Filename.concat jdir f)))
-
-let run_complete outcome =
-  match outcome with
-  | Ref_run.Rec.R.Complete { outputs; stats } -> (outputs, stats)
-  | Ref_run.Rec.R.Degraded d ->
-    Alcotest.failf "unexpected degradation: %s"
-      (Ref_run.Rec.R.degraded_to_string d)
 
 let test_rescue_kill_resume_identical () =
   let p = training_program () in

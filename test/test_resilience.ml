@@ -11,6 +11,7 @@ module Faulty = Halo_runtime.Faults.Make (Halo_ckks.Ref_backend)
 module Recover = Halo_runtime.Resilient.Make (Faulty)
 module R = Halo_runtime.Interp.Make (Halo_ckks.Ref_backend)
 module Oracle = Halo_verify.Oracle
+module Ref_run = Halo_persist.Ref_run
 
 let dyn name = Ir.Dyn { name; add = 0; div = 1; rem = false }
 
@@ -247,14 +248,25 @@ let test_checkpoint_restore_bit_identical () =
 
 let test_guard_healthy () =
   let p = squaring_program () in
-  let outs, _, verdict =
-    Guard.run_ref ~bindings ~inputs:[ ("x", x_input ()) ] p
+  let m =
+    Ref_run.manifest ~strategy:Strategy.Packing ~bindings
+      ~inputs:[ ("x", x_input ()) ]
+      p
   in
-  Alcotest.(check bool) "outputs produced" true (outs <> []);
-  match verdict with
-  | Guard.Healthy { observed; bound } ->
+  let recompile _ = Alcotest.fail "no replan without rescue" in
+  let g = Ref_run.guard ~recompile m (fst (Ref_run.exec m)) in
+  (match g.Ref_run.outcome with
+   | Ref_run.Rec.R.Complete { outputs; _ } ->
+     Alcotest.(check bool) "outputs produced" true (outputs <> [])
+   | Ref_run.Rec.R.Degraded d ->
+     Alcotest.failf "unexpected degradation: %s"
+       (Ref_run.Rec.R.degraded_to_string d));
+  match g.Ref_run.verdict with
+  | Some (Guard.Healthy { observed; bound }) ->
     Alcotest.(check bool) "observed below bound" true (observed < bound)
-  | v -> Alcotest.failf "expected Healthy, got %s" (Guard.verdict_to_string v)
+  | Some v ->
+    Alcotest.failf "expected Healthy, got %s" (Guard.verdict_to_string v)
+  | None -> Alcotest.fail "no verdict"
 
 let test_guard_breach () =
   (* Corrupt one slot of the decrypted outputs far beyond the bound: the

@@ -99,23 +99,6 @@ let submit_ok server (w : Workload.req) =
 
 let submit_all server reqs = List.map (submit_ok server) reqs
 
-(* Open every served result with its tenant's (workload-default) key. *)
-let opened server =
-  List.map
-    (fun (id, o) ->
-      match o with
-      | Server.Served { batch_key; lanes; sealed } ->
-        ( id,
-          Ok
-            ( batch_key,
-              lanes,
-              List.map
-                (fun (s : Tenant.sealed) ->
-                  Tenant.open_sealed (tenant s.Tenant.s_tenant) s)
-                sealed ) )
-      | Server.Failed f -> (id, Error f))
-    (Server.results server)
-
 let arrays_bit_equal (a : float array) (b : float array) =
   Array.length a = Array.length b
   && Array.for_all2
@@ -188,8 +171,8 @@ let test_batched_vs_solo_bit_identity () =
         (fun x y ->
           if not (arrays_bit_equal x y) then
             Alcotest.failf "request %d: batched and solo outputs differ" ida)
-        (outputs_of ida (opened batched))
-        (outputs_of idb (opened solo)))
+        (outputs_of ida (Workload.opened batched))
+        (outputs_of idb (Workload.opened solo)))
     (Server.results batched) (Server.results solo)
 
 let test_batched_matches_reference () =
@@ -197,7 +180,7 @@ let test_batched_matches_reference () =
   let server = mk_server () in
   let ids = submit_all server reqs in
   drain server;
-  let results = opened server in
+  let results = Workload.opened server in
   List.iter2
     (fun id (w : Workload.req) ->
       let rsize =
@@ -249,7 +232,7 @@ let test_ragged_final_batch () =
         (fun got want ->
           if not (arrays_bit_equal got want) then
             Alcotest.failf "ragged request %d deviates from reference" id)
-        (outputs_of id (opened server))
+        (outputs_of id (Workload.opened server))
         expected)
     ids
 
@@ -313,7 +296,7 @@ let test_oversized_request_served_solo () =
     (fun got want ->
       if not (arrays_bit_equal got want) then
         Alcotest.fail "oversized request deviates from reference")
-    (outputs_of id_wide (opened server))
+    (outputs_of id_wide (Workload.opened server))
     expected
 
 (* ------------------------------------------------------------------ *)
@@ -474,7 +457,7 @@ let test_pool_size_invariance () =
       (submit_all server
          (Workload.requests ~seed:31 ~clients:6 ~per_client:2 ~lane ()));
     drain server;
-    (opened server, Server.report server)
+    (Workload.opened server, Server.report server)
   in
   let par, par_report = serve () in
   let seq, seq_report = Domain_pool.sequentially serve in
@@ -519,7 +502,7 @@ let serve_workload ?kill_after ~dir ~seed () =
 let test_kill_anywhere_resume_bit_identical () =
   let dir_a = fresh_dir "serve-baseline" in
   let baseline = serve_workload ~dir:dir_a ~seed:47 () in
-  let base_opened = opened baseline and base_report = Server.report baseline in
+  let base_opened = Workload.opened baseline and base_report = Server.report baseline in
   let total_batches = (Server.counters baseline).Server.batches in
   Alcotest.(check bool) "workload spans several batches" true
     (total_batches >= 3);
@@ -541,7 +524,7 @@ let test_kill_anywhere_resume_bit_identical () =
     Server.run_until_drained resumed;
     check_outputs_equal
       (Printf.sprintf "kill after %d writes" k)
-      base_opened (opened resumed);
+      base_opened (Workload.opened resumed);
     Alcotest.(check string)
       (Printf.sprintf "report identical after kill %d" k)
       base_report (Server.report resumed);
@@ -552,12 +535,12 @@ let test_kill_anywhere_resume_bit_identical () =
 let test_resume_idempotent () =
   let dir = fresh_dir "serve-idem" in
   let baseline = serve_workload ~dir ~seed:53 () in
-  let base_opened = opened baseline in
+  let base_opened = Workload.opened baseline in
   (* Reopening a fully drained directory finds nothing to do and the same
      results; draining again executes nothing. *)
   let again = Server.open_resume ~dir in
   Alcotest.(check int) "nothing pending" 0 (Server.pending again);
-  check_outputs_equal "reload" base_opened (opened again);
+  check_outputs_equal "reload" base_opened (Workload.opened again);
   let before = Server.report again in
   Server.run_until_drained again;
   Alcotest.(check string) "idempotent drain" before (Server.report again);
@@ -573,7 +556,7 @@ let flip_byte path pos =
 let test_damaged_journal_entry_reexecuted () =
   let dir = fresh_dir "serve-damaged" in
   let baseline = serve_workload ~dir ~seed:59 () in
-  let base_opened = opened baseline and base_report = Server.report baseline in
+  let base_opened = Workload.opened baseline and base_report = Server.report baseline in
   let jdir = Filename.concat dir "journal" in
   let entries = Sys.readdir jdir in
   Array.sort compare entries;
@@ -587,7 +570,7 @@ let test_damaged_journal_entry_reexecuted () =
   Alcotest.(check bool) "its batch is pending again" true
     (Server.pending resumed > 0);
   Server.run_until_drained resumed;
-  check_outputs_equal "re-executed damaged batch" base_opened (opened resumed);
+  check_outputs_equal "re-executed damaged batch" base_opened (Workload.opened resumed);
   Alcotest.(check string) "report identical" base_report
     (Server.report resumed);
   rm_rf dir
@@ -626,7 +609,7 @@ let test_fault_degraded_isolation () =
   let clean = mk_server ~batch_window:4 () in
   ignore (submit_all clean reqs);
   drain clean;
-  let clean_opened = opened clean in
+  let clean_opened = Workload.opened clean in
   let faulty =
     mk_server ~batch_window:4 ~policy:Resilient.no_retry
       ~faults:(faulty_cfg 0.02) ()
@@ -652,7 +635,7 @@ let test_fault_degraded_isolation () =
               Alcotest.failf "request %d poisoned by a neighbour's fault" id)
           outs
           (outputs_of id clean_opened))
-    (opened faulty)
+    (Workload.opened faulty)
 
 let test_fault_retries_recover_all () =
   let reqs = Workload.requests ~seed:71 ~clients:6 ~per_client:2 ~lane () in
@@ -668,8 +651,8 @@ let test_fault_retries_recover_all () =
   Alcotest.(check bool) "faults were actually injected" true
     (s.Stats.injected_faults > 0);
   Alcotest.(check bool) "retries were spent" true (s.Stats.retries > 0);
-  check_outputs_equal "recovered outputs match clean run" (opened clean)
-    (opened faulty)
+  check_outputs_equal "recovered outputs match clean run" (Workload.opened clean)
+    (Workload.opened faulty)
 
 (* ------------------------------------------------------------------ *)
 (* Slot packer properties                                              *)
