@@ -324,35 +324,29 @@ let print_outputs outs =
 
 (* Hex floats: a bit-exact, diffable rendering of the decrypted outputs,
    used by the CI crash-resume smoke job and the kill-and-resume tests. *)
+let hex_line buf prefix out =
+  Buffer.add_string buf prefix;
+  Array.iter (Printf.bprintf buf " %h") out;
+  Buffer.add_char buf '\n'
+
+let write_buffer path buf =
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
+
 let write_outputs path outs =
   let buf = Buffer.create 4096 in
-  List.iteri
-    (fun k out ->
-      Buffer.add_string buf (Printf.sprintf "output %d:" k);
-      Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf " %h" x)) out;
-      Buffer.add_char buf '\n')
-    outs;
-  let oc = open_out_bin path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  List.iteri (fun k -> hex_line buf (Printf.sprintf "output %d:" k)) outs;
+  write_buffer path buf
 
-let bit_identical a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : float array) (y : float array) ->
-         Array.length x = Array.length y
-         && Array.for_all2
-              (fun u v ->
-                Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
-              x y)
-       a b
+(* Outputs as raw bits: structural equality on them is bit-exact. *)
+let output_bits = List.map (Array.map Int64.bits_of_float)
 
-let report_run ?out ?verdict (outcome, damaged) =
-  List.iter
-    (fun (f, reason) ->
+let warn_damaged =
+  List.iter (fun (f, reason) ->
       Printf.printf "  warning: discarded damaged journal entry %s (%s)\n" f
         reason)
-    damaged;
+
+let report_run ?out ?verdict (outcome, damaged) =
+  warn_damaged damaged;
   match outcome with
   | Ref_run.Rec.R.Complete { outputs; stats } ->
     print_outputs outputs;
@@ -801,10 +795,21 @@ let verify_cmd =
 module Server = Halo_serve.Server
 module Tenant = Halo_serve.Tenant
 module Workload = Halo_serve.Workload
+module Serve_codec = Halo_serve.Serve_codec
+module Soak = Halo_serve.Soak
+
+(* Base directory of a soak's per-trial state: [dir], or a per-process
+   directory under the system temp dir. *)
+let soak_root name = function
+  | Some d -> d
+  | None ->
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "halo-%s-%d" name (Unix.getpid ()))
 
 let serve_config ?(sup = Halo_serve.Serve_codec.default_sup)
-    ?(margin = Halo_runtime.Guard.margin ()) ~slots ~max_level ~queue_depth
-    ~batch_window ~lane ~rotate_fuse ~backend_seed ~policy ~faults () =
+    ?(margin = Halo_runtime.Guard.margin ()) ?(rotate_fuse = true)
+    ?(policy = Halo_runtime.Resilient.default_policy) ?faults ~slots
+    ~max_level ~queue_depth ~batch_window ~lane ~backend_seed () =
   {
     Halo_serve.Serve_codec.backend =
       Ref_run.default_backend ~seed:backend_seed ~slots ~max_level ();
@@ -841,21 +846,6 @@ let serve_submit ?kill_after server reqs =
   Server.run_until_drained ?kill_after server;
   (!accepted, !rejected)
 
-(* Two servers' opened results agree: same requests, batches and lanes,
-   bit-identical outputs, equal failures. *)
-let opened_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ida, ra) (idb, rb) ->
-         ida = idb
-         &&
-         match (ra, rb) with
-         | Ok (ka, la, outa), Ok (kb, lb, outb) ->
-           ka = kb && la = lb && bit_identical outa outb
-         | Error (fa : Server.failure), Error fb -> fa = fb
-         | _ -> false)
-       a b
-
 let write_serve_outputs path opened =
   let buf = Buffer.create 4096 in
   List.iter
@@ -863,23 +853,16 @@ let write_serve_outputs path opened =
       match r with
       | Ok (key, lanes, outs) ->
         List.iteri
-          (fun j (out : float array) ->
-            Buffer.add_string buf
+          (fun j ->
+            hex_line buf
               (Printf.sprintf "req %d batch %d lanes %d output %d:" id key
-                 lanes j);
-            Array.iter
-              (fun x -> Buffer.add_string buf (Printf.sprintf " %h" x))
-              out;
-            Buffer.add_char buf '\n')
+                 lanes j))
           outs
       | Error (f : Server.failure) ->
-        Buffer.add_string buf
-          (Printf.sprintf "req %d degraded op=%s attempts=%d reason=%s\n" id
-             f.Server.f_op f.Server.f_attempts f.Server.f_reason))
+        Printf.bprintf buf "req %d degraded op=%s attempts=%d reason=%s\n" id
+          f.Server.f_op f.Server.f_attempts f.Server.f_reason)
     opened;
-  let oc = open_out_bin path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  write_buffer path buf
 
 let serve_cmd =
   let module Resilient = Halo_runtime.Resilient in
@@ -936,18 +919,13 @@ let serve_cmd =
               ~policy:
                 (if no_retry then Resilient.no_retry
                  else Resilient.default_policy)
-              ~faults ()
+              ?faults ()
           in
           let killed = ref None in
           let server =
             if resume then begin
               let s = Server.open_resume ~dir:(Option.get dir) in
-              List.iter
-                (fun (f, reason) ->
-                  Printf.printf
-                    "  warning: discarded damaged journal entry %s (%s)\n" f
-                    reason)
-                (Server.damaged s);
+              warn_damaged (Server.damaged s);
               s
             end
             else begin
@@ -1288,67 +1266,6 @@ let serve_cmd =
       $ guard_margin_arg $ rescue_arg $ rescue_margin_arg $ max_rescues_arg
       $ drain_arg $ key_budget_arg $ out_arg $ verbose_arg)
 
-(* Serving crash soak: the PR 4 kill/resume discipline applied to the
-   serving layer.  Each trial serves a seeded workload to completion (the
-   baseline), serves it again with a kill after a trial-dependent number
-   of journal writes, resumes from the serve directory, and requires every
-   accepted request's opened outputs and the server report to be
-   bit-identical to the baseline's. *)
-let serve_crash_soak ~trials ~seed ~dir ~kill_after ~verbose =
-  let slots = 64 and max_level = 16 and lane = 8 in
-  let clients = 6 and per_client = 4 in
-  Printf.printf
-    "serve crash soak: %d trials, %d clients x %d requests, kill after \
-     %d+trial journal writes (dirs under %s)\n"
-    trials clients per_client kill_after dir;
-  let ok = ref 0 in
-  for trial = 0 to trials - 1 do
-    let cfg =
-      serve_config ~slots ~max_level ~queue_depth:(clients * per_client)
-        ~batch_window:4 ~lane ~rotate_fuse:true
-        ~backend_seed:(0xB00 + trial)
-        ~policy:Halo_runtime.Resilient.default_policy ~faults:None ()
-    in
-    let programs = Workload.programs ~slots ~max_level ~iters:3 in
-    let reqs =
-      Workload.requests ~seed:(seed + trial) ~clients ~per_client ~lane ()
-    in
-    let dir_a = Filename.concat dir (Printf.sprintf "trial%d-baseline" trial) in
-    let dir_b = Filename.concat dir (Printf.sprintf "trial%d-crashed" trial) in
-    let a = Server.create ~dir:dir_a cfg ~programs in
-    let _ = serve_submit a reqs in
-    let b = Server.create ~dir:dir_b cfg ~programs in
-    let crashed =
-      match serve_submit ~kill_after:(kill_after + trial) b reqs with
-      | _ -> false (* drained before reaching the kill threshold *)
-      | exception Server.Killed _ -> true
-    in
-    let r = Server.open_resume ~dir:dir_b in
-    Server.run_until_drained r;
-    let same_out = opened_equal (Workload.opened a) (Workload.opened r) in
-    let same_report =
-      Server.report a = Server.report r
-      && Halo_runtime.Stats.equal (Server.stats a) (Server.stats r)
-    in
-    let damaged = Server.damaged r in
-    if same_out && same_report && damaged = [] then begin
-      incr ok;
-      if verbose then
-        Printf.printf "  trial %2d: recovered%s (%d requests bit-identical)\n"
-          trial
-          (if crashed then "" else " (completed before kill threshold)")
-          (List.length (Server.results r))
-    end
-    else
-      Printf.printf
-        "  trial %2d: FAILED (outputs identical: %b, report identical: %b, \
-         damaged entries: %d)\n"
-        trial same_out same_report (List.length damaged)
-  done;
-  Printf.printf "recovered %d/%d serve crash trials bit-identically\n" !ok
-    trials;
-  if !ok = trials then 0 else 1
-
 (* Crash-recovery soak: for each trial, run a benchmark to completion with
    checkpointing (the baseline), run it again and simulate a kill after a
    trial-dependent number of checkpoint writes, resume from the journal,
@@ -1393,7 +1310,7 @@ let crash_soak (b : Halo_ml.Bench_def.t) ~strategy ~iters ~size ~trials ~seed
     (match (baseline, resumed) with
      | ( Ref_run.Rec.R.Complete { outputs = a; stats = sa },
          Ref_run.Rec.R.Complete { outputs = c; stats = sc } ) ->
-       let same_out = bit_identical a c in
+       let same_out = output_bits a = output_bits c in
        let same_stats = Stats.equal sa sc in
        if same_out && same_stats && damaged = [] then begin
          incr ok;
@@ -1421,17 +1338,49 @@ let soak_cmd =
       spike_rate spike_magnitude no_retry max_attempts kill_after
       checkpoint_dir guard_margin rescue rescue_margin max_rescues verbose =
     if serve then begin
+      (* One single-round {!Halo_serve.Soak.trial} per trial, killed after
+         K+trial journal writes; every {!Halo_serve.Soak.compare} check
+         must hold. *)
       let k = Option.value kill_after ~default:1 in
-      let dir =
-        match checkpoint_dir with
-        | Some d -> d
-        | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "halo-serve-soak-%d" (Unix.getpid ()))
-      in
+      let dir = soak_root "serve-soak" checkpoint_dir in
+      let slots = 64 and max_level = 16 and lane = 8 in
+      let clients = 6 and per_client = 4 in
       handle_code (fun () ->
-          serve_crash_soak ~trials ~seed ~dir ~kill_after:k ~verbose)
+          Printf.printf
+            "serve crash soak: %d trials, %d clients x %d requests, kill \
+             after %d+trial journal writes (dirs under %s)\n"
+            trials clients per_client k dir;
+          let programs = Workload.programs ~slots ~max_level ~iters:3 in
+          let ok = ref 0 in
+          for trial = 0 to trials - 1 do
+            let cfg =
+              serve_config ~slots ~max_level ~backend_seed:(0xB00 + trial)
+                ~queue_depth:(clients * per_client) ~batch_window:4 ~lane ()
+            in
+            let t =
+              Soak.trial ~cfg ~programs ~rounds:1 ~kill_after:(k + trial)
+                ~requests:(fun _ ->
+                  Workload.requests ~seed:(seed + trial) ~clients ~per_client
+                    ~lane ())
+                ~dir:(Filename.concat dir (Printf.sprintf "trial%d" trial))
+            in
+            match t.Soak.failures with
+            | [] ->
+              incr ok;
+              if verbose then
+                Printf.printf
+                  "  trial %2d: recovered%s (%d requests bit-identical)\n"
+                  trial
+                  (if t.Soak.killed <> None then ""
+                   else " (completed before kill threshold)")
+                  (List.length (Server.results t.Soak.resumed))
+            | failed ->
+              Printf.printf "  trial %2d: FAILED (%s)\n" trial
+                (String.concat ", " failed)
+          done;
+          Printf.printf "recovered %d/%d serve crash trials bit-identically\n"
+            !ok trials;
+          if !ok = trials then 0 else 1)
     end
     else
     let b =
@@ -1445,18 +1394,10 @@ let soak_cmd =
               Halo_ml.Workloads.all));
       1
     | Some b when kill_after <> None ->
-      let k = Option.get kill_after in
-      let dir =
-        match checkpoint_dir with
-        | Some d -> d
-        | None ->
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "halo-crash-soak-%d" (Unix.getpid ()))
-      in
+      let dir = soak_root "crash-soak" checkpoint_dir in
       handle_code (fun () ->
-          crash_soak b ~strategy ~iters ~size ~trials ~seed ~dir ~kill_after:k
-            ~verbose)
+          crash_soak b ~strategy ~iters ~size ~trials ~seed ~dir
+            ~kill_after:(Option.get kill_after) ~verbose)
     | Some b ->
       let slots = 16 * size in
       let bindings = Halo_ml.Workloads.default_bindings b ~iters in
@@ -1642,222 +1583,98 @@ let soak_cmd =
       $ rescue_margin_arg $ max_rescues_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: supervised serving under poisoned tenants, seeded        *)
-(* faults, breaker trips and a mid-chaos kill.                          *)
-
-(* Each trial plays the same multi-round workload twice: a baseline that
-   runs uninterrupted, and a chaos run that is killed after a
-   trial-dependent number of journal writes and resumed.  Tenant 0 is
-   poisoned (deterministic retry exhaustion), submitted last in each
-   round so the program breaker's probe after cooldown comes from a
-   healthy tenant.  Everything is asserted in virtual time, so the whole
-   soak is reproducible from the seed. *)
-let chaos_soak ~trials ~rounds ~clients ~per_client ~seed ~dir ~kill_after
-    ~fault_rate ~spike_rate ~spike_magnitude ~rescue ~tenant_threshold
-    ~program_threshold ~cooldown_us ~quarantine_after ~max_latency_us ~verbose
-    =
-  let module Serve_codec = Halo_serve.Serve_codec in
-  let slots = 64 and max_level = 16 and lane = 8 in
-  let sup =
-    {
-      Serve_codec.default_sup with
-      Serve_codec.s_fallback = true;
-      s_tenant_threshold = tenant_threshold;
-      s_program_threshold = program_threshold;
-      s_cooldown_us = cooldown_us;
-      s_quarantine_after = quarantine_after;
-      (* --rescue implies the per-batch guard: the replan phase triggers on
-         a Breach status, which only the guard emits. *)
-      s_guard = rescue;
-      s_rescue = rescue;
-    }
-  in
-  let programs = Workload.programs ~slots ~max_level ~iters:3 in
-  let mk_cfg trial =
-    serve_config ~sup ~slots ~max_level
-      ~queue_depth:(clients * per_client * rounds)
-      ~batch_window:4 ~lane ~rotate_fuse:true ~backend_seed:(0xB00 + trial)
-      ~policy:Halo_runtime.Resilient.default_policy
-      ~faults:
-        (Some
-           {
-             Serve_codec.f_seed = (seed * 7919) + trial;
-             f_transient = fault_rate;
-             f_bootstrap = fault_rate;
-             f_spike = spike_rate;
-             f_magnitude = spike_magnitude;
-             f_poison = [ 0 ];
-           })
-      ()
-  in
-  (* Poisoned tenant last: its failures trip the breakers, and the next
-     round's probe comes from a healthy tenant so closes are observed. *)
-  let round_reqs trial r =
-    Workload.requests
-      ~seed:(seed + (trial * 6151) + (r * 389))
-      ~clients ~per_client ~lane ()
-    |> List.stable_sort (fun (a : Workload.req) (b : Workload.req) ->
-           compare (a.w_tenant.Tenant.id = 0) (b.w_tenant.Tenant.id = 0))
-  in
-  let submit_round server trial r =
-    List.iter
-      (fun (w : Workload.req) ->
-        ignore
-          (Server.submit server ~tenant:w.w_tenant ~tol:w.w_tol
-             ~program:w.w_program ~payload:w.w_payload))
-      (round_reqs trial r)
-  in
-  let chaos_path d = Filename.concat d "chaos.halo" in
-  Printf.printf
-    "chaos soak: %d trials, %d rounds x %d clients x %d requests, tenant 0 \
-     poisoned, kill after %d+3*trial journal writes (dirs under %s)\n"
-    trials rounds clients per_client kill_after dir;
-  let ok = ref 0 in
-  for trial = 0 to trials - 1 do
-    let cfg = mk_cfg trial in
-    let fingerprint =
-      Serve_codec.manifest_fingerprint { Serve_codec.config = cfg; progs = programs }
-    in
-    let dir_a = Filename.concat dir (Printf.sprintf "trial%d-baseline" trial) in
-    let dir_b = Filename.concat dir (Printf.sprintf "trial%d-chaos" trial) in
-    let a = Server.create ~dir:dir_a cfg ~programs in
-    for r = 0 to rounds - 1 do
-      submit_round a trial r;
-      Server.run_until_drained a
-    done;
-    let b = Server.create ~dir:dir_b cfg ~programs in
-    let crashed = ref false in
-    (try
-       for r = 0 to rounds - 1 do
-         submit_round b trial r;
-         Serve_codec.save_chaos ~path:(chaos_path dir_b) ~fingerprint
-           ~rounds:(r + 1);
-         Server.run_until_drained ~kill_after:(kill_after + (3 * trial)) b
-       done
-     with Server.Killed _ -> crashed := true);
-    let b =
-      if not !crashed then b
-      else begin
-        (* The simulated SIGKILL: reopen from durable state only, finish
-           the interrupted round, then inject the remaining rounds. *)
-        let s = Server.open_resume ~dir:dir_b in
-        Server.run_until_drained s;
-        let done_rounds =
-          Serve_codec.load_chaos ~path:(chaos_path dir_b) ~fingerprint
-        in
-        for r = done_rounds to rounds - 1 do
-          submit_round s trial r;
-          Serve_codec.save_chaos ~path:(chaos_path dir_b) ~fingerprint
-            ~rounds:(r + 1);
-          Server.run_until_drained s
-        done;
-        s
-      end
-    in
-    let ca = Server.counters a and cb = Server.counters b in
-    let complete (s, c) =
-      Server.pending s = 0
-      && List.length (Server.results s) = c.Server.accepted
-    in
-    let no_lost = complete (a, ca) && complete (b, cb) in
-    let same_opened = opened_equal (Workload.opened a) (Workload.opened b) in
-    let same_stats =
-      Halo_runtime.Stats.equal (Server.stats a) (Server.stats b)
-    in
-    let same_quarantine = Server.quarantine a = Server.quarantine b in
-    (* Under --rescue, injected noise spikes can push a healthy tenant's
-       solo replans over the breach threshold too — deterministically, so
-       both runs agree — hence only the poisoned tenant is required. *)
-    let quarantine_converged =
-      List.mem_assoc 0 (Server.quarantine a)
-      && (rescue || List.length (Server.quarantine a) = 1)
-    in
-    let same_supervision =
-      ca.Server.expired = cb.Server.expired
-      && ca.Server.fallback_requests = cb.Server.fallback_requests
-      && ca.Server.breaker_opens = cb.Server.breaker_opens
-      && ca.Server.breaker_closes = cb.Server.breaker_closes
-      && ca.Server.breaker_reopens = cb.Server.breaker_reopens
-      && ca.Server.served = cb.Server.served
-      && ca.Server.failed = cb.Server.failed
-      && ca.Server.accepted = cb.Server.accepted
-    in
-    let transitions =
-      ca.Server.breaker_opens > 0
-      && ca.Server.breaker_closes + ca.Server.breaker_reopens > 0
-    in
-    let same_clock = Server.clock_us a = Server.clock_us b in
-    let same_latency = Server.latencies a = Server.latencies b in
-    let tail_bounded = Server.max_latency_us a <= max_latency_us in
-    if
-      no_lost && same_opened && same_stats && same_quarantine
-      && quarantine_converged && same_supervision && transitions && same_clock
-      && same_latency && tail_bounded
-    then begin
-      incr ok;
-      if verbose then
-        Printf.printf
-          "  trial %2d: survived%s (%d accepted, %d served, %d failed, %d \
-           breaker opens, %d closes, %d reopens, max latency %dus)\n"
-          trial
-          (if !crashed then " a mid-chaos kill" else " (no kill reached)")
-          ca.Server.accepted ca.Server.served ca.Server.failed
-          ca.Server.breaker_opens ca.Server.breaker_closes
-          ca.Server.breaker_reopens (Server.max_latency_us a)
-    end
-    else begin
-      Printf.printf
-        "  trial %2d: FAILED (lost: %b, outputs: %b, stats: %b, quarantine: \
-         %b/%b, supervision: %b, transitions: %b, clock: %b, latency: %b, \
-         tail: %b)\n"
-        trial (not no_lost) same_opened same_stats same_quarantine
-        quarantine_converged same_supervision transitions same_clock
-        same_latency tail_bounded;
-      if verbose then begin
-        let pr name (s : Server.t) (c : Server.counters) =
-          Printf.printf
-            "    %s: accepted=%d served=%d failed=%d expired=%d fb=%d \
-             opens=%d closes=%d reopens=%d clock=%d quarantine=[%s]\n"
-            name c.Server.accepted c.Server.served c.Server.failed
-            c.Server.expired c.Server.fallback_requests c.Server.breaker_opens
-            c.Server.breaker_closes c.Server.breaker_reopens
-            (Server.clock_us s)
-            (String.concat ";"
-               (List.map
-                  (fun (t, r) -> Printf.sprintf "%d<-%d" t r)
-                  (Server.quarantine s)))
-        in
-        pr "baseline" a ca;
-        pr "chaos   " b cb;
-        List.iter2
-          (fun (ra, la) (rb, lb) ->
-            if ra <> rb || la <> lb then
-              Printf.printf "    latency req %d: %dus vs req %d: %dus\n" ra la
-                rb lb)
-          (Server.latencies a) (Server.latencies b)
-      end
-    end
-  done;
-  Printf.printf "survived %d/%d chaos trials bit-identically\n" !ok trials;
-  if !ok = trials then 0 else 1
-
+(* Chaos soak: supervised serving under a poisoned tenant (deterministic
+   retry exhaustion), seeded faults and breaker trips.  Each trial is a
+   multi-round {!Halo_serve.Soak.trial} killed after a trial-dependent
+   number of journal writes.  Everything is asserted in virtual time, so
+   the whole soak is reproducible from the seed. *)
 let chaos_cmd =
   let run trials rounds clients per_client seed dir kill_after fault_rate
       spike_rate spike_magnitude rescue tenant_threshold program_threshold
       cooldown_us quarantine_after max_latency_us verbose =
-    let dir =
-      match dir with
-      | Some d -> d
-      | None ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "halo-chaos-%d" (Unix.getpid ()))
-    in
+    let dir = soak_root "chaos" dir in
     handle_code (fun () ->
-        chaos_soak ~trials ~rounds ~clients ~per_client ~seed ~dir ~kill_after
-          ~fault_rate ~spike_rate ~spike_magnitude ~rescue ~tenant_threshold
-          ~program_threshold ~cooldown_us ~quarantine_after ~max_latency_us
-          ~verbose)
+        let slots = 64 and max_level = 16 and lane = 8 in
+        let sup =
+          {
+            Serve_codec.default_sup with
+            Serve_codec.s_fallback = true;
+            s_tenant_threshold = tenant_threshold;
+            s_program_threshold = program_threshold;
+            s_cooldown_us = cooldown_us;
+            s_quarantine_after = quarantine_after;
+            (* --rescue implies the per-batch guard: the replan phase
+               triggers on a Breach status, which only the guard emits. *)
+            s_guard = rescue;
+            s_rescue = rescue;
+          }
+        in
+        let programs = Workload.programs ~slots ~max_level ~iters:3 in
+        let cfg trial =
+          serve_config ~sup ~slots ~max_level
+            ~queue_depth:(clients * per_client * rounds)
+            ~batch_window:4 ~lane ~backend_seed:(0xB00 + trial)
+            ~faults:
+              {
+                Serve_codec.f_seed = (seed * 7919) + trial;
+                f_transient = fault_rate;
+                f_bootstrap = fault_rate;
+                f_spike = spike_rate;
+                f_magnitude = spike_magnitude;
+                f_poison = [ 0 ];
+              }
+            ()
+        in
+        (* Poisoned tenant last: its failures trip the breakers, and the
+           next round's probe comes from a healthy tenant so closes are
+           observed. *)
+        let round_reqs trial r =
+          Workload.requests
+            ~seed:(seed + (trial * 6151) + (r * 389))
+            ~clients ~per_client ~lane ()
+          |> List.stable_sort (fun (a : Workload.req) (b : Workload.req) ->
+                 compare (a.w_tenant.Tenant.id = 0) (b.w_tenant.Tenant.id = 0))
+        in
+        Printf.printf
+          "chaos soak: %d trials, %d rounds x %d clients x %d requests, \
+           tenant 0 poisoned, kill after %d+3*trial journal writes (dirs \
+           under %s)\n"
+          trials rounds clients per_client kill_after dir;
+        let ok = ref 0 in
+        for trial = 0 to trials - 1 do
+          let t =
+            Soak.trial ~cfg:(cfg trial) ~programs ~requests:(round_reqs trial)
+              ~rounds
+              ~kill_after:(kill_after + (3 * trial))
+              ~dir:(Filename.concat dir (Printf.sprintf "trial%d" trial))
+          in
+          let a = t.Soak.baseline in
+          let ca = Server.counters a in
+          (* Not the report: it prints rejected_supervised, and admission
+             rejections made before the kill are never journaled. *)
+          match
+            List.filter (( <> ) "report") t.Soak.failures
+            @ Soak.chaos_failures ~max_latency_us a
+          with
+          | [] ->
+            incr ok;
+            if verbose then
+              Printf.printf
+                "  trial %2d: survived%s (%d accepted, %d served, %d failed, \
+                 %d breaker opens, %d closes, %d reopens, max latency %dus)\n"
+                trial
+                (if t.Soak.killed <> None then " a mid-chaos kill"
+                 else " (no kill reached)")
+                ca.Server.accepted ca.Server.served ca.Server.failed
+                ca.Server.breaker_opens ca.Server.breaker_closes
+                ca.Server.breaker_reopens (Server.max_latency_us a)
+          | failed ->
+            Printf.printf "  trial %2d: FAILED (%s)\n" trial
+              (String.concat ", " failed)
+        done;
+        Printf.printf "survived %d/%d chaos trials bit-identically\n" !ok
+          trials;
+        if !ok = trials then 0 else 1)
   in
   let trials_arg =
     Arg.(

@@ -286,6 +286,17 @@ let create ?dir cfg ~programs =
   (match dir with
    | None -> ()
    | Some d ->
+     (* The fingerprint does not cover the traffic: only [open_resume] may
+        adopt a previous job's requests and journal. *)
+     let used p = Sys.file_exists p && Sys.readdir p <> [||] in
+     if
+       Sys.file_exists (manifest_path d)
+       || used (requests_dir d)
+       || used (journal_dir d)
+     then
+       Halo_error.persist_error ~path:d
+         "serve directory already holds a job; resume it (serve --resume) \
+          or use an unused directory";
      mkdir_p (requests_dir d);
      mkdir_p (journal_dir d);
      Codec.save_manifest ~path:(manifest_path d)

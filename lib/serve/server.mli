@@ -106,10 +106,14 @@ type outcome =
     }
   | Failed of failure
 
+(** Every field except the [rejected_*] ones derives from the request log
+    and the journal, so it survives {!open_resume}.  Admission rejections
+    are never journaled: after a resume the [rejected_*] counters count
+    only the resuming process's rejections. *)
 type counters = {
   accepted : int;
-  rejected_queue : int;
-  rejected_admission : int;
+  rejected_queue : int;  (** process-local *)
+  rejected_admission : int;  (** process-local *)
   rejected_supervised : int;
       (** draining, quarantine and breaker rejections (process-local) *)
   served : int;
@@ -134,7 +138,10 @@ val create : ?dir:string -> Codec.config -> programs:Codec.prog_def list -> t
 (** Compile the registry and (when [dir] is given) durably write the serve
     manifest.  Raises [Invalid_argument] on an empty or duplicate-name
     registry, a program whose slot count differs from the backend's, a
-    dynamic iteration count, or malformed supervision knobs. *)
+    dynamic iteration count, or malformed supervision knobs.  Raises
+    {!Halo_error.Persist_error} when [dir] already holds a manifest, an
+    accepted request or a journal entry: the manifest fingerprint does not
+    cover the traffic, so only {!open_resume} may adopt a previous job. *)
 
 val open_resume : dir:string -> t
 (** Rebuild a server from a serve directory: load and validate the
@@ -223,7 +230,9 @@ val stats : t -> Halo_runtime.Stats.t
 val counters : t -> counters
 val report : t -> string
 (** Human-readable one-stop summary (counters + aggregate statistics);
-    the serving soak compares baseline and resumed reports for equality.
+    the serving soak ({!Soak}) compares baseline and resumed reports for
+    equality.  It prints the process-local [rejected_*] counters, so after
+    a resume it can differ from the baseline's in those alone.
     The supervision line appears only when supervision did something, so
     unsupervised reports are unchanged from the pre-supervision layer. *)
 

@@ -27,25 +27,8 @@ let params () = Params.test_small ()
 (* Scratch directories                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun name ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "halo-persist-%d-%s-%d" (Unix.getpid ()) name !counter)
-    in
-    rm_rf d;
-    d
+let rm_rf = Fixture.rm_rf
+let fresh_dir = Fixture.fresh_dir
 
 let write_raw path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)

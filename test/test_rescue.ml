@@ -195,16 +195,7 @@ let test_breach_recovers_under_replan () =
 (* Kill/resume reproducibility of the rescue journal                   *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun name ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "halo-rescue-%d-%s-%d" (Unix.getpid ()) name !n)
-    in
-    d
+let fresh_dir = Fixture.fresh_dir
 
 let rescue_manifest ?(guard_margin = 1.2) prog =
   {

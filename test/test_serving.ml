@@ -7,103 +7,16 @@
    outputs are compared bit-for-bit, and no wall-clock dependence. *)
 
 open Halo
-module Server = Halo_serve.Server
-module Tenant = Halo_serve.Tenant
-module Workload = Halo_serve.Workload
+open Fixture
 module Slot_batch = Halo_serve.Slot_batch
-module Serve_codec = Halo_serve.Serve_codec
+module Soak = Halo_serve.Soak
 module Guard = Halo_runtime.Guard
-module Resilient = Halo_runtime.Resilient
 module Stats = Halo_runtime.Stats
 module Domain_pool = Halo_ckks.Domain_pool
 module Ref_backend = Halo_ckks.Ref_backend
 module Ref = Halo_runtime.Interp.Make (Ref_backend)
 
-let slots = 64
-let max_level = 16
-let lane = 8
-
-(* ------------------------------------------------------------------ *)
-(* Scratch directories                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun name ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "halo-serving-%d-%s-%d" (Unix.getpid ()) name !counter)
-    in
-    rm_rf d;
-    d
-
-(* ------------------------------------------------------------------ *)
-(* Harness                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Zero noise on every knob: the backend is exactly deterministic, so
-   batched, solo, killed-and-resumed and pool-resized runs can all be
-   compared down to the last bit. *)
-let mk_cfg ?(queue_depth = 64) ?(batch_window = 8) ?(lane = lane)
-    ?(rotate_fuse = true) ?(policy = Resilient.default_policy) ?faults
-    ?(sup = Serve_codec.default_sup) () =
-  {
-    Serve_codec.backend =
-      {
-        Halo_persist.Codec.slots;
-        max_level;
-        scale_bits = 51;
-        seed = 0xB00;
-        enc_noise = 0.0;
-        mult_noise = 0.0;
-        boot_noise = 0.0;
-        rescale_noise = 0.0;
-      };
-    queue_depth;
-    batch_window;
-    lane;
-    margin = 10.0;
-    rotate_fuse;
-    policy;
-    faults;
-    sup;
-  }
-
-let programs () = Workload.programs ~slots ~max_level ~iters:3
-
-let mk_server ?dir ?queue_depth ?batch_window ?lane ?rotate_fuse ?policy
-    ?faults () =
-  Server.create ?dir
-    (mk_cfg ?queue_depth ?batch_window ?lane ?rotate_fuse ?policy ?faults ())
-    ~programs:(programs ())
-
-let tenant i = Tenant.create ~id:i ~key_seed:(Tenant.default_key_seed ~id:i)
-
-let submit_ok server (w : Workload.req) =
-  match
-    Server.submit server ~tenant:w.w_tenant ~tol:w.w_tol ~program:w.w_program
-      ~payload:w.w_payload
-  with
-  | Ok id -> id
-  | Error r -> Alcotest.failf "unexpected rejection: %s" (Server.reject_to_string r)
-
 let submit_all server reqs = List.map (submit_ok server) reqs
-
-let arrays_bit_equal (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
 
 let outputs_of id results =
   match List.assoc id results with
@@ -139,8 +52,6 @@ let solo_reference server pname payload rsize =
   in
   let outs, _ = Ref.run st ~inputs:payload prog in
   List.map (fun o -> Array.sub o 0 (min rsize (Array.length o))) outs
-
-let drain server = Server.run_until_drained server
 
 (* ------------------------------------------------------------------ *)
 (* Batching semantics                                                  *)
@@ -498,39 +409,36 @@ let serve_workload ?kill_after ~dir ~seed () =
   server
 
 (* Kill after every possible journal write; each resume must complete all
-   accepted requests with the baseline's exact bytes and statistics. *)
+   accepted requests with the baseline's exact bytes, report, statistics
+   and supervision state. *)
 let test_kill_anywhere_resume_bit_identical () =
-  let dir_a = fresh_dir "serve-baseline" in
-  let baseline = serve_workload ~dir:dir_a ~seed:47 () in
-  let base_opened = Workload.opened baseline and base_report = Server.report baseline in
-  let total_batches = (Server.counters baseline).Server.batches in
+  let trial k =
+    let dir = fresh_dir (Printf.sprintf "serve-kill-%d" k) in
+    let t =
+      Soak.trial ~cfg:(mk_cfg ~batch_window:4 ()) ~programs:(programs ())
+        ~rounds:1 ~kill_after:k ~dir
+        ~requests:(fun _ ->
+          Workload.requests ~seed:47 ~clients:5 ~per_client:2 ~lane ())
+    in
+    rm_rf dir;
+    Alcotest.(check (option int)) "killed at the requested write" (Some k)
+      t.Soak.killed;
+    Alcotest.(check (list string))
+      (Printf.sprintf "resumed run matches the baseline after kill %d" k)
+      [] t.Soak.failures;
+    Alcotest.(check int) "every request accepted" 10
+      (Server.counters t.Soak.baseline).Server.accepted;
+    t
+  in
+  let first = trial 1 in
+  let total_batches = (Server.counters first.Soak.baseline).Server.batches in
   Alcotest.(check bool) "workload spans several batches" true
     (total_batches >= 3);
   for k = 1 to total_batches do
-    let dir_b = fresh_dir (Printf.sprintf "serve-killed-%d" k) in
-    let crashed =
-      match serve_workload ~kill_after:k ~dir:dir_b ~seed:47 () with
-      | _ -> false
-      | exception Server.Killed { writes } ->
-        Alcotest.(check int) "killed at the requested write" k writes;
-        true
-    in
-    Alcotest.(check bool) "kill threshold reached" true crashed;
-    let resumed = Server.open_resume ~dir:dir_b in
-    Alcotest.(check (list (pair string string))) "no damaged entries" []
-      (Server.damaged resumed);
+    let t = if k = 1 then first else trial k in
     Alcotest.(check bool) "work remains after the kill" true
-      (Server.pending resumed > 0 || k = total_batches);
-    Server.run_until_drained resumed;
-    check_outputs_equal
-      (Printf.sprintf "kill after %d writes" k)
-      base_opened (Workload.opened resumed);
-    Alcotest.(check string)
-      (Printf.sprintf "report identical after kill %d" k)
-      base_report (Server.report resumed);
-    rm_rf dir_b
-  done;
-  rm_rf dir_a
+      (t.Soak.resumed_pending > 0 || k = total_batches)
+  done
 
 let test_resume_idempotent () =
   let dir = fresh_dir "serve-idem" in
@@ -585,6 +493,45 @@ let test_corrupt_request_file_is_loud () =
   (match Server.open_resume ~dir with
    | _ -> Alcotest.fail "corrupt accepted request must not load silently"
    | exception Halo_error.Persist_error _ -> ());
+  rm_rf dir
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The manifest fingerprint does not cover the traffic, so creating a
+   server over a previous job's directory would silently adopt its
+   requests and journal: refused, and only a resume may reopen it. *)
+let test_used_dir_refused () =
+  let dir = fresh_dir "serve-used" in
+  (match serve_workload ~kill_after:1 ~dir ~seed:73 () with
+   | _ -> Alcotest.fail "expected the simulated kill"
+   | exception Server.Killed _ -> ());
+  (match mk_server ~dir () with
+   | _ -> Alcotest.fail "a used serve directory must be refused"
+   | exception Halo_error.Persist_error { path; reason; _ } ->
+     Alcotest.(check (option string)) "error names the directory" (Some dir)
+       path;
+     Alcotest.(check bool) "error points to --resume" true
+       (contains ~sub:"--resume" reason));
+  (* The refusal touched nothing: the killed job still resumes fully. *)
+  let r = Server.open_resume ~dir in
+  drain r;
+  let c = Server.counters r in
+  Alcotest.(check int) "every accepted request served after the refusal"
+    c.Server.accepted c.Server.served;
+  rm_rf dir;
+  (* A manifest alone marks a job; an empty directory is free to use. *)
+  ignore (mk_server ~dir ());
+  (match mk_server ~dir () with
+   | _ -> Alcotest.fail "a directory holding a manifest must be refused"
+   | exception Halo_error.Persist_error _ -> ());
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  ignore (mk_server ~dir ());
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -653,6 +600,26 @@ let test_fault_retries_recover_all () =
   Alcotest.(check bool) "retries were spent" true (s.Stats.retries > 0);
   check_outputs_equal "recovered outputs match clean run" (Workload.opened clean)
     (Workload.opened faulty)
+
+(* The soak verdict is not vacuous: different traffic shows in the
+   outputs, a different fault schedule in the statistics, and identical
+   runs agree on every field. *)
+let test_compare_detects_differences () =
+  let serve ?faults seed =
+    let s = mk_server ~batch_window:4 ?faults () in
+    ignore
+      (submit_all s (Workload.requests ~seed ~clients:4 ~per_client:2 ~lane ()));
+    drain s;
+    s
+  in
+  Alcotest.(check (list string)) "identical runs agree" []
+    (Soak.compare (serve 1) (serve 1));
+  Alcotest.(check bool) "request seeds 1 and 2: outputs differ" true
+    (List.mem "outputs" (Soak.compare (serve 1) (serve 2)));
+  let faults f_seed = { (faulty_cfg 0.05) with Serve_codec.f_seed } in
+  Alcotest.(check bool) "different fault seeds: stats differ" true
+    (List.mem "stats"
+       (Soak.compare (serve ~faults:(faults 1) 1) (serve ~faults:(faults 2) 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Slot packer properties                                              *)
@@ -774,6 +741,8 @@ let () =
             test_damaged_journal_entry_reexecuted;
           Alcotest.test_case "corrupt accepted request is loud" `Quick
             test_corrupt_request_file_is_loud;
+          Alcotest.test_case "used directory is refused" `Quick
+            test_used_dir_refused;
         ] );
       ( "faults",
         [
@@ -781,6 +750,8 @@ let () =
             test_fault_degraded_isolation;
           Alcotest.test_case "retries recover every batch" `Quick
             test_fault_retries_recover_all;
+          Alcotest.test_case "soak verdict detects differences" `Quick
+            test_compare_detects_differences;
         ] );
       ( "packer",
         [ Alcotest.test_case "layout validation" `Quick test_packer_validation ]

@@ -10,102 +10,18 @@
    outputs are compared bit-for-bit, and no wall-clock dependence — all
    time is the cost-model-charged virtual clock. *)
 
-module Server = Halo_serve.Server
+open Fixture
 module Supervisor = Halo_serve.Supervisor
-module Tenant = Halo_serve.Tenant
-module Workload = Halo_serve.Workload
-module Serve_codec = Halo_serve.Serve_codec
+module Soak = Halo_serve.Soak
 module Clock = Halo_runtime.Clock
-module Resilient = Halo_runtime.Resilient
 module Stats = Halo_runtime.Stats
 module Codec = Halo_persist.Codec
 module Wire = Halo_persist.Wire
 module Domain_pool = Halo_ckks.Domain_pool
 
-let slots = 64
-let max_level = 16
-let lane = 8
-
-(* ------------------------------------------------------------------ *)
-(* Scratch directories                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun name ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "halo-supervision-%d-%s-%d" (Unix.getpid ()) name
-           !counter)
-    in
-    rm_rf d;
-    d
-
-(* ------------------------------------------------------------------ *)
-(* Harness                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let mk_cfg ?(queue_depth = 256) ?(batch_window = 4)
-    ?(policy = Resilient.default_policy) ?faults
-    ?(sup = Serve_codec.default_sup) () =
-  {
-    Serve_codec.backend =
-      {
-        Halo_persist.Codec.slots;
-        max_level;
-        scale_bits = 51;
-        seed = 0xB00;
-        enc_noise = 0.0;
-        mult_noise = 0.0;
-        boot_noise = 0.0;
-        rescale_noise = 0.0;
-      };
-    queue_depth;
-    batch_window;
-    lane;
-    margin = 10.0;
-    rotate_fuse = true;
-    policy;
-    faults;
-    sup;
-  }
-
-let programs () = Workload.programs ~slots ~max_level ~iters:3
-
-let mk_server ?dir ?queue_depth ?batch_window ?policy ?faults ?sup () =
-  Server.create ?dir
-    (mk_cfg ?queue_depth ?batch_window ?policy ?faults ?sup ())
-    ~programs:(programs ())
-
-let tenant i = Tenant.create ~id:i ~key_seed:(Tenant.default_key_seed ~id:i)
-
-let submit server (w : Workload.req) =
-  Server.submit server ~tenant:w.w_tenant ~tol:w.w_tol ~program:w.w_program
-    ~payload:w.w_payload
-
-let submit_ok server w =
-  match submit server w with
-  | Ok id -> id
-  | Error r ->
-    Alcotest.failf "unexpected rejection: %s" (Server.reject_to_string r)
-
-let drain server = Server.run_until_drained server
-
-let arrays_bit_equal (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
+(* A deeper queue and narrower batches than the serving suite's. *)
+let mk_cfg = mk_cfg ~queue_depth:256 ~batch_window:4
+let mk_server = mk_server ~queue_depth:256 ~batch_window:4
 
 (* Opened outputs grouped per tenant, in request-id order — the unit of
    comparison that is invariant under request-id shifts (nonces derive
@@ -354,46 +270,27 @@ let test_poison_isolation () =
 
 let test_quarantine_survives_kill () =
   let dir = fresh_dir "quarantine" in
-  let reqs = Workload.requests ~seed:32 ~clients:4 ~per_client:3 ~lane () in
-  let run_to_completion dir =
-    let s =
-      mk_server ~dir ~faults:poison_faults ~sup:isolation_sup ()
-    in
-    List.iter (fun w -> ignore (submit s w)) reqs;
-    drain s;
-    s
+  let cfg = mk_cfg ~faults:poison_faults ~sup:isolation_sup () in
+  let t =
+    Soak.trial ~cfg ~programs:(programs ()) ~rounds:1 ~kill_after:4 ~dir
+      ~requests:(fun _ ->
+        Workload.requests ~seed:32 ~clients:4 ~per_client:3 ~lane ())
   in
-  let baseline_dir = fresh_dir "quarantine-baseline" in
-  let baseline = run_to_completion baseline_dir in
-  let s = mk_server ~dir ~faults:poison_faults ~sup:isolation_sup () in
-  List.iter (fun w -> ignore (submit s w)) reqs;
-  (match Server.run_until_drained ~kill_after:4 s with
-   | () -> Alcotest.fail "expected the simulated kill"
-   | exception Server.Killed _ -> ());
-  let r = Server.open_resume ~dir in
-  Server.run_until_drained r;
-  Alcotest.(check bool) "quarantine survives the kill" true
-    (Server.quarantine r = Server.quarantine baseline
-    && List.mem_assoc 0 (Server.quarantine r));
+  Alcotest.(check bool) "kill reached" true (t.Soak.killed <> None);
+  Alcotest.(check (list string)) "resumed run matches the baseline" []
+    t.Soak.failures;
+  Alcotest.(check bool) "tenant 0 quarantined" true
+    (List.mem_assoc 0 (Server.quarantine t.Soak.resumed));
   (* The durable snapshot agrees with the journal fold. *)
   let q =
     Serve_codec.load_quarantine
       ~path:(Filename.concat dir "quarantine.halo")
       ~fingerprint:
         (Serve_codec.manifest_fingerprint
-           {
-             Serve_codec.config =
-               mk_cfg ~faults:poison_faults ~sup:isolation_sup ();
-             progs = programs ();
-           })
+           { Serve_codec.config = cfg; progs = programs () })
   in
   Alcotest.(check bool) "snapshot matches the fold" true
-    (q.Serve_codec.qr_tenants = Server.quarantine r);
-  Alcotest.(check bool) "stats identical after resume" true
-    (Stats.equal (Server.stats baseline) (Server.stats r));
-  Alcotest.(check int) "clock identical after resume"
-    (Server.clock_us baseline) (Server.clock_us r);
-  rm_rf baseline_dir;
+    (q.Serve_codec.qr_tenants = Server.quarantine t.Soak.resumed);
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -444,27 +341,53 @@ let test_breaker_resume_reproducible () =
   (* Breaker history is journal-derived: after a mid-run kill, the fold
      must reproduce the baseline's opens/closes/reopens and clock exactly. *)
   let sup = { breaker_sup with s_fallback = true; s_quarantine_after = 2 } in
-  let reqs = Workload.requests ~seed:41 ~clients:4 ~per_client:4 ~lane () in
-  let a = mk_server ~faults:poison_faults ~sup () in
-  List.iter (fun w -> ignore (submit a w)) reqs;
-  drain a;
   let dir = fresh_dir "breaker" in
-  let b = mk_server ~dir ~faults:poison_faults ~sup () in
-  List.iter (fun w -> ignore (submit b w)) reqs;
-  (match Server.run_until_drained ~kill_after:6 b with
-   | () -> Alcotest.fail "expected the simulated kill"
-   | exception Server.Killed _ -> ());
-  let r = Server.open_resume ~dir in
-  Server.run_until_drained r;
-  let ca = Server.counters a and cr = Server.counters r in
-  Alcotest.(check (list (pair int int))) "latencies identical"
-    (Server.latencies a) (Server.latencies r);
-  Alcotest.(check int) "opens" ca.Server.breaker_opens cr.Server.breaker_opens;
-  Alcotest.(check int) "closes" ca.Server.breaker_closes
-    cr.Server.breaker_closes;
-  Alcotest.(check int) "reopens" ca.Server.breaker_reopens
-    cr.Server.breaker_reopens;
-  Alcotest.(check int) "clock" (Server.clock_us a) (Server.clock_us r);
+  let t =
+    Soak.trial ~cfg:(mk_cfg ~faults:poison_faults ~sup ())
+      ~programs:(programs ()) ~rounds:1 ~kill_after:6 ~dir
+      ~requests:(fun _ ->
+        Workload.requests ~seed:41 ~clients:4 ~per_client:4 ~lane ())
+  in
+  Alcotest.(check bool) "kill reached" true (t.Soak.killed <> None);
+  Alcotest.(check bool) "breakers opened" true
+    ((Server.counters t.Soak.baseline).Server.breaker_opens > 0);
+  Alcotest.(check (list string)) "resumed run matches the baseline" []
+    t.Soak.failures;
+  rm_rf dir
+
+(* The chaos soak's shape: four submission rounds, a poisoned tenant
+   submitted last in each, seeded transient faults, and a kill mid-chaos.
+   The report is not compared: it prints rejected_supervised, and
+   admission rejections made before the kill are never journaled. *)
+let test_chaos_trial () =
+  let dir = fresh_dir "chaos" in
+  let sup =
+    {
+      Serve_codec.default_sup with
+      s_fallback = true;
+      s_tenant_threshold = 2;
+      s_program_threshold = 2;
+      s_cooldown_us = 1_000;
+      s_quarantine_after = 2;
+    }
+  in
+  let faults =
+    { poison_faults with Serve_codec.f_transient = 0.01; f_bootstrap = 0.01 }
+  in
+  let requests r =
+    Workload.requests ~seed:(1 + (r * 389)) ~clients:4 ~per_client:3 ~lane ()
+    |> List.stable_sort (fun (a : Workload.req) (b : Workload.req) ->
+           compare (a.w_tenant.Tenant.id = 0) (b.w_tenant.Tenant.id = 0))
+  in
+  let t =
+    Soak.trial ~cfg:(mk_cfg ~faults ~sup ()) ~programs:(programs ())
+      ~requests ~rounds:4 ~kill_after:5 ~dir
+  in
+  Alcotest.(check bool) "kill reached" true (t.Soak.killed <> None);
+  Alcotest.(check (list string)) "resumed run matches the baseline" []
+    (List.filter (( <> ) "report") t.Soak.failures);
+  Alcotest.(check (list string)) "chaos expectations met" []
+    (Soak.chaos_failures ~max_latency_us:50_000_000 t.Soak.baseline);
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -705,6 +628,8 @@ let () =
             test_breaker_state_machine;
           Alcotest.test_case "breaker history reproducible after resume"
             `Quick test_breaker_resume_reproducible;
+          Alcotest.test_case "chaos trial survives a mid-chaos kill" `Quick
+            test_chaos_trial;
         ] );
       ( "drain",
         [
