@@ -205,6 +205,80 @@ module Ref = struct
           Array.init n (fun j -> Modarith.mul ~m:q (Modarith.sub ~m:q u.(t).(j) corr.(j)) p_inv))
     in
     (mod_down (mac k0), mod_down (mac k1))
+
+  (* Boxed encoder: [Complex.t] FFT with the twiddle recurrence re-run per
+     block, [cos]/[sin] of every twist factor per call, and hardware [mod]
+     embedding, one limb after another. *)
+  let fft_transform ~sign a =
+    let n = Array.length a in
+    bit_reverse_permute a;
+    let len = ref 2 in
+    while !len <= n do
+      let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
+      let wlen = { Complex.re = cos ang; im = sin ang } in
+      let half = !len / 2 in
+      let i = ref 0 in
+      while !i < n do
+        let w = ref Complex.one in
+        for k = 0 to half - 1 do
+          let u = a.(!i + k) in
+          let v = Complex.mul a.(!i + k + half) !w in
+          a.(!i + k) <- Complex.add u v;
+          a.(!i + k + half) <- Complex.sub u v;
+          w := Complex.mul !w wlen
+        done;
+        i := !i + !len
+      done;
+      len := !len * 2
+    done
+
+  let rot_group (params : Params.t) =
+    let g = Array.make params.slots 1 in
+    for j = 1 to params.slots - 1 do
+      g.(j) <- g.(j - 1) * 5 mod (2 * params.n)
+    done;
+    g
+
+  let zeta_pow (params : Params.t) k =
+    let ang = Float.pi *. float_of_int k /. float_of_int params.n in
+    { Complex.re = cos ang; im = sin ang }
+
+  let encode_real_centered (params : Params.t) ~scale values =
+    let n = params.n and group = rot_group params in
+    let evals = Array.make n Complex.zero in
+    for j = 0 to params.slots - 1 do
+      let v = if j < Array.length values then values.(j) else 0.0 in
+      let scaled = { Complex.re = v *. scale; im = 0.0 *. scale } in
+      let t = (group.(j) - 1) / 2 in
+      evals.(t) <- scaled;
+      evals.(n - 1 - t) <- Complex.conj scaled
+    done;
+    fft_transform ~sign:(-1.0) evals;
+    Array.init n (fun k ->
+        let b =
+          { Complex.re = evals.(k).re /. float_of_int n; im = evals.(k).im /. float_of_int n }
+        in
+        int_of_float (Float.round (Complex.mul b (zeta_pow params (-k))).re))
+
+  let decode (params : Params.t) ~scale poly =
+    let n = params.n in
+    let coeffs = Rns_poly.centered_coeffs params poly in
+    let twisted =
+      Array.init n (fun k ->
+          Complex.mul { Complex.re = float_of_int coeffs.(k); im = 0.0 } (zeta_pow params k))
+    in
+    fft_transform ~sign:1.0 twisted;
+    let inv_n = 1.0 /. float_of_int n in
+    let twisted =
+      Array.map (fun (c : Complex.t) -> { Complex.re = c.re *. inv_n; im = c.im *. inv_n }) twisted
+    in
+    let group = rot_group params in
+    Array.init params.slots (fun j ->
+        let v = twisted.((group.(j) - 1) / 2) in
+        { Complex.re = v.re *. float_of_int n /. scale; im = v.im *. float_of_int n /. scale })
+
+  let of_centered_coeffs ~moduli ~level coeffs =
+    Array.init level (fun i -> Array.map (fun c -> Modarith.reduce ~m:moduli.(i) c) coeffs)
 end
 
 (* ---------------------------------------------------------------- *)
@@ -360,6 +434,31 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
            (Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res))
     ~ref_f:(fun () -> Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res)
     ~new_f:(fun () -> Rns_poly.automorphism params ~k pa_eval);
+  (* Plaintext path: the unboxed encoder and decoder against the boxed
+     ones, decoded floats compared bit for bit; the pooled division-free
+     embedding against one hardware [mod] per coefficient and limb. *)
+  let values = Array.init params.slots (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let scale = params.scale in
+  let coeffs = Encoding.encode_real_centered params ~scale values in
+  let pm = Rns_poly.of_centered_coeffs params ~level:limbs coeffs in
+  let bits (c : Complex.t) = (Int64.bits_of_float c.re, Int64.bits_of_float c.im) in
+  record "encode" ~limbs:0
+    ~identical:(arrays_equal coeffs (Ref.encode_real_centered params ~scale values))
+    ~ref_f:(fun () -> Ref.encode_real_centered params ~scale values)
+    ~new_f:(fun () -> Encoding.encode_real_centered params ~scale values);
+  record "decode" ~limbs:1
+    ~identical:
+      (arrays_equal
+         (Array.map bits (Encoding.decode params ~scale pm))
+         (Array.map bits (Ref.decode params ~scale pm)))
+    ~ref_f:(fun () -> Ref.decode params ~scale pm)
+    ~new_f:(fun () -> Encoding.decode params ~scale pm);
+  record "of_centered_coeffs" ~limbs
+    ~identical:
+      (residues_equal (pm : Rns_poly.t).res
+         (Ref.of_centered_coeffs ~moduli:params.moduli ~level:limbs coeffs))
+    ~ref_f:(fun () -> Ref.of_centered_coeffs ~moduli:params.moduli ~level:limbs coeffs)
+    ~new_f:(fun () -> Rns_poly.of_centered_coeffs params ~level:limbs coeffs);
   (* Key switch on an NTT-resident operand (as the pipeline hands c1 over)
      at several levels of one chain: division-free, lazily reduced
      decompose + apply vs the naive hybrid reference, same relinearization

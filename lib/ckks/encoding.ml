@@ -5,76 +5,107 @@
    r_j sits at FFT bin t_j = (r_j - 1) / 2, and its complex conjugate (needed
    to make the coefficients real) at bin n - 1 - t_j. *)
 
-let rot_group_cache : (int, int array) Hashtbl.t = Hashtbl.create 4
+(* Per ring degree, computed once: the rotation group, each slot's FFT bin,
+   the FFT plan, and the twist factors zeta^k and zeta^-k. *)
+type tables = {
+  group : int array;
+  bin : int array;
+  fft : Fft.plan;
+  z_re : float array;
+  z_im : float array;
+  zinv_re : float array;
+  zinv_im : float array;
+}
 
-let rot_group (params : Params.t) =
-  match Hashtbl.find_opt rot_group_cache params.n with
-  | Some g -> g
+let make_tables n =
+  let group = Array.make (n / 2) 1 in
+  for j = 1 to (n / 2) - 1 do
+    group.(j) <- group.(j - 1) * 5 mod (2 * n)
+  done;
+  let cis f sign =
+    Array.init n (fun k -> f (Float.pi *. float_of_int (sign * k) /. float_of_int n))
+  in
+  {
+    group;
+    bin = Array.map (fun r -> (r - 1) / 2) group;
+    fft = Fft.plan n;
+    z_re = cis cos 1;
+    z_im = cis sin 1;
+    zinv_re = cis cos (-1);
+    zinv_im = cis sin (-1);
+  }
+
+(* Immutable entries behind one atomic: a racing domain may lose its
+   insert and recompute the same tables later, never read a torn one. *)
+let cache : (int * tables) list Atomic.t = Atomic.make []
+
+let tables (params : Params.t) =
+  match List.assoc_opt params.n (Atomic.get cache) with
+  | Some t -> t
   | None ->
-    let two_n = 2 * params.n in
-    let g = Array.make params.slots 1 in
-    for j = 1 to params.slots - 1 do
-      g.(j) <- g.(j - 1) * 5 mod two_n
-    done;
-    Hashtbl.add rot_group_cache params.n g;
-    g
+    let t = make_tables params.n in
+    Atomic.set cache ((params.n, t) :: Atomic.get cache);
+    t
 
-let zeta_pow (params : Params.t) k =
-  let ang = Float.pi *. float_of_int k /. float_of_int params.n in
-  { Complex.re = cos ang; im = sin ang }
+let rot_group params = (tables params).group
 
-let encode_centered (params : Params.t) ~scale values =
-  let n = params.n and slots = params.slots in
-  if Array.length values > slots then invalid_arg "Encoding.encode: too many values";
-  let group = rot_group params in
-  (* Fill the odd-root evaluation vector (indexed by FFT bin t). *)
-  let evals = Array.make n Complex.zero in
-  for j = 0 to slots - 1 do
-    let v = if j < Array.length values then values.(j) else Complex.zero in
-    let scaled = { Complex.re = v.re *. scale; im = v.im *. scale } in
-    let t = (group.(j) - 1) / 2 in
-    evals.(t) <- scaled;
-    evals.(n - 1 - t) <- Complex.conj scaled
+(* [vre]/[vim]: real and imaginary parts of at most [slots] values; missing
+   slots are zero.  Rounded coefficients must lie in Modarith.embed's
+   domain, |c| < 2^62. *)
+let encode_parts (params : Params.t) ~scale vre vim =
+  let n = params.n and len = Array.length vre in
+  if len > params.slots then invalid_arg "Encoding.encode: too many values";
+  let tb = tables params in
+  let re = Array.make n 0.0 and im = Array.make n 0.0 in
+  for j = 0 to params.slots - 1 do
+    if j < len && not (Float.is_finite vre.(j) && Float.is_finite vim.(j)) then
+      invalid_arg (Printf.sprintf "Encoding.encode: slot %d is not finite" j);
+    let sr = (if j < len then vre.(j) else 0.0) *. scale
+    and si = (if j < len then vim.(j) else 0.0) *. scale in
+    let t = tb.bin.(j) in
+    re.(t) <- sr;
+    im.(t) <- si;
+    re.(n - 1 - t) <- sr;
+    im.(n - 1 - t) <- -.si
   done;
   (* b_k = (1/n) * FFT(evals)[k]; coefficients a_k = Re(b_k * zeta^{-k}). *)
-  Fft.fft evals;
+  Fft.fft tb.fft re im;
+  let fn = float_of_int n in
   Array.init n (fun k ->
-      let b =
-        { Complex.re = evals.(k).re /. float_of_int n;
-          im = evals.(k).im /. float_of_int n }
+      let c =
+        Float.round ((re.(k) /. fn *. tb.zinv_re.(k)) -. (im.(k) /. fn *. tb.zinv_im.(k)))
       in
-      let untwisted = Complex.mul b (zeta_pow params (-k)) in
-      int_of_float (Float.round untwisted.re))
+      if not (Float.abs c < 0x1p62) then
+        invalid_arg (Printf.sprintf "Encoding.encode: coefficient %g out of range" c);
+      int_of_float c)
 
-let encode (params : Params.t) ~level ~scale values =
-  Rns_poly.of_centered_coeffs params ~level (encode_centered params ~scale values)
+let encode_centered params ~scale (values : Complex.t array) =
+  encode_parts params ~scale
+    (Array.map (fun (c : Complex.t) -> c.re) values)
+    (Array.map (fun (c : Complex.t) -> c.im) values)
 
 let encode_real_centered params ~scale values =
-  encode_centered params ~scale
-    (Array.map (fun re -> { Complex.re; im = 0.0 }) values)
+  encode_parts params ~scale values (Array.make (Array.length values) 0.0)
 
-let decode (params : Params.t) ~scale poly =
-  let n = params.n and slots = params.slots in
-  let coeffs = Rns_poly.centered_coeffs params poly in
-  let twisted =
-    Array.init n (fun k ->
-        Complex.mul
-          { Complex.re = float_of_int coeffs.(k); im = 0.0 }
-          (zeta_pow params k))
-  in
-  Fft.ifft twisted;
-  let group = rot_group params in
-  Array.init slots (fun j ->
-      let t = (group.(j) - 1) / 2 in
-      let v = twisted.(t) in
-      {
-        Complex.re = v.re *. float_of_int n /. scale;
-        im = v.im *. float_of_int n /. scale;
-      })
+let encode params ~level ~scale values =
+  Rns_poly.of_centered_coeffs params ~level (encode_centered params ~scale values)
 
 let encode_real params ~level ~scale values =
-  encode params ~level ~scale
-    (Array.map (fun re -> { Complex.re; im = 0.0 }) values)
+  Rns_poly.of_centered_coeffs params ~level (encode_real_centered params ~scale values)
+
+let decode (params : Params.t) ~scale poly =
+  let n = params.n in
+  let coeffs = Rns_poly.centered_coeffs params poly in
+  let tb = tables params in
+  let re = Array.create_float n and im = Array.create_float n in
+  for k = 0 to n - 1 do
+    let c = float_of_int coeffs.(k) in
+    re.(k) <- (c *. tb.z_re.(k)) -. (0.0 *. tb.z_im.(k));
+    im.(k) <- (c *. tb.z_im.(k)) +. (0.0 *. tb.z_re.(k))
+  done;
+  Fft.ifft tb.fft re im;
+  let fn = float_of_int n in
+  Array.map (fun t -> { Complex.re = re.(t) *. fn /. scale; im = im.(t) *. fn /. scale }) tb.bin
 
 let decode_real params ~scale poly =
   Array.map (fun (c : Complex.t) -> c.re) (decode params ~scale poly)

@@ -7,7 +7,8 @@
     automorphism [X -> X^{5^r}], which is how {!Eval.rotate} is implemented.
 
     Values are scaled by [scale] and rounded to integers before being reduced
-    into RNS form. *)
+    into RNS form.  Every encoder raises [Invalid_argument] on a NaN or
+    infinite slot and on a rounded coefficient of magnitude [>= 2^62]. *)
 
 val encode :
   Params.t -> level:int -> scale:float -> Complex.t array -> Rns_poly.t

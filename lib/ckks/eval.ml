@@ -60,13 +60,9 @@ let decompose_cached (keys : Keys.t) a =
       a.digits <- Some (a.c1, dec);
       dec
 
+(* Extra values are dropped; missing slots encode as zero. *)
 let pad_slots (params : Params.t) values =
-  if Array.length values = params.slots then values
-  else begin
-    let out = Array.make params.slots 0.0 in
-    Array.blit values 0 out 0 (min (Array.length values) params.slots);
-    out
-  end
+  if Array.length values <= params.slots then values else Array.sub values 0 params.slots
 
 let encrypt_sym (keys : Keys.t) ~level values =
   let params = keys.params in
@@ -81,10 +77,8 @@ let encrypt_sym (keys : Keys.t) ~level values =
     Rns_poly.of_centered_coeffs params ~level
       (Sampler.gaussian keys.rng ~n:params.n ~sigma:params.sigma)
   in
-  let s = Keys.secret_poly keys ~level in
-  let c0 =
-    Rns_poly.add params (Rns_poly.add params (Rns_poly.neg params (Rns_poly.mul params a s)) m) e
-  in
+  let s = Rns_poly.to_level params ~level keys.s_ntt in
+  let c0 = Rns_poly.sub params (Rns_poly.add params m e) (Rns_poly.mul params a s) in
   noised units.enc (mk c0 a params.scale)
 
 let encrypt (keys : Keys.t) ~level values =
@@ -104,17 +98,16 @@ let encrypt (keys : Keys.t) ~level values =
     Rns_poly.of_centered_coeffs params ~level
       (Sampler.gaussian keys.rng ~n:params.n ~sigma:params.sigma)
   in
-  let pk0 = Rns_poly.to_level params ~level keys.pk0 in
-  let pk1 = Rns_poly.to_level params ~level keys.pk1 in
-  let c0 =
-    Rns_poly.add params (Rns_poly.add params (Rns_poly.mul params v pk0) m) e0
-  in
+  let pk0 = Rns_poly.to_level params ~level keys.pk0_ntt in
+  let pk1 = Rns_poly.to_level params ~level keys.pk1_ntt in
+  (* m + e0 is exact in the coefficient domain: one lift instead of two. *)
+  let c0 = Rns_poly.add params (Rns_poly.mul params v pk0) (Rns_poly.add params m e0) in
   let c1 = Rns_poly.add params (Rns_poly.mul params v pk1) e1 in
   noised units.enc (mk c0 c1 params.scale)
 
 let decrypt_poly (keys : Keys.t) ct =
   let params = keys.params in
-  let s = Keys.secret_poly keys ~level:(level ct) in
+  let s = Rns_poly.to_level params ~level:(level ct) keys.s_ntt in
   Rns_poly.add params ct.c0 (Rns_poly.mul params ct.c1 s)
 
 let decrypt_complex (keys : Keys.t) ct =
@@ -170,17 +163,19 @@ let multcc (keys : Keys.t) a b =
     (a.noise_est +. b.noise_est +. units.keyswitch)
     (mk (Rns_poly.add p d0 u0) (Rns_poly.add p d1 u1) (a.scale *. b.scale))
 
-let multcp (keys : Keys.t) a values =
+(* [a] times a plaintext encoded at [a]'s level with [scale], lifted once
+   for both halves. *)
+let mul_plain (keys : Keys.t) a ~scale m =
   let params = keys.params in
-  let values = pad_slots params values in
-  let m =
-    Rns_poly.to_eval params
-      (Encoding.encode_real params ~level:(level a) ~scale:params.scale values)
-  in
+  let m = Rns_poly.to_eval params m in
   noised
     (a.noise_est +. units.keyswitch)
-    (mk (Rns_poly.mul params a.c0 m) (Rns_poly.mul params a.c1 m)
-       (a.scale *. params.scale))
+    (mk (Rns_poly.mul params a.c0 m) (Rns_poly.mul params a.c1 m) (a.scale *. scale))
+
+let multcp (keys : Keys.t) a values =
+  let params = keys.params in
+  mul_plain keys a ~scale:params.scale
+    (Encoding.encode_real params ~level:(level a) ~scale:params.scale (pad_slots params values))
 
 (* Every rotation key-switches against the digit decomposition of the
    unrotated [c1], with the Galois automorphism fused into the inner
@@ -245,14 +240,8 @@ let conjugate (keys : Keys.t) a =
 
 let multcp_complex (keys : Keys.t) a values =
   let params = keys.params in
-  let m =
-    Rns_poly.to_eval params
-      (Encoding.encode params ~level:(level a) ~scale:params.scale values)
-  in
-  noised
-    (a.noise_est +. units.keyswitch)
-    (mk (Rns_poly.mul params a.c0 m) (Rns_poly.mul params a.c1 m)
-       (a.scale *. params.scale))
+  mul_plain keys a ~scale:params.scale
+    (Encoding.encode params ~level:(level a) ~scale:params.scale values)
 
 let rescale (keys : Keys.t) a =
   let params = keys.params in
@@ -284,18 +273,11 @@ let multcp_exact (keys : Keys.t) a values ~target =
   if l < 2 then invalid_arg "Eval.multcp_exact: level below 2";
   let q = float_of_int (Params.modulus_at params ~level:l) in
   let encode_scale = target *. q /. a.scale in
-  let values = pad_slots params values in
-  let m =
-    Rns_poly.to_eval params
-      (Encoding.encode_real params ~level:l ~scale:encode_scale values)
+  let r =
+    rescale keys
+      (mul_plain keys a ~scale:encode_scale
+         (Encoding.encode_real params ~level:l ~scale:encode_scale (pad_slots params values)))
   in
-  let product =
-    noised
-      (a.noise_est +. units.keyswitch)
-      (mk (Rns_poly.mul params a.c0 m) (Rns_poly.mul params a.c1 m)
-         (a.scale *. encode_scale))
-  in
-  let r = rescale keys product in
   (* Floating bookkeeping can be off by one ulp; pin the target. *)
   { r with scale = target }
 

@@ -44,7 +44,9 @@ val of_parts : c0:Rns_poly.t -> c1:Rns_poly.t -> scale:float -> ct
 
 val encrypt : Keys.t -> level:int -> float array -> ct
 (** Public-key encryption of real slot values at the default scale
-    (shorter vectors are zero-padded to [slots]). *)
+    (shorter vectors are zero-padded to [slots]).  Like every op that
+    encodes ([encrypt_sym], [addcp], [multcp]...), raises
+    [Invalid_argument] on a value {!Encoding} rejects. *)
 
 val encrypt_sym : Keys.t -> level:int -> float array -> ct
 (** Symmetric encryption; used by tests and by the bootstrapping oracle. *)

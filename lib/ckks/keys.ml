@@ -41,6 +41,10 @@ type t = {
   secret : secret;
   pk0 : Rns_poly.t;
   pk1 : Rns_poly.t;
+  s_ntt : Rns_poly.t;
+  pk0_ntt : Rns_poly.t;
+  pk1_ntt : Rns_poly.t;
+      (* full-level NTT images, derived at keygen / restore, never persisted *)
   relin : switch_key;
   rotations : (int, cached_key) Hashtbl.t;
   generated : (int, unit) Hashtbl.t;
@@ -158,9 +162,6 @@ let galois_element (params : Params.t) ~offset =
   let rec pow acc i = if i = 0 then acc else pow (acc * 5 mod two_n) (i - 1) in
   pow 1 r
 
-let secret_poly keys ~level =
-  Rns_poly.of_centered_coeffs keys.params ~level keys.secret.coeffs
-
 (* --- memory budget ------------------------------------------------------ *)
 
 let parse_budget s =
@@ -198,6 +199,9 @@ let seed_base_of_secret coeffs =
 let fresh_cache () =
   { hits = 0; misses = 0; evictions = 0; regenerations = 0; digit_hits = 0 }
 
+let secret_ntt (params : Params.t) coeffs =
+  Rns_poly.to_eval params (Rns_poly.of_centered_coeffs params ~level:params.max_level coeffs)
+
 let keygen ?(seed = 0x51CC5) params =
   let rng = Random.State.make [| seed |] in
   let n = (params : Params.t).n in
@@ -208,8 +212,8 @@ let keygen ?(seed = 0x51CC5) params =
   let e =
     Rns_poly.of_centered_coeffs params ~level:l (Sampler.gaussian rng ~n ~sigma:params.sigma)
   in
-  let s_poly = Rns_poly.of_centered_coeffs params ~level:l s in
-  let pk0 = Rns_poly.add params (Rns_poly.neg params (Rns_poly.mul params a s_poly)) e in
+  let s_ntt = secret_ntt params s and pk1_ntt = Rns_poly.to_eval params a in
+  let pk0 = Rns_poly.sub params e (Rns_poly.mul params pk1_ntt s_ntt) in
   let s2 = small_negacyclic_mul s s in
   let relin = make_switch_key params rng ~secret_coeffs:s ~source_coeffs:s2 in
   {
@@ -217,6 +221,9 @@ let keygen ?(seed = 0x51CC5) params =
     secret = { coeffs = s };
     pk0;
     pk1 = a;
+    s_ntt;
+    pk0_ntt = Rns_poly.to_eval params pk0;
+    pk1_ntt;
     relin;
     rotations = Hashtbl.create 8;
     generated = Hashtbl.create 8;
@@ -400,6 +407,9 @@ let of_parts params ~secret ~pk0 ~pk1 ~relin ~rotations ~rng =
       secret = { coeffs = secret };
       pk0;
       pk1;
+      s_ntt = secret_ntt params secret;
+      pk0_ntt = Rns_poly.to_eval params pk0;
+      pk1_ntt = Rns_poly.to_eval params pk1;
       relin;
       rotations = Hashtbl.create (max 8 (List.length rotations));
       generated = Hashtbl.create (max 8 (List.length rotations));

@@ -50,6 +50,12 @@ type t = private {
   secret : secret;
   pk0 : Rns_poly.t;
   pk1 : Rns_poly.t;
+  s_ntt : Rns_poly.t;
+  pk0_ntt : Rns_poly.t;
+  pk1_ntt : Rns_poly.t;
+      (** Full-level [Eval]-domain images of the secret, [pk0] and [pk1],
+          derived by [keygen] / [of_parts] and never persisted; encryption
+          and decryption use their level prefixes ({!Rns_poly.to_level}). *)
   relin : switch_key;
   rotations : (int, cached_key) Hashtbl.t;  (** keyed by Galois element *)
   generated : (int, unit) Hashtbl.t;
@@ -175,9 +181,6 @@ val ext_of_centered : t -> level:int -> int array -> int array array
     exactly the evaluation-domain mod-Q residues of the polynomial. *)
 
 val relin_key : t -> switch_key
-
-val secret_poly : t -> level:int -> Rns_poly.t
-(** The secret embedded at a ciphertext level, for decryption. *)
 
 (** {2 Codec hooks}
 

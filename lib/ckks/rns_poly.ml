@@ -20,12 +20,15 @@ let zero ?(domain = Coeff) (params : Params.t) ~level =
   { level; domain; res = Array.init level (fun _ -> Array.make params.n 0) }
 
 let of_centered_coeffs (params : Params.t) ~level coeffs =
-  let embed q = Array.map (fun c -> Modarith.reduce ~m:q c) coeffs in
-  {
-    level;
-    domain = Coeff;
-    res = Array.init level (fun i -> embed params.moduli.(i));
-  }
+  let res = Array.make level [||] in
+  par params level (fun i ->
+      let red = Modarith.reducer params.moduli.(i) in
+      let dst = Array.make (Array.length coeffs) 0 in
+      for j = 0 to Array.length coeffs - 1 do
+        Array.unsafe_set dst j (Modarith.embed red (Array.unsafe_get coeffs j))
+      done;
+      res.(i) <- dst);
+  { level; domain = Coeff; res }
 
 let of_residues ?(domain = Coeff) res = { level = Array.length res; domain; res }
 
@@ -112,13 +115,16 @@ let sub params a b =
     a b
 
 let neg (params : Params.t) a =
-  {
-    a with
-    res =
-      Array.mapi
-        (fun i r -> Array.map (fun c -> Modarith.neg ~m:params.moduli.(i) c) r)
-        a.res;
-  }
+  let res = Array.make a.level [||] in
+  par params a.level (fun i ->
+      let q = params.moduli.(i) and x = a.res.(i) in
+      let dst = Array.make (Array.length x) 0 in
+      for j = 0 to Array.length x - 1 do
+        let d = -Array.unsafe_get x j in
+        Array.unsafe_set dst j (d + (q land (d asr 62)))
+      done;
+      res.(i) <- dst);
+  { a with res }
 
 let mul (params : Params.t) a b =
   if a.level <> b.level then invalid_arg "Rns_poly.mul: level mismatch";

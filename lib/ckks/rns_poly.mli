@@ -29,7 +29,8 @@ val zero : ?domain:domain -> Params.t -> level:int -> t
 
 val of_centered_coeffs : Params.t -> level:int -> int array -> t
 (** Embed a small-coefficient integer polynomial (coefficients are reduced
-    into each modulus).  Result is in the [Coeff] domain. *)
+    into each modulus by {!Modarith.embed}, so each must exceed [min_int]).
+    Result is in the [Coeff] domain. *)
 
 val of_residues : ?domain:domain -> int array array -> t
 (** Takes ownership of the given residue vectors ([domain] defaults to

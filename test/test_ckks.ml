@@ -83,6 +83,13 @@ let complex_array_near msg a b =
         Alcotest.failf "%s: index %d: (%g, %g) vs (%g, %g)" msg i x.re x.im y.re y.im)
     a
 
+(* The transform works on split real / imaginary arrays. *)
+let fft_of f (a : Complex.t array) =
+  let re = Array.map (fun (c : Complex.t) -> c.re) a
+  and im = Array.map (fun (c : Complex.t) -> c.im) a in
+  f (Fft.plan (Array.length a)) re im;
+  Array.map2 (fun re im -> { Complex.re; im }) re im
+
 let test_fft_roundtrip () =
   let rng = Random.State.make [| 42 |] in
   let a =
@@ -90,17 +97,39 @@ let test_fft_roundtrip () =
         { Complex.re = Random.State.float rng 2.0 -. 1.0;
           im = Random.State.float rng 2.0 -. 1.0 })
   in
-  let b = Array.copy a in
-  Fft.fft b;
-  Fft.ifft b;
-  complex_array_near "fft . ifft = id" a b
+  complex_array_near "fft . ifft = id" a (fft_of Fft.ifft (fft_of Fft.fft a))
 
 let test_fft_impulse () =
   (* The DFT of a unit impulse is the all-ones vector. *)
   let a = Array.make 8 Complex.zero in
   a.(0) <- Complex.one;
-  Fft.fft a;
-  complex_array_near "impulse" (Array.make 8 Complex.one) a
+  complex_array_near "impulse" (Array.make 8 Complex.one) (fft_of Fft.fft a)
+
+let test_fft_direct () =
+  (* Against the O(n^2) definition, both directions. *)
+  let n = 16 in
+  let rng = Random.State.make [| 7 |] in
+  let a =
+    Array.init n (fun _ ->
+        { Complex.re = Random.State.float rng 2.0 -. 1.0;
+          im = Random.State.float rng 2.0 -. 1.0 })
+  in
+  let dft sign scale =
+    Array.init n (fun k ->
+        let acc = ref Complex.zero in
+        Array.iteri
+          (fun j x ->
+            let ang = sign *. 2.0 *. Float.pi *. float_of_int (j * k) /. float_of_int n in
+            acc := Complex.add !acc (Complex.mul x (Complex.polar 1.0 ang)))
+          a;
+        { Complex.re = !acc.re *. scale; im = !acc.im *. scale })
+  in
+  complex_array_near "fft" (dft (-1.0) 1.0) (fft_of Fft.fft a);
+  complex_array_near "ifft" (dft 1.0 (1.0 /. float_of_int n)) (fft_of Fft.ifft a);
+  Alcotest.check_raises "length mismatch" (Invalid_argument "Fft: length mismatch")
+    (fun () -> Fft.fft (Fft.plan n) (Array.make n 0.0) (Array.make (n / 2) 0.0));
+  Alcotest.check_raises "size" (Invalid_argument "Fft: size must be a power of two")
+    (fun () -> ignore (Fft.plan 12))
 
 let test_fft_linearity =
   QCheck.Test.make ~name:"fft (a + b) = fft a + fft b" ~count:50
@@ -110,15 +139,12 @@ let test_fft_linearity =
       let c re = { Complex.re; im = 0.0 } in
       let a = Array.map c xs in
       let b = Array.mapi (fun i _ -> c (float_of_int (i mod 5) -. 2.0)) xs in
-      let sum = Array.map2 Complex.add a b in
-      Fft.fft a;
-      Fft.fft b;
-      Fft.fft sum;
+      let sum = fft_of Fft.fft (Array.map2 Complex.add a b) in
       Array.for_all2
         (fun (s : Complex.t) (t : Complex.t) ->
           Complex.norm (Complex.sub s t) < 1e-6)
         sum
-        (Array.map2 Complex.add a b))
+        (Array.map2 Complex.add (fft_of Fft.fft a) (fft_of Fft.fft b)))
 
 (* ------------------------------------------------------------------ *)
 (* NTT                                                                 *)
@@ -285,6 +311,58 @@ let test_encrypt_decrypt () =
   float_array_near "public-key round trip" values (Eval.decrypt keys ct);
   let ct2 = Eval.encrypt_sym keys ~level:2 values in
   float_array_near "symmetric round trip" values (Eval.decrypt keys ct2)
+
+(* [int_of_float] maps NaN and 1e30 to 0 and wraps past 2^62, so one bad
+   slot would silently decrypt every slot to garbage.  The encoder rejects
+   non-finite slots and coefficients outside Modarith.embed's domain, and
+   the lattice adapter reports the op that encoded as a backend error. *)
+let rejects msg f =
+  Alcotest.(check bool) msg true
+    (try
+       ignore (f ());
+       false
+     with Invalid_argument _ -> true)
+
+let backend_rejects keys values =
+  let module L = Halo_runtime.Lattice_backend in
+  let ct = Eval.encrypt keys ~level:2 (Array.make keys.Keys.params.slots 0.5) in
+  List.iter
+    (fun (op, f) ->
+      match f () with
+      | _ -> Alcotest.failf "lattice %s accepted a bad slot" op
+      | exception Halo_error.Backend_error { site; _ } ->
+        Alcotest.(check string) "error site" op site.op)
+    [
+      ("encrypt", fun () -> L.encrypt keys ~level:2 values);
+      ("addcp", fun () -> L.addcp keys ct values);
+      ("multcp", fun () -> L.multcp keys ct values);
+    ]
+
+let test_encode_rejects_non_finite () =
+  let keys = test_keys () in
+  let p = keys.params in
+  List.iter
+    (fun bad ->
+      let values = Array.init p.slots (fun i -> if i = 1 then bad else 0.5) in
+      rejects (Printf.sprintf "encrypt %g" bad) (fun () -> Eval.encrypt keys ~level:2 values);
+      rejects (Printf.sprintf "complex slot %g" bad) (fun () ->
+          Encoding.encode_centered p ~scale:p.scale [| { Complex.re = 0.5; im = bad } |]);
+      backend_rejects keys values)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_encode_rejects_wide_coefficients () =
+  let keys = test_keys () in
+  let p = keys.params in
+  let values = Array.init p.slots (fun i -> if i = 1 then 1e30 else 0.5) in
+  rejects "encrypt 1e30" (fun () -> Eval.encrypt keys ~level:2 values);
+  backend_rejects keys values;
+  (* A constant vector encodes to the constant coefficient value * scale:
+     4.7e18 is past 2^62 (about 4.61e18), 4.6e18 is not. *)
+  let ones = Array.make p.slots 1.0 in
+  rejects "coefficient 4.7e18" (fun () -> Encoding.encode_real_centered p ~scale:4.7e18 ones);
+  let c = Encoding.encode_real_centered p ~scale:4.6e18 ones in
+  Alcotest.(check bool) "coefficient 4.6e18 kept" true
+    (Float.abs (float_of_int c.(0) -. 4.6e18) < 1e6)
 
 let test_addcc_subcc () =
   let keys = test_keys () in
@@ -617,6 +695,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
           Alcotest.test_case "impulse" `Quick test_fft_impulse;
+          Alcotest.test_case "direct DFT" `Quick test_fft_direct;
         ]
         @ qsuite [ test_fft_linearity ] );
       ( "ntt",
@@ -648,6 +727,9 @@ let () =
           Alcotest.test_case "rotate" `Quick test_rotate;
           Alcotest.test_case "modswitch" `Quick test_modswitch_eval;
           Alcotest.test_case "level mismatch" `Quick test_level_mismatch_rejected;
+          Alcotest.test_case "non-finite slot rejected" `Quick test_encode_rejects_non_finite;
+          Alcotest.test_case "wide coefficient rejected" `Quick
+            test_encode_rejects_wide_coefficients;
         ]
         @ qsuite [ test_homomorphic_add_prop ] );
       ( "bootstrap",

@@ -727,7 +727,8 @@ let test_keyswitch_error_per_level () =
   let bound = ks_error_bound p in
   let rng = Random.State.make [| 0xe7703 |] in
   let phase (ct : Eval.ct) =
-    Rns_poly.add p ct.c0 (Rns_poly.mul p ct.c1 (Keys.secret_poly keys ~level:(Eval.level ct)))
+    Rns_poly.add p ct.c0
+      (Rns_poly.mul p ct.c1 (Rns_poly.to_level p ~level:(Eval.level ct) keys.s_ntt))
   in
   let max_err a b =
     let diff = (Rns_poly.to_coeff p (Rns_poly.sub p a b) : Rns_poly.t).res in
@@ -795,6 +796,118 @@ let test_keyswitch_pool_sizes () =
   check_pair p "apply" a_s a_p;
   check_pair p "apply_rotated" r_s r_p;
   check_pair p "mac" m_s m_p
+
+(* ------------------------------------------------------------------ *)
+(* Plaintext path                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every output of the plaintext path at test_deep, digested per kind: the
+   public key as persisted, encoder roundings, decoded floats as IEEE bit
+   patterns (so a -0.0 counts), ciphertext residues with their domain
+   tags.  Slot inputs mix random values, signed zeros and zero-padded
+   short vectors.  The key set's RNG is pinned for the run and restored
+   after, so the digests do not depend on test order. *)
+let plaintext_outputs () =
+  let p = Params.test_deep () in
+  let keys = keys_for p in
+  let saved = Keys.rng_state keys in
+  Keys.set_rng_state keys (Random.State.make [| 0x9a1d |]);
+  let st = Random.State.make [| 0x9a1e |] in
+  let real i = if i mod 97 = 3 then -0.0 else Random.State.float st 2.0 -. 1.0 in
+  let reals len = Array.init len real in
+  let complexes len = Array.init len (fun i -> { Complex.re = real i; im = real (i + 1) }) in
+  let buf = Buffer.create (1 lsl 16) in
+  let ints a = Array.iter (fun x -> Buffer.add_string buf (string_of_int x); Buffer.add_char buf ',') a in
+  let floats a = ints (Array.map (fun x -> Int64.to_int (Int64.bits_of_float x)) a) in
+  let poly (x : Rns_poly.t) =
+    Buffer.add_char buf (match x.domain with Rns_poly.Coeff -> 'c' | Rns_poly.Eval -> 'e');
+    Array.iter ints x.res
+  in
+  let ct (c : Eval.ct) = poly c.c0; poly c.c1; floats [| c.scale |] in
+  let digest name f =
+    Buffer.clear buf;
+    f ();
+    (name, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  let pk = digest "public key" (fun () -> poly keys.pk0; poly keys.pk1) in
+  let enc_c =
+    digest "encode_centered" (fun () ->
+        ints (Encoding.encode_centered p ~scale:p.scale (complexes p.slots));
+        ints (Encoding.encode_centered p ~scale:0x1p40 (complexes 17)))
+  in
+  let enc_r =
+    digest "encode_real_centered" (fun () ->
+        ints (Encoding.encode_real_centered p ~scale:p.scale (reals p.slots));
+        ints (Encoding.encode_real_centered p ~scale:0x1p20 (reals 100)))
+  in
+  let dec =
+    digest "decode" (fun () ->
+        let m = Encoding.encode p ~level:4 ~scale:p.scale (complexes p.slots) in
+        let r = rand_poly st p ~level:2 in
+        let impulse = Rns_poly.of_centered_coeffs p ~level:1 (Array.init p.n (fun k -> if k = 5 then -3 else 0)) in
+        List.iter
+          (fun x ->
+            Array.iter
+              (fun (c : Complex.t) -> floats [| c.re; c.im |])
+              (Encoding.decode p ~scale:p.scale x))
+          [ m; Rns_poly.to_eval p m; r; Rns_poly.zero p ~level:1; impulse ])
+  in
+  let cts = ref [] in
+  let encrypt name f =
+    digest name (fun () ->
+        List.iter
+          (fun (level, len) ->
+            let c = f keys ~level (reals len) in
+            cts := c :: !cts;
+            ct c)
+          [ (p.max_level, p.slots); (5, 33); (1, p.slots) ])
+  in
+  let enc = encrypt "encrypt" Eval.encrypt in
+  let enc_sym = encrypt "encrypt_sym" Eval.encrypt_sym in
+  let cts = List.rev !cts in
+  let decs = digest "decrypt" (fun () -> List.iter (fun c -> floats (Eval.decrypt keys c)) cts) in
+  let mulp =
+    digest "multcp" (fun () -> List.iter (fun c -> ct (Eval.multcp keys c (reals 40))) cts)
+  in
+  let negs = digest "negate" (fun () -> List.iter (fun c -> ct (Eval.negate keys c)) cts) in
+  let boot =
+    digest "oracle bootstrap" (fun () ->
+        List.iter
+          (fun c ->
+            let b = Bootstrap_oracle.bootstrap keys c ~target:p.max_level in
+            ct b;
+            floats (Eval.decrypt keys b))
+          [ List.nth cts 1; List.nth cts 4 ])
+  in
+  Keys.set_rng_state keys saved;
+  [ pk; enc_c; enc_r; dec; enc; enc_sym; decs; mulp; negs; boot ]
+
+(* Computed with the boxed Complex.t encoder, per-call twiddles and
+   hardware-division embedding that the unboxed path replaced. *)
+let plaintext_golden =
+  [
+    ("public key", "97d529522355045778a4c96e5b98d6c6");
+    ("encode_centered", "4737ab83aebdf854975c9d93ca156e09");
+    ("encode_real_centered", "7ab34c852e160a1afae24d8e1b86e224");
+    ("decode", "7249f22c57587cc79eea9ed51ab1bb79");
+    ("encrypt", "a917b16e4794fbc87ee300977beac644");
+    ("encrypt_sym", "f57665c2cb0f1d8057b61aa477058429");
+    ("decrypt", "cda31c7df69c22d9f087260de555895d");
+    ("multcp", "0dbd519a7277163b8bf6f43b96d5afa8");
+    ("negate", "2404cc66fde989d2ec237ac65cd7e6d8");
+    ("oracle bootstrap", "bc589a2925f489e5a9127518819b8502");
+  ]
+
+let test_plaintext_golden () =
+  Alcotest.(check (list (pair string string))) "test_deep plaintext digests"
+    plaintext_golden (plaintext_outputs ())
+
+(* Encoding embeds and lifts limbs across the pool; a sequential run must
+   agree bit for bit. *)
+let test_plaintext_pool_sizes () =
+  Alcotest.(check (list (pair string string))) "sequential = pooled"
+    (Domain_pool.sequentially plaintext_outputs)
+    (plaintext_outputs ())
 
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
@@ -871,6 +984,11 @@ let () =
             Alcotest.test_case "error bound at every level, test_deep" `Quick
               test_keyswitch_error_per_level;
           ] );
+      ( "plaintext",
+        [
+          Alcotest.test_case "test_deep golden digests" `Quick test_plaintext_golden;
+          Alcotest.test_case "pool size invariance" `Quick test_plaintext_pool_sizes;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "exception propagates, pool stays usable" `Quick
