@@ -212,14 +212,13 @@ let compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
     ~boot_slack ~manifest (p : Ir.program) =
   match manifest with
   | Some path ->
-    let expect = Halo_tune.Plan.fingerprint ~bindings p in
-    let plan = Halo_tune.Plan.load ~expect ~path () in
+    let plan =
+      Halo_persist.Store.load
+        ~fingerprint:(Halo_tune.Plan.fingerprint ~bindings p)
+        Halo_tune.Plan.artifact ~path
+    in
     Printf.printf "applying tuned plan: %s\n" (Halo_tune.Plan.to_string plan);
-    Strategy.compile ~bindings ~rotate_fuse:plan.Halo_tune.Plan.p_rotate_fuse
-      ~lazy_switch:plan.Halo_tune.Plan.p_lazy_switch
-      ~unroll_factor:plan.Halo_tune.Plan.p_unroll
-      ~boot_slack:plan.Halo_tune.Plan.p_boot_slack
-      ~strategy:plan.Halo_tune.Plan.p_strategy p
+    fst (Halo_tune.Tuner.compile_plan ~verify:false ~bindings plan p)
   | None ->
     Strategy.compile ~bindings ~rotate_fuse:(not no_fuse)
       ~lazy_switch:(not no_lazy) ~unroll_factor ~boot_slack ~strategy p
@@ -585,7 +584,8 @@ let tune_cmd =
         let result, _tuned = Tuner.tune ~exhaustive ~bindings ~name ?tol prog in
         print_string (Tuner.report result);
         let path = Option.value output ~default:default_out in
-        Plan.save ~path result.Tuner.r_plan;
+        ignore
+          (Halo_persist.Store.save Plan.artifact ~path result.Tuner.r_plan);
         Printf.printf "\nwrote tuned strategy manifest to %s\n" path;
         Printf.printf
           "verification: OK (checked pipeline passed, fingerprint drift \
@@ -937,7 +937,9 @@ let serve_cmd =
                 match manifest with
                 | None -> programs
                 | Some path ->
-                  let plan = Halo_tune.Plan.load ~path () in
+                  let plan =
+                    Halo_persist.Store.load Halo_tune.Plan.artifact ~path
+                  in
                   let applied = ref 0 in
                   let programs =
                     List.map

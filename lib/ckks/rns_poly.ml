@@ -221,10 +221,6 @@ let rescale_last (params : Params.t) a =
 
 (* Dropping limbs is valid in either domain: each limb is an independent
    residue vector whatever its representation. *)
-let drop_last a =
-  if a.level < 2 then invalid_arg "Rns_poly.drop_last: level < 2";
-  { a with level = a.level - 1; res = Array.sub a.res 0 (a.level - 1) }
-
 let to_level _params ~level a =
   if a.level < level then invalid_arg "Rns_poly.to_level: cannot raise level"
   else if a.level = level then a

@@ -73,9 +73,5 @@ val rescale_last : Params.t -> t -> t
     [Coeff] domain (this is the pipeline's coefficient boundary).  Requires
     level >= 2. *)
 
-val drop_last : t -> t
-(** Modswitch: drop the last residue without scaling (valid in either
-    domain).  Requires level >= 2. *)
-
 val to_level : Params.t -> level:int -> t -> t
 (** Drop residues down to [level] (a single [Array.sub]). *)

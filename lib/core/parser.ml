@@ -94,6 +94,7 @@ let count st =
         (int_lit st, true)
       | _ -> (1, false)
     in
+    if div < 1 then fail "loop-count divisor %d is below 1" div;
     Ir.Dyn { name; add; div; rem }
   | t -> fail "expected iteration count, found %s" (Lexer.token_to_string t)
 

@@ -8,7 +8,7 @@
     {v
     offset  size  field
     0       4     magic "HALO"
-    4       1     format version (currently 3)
+    4       1     format version (currently 5)
     5       1     kind tag (which payload codec)
     6       8     fingerprint (LE): Params.fingerprint for lattice
                   artifacts, the manifest fingerprint for journal entries,
@@ -18,7 +18,7 @@
     22+n    4     CRC-32 of bytes [0, 22+n)
     v}
 
-    {!unframe} validates magic, version, kind, fingerprint, length and CRC
+    {!of_frame} validates magic, version, kind, length, CRC and fingerprint
     — in that order, never reading a payload field first — and raises
     {!Halo_error.Persist_error} with the file path, byte offset and
     expected-vs-got values on any mismatch.  A frame written under different
@@ -71,36 +71,67 @@ val format_version : int
 val frame : kind:kind -> fingerprint:int64 -> (Buffer.t -> unit) -> string
 (** Serialize a payload writer into a complete frame. *)
 
-val unframe : ?path:string -> kind:kind -> fingerprint:int64 option -> string -> Wire.reader
-(** Validate a frame and return a reader over its payload.  When
-    [fingerprint] is [Some fp] the frame's stamp must match exactly;
-    [None] accepts any stamp (the caller reads it via {!fingerprint_of}). *)
+(** {2 Artifacts}
 
-val fingerprint_of : ?path:string -> string -> int64
-(** The fingerprint stamp of a frame (validates magic/version/CRC first). *)
+    Each durable record kind is described once, as an {!artifact}: its kind
+    tag, its payload encoder and decoder, and where its stamp comes from.
+    {!Store.save} and {!Store.load} frame, write, read, validate and decode
+    every kind through these values. *)
 
-(** {2 Payload codecs} *)
+type 'a stamp =
+  | Fixed of int64
+      (** known before the value: {!Params.fingerprint} for parameter-bound
+          kinds, 0 for self-describing ones; written, and required on load *)
+  | Of_value of ('a -> int64)
+      (** computed from the value on save; any stamp loads unless the
+          caller pins one *)
+  | Given
+      (** the caller passes [~fingerprint] on save and on load (journal and
+          serve records carry their manifest's fingerprint) *)
 
-val encode_rns : Buffer.t -> Rns_poly.t -> unit
-val decode_rns : Params.t -> Wire.reader -> Rns_poly.t
+type 'a artifact = {
+  kind : kind;
+  stamp : 'a stamp;
+  encode : Buffer.t -> 'a -> unit;
+  decode : Wire.reader -> 'a;
+      (** validates as it reads; the reader's [stamp] is the frame's *)
+}
+
+val to_frame : ?fingerprint:int64 -> 'a artifact -> 'a -> string
+(** The complete frame of one value.  [fingerprint] is required for a
+    {!Given} stamp and refused ([Invalid_argument]) for the others. *)
+
+val of_frame : ?path:string -> ?fingerprint:int64 -> 'a artifact -> string -> 'a
+(** Validate a frame — magic, version, kind, length, CRC and stamp, in that
+    order, never reading a payload field first — then decode its payload
+    and require every byte consumed.  [fingerprint] pins the stamp of an
+    {!Of_value} kind, is required for a {!Given} one and refused for a
+    {!Fixed} one. *)
+
+val payload_fingerprint : (Buffer.t -> 'a -> unit) -> 'a -> int64
+(** CRC-32 of the encoded value in the low 32 bits, its length (mod 2^24)
+    above: the stamp a manifest puts on its frame and on every record
+    written under it. *)
+
+(** {2 Parameter-bound and self-describing kinds} *)
+
+val rns : Params.t -> Rns_poly.t artifact
 (** Domain-tag aware: an [Eval]-domain polynomial round-trips NTT-resident,
     with no forced inverse transform.  Validates level bounds, limb lengths
     and residue ranges against the parameter set. *)
 
-val encode_ref_ct : Buffer.t -> Ref_backend.ct -> unit
+val ref_ct : slots:int -> max_level:int -> Ref_backend.ct artifact
+(** Stamped 0.  Ciphertext frames carry the runtime noise estimate since
+    format version 5; version-3/4 frames decode with the estimate at zero. *)
 
-val decode_ref_ct : slots:int -> max_level:int -> Wire.reader -> Ref_backend.ct
-(** Ciphertext frames carry the runtime noise estimate since format
-    version 5; version-3/4 frames decode with the estimate at zero. *)
+val lattice_ct : Params.t -> Eval.ct artifact
+val keys : Params.t -> Keys.t artifact
 
-val encode_lattice_ct : Buffer.t -> Eval.ct -> unit
-val decode_lattice_ct : Params.t -> Wire.reader -> Eval.ct
+val program : Halo.Ir.program artifact
+(** Stamped 0.  Round-trips every field, vector constants bit for bit;
+    refuses a loop-count divisor below 1. *)
 
-val encode_keys : Buffer.t -> Keys.t -> unit
-val decode_keys : Params.t -> Wire.reader -> Keys.t
-
-val encode_program : Buffer.t -> Halo.Ir.program -> unit
-val decode_program : Wire.reader -> Halo.Ir.program
+(** {2 Shared payload pieces} *)
 
 val encode_rng : Buffer.t -> Random.State.t -> unit
 val decode_rng : Wire.reader -> Random.State.t
@@ -111,10 +142,8 @@ val decode_rng : Wire.reader -> Random.State.t
 val encode_stats : Buffer.t -> Halo_runtime.Stats.t -> unit
 val decode_stats : Wire.reader -> Halo_runtime.Stats.t
 
-(** {2 Run manifest} *)
-
-(** Reference-backend construction knobs, stored so a resumed run rebuilds
-    the exact same backend. *)
+(** Reference-backend construction knobs, stored so a resumed run (or a
+    resumed server) rebuilds the exact same backend. *)
 type backend_cfg = {
   slots : int;
   max_level : int;
@@ -125,6 +154,19 @@ type backend_cfg = {
   boot_noise : float;
   rescale_noise : float;
 }
+
+val encode_backend_cfg : Buffer.t -> backend_cfg -> unit
+val decode_backend_cfg : Wire.reader -> backend_cfg
+(** Refuses a slot count or a max level below 1. *)
+
+val encode_rescue_tail : Buffer.t -> bool * float * int -> unit
+
+val decode_rescue_tail : Wire.reader -> bool * float * int
+(** Rescue monitor on/off, its headroom margin and its budget, which close
+    both manifests since format version 5.  Older payloads decode with the
+    monitor off at the default margin and budget. *)
+
+(** {2 Run manifest} *)
 
 (** Everything [halo_cli resume] needs: the compiled program, its dynamic
     bindings, the concrete input vectors, the backend configuration and the
@@ -149,8 +191,8 @@ type manifest = {
   max_rescues : int;  (** rescue budget for the run *)
 }
 
-val encode_manifest : Buffer.t -> manifest -> unit
-val decode_manifest : Wire.reader -> manifest
+val manifest : manifest artifact
+(** Stamped with {!manifest_fingerprint}. *)
 
 val manifest_fingerprint : manifest -> int64
 (** Stamp carried by every journal entry, binding entries to the manifest
@@ -169,10 +211,9 @@ type 'ct entry = {
   stats : Halo_runtime.Stats.t;  (** counters right after [iter] *)
 }
 
-val encode_entry :
-  enc_ct:(Buffer.t -> 'ct -> unit) -> Buffer.t -> 'ct entry -> unit
-
-val decode_entry : dec_ct:(Wire.reader -> 'ct) -> Wire.reader -> 'ct entry
+val entry : 'ct artifact -> 'ct entry artifact
+(** Carried ciphertexts are encoded with the given ciphertext artifact's
+    payload codec.  {!Given} stamp: the manifest fingerprint. *)
 
 (** {2 Rescue records}
 
@@ -180,7 +221,7 @@ val decode_entry : dec_ct:(Wire.reader -> 'ct) -> Wire.reader -> 'ct entry
     written as [rescue-<seq>.ckpt] next to the checkpoint journal (the
     journal scanner ignores them: they are audit artifacts, keyed and
     rewritten idempotently by sequence number, so an interrupted-and-resumed
-    run produces byte-identical rescue files to an uninterrupted one). *)
+    run produces byte-identical rescue files to an uninterrupted one).
+    {!Given} stamp: the manifest fingerprint. *)
 
-val encode_rescue : Buffer.t -> Halo_runtime.Noise_monitor.rescue_event -> unit
-val decode_rescue : Wire.reader -> Halo_runtime.Noise_monitor.rescue_event
+val rescue : Halo_runtime.Noise_monitor.rescue_event artifact

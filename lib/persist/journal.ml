@@ -58,39 +58,28 @@ let prune t ~loop_var =
     Store.fsync_dir t.dir
   end
 
-let append t ~enc_ct (e : _ Codec.entry) =
+let append t ~ct (e : _ Codec.entry) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let e = { e with Codec.seq } in
-  let frame =
-    Codec.frame ~kind:Codec.Entry_frame ~fingerprint:t.fingerprint (fun b ->
-        Codec.encode_entry ~enc_ct b e)
+  let path =
+    Filename.concat t.dir (entry_name ~seq ~loop_var:e.loop_var ~iter:e.iter)
   in
-  Store.write_file
-    (Filename.concat t.dir (entry_name ~seq ~loop_var:e.loop_var ~iter:e.iter))
-    frame;
+  let bytes = Store.save ~fingerprint:t.fingerprint (Codec.entry ct) ~path e in
   prune t ~loop_var:e.loop_var;
-  (seq, String.length frame)
+  (seq, bytes)
 
 type 'ct scan = {
   entries : 'ct Codec.entry list;
   damaged : (string * string) list;
 }
 
-let scan ~dir ~fingerprint ~dec_ct =
+let scan ~dir ~fingerprint ~ct =
   let entries = ref [] and damaged = ref [] in
+  let entry = Codec.entry ct in
   List.iter
     (fun (f, (seq, loop_var, iter)) ->
-      let path = Filename.concat dir f in
-      match
-        let r =
-          Codec.unframe ~path ~kind:Codec.Entry_frame
-            ~fingerprint:(Some fingerprint) (Store.read_file path)
-        in
-        let e = Codec.decode_entry ~dec_ct r in
-        Wire.expect_end r ~what:"checkpoint entry";
-        e
-      with
+      match Store.load ~fingerprint entry ~path:(Filename.concat dir f) with
       | e ->
         (* The filename triple is display metadata; the checksummed payload
            is authoritative.  A mismatch means the file was renamed or

@@ -3,7 +3,7 @@
     A journal directory contains files named
     [entry-<seq>-v<loop_var>-i<iter>.ckpt], each a single
     {!Codec.Entry_frame} stamped with the run's manifest fingerprint.
-    Appends go through {!Store.write_file} (tmp + rename + fsync), so a
+    Appends go through {!Store.save} (tmp + rename + fsync), so a
     crash mid-append leaves at most a stray [*.tmp.*] that scans ignore —
     the journal never contains a half-written entry under a real name.
 
@@ -20,8 +20,7 @@ val open_ : dir:string -> fingerprint:int64 -> retain:int -> t
 
 val dir : t -> string
 
-val append :
-  t -> enc_ct:(Buffer.t -> 'ct -> unit) -> 'ct Codec.entry -> int * int
+val append : t -> ct:'ct Codec.artifact -> 'ct Codec.entry -> int * int
 (** Durably append one entry (the entry's [seq] is assigned by the journal,
     overriding the field) and prune old entries for the same loop.  Returns
     [(seq, bytes)] — the assigned sequence number and the entry's on-disk
@@ -33,7 +32,7 @@ type 'ct scan = {
       (** files discarded by validation: [(filename, reason)] *)
 }
 
-val scan : dir:string -> fingerprint:int64 -> dec_ct:(Wire.reader -> 'ct) -> 'ct scan
+val scan : dir:string -> fingerprint:int64 -> ct:'ct Codec.artifact -> 'ct scan
 (** Validate every entry in the journal.  Truncated, bit-flipped,
     wrong-version, wrong-fingerprint or otherwise malformed files are
     reported in [damaged] and excluded — a corrupt tail never aborts

@@ -5,8 +5,7 @@ module Make (B : Halo_runtime.Backend.S) = struct
   module I = R.I
 
   type ct_codec = {
-    enc_ct : Buffer.t -> B.ct -> unit;
-    dec_ct : Wire.reader -> B.ct;
+    ct : B.ct Codec.artifact;
     rng_state : unit -> Random.State.t;
     set_rng_state : Random.State.t -> unit;
   }
@@ -47,13 +46,12 @@ module Make (B : Halo_runtime.Backend.S) = struct
           }
         in
         let rng = codec.rng_state () in
-        let probe =
-          Codec.frame ~kind:Codec.Entry_frame ~fingerprint:0L (fun b ->
-              Codec.encode_entry ~enc_ct:codec.enc_ct b (entry rng))
+        let bytes =
+          String.length
+            (Codec.to_frame ~fingerprint:0L (Codec.entry codec.ct) (entry rng))
         in
-        let bytes = String.length probe in
         snap.Stats.checkpoint_bytes <- stats.Stats.checkpoint_bytes + bytes;
-        let _seq, written = Journal.append journal ~enc_ct:codec.enc_ct (entry rng) in
+        let _seq, written = Journal.append journal ~ct:codec.ct (entry rng) in
         assert (written = bytes);
         Stats.record_checkpoint_write stats ~bytes
       end

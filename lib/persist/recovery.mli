@@ -30,8 +30,7 @@ module Make (B : Halo_runtime.Backend.S) : sig
   (** Ciphertext codec and RNG access for the backend, closed over its
       state. *)
   type ct_codec = {
-    enc_ct : Buffer.t -> B.ct -> unit;
-    dec_ct : Wire.reader -> B.ct;
+    ct : B.ct Codec.artifact;
     rng_state : unit -> Random.State.t;
     set_rng_state : Random.State.t -> unit;
   }

@@ -56,9 +56,9 @@ let start ~dir (m : Codec.manifest) =
   ignore
     (Journal.open_ ~dir:(journal_dir dir)
        ~fingerprint:(Codec.manifest_fingerprint m) ~retain:m.retain);
-  Store.save_manifest ~path:(manifest_path dir) m
+  ignore (Store.save Codec.manifest ~path:(manifest_path dir) m)
 
-let load ~dir = Store.load_manifest ~path:(manifest_path dir)
+let load ~dir = Store.load Codec.manifest ~path:(manifest_path dir)
 
 (* Structural sanity of the carried values: levels in range and every slot
    finite.  On the reference backend a noise spike or a mis-computation
@@ -85,17 +85,15 @@ let journaled ~dir ~resume ~kill_after ~stats inner (m : Codec.manifest) =
   let journal = Journal.open_ ~dir:jdir ~fingerprint:fp ~retain:m.retain in
   let codec =
     {
-      Rec.enc_ct = Codec.encode_ref_ct;
-      dec_ct =
-        Codec.decode_ref_ct ~slots:m.backend.slots
-          ~max_level:m.backend.max_level;
+      Rec.ct =
+        Codec.ref_ct ~slots:m.backend.slots ~max_level:m.backend.max_level;
       rng_state = (fun () -> Ref_backend.rng_state inner);
       set_rng_state = (fun r -> Ref_backend.set_rng_state inner r);
     }
   in
   let scan, damaged =
     if resume then begin
-      let s = Journal.scan ~dir:jdir ~fingerprint:fp ~dec_ct:codec.dec_ct in
+      let s = Journal.scan ~dir:jdir ~fingerprint:fp ~ct:codec.ct in
       (Some s, s.Journal.damaged)
     end
     else (None, [])
@@ -120,7 +118,8 @@ let journaled ~dir ~resume ~kill_after ~stats inner (m : Codec.manifest) =
      rescue rewrites the same bytes to the same name, so the audit trail of
      an interrupted run converges to the uninterrupted one's. *)
   let on_rescue (e : Halo_runtime.Noise_monitor.rescue_event) =
-    Store.save_rescue ~path:(rescue_path dir e.r_seq) ~fingerprint:fp e
+    ignore
+      (Store.save ~fingerprint:fp Codec.rescue ~path:(rescue_path dir e.r_seq) e)
   in
   (hooks, damaged, on_rescue)
 

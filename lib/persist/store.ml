@@ -1,8 +1,3 @@
-module Params = Halo_ckks.Params
-module Rns_poly = Halo_ckks.Rns_poly
-module Eval = Halo_ckks.Eval
-module Keys = Halo_ckks.Keys
-
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
@@ -41,85 +36,10 @@ let read_file path =
       (fun () -> In_channel.input_all ic)
   with Sys_error m -> Halo_error.persist_error ~path "unreadable file: %s" m
 
-let save path frame = write_file path frame
+let save ?fingerprint a ~path v =
+  let frame = Codec.to_frame ?fingerprint a v in
+  write_file path frame;
+  String.length frame
 
-let load ?fingerprint ~kind path =
-  Codec.unframe ~path ~kind ~fingerprint (read_file path)
-
-let save_rns params ~path p =
-  save path
-    (Codec.frame ~kind:Codec.Rns_poly_frame
-       ~fingerprint:(Params.fingerprint params)
-       (fun b -> Codec.encode_rns b p))
-
-let load_rns params ~path =
-  let r =
-    load ~fingerprint:(Params.fingerprint params) ~kind:Codec.Rns_poly_frame
-      path
-  in
-  let p = Codec.decode_rns params r in
-  Wire.expect_end r ~what:"rns polynomial";
-  p
-
-let save_lattice_ct params ~path ct =
-  save path
-    (Codec.frame ~kind:Codec.Lattice_ct_frame
-       ~fingerprint:(Params.fingerprint params)
-       (fun b -> Codec.encode_lattice_ct b ct))
-
-let load_lattice_ct params ~path =
-  let r =
-    load ~fingerprint:(Params.fingerprint params) ~kind:Codec.Lattice_ct_frame
-      path
-  in
-  let ct = Codec.decode_lattice_ct params r in
-  Wire.expect_end r ~what:"ciphertext";
-  ct
-
-let save_keys params ~path keys =
-  save path
-    (Codec.frame ~kind:Codec.Keys_frame
-       ~fingerprint:(Params.fingerprint params)
-       (fun b -> Codec.encode_keys b keys))
-
-let load_keys params ~path =
-  let r =
-    load ~fingerprint:(Params.fingerprint params) ~kind:Codec.Keys_frame path
-  in
-  let keys = Codec.decode_keys params r in
-  Wire.expect_end r ~what:"key material";
-  keys
-
-let save_program ~path prog =
-  save path
-    (Codec.frame ~kind:Codec.Program_frame ~fingerprint:0L (fun b ->
-         Codec.encode_program b prog))
-
-let load_program ~path =
-  let r = load ~fingerprint:0L ~kind:Codec.Program_frame path in
-  let p = Codec.decode_program r in
-  Wire.expect_end r ~what:"program";
-  p
-
-let save_manifest ~path m =
-  save path
-    (Codec.frame ~kind:Codec.Manifest_frame
-       ~fingerprint:(Codec.manifest_fingerprint m) (fun b ->
-         Codec.encode_manifest b m))
-
-let load_manifest ~path =
-  let r = load ~kind:Codec.Manifest_frame path in
-  let m = Codec.decode_manifest r in
-  Wire.expect_end r ~what:"manifest";
-  m
-
-let save_rescue ~path ~fingerprint e =
-  save path
-    (Codec.frame ~kind:Codec.Rescue_frame ~fingerprint (fun b ->
-         Codec.encode_rescue b e))
-
-let load_rescue ~path ~fingerprint =
-  let r = load ~fingerprint ~kind:Codec.Rescue_frame path in
-  let e = Codec.decode_rescue r in
-  Wire.expect_end r ~what:"rescue record";
-  e
+let load ?fingerprint a ~path =
+  Codec.of_frame ~path ?fingerprint a (read_file path)

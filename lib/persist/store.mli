@@ -1,5 +1,5 @@
-(** Durable artifact store: atomic file writes and typed load/save wrappers
-    over {!Codec} frames.
+(** Durable artifact store: atomic file writes, and one save/load pair for
+    every {!Codec.artifact} kind.
 
     {2 Atomicity protocol}
 
@@ -10,11 +10,6 @@
     is durable.  A crash at any point leaves either the old file, no file,
     or a stray [*.tmp.*] that readers ignore — never a half-written
     artifact under the real name. *)
-
-module Params = Halo_ckks.Params
-module Rns_poly = Halo_ckks.Rns_poly
-module Eval = Halo_ckks.Eval
-module Keys = Halo_ckks.Keys
 
 val write_file : string -> string -> unit
 (** [write_file path bytes] durably and atomically replaces [path]. *)
@@ -27,41 +22,13 @@ val fsync_dir : string -> unit
 (** Flush directory metadata (new names / unlinks) to disk.  Best-effort:
     filesystems that refuse to fsync a directory are ignored. *)
 
-(** {2 Typed artifacts}
+(** {2 Artifacts} *)
 
-    Each saver stamps the frame with the parameter fingerprint; each loader
-    re-derives the expected stamp from its own parameters and rejects the
-    file on mismatch. *)
+val save : ?fingerprint:int64 -> 'a Codec.artifact -> path:string -> 'a -> int
+(** Frame one value ({!Codec.to_frame}) and {!write_file} it; returns the
+    frame's size in bytes. *)
 
-val save_rns : Params.t -> path:string -> Rns_poly.t -> unit
-val load_rns : Params.t -> path:string -> Rns_poly.t
-
-val save_lattice_ct : Params.t -> path:string -> Eval.ct -> unit
-val load_lattice_ct : Params.t -> path:string -> Eval.ct
-
-val save_keys : Params.t -> path:string -> Keys.t -> unit
-val load_keys : Params.t -> path:string -> Keys.t
-
-val save_program : path:string -> Halo.Ir.program -> unit
-(** Programs are parameter-independent; their frames are stamped 0. *)
-
-val load_program : path:string -> Halo.Ir.program
-
-val save_manifest : path:string -> Codec.manifest -> unit
-(** Stamped with {!Codec.manifest_fingerprint} so journal entries and the
-    manifest that produced them can be cross-checked. *)
-
-val load_manifest : path:string -> Codec.manifest
-
-val save_rescue :
-  path:string ->
-  fingerprint:int64 ->
-  Halo_runtime.Noise_monitor.rescue_event ->
-  unit
-(** One [rescue-<seq>.ckpt] audit record, stamped with the manifest
-    fingerprint of the run that fired it.  Rescue files are keyed by
-    sequence number and rewritten idempotently, so a resumed run replaying
-    the same rescue decisions leaves byte-identical files. *)
-
-val load_rescue :
-  path:string -> fingerprint:int64 -> Halo_runtime.Noise_monitor.rescue_event
+val load : ?fingerprint:int64 -> 'a Codec.artifact -> path:string -> 'a
+(** {!read_file} and {!Codec.of_frame}: a frame of another kind, version,
+    stamp or checksum, a short or overlong payload, or a payload its
+    decoder refuses raises {!Halo_error.Persist_error} naming [path]. *)

@@ -18,16 +18,25 @@ let list b f xs =
   i64 b (List.length xs);
   List.iter (f b) xs
 
+let bool b v = u8 b (if v then 1 else 0)
+
+let option b f = function
+  | None -> bool b false
+  | Some v ->
+    bool b true;
+    f b v
+
 type reader = {
   src : string;
   path : string option;
   base : int;
   version : int;
+  stamp : int64;
   mutable pos : int;
 }
 
-let reader ?path ?(base = 0) ?(version = max_int) src =
-  { src; path; base; version; pos = 0 }
+let reader ?path ?(base = 0) ?(version = max_int) ?(stamp = 0L) src =
+  { src; path; base; version; stamp; pos = 0 }
 
 let fail r ?expected ?got fmt =
   Halo_error.persist_error ?path:r.path ~offset:(r.base + r.pos) ?expected ?got fmt
@@ -82,6 +91,14 @@ let rfloat_array r =
 let rlist r f =
   let n = rlen r in
   List.init n (fun _ -> f r)
+
+let rbool r ~what =
+  match ru8 r with
+  | 0 -> false
+  | 1 -> true
+  | t -> fail r ~got:(string_of_int t) "bad %s flag" what
+
+let roption r ~what f = if rbool r ~what then Some (f r) else None
 
 let expect_end r ~what =
   let remain = String.length r.src - r.pos in

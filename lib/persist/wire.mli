@@ -20,6 +20,12 @@ val int_array : Buffer.t -> int array -> unit
 val float_array : Buffer.t -> float array -> unit
 val list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
+val bool : Buffer.t -> bool -> unit
+(** One byte: 0 or 1. *)
+
+val option : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
+(** A {!bool} presence flag, then the value when present. *)
+
 (** {2 Reader} *)
 
 type reader = {
@@ -30,10 +36,14 @@ type reader = {
       (** container format version the payload was written under; codecs
           consult it to skip fields absent from older formats.  Readers
           built without an explicit version default to newest. *)
+  stamp : int64;
+      (** fingerprint stamp of the frame the payload came from; 0 for
+          readers built outside a frame *)
   mutable pos : int;
 }
 
-val reader : ?path:string -> ?base:int -> ?version:int -> string -> reader
+val reader :
+  ?path:string -> ?base:int -> ?version:int -> ?stamp:int64 -> string -> reader
 
 val fail :
   reader -> ?expected:string -> ?got:string -> ('a, unit, string, 'b) format4 -> 'a
@@ -46,5 +56,10 @@ val rstr : reader -> string
 val rint_array : reader -> int array
 val rfloat_array : reader -> float array
 val rlist : reader -> (reader -> 'a) -> 'a list
+
+val rbool : reader -> what:string -> bool
+(** Fails on any byte but 0 or 1, naming the [what] flag. *)
+
+val roption : reader -> what:string -> (reader -> 'a) -> 'a option
 val expect_end : reader -> what:string -> unit
 (** Fail unless every byte has been consumed. *)

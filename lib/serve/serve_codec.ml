@@ -1,7 +1,5 @@
 module Codec = Halo_persist.Codec
 module Wire = Halo_persist.Wire
-module Store = Halo_persist.Store
-module Crc32 = Halo_persist.Crc32
 module Stats = Halo_runtime.Stats
 module Resilient = Halo_runtime.Resilient
 
@@ -121,31 +119,6 @@ type drain = {
 
 (* --- payload codecs ----------------------------------------------------- *)
 
-let encode_backend_cfg b (c : Codec.backend_cfg) =
-  Wire.i64 b c.slots;
-  Wire.i64 b c.max_level;
-  Wire.i64 b c.scale_bits;
-  Wire.i64 b c.seed;
-  Wire.f64 b c.enc_noise;
-  Wire.f64 b c.mult_noise;
-  Wire.f64 b c.boot_noise;
-  Wire.f64 b c.rescale_noise
-
-let decode_backend_cfg r : Codec.backend_cfg =
-  let slots = Wire.ri64 r in
-  let max_level = Wire.ri64 r in
-  let scale_bits = Wire.ri64 r in
-  let seed = Wire.ri64 r in
-  let enc_noise = Wire.rf64 r in
-  let mult_noise = Wire.rf64 r in
-  let boot_noise = Wire.rf64 r in
-  let rescale_noise = Wire.rf64 r in
-  if slots < 1 then Wire.fail r ~got:(string_of_int slots) "slot count below 1";
-  if max_level < 1 then
-    Wire.fail r ~got:(string_of_int max_level) "max level below 1";
-  { slots; max_level; scale_bits; seed; enc_noise; mult_noise; boot_noise;
-    rescale_noise }
-
 let encode_policy b (p : Resilient.policy) =
   Wire.i64 b p.max_attempts;
   Wire.i64 b p.max_restores;
@@ -167,63 +140,28 @@ let decode_policy r : Resilient.policy =
 let encode_sup b (s : sup_cfg) =
   Wire.i64 b s.s_deadline_us;
   Wire.i64 b s.s_ttl_us;
-  Wire.u8 b (if s.s_fallback then 1 else 0);
+  Wire.bool b s.s_fallback;
   Wire.i64 b s.s_tenant_window;
   Wire.i64 b s.s_tenant_threshold;
   Wire.i64 b s.s_program_window;
   Wire.i64 b s.s_program_threshold;
   Wire.i64 b s.s_cooldown_us;
   Wire.i64 b s.s_quarantine_after;
-  Wire.u8 b (if s.s_guard then 1 else 0);
-  Wire.u8 b (if s.s_rescue then 1 else 0);
-  Wire.f64 b s.s_rescue_margin;
-  Wire.i64 b s.s_max_rescues
+  Wire.bool b s.s_guard;
+  Codec.encode_rescue_tail b (s.s_rescue, s.s_rescue_margin, s.s_max_rescues)
 
 let decode_sup r : sup_cfg =
   let s_deadline_us = Wire.ri64 r in
   let s_ttl_us = Wire.ri64 r in
-  let s_fallback =
-    match Wire.ru8 r with
-    | 0 -> false
-    | 1 -> true
-    | n -> Wire.fail r ~got:(string_of_int n) "bad fallback flag"
-  in
+  let s_fallback = Wire.rbool r ~what:"fallback" in
   let s_tenant_window = Wire.ri64 r in
   let s_tenant_threshold = Wire.ri64 r in
   let s_program_window = Wire.ri64 r in
   let s_program_threshold = Wire.ri64 r in
   let s_cooldown_us = Wire.ri64 r in
   let s_quarantine_after = Wire.ri64 r in
-  let s_guard =
-    match Wire.ru8 r with
-    | 0 -> false
-    | 1 -> true
-    | n -> Wire.fail r ~got:(string_of_int n) "bad guard flag"
-  in
-  (* Rescue knobs arrived with format version 5; older serve manifests
-     decode with the monitor off. *)
-  let s_rescue, s_rescue_margin, s_max_rescues =
-    if r.Wire.version > 4 then begin
-      let s_rescue =
-        match Wire.ru8 r with
-        | 0 -> false
-        | 1 -> true
-        | n -> Wire.fail r ~got:(string_of_int n) "bad rescue flag"
-      in
-      let rm = Wire.rf64 r in
-      let mr = Wire.ri64 r in
-      if not (Float.is_finite rm) || rm < 1.0 then
-        Wire.fail r ~expected:"finite rescue margin >= 1"
-          ~got:(Printf.sprintf "%h" rm) "bad rescue margin";
-      if mr < 0 then
-        Wire.fail r ~got:(string_of_int mr) "negative rescue budget";
-      (s_rescue, rm, mr)
-    end
-    else
-      ( false,
-        Halo_runtime.Noise_monitor.default_rescue_margin,
-        Halo_runtime.Noise_monitor.default_max_rescues )
-  in
+  let s_guard = Wire.rbool r ~what:"guard" in
+  let s_rescue, s_rescue_margin, s_max_rescues = Codec.decode_rescue_tail r in
   if s_deadline_us < 0 then
     Wire.fail r ~got:(string_of_int s_deadline_us) "negative batch deadline";
   if s_ttl_us < 0 then
@@ -255,56 +193,47 @@ let decode_sup r : sup_cfg =
     s_guard; s_rescue; s_rescue_margin; s_max_rescues }
 
 let encode_config b (c : config) =
-  encode_backend_cfg b c.backend;
+  Codec.encode_backend_cfg b c.backend;
   Wire.i64 b c.queue_depth;
   Wire.i64 b c.batch_window;
   Wire.i64 b c.lane;
   Wire.f64 b c.margin;
-  Wire.u8 b (if c.rotate_fuse then 1 else 0);
+  Wire.bool b c.rotate_fuse;
   encode_policy b c.policy;
   encode_sup b c.sup;
-  match c.faults with
-  | None -> Wire.u8 b 0
-  | Some f ->
-    Wire.u8 b 1;
-    Wire.i64 b f.f_seed;
-    Wire.f64 b f.f_transient;
-    Wire.f64 b f.f_bootstrap;
-    Wire.f64 b f.f_spike;
-    Wire.f64 b f.f_magnitude;
-    Wire.list b Wire.i64 f.f_poison
+  Wire.option b
+    (fun b f ->
+      Wire.i64 b f.f_seed;
+      Wire.f64 b f.f_transient;
+      Wire.f64 b f.f_bootstrap;
+      Wire.f64 b f.f_spike;
+      Wire.f64 b f.f_magnitude;
+      Wire.list b Wire.i64 f.f_poison)
+    c.faults
 
 let decode_config r =
-  let backend = decode_backend_cfg r in
+  let backend = Codec.decode_backend_cfg r in
   let queue_depth = Wire.ri64 r in
   let batch_window = Wire.ri64 r in
   let lane = Wire.ri64 r in
   let margin = Wire.rf64 r in
-  let rotate_fuse =
-    match Wire.ru8 r with
-    | 0 -> false
-    | 1 -> true
-    | n -> Wire.fail r ~got:(string_of_int n) "bad rotate_fuse flag"
-  in
+  let rotate_fuse = Wire.rbool r ~what:"rotate_fuse" in
   let policy = decode_policy r in
   let sup = decode_sup r in
   let faults =
-    match Wire.ru8 r with
-    | 0 -> None
-    | 1 ->
-      let f_seed = Wire.ri64 r in
-      let f_transient = Wire.rf64 r in
-      let f_bootstrap = Wire.rf64 r in
-      let f_spike = Wire.rf64 r in
-      let f_magnitude = Wire.rf64 r in
-      let f_poison = Wire.rlist r Wire.ri64 in
-      List.iter
-        (fun t ->
-          if t < 0 then
-            Wire.fail r ~got:(string_of_int t) "negative poisoned tenant id")
-        f_poison;
-      Some { f_seed; f_transient; f_bootstrap; f_spike; f_magnitude; f_poison }
-    | n -> Wire.fail r ~got:(string_of_int n) "bad fault-config flag"
+    Wire.roption r ~what:"fault-config" (fun r ->
+        let f_seed = Wire.ri64 r in
+        let f_transient = Wire.rf64 r in
+        let f_bootstrap = Wire.rf64 r in
+        let f_spike = Wire.rf64 r in
+        let f_magnitude = Wire.rf64 r in
+        let f_poison = Wire.rlist r Wire.ri64 in
+        List.iter
+          (fun t ->
+            if t < 0 then
+              Wire.fail r ~got:(string_of_int t) "negative poisoned tenant id")
+          f_poison;
+        { f_seed; f_transient; f_bootstrap; f_spike; f_magnitude; f_poison })
   in
   if queue_depth < 1 then
     Wire.fail r ~got:(string_of_int queue_depth) "queue depth below 1";
@@ -327,7 +256,7 @@ let encode_manifest b (m : manifest) =
     (fun b (pd : prog_def) ->
       Wire.str b pd.pd_name;
       Wire.str b (Halo.Strategy.to_string pd.pd_strategy);
-      Codec.encode_program b pd.pd_traced)
+      Codec.program.encode b pd.pd_traced)
     m.progs
 
 let decode_manifest r =
@@ -341,7 +270,7 @@ let decode_manifest r =
           | Some s -> s
           | None -> Wire.fail r ~got:sname "unknown strategy"
         in
-        let pd_traced = Codec.decode_program r in
+        let pd_traced = Codec.program.decode r in
         { pd_name; pd_strategy; pd_traced })
   in
   if progs = [] then Wire.fail r "empty program registry";
@@ -395,11 +324,7 @@ let encode_entry b (e : entry) =
      Wire.str b d.d_op;
      Wire.str b d.d_reason;
      Wire.i64 b d.d_attempts;
-     (match d.d_iteration with
-      | None -> Wire.u8 b 0
-      | Some i ->
-        Wire.u8 b 1;
-        Wire.i64 b i)
+     Wire.option b Wire.i64 d.d_iteration
    | Deadline d ->
      Wire.u8 b 2;
      Wire.str b d.dl_op;
@@ -426,12 +351,7 @@ let decode_entry r =
       let d_op = Wire.rstr r in
       let d_reason = Wire.rstr r in
       let d_attempts = Wire.ri64 r in
-      let d_iteration =
-        match Wire.ru8 r with
-        | 0 -> None
-        | 1 -> Some (Wire.ri64 r)
-        | n -> Wire.fail r ~got:(string_of_int n) "bad iteration flag"
-      in
+      let d_iteration = Wire.roption r ~what:"iteration" Wire.ri64 in
       Degraded { d_op; d_reason; d_attempts; d_iteration }
     | 2 ->
       let dl_op = Wire.rstr r in
@@ -551,114 +471,31 @@ let decode_drain r =
     Wire.fail r ~got:(string_of_int dr_seq) "negative drain sequence";
   { dr_accepted; dr_served; dr_failed; dr_clock_us; dr_seq; dr_quarantined }
 
-(* --- fingerprint and typed file helpers --------------------------------- *)
+(* --- artifacts ------------------------------------------------------------ *)
 
-let manifest_fingerprint m =
-  let b = Buffer.create 1024 in
-  encode_manifest b m;
-  Int64.logor
-    (Int64.logand (Int64.of_int32 (Crc32.string (Buffer.contents b))) 0xFFFFFFFFL)
-    (Int64.shift_left (Int64.of_int (Buffer.length b land 0xFFFFFF)) 32)
+let manifest_fingerprint = Codec.payload_fingerprint encode_manifest
 
-let save_manifest ~path m =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_manifest_frame
-       ~fingerprint:(manifest_fingerprint m) (fun b -> encode_manifest b m))
+let manifest =
+  {
+    Codec.kind = Codec.Serve_manifest_frame;
+    stamp = Of_value manifest_fingerprint;
+    encode = encode_manifest;
+    decode = decode_manifest;
+  }
 
-let load_manifest ~path =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_manifest_frame ~fingerprint:None
-      (Store.read_file path)
-  in
-  let m = decode_manifest r in
-  Wire.expect_end r ~what:"serve manifest";
-  m
+let given kind encode decode = { Codec.kind; stamp = Given; encode; decode }
+let request = given Codec.Serve_request_frame encode_request decode_request
+let entry = given Codec.Serve_entry_frame encode_entry decode_entry
+let plan = given Codec.Serve_plan_frame encode_plan decode_plan
 
-let save_request ~path ~fingerprint q =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_request_frame ~fingerprint (fun b ->
-         encode_request b q))
+let quarantine =
+  given Codec.Serve_quarantine_frame encode_quarantine decode_quarantine
 
-let load_request ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_request_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let q = decode_request r in
-  Wire.expect_end r ~what:"serve request";
-  q
+let drain = given Codec.Serve_drain_frame encode_drain decode_drain
 
-let save_entry ~path ~fingerprint e =
-  let frame =
-    Codec.frame ~kind:Codec.Serve_entry_frame ~fingerprint (fun b ->
-        encode_entry b e)
-  in
-  Store.write_file path frame;
-  String.length frame
-
-let load_entry ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_entry_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let e = decode_entry r in
-  Wire.expect_end r ~what:"serve batch entry";
-  e
-
-let save_plan ~path ~fingerprint p =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_plan_frame ~fingerprint (fun b ->
-         encode_plan b p))
-
-let load_plan ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_plan_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let p = decode_plan r in
-  Wire.expect_end r ~what:"serve plan record";
-  p
-
-let save_quarantine ~path ~fingerprint q =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_quarantine_frame ~fingerprint (fun b ->
-         encode_quarantine b q))
-
-let load_quarantine ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_quarantine_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let q = decode_quarantine r in
-  Wire.expect_end r ~what:"serve quarantine snapshot";
-  q
-
-let save_drain ~path ~fingerprint d =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_drain_frame ~fingerprint (fun b ->
-         encode_drain b d))
-
-let load_drain ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_drain_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let d = decode_drain r in
-  Wire.expect_end r ~what:"serve drain handoff";
-  d
-
-let save_chaos ~path ~fingerprint ~rounds =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Serve_chaos_frame ~fingerprint (fun b ->
-         Wire.i64 b rounds))
-
-let load_chaos ~path ~fingerprint =
-  let r =
-    Codec.unframe ~path ~kind:Codec.Serve_chaos_frame
-      ~fingerprint:(Some fingerprint) (Store.read_file path)
-  in
-  let rounds = Wire.ri64 r in
-  Wire.expect_end r ~what:"chaos soak state";
-  if rounds < 0 then
-    Wire.fail r ~got:(string_of_int rounds) "negative chaos round count";
-  rounds
+let chaos =
+  given Codec.Serve_chaos_frame Wire.i64 (fun r ->
+      let rounds = Wire.ri64 r in
+      if rounds < 0 then
+        Wire.fail r ~got:(string_of_int rounds) "negative chaos round count";
+      rounds)

@@ -2,7 +2,7 @@
     {!Halo_persist.Codec}.
 
     A serve directory contains these artifact kinds, all written through
-    {!Halo_persist.Store.write_file} (tmp + fsync + rename, crash-atomic):
+    {!Halo_persist.Store.save} (tmp + fsync + rename, crash-atomic):
 
     - [manifest.halo] — a {!Serve_manifest_frame}: the server configuration
       and the program registry (traced programs + strategy names; compiled
@@ -176,37 +176,24 @@ type drain = {
 val manifest_fingerprint : manifest -> int64
 (** Stamp carried by every request and journal frame under this manifest. *)
 
-val encode_manifest : Buffer.t -> manifest -> unit
-val decode_manifest : Halo_persist.Wire.reader -> manifest
-val encode_request : Buffer.t -> request -> unit
-val decode_request : Halo_persist.Wire.reader -> request
-val encode_entry : Buffer.t -> entry -> unit
-val decode_entry : Halo_persist.Wire.reader -> entry
+(** {2 Artifacts}
 
-(** {2 Typed file helpers} (framing + atomic store I/O) *)
+    Saved and loaded with {!Halo_persist.Store.save} and
+    {!Halo_persist.Store.load}.  The manifest is stamped with
+    {!manifest_fingerprint}; every other kind takes that fingerprint from
+    the caller. *)
 
-val save_manifest : path:string -> manifest -> unit
-val load_manifest : path:string -> manifest
+val manifest : manifest Codec.artifact
+val request : request Codec.artifact
 
-val save_request : path:string -> fingerprint:int64 -> request -> unit
-val load_request : path:string -> fingerprint:int64 -> request
+val entry : entry Codec.artifact
+(** [Store.save] returns the frame size, the batch's journal bytes. *)
 
-val save_entry : path:string -> fingerprint:int64 -> entry -> int
-(** Returns the on-disk frame size in bytes. *)
+val plan : plan Codec.artifact
+val quarantine : quarantine Codec.artifact
+val drain : drain Codec.artifact
 
-val load_entry : path:string -> fingerprint:int64 -> entry
-
-val save_plan : path:string -> fingerprint:int64 -> plan -> unit
-val load_plan : path:string -> fingerprint:int64 -> plan
-
-val save_quarantine : path:string -> fingerprint:int64 -> quarantine -> unit
-val load_quarantine : path:string -> fingerprint:int64 -> quarantine
-
-val save_drain : path:string -> fingerprint:int64 -> drain -> unit
-val load_drain : path:string -> fingerprint:int64 -> drain
-
-val save_chaos : path:string -> fingerprint:int64 -> rounds:int -> unit
-val load_chaos : path:string -> fingerprint:int64 -> int
+val chaos : int Codec.artifact
 (** Chaos-soak driver state: how many submission rounds have been durably
     injected into the serve directory (so a killed trial resumes submission
     exactly where it left off). *)

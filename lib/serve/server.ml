@@ -163,6 +163,12 @@ let replan_path dir key =
 let plan_path dir seq =
   Filename.concat (journal_dir dir) (Printf.sprintf "plan-%010d.ckpt" seq)
 
+(* Every record after the manifest carries the manifest's fingerprint. *)
+let save_record t a ~path v =
+  ignore (Store.save ~fingerprint:t.fingerprint a ~path v)
+
+let load_record t a ~path = Store.load ~fingerprint:t.fingerprint a ~path
+
 (* Nonce for output [j] of request [id]: unique per sealed artifact as long
    as a program has fewer than 1024 outputs. *)
 let nonce ~req ~output = (req * 1024) + output
@@ -299,8 +305,9 @@ let create ?dir cfg ~programs =
           or use an unused directory";
      mkdir_p (requests_dir d);
      mkdir_p (journal_dir d);
-     Codec.save_manifest ~path:(manifest_path d)
-       { Codec.config = cfg; progs = programs };
+     ignore
+       (Store.save Codec.manifest ~path:(manifest_path d)
+          { Codec.config = cfg; progs = programs });
      Store.fsync_dir d);
   t
 
@@ -327,7 +334,7 @@ let persist_quarantine t =
   match t.dir with
   | None -> ()
   | Some d ->
-    Codec.save_quarantine ~path:(quarantine_path d) ~fingerprint:t.fingerprint
+    save_record t Codec.quarantine ~path:(quarantine_path d)
       { Codec.qr_tenants = Supervisor.quarantined t.sup }
 
 let accept t (q : Codec.request) =
@@ -418,13 +425,12 @@ let submit ?(tol = infinity) t ~tenant ~program ~payload =
                  }
                in
                t.next_id <- t.next_id + 1;
-               (* [Store.write_file] is tmp + fsync + rename: the accepted
+               (* [Store.save] is tmp + fsync + rename: the accepted
                   request is durable before submit returns. *)
                (match t.dir with
                 | None -> ()
                 | Some d ->
-                  Codec.save_request ~path:(request_path d q.req_id)
-                    ~fingerprint:t.fingerprint q);
+                  save_record t Codec.request ~path:(request_path d q.req_id) q);
                accept t q;
                Ok q.req_id
          end)
@@ -512,8 +518,7 @@ let ttl_expire t queue =
       (match t.dir with
        | None -> ()
        | Some d ->
-         Codec.save_plan ~path:(plan_path d t.plan_seq)
-           ~fingerprint:t.fingerprint
+         save_record t Codec.plan ~path:(plan_path d t.plan_seq)
            {
              Codec.pl_seq = t.plan_seq;
              pl_clock_us = now;
@@ -850,7 +855,7 @@ let journal_append t ?kill_after ~phase (e : Codec.entry) =
         | Replan -> replan_path)
          d e.Codec.e_key
      in
-     ignore (Codec.save_entry ~path ~fingerprint:t.fingerprint e);
+     save_record t Codec.entry ~path e;
      t.writes <- t.writes + 1;
      (match kill_after with
       | Some k when t.writes >= k -> raise (Killed { writes = t.writes })
@@ -956,7 +961,7 @@ let drain ?kill_after ?on_batch t =
   (match t.dir with
    | None -> ()
    | Some dir ->
-     Codec.save_drain ~path:(drain_path dir) ~fingerprint:t.fingerprint d);
+     save_record t Codec.drain ~path:(drain_path dir) d);
   t.handoff <- Some d;
   d
 
@@ -980,7 +985,7 @@ let scan_ids dir ~prefix ~suffix =
     |> List.sort compare
 
 let open_resume ~dir =
-  let m = Codec.load_manifest ~path:(manifest_path dir) in
+  let m = Store.load Codec.manifest ~path:(manifest_path dir) in
   let t = build ~dir m.Codec.config m.Codec.progs in
   (* Accepted requests reload loudly: a damaged request file would
      silently drop an accepted request, which the serving contract
@@ -988,10 +993,7 @@ let open_resume ~dir =
   let req_ids = scan_ids (requests_dir dir) ~prefix:"req-" ~suffix:".halo" in
   List.iter
     (fun id ->
-      let q =
-        Codec.load_request ~path:(request_path dir id)
-          ~fingerprint:t.fingerprint
-      in
+      let q = load_record t Codec.request ~path:(request_path dir id) in
       accept t q;
       t.next_id <- max t.next_id (id + 1))
     req_ids;
@@ -1001,9 +1003,7 @@ let open_resume ~dir =
      re-evaluate admission TTLs against a different clock. *)
   List.iter
     (fun seq ->
-      let p =
-        Codec.load_plan ~path:(plan_path dir seq) ~fingerprint:t.fingerprint
-      in
+      let p = load_record t Codec.plan ~path:(plan_path dir seq) in
       t.plan_seq <- max t.plan_seq (p.Codec.pl_seq + 1);
       t.ttl_watermark <- max t.ttl_watermark p.pl_watermark;
       List.iter
@@ -1030,7 +1030,7 @@ let open_resume ~dir =
        | Replan -> replan_path)
         dir key
     in
-    match Codec.load_entry ~path ~fingerprint:t.fingerprint with
+    match load_record t Codec.entry ~path with
     | e -> loaded := (e, phase) :: !loaded
     | exception Halo_error.Persist_error { reason; _ } ->
       t.damaged <- (path, reason) :: t.damaged
@@ -1085,9 +1085,7 @@ let open_resume ~dir =
      delivery sequences than the handoff recorded means durable state was
      lost after the drain, which resume must refuse to paper over. *)
   (if Sys.file_exists (drain_path dir) then begin
-     let d =
-       Codec.load_drain ~path:(drain_path dir) ~fingerprint:t.fingerprint
-     in
+     let d = load_record t Codec.drain ~path:(drain_path dir) in
      if t.seq < d.Codec.dr_seq then
        Halo_error.persist_error ~path:(drain_path dir)
          ~expected:(Printf.sprintf "%d delivery sequences" d.Codec.dr_seq)

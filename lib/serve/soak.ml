@@ -66,7 +66,9 @@ let trial ~cfg ~programs ~requests ~rounds ~kill_after ~dir =
                ~program:w.w_program ~payload:w.w_payload))
         (requests r);
       if save then
-        Serve_codec.save_chaos ~path:progress ~fingerprint ~rounds:(r + 1);
+        ignore
+          (Halo_persist.Store.save ~fingerprint Serve_codec.chaos ~path:progress
+             (r + 1));
       Server.run_until_drained ?kill_after s
     done
   in
@@ -83,6 +85,8 @@ let trial ~cfg ~programs ~requests ~rounds ~kill_after ~dir =
   let resumed = Server.open_resume ~dir in
   let resumed_pending = Server.pending resumed in
   Server.run_until_drained resumed;
-  serve resumed ~from:(Serve_codec.load_chaos ~path:progress ~fingerprint);
+  serve resumed
+    ~from:
+      (Halo_persist.Store.load ~fingerprint Serve_codec.chaos ~path:progress);
   { baseline; resumed; killed; resumed_pending;
     failures = compare baseline resumed }

@@ -1,7 +1,6 @@
 open Halo
 module Codec = Halo_persist.Codec
 module Wire = Halo_persist.Wire
-module Store = Halo_persist.Store
 module Crc32 = Halo_persist.Crc32
 
 type t = {
@@ -24,7 +23,7 @@ type t = {
    domain separation so the two 32-bit halves are independent. *)
 let fingerprint ~bindings (p : Ir.program) =
   let buf = Buffer.create 1024 in
-  Codec.encode_program buf p;
+  Codec.program.encode buf p;
   Wire.list buf
     (fun b (k, v) ->
       Wire.str b k;
@@ -42,8 +41,8 @@ let encode buf t =
   Wire.str buf (Strategy.to_string t.p_strategy);
   Wire.i64 buf t.p_unroll;
   Wire.i64 buf t.p_boot_slack;
-  Wire.u8 buf (if t.p_rotate_fuse then 1 else 0);
-  Wire.u8 buf (if t.p_lazy_switch then 1 else 0);
+  Wire.bool buf t.p_rotate_fuse;
+  Wire.bool buf t.p_lazy_switch;
   Wire.i64 buf t.p_key_budget;
   Wire.i64 buf t.p_pool;
   Wire.str buf t.p_profile;
@@ -54,7 +53,7 @@ let encode buf t =
       Wire.f64 b v)
     t.p_breakdown
 
-let decode ~fingerprint r =
+let decode r =
   let p_prog = Wire.rstr r in
   let sname = Wire.rstr r in
   let p_strategy =
@@ -64,8 +63,8 @@ let decode ~fingerprint r =
   in
   let p_unroll = Wire.ri64 r in
   let p_boot_slack = Wire.ri64 r in
-  let p_rotate_fuse = Wire.ru8 r <> 0 in
-  let p_lazy_switch = Wire.ru8 r <> 0 in
+  let p_rotate_fuse = Wire.rbool r ~what:"rotate-fuse" in
+  let p_lazy_switch = Wire.rbool r ~what:"lazy-switch" in
   let p_key_budget = Wire.ri64 r in
   let p_pool = Wire.ri64 r in
   let p_profile = Wire.rstr r in
@@ -76,10 +75,9 @@ let decode ~fingerprint r =
         let v = Wire.rf64 r in
         (k, v))
   in
-  Wire.expect_end r ~what:"tune manifest";
   {
     p_prog;
-    p_fingerprint = fingerprint;
+    p_fingerprint = r.Wire.stamp;
     p_strategy;
     p_unroll;
     p_boot_slack;
@@ -92,20 +90,13 @@ let decode ~fingerprint r =
     p_breakdown;
   }
 
-let save ~path t =
-  Store.write_file path
-    (Codec.frame ~kind:Codec.Tune_manifest_frame ~fingerprint:t.p_fingerprint
-       (fun buf -> encode buf t))
-
-let load ?expect ~path () =
-  let raw = Store.read_file path in
-  let fp =
-    match expect with Some fp -> fp | None -> Codec.fingerprint_of ~path raw
-  in
-  let r =
-    Codec.unframe ~path ~kind:Codec.Tune_manifest_frame ~fingerprint:expect raw
-  in
-  decode ~fingerprint:fp r
+let artifact =
+  {
+    Codec.kind = Codec.Tune_manifest_frame;
+    stamp = Of_value (fun t -> t.p_fingerprint);
+    encode;
+    decode;
+  }
 
 let to_string t =
   Printf.sprintf

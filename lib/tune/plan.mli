@@ -3,7 +3,7 @@
     A plan records the argmin configuration {!Tuner} found for one source
     program under one set of bindings, stamped with a {!fingerprint} over
     the canonical program encoding plus the sorted bindings.  Loading with
-    [?expect] set refuses — via {!Halo_error.Persist_error}, like every
+    a pinned fingerprint refuses — via {!Halo_error.Persist_error}, like every
     other frame-validation failure — a manifest tuned for a different
     program or different bindings, so a stale plan can never silently steer
     compilation of the wrong workload. *)
@@ -29,13 +29,12 @@ val fingerprint : bindings:(string * int) list -> Ir.program -> int64
 (** Deterministic stamp over the canonical encoding of [p] and the sorted
     [bindings]. *)
 
-val save : path:string -> t -> unit
-(** Atomic write of a {!Halo_persist.Codec.Tune_manifest_frame}. *)
-
-val load : ?expect:int64 -> path:string -> unit -> t
-(** [load ~expect:fp] validates the frame {e and} requires its stamp to
-    equal [fp] (the fingerprint of the program + bindings about to be
-    compiled); mismatch raises {!Halo_error.Persist_error} naming expected
-    vs got.  Without [expect] any valid manifest loads. *)
+val artifact : t Halo_persist.Codec.artifact
+(** A {!Halo_persist.Codec.Tune_manifest_frame} stamped with
+    [p_fingerprint], which a load restores from the stamp.
+    [Store.load ~fingerprint:fp artifact] also requires the stamp to equal
+    [fp] (the fingerprint of the program + bindings about to be compiled);
+    a mismatch raises {!Halo_error.Persist_error} naming expected vs got.
+    Without [fingerprint] any valid manifest loads. *)
 
 val to_string : t -> string

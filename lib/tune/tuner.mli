@@ -36,10 +36,6 @@ type candidate = {
   c_pool : int;
 }
 
-val default_candidate : Strategy.t -> candidate
-(** The hand-picked baseline for a strategy: default unroll, zero slack,
-    fusion and lazy switching on, unbounded keys, pool of one. *)
-
 val candidate_to_string : candidate -> string
 
 type result = {
@@ -73,7 +69,7 @@ val compile_plan :
   Ir.program ->
   Ir.program * Halo_verify.Pipeline.pass_report list
 (** Compile a source program under a previously saved plan's knobs (the
-    caller checks the fingerprint via {!Plan.load}'s [?expect]). *)
+    caller pins the fingerprint when it loads {!Plan.artifact}). *)
 
 val report : result -> string
 (** Human-readable cost table: one row per fixed strategy baseline plus the

@@ -140,6 +140,32 @@ let test_parser_errors () =
       | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> ())
     bad
 
+(* A loop count divides its binding by at least 1: [K / 0] and [K % 0]
+   are refused at parse time, not at run time with Division_by_zero. *)
+let test_zero_divisor () =
+  let src count =
+    Printf.sprintf
+      {|program "div" slots=16 level=8 {
+  input %%0 "x" cipher size=4
+  %%2 = for %s init(%%0) {
+    ^(%%1):
+    %%3 = add %%1, %%1
+    yield %%3
+  }
+  output %%2
+}|}
+      count
+  in
+  List.iter
+    (fun count ->
+      match Parser.parse_program (src count) with
+      | _ -> Alcotest.failf "expected a parse error for %S" count
+      | exception Parser.Parse_error _ -> ())
+    [ "K / 0"; "K % 0"; "K+1 / 0" ];
+  List.iter
+    (fun count -> ignore (Parser.parse_program (src count)))
+    [ "K / 1"; "K % 3"; "K-1 / 2" ]
+
 (* ------------------------------------------------------------------ *)
 (* Status analysis and peeling                                         *)
 (* ------------------------------------------------------------------ *)
@@ -810,6 +836,7 @@ let () =
           Alcotest.test_case "traced round trip" `Quick test_roundtrip_traced;
           Alcotest.test_case "compiled round trips" `Quick test_roundtrip_compiled;
           Alcotest.test_case "parse errors" `Quick test_parser_errors;
+          Alcotest.test_case "zero loop-count divisor" `Quick test_zero_divisor;
         ] );
       ( "status_peel",
         [

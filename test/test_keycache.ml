@@ -232,12 +232,10 @@ let test_persist_warm_cache_round_trip () =
   Alcotest.(check bool) "one key evicted before the snapshot" true
     ((Keys.cache_stats keys).Keys.snap_evictions >= 1);
   Keys.set_key_budget keys 0;
+  let codec = Halo_persist.Codec.keys params in
   let buf = Buffer.create 4096 in
-  Halo_persist.Codec.encode_keys buf keys;
-  let restored =
-    Halo_persist.Codec.decode_keys params
-      (Halo_persist.Wire.reader (Buffer.contents buf))
-  in
+  codec.encode buf keys;
+  let restored = codec.decode (Halo_persist.Wire.reader (Buffer.contents buf)) in
   List.iter2
     (fun (ga, a) (gb, b) ->
       Alcotest.(check int) "galois element round-trips" ga gb;

@@ -35,6 +35,8 @@ let write_raw path s =
 
 let read_raw path = In_channel.with_open_bin path In_channel.input_all
 
+let save ?fingerprint a ~path v = ignore (Store.save ?fingerprint a ~path v)
+
 (* ------------------------------------------------------------------ *)
 (* Codec round-trips                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -50,8 +52,8 @@ let test_rns_roundtrip_coeff () =
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "poly.halo" in
   let r = random_poly p ~level:3 42 in
-  Store.save_rns p ~path r;
-  let r' = Store.load_rns p ~path in
+  save (Codec.rns p) ~path r;
+  let r' = Store.load (Codec.rns p) ~path in
   Alcotest.(check bool) "bit-identical round-trip" true (r = r');
   rm_rf dir
 
@@ -64,8 +66,8 @@ let test_rns_roundtrip_eval_resident () =
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "poly.halo" in
   let e = Rns_poly.to_eval p (random_poly p ~level:4 43) in
-  Store.save_rns p ~path e;
-  let e' = Store.load_rns p ~path in
+  save (Codec.rns p) ~path e;
+  let e' = Store.load (Codec.rns p) ~path in
   Alcotest.(check bool) "decoded in Eval domain" true
     (Rns_poly.domain e' = Rns_poly.Eval);
   Alcotest.(check bool) "NTT-resident residues identical" true (e = e');
@@ -81,8 +83,8 @@ let test_lattice_ct_roundtrip () =
   let path = Filename.concat dir "ct.halo" in
   let v = Array.init p.Params.slots (fun i -> sin (float_of_int i)) in
   let ct = Eval.encrypt keys ~level:4 v in
-  Store.save_lattice_ct p ~path ct;
-  let ct' = Store.load_lattice_ct p ~path in
+  save (Codec.lattice_ct p) ~path ct;
+  let ct' = Store.load (Codec.lattice_ct p) ~path in
   Alcotest.(check int) "level" (Eval.level ct) (Eval.level ct');
   Alcotest.(check (float 0.0)) "scale" (Eval.scale ct) (Eval.scale ct');
   Alcotest.(check bool) "decrypts bit-identically" true
@@ -98,8 +100,8 @@ let test_keys_roundtrip () =
   let dir = fresh_dir "keys" in
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "keys.halo" in
-  Store.save_keys p ~path keys;
-  let keys' = Store.load_keys p ~path in
+  save (Codec.keys p) ~path keys;
+  let keys' = Store.load (Codec.keys p) ~path in
   let v = Array.init p.Params.slots (fun i -> cos (float_of_int i)) in
   let ct = Eval.encrypt keys ~level:p.Params.max_level v in
   Alcotest.(check bool) "loaded secret decrypts bit-identically" true
@@ -132,9 +134,9 @@ let test_program_roundtrip () =
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "prog.halo" in
   let p = training_program () in
-  Store.save_program ~path p;
+  save Codec.program ~path p;
   Alcotest.(check bool) "compiled program round-trips" true
-    (Store.load_program ~path = p);
+    (Store.load Codec.program ~path = p);
   rm_rf dir
 
 let test_rng_roundtrip () =
@@ -282,8 +284,8 @@ let test_manifest_roundtrip () =
       ~inputs:[ ("x", x_input ()) ]
       (training_program ())
   in
-  Store.save_manifest ~path m;
-  let m' = Store.load_manifest ~path in
+  save Codec.manifest ~path m;
+  let m' = Store.load Codec.manifest ~path in
   Alcotest.(check bool) "manifest round-trips" true (m = m');
   Alcotest.(check int64) "fingerprint is stable"
     (Codec.manifest_fingerprint m)
@@ -308,7 +310,7 @@ let with_artifact f =
   let dir = fresh_dir "adversarial" in
   Sys.mkdir dir 0o755;
   let path = Filename.concat dir "victim.halo" in
-  Store.save_rns p ~path (random_poly p ~level:3 7);
+  save (Codec.rns p) ~path (random_poly p ~level:3 7);
   f ~p ~path ~bytes:(read_raw path);
   rm_rf dir
 
@@ -320,7 +322,7 @@ let refix_crc b =
 let test_reject_zero_length () =
   with_artifact (fun ~p ~path ~bytes:_ ->
       write_raw path "";
-      expect_persist "zero-length file" (fun () -> Store.load_rns p ~path))
+      expect_persist "zero-length file" (fun () -> Store.load (Codec.rns p) ~path))
 
 let test_reject_truncation () =
   with_artifact (fun ~p ~path ~bytes ->
@@ -330,7 +332,7 @@ let test_reject_truncation () =
           write_raw path (String.sub bytes 0 keep);
           expect_persist
             (Printf.sprintf "truncated to %d/%d bytes" keep total)
-            (fun () -> Store.load_rns p ~path))
+            (fun () -> Store.load (Codec.rns p) ~path))
         [ 1; 4; 21; 22; 26; total / 2; total - 1 ])
 
 let test_reject_bit_flips () =
@@ -357,7 +359,7 @@ let test_reject_bit_flips () =
           write_raw path (Bytes.to_string b);
           expect_persist
             (Printf.sprintf "bit flip at byte %d" pos)
-            (fun () -> Store.load_rns p ~path))
+            (fun () -> Store.load (Codec.rns p) ~path))
         !positions)
 
 let test_reject_version_mismatch () =
@@ -368,7 +370,7 @@ let test_reject_version_mismatch () =
       Bytes.set b 4 (Char.chr 9);
       refix_crc b;
       write_raw path (Bytes.to_string b);
-      expect_persist "future format version" (fun () -> Store.load_rns p ~path))
+      expect_persist "future format version" (fun () -> Store.load (Codec.rns p) ~path))
 
 let test_reject_fingerprint_mismatch () =
   (* Patch the parameter fingerprint (CRC corrected): a store written under
@@ -381,7 +383,7 @@ let test_reject_fingerprint_mismatch () =
       refix_crc b;
       write_raw path (Bytes.to_string b);
       expect_persist "foreign parameter fingerprint" (fun () ->
-          Store.load_rns p ~path))
+          Store.load (Codec.rns p) ~path))
 
 (* The reason a frame was refused: the stamp check and the key-shape check
    must be told apart. *)
@@ -422,8 +424,8 @@ let test_reject_old_special_set () =
     (Int64.equal old_fp (Params.fingerprint p));
   let payload b =
     Wire.int_array b keys.secret.coeffs;
-    Codec.encode_rns b keys.pk0;
-    Codec.encode_rns b keys.pk1;
+    (Codec.rns p).encode b keys.pk0;
+    (Codec.rns p).encode b keys.pk1;
     let half () =
       Wire.i64 b p.max_level;
       for _ = 1 to p.max_level do
@@ -443,7 +445,7 @@ let test_reject_old_special_set () =
   let path = Filename.concat dir "keys.halo" in
   let load_stamped fingerprint =
     write_raw path (Codec.frame ~kind:Codec.Keys_frame ~fingerprint payload);
-    persist_reason "old-layout key frame" (fun () -> Store.load_keys p ~path)
+    persist_reason "old-layout key frame" (fun () -> Store.load (Codec.keys p) ~path)
   in
   Alcotest.(check string) "refused by the fingerprint check"
     "artifact was written under different parameters" (load_stamped old_fp);
@@ -456,14 +458,14 @@ let test_reject_old_special_set () =
 let test_reject_wrong_kind () =
   with_artifact (fun ~p ~path ~bytes:_ ->
       expect_persist "rns frame read as a ciphertext" (fun () ->
-          Store.load_lattice_ct p ~path);
+          Store.load (Codec.lattice_ct p) ~path);
       expect_persist "rns frame read as key material" (fun () ->
-          Store.load_keys p ~path))
+          Store.load (Codec.keys p) ~path))
 
 let test_reject_trailing_garbage () =
   with_artifact (fun ~p ~path ~bytes ->
       write_raw path (bytes ^ "\x00");
-      expect_persist "one appended byte" (fun () -> Store.load_rns p ~path))
+      expect_persist "one appended byte" (fun () -> Store.load (Codec.rns p) ~path))
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -481,17 +483,16 @@ let entry ~loop_var ~iter =
     stats = Stats.create ();
   }
 
-let enc_ct = Codec.encode_ref_ct
-let dec_ct = Codec.decode_ref_ct ~slots:4 ~max_level:16
-let scan dir = Journal.scan ~dir ~fingerprint:fp ~dec_ct
+let ct = Codec.ref_ct ~slots:4 ~max_level:16
+let scan dir = Journal.scan ~dir ~fingerprint:fp ~ct
 
 let test_journal_retention_and_seq () =
   let dir = fresh_dir "journal" in
   let j = Journal.open_ ~dir ~fingerprint:fp ~retain:3 in
   for i = 0 to 4 do
-    ignore (Journal.append j ~enc_ct (entry ~loop_var:7 ~iter:i))
+    ignore (Journal.append j ~ct (entry ~loop_var:7 ~iter:i))
   done;
-  ignore (Journal.append j ~enc_ct (entry ~loop_var:9 ~iter:0));
+  ignore (Journal.append j ~ct (entry ~loop_var:9 ~iter:0));
   let s = scan dir in
   Alcotest.(check (list (pair string string))) "no damage" [] s.Journal.damaged;
   let iters_of var =
@@ -517,7 +518,7 @@ let test_journal_retention_and_seq () =
   (* Sequence numbers continue across a re-open, so retention order is
      global and monotone even after a resume. *)
   let j2 = Journal.open_ ~dir ~fingerprint:fp ~retain:3 in
-  let seq, bytes = Journal.append j2 ~enc_ct (entry ~loop_var:7 ~iter:5) in
+  let seq, bytes = Journal.append j2 ~ct (entry ~loop_var:7 ~iter:5) in
   Alcotest.(check int) "sequence continues after re-open" 6 seq;
   Alcotest.(check bool) "append reports the on-disk size" true (bytes > 0);
   rm_rf dir
@@ -534,7 +535,7 @@ let test_journal_corrupt_tail () =
   let dir = fresh_dir "journal-corrupt" in
   let j = Journal.open_ ~dir ~fingerprint:fp ~retain:8 in
   for i = 0 to 2 do
-    ignore (Journal.append j ~enc_ct (entry ~loop_var:7 ~iter:i))
+    ignore (Journal.append j ~ct (entry ~loop_var:7 ~iter:i))
   done;
   (* A stray temporary (crash mid-append) is ignored entirely. *)
   write_raw (Filename.concat dir "entry-00.ckpt.tmp.123") "partial";
@@ -556,7 +557,7 @@ let test_journal_corrupt_tail () =
    | None -> Alcotest.fail "intact entries were dropped with the corrupt one");
   (* The wrong fingerprint damages everything — entries from another run's
      manifest are never restored. *)
-  let foreign = Journal.scan ~dir ~fingerprint:1L ~dec_ct in
+  let foreign = Journal.scan ~dir ~fingerprint:1L ~ct in
   Alcotest.(check bool) "foreign fingerprint restores nothing" true
     (foreign.Journal.entries = []);
   rm_rf dir
@@ -851,6 +852,441 @@ let test_exec_without_dir () =
       Ref_run.exec ~faults:(Halo_runtime.Faults.config ~seed:0 ())
         ~dir:(fresh_dir "faulty") m)
 
+(* ------------------------------------------------------------------ *)
+(* Golden frame bytes                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Serve_codec = Halo_serve.Serve_codec
+module Plan = Halo_tune.Plan
+
+(* Every IR op, count and constant shape the program codec knows. *)
+let every_op_program () =
+  let i results op = { Ir.results; op } in
+  let loop count boundary =
+    Ir.For
+      {
+        count;
+        inits = [ 1 ];
+        body = { params = [ 20 ]; instrs = [ i [ 21 ] (Ir.Rescale { src = 20 }) ]; yields = [ 21 ] };
+        boundary;
+      }
+  in
+  {
+    Ir.prog_name = "golden";
+    slots = 16;
+    max_level = 9;
+    inputs =
+      [
+        { in_name = "x"; in_var = 0; in_status = Ir.Cipher; in_size = 16 };
+        { in_name = "w"; in_var = 1; in_status = Ir.Plain; in_size = 4 };
+      ];
+    body =
+      {
+        params = [ 0; 1 ];
+        instrs =
+          [
+            i [ 2 ] (Ir.Const { value = Ir.Splat (-0.0); size = 16 });
+            i [ 3 ] (Ir.Const { value = Ir.Vector [| 0.5; -1.25; 3e-300 |]; size = 3 });
+            i [ 4 ] (Ir.Binary { kind = Ir.Add; lhs = 0; rhs = 2 });
+            i [ 5 ] (Ir.Binary { kind = Ir.Sub; lhs = 4; rhs = 3 });
+            i [ 6 ] (Ir.Binary { kind = Ir.Mul; lhs = 5; rhs = 1 });
+            i [ 7 ] (Ir.Rotate { src = 6; offset = -3 });
+            i [ 8; 9 ] (Ir.RotateMany { src = 7; offsets = [ 1; 2 ] });
+            i [ 10 ] (Ir.RotSum { src = 8; terms = [ (0, Some 1); (4, Some 3) ] });
+            i [ 11 ] (Ir.RotSum { src = 9; terms = [ (1, None); (2, None) ] });
+            i [ 12 ] (Ir.Modswitch { src = 11; down = 2 });
+            i [ 13 ] (Ir.Bootstrap { src = 12; target = 7 });
+            i [ 14 ] (Ir.Pack { srcs = [ 10; 13 ]; num_e = 2 });
+            i [ 15 ] (Ir.Unpack { src = 14; index = 1; num_e = 2; count = 8 });
+            i [ 16 ] (loop (Ir.Static 5) None);
+            i [ 17 ] (loop (Ir.Dyn { name = "K"; add = -1; div = 3; rem = false }) (Some 4));
+            i [ 18 ] (loop (Ir.Dyn { name = "K"; add = 2; div = 3; rem = true }) (Some 6));
+          ];
+        yields = [ 15; 16; 17; 18 ];
+      };
+    next_var = 22;
+  }
+
+let golden_keys p =
+  let keys = Keys.keygen ~seed:5 p in
+  let saved = Keys.rng_state keys in
+  Keys.set_rng_state keys (Random.State.make [| 0x601d |]);
+  ignore (Keys.rotation_key keys ~offset:1);
+  let ct =
+    Eval.encrypt keys ~level:4
+      (Array.init p.Params.slots (fun i -> sin (float_of_int i)))
+  in
+  (keys, saved, ct)
+
+let golden_ref_ct () =
+  Ref_backend.make_ct ~noise_est:0x1p-30
+    ~data:[| 0.25; -0.0; 1e-9; 3.5 |]
+    ~level:5 ~scale_bits:51.0 ()
+
+let golden_run_manifest () =
+  {
+    (manifest ~guard_every:2 ~every_n:3 ~retain:5
+       ~bindings:[ ("K", 6) ]
+       ~inputs:[ ("x", x_input ()) ]
+       (training_program ()))
+    with
+    guard_margin = 4.5;
+    rescue = true;
+    rescue_margin = 1.5;
+    max_rescues = 7;
+  }
+
+let golden_serve_manifest () =
+  {
+    Serve_codec.config =
+      Fixture.mk_cfg
+        ~faults:
+          {
+            Serve_codec.f_seed = 0xFA17;
+            f_transient = 0.01;
+            f_bootstrap = 0.02;
+            f_spike = 0.0;
+            f_magnitude = 1e-3;
+            f_poison = [ 3; 5 ];
+          }
+        ~sup:
+          {
+            Serve_codec.default_sup with
+            s_deadline_us = 1_000;
+            s_fallback = true;
+            s_rescue = true;
+            s_rescue_margin = 1.5;
+            s_max_rescues = 3;
+          }
+        ();
+    progs = Fixture.programs ();
+  }
+
+let golden_plan () =
+  {
+    Plan.p_prog = "golden";
+    p_fingerprint = 0x0123_4567_89AB_CDEFL;
+    p_strategy = Strategy.Halo;
+    p_unroll = 4;
+    p_boot_slack = 1;
+    p_rotate_fuse = true;
+    p_lazy_switch = false;
+    p_key_budget = 65536;
+    p_pool = 2;
+    p_profile = "host";
+    p_predicted_us = 1234.5;
+    p_breakdown = [ ("compute", 1000.0); ("total", 1234.5) ];
+  }
+
+(* One frame of each of the 16 artifact kinds, as the store writes it. *)
+let golden_frames () =
+  let p = params () in
+  let keys, saved, lattice_ct = golden_keys p in
+  let dir = fresh_dir "golden" in
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "frame.halo" in
+  let bytes ?fingerprint a v =
+    save ?fingerprint a ~path v;
+    read_raw path
+  in
+  let fp = 0x5EED_FACEL in
+  let ref_ct = golden_ref_ct () in
+  let run_m = golden_run_manifest () in
+  let serve_m = golden_serve_manifest () in
+  let entry_frame =
+    let jdir = Filename.concat dir "journal" in
+    let j = Journal.open_ ~dir:jdir ~fingerprint:fp ~retain:1 in
+    ignore
+      (Journal.append j ~ct
+         {
+           Codec.seq = 0;
+           loop_var = 7;
+           iter = 2;
+           carried = [ Codec.Plain [| 1.0; -0.0 |]; Codec.Cipher ref_ct ];
+           rng = Random.State.make [| 0x601e |];
+           stats = numbered_stats ();
+         });
+    read_raw (Filename.concat jdir (newest_ckpt jdir))
+  in
+  let frames =
+    [
+      ("rns_poly", bytes (Codec.rns p) (random_poly p ~level:3 42));
+      ("ref ciphertext", bytes (Codec.ref_ct ~slots:4 ~max_level:9) ref_ct);
+      ("lattice ciphertext", bytes (Codec.lattice_ct p) lattice_ct);
+      ("key material", bytes (Codec.keys p) keys);
+      ("compiled program", bytes Codec.program (every_op_program ()));
+      ("run manifest", bytes Codec.manifest run_m);
+      ("checkpoint entry", entry_frame);
+      ("serve manifest", bytes Serve_codec.manifest serve_m);
+      ( "serve request",
+        bytes ~fingerprint:fp Serve_codec.request
+              {
+                Serve_codec.req_id = 4;
+                tenant_id = 2;
+                tenant_key = 77;
+                pname = "affine";
+                tol = 1e-3;
+                admit_us = 500;
+                payload = [ ("x", [| 0.5; -0.25 |]) ];
+              } );
+      ( "serve batch entry",
+        bytes ~fingerprint:fp Serve_codec.entry
+                 {
+                   Serve_codec.e_key = 4;
+                   e_seq = 1;
+                   e_reqs = [ 4; 6 ];
+                   e_status =
+                     Serve_codec.Degraded
+                       {
+                         d_op = "mul";
+                         d_reason = "retry budget";
+                         d_attempts = 5;
+                         d_iteration = Some 3;
+                       };
+                   e_stats = numbered_stats ();
+                 } );
+      ( "serve plan record",
+        bytes ~fingerprint:fp Serve_codec.plan
+          { Serve_codec.pl_seq = 2; pl_clock_us = 900; pl_watermark = 8; pl_expired = [ 5; 8 ] } );
+      ( "serve quarantine snapshot",
+        bytes ~fingerprint:fp Serve_codec.quarantine
+          { Serve_codec.qr_tenants = [ (1, 4); (3, 9) ] } );
+      ( "serve drain handoff",
+        bytes ~fingerprint:fp Serve_codec.drain
+              {
+                Serve_codec.dr_accepted = 10;
+                dr_served = 8;
+                dr_failed = 2;
+                dr_clock_us = 12345;
+                dr_seq = 9;
+                dr_quarantined = [ 3 ];
+              } );
+      ("chaos soak state", bytes ~fingerprint:fp Serve_codec.chaos 3);
+      ( "rescue record",
+        bytes ~fingerprint:fp Codec.rescue
+          { r_seq = 2; r_target = 9; r_before = 0x1p-20; r_after = 0x1p-40 } );
+      ("tuned strategy manifest", bytes Plan.artifact (golden_plan ()));
+    ]
+  in
+  Keys.set_rng_state keys saved;
+  rm_rf dir;
+  let prog = every_op_program () in
+  List.map (fun (name, f) -> (name, Digest.to_hex (Digest.string f))) frames
+  @ [
+      ("run manifest fingerprint", Printf.sprintf "%016Lx" (Codec.manifest_fingerprint run_m));
+      ( "serve manifest fingerprint",
+        Printf.sprintf "%016Lx" (Serve_codec.manifest_fingerprint serve_m) );
+      ( "plan fingerprint",
+        Printf.sprintf "%016Lx" (Plan.fingerprint ~bindings:[ ("K", 6); ("A", 2) ] prog) );
+    ]
+
+(* Frame bytes are the on-disk format: a digest that moves is a format
+   change, and needs a [Codec.format_version] bump and a decoder for the
+   old layout.  The fingerprints are the stamps resume checks against the
+   ones already on disk. *)
+let golden_digests =
+  [
+    ("rns_poly", "fda42fe060aad02f252fc25a3876f105");
+    ("ref ciphertext", "2e818d792b898724810d3775c1926975");
+    ("lattice ciphertext", "5308ac4397d3904755635781a2602d59");
+    ("key material", "30ff62f6225c3faa5818eaac578b9aa9");
+    ("compiled program", "e1af719d1f432ae894ccbd7f04a52746");
+    ("run manifest", "b29648d73ffce674d3d0eea1cc95a9bb");
+    ("checkpoint entry", "687a0036f206db0ad8510129464ce4a2");
+    ("serve manifest", "83f9fd7f63437018d7dbb0fa7e8526cb");
+    ("serve request", "d77eca010842dda4c2acee18a88fcf28");
+    ("serve batch entry", "1e36b3ed9fcc7531c55f5c276c355454");
+    ("serve plan record", "5712d3eedc6c605477a861859f180f81");
+    ("serve quarantine snapshot", "6c74a3df5b939f441800a99513f05a91");
+    ("serve drain handoff", "f9efb1936df7d9bfba5fa30b67d5f651");
+    ("chaos soak state", "2129465a9a9385892f3396540e1bd59f");
+    ("rescue record", "33c8a4dd5c66ceea321b560f2c6407aa");
+    ("tuned strategy manifest", "0e6d9f4f37d1767dd3dcf9bd9e78056f");
+    ("run manifest fingerprint", "00000d31f3e086eb");
+    ("serve manifest fingerprint", "0000085a5cd4e149");
+    ("plan fingerprint", "f48a980a1f428a71");
+  ]
+
+let test_golden_frames () =
+  Alcotest.(check (list (pair string string)))
+    "frame digests and fingerprints" golden_digests (golden_frames ())
+
+(* ------------------------------------------------------------------ *)
+(* Strict fields and older formats                                     *)
+(* ------------------------------------------------------------------ *)
+
+let index_of s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in the frame" sub
+    else if String.sub s i n = sub then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Write [bytes] patched by [f] with the CRC recomputed, so only the
+   patched field is wrong, and load it with [a]. *)
+let load_patched ?fingerprint a ~path bytes f =
+  let b = Bytes.of_string bytes in
+  f b;
+  refix_crc b;
+  write_raw path (Bytes.to_string b);
+  Store.load ?fingerprint a ~path
+
+let with_dir name f =
+  let dir = fresh_dir name in
+  Sys.mkdir dir 0o755;
+  f (Filename.concat dir "frame.halo");
+  rm_rf dir
+
+let test_program_count_fields () =
+  (* A loop count [KDIV / 7]: the count's name, then add, div and the
+     remainder flag, 8 + 8 + 1 bytes. *)
+  let prog =
+    {
+      (every_op_program ()) with
+      Ir.inputs = [];
+      body =
+        {
+          params = [];
+          instrs =
+            [
+              {
+                results = [ 1 ];
+                op =
+                  Ir.For
+                    {
+                      count = Ir.Dyn { name = "KDIV"; add = 0; div = 7; rem = false };
+                      inits = [];
+                      body = { params = []; instrs = []; yields = [] };
+                      boundary = None;
+                    };
+              };
+            ];
+          yields = [];
+        };
+    }
+  in
+  with_dir "count-fields" (fun path ->
+      save Codec.program ~path prog;
+      let bytes = read_raw path in
+      Alcotest.(check bool) "intact frame loads" true
+        (Store.load Codec.program ~path = prog);
+      let div = index_of bytes "KDIV" + 4 + 8 in
+      Alcotest.(check int) "divisor located" 7 (Int64.to_int (String.get_int64_le bytes div));
+      List.iter
+        (fun (name, field, v) ->
+          Alcotest.(check string) name "loop-count divisor below 1"
+            (persist_reason name (fun () ->
+                 load_patched Codec.program ~path bytes (fun b ->
+                     Bytes.set_int64_le b field v))))
+        [ ("divisor 0", div, 0L); ("divisor -3", div, -3L) ];
+      Alcotest.(check string) "remainder flag 2" "bad remainder flag"
+        (persist_reason "remainder flag 2" (fun () ->
+             load_patched Codec.program ~path bytes (fun b -> Bytes.set b (div + 8) '\002'))))
+
+let test_loose_flag_bytes () =
+  with_dir "flags" (fun path ->
+      (* Plan payload: name and strategy strings, unroll and slack, then the
+         fuse and lazy flags. *)
+      let plan = golden_plan () in
+      save Plan.artifact ~path plan;
+      let bytes = read_raw path in
+      let fuse =
+        22 + 8 + String.length plan.p_prog + 8
+        + String.length (Strategy.to_string plan.p_strategy)
+        + 16
+      in
+      List.iter
+        (fun (name, at, reason) ->
+          Alcotest.(check string) name reason
+            (persist_reason name (fun () ->
+                 load_patched Plan.artifact ~path bytes (fun b -> Bytes.set b at '\002'))))
+        [ ("plan fuse flag 2", fuse, "bad rotate-fuse flag");
+          ("plan lazy flag 2", fuse + 1, "bad lazy-switch flag") ];
+      (* A run manifest refuses an empty backend, as a serve manifest does. *)
+      let m = golden_run_manifest () in
+      List.iter
+        (fun (name, backend, reason) ->
+          save Codec.manifest ~path { m with backend };
+          Alcotest.(check string) name reason
+            (persist_reason name (fun () -> Store.load Codec.manifest ~path)))
+        [ ("zero slots", { m.backend with slots = 0 }, "slot count below 1");
+          ("zero max level", { m.backend with max_level = 0 }, "max level below 1") ])
+
+(* A frame of [a]'s kind under format version 4 around [payload]. *)
+let v4_frame a payload =
+  let b =
+    Bytes.of_string
+      (Codec.frame ~kind:a.Codec.kind ~fingerprint:0L (fun b ->
+           Buffer.add_string b payload))
+  in
+  Bytes.set b 4 '\004';
+  refix_crc b;
+  Bytes.to_string b
+
+let encoded a v =
+  let b = Buffer.create 1024 in
+  a.Codec.encode b v;
+  Buffer.contents b
+
+let test_v4_manifests () =
+  let defaults (rescue, margin, budget) =
+    Alcotest.(check bool) "monitor off" false rescue;
+    Alcotest.(check (float 0.0)) "default margin"
+      Halo_runtime.Noise_monitor.default_rescue_margin margin;
+    Alcotest.(check int) "default budget"
+      Halo_runtime.Noise_monitor.default_max_rescues budget
+  in
+  let tail = 1 + 8 + 8 in
+  with_dir "v4" (fun path ->
+      (* Version 4 ended the run manifest before the guard margin and the
+         rescue tail. *)
+      let m = golden_run_manifest () in
+      let v5 = encoded Codec.manifest m in
+      write_raw path
+        (v4_frame Codec.manifest (String.sub v5 0 (String.length v5 - 8 - tail)));
+      let m4 = Store.load Codec.manifest ~path in
+      defaults (m4.rescue, m4.rescue_margin, m4.max_rescues);
+      Alcotest.(check (float 0.0)) "default guard margin"
+        Halo_runtime.Guard.default_margin m4.guard_margin;
+      Alcotest.(check bool) "every older field kept" true
+        ({ m with
+           guard_margin = m4.guard_margin;
+           rescue = m4.rescue;
+           rescue_margin = m4.rescue_margin;
+           max_rescues = m4.max_rescues }
+         = m4);
+      (* Version 4 ended the serve supervision knobs at the guard flag:
+         backend (64), queue, window, lane (24), margin (8), fuse (1),
+         policy (40), deadline, TTL (16), fallback (1), breaker and
+         quarantine knobs (48), guard (1). *)
+      let sm = golden_serve_manifest () in
+      let v5 = encoded Serve_codec.manifest sm in
+      let at = 64 + 24 + 8 + 1 + 40 + 16 + 1 + 48 + 1 in
+      let sup = sm.config.sup in
+      let b = Buffer.create tail in
+      Codec.encode_rescue_tail b (sup.s_rescue, sup.s_rescue_margin, sup.s_max_rescues);
+      Alcotest.(check string) "rescue tail located" (Buffer.contents b)
+        (String.sub v5 at tail);
+      write_raw path
+        (v4_frame Serve_codec.manifest
+           (String.sub v5 0 at
+           ^ String.sub v5 (at + tail) (String.length v5 - at - tail)));
+      let sm4 = Store.load Serve_codec.manifest ~path in
+      let sup4 = sm4.config.sup in
+      defaults (sup4.s_rescue, sup4.s_rescue_margin, sup4.s_max_rescues);
+      Alcotest.(check bool) "every older field kept" true
+        ({ sm with
+           config =
+             { sm.config with
+               sup =
+                 { sup with
+                   s_rescue = sup4.s_rescue;
+                   s_rescue_margin = sup4.s_rescue_margin;
+                   s_max_rescues = sup4.s_max_rescues } } }
+         = sm4))
+
 let () =
   Alcotest.run "halo_persist"
     [
@@ -869,6 +1305,8 @@ let () =
           Alcotest.test_case "statistics wire format" `Quick
             test_stats_wire_format;
           Alcotest.test_case "manifest" `Quick test_manifest_roundtrip;
+          Alcotest.test_case "golden frame bytes" `Quick test_golden_frames;
+          Alcotest.test_case "version-4 manifests" `Quick test_v4_manifests;
         ] );
       ( "adversarial",
         [
@@ -884,6 +1322,9 @@ let () =
           Alcotest.test_case "wrong artifact kind" `Quick test_reject_wrong_kind;
           Alcotest.test_case "trailing garbage" `Quick
             test_reject_trailing_garbage;
+          Alcotest.test_case "loop-count divisor and remainder flag" `Quick
+            test_program_count_fields;
+          Alcotest.test_case "loose flag bytes" `Quick test_loose_flag_bytes;
         ] );
       ( "journal",
         [

@@ -180,13 +180,17 @@ let test_printer_parser_roundtrip () =
   let q = Parser.parse_program text in
   Alcotest.(check string) "round trip" text (Printer.program_to_string q)
 
-let test_ir_bin_roundtrip () =
+let binary_roundtrip p =
+  let module Codec = Halo_persist.Codec in
+  Codec.of_frame Codec.program (Codec.to_frame Codec.program p)
+
+let test_binary_roundtrip () =
   let p = rotation_program () in
-  let q = Ir_bin.decode (Ir_bin.encode p) in
+  let q = binary_roundtrip p in
   Alcotest.(check bool) "binary round trip" true (p = q);
   (* And for a fused compiled program (RotateMany introduced by the pass). *)
   let compiled = Strategy.compile ~strategy:Strategy.Halo p in
-  let c2 = Ir_bin.decode (Ir_bin.encode compiled) in
+  let c2 = binary_roundtrip compiled in
   Alcotest.(check bool) "compiled round trip" true (compiled = c2)
 
 let manual_program instrs ~yield =
@@ -441,7 +445,7 @@ let () =
         [
           Alcotest.test_case "printer/parser round trip" `Quick
             test_printer_parser_roundtrip;
-          Alcotest.test_case "binary round trip" `Quick test_ir_bin_roundtrip;
+          Alcotest.test_case "binary round trip" `Quick test_binary_roundtrip;
           Alcotest.test_case "ir_check arity" `Quick test_ir_check_arity;
           Alcotest.test_case "typecheck arity" `Quick test_typecheck_arity;
         ] );

@@ -283,11 +283,12 @@ let test_quarantine_survives_kill () =
     (List.mem_assoc 0 (Server.quarantine t.Soak.resumed));
   (* The durable snapshot agrees with the journal fold. *)
   let q =
-    Serve_codec.load_quarantine
-      ~path:(Filename.concat dir "quarantine.halo")
+    Halo_persist.Store.load
       ~fingerprint:
         (Serve_codec.manifest_fingerprint
            { Serve_codec.config = cfg; progs = programs () })
+      Serve_codec.quarantine
+      ~path:(Filename.concat dir "quarantine.halo")
   in
   Alcotest.(check bool) "snapshot matches the fold" true
     (q.Serve_codec.qr_tenants = Server.quarantine t.Soak.resumed);

@@ -15,6 +15,7 @@ module Pipeline = Halo_verify.Pipeline
 module Predict = Halo_tune.Predict
 module Tuner = Halo_tune.Tuner
 module Plan = Halo_tune.Plan
+module Store = Halo_persist.Store
 
 let gen_seeds = [ 1; 2; 3; 5; 8; 13 ]
 
@@ -203,7 +204,7 @@ let test_determinism () =
   let tune () =
     let r, _ = Tuner.tune ~bindings:g.Gen.bindings ~name:"gen-7" g.Gen.prog in
     let path = tmp_path "det.ckpt" in
-    Plan.save ~path r.Tuner.r_plan;
+    ignore (Store.save Plan.artifact ~path r.Tuner.r_plan);
     let bytes =
       let ic = open_in_bin path in
       let s = really_input_string ic (in_channel_length ic) in
@@ -259,9 +260,9 @@ let test_manifest_roundtrip () =
   let g = Gen.generate 11 in
   let r, _ = Tuner.tune ~bindings:g.Gen.bindings ~name:"gen-11" g.Gen.prog in
   let path = tmp_path "roundtrip.ckpt" in
-  Plan.save ~path r.Tuner.r_plan;
+  ignore (Store.save Plan.artifact ~path r.Tuner.r_plan);
   let expect = Plan.fingerprint ~bindings:g.Gen.bindings g.Gen.prog in
-  let loaded = Plan.load ~expect ~path () in
+  let loaded = Store.load ~fingerprint:expect Plan.artifact ~path in
   Sys.remove path;
   Alcotest.(check string)
     "round-trips" (Plan.to_string r.Tuner.r_plan) (Plan.to_string loaded);
@@ -277,12 +278,12 @@ let test_manifest_rejects_wrong_fingerprint () =
   let other = Gen.generate 12 in
   let r, _ = Tuner.tune ~bindings:g.Gen.bindings ~name:"gen-11" g.Gen.prog in
   let path = tmp_path "reject.ckpt" in
-  Plan.save ~path r.Tuner.r_plan;
+  ignore (Store.save Plan.artifact ~path r.Tuner.r_plan);
   let wrong = Plan.fingerprint ~bindings:other.Gen.bindings other.Gen.prog in
   Alcotest.(check bool)
     "stamps differ" true
     (not (Int64.equal wrong r.Tuner.r_plan.Plan.p_fingerprint));
-  (match Plan.load ~expect:wrong ~path () with
+  (match Store.load ~fingerprint:wrong Plan.artifact ~path with
    | _ -> Alcotest.fail "wrong-fingerprint manifest loaded"
    | exception Halo_error.Persist_error _ -> ());
   (* Same program, different bindings: also a different stamp, also
@@ -293,7 +294,7 @@ let test_manifest_rejects_wrong_fingerprint () =
       g.Gen.prog
   in
   if not (Int64.equal rebound r.Tuner.r_plan.Plan.p_fingerprint) then
-    (match Plan.load ~expect:rebound ~path () with
+    (match Store.load ~fingerprint:rebound Plan.artifact ~path with
      | _ -> Alcotest.fail "rebound manifest loaded"
      | exception Halo_error.Persist_error _ -> ());
   Sys.remove path
