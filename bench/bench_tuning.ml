@@ -136,8 +136,9 @@ let json_of_rows ~iters ~size rows =
          \"key_budget\": %d, \"pool\": %d, \"predicted_us\": %.1f, \
          \"measured_us\": %.1f, \"rmse\": %.3e },\n"
         (Strategy.to_string p.Plan.p_strategy)
-        p.Plan.p_unroll p.Plan.p_boot_slack p.Plan.p_rotate_fuse
-        p.Plan.p_lazy_switch p.Plan.p_key_budget p.Plan.p_pool
+        p.Plan.p_knobs.unroll p.Plan.p_knobs.boot_slack
+        p.Plan.p_knobs.rotate_fuse p.Plan.p_knobs.lazy_switch
+        p.Plan.p_key_budget p.Plan.p_pool
         r.w_predicted_us r.w_measured_us r.w_rmse;
       pf "      \"fixed\": [\n";
       List.iteri

@@ -102,6 +102,20 @@ let boot_slack_arg =
            autotuner's B-3 axis, exposed so a tuned plan can be reproduced \
            by hand.")
 
+(* The four compile knobs of [compile] and [run], as one record. *)
+let knobs_term =
+  let make no_fuse no_lazy unroll boot_slack =
+    {
+      Strategy.unroll;
+      boot_slack;
+      rotate_fuse = not no_fuse;
+      lazy_switch = not no_lazy;
+    }
+  in
+  Term.(
+    const make $ no_rotate_fuse_arg $ no_lazy_switch_arg $ unroll_factor_arg
+    $ boot_slack_arg)
+
 let strategy_manifest_arg =
   Arg.(
     value
@@ -113,7 +127,10 @@ let strategy_manifest_arg =
            match the program and bindings being compiled; a manifest tuned \
            for anything else is rejected.  Overrides --strategy, \
            --unroll-factor, --boot-slack, --no-rotate-fuse and \
-           --no-lazy-switch.")
+           --no-lazy-switch, and a --rescue replan keeps the plan's knobs.  \
+           Under $(b,serve) the plan retargets the matching registry \
+           program's strategy; a plan whose unroll, slack, fuse or lazy \
+           setting differs from what serving compiles with is refused.")
 
 let key_budget_arg =
   Arg.(
@@ -194,12 +211,11 @@ let handle_code f =
   | exception Invalid_argument m ->
     Printf.eprintf "invalid argument: %s\n" m;
     1
-  | exception (Halo_error.Persist_error _ as e) ->
-    Printf.eprintf "persist error: %s\n" (Halo_error.to_string e);
-    1
   | exception
-      ((Halo_error.Backend_error _ | Halo_error.Interp_error _) as e) ->
-    Printf.eprintf "runtime error: %s\n" (Halo_error.to_string e);
+      (( Halo_error.Persist_error _ | Halo_error.Backend_error _
+       | Halo_error.Interp_error _ ) as e) ->
+    (* [Halo_error.to_string] already names the error's kind. *)
+    prerr_endline (Halo_error.to_string e);
     1
 
 let handle f = handle_code (fun () -> f (); 0)
@@ -207,9 +223,10 @@ let handle f = handle_code (fun () -> f (); 0)
 (* ------------------------------------------------------------------ *)
 
 (* Compile a loaded program under either explicit knobs or a tuned plan
-   (which must be stamped for exactly this program + bindings). *)
-let compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
-    ~boot_slack ~manifest (p : Ir.program) =
+   (which must be stamped for exactly this program + bindings).  Returns the
+   strategy and knobs it compiled under, which a plan overrides: the run
+   manifest and any replan follow them, not the command-line defaults. *)
+let compile_source ~bindings ~strategy ~knobs ~manifest (p : Ir.program) =
   match manifest with
   | Some path ->
     let plan =
@@ -218,19 +235,17 @@ let compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
         Halo_tune.Plan.artifact ~path
     in
     Printf.printf "applying tuned plan: %s\n" (Halo_tune.Plan.to_string plan);
-    fst (Halo_tune.Tuner.compile_plan ~verify:false ~bindings plan p)
-  | None ->
-    Strategy.compile ~bindings ~rotate_fuse:(not no_fuse)
-      ~lazy_switch:(not no_lazy) ~unroll_factor ~boot_slack ~strategy p
+    ( fst (Halo_tune.Tuner.compile_plan ~verify:false ~bindings plan p),
+      plan.p_strategy,
+      plan.p_knobs )
+  | None -> (Strategy.compile ~bindings ~knobs ~strategy p, strategy, knobs)
 
 let compile_cmd =
-  let run file strategy bindings no_fuse no_lazy unroll_factor boot_slack
-      manifest output =
+  let run file strategy bindings knobs manifest output =
     handle (fun () ->
         let p = load file in
-        let compiled =
-          compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
-            ~boot_slack ~manifest p
+        let compiled, _, _ =
+          compile_source ~bindings ~strategy ~knobs ~manifest p
         in
         let text = Printer.program_to_string compiled in
         match output with
@@ -249,8 +264,7 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a textual IR program.")
     Term.(
-      const run $ file_arg $ strategy_arg $ bindings_arg $ no_rotate_fuse_arg
-      $ no_lazy_switch_arg $ unroll_factor_arg $ boot_slack_arg
+      const run $ file_arg $ strategy_arg $ bindings_arg $ knobs_term
       $ strategy_manifest_arg $ output_arg)
 
 let inspect_cmd =
@@ -371,9 +385,9 @@ let simulated_crash writes =
   exit 137
 
 let run_cmd =
-  let run file strategy bindings no_fuse no_lazy unroll_factor boot_slack
-      manifest seed guard guard_margin rescue rescue_margin max_rescues
-      checkpoint_dir every retain guard_every kill_after out =
+  let run file strategy bindings knobs manifest seed guard guard_margin rescue
+      rescue_margin max_rescues checkpoint_dir every retain guard_every
+      kill_after out =
     handle_code (fun () ->
         if kill_after <> None && checkpoint_dir = None then begin
           prerr_endline
@@ -383,9 +397,8 @@ let run_cmd =
         end
         else
         let p = load file in
-        let compiled =
-          compile_source ~bindings ~strategy ~no_fuse ~no_lazy ~unroll_factor
-            ~boot_slack ~manifest p
+        let compiled, strategy, knobs =
+          compile_source ~bindings ~strategy ~knobs ~manifest p
         in
         let rng = Random.State.make [| seed |] in
         let inputs =
@@ -414,8 +427,7 @@ let run_cmd =
             if not guard then (outcome, None)
             else begin
               let recompile s =
-                Strategy.compile ~bindings ~rotate_fuse:(not no_fuse)
-                  ~lazy_switch:(not no_lazy) ~strategy:s p
+                Strategy.compile ~bindings ~knobs ~strategy:s p
               in
               let g = Ref_run.guard ~recompile manifest outcome in
               Option.iter
@@ -490,8 +502,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute with random inputs on the reference backend.")
     Term.(
-      const run $ file_arg $ strategy_arg $ bindings_arg $ no_rotate_fuse_arg
-      $ no_lazy_switch_arg $ unroll_factor_arg $ boot_slack_arg
+      const run $ file_arg $ strategy_arg $ bindings_arg $ knobs_term
       $ strategy_manifest_arg $ seed_arg $ guard_arg $ guard_margin_arg
       $ rescue_arg $ rescue_margin_arg $ max_rescues_arg $ checkpoint_dir_arg
       $ every_arg $ retain_arg $ guard_every_arg $ kill_after_arg $ out_arg)
@@ -936,40 +947,28 @@ let serve_cmd =
                    entries keep their configured strategy. *)
                 match manifest with
                 | None -> programs
-                | Some path ->
+                | Some path -> (
                   let plan =
                     Halo_persist.Store.load Halo_tune.Plan.artifact ~path
                   in
-                  let applied = ref 0 in
-                  let programs =
-                    List.map
-                      (fun (pd : Halo_serve.Serve_codec.prog_def) ->
-                        if
-                          Int64.equal
-                            (Halo_tune.Plan.fingerprint ~bindings:[]
-                               pd.pd_traced)
-                            plan.Halo_tune.Plan.p_fingerprint
-                        then begin
-                          incr applied;
-                          Printf.printf
-                            "applying tuned strategy %s to program %S\n"
-                            (Strategy.to_string
-                               plan.Halo_tune.Plan.p_strategy)
-                            pd.pd_name;
-                          {
-                            pd with
-                            pd_strategy = plan.Halo_tune.Plan.p_strategy;
-                          }
-                        end
-                        else pd)
+                  match
+                    Halo_tune.Plan.retarget ~knobs:(Server.knobs cfg) plan
                       programs
-                  in
-                  if !applied = 0 then
+                  with
+                  | Error msg -> invalid_arg msg
+                  | Ok (programs, []) ->
                     Printf.printf
                       "warning: tuned plan %S matches no registered \
                        program; strategies unchanged\n"
-                      plan.Halo_tune.Plan.p_prog;
-                  programs
+                      plan.p_prog;
+                    programs
+                  | Ok (programs, names) ->
+                    List.iter
+                      (Printf.printf
+                         "applying tuned strategy %s to program %S\n"
+                         (Strategy.to_string plan.p_strategy))
+                      names;
+                    programs)
               in
               Server.create ?dir cfg ~programs
             end

@@ -33,7 +33,6 @@ val make_ctx : ?sine_degree:int -> ?range:int -> Params.t -> ctx
     that range. *)
 
 val range : ctx -> int
-val sine_degree : ctx -> int
 
 val bootstrap : ctx -> Keys.t -> Eval.ct -> Eval.ct
 (** [bootstrap ctx keys ct] takes a ciphertext at any level (typically 1)

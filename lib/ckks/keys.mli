@@ -99,10 +99,6 @@ val parse_budget : string -> int
     The empty string means unbounded (0).  Raises [Invalid_argument] on
     malformed input. *)
 
-val key_bytes : switch_key -> int
-(** Exact heap footprint of one switching key in bytes (every reachable
-    word, including the Shoup companions), as charged against the budget. *)
-
 val set_key_budget : t -> int -> unit
 (** Sets the budget in bytes (0 = unbounded) and evicts immediately if the
     resident set no longer fits.  Overrides [HALO_KEY_BUDGET]. *)

@@ -1,26 +1,11 @@
-type units = {
-  enc : float;
-  keyswitch : float;
-  rescale : float;
-  bootstrap : float;
-}
-
-(* Seeded from the shared unit table so the runtime estimators (which live
-   in [halo_ckks] and cannot see this module) agree with the static model
-   term for term. *)
-let of_shared (u : Halo_cost.Noise_units.t) =
-  {
-    enc = u.Halo_cost.Noise_units.enc;
-    keyswitch = u.keyswitch;
-    rescale = u.rescale;
-    bootstrap = u.bootstrap;
-  }
-
-let default_units = of_shared Halo_cost.Noise_units.default
+(* The shared unit table, so the runtime estimators (which live in
+   [halo_ckks] and cannot see this module) agree with the static model term
+   for term. *)
+let units = Halo_cost.Noise_units.default
 
 type report = { per_output : float list; worst : float; bounded : bool }
 
-let threshold ?(units = default_units) ~margin (r : report) =
+let threshold ~margin (r : report) =
   if r.bounded && Float.is_finite r.worst then margin *. r.worst
   else
     (* Unbounded programs have no finite whole-run bound; fall back to the
@@ -28,7 +13,7 @@ let threshold ?(units = default_units) ~margin (r : report) =
        sits at the bootstrap unit. *)
     margin *. units.bootstrap
 
-let analyze ?(units = default_units) (p : Ir.program) =
+let analyze (p : Ir.program) =
   let bounded = ref true in
   let noise : (Ir.var, float) Hashtbl.t = Hashtbl.create 256 in
   let n_of v = try Hashtbl.find noise v with Not_found -> 0.0 in

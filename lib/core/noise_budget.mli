@@ -3,7 +3,7 @@
     Tracks an upper bound on each value's error relative to its scale, in
     the style of EVA/ELASM's error analyses (the scale-management lineage
     the paper builds on): encryption, key switching, rescale rounding and
-    bootstrapping each contribute a configurable unit; multiplication adds the
+    bootstrapping each contribute a unit of {!Halo_cost.Noise_units}; multiplication adds the
     operands' relative bounds plus a relinearization unit, and addition
     takes the larger bound (assuming no catastrophic cancellation, the
     usual affine simplification).
@@ -14,33 +14,20 @@
     grows per iteration (e.g. the program was compiled without
     bootstrapping), the estimate is reported as unbounded. *)
 
-type units = {
-  enc : float;  (** fresh encryption *)
-  keyswitch : float;  (** rotation / relinearization *)
-  rescale : float;  (** rounding of one rescale *)
-  bootstrap : float;  (** error of one bootstrap *)
-}
-
-val default_units : units
-(** Seeded from {!Halo_cost.Noise_units.default} (1e-7 encryption, 1e-5
-    bootstrap, ...) so the static model and the runtime per-ciphertext
-    estimators use the same unit table. *)
-
-val of_shared : Halo_cost.Noise_units.t -> units
-(** Lift the shared unit table into this module's [units]. *)
-
 type report = {
   per_output : float list;  (** worst-case relative error bound per output *)
   worst : float;
   bounded : bool;  (** false if some loop grows noise without bootstrap *)
 }
 
-val analyze : ?units:units -> Ir.program -> report
+val analyze : Ir.program -> report
+(** The bound under {!Halo_cost.Noise_units.default}, the unit table the
+    runtime per-ciphertext estimators use too. *)
 
-val threshold : ?units:units -> margin:float -> report -> float
+val threshold : margin:float -> report -> float
 (** The largest runtime noise estimate tolerable at decrypt:
     [margin *. worst] for bounded reports.  Unbounded programs have no
     finite whole-run bound, so the threshold falls back to
-    [margin *. units.bootstrap] — the steady state of a healthy
+    [margin] times the bootstrap unit — the steady state of a healthy
     bootstrapped loop.  The runtime {!Halo_runtime.Noise_monitor} divides
     this by its rescue margin to decide when to fire. *)

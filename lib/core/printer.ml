@@ -107,11 +107,6 @@ and block_to_buf buf ~indent (b : Ir.block) =
   List.iter (instr_to_buf buf ~indent) b.instrs;
   Buffer.add_string buf (Printf.sprintf "%syield %s\n" pad (vars b.yields))
 
-let block_to_string ?(indent = 0) b =
-  let buf = Buffer.create 256 in
-  block_to_buf buf ~indent b;
-  Buffer.contents buf
-
 let program_to_string (p : Ir.program) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

@@ -6,7 +6,6 @@
     in full, matching the paper's note that code size includes constants. *)
 
 val program_to_string : Ir.program -> string
-val block_to_string : ?indent:int -> Ir.block -> string
 val op_name : Ir.op -> string
 
 val code_size_bytes : Ir.program -> int

@@ -39,8 +39,18 @@ type pass = {
   run : Ir.program -> Ir.program;
 }
 
-let passes ?(bindings = []) ?dacapo_config ?(lower = true) ?(rotate_fuse = true)
-    ?(lazy_switch = true) ?(unroll_factor = 0) ?(boot_slack = 0) ~strategy () =
+type knobs = {
+  unroll : int;
+  boot_slack : int;
+  rotate_fuse : bool;
+  lazy_switch : bool;
+}
+
+let default_knobs =
+  { unroll = 0; boot_slack = 0; rotate_fuse = true; lazy_switch = true }
+
+let passes ?(bindings = []) ?dacapo_config ?(lower = true)
+    ?(knobs = default_knobs) ~strategy () =
   let pass ?milestone pass_name run = { pass_name; milestone; run } in
   let prologue =
     [
@@ -79,15 +89,15 @@ let passes ?(bindings = []) ?dacapo_config ?(lower = true) ?(rotate_fuse = true)
         pass "peel" Peel.program;
         pass ~milestone:Leveled "loop-codegen" (Loop_codegen.program ?dacapo_config);
         pass "packing" (Packing.program ?dacapo_config);
-        pass "unroll" (Unroll.program ~factor_cap:unroll_factor);
+        pass "unroll" (Unroll.program ~factor_cap:knobs.unroll);
       ]
     | Halo ->
       [
         pass "peel" Peel.program;
         pass ~milestone:Leveled "loop-codegen" (Loop_codegen.program ?dacapo_config);
         pass "packing" (Packing.program ?dacapo_config);
-        pass "unroll" (Unroll.program ~factor_cap:unroll_factor);
-        pass "tuning" (Tuning.program ~slack:boot_slack);
+        pass "unroll" (Unroll.program ~factor_cap:knobs.unroll);
+        pass "tuning" (Tuning.program ~slack:knobs.boot_slack);
       ]
   in
   let epilogue =
@@ -101,28 +111,17 @@ let passes ?(bindings = []) ?dacapo_config ?(lower = true) ?(rotate_fuse = true)
       ]
     (* After normalize the rotation set is final (no pass below introduces
        or moves rotations), so same-source groups are maximal here. *)
-    @ (if rotate_fuse then [ pass "rotate-fuse" Rotate_fuse.program ] else [])
+    @ (if knobs.rotate_fuse then [ pass "rotate-fuse" Rotate_fuse.program ]
+       else [])
     (* Rotate-and-sum reductions are only complete once the rotation groups
        are (rotate-fuse above); fusing them into RotSum lets the lattice
        backend share one digit decomposition and pay one mod-down. *)
-    @ (if lazy_switch then [ pass "lazy-switch" Lazy_switch.program ] else [])
+    @ (if knobs.lazy_switch then [ pass "lazy-switch" Lazy_switch.program ]
+       else [])
   in
   prologue @ placement @ epilogue
 
-let compile ?(bindings = []) ?dacapo_config ?(lower = true) ?rotate_fuse
-    ?lazy_switch ?unroll_factor ?boot_slack ?observer ~strategy p =
-  let step p ps =
-    let after = ps.run p in
-    (match observer with
-     | Some f -> f ~pass:ps ~before:p ~after
-     | None -> ());
-    after
-  in
-  let p =
-    List.fold_left step p
-      (passes ~bindings ?dacapo_config ~lower ?rotate_fuse ?lazy_switch
-         ?unroll_factor ?boot_slack ~strategy ())
-  in
+let verified ~strategy p =
   match Typecheck.verify p with
   | Ok () -> p
   | Error msg ->
@@ -130,3 +129,15 @@ let compile ?(bindings = []) ?dacapo_config ?(lower = true) ?rotate_fuse
       (Typecheck.Type_error
          (Printf.sprintf "%s: compiled program fails verification: %s"
             (to_string strategy) msg))
+
+let compile ?bindings ?dacapo_config ?lower ?knobs ?observer ~strategy p =
+  let step p ps =
+    let after = ps.run p in
+    (match observer with
+     | Some f -> f ~pass:ps ~before:p ~after
+     | None -> ());
+    after
+  in
+  verified ~strategy
+    (List.fold_left step p
+       (passes ?bindings ?dacapo_config ?lower ?knobs ~strategy ()))

@@ -51,44 +51,56 @@ type pass = {
   run : Ir.program -> Ir.program;
 }
 
+type knobs = {
+  unroll : int;
+      (** B-2 unroll-factor cap ({!Unroll.program}'s [factor_cap]): [0] is
+          the level-budget-derived default, [1] disables unrolling *)
+  boot_slack : int;
+      (** B-3 slack: levels tuned bootstrap targets sit above their minimum
+          ({!Tuning.program}'s [slack]); [0] is the tightest target *)
+  rotate_fuse : bool;
+      (** append {!Rotate_fuse}, grouping same-source rotations into
+          hoisted {!Ir.op.RotateMany} groups *)
+  lazy_switch : bool;
+      (** append {!Lazy_switch}, fusing rotate-and-sum reductions into
+          single {!Ir.op.RotSum} operations that share one digit
+          decomposition and one mod-down *)
+}
+(** The compile configuration beyond the strategy: the four knobs the
+    autotuner sweeps, a tuned plan persists and the CLI exposes.  Unroll
+    and slack only affect the strategies that run those passes
+    ([Packing_unrolling] and [Halo] unroll, [Halo] tunes targets). *)
+
+val default_knobs : knobs
+(** [{ unroll = 0; boot_slack = 0; rotate_fuse = true; lazy_switch = true }]. *)
+
 val passes :
   ?bindings:(string * int) list ->
   ?dacapo_config:Dacapo.config ->
   ?lower:bool ->
-  ?rotate_fuse:bool ->
-  ?lazy_switch:bool ->
-  ?unroll_factor:int ->
-  ?boot_slack:int ->
+  ?knobs:knobs ->
   strategy:t ->
   unit ->
   pass list
 (** The exact pass sequence [compile] folds over, in order. *)
 
+val verified : strategy:t -> Ir.program -> Ir.program
+(** [p] itself when it passes {!Typecheck.verify}; raises
+    [Typecheck.Type_error] naming [strategy] otherwise.  The final check of
+    every compile, checked ([Halo_verify.Pipeline.compile]) or not. *)
+
 val compile :
   ?bindings:(string * int) list ->
   ?dacapo_config:Dacapo.config ->
   ?lower:bool ->
-  ?rotate_fuse:bool ->
-  ?lazy_switch:bool ->
-  ?unroll_factor:int ->
-  ?boot_slack:int ->
+  ?knobs:knobs ->
   ?observer:(pass:pass -> before:Ir.program -> after:Ir.program -> unit) ->
   strategy:t ->
   Ir.program ->
   Ir.program
 (** [bindings] resolves dynamic iteration counts; only the [Dacapo] strategy
     needs them (raises [Not_found] when missing).  [lower] (default [true])
-    expands pack/unpack into primitive operations.  [rotate_fuse] (default
-    [true]) appends the {!Rotate_fuse} pass, grouping same-source rotations
-    into hoisted {!Ir.op.RotateMany} groups.  [lazy_switch] (default [true])
-    appends the {!Lazy_switch} pass, fusing rotate-and-sum reductions into
-    single {!Ir.op.RotSum} operations executed with one shared digit
-    decomposition and one mod-down.  [unroll_factor] (default [0], no cap)
-    caps the B-2 unroll factor ({!Unroll.program}'s [factor_cap]; [1]
-    disables unrolling) and [boot_slack] (default [0]) raises tuned
-    bootstrap targets above their minimum ({!Tuning.program}'s [slack]) —
-    the two axes the autotuner sweeps.  [observer] is invoked
-    after every pass with the program before and after it — the hook the
-    checked pipeline ([Halo_verify.Pipeline.compile ~verify:true]) uses to
-    validate between passes.  The result verifies under {!Typecheck.verify};
-    compilation raises [Typecheck.Type_error] if it cannot. *)
+    expands pack/unpack into primitive operations.  [knobs] defaults to
+    {!default_knobs}.  [observer] is invoked after every pass with the
+    program before and after it (per-pass timing and tracing).  The result
+    is {!verified}. *)

@@ -12,8 +12,6 @@
 
 type rng = Random.State.t
 
-val make_rng : seed:int -> rng
-val uniform : rng -> lo:float -> hi:float -> float
 val gaussian : rng -> mu:float -> sigma:float -> float
 
 val linear : seed:int -> size:int -> w:float -> b:float -> float array * float array

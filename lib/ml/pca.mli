@@ -2,6 +2,4 @@
     homomorphic covariance in Halevi-Shoup diagonal form, Newton
     inverse-square-root as the inner loop; see the implementation header. *)
 
-val dims : int
-
 val benchmark : Bench_def.t

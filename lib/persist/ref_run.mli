@@ -51,10 +51,6 @@ val manifest_path : string -> string
 val journal_dir : string -> string
 (** [<dir>/journal] *)
 
-val rescue_path : string -> int -> string
-(** [<dir>/journal/rescue-<seq>.ckpt] — one audit record per fired rescue
-    bootstrap (the journal scanner ignores these names). *)
-
 val start : dir:string -> Codec.manifest -> unit
 (** Create the directory structure and durably write the manifest.  Must be
     called once before the first journaled {!exec} on a fresh directory. *)
@@ -77,7 +73,8 @@ val exec :
     counter, one [injected_faults] per fault of [faults] included.
 
     With [dir] the journal sink is attached and each fired rescue is
-    journaled to {!rescue_path} under its sequence number, so kill/resume
+    journaled to [<dir>/journal/rescue-<seq>.ckpt] (a name the journal
+    scanner ignores) under its sequence number, so kill/resume
     leaves byte-identical rescue records.  [resume:true] scans the journal
     first: each top-level loop fast-forwards to its newest intact entry,
     and damaged entries come back as [(filename, reason)] warnings, never

@@ -36,9 +36,9 @@ let margin () =
     | Some m when m > 0.0 && Float.is_finite m -> m
     | _ -> default_margin)
 
-let check ?units ?margin:margin_opt p ~reference ~observed =
+let check ?margin:margin_opt p ~reference ~observed =
   let margin = match margin_opt with Some m -> m | None -> margin () in
-  let report = Noise_budget.analyze ?units p in
+  let report = Noise_budget.analyze p in
   (* Worst absolute deviation, tracked per output. *)
   let worst = ref 0.0 and worst_out = ref 0 and worst_slot = ref 0 in
   let breach = ref None in

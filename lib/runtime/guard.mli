@@ -40,7 +40,6 @@ val margin : unit -> float
     end-to-end from the environment. *)
 
 val check :
-  ?units:Halo.Noise_budget.units ->
   ?margin:float ->
   Halo.Ir.program ->
   reference:float array list ->

@@ -189,6 +189,9 @@ let static_counts (p : Ir.program) =
     p.body;
   !ok
 
+let knobs (cfg : Codec.config) =
+  { Strategy.default_knobs with rotate_fuse = cfg.rotate_fuse }
+
 let compile_def (cfg : Codec.config) (def : Codec.prog_def) =
   if def.pd_traced.slots <> cfg.backend.slots then
     invalid_arg
@@ -199,17 +202,13 @@ let compile_def (cfg : Codec.config) (def : Codec.prog_def) =
       (Printf.sprintf
          "Server.create: program %S has a dynamic iteration count"
          def.pd_name);
-  let solo =
-    Strategy.compile ~rotate_fuse:cfg.rotate_fuse ~strategy:def.pd_strategy
-      def.pd_traced
-  in
+  let knobs = knobs cfg in
+  let solo = Strategy.compile ~knobs ~strategy:def.pd_strategy def.pd_traced in
   let safer =
     if not cfg.sup.s_rescue then None
     else
       Option.map
-        (fun s ->
-          (s, Strategy.compile ~rotate_fuse:cfg.rotate_fuse ~strategy:s
-                def.pd_traced))
+        (fun s -> (s, Strategy.compile ~knobs ~strategy:s def.pd_traced))
         (Strategy.safer def.pd_strategy)
   in
   {
@@ -447,8 +446,7 @@ let wrapper_for t (cp : compiled) lanes =
   | None ->
     let offsets = List.init lanes (fun i -> i * t.cfg.lane) in
     let p =
-      Strategy.compile ~rotate_fuse:t.cfg.rotate_fuse
-        ~strategy:cp.def.pd_strategy
+      Strategy.compile ~knobs:(knobs t.cfg) ~strategy:cp.def.pd_strategy
         (Slot_batch.wrap cp.def.pd_traced ~offsets)
     in
     Hashtbl.replace cp.wrappers lanes p;

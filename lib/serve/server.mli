@@ -134,6 +134,11 @@ exception Killed of { writes : int }
     journal append — the simulated-SIGKILL hook of the serving soak, same
     protocol as {!Halo_persist.Ref_run.Simulated_crash}. *)
 
+val knobs : Codec.config -> Halo.Strategy.knobs
+(** The knobs every registered program compiles under:
+    {!Halo.Strategy.default_knobs} with the config's [rotate_fuse].  A
+    serve manifest persists nothing else of the compile configuration. *)
+
 val create : ?dir:string -> Codec.config -> programs:Codec.prog_def list -> t
 (** Compile the registry and (when [dir] is given) durably write the serve
     manifest.  Raises [Invalid_argument] on an empty or duplicate-name

@@ -203,8 +203,6 @@ let quarantined t =
     t.quarantine []
   |> List.sort compare
 
-let quarantine_of t ~tenant = Hashtbl.find_opt t.quarantine tenant
-
 (* --- bookkeeping -------------------------------------------------------- *)
 
 let record_expired t = t.expired <- t.expired + 1

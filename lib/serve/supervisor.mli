@@ -74,8 +74,6 @@ val record_solo_failure : t -> tenant:int -> req:int -> bool
 val quarantined : t -> (int * int) list
 (** [(tenant, culprit request id)], sorted by tenant. *)
 
-val quarantine_of : t -> tenant:int -> int option
-
 val record_expired : t -> unit
 val record_fallbacks : t -> count:int -> unit
 

@@ -25,10 +25,6 @@ val programs :
 (** All four programs at the given geometry; ["iterate"] runs [iters]
     iterations (static count — serving programs are self-contained). *)
 
-val batchable_names : string list
-(** The registry names the planner can slot-batch (["affine"; "poly";
-    "iterate"]). *)
-
 type req = {
   w_tenant : Tenant.t;
   w_program : string;
@@ -48,8 +44,9 @@ val requests :
     interleaved round-robin across clients (client 0 request 0, client 1
     request 0, ..., client 0 request 1, ...).  Client [c] is tenant [c]
     with {!Tenant.default_key_seed}.  Programs cycle through [mix]
-    (default {!batchable_names}); vector sizes are seeded-random in
-    [[1, lane]] with ragged tails, values in [[-1, 1]].  Pure in [seed]. *)
+    (default the three batchable ones, ["affine"; "poly"; "iterate"]);
+    vector sizes are seeded-random in [[1, lane]] with ragged tails, values
+    in [[-1, 1]].  Pure in [seed]. *)
 
 val opened :
   Server.t ->

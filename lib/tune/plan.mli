@@ -14,10 +14,7 @@ type t = {
   p_prog : string;  (** display name of the tuned program *)
   p_fingerprint : int64;  (** stamp the frame was written under *)
   p_strategy : Strategy.t;
-  p_unroll : int;  (** B-2 unroll-factor cap; 0 = strategy default *)
-  p_boot_slack : int;  (** B-3 bootstrap-target slack; 0 = tightest *)
-  p_rotate_fuse : bool;
-  p_lazy_switch : bool;
+  p_knobs : Strategy.knobs;
   p_key_budget : int;  (** resident switching-key bytes; 0 = unbounded *)
   p_pool : int;  (** domain pool size *)
   p_profile : string;  (** cost-model machine profile the plan was priced under *)
@@ -38,3 +35,16 @@ val artifact : t Halo_persist.Codec.artifact
     Without [fingerprint] any valid manifest loads. *)
 
 val to_string : t -> string
+
+val retarget :
+  knobs:Strategy.knobs ->
+  t ->
+  Halo_serve.Serve_codec.prog_def list ->
+  (Halo_serve.Serve_codec.prog_def list * string list, string) result
+(** Apply a plan to a serve registry: every program whose traced form
+    carries the plan's fingerprint (under no bindings) moves to the plan's
+    strategy; the names moved come back with the registry, and none moving
+    is not an error.  [knobs] are the ones the server compiles every
+    program under ({!Halo_serve.Server.knobs}); a serve manifest has no
+    room for any other, so a plan whose knobs differ is refused with
+    [Error] naming each differing knob. *)

@@ -4,30 +4,16 @@ module Pipeline = Halo_verify.Pipeline
 
 type candidate = {
   c_strategy : Strategy.t;
-  c_unroll : int;
-  c_boot_slack : int;
-  c_rotate_fuse : bool;
-  c_lazy_switch : bool;
+  c_knobs : Strategy.knobs;
   c_key_budget : int;
   c_pool : int;
 }
 
-let default_candidate strategy =
-  {
-    c_strategy = strategy;
-    c_unroll = 0;
-    c_boot_slack = 0;
-    c_rotate_fuse = true;
-    c_lazy_switch = true;
-    c_key_budget = 0;
-    c_pool = 1;
-  }
-
 let candidate_to_string c =
   Printf.sprintf "%s u=%d s=%d fuse=%b lazy=%b budget=%d pool=%d"
     (Strategy.to_string c.c_strategy)
-    c.c_unroll c.c_boot_slack c.c_rotate_fuse c.c_lazy_switch c.c_key_budget
-    c.c_pool
+    c.c_knobs.unroll c.c_knobs.boot_slack c.c_knobs.rotate_fuse
+    c.c_knobs.lazy_switch c.c_key_budget c.c_pool
 
 type result = {
   r_best : candidate;
@@ -89,14 +75,13 @@ let consider st cand (b : Predict.breakdown) =
 
 let prune st n = st.pruned <- st.pruned + n
 
-let compile_for st ~bindings ~fuse ~lazy_on cand p =
+let compile_for st ~bindings cand p =
   st.compiles <- st.compiles + 1;
-  Strategy.compile ~bindings ~rotate_fuse:fuse ~lazy_switch:lazy_on
-    ~unroll_factor:cand.c_unroll ~boot_slack:cand.c_boot_slack
-    ~strategy:cand.c_strategy p
+  Strategy.compile ~bindings ~knobs:cand.c_knobs ~strategy:cand.c_strategy p
 
 (* Price every (budget, pool) refinement of one compiled+walked point. *)
-let sweep_deployment st ~exhaustive ~lazy_on cand walk =
+let sweep_deployment st ~exhaustive cand walk =
+  let lazy_on = cand.c_knobs.lazy_switch in
   let probe = Predict.price ~lazy_on walk in
   let working_set = probe.Predict.b_working_set_bytes in
   let budgets = budgets_for ~working_set in
@@ -149,37 +134,32 @@ let search ~exhaustive ~bindings (p : Ir.program) =
               else begin
                 let cand =
                   {
-                    (default_candidate strategy) with
-                    c_unroll = unroll;
-                    c_boot_slack = slack;
+                    c_strategy = strategy;
+                    c_knobs =
+                      { Strategy.default_knobs with unroll; boot_slack = slack };
+                    c_key_budget = 0;
+                    c_pool = 1;
                   }
                 in
                 (* One fused compile prices both lazy settings: the
                    predictor's lazy adjustment is the exact cost delta of
                    the lazy-switch pass (base accounting has interpreter
                    parity on both sides of the flip). *)
-                let fused =
-                  compile_for st ~bindings ~fuse:true ~lazy_on:true cand p
-                in
+                let fused = compile_for st ~bindings cand p in
                 let walk = Predict.walk_program ~bindings fused in
                 List.iter
-                  (fun (fuse, lazy_on) ->
-                    if fuse then
-                      sweep_deployment st ~exhaustive ~lazy_on
-                        { cand with c_rotate_fuse = true;
-                          c_lazy_switch = lazy_on }
-                        walk
-                    else if exhaustive then begin
-                      let unfused =
-                        compile_for st ~bindings ~fuse:false ~lazy_on:false
-                          cand p
-                      in
-                      let uwalk = Predict.walk_program ~bindings unfused in
-                      sweep_deployment st ~exhaustive ~lazy_on:false
-                        { cand with c_rotate_fuse = false;
-                          c_lazy_switch = false }
-                        uwalk
-                    end
+                  (fun (rotate_fuse, lazy_switch) ->
+                    let point =
+                      {
+                        cand with
+                        c_knobs = { cand.c_knobs with rotate_fuse; lazy_switch };
+                      }
+                    in
+                    if rotate_fuse then sweep_deployment st ~exhaustive point walk
+                    else if exhaustive then
+                      sweep_deployment st ~exhaustive point
+                        (Predict.walk_program ~bindings
+                           (compile_for st ~bindings point p))
                     else
                       (* Hoisted groups share a digit decomposition, so the
                          fused program never prices above the unfused one
@@ -200,9 +180,7 @@ let search ~exhaustive ~bindings (p : Ir.program) =
 (* ------------------------------------------------------------------ *)
 
 let compile_plan ?(verify = true) ?tol ~bindings (plan : Plan.t) p =
-  Pipeline.compile ~bindings ~rotate_fuse:plan.Plan.p_rotate_fuse
-    ~lazy_switch:plan.Plan.p_lazy_switch ~unroll_factor:plan.Plan.p_unroll
-    ~boot_slack:plan.Plan.p_boot_slack ~verify ?tol
+  Pipeline.compile ~bindings ~knobs:plan.Plan.p_knobs ~verify ?tol
     ~strategy:plan.Plan.p_strategy p
 
 let breakdown_pairs (b : Predict.breakdown) =
@@ -229,10 +207,7 @@ let tune ?(exhaustive = false) ?(bindings = []) ?(name = "program") ?tol
       Plan.p_prog = name;
       p_fingerprint = Plan.fingerprint ~bindings p;
       p_strategy = best.c_strategy;
-      p_unroll = best.c_unroll;
-      p_boot_slack = best.c_boot_slack;
-      p_rotate_fuse = best.c_rotate_fuse;
-      p_lazy_switch = best.c_lazy_switch;
+      p_knobs = best.c_knobs;
       p_key_budget = best.c_key_budget;
       p_pool = best.c_pool;
       p_profile = (Cost.current_profile ()).Cost.profile_name;

@@ -28,10 +28,7 @@ open Halo
 
 type candidate = {
   c_strategy : Strategy.t;
-  c_unroll : int;
-  c_boot_slack : int;
-  c_rotate_fuse : bool;
-  c_lazy_switch : bool;
+  c_knobs : Strategy.knobs;
   c_key_budget : int;
   c_pool : int;
 }

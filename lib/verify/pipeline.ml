@@ -161,27 +161,21 @@ let check_passes ?bindings ?inputs ?tol ?(strategy = "custom")
   let q = run_passes st ~passes p in
   (q, List.rev st.reports)
 
-let compile ?(bindings = []) ?dacapo_config ?lower ?rotate_fuse ?lazy_switch
-    ?unroll_factor ?boot_slack ?(verify = true) ?tol ~strategy p =
+let compile ?(bindings = []) ?dacapo_config ?lower ?knobs ?(verify = true) ?tol
+    ~strategy p =
   if not verify then
-    ( Strategy.compile ~bindings ?dacapo_config ?lower ?rotate_fuse
-        ?lazy_switch ?unroll_factor ?boot_slack ~strategy p,
-      [] )
+    (Strategy.compile ~bindings ?dacapo_config ?lower ?knobs ~strategy p, [])
   else begin
     let name = Strategy.to_string strategy in
     let st = init_state ~bindings ?tol ~strategy:name p in
     let passes =
-      Strategy.passes ~bindings ?dacapo_config ?lower ?rotate_fuse ?lazy_switch
-        ?unroll_factor ?boot_slack ~strategy ()
+      Strategy.passes ~bindings ?dacapo_config ?lower ?knobs ~strategy ()
     in
     let q = run_passes st ~passes p in
-    (* Mirror [Strategy.compile]'s final full verification. *)
-    (match Typecheck.verify q with
-     | Ok () -> ()
-     | Error msg ->
-       fail ~strategy:name ~pass_name:"final-verify"
-         "compiled program fails verification: %s" msg);
-    (q, List.rev st.reports)
+    match Strategy.verified ~strategy q with
+    | q -> (q, List.rev st.reports)
+    | exception Typecheck.Type_error msg ->
+      fail ~strategy:name ~pass_name:"final-verify" "%s" msg
   end
 
 let report_to_string r =

@@ -49,10 +49,7 @@ val compile :
   ?bindings:(string * int) list ->
   ?dacapo_config:Dacapo.config ->
   ?lower:bool ->
-  ?rotate_fuse:bool ->
-  ?lazy_switch:bool ->
-  ?unroll_factor:int ->
-  ?boot_slack:int ->
+  ?knobs:Strategy.knobs ->
   ?verify:bool ->
   ?tol:float ->
   strategy:Strategy.t ->
@@ -60,10 +57,9 @@ val compile :
   Ir.program * pass_report list
 (** Like {!Halo.Strategy.compile}, returning the per-pass reports.  With
     [verify] (default [true]) every pass output is validated; [tol] (default
-    [1e-6]) bounds acceptable fingerprint drift.  [rotate_fuse] (default
-    [true]) controls the final rotation-fusion pass; [unroll_factor] and
-    [boot_slack] are the autotuner's B-2 / B-3 knobs, passed through to
-    {!Halo.Strategy.passes}.  Raises
+    [1e-6]) bounds acceptable fingerprint drift.  [knobs] is passed through
+    to {!Halo.Strategy.passes}; the final check is
+    {!Halo.Strategy.verified}, reported as pass ["final-verify"].  Raises
     {!Verification_failure} attributing the first violation to a pass by
     name; [~verify:false] is exactly [Strategy.compile] (empty report). *)
 

@@ -1,4 +1,4 @@
-(* Shared test fixtures: scratch directories, and a zero-noise serving
+(* Shared test fixtures: scratch directories, substring search, and a zero-noise serving
    configuration with the submit/drain helpers the serving and supervision
    suites build on. *)
 
@@ -33,6 +33,13 @@ let fresh_dir =
     in
     rm_rf d;
     d
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)

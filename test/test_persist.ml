@@ -967,10 +967,8 @@ let golden_plan () =
     Plan.p_prog = "golden";
     p_fingerprint = 0x0123_4567_89AB_CDEFL;
     p_strategy = Strategy.Halo;
-    p_unroll = 4;
-    p_boot_slack = 1;
-    p_rotate_fuse = true;
-    p_lazy_switch = false;
+    p_knobs =
+      { Strategy.unroll = 4; boot_slack = 1; rotate_fuse = true; lazy_switch = false };
     p_key_budget = 65536;
     p_pool = 2;
     p_profile = "host";

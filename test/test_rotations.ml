@@ -269,6 +269,11 @@ let is_group = function
   | Ir.RotateMany _ | Ir.RotSum _ -> true
   | _ -> false
 
+let compile_unfused strategy =
+  Strategy.compile
+    ~knobs:{ Strategy.default_knobs with rotate_fuse = false }
+    ~strategy
+
 let test_rotate_fuse_groups () =
   let p =
     manual_program
@@ -310,7 +315,7 @@ let test_rotate_fuse_in_loops () =
   let compiled = Strategy.compile ~strategy:Strategy.Type_matched p in
   Alcotest.(check bool) "group formed inside loop" true
     (count_ops is_group compiled.Ir.body >= 1);
-  let unfused = Strategy.compile ~rotate_fuse:false ~strategy:Strategy.Type_matched p in
+  let unfused = compile_unfused Strategy.Type_matched p in
   Alcotest.(check int) "no groups when disabled" 0
     (count_ops is_group unfused.Ir.body)
 
@@ -345,7 +350,7 @@ let test_counters_and_bit_identity () =
   let p = fan_program () in
   let inputs = [ ("x", sample_values 7 8) ] in
   let fused = Strategy.compile ~strategy:Strategy.Halo p in
-  let unfused = Strategy.compile ~rotate_fuse:false ~strategy:Strategy.Halo p in
+  let unfused = compile_unfused Strategy.Halo p in
   let out_f, st_f = R.run (ref_state ()) ~inputs fused in
   let out_u, st_u = R.run (ref_state ()) ~inputs unfused in
   Alcotest.(check bool) "outputs bit-identical" true (bits_equal out_f out_u);
@@ -412,7 +417,7 @@ let test_unpack_fan_counters () =
   in
   let p = Parser.parse_program text in
   let fused = Strategy.compile ~strategy:Strategy.Halo p in
-  let unfused = Strategy.compile ~rotate_fuse:false ~strategy:Strategy.Halo p in
+  let unfused = compile_unfused Strategy.Halo p in
   let inputs =
     List.map (fun n -> (n, sample_values 11 4)) [ "a"; "b"; "c"; "d" ]
   in

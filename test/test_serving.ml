@@ -495,13 +495,6 @@ let test_corrupt_request_file_is_loud () =
    | exception Halo_error.Persist_error _ -> ());
   rm_rf dir
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 (* The manifest fingerprint does not cover the traffic, so creating a
    server over a previous job's directory would silently adopt its
    requests and journal: refused, and only a resume may reopen it. *)

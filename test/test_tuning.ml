@@ -313,6 +313,62 @@ let test_compile_plan_reproduces () =
     (Printer.program_to_string tuned)
     (Printer.program_to_string again)
 
+(* A serve manifest carries each program's strategy and one global
+   rotate_fuse: a plan retargets the registry entry it is stamped for only
+   when its knobs are the server's, and is refused naming every knob that
+   differs otherwise. *)
+let serve_plan ~knobs =
+  let affine =
+    List.find
+      (fun (pd : Halo_serve.Serve_codec.prog_def) -> pd.pd_name = "affine")
+      (Fixture.programs ())
+  in
+  {
+    Plan.p_prog = "affine";
+    p_fingerprint = Plan.fingerprint ~bindings:[] affine.pd_traced;
+    p_strategy = Strategy.Dacapo;
+    p_knobs = knobs;
+    p_key_budget = 0;
+    p_pool = 1;
+    p_profile = "paper-gpu";
+    p_predicted_us = 0.0;
+    p_breakdown = [];
+  }
+
+let test_serve_retarget_accepts () =
+  let server_knobs = Halo_serve.Server.knobs (Fixture.mk_cfg ()) in
+  match
+    Plan.retarget ~knobs:server_knobs (serve_plan ~knobs:server_knobs)
+      (Fixture.programs ())
+  with
+  | Error m -> Alcotest.failf "refused: %s" m
+  | Ok (programs, names) ->
+    Alcotest.(check (list string)) "retargeted" [ "affine" ] names;
+    List.iter
+      (fun (pd : Halo_serve.Serve_codec.prog_def) ->
+        Alcotest.(check string) pd.pd_name
+          (if pd.pd_name = "affine" then "dacapo" else "halo")
+          (Strategy.to_string pd.pd_strategy))
+      programs
+
+let test_serve_retarget_refuses () =
+  let server_knobs =
+    Halo_serve.Server.knobs (Fixture.mk_cfg ~rotate_fuse:false ())
+  in
+  match
+    Plan.retarget ~knobs:server_knobs
+      (serve_plan
+         ~knobs:{ Strategy.default_knobs with unroll = 4; lazy_switch = false })
+      (Fixture.programs ())
+  with
+  | Ok _ -> Alcotest.fail "a plan with uncarried knobs was applied"
+  | Error m ->
+    Alcotest.(check string) "names every uncarried knob"
+      "serve cannot carry tuned plan \"affine\": unroll=4 fuse=true \
+       lazy=false (serving compiles with unroll=0 slack=0 fuse=false \
+       lazy=true)"
+      m
+
 let () =
   Alcotest.run "tuning"
     [
@@ -344,5 +400,9 @@ let () =
             test_manifest_rejects_wrong_fingerprint;
           Alcotest.test_case "compile_plan reproduces" `Quick
             test_compile_plan_reproduces;
+          Alcotest.test_case "serve retarget accepts" `Quick
+            test_serve_retarget_accepts;
+          Alcotest.test_case "serve retarget refuses" `Quick
+            test_serve_retarget_refuses;
         ] );
     ]

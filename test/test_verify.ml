@@ -514,7 +514,11 @@ let test_corpus_rotation_groups_whole () =
     (fun (tag, bindings, p) ->
       List.iter
         (fun strategy ->
-          let q = Strategy.compile ~bindings ~rotate_fuse:false ~strategy p in
+          let q =
+            Strategy.compile ~bindings
+              ~knobs:{ Strategy.default_knobs with rotate_fuse = false }
+              ~strategy p
+          in
           let copy_of = Hashtbl.create 64 in
           Ir.iter_blocks
             (fun b ->
