@@ -374,7 +374,7 @@ let report_run ?out ?verdict (outcome, damaged) =
         Printf.printf "  noise guard: %s\n"
           (Halo_runtime.Guard.verdict_to_string v))
       verdict;
-    0
+    (match verdict with Some (Halo_runtime.Guard.Breach _) -> 4 | _ -> 0)
   | Ref_run.Rec.R.Degraded d ->
     Printf.printf "  %s\n" (Ref_run.Rec.R.degraded_to_string d);
     1
@@ -499,8 +499,16 @@ let run_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Also write the outputs as bit-exact hex floats to FILE.")
   in
+  let exits =
+    Cmd.Exit.info 4
+      ~doc:
+        "The run completed but the decrypt-time noise guard ($(b,--guard)) \
+         reported a breach that no replan cleared."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"Compile and execute with random inputs on the reference backend.")
+    (Cmd.info "run" ~exits
+       ~doc:"Compile and execute with random inputs on the reference backend.")
     Term.(
       const run $ file_arg $ strategy_arg $ bindings_arg $ knobs_term
       $ strategy_manifest_arg $ seed_arg $ guard_arg $ guard_margin_arg

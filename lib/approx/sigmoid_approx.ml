@@ -15,5 +15,3 @@ let sigmoid_dsl bld x =
 let sigmoid_clear x =
   let a, b = domain in
   Chebyshev.eval_clear ~coeffs:(Lazy.force coeffs) ~a ~b x
-
-let depth = Chebyshev.depth ~degree

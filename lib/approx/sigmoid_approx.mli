@@ -2,15 +2,6 @@
     matching the paper's logistic-regression configuration (multiplicative
     depth ~7 thanks to the log-depth Chebyshev evaluation). *)
 
-val domain : float * float
-(** [(-8, 8)]. *)
-
-val degree : int
-(** 96. *)
-
-val coeffs : float array Lazy.t
-(** Chebyshev coefficients, fitted once. *)
-
 val sigmoid_dsl : Halo.Dsl.t -> Halo.Dsl.value -> Halo.Dsl.value
 
 val sigmoid_clear : float -> float
@@ -20,5 +11,3 @@ val sigmoid_clear : float -> float
 
 val sigmoid_exact : float -> float
 (** [1 / (1 + exp (-x))]. *)
-
-val depth : int

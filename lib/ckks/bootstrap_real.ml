@@ -81,7 +81,6 @@ let make_ctx ?sine_degree ?range (params : Params.t) =
   let s2c_diags = Array.init 2 (fun h -> diagonals ~slots (s2c_entry h)) in
   { params; range; sine_coeffs; c2s_diags; c2s_conj_diags; s2c_diags }
 
-let range ctx = ctx.range
 let sine_degree ctx = Array.length ctx.sine_coeffs - 1
 
 let cheb_depth degree =

@@ -32,8 +32,6 @@ val make_ctx : ?sine_degree:int -> ?range:int -> Params.t -> ctx
     dense ternary secret); [sine_degree] defaults to a degree adequate for
     that range. *)
 
-val range : ctx -> int
-
 val bootstrap : ctx -> Keys.t -> Eval.ct -> Eval.ct
 (** [bootstrap ctx keys ct] takes a ciphertext at any level (typically 1)
     holding values encoded at the default scale, and returns a ciphertext

@@ -11,4 +11,3 @@
     those decisions. *)
 
 val program : Ir.program -> Ir.program
-val block : Ir.block -> Ir.block

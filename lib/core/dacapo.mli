@@ -23,8 +23,6 @@
 
 type config = { filter_width : int }
 
-val default_config : config
-
 val place_in_block :
   ?config:config ->
   fresh:Ir.fresh ->

@@ -3,4 +3,3 @@
     to keep the measured code size honest. *)
 
 val program : Ir.program -> Ir.program
-val block : Ir.block -> Ir.block

@@ -11,8 +11,6 @@ val dot : Dsl.t -> Dsl.value -> Dsl.value -> size:int -> Dsl.value
 (** Inner product over [size] adjacent slots, result replicated everywhere
     (one multiplication + a rotate-and-add tree). *)
 
-val mean : Dsl.t -> Dsl.value -> size:int -> Dsl.value
-
 val variance : Dsl.t -> Dsl.value -> size:int -> Dsl.value
 (** Population variance [E(x^2) - E(x)^2] (multiplicative depth 2). *)
 

@@ -11,7 +11,6 @@
 type ty = Tplain | Tcipher of { level : int; scale : int }
 
 val ty_to_string : ty -> string
-val equal_ty : ty -> ty -> bool
 
 exception Type_error of string
 
@@ -22,9 +21,3 @@ val infer_program : Ir.program -> (Ir.var, ty) Hashtbl.t
 
 (** [verify p] is [Ok ()] or [Error message]. *)
 val verify : Ir.program -> (unit, string) result
-
-(** Forward inference of one operation given operand types; shared with the
-    normalizer.  Raises {!Type_error} when the constraint cannot be met even
-    with level alignment (e.g. rescale at level 1). *)
-val op_result_ty :
-  max_level:int -> slots:int -> Ir.op -> operand_tys:ty list -> ty

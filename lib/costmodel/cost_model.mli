@@ -98,14 +98,11 @@ val latency_us : op -> level:int -> float
     tuning (Solution B-3). *)
 val bootstrap_latency_us : target:int -> float
 
-val rescue_overhead_us : target:int -> float
-(** Monitor bookkeeping charged on top of a rescue bootstrap: estimate
-    snapshot, rescue-frame journaling and interpreter re-entry, modeled as
-    one [modswitch] sweep at the rescue target. *)
-
 val rescue_latency_us : target:int -> float
-(** Total virtual-time cost of one rescue bootstrap at [target]:
-    [bootstrap_latency_us ~target +. rescue_overhead_us ~target]. *)
+(** Total virtual-time cost of one rescue bootstrap at [target]: the
+    bootstrap plus the monitor's bookkeeping (estimate snapshot,
+    rescue-frame journaling and interpreter re-entry), modeled as one
+    [modswitch] sweep at the rescue target. *)
 
 (** {1 Key-switching decomposition and the rotation-key cache}
 

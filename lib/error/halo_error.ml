@@ -57,6 +57,13 @@ let is_transient = function
   | Transient _ | Bootstrap_failure _ -> true
   | _ -> false
 
+let with_detail ?expected ?got reason =
+  match (expected, got) with
+  | Some e, Some g -> Printf.sprintf "%s (expected %s, got %s)" reason e g
+  | Some e, None -> Printf.sprintf "%s (expected %s)" reason e
+  | None, Some g -> Printf.sprintf "%s (got %s)" reason g
+  | None, None -> reason
+
 let describe = function
   | Backend_error { site; reason } ->
     Some
@@ -95,13 +102,7 @@ let describe = function
     (match offset with
      | Some o -> Buffer.add_string b (Printf.sprintf " at byte %d" o)
      | None -> ());
-    Buffer.add_string b (": " ^ reason);
-    (match (expected, got) with
-     | Some e, Some g ->
-       Buffer.add_string b (Printf.sprintf " (expected %s, got %s)" e g)
-     | Some e, None -> Buffer.add_string b (Printf.sprintf " (expected %s)" e)
-     | None, Some g -> Buffer.add_string b (Printf.sprintf " (got %s)" g)
-     | None, None -> ());
+    Buffer.add_string b (": " ^ with_detail ?expected ?got reason);
     Some (Buffer.contents b)
   | _ -> None
 

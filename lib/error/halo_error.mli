@@ -93,12 +93,13 @@ val persist_error :
 (** [persist_error fmt ...] raises {!Persist_error} with the formatted
     reason. *)
 
+val with_detail : ?expected:string -> ?got:string -> string -> string
+(** [reason (expected e, got g)], either part omitted when absent: how
+    {!Persist_error} and a refused constructor argument name a bad field. *)
+
 val is_transient : exn -> bool
 (** [true] exactly for {!Transient} and {!Bootstrap_failure}. *)
 
-val describe : exn -> string option
-(** Human-readable rendering of the exceptions above; [None] otherwise.
-    Registered with [Printexc.register_printer]. *)
-
 val to_string : exn -> string
-(** {!describe} with a [Printexc.to_string] fallback. *)
+(** Human-readable rendering of the exceptions above (also registered with
+    [Printexc.register_printer]); [Printexc.to_string] otherwise. *)

@@ -12,8 +12,6 @@
 
 type rng = Random.State.t
 
-val gaussian : rng -> mu:float -> sigma:float -> float
-
 val linear : seed:int -> size:int -> w:float -> b:float -> float array * float array
 (** [(x, y)] with [y = w x + b + noise], [x] uniform in [[-1, 1]]. *)
 

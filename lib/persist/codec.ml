@@ -666,11 +666,13 @@ let decode_backend_cfg r =
   let mult_noise = Wire.rf64 r in
   let boot_noise = Wire.rf64 r in
   let rescale_noise = Wire.rf64 r in
-  if slots < 1 then Wire.fail r ~got:(string_of_int slots) "slot count below 1";
-  if max_level < 1 then
-    Wire.fail r ~got:(string_of_int max_level) "max level below 1";
   { slots; max_level; scale_bits; seed; enc_noise; mult_noise; boot_noise;
     rescale_noise }
+
+let check_backend_cfg (fail : Wire.check) c =
+  if c.slots < 1 then fail ~got:(string_of_int c.slots) "slot count below 1";
+  if c.max_level < 1 then
+    fail ~got:(string_of_int c.max_level) "max level below 1"
 
 let encode_rescue_tail b (rescue, margin, budget) =
   Wire.bool b rescue;
@@ -684,17 +686,23 @@ let decode_rescue_tail r =
     let rescue = Wire.rbool r ~what:"rescue" in
     let margin = Wire.rf64 r in
     let budget = Wire.ri64 r in
-    if not (Float.is_finite margin) || margin < 1.0 then
-      Wire.fail r ~expected:"finite rescue margin >= 1"
-        ~got:(Printf.sprintf "%h" margin) "bad rescue margin";
-    if budget < 0 then
-      Wire.fail r ~got:(string_of_int budget) "negative rescue budget";
     (rescue, margin, budget)
   end
   else
     ( false,
       Halo_runtime.Noise_monitor.default_rescue_margin,
       Halo_runtime.Noise_monitor.default_max_rescues )
+
+let check_rescue_tail (fail : Wire.check) (_, margin, budget) =
+  if not (Float.is_finite margin) || margin < 1.0 then
+    fail ~expected:"finite rescue margin >= 1"
+      ~got:(Printf.sprintf "%h" margin) "bad rescue margin";
+  if budget < 0 then fail ~got:(string_of_int budget) "negative rescue budget"
+
+let check_guard_margin (fail : Wire.check) gm =
+  if not (Float.is_finite gm) || gm <= 0.0 then
+    fail ~expected:"positive finite guard margin"
+      ~got:(Printf.sprintf "%h" gm) "bad guard margin"
 
 type manifest = {
   prog : Halo.Ir.program;
@@ -753,21 +761,10 @@ let decode_manifest r =
   (* The guard margin arrived with format version 5, with the rescue knobs;
      older manifests resume with the historical margin. *)
   let guard_margin =
-    if r.Wire.version > 4 then begin
-      let gm = Wire.rf64 r in
-      if not (Float.is_finite gm) || gm <= 0.0 then
-        Wire.fail r ~expected:"positive finite guard margin"
-          ~got:(Printf.sprintf "%h" gm) "bad guard margin";
-      gm
-    end
+    if r.Wire.version > 4 then Wire.rf64 r
     else Halo_runtime.Guard.default_margin
   in
   let rescue, rescue_margin, max_rescues = decode_rescue_tail r in
-  if every_n < 1 then
-    Wire.fail r ~got:(string_of_int every_n) "cadence below 1";
-  if retain < 1 then Wire.fail r ~got:(string_of_int retain) "retention below 1";
-  if guard_every < 0 then
-    Wire.fail r ~got:(string_of_int guard_every) "negative guard cadence";
   {
     prog;
     strategy;
@@ -783,6 +780,15 @@ let decode_manifest r =
     max_rescues;
   }
 
+let check_manifest (fail : Wire.check) m =
+  check_backend_cfg fail m.backend;
+  check_guard_margin fail m.guard_margin;
+  check_rescue_tail fail (m.rescue, m.rescue_margin, m.max_rescues);
+  if m.every_n < 1 then fail ~got:(string_of_int m.every_n) "cadence below 1";
+  if m.retain < 1 then fail ~got:(string_of_int m.retain) "retention below 1";
+  if m.guard_every < 0 then
+    fail ~got:(string_of_int m.guard_every) "negative guard cadence"
+
 let manifest_fingerprint = payload_fingerprint encode_manifest
 
 let manifest =
@@ -790,7 +796,7 @@ let manifest =
     kind = Manifest_frame;
     stamp = Of_value manifest_fingerprint;
     encode = encode_manifest;
-    decode = decode_manifest;
+    decode = Wire.checked decode_manifest check_manifest;
   }
 
 (* --- checkpoint entries ------------------------------------------------- *)

@@ -157,6 +157,8 @@ type backend_cfg = {
 
 val encode_backend_cfg : Buffer.t -> backend_cfg -> unit
 val decode_backend_cfg : Wire.reader -> backend_cfg
+
+val check_backend_cfg : Wire.check -> backend_cfg -> unit
 (** Refuses a slot count or a max level below 1. *)
 
 val encode_rescue_tail : Buffer.t -> bool * float * int -> unit
@@ -166,6 +168,13 @@ val decode_rescue_tail : Wire.reader -> bool * float * int
     both manifests since format version 5.  Older payloads decode with the
     monitor off at the default margin and budget. *)
 
+val check_rescue_tail : Wire.check -> bool * float * int -> unit
+(** Refuses a rescue margin that is not finite and at least 1, and a
+    negative rescue budget. *)
+
+val check_guard_margin : Wire.check -> float -> unit
+(** Refuses a guard margin that is not positive and finite. *)
+
 (** {2 Run manifest} *)
 
 (** Everything [halo_cli resume] needs: the compiled program, its dynamic
@@ -173,7 +182,9 @@ val decode_rescue_tail : Wire.reader -> bool * float * int
     journaling cadence. *)
 type manifest = {
   prog : Halo.Ir.program;  (** compiled (post-strategy) program *)
-  strategy : string;  (** for display only; [prog] is already compiled *)
+  strategy : string;
+      (** the strategy [prog] was compiled under; {!Ref_run.guard} replans
+          one rung below it *)
   bindings : (string * int) list;
   inputs : (string * float array) list;
   backend : backend_cfg;
@@ -191,8 +202,15 @@ type manifest = {
   max_rescues : int;  (** rescue budget for the run *)
 }
 
+val check_manifest : Wire.check -> manifest -> unit
+(** Every field check of a run manifest: the backend, the guard margin,
+    the rescue knobs, a cadence and a retention of at least 1 and a
+    non-negative guard cadence.  The decoder and {!Ref_run.manifest} both
+    run it. *)
+
 val manifest : manifest artifact
-(** Stamped with {!manifest_fingerprint}. *)
+(** Stamped with {!manifest_fingerprint}; decoding runs
+    {!check_manifest}. *)
 
 val manifest_fingerprint : manifest -> int64
 (** Stamp carried by every journal entry, binding entries to the manifest

@@ -5,8 +5,6 @@ type t = {
   mutable next_seq : int;
 }
 
-let dir t = t.dir
-
 let entry_name ~seq ~loop_var ~iter =
   Printf.sprintf "entry-%010d-v%d-i%d.ckpt" seq loop_var iter
 

@@ -18,8 +18,6 @@ val open_ : dir:string -> fingerprint:int64 -> retain:int -> t
 (** Creates [dir] if needed; scans it so the next append continues the
     sequence.  [retain < 1] is an [Invalid_argument]. *)
 
-val dir : t -> string
-
 val append : t -> ct:'ct Codec.artifact -> 'ct Codec.entry -> int * int
 (** Durably append one entry (the entry's [seq] is assigned by the journal,
     overriding the field) and prune old entries for the same loop.  Returns

@@ -25,33 +25,42 @@ module Make (B : Halo_runtime.Backend.S) = struct
 
   let checkpoint_hooks ~codec ~journal ~every_n ~stats ~resume =
     if every_n < 1 then invalid_arg "Recovery.checkpoint_hooks: every_n < 1";
+    (* Frame length per loop variable.  Every entry field is fixed-width
+       for a given loop — its carried values keep their kinds and slot
+       counts, and every stats field is fixed-width — so one probe encode
+       per loop variable gives the size every later entry's snapshot must
+       already count. *)
+    let sizes = Hashtbl.create 4 in
     let sink ~loop_var ~index values =
       if (index + 1) mod every_n = 0 then begin
-        (* The snapshot stored with the entry must already include this
-           write's accounting, so that restoring it reproduces the counters
-           of an uninterrupted run.  Every stats field is fixed-width, so
-           the frame length does not depend on the counter values: encode
-           once to learn the size, then encode the final snapshot. *)
         let snap = Stats.create () in
         Stats.assign ~into:snap stats;
-        Stats.record_checkpoint_write snap ~bytes:0;
-        let entry rng =
+        let key = var_key loop_var in
+        let entry =
           {
             Codec.seq = 0 (* assigned by the journal *);
-            loop_var = var_key loop_var;
+            loop_var = key;
             iter = index;
             carried = List.map carried_of_value values;
-            rng;
+            rng = codec.rng_state ();
             stats = snap;
           }
         in
-        let rng = codec.rng_state () in
         let bytes =
-          String.length
-            (Codec.to_frame ~fingerprint:0L (Codec.entry codec.ct) (entry rng))
+          match Hashtbl.find_opt sizes key with
+          | Some n -> n
+          | None ->
+            let n =
+              String.length
+                (Codec.to_frame ~fingerprint:0L (Codec.entry codec.ct) entry)
+            in
+            Hashtbl.replace sizes key n;
+            n
         in
-        snap.Stats.checkpoint_bytes <- stats.Stats.checkpoint_bytes + bytes;
-        let _seq, written = Journal.append journal ~ct:codec.ct (entry rng) in
+        (* The stored snapshot includes this write's own accounting, so
+           restoring it reproduces an uninterrupted run's counters. *)
+        Stats.record_checkpoint_write snap ~bytes;
+        let _seq, written = Journal.append journal ~ct:codec.ct entry in
         assert (written = bytes);
         Stats.record_checkpoint_write stats ~bytes
       end

@@ -18,9 +18,10 @@
     {2 Statistics}
 
     Each journal entry embeds a statistics snapshot that already accounts
-    for the entry's own write (the frame length is independent of the
-    counter values, all fields being fixed-width, so the size is known
-    before the final encode).  Restoring a snapshot with
+    for the entry's own write.  The frame length does not depend on the
+    counter values or the iteration (every field is fixed-width for a
+    given loop), so it is measured once per loop variable and each entry
+    is encoded once, by the append.  Restoring a snapshot with
     [Stats.assign] therefore reproduces exactly the counters an
     uninterrupted run would show at that point. *)
 

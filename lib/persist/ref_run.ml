@@ -28,22 +28,26 @@ let manifest ?backend_seed ?(every_n = 1) ?(retain = 4) ?(guard_every = 0)
     ?(rescue_margin = Halo_runtime.Noise_monitor.default_rescue_margin)
     ?(max_rescues = Halo_runtime.Noise_monitor.default_max_rescues) ~strategy
     ~bindings ~inputs (prog : Halo.Ir.program) =
-  {
-    Codec.prog;
-    strategy = Halo.Strategy.to_string strategy;
-    bindings;
-    inputs;
-    backend =
-      default_backend ?seed:backend_seed ~slots:prog.slots
-        ~max_level:prog.max_level ();
-    every_n;
-    retain;
-    guard_every;
-    guard_margin;
-    rescue;
-    rescue_margin;
-    max_rescues;
-  }
+  let m =
+    {
+      Codec.prog;
+      strategy = Halo.Strategy.to_string strategy;
+      bindings;
+      inputs;
+      backend =
+        default_backend ?seed:backend_seed ~slots:prog.slots
+          ~max_level:prog.max_level ();
+      every_n;
+      retain;
+      guard_every;
+      guard_margin;
+      rescue;
+      rescue_margin;
+      max_rescues;
+    }
+  in
+  Codec.check_manifest (Wire.check_arg "Ref_run.manifest") m;
+  m
 
 let backend_of_cfg (c : Codec.backend_cfg) =
   Ref_backend.create ~seed:c.seed ~enc_noise:c.enc_noise
@@ -123,7 +127,7 @@ let journaled ~dir ~resume ~kill_after ~stats inner (m : Codec.manifest) =
   in
   (hooks, damaged, on_rescue)
 
-let exec ?faults ?policy ?stats ?kill_after ?dir ?(resume = false)
+let exec ?faults ?policy ?stats ?clock ?kill_after ?dir ?(resume = false)
     (m : Codec.manifest) =
   (match (dir, faults) with
    | Some _, Some _ ->
@@ -166,8 +170,8 @@ let exec ?faults ?policy ?stats ?kill_after ?dir ?(resume = false)
       Some (R.M.create ?on_rescue ~cfg ~stats ())
   in
   let outcome =
-    R.run ?policy ?checkpoint ?guard ?monitor ~stats st ~bindings:m.bindings
-      ~inputs:m.inputs m.prog
+    R.run ?policy ?checkpoint ?guard ?clock ?monitor ~stats st
+      ~bindings:m.bindings ~inputs:m.inputs m.prog
   in
   (outcome, damaged)
 

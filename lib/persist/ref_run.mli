@@ -1,10 +1,15 @@
-(** The reference-backend execution driver: the one path from a compiled
-    program to an execution, used by [halo_cli run] (every flag
-    combination), [halo_cli resume], both benchmark soaks and the tests.
+(** The reference-backend execution driver: the library's one path from a
+    compiled program to an execution, used by [halo_cli run] (every flag
+    combination), [halo_cli resume], every served batch
+    ({!Halo_serve.Server}), the fuzz oracle's fault re-execution
+    ({!Halo_verify.Oracle}), both benchmark soaks and the tests.  It holds
+    the only fault-injector/resilient-runtime stack over
+    {!Halo_ckks.Ref_backend}.
 
     {!exec} runs a {!Codec.manifest} under the resilient runtime,
-    optionally journaled, optionally fault-injected; {!guard} checks the
-    decrypted outputs and replans on a breach.  A checkpoint directory
+    optionally journaled, optionally fault-injected, optionally against a
+    deadline clock; {!verdict} checks the decrypted outputs and {!guard}
+    also replans on a breach.  A checkpoint directory
     holds a [manifest.halo] and a [journal/] of entries, all written
     atomically and fsynced ({!Store}), so it is valid after a kill at any
     instant. *)
@@ -43,10 +48,9 @@ val manifest :
 (** The compiled program on {!default_backend} at its own geometry.
     Defaults: checkpoint every iteration, retain 4, no in-loop guard,
     {!Halo_runtime.Guard.margin}[ ()], monitor off with the
-    {!Halo_runtime.Noise_monitor} defaults. *)
-
-val manifest_path : string -> string
-(** [<dir>/manifest.halo] *)
+    {!Halo_runtime.Noise_monitor} defaults.  Raises [Invalid_argument] for
+    any value {!Codec.check_manifest} refuses, so every manifest it builds
+    can be saved and loaded back. *)
 
 val journal_dir : string -> string
 (** [<dir>/journal] *)
@@ -62,6 +66,7 @@ val exec :
   ?faults:Halo_runtime.Faults.config ->
   ?policy:Halo_runtime.Resilient.policy ->
   ?stats:Halo_runtime.Stats.t ->
+  ?clock:Halo_runtime.Clock.t ->
   ?kill_after:int ->
   ?dir:string ->
   ?resume:bool ->
@@ -71,6 +76,8 @@ val exec :
     in-loop guard when [manifest.guard_every > 0] and the noise monitor
     when [manifest.rescue].  [stats] (fresh by default) receives every
     counter, one [injected_faults] per fault of [faults] included.
+    [clock] is charged per instruction, and past its deadline the run
+    aborts with {!Halo_error.Deadline_exceeded}.
 
     With [dir] the journal sink is attached and each fired rescue is
     journaled to [<dir>/journal/rescue-<seq>.ckpt] (a name the journal
@@ -86,6 +93,12 @@ val exec :
     not checkpoint the injector's RNG) and for [kill_after] or
     [resume:true] without [dir]. *)
 
+val verdict :
+  Codec.manifest -> Rec.R.outcome -> Halo_runtime.Guard.verdict option
+(** The decrypt-time guard of an {!exec} outcome: its outputs checked
+    against {!Halo_runtime.Interp.reference} at [manifest.guard_margin];
+    [None] for a degraded outcome. *)
+
 type guarded = {
   outcome : Rec.R.outcome;  (** the replanned run's, if it replanned *)
   verdict : Halo_runtime.Guard.verdict option;  (** [None] when degraded *)
@@ -98,10 +111,9 @@ val guard :
   Codec.manifest ->
   Rec.R.outcome ->
   guarded
-(** Decrypt-time guard of an {!exec} outcome against
-    {!Halo_runtime.Interp.reference} at [manifest.guard_margin].  On a
-    [Breach] with [manifest.rescue] it records one [guard_trips]; if
-    [manifest.strategy] has a {!Halo.Strategy.safer} rung, [recompile]
-    builds the program under it, one [replans] is recorded, and {!exec}
-    re-runs it fault-free, in memory and monitored, counting into the
-    outcome's statistics.  A degraded outcome passes through. *)
+(** {!verdict}; on a [Breach] with [manifest.rescue] it records one
+    [guard_trips], and if [manifest.strategy] has a
+    {!Halo.Strategy.safer} rung, [recompile] builds the program under it,
+    one [replans] is recorded, and {!exec} re-runs it fault-free, in memory
+    and monitored, counting into the outcome's statistics.  A degraded
+    outcome passes through. *)

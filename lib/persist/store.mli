@@ -10,10 +10,6 @@
     or a stray [*.tmp.*] that readers ignore — never a half-written
     artifact under the real name. *)
 
-val read_file : string -> string
-(** Raises {!Halo_error.Persist_error} when the file is missing or
-    unreadable. *)
-
 val fsync_dir : string -> unit
 (** Flush directory metadata (new names / unlinks) to disk.  Best-effort:
     filesystems that refuse to fsync a directory are ignored. *)

@@ -41,6 +41,20 @@ let reader ?path ?(base = 0) ?(version = max_int) ?(stamp = 0L) src =
 let fail r ?expected ?got fmt =
   Halo_error.persist_error ?path:r.path ~offset:(r.base + r.pos) ?expected ?got fmt
 
+type check = ?expected:string -> ?got:string -> string -> unit
+
+let check_at r : check =
+ fun ?expected ?got reason -> fail r ?expected ?got "%s" reason
+
+let check_arg who : check =
+ fun ?expected ?got reason ->
+  invalid_arg (who ^ ": " ^ Halo_error.with_detail ?expected ?got reason)
+
+let checked decode check r =
+  let v = decode r in
+  check (check_at r) v;
+  v
+
 let need r n =
   let remain = String.length r.src - r.pos in
   if n < 0 || n > remain then

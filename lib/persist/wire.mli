@@ -49,6 +49,25 @@ val fail :
   reader -> ?expected:string -> ?got:string -> ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Halo_error.Persist_error} at the reader's current offset. *)
 
+(** {2 Field checks}
+
+    A configuration's field checks are written once, against a {!check},
+    and run both by its decoder and by the constructor that builds it in
+    memory, so no value can be created that its own decoder refuses. *)
+
+type check = ?expected:string -> ?got:string -> string -> unit
+(** [check ?expected ?got reason] reports a bad field; it never returns. *)
+
+val check_at : reader -> check
+(** {!fail} at the reader's current offset. *)
+
+val check_arg : string -> check
+(** [check_arg who] raises [Invalid_argument "who: reason (expected e, got
+    g)"]. *)
+
+val checked : (reader -> 'a) -> (check -> 'a -> unit) -> reader -> 'a
+(** A decoder followed by its field checks, reported with {!check_at}. *)
+
 val ru8 : reader -> int
 val ri64 : reader -> int
 val rf64 : reader -> float

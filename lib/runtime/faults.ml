@@ -61,10 +61,7 @@ module Make (B : Backend.S) = struct
       attempts = Hashtbl.create 16;
     }
 
-  let inner st = st.base
   let ops_seen st = st.idx
-  let injected_transient st = st.n_transient
-  let injected_bootstrap st = st.n_bootstrap
   let injected_spikes st = st.n_spike
   let injected st = st.n_transient + st.n_bootstrap + st.n_spike
 

@@ -63,13 +63,10 @@ module Make (B : Backend.S) : sig
   (** [on_fault] is invoked once per injected fault (e.g.
       [fun _ -> Stats.record_fault stats]). *)
 
-  val inner : state -> B.state
   val ops_seen : state -> int
   (** Occurrence index: compute ops {e completed} so far (faulted attempts
       do not count). *)
 
   val injected : state -> int
-  val injected_transient : state -> int
-  val injected_bootstrap : state -> int
   val injected_spikes : state -> int
 end

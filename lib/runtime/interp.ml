@@ -1,21 +1,6 @@
 open Halo
 module Cost = Halo_cost.Cost_model
 
-let op_name : Ir.op -> string = function
-  | Ir.Const _ -> "const"
-  | Ir.Binary { kind = Ir.Add; _ } -> "add"
-  | Ir.Binary { kind = Ir.Sub; _ } -> "sub"
-  | Ir.Binary { kind = Ir.Mul; _ } -> "mul"
-  | Ir.Rotate _ -> "rotate"
-  | Ir.RotateMany _ -> "rotate_many"
-  | Ir.RotSum _ -> "rot_sum"
-  | Ir.Rescale _ -> "rescale"
-  | Ir.Modswitch _ -> "modswitch"
-  | Ir.Bootstrap _ -> "bootstrap"
-  | Ir.Pack _ -> "pack"
-  | Ir.Unpack _ -> "unpack"
-  | Ir.For _ -> "for"
-
 module Make (B : Backend.S) = struct
   type value = Plain of float array | Cipher of B.ct
 
@@ -57,7 +42,7 @@ module Make (B : Backend.S) = struct
   let site_of (i : Ir.instr) =
     Halo_error.site
       ?var:(match i.results with v :: _ -> Some v | [] -> None)
-      ~backend:B.name (op_name i.op)
+      ~backend:B.name (Printer.op_name i.op)
 
   let run ?(protect = unprotected) ?stats st ?(bindings = []) ~inputs
       (p : Ir.program) =

@@ -18,9 +18,6 @@
     result variable and operation name, so a fuzz-oracle or soak failure is
     attributable without re-running under a debugger. *)
 
-val op_name : Halo.Ir.op -> string
-(** Operation name used in error sites ("add", "rescale", "for", ...). *)
-
 module Make (B : Backend.S) : sig
   type value = Plain of float array | Cipher of B.ct
 
@@ -54,9 +51,6 @@ module Make (B : Backend.S) : sig
       loop:Halo_error.site -> count:int -> value list -> int * value list;
     at_bootstrap : site:Halo_error.site -> target:int -> B.ct -> unit;
   }
-
-  val unprotected : protect
-  (** Identity hooks: plain execution. *)
 
   val replicate : slots:int -> float array -> float array
   (** Pad to the next power-of-two length and tile across the slots. *)

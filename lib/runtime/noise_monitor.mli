@@ -67,9 +67,6 @@ module Make (B : Backend.S) : sig
       updated) — the hook the persistence layer uses to journal
       [rescue-<seq>.ckpt] frames. *)
 
-  val headroom : t -> float -> float
-  (** [threshold / estimate] ([infinity] for non-positive estimates). *)
-
   val check_ct : t -> B.state -> B.ct -> B.ct
   (** Loop-head check: returns the (possibly rescued) ciphertext. *)
 

@@ -132,8 +132,6 @@ let decode_policy r : Resilient.policy =
   let base_backoff_us = Wire.rf64 r in
   let backoff_factor = Wire.rf64 r in
   let max_backoff_us = Wire.rf64 r in
-  if max_attempts < 1 then
-    Wire.fail r ~got:(string_of_int max_attempts) "retry budget below 1";
   { max_attempts; max_restores; base_backoff_us; backoff_factor;
     max_backoff_us }
 
@@ -162,32 +160,6 @@ let decode_sup r : sup_cfg =
   let s_quarantine_after = Wire.ri64 r in
   let s_guard = Wire.rbool r ~what:"guard" in
   let s_rescue, s_rescue_margin, s_max_rescues = Codec.decode_rescue_tail r in
-  if s_deadline_us < 0 then
-    Wire.fail r ~got:(string_of_int s_deadline_us) "negative batch deadline";
-  if s_ttl_us < 0 then
-    Wire.fail r ~got:(string_of_int s_ttl_us) "negative admission TTL";
-  if s_tenant_window < 1 then
-    Wire.fail r ~got:(string_of_int s_tenant_window)
-      "tenant breaker window below 1";
-  if s_program_window < 1 then
-    Wire.fail r ~got:(string_of_int s_program_window)
-      "program breaker window below 1";
-  if s_tenant_threshold < 0 || s_tenant_threshold > s_tenant_window then
-    Wire.fail r
-      ~expected:(Printf.sprintf "0..%d" s_tenant_window)
-      ~got:(string_of_int s_tenant_threshold)
-      "tenant breaker threshold outside its window";
-  if s_program_threshold < 0 || s_program_threshold > s_program_window then
-    Wire.fail r
-      ~expected:(Printf.sprintf "0..%d" s_program_window)
-      ~got:(string_of_int s_program_threshold)
-      "program breaker threshold outside its window";
-  if s_cooldown_us < 1 then
-    Wire.fail r ~got:(string_of_int s_cooldown_us) "breaker cooldown below 1us";
-  if s_quarantine_after < 0 then
-    Wire.fail r
-      ~got:(string_of_int s_quarantine_after)
-      "negative quarantine threshold";
   { s_deadline_us; s_ttl_us; s_fallback; s_tenant_window; s_tenant_threshold;
     s_program_window; s_program_threshold; s_cooldown_us; s_quarantine_after;
     s_guard; s_rescue; s_rescue_margin; s_max_rescues }
@@ -228,25 +200,8 @@ let decode_config r =
         let f_spike = Wire.rf64 r in
         let f_magnitude = Wire.rf64 r in
         let f_poison = Wire.rlist r Wire.ri64 in
-        List.iter
-          (fun t ->
-            if t < 0 then
-              Wire.fail r ~got:(string_of_int t) "negative poisoned tenant id")
-          f_poison;
         { f_seed; f_transient; f_bootstrap; f_spike; f_magnitude; f_poison })
   in
-  if queue_depth < 1 then
-    Wire.fail r ~got:(string_of_int queue_depth) "queue depth below 1";
-  if batch_window < 1 then
-    Wire.fail r ~got:(string_of_int batch_window) "batch window below 1";
-  if lane < 1 || lane land (lane - 1) <> 0 then
-    Wire.fail r ~got:(string_of_int lane) "lane not a positive power of two";
-  if lane > backend.Codec.slots then
-    Wire.fail r
-      ~got:(Printf.sprintf "lane %d, slots %d" lane backend.Codec.slots)
-      "lane wider than the ciphertext";
-  if not (margin > 0.0) then
-    Wire.fail r ~got:(string_of_float margin) "non-positive admission margin";
   { backend; queue_depth; batch_window; lane; margin; rotate_fuse; policy;
     faults; sup }
 
@@ -273,8 +228,59 @@ let decode_manifest r =
         let pd_traced = Codec.program.decode r in
         { pd_name; pd_strategy; pd_traced })
   in
-  if progs = [] then Wire.fail r "empty program registry";
   { config; progs }
+
+(* --- field checks --------------------------------------------------------- *)
+
+let check_config (fail : Wire.check) (c : config) =
+  let int = string_of_int in
+  Codec.check_backend_cfg fail c.backend;
+  if c.queue_depth < 1 then fail ~got:(int c.queue_depth) "queue depth below 1";
+  if c.batch_window < 1 then
+    fail ~got:(int c.batch_window) "batch window below 1";
+  if c.lane < 1 || c.lane land (c.lane - 1) <> 0 then
+    fail ~got:(int c.lane) "lane not a positive power of two";
+  if c.lane > c.backend.Codec.slots then
+    fail
+      ~got:(Printf.sprintf "lane %d, slots %d" c.lane c.backend.Codec.slots)
+      "lane wider than the ciphertext";
+  (* The admission margin is also every batch's guard margin. *)
+  Codec.check_guard_margin fail c.margin;
+  if c.policy.max_attempts < 1 then
+    fail ~got:(int c.policy.max_attempts) "retry budget below 1";
+  Option.iter
+    (fun f ->
+      List.iter
+        (fun t -> if t < 0 then fail ~got:(int t) "negative poisoned tenant id")
+        f.f_poison)
+    c.faults;
+  let s = c.sup in
+  if s.s_deadline_us < 0 then
+    fail ~got:(int s.s_deadline_us) "negative batch deadline";
+  if s.s_ttl_us < 0 then fail ~got:(int s.s_ttl_us) "negative admission TTL";
+  let breaker scope ~window ~threshold =
+    if window < 1 then fail ~got:(int window) (scope ^ " breaker window below 1");
+    if threshold < 0 || threshold > window then
+      fail
+        ~expected:(Printf.sprintf "0..%d" window)
+        ~got:(int threshold)
+        (scope ^ " breaker threshold outside its window")
+  in
+  breaker "tenant" ~window:s.s_tenant_window ~threshold:s.s_tenant_threshold;
+  breaker "program" ~window:s.s_program_window
+    ~threshold:s.s_program_threshold;
+  if s.s_cooldown_us < 1 then
+    fail ~got:(int s.s_cooldown_us) "breaker cooldown below 1us";
+  if s.s_quarantine_after < 0 then
+    fail ~got:(int s.s_quarantine_after) "negative quarantine threshold";
+  Codec.check_rescue_tail fail (s.s_rescue, s.s_rescue_margin, s.s_max_rescues)
+
+let check_manifest (fail : Wire.check) (m : manifest) =
+  check_config fail m.config;
+  if m.progs = [] then fail "empty program registry";
+  let names = List.map (fun pd -> pd.pd_name) m.progs in
+  if List.length (List.sort_uniq compare names) <> List.length names then
+    fail "duplicate program name"
 
 let encode_request b (q : request) =
   Wire.i64 b q.req_id;
@@ -480,7 +486,7 @@ let manifest =
     Codec.kind = Codec.Serve_manifest_frame;
     stamp = Of_value manifest_fingerprint;
     encode = encode_manifest;
-    decode = decode_manifest;
+    decode = Wire.checked decode_manifest check_manifest;
   }
 
 let given kind encode decode = { Codec.kind; stamp = Given; encode; decode }

@@ -173,6 +173,15 @@ type drain = {
   dr_quarantined : int list;  (** quarantined tenant ids at drain *)
 }
 
+val check_manifest : Halo_persist.Wire.check -> manifest -> unit
+(** Every field check of a serve manifest, the one copy both the decoder
+    and {!Server.create} run: the backend, the queue, batch window and lane
+    geometry, a positive finite margin, a retry budget of at least 1,
+    non-negative poisoned tenant ids, the supervision knobs (non-negative
+    deadline, TTL and quarantine threshold, breaker windows of at least 1
+    with thresholds inside them, a cooldown of at least 1us, the rescue
+    knobs) and a non-empty registry of distinct program names. *)
+
 val manifest_fingerprint : manifest -> int64
 (** Stamp carried by every request and journal frame under this manifest. *)
 

@@ -3,20 +3,10 @@ module Codec = Serve_codec
 module Stats = Halo_runtime.Stats
 module Guard = Halo_runtime.Guard
 module Clock = Halo_runtime.Clock
-module Resilient = Halo_runtime.Resilient
 module Faults = Halo_runtime.Faults
-module Interp = Halo_runtime.Interp
 module Domain_pool = Halo_ckks.Domain_pool
-module Ref_backend = Halo_ckks.Ref_backend
 module Store = Halo_persist.Store
-
-(* The single execution path: every batch runs through the resilient
-   runtime over the fault injector over the reference backend.  With the
-   zero-probability fault config the injector draws nothing and touches no
-   backend RNG, so "faults off" is bit-identical to running the bare
-   backend. *)
-module Faulty = Faults.Make (Ref_backend)
-module Recover = Resilient.Make (Faulty)
+module Ref_run = Halo_persist.Ref_run
 
 type reject =
   | Queue_full of { depth : int }
@@ -101,10 +91,11 @@ type compiled = {
 (* Execution phases.  A request id can key a failed primary batch, its solo
    fallback re-execution and a conservative replan, and the three journal
    entries must not shadow each other — batch tables are keyed
-   [(key, phase)] and each phase journals under its own file prefix. *)
+   [(key, phase)] and each phase journals under its own file prefix: this
+   table, in the order a resume loads them. *)
 type phase = Primary | Fallback | Replan
 
-let phase_tag = function Primary -> 0 | Fallback -> 1 | Replan -> 2
+let phases = [ (Primary, "batch-"); (Fallback, "solo-"); (Replan, "replan-") ]
 
 type t = {
   cfg : Codec.config;
@@ -115,8 +106,8 @@ type t = {
   lock : Mutex.t;  (* serializes admission; submit is domain-safe *)
   requests : (int, Codec.request) Hashtbl.t;  (* every accepted request *)
   results : (int, outcome) Hashtbl.t;
-  batch_stats : (int * int, Stats.t) Hashtbl.t;
-  batch_members : (int * int, int list) Hashtbl.t;
+  batch_stats : (int * phase, Stats.t) Hashtbl.t;
+  batch_members : (int * phase, int list) Hashtbl.t;
   expired : (int, unit) Hashtbl.t;  (* requests failed by admission TTL *)
   mutable next_id : int;
   mutable pending_rev : Codec.request list;
@@ -138,12 +129,14 @@ type t = {
 }
 
 (* One batch of work: members in lane order, the compiled program to run
-   (wrapper for >= 2 lanes, solo form otherwise) and the lane layout. *)
+   (wrapper for >= 2 lanes, solo form otherwise), the strategy it was
+   compiled under and the lane layout. *)
 type batch = {
   b_key : int;
   b_members : Codec.request list;
   b_layout : Slot_batch.layout option;
   b_prog : Ir.program;
+  b_strategy : Strategy.t;
   b_outputs : int;
 }
 
@@ -154,12 +147,9 @@ let quarantine_path dir = Filename.concat dir "quarantine.halo"
 let drain_path dir = Filename.concat dir "drain.halo"
 let request_path dir id =
   Filename.concat (requests_dir dir) (Printf.sprintf "req-%010d.halo" id)
-let entry_path dir key =
-  Filename.concat (journal_dir dir) (Printf.sprintf "batch-%010d.ckpt" key)
-let solo_path dir key =
-  Filename.concat (journal_dir dir) (Printf.sprintf "solo-%010d.ckpt" key)
-let replan_path dir key =
-  Filename.concat (journal_dir dir) (Printf.sprintf "replan-%010d.ckpt" key)
+let entry_path dir ~phase key =
+  Filename.concat (journal_dir dir)
+    (Printf.sprintf "%s%010d.ckpt" (List.assoc phase phases) key)
 let plan_path dir seq =
   Filename.concat (journal_dir dir) (Printf.sprintf "plan-%010d.ckpt" seq)
 
@@ -222,31 +212,8 @@ let compile_def (cfg : Codec.config) (def : Codec.prog_def) =
   }
 
 let build ?dir (cfg : Codec.config) progs =
-  if cfg.queue_depth < 1 then invalid_arg "Server.create: queue depth below 1";
-  if cfg.batch_window < 1 then invalid_arg "Server.create: batch window below 1";
-  if cfg.lane < 1 || cfg.lane land (cfg.lane - 1) <> 0 then
-    invalid_arg "Server.create: lane not a positive power of two";
-  if cfg.lane > cfg.backend.slots then
-    invalid_arg "Server.create: lane wider than the ciphertext";
-  if not (cfg.margin > 0.0) then
-    invalid_arg "Server.create: non-positive admission margin";
-  if cfg.sup.s_deadline_us < 0 || cfg.sup.s_ttl_us < 0 then
-    invalid_arg "Server.create: negative supervision budget";
-  if cfg.sup.s_tenant_window < 1 || cfg.sup.s_program_window < 1 then
-    invalid_arg "Server.create: breaker window below 1";
-  if cfg.sup.s_cooldown_us < 1 then
-    invalid_arg "Server.create: breaker cooldown below 1us";
-  if
-    not (Float.is_finite cfg.sup.s_rescue_margin)
-    || cfg.sup.s_rescue_margin < 1.0
-  then invalid_arg "Server.create: rescue margin below 1";
-  if cfg.sup.s_max_rescues < 0 then
-    invalid_arg "Server.create: negative rescue budget";
-  if progs = [] then invalid_arg "Server.create: empty program registry";
-  let names = List.map (fun (d : Codec.prog_def) -> d.pd_name) progs in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Server.create: duplicate program name";
   let manifest = { Codec.config = cfg; progs } in
+  Codec.check_manifest (Halo_persist.Wire.check_arg "Server.create") manifest;
   {
     cfg;
     dir;
@@ -461,6 +428,7 @@ let close_batch t (cp : compiled) members =
       b_members = members;
       b_layout = None;
       b_prog = cp.solo;
+      b_strategy = cp.def.pd_strategy;
       b_outputs = cp.outputs;
     }
   | first :: _ ->
@@ -473,6 +441,7 @@ let close_batch t (cp : compiled) members =
       b_members = members;
       b_layout = Some layout;
       b_prog = wrapper_for t cp (List.length members);
+      b_strategy = cp.def.pd_strategy;
       b_outputs = cp.outputs;
     }
 
@@ -607,26 +576,17 @@ let fault_config (cfg : Codec.config) (b : batch) =
       ~spike_prob:f.f_spike ~spike_magnitude:f.f_magnitude ~schedule
       ~seed:(f.f_seed + b.b_key) ()
 
-(* Execute one batch.  Pure function of (config, batch): the backend and
-   fault seeds derive from the batch key, not from scheduling, and the
-   deadline clock is virtual, so the entry is bit-identical for any pool
-   size and any crash history. *)
+(* Execute one batch through [Ref_run]: the batch program on its packed
+   inputs, on the configured backend with a key-derived seed.  Pure
+   function of (config, batch): the backend and fault seeds derive from the
+   batch key, not from scheduling, and the deadline clock is virtual, so
+   the entry is bit-identical for any pool size and any crash history.
+   With the zero-probability fault config the injector draws nothing, and
+   on a quiet batch the noise monitor ([s_rescue]) never fires, so both are
+   byte-invisible. *)
 let exec_batch (cfg : Codec.config) (b : batch) =
   let prog = b.b_prog in
   let stats = Stats.create () in
-  let backend =
-    Ref_backend.create
-      ~seed:(cfg.backend.seed lxor ((b.b_key + 1) * 0x2545F49))
-      ~enc_noise:cfg.backend.enc_noise ~mult_noise:cfg.backend.mult_noise
-      ~boot_noise:cfg.backend.boot_noise
-      ~rescale_noise:cfg.backend.rescale_noise ~slots:prog.Ir.slots
-      ~max_level:prog.Ir.max_level ~scale_bits:cfg.backend.scale_bits ()
-  in
-  let st =
-    Faulty.wrap
-      ~on_fault:(fun _ -> Stats.record_fault stats)
-      (fault_config cfg b) backend
-  in
   let member_input name (q : Codec.request) = List.assoc name q.payload in
   let inputs =
     List.map
@@ -640,6 +600,24 @@ let exec_batch (cfg : Codec.config) (b : batch) =
         (i.in_name, v))
       prog.Ir.inputs
   in
+  let m =
+    Ref_run.manifest ~guard_margin:cfg.margin ~rescue:cfg.sup.s_rescue
+      ~rescue_margin:cfg.sup.s_rescue_margin
+      ~max_rescues:cfg.sup.s_max_rescues ~strategy:b.b_strategy ~bindings:[]
+      ~inputs prog
+  in
+  let m =
+    {
+      m with
+      backend =
+        {
+          cfg.backend with
+          seed = cfg.backend.seed lxor ((b.b_key + 1) * 0x2545F49);
+          slots = prog.Ir.slots;
+          max_level = prog.Ir.max_level;
+        };
+    }
+  in
   let ids = List.map (fun (q : Codec.request) -> q.Codec.req_id) b.b_members in
   let lanes = List.length b.b_members in
   let clock =
@@ -647,35 +625,17 @@ let exec_batch (cfg : Codec.config) (b : batch) =
       Some (Clock.create ~deadline_us:cfg.sup.s_deadline_us ())
     else None
   in
-  (* The runtime noise monitor, against the same threshold the batch guard
-     checks at decrypt.  On a quiet batch the estimate never exceeds the
-     static bound, so headroom stays at or above the guard margin and the
-     monitor is byte-invisible — [s_rescue] with no spikes is identical to
-     the monitor-off server. *)
-  let monitor =
-    if not cfg.sup.s_rescue then None
-    else
-      let mcfg =
-        Halo_runtime.Noise_monitor.config
-          ~rescue_margin:cfg.sup.s_rescue_margin
-          ~max_rescues:cfg.sup.s_max_rescues ~margin:cfg.margin prog
-      in
-      Some (Recover.M.create ~cfg:mcfg ~stats ())
-  in
   let status =
     match
-      Recover.run ~policy:cfg.policy ?clock ?monitor ~stats st ~inputs prog
+      Ref_run.exec ~faults:(fault_config cfg b) ~policy:cfg.policy ~stats
+        ?clock m
     with
-    | Recover.Complete { outputs; stats = _ } -> (
+    | (Ref_run.Rec.R.Complete { outputs; stats = _ } as outcome), _ -> (
       let breach =
         if not cfg.sup.s_guard then None
         else
-          match
-            Guard.check ~margin:cfg.margin prog
-              ~reference:(Interp.reference ~inputs prog)
-              ~observed:outputs
-          with
-          | Guard.Breach { observed; bound; output; slot } ->
+          match Ref_run.verdict m outcome with
+          | Some (Guard.Breach { observed; bound; output; slot }) ->
             (* Under rescue the breach counts as one guard trip here, in
                the breaching entry's own stats — the replan re-execution
                is a fresh entry whose stats start at zero, so the trip is
@@ -690,7 +650,7 @@ let exec_batch (cfg : Codec.config) (b : batch) =
                    br_observed = observed;
                    br_bound = bound;
                  })
-          | Guard.Healthy _ | Guard.Unbounded _ -> None
+          | Some (Guard.Healthy _ | Guard.Unbounded _) | None -> None
       in
       match breach with
       | Some s -> s
@@ -716,7 +676,7 @@ let exec_batch (cfg : Codec.config) (b : batch) =
             b.b_members
         in
         Codec.Ok groups)
-    | Recover.Degraded d ->
+    | Ref_run.Rec.R.Degraded d, _ ->
       Codec.Degraded
         {
           d_op = d.failed.Halo_error.op;
@@ -837,8 +797,8 @@ let deliver t ~phase (e : Codec.entry) =
                  ~req:rid
              then persist_quarantine t)
          e.e_reqs);
-  Hashtbl.replace t.batch_stats (e.e_key, phase_tag phase) e.e_stats;
-  Hashtbl.replace t.batch_members (e.e_key, phase_tag phase) e.e_reqs
+  Hashtbl.replace t.batch_stats (e.e_key, phase) e.e_stats;
+  Hashtbl.replace t.batch_members (e.e_key, phase) e.e_reqs
 
 let journal_append t ?kill_after ~phase (e : Codec.entry) =
   let e = { e with Codec.e_seq = t.seq } in
@@ -846,14 +806,7 @@ let journal_append t ?kill_after ~phase (e : Codec.entry) =
   (match t.dir with
    | None -> ()
    | Some d ->
-     let path =
-       (match phase with
-        | Primary -> entry_path
-        | Fallback -> solo_path
-        | Replan -> replan_path)
-         d e.Codec.e_key
-     in
-     save_record t Codec.entry ~path e;
+     save_record t Codec.entry ~path:(entry_path d ~phase e.Codec.e_key) e;
      t.writes <- t.writes + 1;
      (match kill_after with
       | Some k when t.writes >= k -> raise (Killed { writes = t.writes })
@@ -894,12 +847,13 @@ let replan_batch t (q : Codec.request) =
   let cp = find_prog t q.Codec.pname in
   match cp.safer with
   | None -> assert false
-  | Some (_, prog) ->
+  | Some (strategy, prog) ->
     {
       b_key = q.Codec.req_id;
       b_members = [ q ];
       b_layout = None;
       b_prog = prog;
+      b_strategy = strategy;
       b_outputs = cp.outputs;
     }
 
@@ -1021,24 +975,17 @@ let open_resume ~dir =
      live. *)
   let loaded = ref [] in
   let load ~phase key =
-    let path =
-      (match phase with
-       | Primary -> entry_path
-       | Fallback -> solo_path
-       | Replan -> replan_path)
-        dir key
-    in
+    let path = entry_path dir ~phase key in
     match load_record t Codec.entry ~path with
     | e -> loaded := (e, phase) :: !loaded
     | exception Halo_error.Persist_error { reason; _ } ->
       t.damaged <- (path, reason) :: t.damaged
   in
-  List.iter (load ~phase:Primary)
-    (scan_ids (journal_dir dir) ~prefix:"batch-" ~suffix:".ckpt");
-  List.iter (load ~phase:Fallback)
-    (scan_ids (journal_dir dir) ~prefix:"solo-" ~suffix:".ckpt");
-  List.iter (load ~phase:Replan)
-    (scan_ids (journal_dir dir) ~prefix:"replan-" ~suffix:".ckpt");
+  List.iter
+    (fun (phase, prefix) ->
+      List.iter (load ~phase)
+        (scan_ids (journal_dir dir) ~prefix ~suffix:".ckpt"))
+    phases;
   t.damaged <- List.rev t.damaged;
   let completed = Hashtbl.create 16 in
   List.iter

@@ -37,8 +37,6 @@ val plan : slots:int -> lane:int -> sizes:int list -> layout
 val capacity : slots:int -> lane:int -> int
 (** Lanes that fit: [slots / lane]. *)
 
-val lanes : layout -> int
-
 val pack : layout -> float array list -> float array
 (** Place vector [i] at slot offset [i * lane]; all other slots are zero.
     The result has exactly [slots] elements, so the interpreter's input

@@ -29,7 +29,6 @@ type t = {
   mutable opens : int;
   mutable closes : int;
   mutable reopens : int;
-  mutable probes : int;
   mutable expired : int;
   mutable fallbacks : int;
 }
@@ -46,12 +45,10 @@ let create sup =
     opens = 0;
     closes = 0;
     reopens = 0;
-    probes = 0;
     expired = 0;
     fallbacks = 0;
   }
 
-let clock t = t.clock
 let now_us t = Clock.now_us t.clock
 let charge t (st : Stats.t) =
   Clock.advance t.clock ~us:(st.Stats.total_latency_us +. st.Stats.backoff_us)
@@ -168,14 +165,8 @@ let admit t ~tenant ~pname =
       | `Block until_us ->
         Breaker_open { scope = Program_scope pname; until_us; now_us = now }
       | `Pass p_probe ->
-        if t_probe then begin
-          tb.b_probing <- true;
-          t.probes <- t.probes + 1
-        end;
-        if p_probe then begin
-          pb.b_probing <- true;
-          t.probes <- t.probes + 1
-        end;
+        if t_probe then tb.b_probing <- true;
+        if p_probe then pb.b_probing <- true;
         Admit))
 
 (* --- quarantine --------------------------------------------------------- *)
@@ -221,6 +212,5 @@ let max_latency_us t =
 let opens t = t.opens
 let closes t = t.closes
 let reopens t = t.reopens
-let probes t = t.probes
 let expired t = t.expired
 let fallbacks t = t.fallbacks

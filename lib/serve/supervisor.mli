@@ -39,7 +39,6 @@ val create : Codec.sup_cfg -> t
 (** Fresh supervisor at virtual time 0, all breakers closed, nothing
     quarantined. *)
 
-val clock : t -> Clock.t
 val now_us : t -> int
 
 val charge : t -> Halo_runtime.Stats.t -> unit
@@ -87,6 +86,5 @@ val max_latency_us : t -> int
 val opens : t -> int
 val closes : t -> int
 val reopens : t -> int
-val probes : t -> int
 val expired : t -> int
 val fallbacks : t -> int

@@ -1,7 +1,6 @@
 open Halo
 module R = Halo_runtime.Interp.Make (Halo_ckks.Ref_backend)
-module Faulty = Halo_runtime.Faults.Make (Halo_ckks.Ref_backend)
-module Recover = Halo_runtime.Resilient.Make (Faulty)
+module Ref_run = Halo_persist.Ref_run
 
 type failure =
   | Compile_error of {
@@ -51,28 +50,33 @@ let ok r = r.failures = []
 
 let default_tol = 1e-3
 
-(* Faulty-backend re-execution: run the compiled artifact once more under
-   seeded fault injection with the resilient runtime, and require the
-   recovered outputs to agree with the fault-free ones.  Checks the whole
-   recovery path (retry + checkpoint restore), not just the compiler. *)
+(* Faulty-backend re-execution: run the compiled artifact once more through
+   [Ref_run] under seeded fault injection, and require the recovered
+   outputs to agree with the fault-free ones.  Checks the whole recovery
+   path (retry + checkpoint restore), not just the compiler.  The run
+   manifest's default backend is the one the fault-free run used. *)
 let check_fault_recovery ~tol ~fault_rate ~seed ~strategy ~bindings ~inputs
     (compiled : Ir.program) (clean : float array list) =
-  let base =
-    Halo_ckks.Ref_backend.create ~slots:compiled.slots
-      ~max_level:compiled.max_level ~scale_bits:51 ()
-  in
-  let cfg =
+  let faults =
     Halo_runtime.Faults.config ~transient_prob:fault_rate
       ~bootstrap_prob:fault_rate ~seed:((seed * 7919) + 1) ()
   in
-  let fst_ = Faulty.wrap cfg base in
-  match Recover.run fst_ ~bindings ~inputs compiled with
+  let stats = Halo_runtime.Stats.create () in
+  match
+    Ref_run.exec ~faults ~stats
+      (Ref_run.manifest ~strategy ~bindings ~inputs compiled)
+  with
   | exception e ->
     Some
       (Fault_recovery { strategy; msg = Halo_error.to_string e })
-  | Recover.Degraded d ->
-    Some (Fault_recovery { strategy; msg = Recover.degraded_to_string d })
-  | Recover.Complete { outputs; _ } ->
+  | Ref_run.Rec.R.Degraded d, _ ->
+    (* A degraded report's partial stats omit the injected count: fuzz
+       logs are diffed byte for byte across builds, and only a divergence
+       report names the count. *)
+    d.stats.injected_faults <- 0;
+    Some
+      (Fault_recovery { strategy; msg = Ref_run.Rec.R.degraded_to_string d })
+  | Ref_run.Rec.R.Complete { outputs; _ }, _ ->
     let worst = ref 0.0 and where = ref (0, 0) in
     List.iteri
       (fun output (exp, got) ->
@@ -94,7 +98,8 @@ let check_fault_recovery ~tol ~fault_rate ~seed ~strategy ~bindings ~inputs
                Printf.sprintf
                  "recovered run diverges from fault-free run: output %d slot \
                   %d off by %g (tol %g; %d faults injected)"
-                 (fst !where) (snd !where) !worst tol (Faulty.injected fst_);
+                 (fst !where) (snd !where) !worst tol
+                 stats.Halo_runtime.Stats.injected_faults;
            })
     else None
 

@@ -7,7 +7,9 @@
      [--strategy] default.
    - [serve --strategy-manifest] refuses a plan whose knobs the serve
      manifest cannot carry, naming them, and applies one it can.
-   - A persistence failure prints its "persist error" prefix once. *)
+   - A persistence failure prints its "persist error" prefix once.
+   - [run --guard] exits 4 on a breach the run could not replan away, and
+     0 on a healthy verdict. *)
 
 open Halo
 module Plan = Halo_tune.Plan
@@ -77,7 +79,7 @@ let test_run_records_plan_strategy () =
       [ "run"; file; "--strategy-manifest"; path; "--guard"; "--rescue";
         "--guard-margin"; "0.01"; "--checkpoint-dir"; dir ]
   in
-  Alcotest.(check int) "run exits 0" 0 code;
+  Alcotest.(check int) "the standing breach exits 4" 4 code;
   Alcotest.(check bool) "the guard breached" true
     (Fixture.contains out ~sub:"BREACH");
   Alcotest.(check bool) "no replan below dacapo" false
@@ -102,6 +104,21 @@ let test_persist_error_prefix_once () =
   Alcotest.(check bool) "names the manifest" true
     (Fixture.contains err ~sub:("persist error in " ^ path));
   Sys.remove path
+
+(* A guard margin of 1e-4 puts the reference backend's ordinary noise over
+   the bound; the verdict decides the exit status, as in [serve]. *)
+let test_run_guard_exit_code () =
+  let run extra =
+    cli ([ "run"; example "markov.halo"; "-b"; "K=6"; "--guard" ] @ extra)
+  in
+  let code, out, _ = run [ "--guard-margin"; "0.0001" ] in
+  Alcotest.(check bool) "the guard breached" true
+    (Fixture.contains out ~sub:"noise guard: BREACH");
+  Alcotest.(check int) "a breach exits 4" 4 code;
+  let code, out, _ = run [] in
+  Alcotest.(check bool) "the guard passed" false
+    (Fixture.contains out ~sub:"BREACH");
+  Alcotest.(check int) "a healthy run exits 0" 0 code
 
 let affine_fingerprint () =
   let pd =
@@ -161,5 +178,7 @@ let () =
         [
           Alcotest.test_case "persist error prefix once" `Quick
             test_persist_error_prefix_once;
+          Alcotest.test_case "run --guard breach exits 4" `Quick
+            test_run_guard_exit_code;
         ] );
     ]

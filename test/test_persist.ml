@@ -852,6 +852,33 @@ let test_exec_without_dir () =
       Ref_run.exec ~faults:(Halo_runtime.Faults.config ~seed:0 ())
         ~dir:(fresh_dir "faulty") m)
 
+(* A run manifest the decoder refuses must already be refused by
+   [Ref_run.manifest], for the same reason: otherwise [run --checkpoint-dir]
+   writes a directory that [resume] cannot open. *)
+let test_manifest_refused_at_creation ~reason ?guard_every ?max_rescues () =
+  let build ?guard_every ?max_rescues () =
+    Ref_run.manifest ?guard_every ?max_rescues ~strategy:Strategy.Halo
+      ~bindings:[ ("K", 5) ] ~inputs:markov_inputs (markov_program ())
+  in
+  (match build ?guard_every ?max_rescues () with
+   | _ -> Alcotest.fail "Ref_run.manifest accepted a manifest it cannot reload"
+   | exception Invalid_argument msg ->
+     Alcotest.(check bool) ("creation names: " ^ reason) true
+       (Fixture.contains msg ~sub:reason));
+  let m = build () in
+  let m =
+    {
+      m with
+      guard_every = Option.value guard_every ~default:m.guard_every;
+      max_rescues = Option.value max_rescues ~default:m.max_rescues;
+    }
+  in
+  match Codec.of_frame Codec.manifest (Codec.to_frame Codec.manifest m) with
+  | _ -> Alcotest.fail "the decoder accepted the manifest"
+  | exception (Halo_error.Persist_error _ as e) ->
+    Alcotest.(check bool) ("decoder names: " ^ reason) true
+      (Fixture.contains (Halo_error.to_string e) ~sub:reason)
+
 (* ------------------------------------------------------------------ *)
 (* Golden frame bytes                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1350,5 +1377,13 @@ let () =
             test_guard_after_checkpointed_run;
           Alcotest.test_case "in-loop guard without a journal" `Quick
             test_exec_without_dir;
+          Alcotest.test_case "negative guard cadence refused at creation"
+            `Quick
+            (test_manifest_refused_at_creation ~guard_every:(-1)
+               ~reason:"negative guard cadence (got -1)");
+          Alcotest.test_case "negative rescue budget refused at creation"
+            `Quick
+            (test_manifest_refused_at_creation ~max_rescues:(-1)
+               ~reason:"negative rescue budget (got -1)");
         ] );
     ]

@@ -615,6 +615,93 @@ let test_compare_detects_differences () =
        (Soak.compare (serve ~faults:(faults 1) 1) (serve ~faults:(faults 2) 1)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden execution bytes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a served batch computes, pinned: the kill/resume tests compare two
+   runs of the same code, so only a digest table catches a change that
+   moves both.  Each config serves the command line's default traffic (8
+   clients x 4 requests, seed 0) on the calibrated noisy backend
+   [halo_cli serve] uses; the digests cover every journal entry frame
+   (by file name) and [Server.report]. *)
+let golden_serve ?faults ?(margin = Guard.default_margin) sup =
+  let dir = fresh_dir "serve-golden" in
+  let cfg =
+    {
+      (mk_cfg ?faults ~sup ()) with
+      Serve_codec.backend =
+        Halo_persist.Ref_run.default_backend ~seed:0xB00 ~slots ~max_level ();
+      margin;
+    }
+  in
+  let server = Server.create ~dir cfg ~programs:(programs ()) in
+  ignore
+    (submit_all server
+       (Workload.requests ~seed:0 ~clients:8 ~per_client:4 ~lane ()));
+  drain server;
+  let jdir = Filename.concat dir "journal" in
+  let names = List.sort compare (Array.to_list (Sys.readdir jdir)) in
+  let frames =
+    List.map
+      (fun f ->
+        let bytes =
+          In_channel.with_open_bin (Filename.concat jdir f) In_channel.input_all
+        in
+        Printf.sprintf "%s %s\n" f (Digest.to_hex (Digest.string bytes)))
+      names
+  in
+  let prefix f = String.sub f 0 (String.index f '-') in
+  let phases =
+    List.map
+      (fun p -> (p, List.length (List.filter (fun f -> prefix f = p) names)))
+      [ "batch"; "solo"; "replan" ]
+  in
+  let report = Server.report server in
+  rm_rf dir;
+  ( phases,
+    (Server.stats server).Stats.rescues,
+    Digest.to_hex (Digest.string (String.concat "" frames)),
+    Digest.to_hex (Digest.string report) )
+
+let test_golden_serve_bytes () =
+  let sup = Serve_codec.default_sup in
+  let check name ~phases ~rescues ~journal ~report (p, r, j, rep) =
+    Alcotest.(check (list (pair string int))) (name ^ ": phases") phases p;
+    Alcotest.(check int) (name ^ ": rescues") rescues r;
+    Alcotest.(check string) (name ^ ": journal frames") journal j;
+    Alcotest.(check string) (name ^ ": report") report rep
+  in
+  check "fallback+rescue, margin 0.01"
+    ~phases:[ ("batch", 6); ("solo", 32); ("replan", 32) ]
+    ~rescues:66
+    ~journal:"234a85bb969768ffd73c3b97d2c8005c"
+    ~report:"7d2284b59a743084bc2738ccb6c31170"
+    (golden_serve ~margin:0.01
+       { sup with s_fallback = true; s_guard = true; s_rescue = true });
+  check "poisoned tenant, fallback, quarantine after 1"
+    ~phases:[ ("batch", 6); ("solo", 27); ("replan", 0) ]
+    ~rescues:0
+    ~journal:"dd2ac41af4a994d7f84076297d2712fc"
+    ~report:"5c84d6f19878c9ce1371a297ba51368e"
+    (golden_serve
+       ~faults:
+         {
+           Serve_codec.f_seed = 1;
+           f_transient = 0.0;
+           f_bootstrap = 0.0;
+           f_spike = 0.0;
+           f_magnitude = 1e-4;
+           f_poison = [ 1 ];
+         }
+       { sup with s_fallback = true; s_quarantine_after = 1 });
+  check "deadline 2000us"
+    ~phases:[ ("batch", 6); ("solo", 0); ("replan", 0) ]
+    ~rescues:0
+    ~journal:"fa078c12643e1ecdc62a1c2f07297a0b"
+    ~report:"76068edf842a04d340287c64cdc727e4"
+    (golden_serve { sup with s_deadline_us = 2000 })
+
+(* ------------------------------------------------------------------ *)
 (* Slot packer properties                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -745,6 +832,11 @@ let () =
             test_fault_retries_recover_all;
           Alcotest.test_case "soak verdict detects differences" `Quick
             test_compare_detects_differences;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "serve execution bytes" `Quick
+            test_golden_serve_bytes;
         ] );
       ( "packer",
         [ Alcotest.test_case "layout validation" `Quick test_packer_validation ]

@@ -592,6 +592,40 @@ let test_stats_codec_lossless =
       a = a' && b = b' && direct = decoded && roundtrip direct = direct)
 
 (* ------------------------------------------------------------------ *)
+(* Configuration checks                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A supervision config the serve-manifest decoder refuses must already be
+   refused by [Server.create], for the same reason: otherwise a job can be
+   created, run and journaled, and then never resumed. *)
+let refused_at_creation ~reason sup () =
+  (match mk_server ~sup () with
+   | _ -> Alcotest.failf "Server.create accepted a config it cannot reload"
+   | exception Invalid_argument msg ->
+     Alcotest.(check bool) ("creation names: " ^ reason) true
+       (contains msg ~sub:reason));
+  let m = { Serve_codec.config = mk_cfg ~sup (); progs = programs () } in
+  match Codec.of_frame Serve_codec.manifest (Codec.to_frame Serve_codec.manifest m) with
+  | _ -> Alcotest.fail "the decoder accepted the config"
+  | exception (Halo_error.Persist_error _ as e) ->
+    Alcotest.(check bool) ("decoder names: " ^ reason) true
+      (contains (Halo_error.to_string e) ~sub:reason)
+
+let config_cases =
+  let sup = Serve_codec.default_sup in
+  [
+    ( "tenant breaker threshold above its window",
+      "tenant breaker threshold outside its window (expected 0..8, got 10)",
+      { sup with s_tenant_threshold = 10 } );
+    ( "negative program breaker threshold",
+      "program breaker threshold outside its window (expected 0..8, got -2)",
+      { sup with s_program_threshold = -2 } );
+    ( "negative quarantine threshold",
+      "negative quarantine threshold (got -1)",
+      { sup with s_quarantine_after = -1 } );
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "supervision"
@@ -651,4 +685,10 @@ let () =
         ] );
       ( "stats",
         [ QCheck_alcotest.to_alcotest test_stats_codec_lossless ] );
+      ( "config",
+        List.map
+          (fun (name, reason, sup) ->
+            Alcotest.test_case (name ^ " refused at creation") `Quick
+              (refused_at_creation ~reason sup))
+          config_cases );
     ]
