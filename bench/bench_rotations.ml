@@ -7,16 +7,20 @@
    Section 2 (matvec): a [matvec_diag]-shaped weighted rotate-and-sum,
    comparing the PR 5 hoisted path (rotate_many + per-member multcp /
    rescale / add) against the fused [Eval.rot_sum] in lazy and eager modes,
-   with rotation-key cache hit rates and cross-op digit reuses reported.
+   with rotation-key cache hit rates and cross-op digit reuses reported,
+   and the lazy form timed once more with every diagonal missing the key
+   set's plaintext memo (cold) against the usual memo hits (warm).
    Before timing, every matvec group asserts that the fused op is
    bit-identical across configurations: lazy vs eager (per-member
-   decomposition), digit cache off, and a tight key budget that forces
-   evictions mid-group — the process exits nonzero on any mismatch, as it
-   does if a hoisted rotation group mismatches its sequential expansion.
+   decomposition), digit cache off, a tight key budget that forces
+   evictions mid-group, and a cold plaintext memo (a key set restored from
+   the same key material) vs a warm one — the process exits nonzero on any
+   mismatch, as it does if a hoisted rotation group mismatches its
+   sequential expansion.
 
    Results go to stdout and, with [--json PATH], to a
-   halo-bench-rotations/v2 JSON report (v1 rows unchanged; matvec rows are
-   new). *)
+   halo-bench-rotations/v3 JSON report (v2 rows plus [cold_memo_ns] and
+   [memo_speedup] on the matvec rows). *)
 
 open Halo_ckks
 
@@ -36,9 +40,10 @@ type matvec_result = {
   m_hoisted_ns : float;  (* PR 5: rotate_many + multcp/rescale per member *)
   m_lazy_ns : float;  (* fused rot_sum, shared digits, one mod-down *)
   m_eager_ns : float;  (* fused rot_sum, per-member decomposition *)
+  m_cold_ns : float;  (* lazy rot_sum, every diagonal a plaintext-memo miss *)
   m_hit_rate : float;  (* rotation-key cache hit rate over a lazy burst *)
   m_digit_reuses : int;  (* cross-op digit-memo hits over the same burst *)
-  m_identical : bool;  (* lazy = eager = uncached = evicted, bitwise *)
+  m_identical : bool;  (* lazy = eager = uncached = evicted = cold memo, bitwise *)
 }
 
 (* A single rotation group runs for tens of milliseconds, so unlike the
@@ -147,6 +152,14 @@ let bench_matvec ~min_time keys ct ~group =
   Keys.set_key_budget keys (max 1 (snap.Keys.snap_resident_bytes / 2));
   let ok_evicted = cts_equal base (lazy_run ()) in
   Keys.set_key_budget keys !key_budget_default;
+  (* The same key material with an empty plaintext memo: every diagonal is
+     encoded afresh, and must give the warm memo's bits. *)
+  let cold_keys =
+    Keys.of_parts params ~secret:keys.Keys.secret.Keys.coeffs ~pk0:keys.Keys.pk0
+      ~pk1:keys.Keys.pk1 ~relin:(Keys.relin_key keys)
+      ~rotations:(Keys.rotation_entries keys) ~rng:(Keys.rng_state keys)
+  in
+  let ok_cold_memo = cts_equal base (Eval.rot_sum cold_keys ~mode:`Lazy ct ~terms) in
   (* The PR 5 path rescales per member, so it is numerically close but not
      bitwise comparable; bound the drift against the fused result. *)
   let close =
@@ -157,7 +170,7 @@ let bench_matvec ~min_time keys ct ~group =
     !m < 1e-3
   in
   if not close then prerr_endline "bench_rotations: matvec hoisted/fused drift";
-  let identical = ok_lazy && ok_eager && ok_evicted && close in
+  let identical = ok_lazy && ok_eager && ok_evicted && ok_cold_memo && close in
   (* Hit rate and digit reuse over a warm lazy burst (the first call may
      regenerate keys evicted by the tight-budget check above). *)
   Keys.reset_cache_stats keys;
@@ -172,6 +185,19 @@ let bench_matvec ~min_time keys ct ~group =
   in
   let digit_reuses = s.Keys.snap_digit_hits in
   Keys.reset_cache_stats keys;
+  (* Cold memo: a fresh last bit in each diagonal's first slot makes every
+     call a memo miss at the cost of an unmemoized encode. *)
+  let calls = ref 0 in
+  let cold_run () =
+    incr calls;
+    let fresh d =
+      let d = Array.copy d in
+      d.(0) <- Int64.float_of_bits (Int64.logxor (Int64.bits_of_float d.(0)) (Int64.of_int !calls));
+      d
+    in
+    Eval.rot_sum keys ~mode:`Lazy ct
+      ~terms:(List.map2 (fun o d -> (o, Some (fresh d))) offsets diags)
+  in
   let r =
     {
       m_group = group;
@@ -180,6 +206,7 @@ let bench_matvec ~min_time keys ct ~group =
       m_hoisted_ns = time_ns ~min_time hoisted;
       m_lazy_ns = time_ns ~min_time lazy_run;
       m_eager_ns = time_ns ~min_time eager_run;
+      m_cold_ns = time_ns ~min_time cold_run;
       m_hit_rate = hit_rate;
       m_digit_reuses = digit_reuses;
       m_identical = identical;
@@ -187,8 +214,8 @@ let bench_matvec ~min_time keys ct ~group =
   in
   Printf.printf
     "matvec=%-2d n=%-5d limbs=%-2d  hoisted %11.0f ns  lazy %11.0f ns  eager \
-     %11.0f ns  %5.2fx  hit_rate %.2f  digit_reuses %d  %s\n%!"
-    r.m_group r.m_rn r.m_limbs r.m_hoisted_ns r.m_lazy_ns r.m_eager_ns
+     %11.0f ns  cold memo %11.0f ns  %5.2fx  hit_rate %.2f  digit_reuses %d  %s\n%!"
+    r.m_group r.m_rn r.m_limbs r.m_hoisted_ns r.m_lazy_ns r.m_eager_ns r.m_cold_ns
     (r.m_hoisted_ns /. r.m_lazy_ns)
     r.m_hit_rate r.m_digit_reuses
     (if r.m_identical then "bit-identical" else "MISMATCH");
@@ -197,7 +224,7 @@ let bench_matvec ~min_time keys ct ~group =
 let json_of_results ~min_time results matvecs =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"halo-bench-rotations/v2\",\n";
+  Buffer.add_string b "  \"schema\": \"halo-bench-rotations/v3\",\n";
   Buffer.add_string b (Printf.sprintf "  \"pool\": %d,\n" (Domain_pool.size ()));
   Buffer.add_string b (Printf.sprintf "  \"min_time_s\": %g,\n" min_time);
   Buffer.add_string b "  \"results\": [\n";
@@ -222,11 +249,13 @@ let json_of_results ~min_time results matvecs =
            "    { \"matvec_group\": %d, \"n\": %d, \"limbs\": %d, \
             \"hoisted_ns\": %.1f, \"lazy_ns\": %.1f, \"eager_ns\": %.1f, \
             \"lazy_speedup\": %.2f, \"eager_speedup\": %.2f, \
+            \"cold_memo_ns\": %.1f, \"memo_speedup\": %.2f, \
             \"hit_rate\": %.2f, \"digit_reuses\": %d, \"bit_identical\": %b \
             }%s\n"
            r.m_group r.m_rn r.m_limbs r.m_hoisted_ns r.m_lazy_ns r.m_eager_ns
            (r.m_hoisted_ns /. r.m_lazy_ns)
            (r.m_eager_ns /. r.m_lazy_ns)
+           r.m_cold_ns (r.m_cold_ns /. r.m_lazy_ns)
            r.m_hit_rate r.m_digit_reuses r.m_identical
            (if i = List.length matvecs - 1 then "" else ",")))
     matvecs;

@@ -142,10 +142,17 @@ let subcc (keys : Keys.t) a b =
     (Float.max a.noise_est b.noise_est)
     (mk (Rns_poly.sub p a.c0 b.c0) (Rns_poly.sub p a.c1 b.c1) a.scale)
 
+(* The plaintext comes from the key set's memo and joins c0 in c0's domain:
+   memoized NTT rows for an [Eval] c0, the memoized coefficients embedded
+   per limb for a [Coeff] one. *)
 let addcp (keys : Keys.t) a values =
-  let params = keys.params in
-  let values = pad_slots params values in
-  let m = Encoding.encode_real params ~level:(level a) ~scale:a.scale values in
+  let params = keys.params and l = level a and scale = a.scale in
+  let m =
+    match Rns_poly.domain a.c0 with
+    | Rns_poly.Eval ->
+      Rns_poly.of_residues ~domain:Rns_poly.Eval (Keys.plain_eval keys ~scale ~level:l values)
+    | Coeff -> Rns_poly.of_centered_coeffs params ~level:l (Keys.plain_centered keys ~scale values)
+  in
   { a with c0 = Rns_poly.add params a.c0 m }
 
 let multcc (keys : Keys.t) a b =
@@ -173,9 +180,10 @@ let mul_plain (keys : Keys.t) a ~scale m =
     (mk (Rns_poly.mul params a.c0 m) (Rns_poly.mul params a.c1 m) (a.scale *. scale))
 
 let multcp (keys : Keys.t) a values =
-  let params = keys.params in
-  mul_plain keys a ~scale:params.scale
-    (Encoding.encode_real params ~level:(level a) ~scale:params.scale (pad_slots params values))
+  let scale = keys.params.scale in
+  mul_plain keys a ~scale
+    (Rns_poly.of_residues ~domain:Rns_poly.Eval
+       (Keys.plain_eval keys ~scale ~level:(level a) values))
 
 (* Every rotation key-switches against the digit decomposition of the
    unrotated [c1], with the Galois automorphism fused into the inner
@@ -325,58 +333,55 @@ let rot_sum (keys : Keys.t) ?mode a ~terms =
     match shared_dec with Some d -> d | None -> Keys.decompose keys a.c1
   in
   let mac = ref None in
-  let q0 = ref None (* direct Q-side contributions to c0 *)
+  (* Weighted members accumulate their Q-side parts sigma_k(c0) * m_q in
+     place into one Eval-domain sum, permuting c0 lifted once per group. *)
+  let weighted =
+    if with_coeffs then
+      Some (Rns_poly.to_eval params a.c0, Rns_poly.zero ~domain:Rns_poly.Eval params ~level:l)
+    else None
+  in
+  let q0 = ref (Option.map snd weighted) (* direct Q-side contributions to c0 *)
   and q1 = ref None (* zero-offset contributions to c1 *) in
   let add_into r x =
     match !r with None -> r := Some x | Some y -> r := Some (Rns_poly.add params y x)
   in
+  let mac_for dec =
+    match !mac with
+    | Some m -> m
+    | None ->
+      let m = Keys.mac_create keys dec in
+      mac := Some m;
+      m
+  in
   List.iter
     (fun (offset, coeff) ->
-      (* One canonical-embedding rounding per coefficient; the first [l]
-         rows of the extended images double as its mod-Q evaluation-domain
-         residues, so the Q-side factor costs no extra transform. *)
-      let ext =
-        match coeff with
-        | None -> None
-        | Some values ->
-          let values = pad_slots params values in
-          let centered =
-            Encoding.encode_real_centered params ~scale:params.scale values
-          in
-          Some (Keys.ext_of_centered keys ~level:l centered)
-      in
-      let m_q =
-        match ext with
-        | None -> None
-        | Some e -> Some (Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub e 0 l))
-      in
-      if offset = 0 then begin
-        match m_q with
-        | None ->
+      let k = if offset = 0 then 1 else Keys.galois_element params ~offset in
+      match coeff with
+      | None ->
+        if offset = 0 then begin
           add_into q0 a.c0;
           add_into q1 a.c1
-        | Some m ->
-          add_into q0 (Rns_poly.mul params a.c0 m);
-          add_into q1 (Rns_poly.mul params a.c1 m)
-      end
-      else begin
-        let k = Keys.galois_element params ~offset in
-        let sk = Keys.rotation_key keys ~offset in
-        let dec = term_dec () in
-        let m =
-          match !mac with
-          | Some m -> m
-          | None ->
-            let m = Keys.mac_create keys dec in
-            mac := Some m;
-            m
-        in
-        Keys.mac_accumulate keys ~k ?coeff:ext sk dec m;
-        let r0 = Rns_poly.automorphism params ~k a.c0 in
-        match m_q with
-        | None -> add_into q0 r0
-        | Some mq -> add_into q0 (Rns_poly.mul params r0 mq)
-      end)
+        end
+        else begin
+          let sk = Keys.rotation_key keys ~offset in
+          let dec = term_dec () in
+          Keys.mac_accumulate keys ~k sk dec (mac_for dec);
+          add_into q0 (Rns_poly.automorphism params ~k a.c0)
+        end
+      | Some values ->
+        (* One memoized encoding per diagonal: the first [l] rows are its
+           mod-Q evaluation-domain residues, the K special rows scale the
+           MAC over Q*P. *)
+        let ext = Keys.plain_eval keys ~scale:params.scale ~level:l ~specials:true values in
+        let m_q = Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub ext 0 l) in
+        let c0_eval, acc = Option.get weighted in
+        Rns_poly.automorphism_mul_acc params ~k c0_eval m_q ~into:acc;
+        if offset = 0 then add_into q1 (Rns_poly.mul params a.c1 m_q)
+        else begin
+          let sk = Keys.rotation_key keys ~offset in
+          let dec = term_dec () in
+          Keys.mac_accumulate keys ~k ~coeff:ext sk dec (mac_for dec)
+        end)
     terms;
   let c0, c1 =
     match !mac with

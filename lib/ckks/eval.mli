@@ -58,12 +58,16 @@ val decrypt_complex : Keys.t -> ct -> Complex.t array
 val addcc : Keys.t -> ct -> ct -> ct
 val subcc : Keys.t -> ct -> ct -> ct
 val addcp : Keys.t -> ct -> float array -> ct
+(** The plaintext is encoded at the ciphertext's scale through the key
+    set's plaintext memo ({!Keys.plain_eval}) and added in [c0]'s domain. *)
+
 val multcc : Keys.t -> ct -> ct -> ct
 (** Includes relinearization.  The result scale is the product of the operand
     scales; callers are expected to [rescale] afterwards. *)
 
 val multcp : Keys.t -> ct -> float array -> ct
-(** The plaintext is encoded at the default scale. *)
+(** The plaintext is encoded at the default scale, through the key set's
+    plaintext memo. *)
 
 val rotate : Keys.t -> ct -> offset:int -> ct
 (** Circular left rotation of the slot vector by [offset]. *)
@@ -113,7 +117,8 @@ val rot_sum :
 (** Fused rotate-and-sum reduction: [sum_g coeff_g * rotate(a, o_g)] with
     the mod-down paid once for the whole group.  Terms must be uniformly
     pure ([None] coefficients: plain rotate-and-sum, level preserved) or
-    weighted ([Some] coefficients, encoded at the default scale: the
+    weighted ([Some] coefficients, encoded at the default scale through
+    the key set's plaintext memo: the
     matvec_diag shape, consuming one level via a single final rescale).
     Zero offsets contribute the (scaled) input directly without a key
     switch.

@@ -36,6 +36,34 @@ type cache_snapshot = {
   snap_budget : int;
 }
 
+(* One memoized plaintext.  [pe_values] (the padded slot vector) and
+   [pe_scale] are the key, compared bit for bit on a hit; [pe_centered] is
+   the encoder's output and [pe_rows.(t)] its NTT image at extended-chain
+   position t, [||] until a caller first needs that position.  The level is
+   not part of the key: row t is the same array at every level.  A published
+   row is never written again; [pe_resident] is false once evicted, so a
+   late row fill is not charged to the memo. *)
+type plain_entry = {
+  pe_scale : float;
+  pe_values : float array;
+  pe_centered : int array;
+  pe_rows : int array array;
+  mutable pe_bytes : int;
+  mutable pe_last_use : int;
+  mutable pe_resident : bool;
+}
+
+(* Content-keyed plaintext memo: buckets by content hash, LRU by
+   [pm_clock], bounded by [plain_memo_cap] bytes.  All reads and writes of
+   the table and of entry rows run under [pm_mutex]. *)
+type plain_memo = {
+  pm_table : (int, plain_entry list) Hashtbl.t;
+  pm_mutex : Mutex.t;
+  mutable pm_clock : int;
+  mutable pm_bytes : int;
+  mutable pm_entries : int;
+}
+
 type t = {
   params : Params.t;
   secret : secret;
@@ -64,6 +92,7 @@ type t = {
   seed_base : int;
       (* derived from the secret: seeds the per-key generation streams, so
          an evicted key regenerates bit-identically in any fetch order *)
+  plain : plain_memo;  (* never persisted; starts empty *)
 }
 
 (* Per-position loops fan out across the domain pool; tiny rings stay
@@ -199,6 +228,15 @@ let seed_base_of_secret coeffs =
 let fresh_cache () =
   { hits = 0; misses = 0; evictions = 0; regenerations = 0; digit_hits = 0 }
 
+let fresh_plain_memo () =
+  {
+    pm_table = Hashtbl.create 64;
+    pm_mutex = Mutex.create ();
+    pm_clock = 0;
+    pm_bytes = 0;
+    pm_entries = 0;
+  }
+
 let secret_ntt (params : Params.t) coeffs =
   Rns_poly.to_eval params (Rns_poly.of_centered_coeffs params ~level:params.max_level coeffs)
 
@@ -234,6 +272,7 @@ let keygen ?(seed = 0x51CC5) params =
     resident_bytes = 0;
     cache = fresh_cache ();
     seed_base = seed_base_of_secret s;
+    plain = fresh_plain_memo ();
   }
 
 let apply_automorphism_small ~n ~k coeffs =
@@ -420,6 +459,7 @@ let of_parts params ~secret ~pk0 ~pk1 ~relin ~rotations ~rng =
       resident_bytes = 0;
       cache = fresh_cache ();
       seed_base = seed_base_of_secret secret;
+      plain = fresh_plain_memo ();
     }
   in
   List.iter
@@ -644,9 +684,46 @@ let mac_create keys dec =
     mac1 = Array.init np (fun _ -> Array.make n 0);
   }
 
+(* A weighted member in one pass: per slot, the digit/key sum of [mac_into]
+   (the same unreduced Shoup terms, closed by one [Modarith.reduce62]) times
+   the plaintext factor, accumulated straight into the running sums; no
+   per-member limbs.  acc + c * a <= (q - 1) + (q - 1)^2 < 2^62: one
+   reduction.  Bit-identical to [mac_into] on zeroed limbs followed by the
+   multiply-accumulate. *)
+let mac_scaled_into params ~perm sk dec pos cv acc0 acc1 =
+  let t = dec.positions.(pos) in
+  let q = chain_modulus params t in
+  let n = Array.length perm in
+  let ds = dec.digits.(pos) in
+  let nd = Array.length ds in
+  let k0 = Array.init nd (fun i -> sk.k0.(i).(t)) and k0s = Array.init nd (fun i -> sk.k0s.(i).(t)) in
+  let k1 = Array.init nd (fun i -> sk.k1.(i).(t)) and k1s = Array.init nd (fun i -> sk.k1s.(i).(t)) in
+  List.iter (check_len n) [ cv; acc0; acc1 ];
+  Array.iter (Array.iter (check_len n)) [| ds; k0; k0s; k1; k1s |];
+  let red = Modarith.reducer q in
+  for j = 0 to n - 1 do
+    let pj = Array.unsafe_get perm j in
+    let s0 = ref 0 and s1 = ref 0 in
+    for i = 0 to nd - 1 do
+      let dj = Array.unsafe_get (Array.unsafe_get ds i) pj in
+      s0 :=
+        !s0
+        + (dj * Array.unsafe_get (Array.unsafe_get k0 i) j)
+        - (((dj * Array.unsafe_get (Array.unsafe_get k0s i) j) lsr 31) * q);
+      s1 :=
+        !s1
+        + (dj * Array.unsafe_get (Array.unsafe_get k1 i) j)
+        - (((dj * Array.unsafe_get (Array.unsafe_get k1s i) j) lsr 31) * q)
+    done;
+    let cj = Array.unsafe_get cv j in
+    Array.unsafe_set acc0 j
+      (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Modarith.reduce62 red !s0)));
+    Array.unsafe_set acc1 j
+      (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Modarith.reduce62 red !s1)))
+  done
+
 let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
   let params = keys.params in
-  let n = params.n in
   if mac.mac_level <> dec.d_level then invalid_arg "Keys.mac_accumulate: level mismatch";
   (* Slot orderings depend only on n: every chain position shares it. *)
   let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
@@ -655,20 +732,7 @@ let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
       let acc0 = mac.mac0.(pos) and acc1 = mac.mac1.(pos) in
       match coeff with
       | None -> mac_into params ~perm sk dec pos acc0 acc1
-      | Some c ->
-        let a0 = Array.make n 0 and a1 = Array.make n 0 in
-        mac_into params ~perm sk dec pos a0 a1;
-        let cv = c.(pos) in
-        List.iter (check_len n) [ cv; acc0; acc1 ];
-        let red = Modarith.reducer (chain_modulus params dec.positions.(pos)) in
-        (* acc + c * a <= (q - 1) + (q - 1)^2 < 2^62: one reduction. *)
-        for j = 0 to n - 1 do
-          let cj = Array.unsafe_get cv j in
-          Array.unsafe_set acc0 j
-            (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Array.unsafe_get a0 j)));
-          Array.unsafe_set acc1 j
-            (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Array.unsafe_get a1 j)))
-        done)
+      | Some c -> mac_scaled_into params ~perm sk dec pos c.(pos) acc0 acc1)
 
 (* Consumes the accumulator: the special limbs' inverse transforms run in
    place. *)
@@ -684,16 +748,170 @@ let apply_rotated keys sk ~k dec =
 let apply keys sk dec = apply_rotated keys sk ~k:1 dec
 let key_switch keys sk d = apply keys sk (decompose keys d)
 
-(* NTT-domain images of a centered integer polynomial at every extended
-   chain position for a level-[level] ciphertext: the plaintext factors of
-   a lazy rotate-and-sum must multiply the MAC over Q AND the special
-   primes.  The first [level] rows double as the evaluation-domain residues
-   of the mod-Q encoding, so callers pay only K extra transforms (the
-   special primes) over a plain [multcp] encode. *)
-let ext_of_centered keys ~level coeffs =
-  let params = keys.params in
-  let positions = positions params level in
-  let out = Array.make (Array.length positions) [||] in
-  par params (Array.length positions) (fun pos ->
-      out.(pos) <- ntt_of_centered params positions.(pos) coeffs);
-  out
+(* --- plaintext memo ------------------------------------------------------ *)
+
+(* Loop-invariant plaintexts (weights, constants, matrix diagonals) come back
+   every iteration: encode each (scale, slot values) content once per key set
+   and keep its centred coefficients and NTT rows.  Encoding is a
+   deterministic function of the key, so a hit, a miss and a re-encode after
+   eviction hand the caller the same integers: the memo changes timing
+   only. *)
+let plain_memo_cap = 64 * 1024 * 1024
+
+(* The slot vector as the encoder sees it: at most [slots] values, then
+   zeros ([Encoding] pads missing slots with exactly 0.0). *)
+let padded values j = if j < Array.length values then Array.unsafe_get values j else 0.0
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let mix h x =
+  let b = Int64.bits_of_float x in
+  ((h * 0x100000001B3) lxor Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32))
+  land max_int
+
+let plain_hash ~slots ~scale values =
+  let h = ref (mix 0xCBF29CE4 scale) in
+  for j = 0 to slots - 1 do
+    h := mix !h (padded values j)
+  done;
+  !h
+
+let plain_matches ~slots ~scale values e =
+  same_bits scale e.pe_scale
+  &&
+  let rec go j = j >= slots || (same_bits (padded values j) e.pe_values.(j) && go (j + 1)) in
+  go 0
+
+(* Heap words of an entry with [rows] filled rows: the key vector, the
+   coefficients, the row table, the record and its bucket cell. *)
+let plain_entry_bytes (params : Params.t) ~rows =
+  8 * (params.slots + params.n + Params.chain_len params + 13 + (rows * (params.n + 1)))
+
+(* Caller holds the mutex. *)
+let plain_bucket memo h = Option.value ~default:[] (Hashtbl.find_opt memo.pm_table h)
+
+let plain_touch memo e =
+  memo.pm_clock <- memo.pm_clock + 1;
+  e.pe_last_use <- memo.pm_clock
+
+(* Evict least-recently-used entries until the memo fits its cap; the newest
+   entry always survives.  Caller holds the mutex. *)
+let rec plain_evict memo =
+  if memo.pm_bytes > plain_memo_cap && memo.pm_entries > 1 then begin
+    let victim =
+      Hashtbl.fold
+        (fun h es acc ->
+          List.fold_left
+            (fun acc e ->
+              match acc with
+              | Some (_, e') when e'.pe_last_use <= e.pe_last_use -> acc
+              | _ -> Some (h, e))
+            acc es)
+        memo.pm_table None
+    in
+    match victim with
+    | None -> ()
+    | Some (h, e) ->
+      (match List.filter (fun e' -> e' != e) (plain_bucket memo h) with
+      | [] -> Hashtbl.remove memo.pm_table h
+      | es -> Hashtbl.replace memo.pm_table h es);
+      e.pe_resident <- false;
+      memo.pm_bytes <- memo.pm_bytes - e.pe_bytes;
+      memo.pm_entries <- memo.pm_entries - 1;
+      plain_evict memo
+  end
+
+(* Find or encode the entry of [values] at [scale].  The FFT runs outside the
+   mutex; when two callers miss on the same content at once, the first
+   insert wins and the other adopts it (both encodings are identical). *)
+let plain_entry keys ~scale values =
+  let params = keys.params and memo = keys.plain in
+  let slots = params.slots in
+  let h = plain_hash ~slots ~scale values in
+  let find () =
+    let e = List.find_opt (plain_matches ~slots ~scale values) (plain_bucket memo h) in
+    Option.iter (plain_touch memo) e;
+    e
+  in
+  Mutex.lock memo.pm_mutex;
+  let hit = find () in
+  Mutex.unlock memo.pm_mutex;
+  match hit with
+  | Some e -> e
+  | None ->
+    let padded_values = Array.init slots (padded values) in
+    let centered = Encoding.encode_real_centered params ~scale padded_values in
+    let fresh =
+      {
+        pe_scale = scale;
+        pe_values = padded_values;
+        pe_centered = centered;
+        pe_rows = Array.make (Params.chain_len params) [||];
+        pe_bytes = plain_entry_bytes params ~rows:0;
+        pe_last_use = 0;
+        pe_resident = true;
+      }
+    in
+    Mutex.lock memo.pm_mutex;
+    let e =
+      match find () with
+      | Some e -> e
+      | None ->
+        plain_touch memo fresh;
+        Hashtbl.replace memo.pm_table h (fresh :: plain_bucket memo h);
+        memo.pm_bytes <- memo.pm_bytes + fresh.pe_bytes;
+        memo.pm_entries <- memo.pm_entries + 1;
+        plain_evict memo;
+        fresh
+    in
+    Mutex.unlock memo.pm_mutex;
+    e
+
+let plain_centered keys ~scale values = (plain_entry keys ~scale values).pe_centered
+
+(* Rows at [positions params level] (or only the first [level] ones without
+   [specials]).  Missing rows are transformed outside the mutex, one per
+   position across the domain pool, then published; a row another caller
+   published first wins. *)
+let plain_eval keys ~scale ~level ?(specials = false) values =
+  let params = keys.params and memo = keys.plain in
+  let e = plain_entry keys ~scale values in
+  let positions =
+    if specials then positions params level else Array.init level Fun.id
+  in
+  Mutex.lock memo.pm_mutex;
+  let rows = Array.map (fun t -> e.pe_rows.(t)) positions in
+  Mutex.unlock memo.pm_mutex;
+  let missing =
+    List.filter (fun i -> Array.length rows.(i) = 0) (List.init (Array.length rows) Fun.id)
+    |> Array.of_list
+  in
+  if Array.length missing > 0 then begin
+    par params (Array.length missing) (fun m ->
+        let i = missing.(m) in
+        rows.(i) <- ntt_of_centered params positions.(i) e.pe_centered);
+    Mutex.lock memo.pm_mutex;
+    Array.iter
+      (fun i ->
+        let t = positions.(i) in
+        if Array.length e.pe_rows.(t) = 0 then begin
+          e.pe_rows.(t) <- rows.(i);
+          if e.pe_resident then begin
+            let grown = params.n + 1 in
+            e.pe_bytes <- e.pe_bytes + (8 * grown);
+            memo.pm_bytes <- memo.pm_bytes + (8 * grown)
+          end
+        end
+        else rows.(i) <- e.pe_rows.(t))
+      missing;
+    plain_evict memo;
+    Mutex.unlock memo.pm_mutex
+  end;
+  rows
+
+let plain_memo_usage keys =
+  let memo = keys.plain in
+  Mutex.lock memo.pm_mutex;
+  let r = (memo.pm_entries, memo.pm_bytes) in
+  Mutex.unlock memo.pm_mutex;
+  r

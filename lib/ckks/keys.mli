@@ -35,6 +35,9 @@ type cache_stats
 (** Mutable cache counters (read them through the [cache_stats] snapshot
     function below). *)
 
+type plain_memo
+(** The key set's plaintext memo (see {!plain_eval}). *)
+
 type cache_snapshot = {
   snap_hits : int;  (** lookups served from the resident set *)
   snap_misses : int;  (** first-ever generations *)
@@ -69,6 +72,7 @@ type t = private {
   mutable resident_bytes : int;
   cache : cache_stats;
   seed_base : int;  (** seeds the per-key generation streams *)
+  plain : plain_memo;  (** never persisted; empty after [keygen] and [of_parts] *)
 }
 
 val keygen : ?seed:int -> Params.t -> t
@@ -161,7 +165,8 @@ val mac_accumulate :
     digits through the Galois automorphism's slot permutation (as
     [apply_rotated]); [?coeff] multiplies the member by a plaintext factor
     given as NTT-domain residues per extended-chain position (see
-    {!ext_of_centered}).  The decomposition's level must match the
+    {!plain_eval}), multiplied and accumulated in the same pass as the
+    digit/key sum.  The decomposition's level must match the
     accumulator's. *)
 
 val mac_finish : t -> mac -> Rns_poly.t * Rns_poly.t
@@ -170,11 +175,37 @@ val mac_finish : t -> mac -> Rns_poly.t * Rns_poly.t
     [P].  Returns [Eval]-domain polynomials.  Consumes the accumulator (the
     special limbs are transformed in place). *)
 
-val ext_of_centered : t -> level:int -> int array -> int array array
-(** NTT-domain images of a centered integer polynomial at every extended
-    chain position ([level] ciphertext moduli then the special primes),
-    shaped for [mac_accumulate]'s [?coeff].  The first [level] rows are
-    exactly the evaluation-domain mod-Q residues of the polynomial. *)
+(** {2 Plaintext memo}
+
+    Each key set keeps one content-keyed memo of encoded real plaintexts.
+    The key is the exact bits of the scale and of the slot values padded
+    with zeros to [slots] ([-0.0] and [0.0] are different keys), compared in
+    full on a hit.  An entry holds the encoder's centred coefficients and,
+    filled on first use, their NTT image at each extended-chain position;
+    the level is not part of the key, since row [t] is the same at every
+    level.  The memo is bounded by {!plain_memo_cap} bytes with LRU
+    eviction, is safe under concurrent callers, and is never persisted.
+    Encoding is deterministic, so a hit, a miss and a re-encode after
+    eviction return the same integers.  The returned arrays are shared
+    with the memo and must not be mutated. *)
+
+val plain_memo_cap : int
+(** The memo's byte cap (64 MiB). *)
+
+val plain_centered : t -> scale:float -> float array -> int array
+(** Centred integer coefficients of [values] encoded at [scale], as
+    {!Encoding.encode_real_centered} computes them (values past [slots] are
+    dropped). *)
+
+val plain_eval :
+  t -> scale:float -> level:int -> ?specials:bool -> float array -> int array array
+(** NTT-domain residues of the same plaintext at chain positions
+    [0 .. level-1] (the [Eval]-domain mod-Q encoding at [level]) and, with
+    [~specials:true], then at the K special primes: the shape of
+    [mac_accumulate]'s [?coeff]. *)
+
+val plain_memo_usage : t -> int * int
+(** Resident entries and their bytes. *)
 
 val relin_key : t -> switch_key
 

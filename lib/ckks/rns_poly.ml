@@ -173,6 +173,30 @@ let automorphism (params : Params.t) ~k a =
         out.(i) <- dst);
     { a with res = out }
 
+(* One weighted rotate-and-sum member on the Q side: permute, multiply and
+   accumulate each slot in a single pass per limb, with no rotated or
+   product limbs.  acc + c * m <= (q - 1) + (q - 1)^2 < 2^62, so one
+   reduction gives the canonical residue that [automorphism], [mul] and
+   [add] would have produced. *)
+let automorphism_mul_acc (params : Params.t) ~k a m ~into =
+  if a.domain <> Eval || m.domain <> Eval || into.domain <> Eval then
+    invalid_arg "Rns_poly.automorphism_mul_acc: operands must be Eval-domain";
+  if a.level <> into.level || m.level <> into.level then
+    invalid_arg "Rns_poly.automorphism_mul_acc: level mismatch";
+  let n = params.n in
+  let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
+  par params into.level (fun i ->
+      let r = a.res.(i) and w = m.res.(i) and acc = into.res.(i) in
+      if Array.length r <> n || Array.length w <> n || Array.length acc <> n then
+        invalid_arg "Rns_poly: length mismatch";
+      let red = Modarith.reducer params.moduli.(i) in
+      for j = 0 to n - 1 do
+        Array.unsafe_set acc j
+          (Modarith.reduce62 red
+             (Array.unsafe_get acc j
+             + (Array.unsafe_get r (Array.unsafe_get perm j) * Array.unsafe_get w j)))
+      done)
+
 let rescale_last (params : Params.t) a =
   if a.level < 2 then invalid_arg "Rns_poly.rescale_last: level < 2";
   (* Rescaling needs a centered representative of the dropped residue, so it

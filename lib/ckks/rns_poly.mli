@@ -67,6 +67,13 @@ val automorphism : Params.t -> k:int -> t -> t
     NTT-resident; on a [Coeff]-domain operand it is the signed coefficient
     shuffle.  [k] is normalized modulo [2n] first. *)
 
+val automorphism_mul_acc : Params.t -> k:int -> t -> t -> into:t -> unit
+(** [automorphism_mul_acc params ~k a m ~into] adds
+    [mul (automorphism ~k a) m] into [into] in place, in one pass per limb
+    and bit-identical to that composition followed by [add].  All three
+    operands must be [Eval]-domain at one level; [into] must be owned by the
+    caller (e.g. a fresh {!zero}). *)
+
 val rescale_last : Params.t -> t -> t
 (** Exact RNS rescale: drops the last residue and divides by its prime,
     using the precomputed {!Params.rescale_inv} constants.  Converts to the

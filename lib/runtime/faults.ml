@@ -185,29 +185,16 @@ module Make (B : Backend.S) = struct
   let rescale st a =
     guard st ~op:"rescale" ~level:(level st a) (fun () -> B.rescale st.base a)
 
-  (* De-sugar the fused rotate-and-sum into its members' own guarded ops in
-     the exact unfused emission order — rotations first (zero offsets pass
-     through unguarded, as the interpreter short-circuits them), then each
-     member's multcp + rescale, then the add chain — so occurrence indices
-     and fault/spike draws line up with the unfused program. *)
+  (* The fused rotate-and-sum is one instruction to the retry layer, so it
+     is one guarded op: one occurrence index, one fault draw and one spike
+     draw.  A draw per member would fault a wide group on most attempts
+     (11 members at 5 % fault 43 % of them) and exhaust the instruction's
+     retries. *)
   let rot_sum st ct ~terms =
     if terms = [] then B.rot_sum st.base ct ~terms
-    else begin
-      let rotated =
-        List.map
-          (fun (o, c) -> ((if o = 0 then ct else rotate st ct ~offset:o), c))
-          terms
-      in
-      let members =
-        List.map
-          (fun (r, c) ->
-            match c with None -> r | Some m -> rescale st (multcp st r m))
-          rotated
-      in
-      match members with
-      | [] -> assert false
-      | m :: ms -> List.fold_left (addcc st) m ms
-    end
+    else
+      guard st ~op:"rot_sum" ~level:(level st ct) (fun () ->
+          B.rot_sum st.base ct ~terms)
 
   let modswitch st ct ~down =
     guard st ~op:"modswitch" ~level:(level st ct) (fun () ->

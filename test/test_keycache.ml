@@ -214,6 +214,177 @@ let test_lazy_equals_eager () =
   Keys.set_key_budget keys 0
 
 (* ------------------------------------------------------------------ *)
+(* Plaintext memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let memo_entries keys = fst (Keys.plain_memo_usage keys)
+
+(* Every memoized op on both c0 domains: addcp on an Eval-domain c0 (fresh
+   encryption) and on a Coeff-domain c0 (after rescale), multcp, and a
+   weighted rot_sum that reads the special rows too. *)
+let plain_ops keys ~v ~diags =
+  let params = keys.Keys.params in
+  let fresh = Eval.encrypt keys ~level:4 (sample_values 61 params.Params.slots) in
+  let rescaled = Eval.rescale keys (Eval.multcp keys fresh (sample_values 62 params.Params.slots)) in
+  Alcotest.(check bool) "fresh c0 is Eval" true (Rns_poly.domain fresh.c0 = Rns_poly.Eval);
+  Alcotest.(check bool) "rescaled c0 is Coeff" true (Rns_poly.domain rescaled.c0 = Rns_poly.Coeff);
+  let terms = List.mapi (fun i d -> ((2 * i) - 1, Some d)) diags in
+  fun () ->
+    [
+      ("addcp, Eval c0", Eval.addcp keys fresh v);
+      ("addcp, Coeff c0", Eval.addcp keys rescaled v);
+      ("multcp", Eval.multcp keys fresh v);
+      ("weighted rot_sum", Eval.rot_sum keys fresh ~terms);
+    ]
+
+let check_same msg expected got =
+  List.iter2 (fun (name, a) (_, b) -> exact_ct (msg ^ ", " ^ name) a b) expected got
+
+(* Cold, warm and re-encoded-after-eviction plaintexts give the same
+   ciphertext bits; the domain tags stay those of the unmemoized encoders. *)
+let test_plain_memo_cold_warm_evicted () =
+  let params = Params.test_small () in
+  let keys = Keys.keygen ~seed:51 params in
+  let v = sample_values 63 params.Params.slots in
+  let diags = List.init 3 (fun i -> sample_values (64 + i) params.Params.slots) in
+  let run = plain_ops keys ~v ~diags in
+  let before = memo_entries keys in
+  let cold = run () in
+  (* v at two scales (the rescaled operand's differs) and three diagonals *)
+  Alcotest.(check int) "cold run encodes five contents" (before + 5) (memo_entries keys);
+  List.iter
+    (fun (name, (ct : Eval.ct)) ->
+      let want = if name = "addcp, Coeff c0" then Rns_poly.Coeff else Rns_poly.Eval in
+      Alcotest.(check bool) (name ^ ": c0 domain kept") true (Rns_poly.domain ct.c0 = want))
+    (List.filteri (fun i _ -> i < 3) cold);
+  let scale = params.Params.scale in
+  let held = Keys.plain_centered keys ~scale v in
+  let warm = run () in
+  Alcotest.(check int) "warm run adds no entry" (before + 5) (memo_entries keys);
+  Alcotest.(check bool) "warm lookup is the memoized array" true
+    (Keys.plain_centered keys ~scale v == held);
+  check_same "cold = warm" cold warm;
+  (* Fill past the cap with distinct vectors: v's entry, the least recently
+     used, must go.  (Looking v up meanwhile would keep it fresh.) *)
+  let fill i =
+    ignore
+      (Keys.plain_eval keys ~scale ~level:params.Params.max_level ~specials:true
+         (sample_values (1000 + i) params.Params.slots))
+  in
+  let _, b0 = Keys.plain_memo_usage keys in
+  fill 0;
+  let per_entry = snd (Keys.plain_memo_usage keys) - b0 in
+  let inserted = 1 + (Keys.plain_memo_cap / per_entry) + 1 in
+  for i = 1 to inserted - 1 do
+    fill i
+  done;
+  Alcotest.(check bool) "v's entry was evicted" true
+    (Keys.plain_centered keys ~scale v != held);
+  let entries, bytes = Keys.plain_memo_usage keys in
+  Alcotest.(check bool) "the memo stays under its cap" true (bytes <= Keys.plain_memo_cap);
+  Alcotest.(check bool) "evictions dropped entries" true (entries < before + 5 + inserted);
+  Alcotest.(check bool) "the re-encoded coefficients are equal" true
+    (Keys.plain_centered keys ~scale v = held);
+  check_same "cold = after eviction" cold (run ())
+
+(* Keys are the exact bits: -0.0 and 0.0 are different entries, while a
+   short vector and its zero-padded form are the same content. *)
+let test_plain_memo_signed_zero () =
+  let params = Params.test_small () in
+  let keys = Keys.keygen ~seed:52 params in
+  let scale = params.Params.scale and slots = params.Params.slots in
+  let before = memo_entries keys in
+  let pos = Keys.plain_centered keys ~scale (Array.make slots 0.0) in
+  let neg = Keys.plain_centered keys ~scale (Array.make slots (-0.0)) in
+  Alcotest.(check int) "two entries" (before + 2) (memo_entries keys);
+  Alcotest.(check bool) "distinct entries" true (pos != neg);
+  Alcotest.(check bool) "the same encoding" true (pos = neg);
+  Alcotest.(check bool) "short vector hits its padded form" true
+    (Keys.plain_centered keys ~scale [| 0.5 |]
+    == Keys.plain_centered keys ~scale (Array.init slots (fun j -> if j = 0 then 0.5 else 0.0)));
+  Alcotest.(check bool) "another scale is another entry" true
+    (Keys.plain_centered keys ~scale:(scale *. 2.0) [| 0.5 |]
+    != Keys.plain_centered keys ~scale [| 0.5 |])
+
+(* Four domains look the same six plaintexts up at once through every
+   memoized op: each result must equal a sequential run on a twin key set,
+   and concurrent misses on one content must leave exactly one entry. *)
+let test_plain_memo_concurrent_race () =
+  let params = Params.test_small () in
+  let slots = params.Params.slots in
+  let vectors = Array.init 6 (fun i -> sample_values (70 + i) slots) in
+  let ops keys =
+    let ct = Eval.encrypt keys ~level:3 (sample_values 69 slots) in
+    fun i ->
+      let v = vectors.(i) and w = vectors.((i + 1) mod 6) in
+      [
+        ("addcp", Eval.addcp keys ct v);
+        ("multcp", Eval.multcp keys ct v);
+        ("rot_sum", Eval.rot_sum keys ct ~terms:[ (0, Some v); (1, Some w) ]);
+      ]
+  in
+  let reference = ops (Keys.keygen ~seed:53 params) in
+  let expected = Array.init 6 reference in
+  let keys = Keys.keygen ~seed:53 params in
+  let run = ops keys in
+  let before = memo_entries keys in
+  (* All four start together on the same order, so they miss on the same
+     content at once; the second half runs in per-domain orders. *)
+  let ready = Atomic.make 0 in
+  let worker d =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 4 do
+          Domain.cpu_relax ()
+        done;
+        let ok = ref true in
+        for r = 0 to 11 do
+          let i = if r < 6 then r else ((r * (d + 1)) + d) mod 6 in
+          List.iter2
+            (fun (_, (a : Eval.ct)) (_, (b : Eval.ct)) ->
+              if a.c0.res <> b.c0.res || a.c1.res <> b.c1.res
+                 || a.c0.domain <> b.c0.domain
+              then ok := false)
+            expected.(i) (run i)
+        done;
+        !ok)
+  in
+  List.iteri
+    (fun d h ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d matched the sequential run" d)
+        true (Domain.join h))
+    (List.init 4 worker);
+  Alcotest.(check int) "one entry per content" (before + 6) (memo_entries keys)
+
+(* The memo is never persisted: filling it leaves the key frame unchanged,
+   and a restored key set starts empty and encodes identically. *)
+let test_plain_memo_restore () =
+  let params = Params.test_small () in
+  let keys = Keys.keygen ~seed:54 params in
+  let codec = Halo_persist.Codec.keys params in
+  let frame k =
+    let buf = Buffer.create 4096 in
+    codec.encode buf k;
+    Buffer.contents buf
+  in
+  let cold_frame = frame keys in
+  let scale = params.Params.scale in
+  for i = 0 to 3 do
+    let v = sample_values (90 + i) params.Params.slots in
+    ignore (Keys.plain_centered keys ~scale v);
+    ignore (Keys.plain_eval keys ~scale ~level:3 ~specials:true v)
+  done;
+  Alcotest.(check bool) "memo entries are resident" true (memo_entries keys >= 4);
+  Alcotest.(check bool) "the key frame ignores the memo" true (String.equal cold_frame (frame keys));
+  let v = sample_values 80 params.Params.slots in
+  let diags = List.init 2 (fun i -> sample_values (81 + i) params.Params.slots) in
+  let warm = plain_ops keys ~v ~diags () in
+  let restored = codec.decode (Halo_persist.Wire.reader cold_frame) in
+  Alcotest.(check int) "a restored memo starts empty" 0 (memo_entries restored);
+  check_same "restored = original" warm (plain_ops restored ~v ~diags ())
+
+(* ------------------------------------------------------------------ *)
 (* Warm-cache persistence                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -333,6 +504,15 @@ let () =
         ] );
       ( "lazy",
         [ Alcotest.test_case "lazy = eager" `Quick test_lazy_equals_eager ] );
+      ( "plain memo",
+        [
+          Alcotest.test_case "cold = warm = evicted" `Quick
+            test_plain_memo_cold_warm_evicted;
+          Alcotest.test_case "signed zeros" `Quick test_plain_memo_signed_zero;
+          Alcotest.test_case "concurrent lookup race" `Quick
+            test_plain_memo_concurrent_race;
+          Alcotest.test_case "restore starts empty" `Quick test_plain_memo_restore;
+        ] );
       ( "persist",
         [
           Alcotest.test_case "warm-cache round trip" `Quick
