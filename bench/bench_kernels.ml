@@ -7,8 +7,12 @@
    hybrid reference (hardware [mod] per step, constants recomputed).
    Every op asserts bit-identity between the two implementations on the
    same inputs before timing; the process exits nonzero if any assertion
-   fails.  Results go to stdout and, with [--json PATH], to a
-   halo-bench-kernels/v1 JSON report. *)
+   fails.  Rotation-key generation has no frozen copy: its row times the
+   library at pool 1 ([Domain_pool.sequentially], the "ref" column) and at
+   the current pool size, and asserts that both build the same keys.  Each
+   key-switch chain also reports the exact bytes of one switching key.
+   Results go to stdout and, with [--json PATH], to a halo-bench-kernels/v1
+   JSON report. *)
 
 open Halo_ckks
 
@@ -294,6 +298,9 @@ type result = {
   identical : bool;
 }
 
+(* One switching key's exact heap footprint on a key-switch chain. *)
+type key_size = { kn : int; klevels : int; kdigits : int; kbytes : int }
+
 let time_ns ~min_time f =
   ignore (Sys.opaque_identity (f ()));
   let rec go iters =
@@ -484,9 +491,43 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
            && residues_equal r1 (Rns_poly.to_coeff ks_params n1).res)
         ~ref_f:ref_ks ~new_f:new_ks)
     (ks_levels ks_params);
-  List.rev !out
+  (* Rotation-key generation, the same keys built strictly sequentially and
+     on the pool.  A one-byte budget keeps only the newest key resident, so
+     alternating two offsets regenerates a key on every fetch. *)
+  let seq_keys = Domain_pool.sequentially (fun () -> Keys.keygen ks_params) in
+  let raw_key keys offset = Keys.switch_key_raw (Keys.rotation_key keys ~offset) in
+  let keygen_identical =
+    Keys.switch_key_raw (Keys.relin_key seq_keys) = Keys.switch_key_raw sk
+    && List.for_all
+         (fun o -> Domain_pool.sequentially (fun () -> raw_key seq_keys o) = raw_key keys o)
+         [ 1; 2 ]
+  in
+  let size =
+    let fresh = Keys.keygen ks_params in
+    ignore (Keys.rotation_key fresh ~offset:1);
+    {
+      kn = n;
+      klevels = ks_max;
+      kdigits = Params.digits ks_params ~level:ks_max;
+      kbytes = (Keys.cache_stats fresh).Keys.snap_resident_bytes;
+    }
+  in
+  Printf.printf "%-18s n=%-5d levels=%-2d digits=%d  %d bytes per key\n%!" "key_bytes" size.kn
+    size.klevels size.kdigits size.kbytes;
+  List.iter (fun k -> Keys.set_key_budget k 1) [ keys; seq_keys ];
+  let fetch keys =
+    let flip = ref 2 in
+    fun () ->
+      flip := 3 - !flip;
+      Keys.rotation_key keys ~offset:!flip
+  in
+  let fetch_seq = fetch seq_keys and fetch_pool = fetch keys in
+  record "rotation_keygen" ~limbs:ks_max ~identical:keygen_identical
+    ~ref_f:(fun () -> Domain_pool.sequentially fetch_seq)
+    ~new_f:fetch_pool;
+  (List.rev !out, size)
 
-let json_of_results ~min_time results =
+let json_of_results ~min_time results sizes =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"halo-bench-kernels/v1\",\n";
@@ -502,6 +543,14 @@ let json_of_results ~min_time results =
            r.op r.rn r.limbs r.ns r.ref_ns (r.ref_ns /. r.ns) r.identical
            (if i = List.length results - 1 then "" else ",")))
     results;
+  Buffer.add_string b "  ],\n  \"key_bytes\": [\n";
+  List.iteri
+    (fun i k ->
+      Buffer.add_string b
+        (Printf.sprintf "    { \"n\": %d, \"levels\": %d, \"digits\": %d, \"bytes\": %d }%s\n"
+           k.kn k.klevels k.kdigits k.kbytes
+           (if i = List.length sizes - 1 then "" else ",")))
+    sizes;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
@@ -539,14 +588,16 @@ let () =
   Printf.printf "kernel bench: pool=%d sizes=%s limbs=%d\n%!" (Domain_pool.size ())
     (String.concat "," (List.map string_of_int !log_sizes))
     !limbs;
-  let results =
-    List.concat_map
-      (bench_size ~min_time:!min_time ~limbs:!limbs ~ks_max:!ks_max ~ks_levels:!ks_levels)
-      !log_sizes
+  let results, sizes =
+    List.split
+      (List.map
+         (bench_size ~min_time:!min_time ~limbs:!limbs ~ks_max:!ks_max ~ks_levels:!ks_levels)
+         !log_sizes)
   in
+  let results = List.concat results in
   if !json_path <> "" then begin
     let oc = open_out !json_path in
-    output_string oc (json_of_results ~min_time:!min_time results);
+    output_string oc (json_of_results ~min_time:!min_time results sizes);
     close_out oc;
     Printf.printf "wrote %s\n%!" !json_path
   end;

@@ -185,6 +185,20 @@ let multcp (keys : Keys.t) a values =
     (Rns_poly.of_residues ~domain:Rns_poly.Eval
        (Keys.plain_eval keys ~scale ~level:(level a) values))
 
+(* The switched automorphism k of [a]: (sigma_k(c0) + u0, u1), where
+   (u0, u1) is the key switch of sigma_k(c1).  [u0] is fresh from the key
+   switch, so an Eval-domain c0 is permuted straight into it. *)
+let switched (keys : Keys.t) a ~k (u0, u1) =
+  let params = keys.params in
+  let c0 =
+    match Rns_poly.domain a.c0 with
+    | Rns_poly.Eval ->
+      Rns_poly.automorphism_add_into params ~k a.c0 ~into:u0;
+      u0
+    | Coeff -> Rns_poly.add params (Rns_poly.automorphism params ~k a.c0) u0
+  in
+  noised (a.noise_est +. units.keyswitch) (mk c0 u1 a.scale)
+
 (* Every rotation key-switches against the digit decomposition of the
    unrotated [c1], with the Galois automorphism fused into the inner
    product as a slot permutation ({!Keys.apply_rotated}) — bit-identical to
@@ -198,12 +212,7 @@ let rotate (keys : Keys.t) a ~offset =
   else begin
     let k = Keys.galois_element params ~offset in
     let sk = Keys.rotation_key keys ~offset in
-    let dec = decompose_cached keys a in
-    let r0 = Rns_poly.automorphism params ~k a.c0 in
-    let u0, u1 = Keys.apply_rotated keys sk ~k dec in
-    noised
-      (a.noise_est +. units.keyswitch)
-      (mk (Rns_poly.add params r0 u0) u1 a.scale)
+    switched keys a ~k (Keys.apply_rotated keys sk ~k (decompose_cached keys a))
   end
 
 (* Hoisted rotations: one decomposition of [c1] (possibly already memoized
@@ -227,11 +236,7 @@ let rotate_many (keys : Keys.t) a ~offsets =
         | None -> a
         | Some sk ->
           let k = Keys.galois_element params ~offset in
-          let r0 = Rns_poly.automorphism params ~k a.c0 in
-          let u0, u1 = Keys.apply_rotated keys sk ~k dec in
-          noised
-            (a.noise_est +. units.keyswitch)
-            (mk (Rns_poly.add params r0 u0) u1 a.scale))
+          switched keys a ~k (Keys.apply_rotated keys sk ~k dec))
       offsets sks
   end
 
@@ -239,12 +244,7 @@ let conjugate (keys : Keys.t) a =
   let params = keys.params in
   let k = (2 * params.n) - 1 in
   let sk = Keys.conjugation_key keys in
-  let dec = decompose_cached keys a in
-  let r0 = Rns_poly.automorphism params ~k a.c0 in
-  let u0, u1 = Keys.apply_rotated keys sk ~k dec in
-  noised
-    (a.noise_est +. units.keyswitch)
-    (mk (Rns_poly.add params r0 u0) u1 a.scale)
+  switched keys a ~k (Keys.apply_rotated keys sk ~k (decompose_cached keys a))
 
 let multcp_complex (keys : Keys.t) a values =
   let params = keys.params in

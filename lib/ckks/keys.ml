@@ -2,16 +2,11 @@ type secret = { coeffs : int array }
 
 (* k0.(j).(t) / k1.(j).(t): NTT-domain residues of the j-th digit key over
    extended-chain position t, where t < max_level indexes ciphertext moduli
-   and t >= max_level the special primes.  k0s/k1s hold the Shoup companions
-   of every key residue: the key side of the switch MAC is fixed at
-   generation, so the inner product runs entirely on division-free
-   multiplies. *)
-type switch_key = {
-  k0 : int array array array;
-  k1 : int array array array;
-  k0s : int array array array;
-  k1s : int array array array;
-}
+   and t >= max_level the special primes.  The key is nothing else: the
+   switch MAC sums raw products (see [raw_mac]), so no Shoup companions are
+   stored, and a key is 2 * dnum * (L + K) limbs.  Every limb is written
+   once, at generation, and only read after. *)
+type switch_key = { k0 : int array array array; k1 : int array array array }
 
 (* One resident rotation key.  [bytes] is the exact heap footprint measured
    at generation ([Obj.reachable_words]); [last_use] is the LRU clock tick
@@ -69,6 +64,9 @@ type t = {
   secret : secret;
   pk0 : Rns_poly.t;
   pk1 : Rns_poly.t;
+  s_chain : int array array;
+      (* the secret's NTT image at every extended-chain position; [s_ntt]'s
+         limbs are its first max_level rows *)
   s_ntt : Rns_poly.t;
   pk0_ntt : Rns_poly.t;
   pk1_ntt : Rns_poly.t;
@@ -124,64 +122,69 @@ let small_negacyclic_mul a b =
   done;
   out
 
-let shoup_companions params h =
-  Array.map
-    (fun digit ->
-      Array.mapi
-        (fun t limb ->
-          let q = chain_modulus params t in
-          Array.map (fun w -> Modarith.shoup ~m:q w) limb)
-        digit)
-    h
-
 let ntt_of_centered params t coeffs =
   let red = Modarith.reducer (chain_modulus params t) in
   let a = Array.map (Modarith.embed red) coeffs in
   Ntt.forward_in_place (chain_ntt params t) a;
   a
 
+(* NTT image of a small polynomial at every extended-chain position. *)
+let chain_image params coeffs =
+  let len = Params.chain_len params in
+  let rows = Array.make len [||] in
+  par params len (fun t -> rows.(t) <- ntt_of_centered params t coeffs);
+  rows
+
 (* Switching key from s' (given by centered integer coefficients) to the main
-   secret s: for each digit j, (k0_j, k1_j) with
+   secret s (given by its extended-chain image [s_chain]): for each digit j,
+   (k0_j, k1_j) with
    k0_j = -k1_j * s + e_j + P * D_j * s'  over Q*P,
    where D_j is the CRT idempotent of the digit's primes I_j = {t : t / alpha
    = j} (so P*D_j*s' has residue [P]_{q_t} * s' at every t in I_j and zero
-   elsewhere, including at every special prime). *)
-let make_switch_key params rng ~secret_coeffs ~source_coeffs =
+   elsewhere, including at every special prime).
+
+   Every random value is drawn first, in the order of a digit-by-digit
+   construction: e_j, then a_{j,t} for t = 0 .. L+K-1.  The key is then a
+   function of [rng]'s state alone, and its dnum * (L+K) residue pairs are
+   built independently across the domain pool: the same bits for any pool
+   size, and on regeneration after eviction. *)
+let make_switch_key params rng ~s_chain ~source_coeffs =
   let n = (params : Params.t).n in
   let len = Params.chain_len params in
-  let s_ntt = Array.init len (fun t -> ntt_of_centered params t secret_coeffs) in
-  let digit j =
-    let e = Sampler.gaussian rng ~n ~sigma:params.sigma in
-    let k0 = Array.make len [||] and k1 = Array.make len [||] in
+  let dnum = Params.digits params ~level:params.max_level in
+  let e = Array.make dnum [||] in
+  let k1 = Array.init dnum (fun _ -> Array.make len [||]) in
+  for j = 0 to dnum - 1 do
+    e.(j) <- Sampler.gaussian rng ~n ~sigma:params.sigma;
     for t = 0 to len - 1 do
       let q = chain_modulus params t in
+      k1.(j).(t) <- Array.init n (fun _ -> Random.State.full_int rng q)
+    done
+  done;
+  let k0 = Array.init dnum (fun _ -> Array.make len [||]) in
+  par params (dnum * len) (fun idx ->
+      let j = idx / len and t = idx mod len in
       let ctx = chain_ntt params t in
-      let a_ntt = Array.init n (fun _ -> Random.State.full_int rng q) in
-      Ntt.forward_in_place ctx a_ntt;
-      let as_ntt = Ntt.pointwise_mul ctx a_ntt s_ntt.(t) in
-      let e_ntt = ntt_of_centered params t e in
-      let payload_ntt =
-        if t < params.max_level && t / params.alpha = j then
-          (* P mod q_t is minus the ModDown table's -P mod q_t. *)
-          Ntt.pointwise_mul ctx
-            (ntt_of_centered params t source_coeffs)
-            (Array.make n (Modarith.neg ~m:q params.mod_down.neg_prod.(t)))
-        else Array.make n 0
-      in
-      let b_ntt =
-        Array.init n (fun i ->
-            Modarith.add ~m:q
-              (Modarith.sub ~m:q e_ntt.(i) as_ntt.(i))
-              payload_ntt.(i))
-      in
-      k0.(t) <- b_ntt;
-      k1.(t) <- a_ntt
-    done;
-    (k0, k1)
-  in
-  let digits = Array.init (Params.digits params ~level:params.max_level) digit in
-  let k0 = Array.map fst digits and k1 = Array.map snd digits in
-  { k0; k1; k0s = shoup_companions params k0; k1s = shoup_companions params k1 }
+      let q = Ntt.q ctx in
+      let red = Modarith.reducer q in
+      let a = k1.(j).(t) and s = s_chain.(t) in
+      Ntt.forward_in_place ctx a;
+      (* b = e - a * s, then + [P]_{q_t} * s' on the digit's own primes (P
+         mod q_t is minus the ModDown table's -P mod q_t). *)
+      let b = ntt_of_centered params t e.(j) in
+      for i = 0 to n - 1 do
+        let d = b.(i) - Modarith.reduce62 red (a.(i) * s.(i)) in
+        b.(i) <- d + (q land (d asr 62))
+      done;
+      if t < params.max_level && t / params.alpha = j then begin
+        let p_mod = Modarith.neg ~m:q params.mod_down.neg_prod.(t) in
+        let src = ntt_of_centered params t source_coeffs in
+        for i = 0 to n - 1 do
+          b.(i) <- Modarith.add ~m:q b.(i) (Modarith.reduce62 red (src.(i) * p_mod))
+        done
+      end;
+      k0.(j).(t) <- b);
+  { k0; k1 }
 
 let galois_element (params : Params.t) ~offset =
   let two_n = 2 * params.n in
@@ -216,8 +219,8 @@ let budget_from_env () =
   | Some s -> parse_budget s
 
 (* Exact resident footprint of one switching key: every word reachable from
-   it (digit arrays, Shoup companions, headers), measured once at
-   generation.  Word size is 8 on every supported platform. *)
+   it (limbs and array headers), measured once at generation.  Word size is
+   8 on every supported platform. *)
 let key_bytes (sk : switch_key) = 8 * Obj.reachable_words (Obj.repr sk)
 
 let seed_base_of_secret coeffs =
@@ -237,8 +240,10 @@ let fresh_plain_memo () =
     pm_entries = 0;
   }
 
-let secret_ntt (params : Params.t) coeffs =
-  Rns_poly.to_eval params (Rns_poly.of_centered_coeffs params ~level:params.max_level coeffs)
+(* [s_ntt] shares the ciphertext rows of [s_chain]: the same embedding and
+   transform at each position. *)
+let s_ntt_of_chain (params : Params.t) s_chain =
+  Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub s_chain 0 params.max_level)
 
 let keygen ?(seed = 0x51CC5) params =
   let rng = Random.State.make [| seed |] in
@@ -250,15 +255,17 @@ let keygen ?(seed = 0x51CC5) params =
   let e =
     Rns_poly.of_centered_coeffs params ~level:l (Sampler.gaussian rng ~n ~sigma:params.sigma)
   in
-  let s_ntt = secret_ntt params s and pk1_ntt = Rns_poly.to_eval params a in
+  let s_chain = chain_image params s in
+  let s_ntt = s_ntt_of_chain params s_chain and pk1_ntt = Rns_poly.to_eval params a in
   let pk0 = Rns_poly.sub params e (Rns_poly.mul params pk1_ntt s_ntt) in
   let s2 = small_negacyclic_mul s s in
-  let relin = make_switch_key params rng ~secret_coeffs:s ~source_coeffs:s2 in
+  let relin = make_switch_key params rng ~s_chain ~source_coeffs:s2 in
   {
     params;
     secret = { coeffs = s };
     pk0;
     pk1 = a;
+    s_chain;
     s_ntt;
     pk0_ntt = Rns_poly.to_eval params pk0;
     pk1_ntt;
@@ -337,8 +344,8 @@ let galois_key keys k =
           let rotated =
             apply_automorphism_small ~n:params.n ~k keys.secret.coeffs
           in
-          make_switch_key params (rotation_rng keys k)
-            ~secret_coeffs:keys.secret.coeffs ~source_coeffs:rotated
+          make_switch_key params (rotation_rng keys k) ~s_chain:keys.s_chain
+            ~source_coeffs:rotated
         with e ->
           Mutex.unlock keys.rotations_mutex;
           raise e
@@ -427,7 +434,7 @@ let switch_key_of_raw (params : Params.t) ~k0 ~k1 =
   in
   check_half "k0" k0;
   check_half "k1" k1;
-  { k0; k1; k0s = shoup_companions params k0; k1s = shoup_companions params k1 }
+  { k0; k1 }
 
 let rotation_entries keys =
   Mutex.lock keys.rotations_mutex;
@@ -440,13 +447,15 @@ let rotation_entries keys =
 let of_parts params ~secret ~pk0 ~pk1 ~relin ~rotations ~rng =
   if Array.length secret <> (params : Params.t).n then
     invalid_arg "Keys.of_parts: secret length mismatch";
+  let s_chain = chain_image params secret in
   let keys =
     {
       params;
       secret = { coeffs = secret };
       pk0;
       pk1;
-      s_ntt = secret_ntt params secret;
+      s_chain;
+      s_ntt = s_ntt_of_chain params s_chain;
       pk0_ntt = Rns_poly.to_eval params pk0;
       pk1_ntt = Rns_poly.to_eval params pk1;
       relin;
@@ -496,33 +505,30 @@ let positions (params : Params.t) l =
   Array.init (l + Array.length params.specials) (fun pos ->
       if pos < l then pos else params.max_level + pos - l)
 
-(* y.(j) <- src.(j) * (B / b_i)^-1 mod b_i: the first step of a fast base
-   conversion from source prime i of [basis]. *)
-let scale_limb (basis : Params.basis) ~q i src =
+(* y.(j) <- y.(j) * (B / b_i)^-1 mod b_i, in place: the first step of a fast
+   base conversion from source prime i of [basis]. *)
+let scale_in_place (basis : Params.basis) ~q i y =
   let w = basis.hat_inv.(i) and ws = basis.hat_inv_shoup.(i) in
-  let n = Array.length src in
-  let y = Array.make n 0 in
-  for j = 0 to n - 1 do
-    Array.unsafe_set y j (Modarith.mul_shoup ~m:q (Array.unsafe_get src j) w ws)
-  done;
-  y
+  for j = 0 to Array.length y - 1 do
+    Array.unsafe_set y j (Modarith.mul_shoup ~m:q (Array.unsafe_get y j) w ws)
+  done
 
 (* Centered fast base conversion of the scaled source limbs [ys] (ys.(i) in
-   [0, b_i), one per source prime of [basis]) to chain position [t]:
-   dst.(j) = sum_i center(ys.(i).(j)) * (B / b_i) mod m_t.  Centering is a
-   correction, not a branch: center(y) = y - b_i exactly when y > b_i / 2,
-   and b_i * (B / b_i) = B, so such a term adds neg_prod = -B mod m_t.  It
-   makes the conversion an odd function, so it commutes with the Galois
-   automorphisms (signed coefficient permutations).  Each Shoup product is
-   left in [0, 2m) and each correction below m, so the accumulator stays
-   below 3 * alpha * m < 2^62 (params.ml) until one [Modarith.reduce62]
-   closes it.  (The sum may pass max_int before the subtraction; int
-   arithmetic wraps mod 2^63, so the result is exact.) *)
-let convert params (basis : Params.basis) ys t =
+   [0, b_i), one per source prime of [basis]) to chain position [t], written
+   over [dst]: dst.(j) = sum_i center(ys.(i).(j)) * (B / b_i) mod m_t.
+   Centering is a correction, not a branch: center(y) = y - b_i exactly when
+   y > b_i / 2, and b_i * (B / b_i) = B, so such a term adds neg_prod = -B
+   mod m_t.  It makes the conversion an odd function, so it commutes with
+   the Galois automorphisms (signed coefficient permutations).  Each Shoup
+   product is left in [0, 2m) and each correction below m, so the
+   accumulator stays below 3 * alpha * m < 2^62 (params.ml) until one
+   [Modarith.reduce62] closes it.  (The sum may pass max_int before the
+   subtraction; int arithmetic wraps mod 2^63, so the result is exact.) *)
+let convert params (basis : Params.basis) ys t dst =
   let m = chain_modulus params t in
-  let n = (params : Params.t).n in
+  let n = Array.length dst in
   let neg = basis.neg_prod.(t) in
-  let dst = Array.make n 0 in
+  Array.fill dst 0 n 0;
   Array.iteri
     (fun i y ->
       check_len n y;
@@ -539,33 +545,44 @@ let convert params (basis : Params.basis) ys t =
   let red = Modarith.reducer m in
   for j = 0 to n - 1 do
     Array.unsafe_set dst j (Modarith.reduce62 red (Array.unsafe_get dst j))
-  done;
-  dst
+  done
+
+(* One scratch limb per domain.  A pool index runs start to finish on one
+   domain, and no kernel body that uses the limb reaches another, so a body
+   may hold it for its whole run. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let scratch_limb n =
+  let r = Domain.DLS.get scratch_key in
+  if Array.length !r <> n then r := Array.make n 0;
+  !r
 
 (* ModUp: digit j of a level-l polynomial is d mod Q_I over its primes I_j.
    Scale each limb by (Q_I / q_t)^-1 mod q_t, convert each digit centered to
    every foreign position (the other ciphertext primes and the specials),
    and transform.  A digit's own limbs need no conversion: the lifted digit
-   is d mod q_t there, so they are copies of the Eval-domain input (or
-   transforms of its coefficient limbs). *)
+   is d mod q_t there, so they are the Eval-domain input's own limbs, shared
+   with it (or transforms of its coefficient limbs).  Published limbs are
+   never written, so the sharing is safe. *)
 let decompose keys d =
   let params = keys.params in
   let alpha = params.alpha in
-  (* An Eval-domain input already holds every digit's own limbs: copy, not
-     NTT. *)
-  let resident = match Rns_poly.domain d with Rns_poly.Eval -> Some d.res | Coeff -> None in
-  (* The conversion needs coefficient-domain residues, so this is one of
-     the two coefficient boundaries of the NTT-resident pipeline (the other
-     is rescale). *)
-  let d = Rns_poly.to_coeff params d in
   let l = Rns_poly.level d in
   let res = (d : Rns_poly.t).res in
+  let eval = Rns_poly.domain d = Rns_poly.Eval in
   let beta = Params.digits params ~level:l in
   let basis j = params.mod_up.(j).(min alpha (l - (j * alpha)) - 1) in
+  (* The conversion reads scaled coefficient-domain residues, so this is one
+     of the two coefficient boundaries of the NTT-resident pipeline (the
+     other is rescale): one array per limb, inverse-transformed and scaled
+     in place. *)
   let ys = Array.make l [||] in
   par params l (fun t ->
       check_len params.n res.(t);
-      ys.(t) <- scale_limb (basis (t / alpha)) ~q:params.moduli.(t) (t mod alpha) res.(t));
+      let y = Array.copy res.(t) in
+      if eval then Ntt.inverse_in_place (chain_ntt params t) y;
+      scale_in_place (basis (t / alpha)) ~q:params.moduli.(t) (t mod alpha) y;
+      ys.(t) <- y);
   let positions = positions params l in
   let np = Array.length positions in
   let digits = Array.init np (fun _ -> Array.make beta [||]) in
@@ -576,104 +593,79 @@ let decompose keys d =
       let ctx = chain_ntt params t in
       for j = 0 to beta - 1 do
         if pos < l && pos / alpha = j then
-          digits.(pos).(j) <-
-            (match resident with
-            | Some r -> Array.copy r.(pos)
-            | None -> Ntt.forward ctx res.(pos))
+          digits.(pos).(j) <- (if eval then res.(pos) else Ntt.forward ctx res.(pos))
         else begin
           let b = basis j in
-          let dst = convert params b (Array.sub ys (j * alpha) (Array.length b.src)) t in
+          let dst = Array.make params.n 0 in
+          convert params b (Array.sub ys (j * alpha) (Array.length b.src)) t dst;
           Ntt.forward_in_place ctx dst;
           digits.(pos).(j) <- dst
         end
       done);
   { d_level = l; positions; digits }
 
-(* ModDown of both halves of an extended-basis pair, Eval domain in and out:
-   inverse-transform only the K special limbs, convert them centered to
-   every ciphertext prime, forward-transform that correction, subtract it and
-   scale by P^-1.  The centered conversion returns the special part up to
-   v * P with |v| < K/2, so the result is the exact division by P up to that
-   rounding (params.ml). *)
+(* ModDown of both halves of an extended-basis pair, Eval domain in and out,
+   in place: inverse-transform and scale the K special limbs, convert them
+   centered to every ciphertext prime through the domain's scratch limb,
+   forward-transform that correction and write (u_t - correction) * P^-1
+   over u_t.  The result is the first l limbs of [u0] and [u1]; the special
+   limbs are left as garbage.  The centered conversion returns the special
+   part up to v * P with |v| < K/2, so the result is the exact division by P
+   up to that rounding (params.ml). *)
 let mod_down (params : Params.t) ~level:l u0 u1 =
   let k = Array.length params.specials in
   let basis = params.mod_down in
-  let ys0 = Array.make k [||] and ys1 = Array.make k [||] in
   par params k (fun i ->
       let t = params.max_level + i in
       let ctx = chain_ntt params t and q = chain_modulus params t in
       List.iter
-        (fun (u, ys) ->
+        (fun u ->
           Ntt.inverse_in_place ctx u.(l + i);
-          ys.(i) <- scale_limb basis ~q i u.(l + i))
-        [ (u0, ys0); (u1, ys1) ]);
-  let out0 = Array.make l [||] and out1 = Array.make l [||] in
+          scale_in_place basis ~q i u.(l + i))
+        [ u0; u1 ]);
+  let ys0 = Array.sub u0 l k and ys1 = Array.sub u1 l k in
   par params l (fun t ->
       let q = params.moduli.(t) in
       let p_inv = params.p_inv.(t) and p_inv_shoup = params.p_inv_shoup.(t) in
+      let corr = scratch_limb params.n in
       List.iter
-        (fun (u, ys, out) ->
+        (fun (u, ys) ->
           let ut = u.(t) in
           check_len params.n ut;
-          let dst = convert params basis ys t in
-          Ntt.forward_in_place (chain_ntt params t) dst;
+          convert params basis ys t corr;
+          Ntt.forward_in_place (chain_ntt params t) corr;
           for j = 0 to params.n - 1 do
-            let diff = Array.unsafe_get ut j - Array.unsafe_get dst j in
+            let diff = Array.unsafe_get ut j - Array.unsafe_get corr j in
             let diff = diff + (q land (diff asr 62)) in
-            Array.unsafe_set dst j (Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup)
-          done;
-          out.(t) <- dst)
-        [ (u0, ys0, out0); (u1, ys1, out1) ]);
-  ( Rns_poly.of_residues ~domain:Rns_poly.Eval out0,
-    Rns_poly.of_residues ~domain:Rns_poly.Eval out1 )
+            Array.unsafe_set ut j (Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup)
+          done)
+        [ (u0, ys0); (u1, ys1) ]);
+  ( Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub u0 0 l),
+    Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub u1 0 l) )
 
-(* The one digit/key MAC kernel of every key switch: at chain position
-   [pos], out.(j) <- out.(j) + sum_i d_i.(perm.(j)) * k_i.(j) mod q for both
-   key halves.  [perm] is the slot permutation of a Galois automorphism
-   (identity for k = 1): reading the digits through it applies the
-   automorphism on the fly, with no permuted copies.  Each Shoup product
-   d*w - floor(d*w'/2^31)*q is left in [0, 2q) and summed unreduced: with
-   [out] in [0, q) and dnum digits the sum stays below (2 dnum + 1) * q
-   (params.ml), far below 2^62, so one [Modarith.reduce62] per element
-   closes it.  (out + d*w may pass max_int before the subtraction; int
-   arithmetic wraps mod 2^63, so the result is exact.) *)
-let mac_into params ~perm sk dec pos out0 out1 =
-  let t = dec.positions.(pos) in
-  let q = chain_modulus params t in
-  let n = Array.length perm in
-  List.iter (check_len n) [ out0; out1 ];
-  for i = 0 to Array.length dec.digits.(pos) - 1 do
-    let d = dec.digits.(pos).(i) in
-    let k0 = sk.k0.(i).(t) and k0s = sk.k0s.(i).(t) in
-    let k1 = sk.k1.(i).(t) and k1s = sk.k1s.(i).(t) in
-    List.iter (check_len n) [ d; k0; k0s; k1; k1s ];
-    for j = 0 to n - 1 do
-      let dj = Array.unsafe_get d (Array.unsafe_get perm j) in
-      Array.unsafe_set out0 j
-        (Array.unsafe_get out0 j + (dj * Array.unsafe_get k0 j)
-        - (((dj * Array.unsafe_get k0s j) lsr 31) * q));
-      Array.unsafe_set out1 j
-        (Array.unsafe_get out1 j + (dj * Array.unsafe_get k1 j)
-        - (((dj * Array.unsafe_get k1s j) lsr 31) * q))
-    done
-  done;
-  let red = Modarith.reducer q in
-  for j = 0 to n - 1 do
-    Array.unsafe_set out0 j (Modarith.reduce62 red (Array.unsafe_get out0 j));
-    Array.unsafe_set out1 j (Modarith.reduce62 red (Array.unsafe_get out1 j))
-  done
+(* Whether [digits] raw digit/key products mod q, summed onto a residue
+   below q, stay inside [Modarith.reduce62]'s domain:
+   digits * (q - 1)^2 + q < 2^62.  With dnum <= 4 that holds for every prime
+   below 2^30, so at every chain position but a 31-bit base prime. *)
+let raw_mac ~q ~digits = (q - 1) * (q - 1) <= (max_int - q) / digits
 
 (* --- lazy key switching: accumulate MACs, mod down once ----------------- *)
 
 (* Extended-basis MAC accumulator for a whole rotate-and-sum reduction: each
    [mac_accumulate] adds one rotation's digit/key inner product (optionally
    scaled by a plaintext factor) into the running sums mod Q*P, still in the
-   NTT domain; [mac_finish] pays the mod-down once for the whole group.
-   Modular addition is exact, associative and commutative, so the finished
-   pair is bit-identical whether the digits were shared (lazy) or
-   recomputed per term (eager), for any accumulation partitioning across
-   the domain pool. *)
-type mac = { mac_level : int; mac0 : int array array; mac1 : int array array }
+   NTT domain; [mac_finish] pays the mod-down once for the whole group, in
+   place, and hands the limbs over to the returned pair.  Modular addition
+   is exact, associative and commutative, so the finished pair is
+   bit-identical whether the digits were shared (lazy) or recomputed per
+   term (eager), for any accumulation partitioning across the domain
+   pool. *)
+type mac = {
+  mac_level : int;
+  mac0 : int array array;
+  mac1 : int array array;
+  mutable finished : bool;  (* the limbs belong to the pair [mac_finish] returned *)
+}
 
 let mac_create keys dec =
   let n = keys.params.n in
@@ -682,61 +674,81 @@ let mac_create keys dec =
     mac_level = dec.d_level;
     mac0 = Array.init np (fun _ -> Array.make n 0);
     mac1 = Array.init np (fun _ -> Array.make n 0);
+    finished = false;
   }
 
-(* A weighted member in one pass: per slot, the digit/key sum of [mac_into]
-   (the same unreduced Shoup terms, closed by one [Modarith.reduce62]) times
-   the plaintext factor, accumulated straight into the running sums; no
-   per-member limbs.  acc + c * a <= (q - 1) + (q - 1)^2 < 2^62: one
-   reduction.  Bit-identical to [mac_into] on zeroed limbs followed by the
-   multiply-accumulate. *)
-let mac_scaled_into params ~perm sk dec pos cv acc0 acc1 =
+(* The one digit/key MAC kernel of every key switch: at chain position
+   [pos], for both key halves and every slot j,
+     s = sum_i d_i.(perm.(j)) * k_i.(j) mod q,
+   then acc.(j) <- acc.(j) + s, or with a plaintext factor [cv]
+   acc.(j) <- acc.(j) + cv.(j) * s, mod q.  [perm] is the slot permutation
+   of a Galois automorphism (identity for k = 1): reading the digits through
+   it applies the automorphism on the fly, with no permuted copies.  Where
+   [raw_mac] holds, the products are summed raw (onto acc.(j), below q, for
+   a pure member) and one [Modarith.reduce62] closes the sum; elsewhere each
+   product is reduced as it is added, since (q - 1) + (q - 1)^2 < 2^62 for
+   any q < 2^31.  The factor goes through the same reducer:
+   acc + c * s <= (q - 1) + (q - 1)^2.  One pass per slot, no per-member
+   limbs; bit-identical to per-step reducing loops. *)
+let mac_into params ~perm ?coeff sk dec pos acc0 acc1 =
   let t = dec.positions.(pos) in
   let q = chain_modulus params t in
   let n = Array.length perm in
   let ds = dec.digits.(pos) in
   let nd = Array.length ds in
-  let k0 = Array.init nd (fun i -> sk.k0.(i).(t)) and k0s = Array.init nd (fun i -> sk.k0s.(i).(t)) in
-  let k1 = Array.init nd (fun i -> sk.k1.(i).(t)) and k1s = Array.init nd (fun i -> sk.k1s.(i).(t)) in
-  List.iter (check_len n) [ cv; acc0; acc1 ];
-  Array.iter (Array.iter (check_len n)) [| ds; k0; k0s; k1; k1s |];
+  let k0 = Array.init nd (fun i -> sk.k0.(i).(t)) and k1 = Array.init nd (fun i -> sk.k1.(i).(t)) in
+  let weighted = Option.is_some coeff in
+  let cv = match coeff with Some c -> c.(pos) | None -> [||] in
+  List.iter (check_len n) (if weighted then [ cv; acc0; acc1 ] else [ acc0; acc1 ]);
+  Array.iter (Array.iter (check_len n)) [| ds; k0; k1 |];
   let red = Modarith.reducer q in
+  let raw = raw_mac ~q ~digits:nd in
   for j = 0 to n - 1 do
     let pj = Array.unsafe_get perm j in
-    let s0 = ref 0 and s1 = ref 0 in
+    let s0 = ref (if weighted then 0 else Array.unsafe_get acc0 j)
+    and s1 = ref (if weighted then 0 else Array.unsafe_get acc1 j) in
     for i = 0 to nd - 1 do
       let dj = Array.unsafe_get (Array.unsafe_get ds i) pj in
-      s0 :=
-        !s0
-        + (dj * Array.unsafe_get (Array.unsafe_get k0 i) j)
-        - (((dj * Array.unsafe_get (Array.unsafe_get k0s i) j) lsr 31) * q);
-      s1 :=
-        !s1
-        + (dj * Array.unsafe_get (Array.unsafe_get k1 i) j)
-        - (((dj * Array.unsafe_get (Array.unsafe_get k1s i) j) lsr 31) * q)
+      let x0 = !s0 + (dj * Array.unsafe_get (Array.unsafe_get k0 i) j)
+      and x1 = !s1 + (dj * Array.unsafe_get (Array.unsafe_get k1 i) j) in
+      if raw then begin
+        s0 := x0;
+        s1 := x1
+      end
+      else begin
+        s0 := Modarith.reduce62 red x0;
+        s1 := Modarith.reduce62 red x1
+      end
     done;
-    let cj = Array.unsafe_get cv j in
-    Array.unsafe_set acc0 j
-      (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Modarith.reduce62 red !s0)));
-    Array.unsafe_set acc1 j
-      (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Modarith.reduce62 red !s1)))
+    if weighted then begin
+      let cj = Array.unsafe_get cv j in
+      Array.unsafe_set acc0 j
+        (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Modarith.reduce62 red !s0)));
+      Array.unsafe_set acc1 j
+        (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Modarith.reduce62 red !s1)))
+    end
+    else begin
+      Array.unsafe_set acc0 j (Modarith.reduce62 red !s0);
+      Array.unsafe_set acc1 j (Modarith.reduce62 red !s1)
+    end
   done
+
+let check_open name mac =
+  if mac.finished then invalid_arg (Printf.sprintf "Keys.%s: accumulator already finished" name)
 
 let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
   let params = keys.params in
+  check_open "mac_accumulate" mac;
   if mac.mac_level <> dec.d_level then invalid_arg "Keys.mac_accumulate: level mismatch";
   (* Slot orderings depend only on n: every chain position shares it. *)
   let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
   let np = Array.length dec.positions in
-  par params np (fun pos ->
-      let acc0 = mac.mac0.(pos) and acc1 = mac.mac1.(pos) in
-      match coeff with
-      | None -> mac_into params ~perm sk dec pos acc0 acc1
-      | Some c -> mac_scaled_into params ~perm sk dec pos c.(pos) acc0 acc1)
+  par params np (fun pos -> mac_into params ~perm ?coeff sk dec pos mac.mac0.(pos) mac.mac1.(pos))
 
-(* Consumes the accumulator: the special limbs' inverse transforms run in
-   place. *)
-let mac_finish keys mac = mod_down keys.params ~level:mac.mac_level mac.mac0 mac.mac1
+let mac_finish keys mac =
+  check_open "mac_finish" mac;
+  mac.finished <- true;
+  mod_down keys.params ~level:mac.mac_level mac.mac0 mac.mac1
 
 (* A single key switch is a one-member accumulation: the same MAC kernel
    and mod-down as a lazy group. *)

@@ -26,7 +26,10 @@ type secret = private { coeffs : int array (* ternary *) }
 type switch_key
 (** One key per digit ([ceil (max_level / alpha)] of them), stored in the
     NTT domain over the extended chain (all ciphertext moduli followed by
-    the special primes). *)
+    the special primes): the two key halves and nothing else.  Generation
+    draws every random value first, in a fixed order, then builds the
+    residues across {!Domain_pool}, so a key's bits do not depend on the
+    pool size. *)
 
 type cached_key
 (** A resident rotation key plus its measured byte footprint and LRU tick. *)
@@ -53,12 +56,17 @@ type t = private {
   secret : secret;
   pk0 : Rns_poly.t;
   pk1 : Rns_poly.t;
+  s_chain : int array array;
+      (** NTT image of the secret at every extended-chain position, computed
+          once per key set by [keygen] / [of_parts] (every switching key is
+          generated against it) and never persisted. *)
   s_ntt : Rns_poly.t;
   pk0_ntt : Rns_poly.t;
   pk1_ntt : Rns_poly.t;
       (** Full-level [Eval]-domain images of the secret, [pk0] and [pk1],
           derived by [keygen] / [of_parts] and never persisted; encryption
-          and decryption use their level prefixes ({!Rns_poly.to_level}). *)
+          and decryption use their level prefixes ({!Rns_poly.to_level}).
+          [s_ntt]'s limbs are the first [max_level] rows of [s_chain]. *)
   relin : switch_key;
   rotations : (int, cached_key) Hashtbl.t;  (** keyed by Galois element *)
   generated : (int, unit) Hashtbl.t;
@@ -129,7 +137,9 @@ val record_digit_hit : t -> unit
     with the Galois automorphisms. *)
 
 type decomposed
-(** Reusable mod-up product: NTT-domain digits over the extended chain. *)
+(** Reusable mod-up product: NTT-domain digits over the extended chain.  A
+    digit's own limbs are the [Eval]-domain input's limbs, shared, not
+    copied. *)
 
 val decompose : t -> Rns_poly.t -> decomposed
 
@@ -167,13 +177,21 @@ val mac_accumulate :
     given as NTT-domain residues per extended-chain position (see
     {!plain_eval}), multiplied and accumulated in the same pass as the
     digit/key sum.  The decomposition's level must match the
-    accumulator's. *)
+    accumulator's, and the accumulator must not be finished. *)
 
 val mac_finish : t -> mac -> Rns_poly.t * Rns_poly.t
 (** ModDown, once for the whole group: inverse transforms of the special
     limbs only, centered conversion to the ciphertext primes, division by
-    [P].  Returns [Eval]-domain polynomials.  Consumes the accumulator (the
-    special limbs are transformed in place). *)
+    [P].  Returns [Eval]-domain polynomials.  Consumes the accumulator: the
+    mod-down runs in place and the returned polynomials are its limbs, so a
+    later [mac_finish] or {!mac_accumulate} on it raises
+    [Invalid_argument]. *)
+
+val raw_mac : q:int -> digits:int -> bool
+(** Whether the MAC at modulus [q] sums [digits] raw digit/key products
+    before one reduction ([digits * (q - 1)^2 + q < 2^62]); where it does
+    not, each product is reduced as it is added.  Either way the result is
+    the exact residue. *)
 
 (** {2 Plaintext memo}
 

@@ -56,11 +56,17 @@ let paper_spec =
    2^29 can fall short of base * q_1 by a factor 1 - 10^-4 (n = 2^10,
    2^12), which costs nothing in the bound.
 
-   Lazy bounds.  The digit/key MAC sums dnum Shoup products, each in
-   [0, 2q), onto a residue below q: the sum stays below (2*dnum + 1) * q.
-   A conversion accumulator sums alpha Shoup products in [0, 2q) and at
-   most alpha centering corrections below q: it stays below 3 * alpha * q.
-   Keys closes each with one Barrett step sized by that bound. *)
+   Lazy bounds.  The digit/key MAC multiplies residues below q with no
+   precomputed companions, so switching keys hold only their two halves.
+   At a position with d digits it sums the d raw products onto a residue
+   below q, below d * (q - 1)^2 + q, and closes the sum with one
+   [Modarith.reduce62] when that is below 2^62: with d <= dnum <= 4 this
+   holds for every prime below 2^30, so at every position but a 31-bit base
+   prime (and there too while d = 1).  Elsewhere it reduces after each
+   product, as (q - 1) + (q - 1)^2 < 2^62 for every q < 2^31 ([Keys.raw_mac]
+   decides per position).  A conversion accumulator sums alpha Shoup
+   products in [0, 2q) and at most alpha centering corrections below q: it
+   stays below 3 * alpha * q, closed the same way. *)
 let special_bits = 29
 
 (* alpha = K: a quarter of the chain, rounded up, so the full chain splits
@@ -114,35 +120,16 @@ let special_primes ~n ~count moduli =
 let bits_of_prod a =
   1 + int_of_float (Array.fold_left (fun acc q -> acc +. Float.log2 (float_of_int q)) 0.0 a)
 
-let make ?(sigma = 3.2) ~log_n ~max_level ~base_bits ~scale_bits () =
-  if base_bits > 31 then invalid_arg "Params.make: base_bits > 31";
-  if scale_bits >= base_bits then
-    invalid_arg "Params.make: scale_bits must be below base_bits";
-  if max_level < 1 then invalid_arg "Params.make: max_level < 1";
+(* Every table of a parameter set over the ciphertext chain [moduli]. *)
+let of_moduli ?(sigma = 3.2) ~log_n ~scale_bits moduli =
+  let max_level = Array.length moduli in
+  if max_level < 1 then invalid_arg "Params.of_moduli: empty chain";
+  if Array.exists (fun q -> q <= 1 || q >= Modarith.max_modulus) moduli then
+    invalid_arg "Params.of_moduli: modulus out of range";
   let n = 1 lsl log_n in
-  (* The base prime sits near 2^base_bits (it carries the decrypted
-     plaintext), rescale primes near 2^scale_bits so that rescaling divides
-     the scale by approximately the scale itself. *)
-  let base = Primes.ntt_prime_below ~n ((1 lsl base_bits) - 1) in
-  let rescale_primes =
-    Primes.ntt_primes ~n ~bits:scale_bits ~count:(max_level - 1)
-  in
-  let moduli = Array.of_list (base :: rescale_primes) in
   let alpha = digit_width ~max_level in
   let specials = special_primes ~n ~count:alpha moduli in
-  (* Key-switching noise precondition: no digit may outgrow P, or the
-     digit/error product divided by P exceeds a fresh encryption error (see
-     the bound above).  Digit 0, which holds the base prime, is the widest. *)
   let dnum = (max_level + alpha - 1) / alpha in
-  let widest =
-    Array.fold_left max 0
-      (Array.init dnum (fun j ->
-           bits_of_prod (Array.sub moduli (j * alpha) (min alpha (max_level - (j * alpha))))))
-  in
-  if bits_of_prod specials < widest then
-    invalid_arg
-      (Printf.sprintf "Params.make: P has %d bits, the widest key-switching digit %d"
-         (bits_of_prod specials) widest);
   (* Extended chain: the ciphertext moduli, then the special primes. *)
   let chain = Array.append moduli specials in
   let ntts = Array.map (fun q -> Ntt.make_ctx ~q ~n) chain in
@@ -189,6 +176,36 @@ let make ?(sigma = 3.2) ~log_n ~max_level ~base_bits ~scale_bits () =
     p_inv;
     p_inv_shoup = Array.mapi (fun t w -> Modarith.shoup ~m:moduli.(t) w) p_inv;
   }
+
+let make ?sigma ~log_n ~max_level ~base_bits ~scale_bits () =
+  if base_bits > 31 then invalid_arg "Params.make: base_bits > 31";
+  if scale_bits >= base_bits then
+    invalid_arg "Params.make: scale_bits must be below base_bits";
+  if max_level < 1 then invalid_arg "Params.make: max_level < 1";
+  let n = 1 lsl log_n in
+  (* The base prime sits near 2^base_bits (it carries the decrypted
+     plaintext), rescale primes near 2^scale_bits so that rescaling divides
+     the scale by approximately the scale itself. *)
+  let base = Primes.ntt_prime_below ~n ((1 lsl base_bits) - 1) in
+  let rescale_primes =
+    Primes.ntt_primes ~n ~bits:scale_bits ~count:(max_level - 1)
+  in
+  let p = of_moduli ?sigma ~log_n ~scale_bits (Array.of_list (base :: rescale_primes)) in
+  (* Key-switching noise precondition: no digit may outgrow P, or the
+     digit/error product divided by P exceeds a fresh encryption error (see
+     the bound above).  Digit 0, which holds the base prime, is the widest. *)
+  let alpha = p.alpha in
+  let dnum = (max_level + alpha - 1) / alpha in
+  let widest =
+    Array.fold_left max 0
+      (Array.init dnum (fun j ->
+           bits_of_prod (Array.sub p.moduli (j * alpha) (min alpha (max_level - (j * alpha))))))
+  in
+  if bits_of_prod p.specials < widest then
+    invalid_arg
+      (Printf.sprintf "Params.make: P has %d bits, the widest key-switching digit %d"
+         (bits_of_prod p.specials) widest);
+  p
 
 let test_small_memo = ref None
 let test_deep_memo = ref None

@@ -71,6 +71,17 @@ val make :
     [Invalid_argument] unless [log2 P >= log2 Q_I] in bit lengths for every
     digit [I]: the key-switching noise precondition. *)
 
+val of_moduli : ?sigma:float -> log_n:int -> scale_bits:int -> int array -> t
+(** The parameter set over an explicit ciphertext chain (base prime first,
+    each an NTT prime for [2^log_n] below [2^31]), with the special primes
+    and tables {!make} would choose for it and the default scale
+    [2^scale_bits], but without {!make}'s noise precondition: digits wider
+    than [P] are accepted.  Key switching over such a chain is still exact
+    modular arithmetic, only noisier than a fresh encryption.  Kernel tests
+    use it to reach arithmetic bounds that {!make}'s chains do not, such as
+    rescale primes just below [2^30].  Raises [Invalid_argument] on an empty
+    chain or a modulus outside [(1, 2^31)]. *)
+
 val test_small : unit -> t
 (** [n = 2^10], [L = 8] — fast enough for unit tests. *)
 

@@ -173,6 +173,24 @@ let automorphism (params : Params.t) ~k a =
         out.(i) <- dst);
     { a with res = out }
 
+(* into <- into + automorphism k a, in place, one pass per limb: the sum
+   [add (automorphism ~k a) into] returns, with no rotated or result limbs.
+   Both operands in the Eval domain. *)
+let automorphism_add_into (params : Params.t) ~k a ~into =
+  if a.domain <> Eval || into.domain <> Eval then
+    invalid_arg "Rns_poly.automorphism_add_into: operands must be Eval-domain";
+  if a.level <> into.level then invalid_arg "Rns_poly.automorphism_add_into: level mismatch";
+  let n = params.n in
+  let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
+  par params into.level (fun i ->
+      let q = params.moduli.(i) and r = a.res.(i) and acc = into.res.(i) in
+      if Array.length r <> n || Array.length acc <> n then
+        invalid_arg "Rns_poly: length mismatch";
+      for j = 0 to n - 1 do
+        let s = Array.unsafe_get acc j + Array.unsafe_get r (Array.unsafe_get perm j) - q in
+        Array.unsafe_set acc j (s + (q land (s asr 62)))
+      done)
+
 (* One weighted rotate-and-sum member on the Q side: permute, multiply and
    accumulate each slot in a single pass per limb, with no rotated or
    product limbs.  acc + c * m <= (q - 1) + (q - 1)^2 < 2^62, so one

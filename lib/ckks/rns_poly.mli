@@ -67,6 +67,13 @@ val automorphism : Params.t -> k:int -> t -> t
     NTT-resident; on a [Coeff]-domain operand it is the signed coefficient
     shuffle.  [k] is normalized modulo [2n] first. *)
 
+val automorphism_add_into : Params.t -> k:int -> t -> into:t -> unit
+(** [automorphism_add_into params ~k a ~into] adds [automorphism ~k a] into
+    [into] in place, in one pass per limb and bit-identical to
+    [add (automorphism ~k a) into].  Both operands must be [Eval]-domain at
+    one level; [into] must be owned by the caller (e.g. a fresh key-switch
+    result). *)
+
 val automorphism_mul_acc : Params.t -> k:int -> t -> t -> into:t -> unit
 (** [automorphism_mul_acc params ~k a m ~into] adds
     [mul (automorphism ~k a) m] into [into] in place, in one pass per limb

@@ -601,17 +601,30 @@ module Naive = struct
     (half fst, half snd)
 end
 
-let deep_keys_memo = ref None
+let other_keys = ref []
 
 let keys_for (p : Params.t) =
   if p == params () then test_keys ()
   else
-    match !deep_keys_memo with
+    match List.assq_opt p !other_keys with
     | Some k -> k
     | None ->
       let k = Keys.keygen p in
-      deep_keys_memo := Some k;
+      other_keys := (p, k) :: !other_keys;
       k
+
+(* A chain whose rescale primes sit just below 2^30, the widest primes at
+   which four raw digit/key products still fit the MAC's one-reduction
+   bound, under a 31-bit base prime, where they do not.  [Params.make]
+   refuses it (its digits outgrow P, which only costs noise), so it is
+   built from its moduli. *)
+let tight_chain =
+  lazy
+    (let log_n = 6 in
+     let n = 1 lsl log_n in
+     let base = Primes.ntt_prime_below ~n ((1 lsl 31) - 1) in
+     Params.of_moduli ~log_n ~scale_bits:30
+       (Array.of_list (base :: Primes.ntt_primes ~n ~bits:30 ~count:7)))
 
 (* Per extended-chain position residues: random, or all q - 1. *)
 let chain_vecs st (p : Params.t) ~worst ~level =
@@ -701,6 +714,86 @@ let test_keyswitch_kernels (p : Params.t) () =
             [ false; true ])
         (ks_inputs st p ~level))
     (List.sort_uniq compare [ 1; p.alpha; p.alpha + 1; p.max_level ])
+
+(* [Keys.raw_mac] against the bound it stands for, d * (q - 1)^2 + q < 2^62,
+   evaluated in unsigned 64-bit arithmetic (the sum reaches 2^64 for 31-bit
+   primes): at sample moduli, and at every position and level of the tight
+   chain, where full-level MACs sum four products raw at every rescale and
+   special prime and reduce per product at the base prime. *)
+let test_raw_mac_branches () =
+  let p = Lazy.force tight_chain in
+  let predicted ~q ~digits =
+    let qm1 = Int64.of_int (q - 1) in
+    Int64.unsigned_compare
+      Int64.(add (mul (of_int digits) (mul qm1 qm1)) (of_int q))
+      (Int64.shift_left 1L 62)
+    < 0
+  in
+  let check ~q ~digits tag =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s q=%d digits=%d" tag q digits)
+      (predicted ~q ~digits) (Keys.raw_mac ~q ~digits)
+  in
+  List.iter
+    (fun q -> List.iter (fun digits -> check ~q ~digits "sample") [ 1; 2; 3; 4 ])
+    [ 97; (1 lsl 29) - 3; (1 lsl 30) - 35; (1 lsl 30) + 3; (1 lsl 31) - 1 ];
+  for level = 1 to p.max_level do
+    let digits = Params.digits p ~level in
+    Array.iter
+      (fun t -> check ~q:(Naive.chain_q p t) ~digits (Printf.sprintf "level %d position %d" level t))
+      (Naive.positions p level)
+  done;
+  let dnum = Params.digits p ~level:p.max_level in
+  Alcotest.(check int) "four digits at full level" 4 dnum;
+  Array.iter
+    (fun t ->
+      let q = Naive.chain_q p t in
+      if t > 0 && t < p.max_level then
+        Alcotest.(check bool) (Printf.sprintf "rescale prime %d just below 2^30" q) true
+          (q < 1 lsl 30 && q > (1 lsl 30) - (1 lsl 20));
+      Alcotest.(check bool) (Printf.sprintf "position %d sums raw" t) (t > 0)
+        (Keys.raw_mac ~q ~digits:dnum))
+    (Naive.positions p p.max_level);
+  (* The kernel test's all-(q - 1) case meets the bound on this chain: the
+     Eval-domain constant -1 lifts to q - 1 in every digit and slot, so with
+     all-(q - 1) keys a full-level MAC sums 4 (q - 1)^2 onto its
+     accumulator. *)
+  let minus_one =
+    Rns_poly.of_residues ~domain:Rns_poly.Eval
+      (Array.init p.max_level (fun i -> Array.make p.n (p.moduli.(i) - 1)))
+  in
+  let positions = Naive.positions p p.max_level in
+  Array.iteri
+    (fun pos digits ->
+      let q = Naive.chain_q p positions.(pos) in
+      Array.iter
+        (fun d ->
+          Alcotest.(check bool) (Printf.sprintf "position %d digits all q - 1" positions.(pos))
+            true (Array.for_all (fun x -> x = q - 1) d))
+        digits)
+    (Naive.decompose p minus_one)
+
+(* A finished accumulator's limbs are the pair [mac_finish] returned:
+   finishing it again, or accumulating into it, raises instead of
+   rewriting them. *)
+let test_mac_finish_once () =
+  let p = params () in
+  let keys = test_keys () in
+  let st = Random.State.make [| 0xf1 |] in
+  let sk = Keys.relin_key keys in
+  let dec = Keys.decompose keys (Rns_poly.to_eval p (rand_poly st p ~level:5)) in
+  let m = Keys.mac_create keys dec in
+  Keys.mac_accumulate keys sk dec m;
+  let ((u0, u1) as first) = Keys.mac_finish keys m in
+  let bits = (Array.map Array.copy u0.res, Array.map Array.copy u1.res) in
+  Alcotest.check_raises "second mac_finish"
+    (Invalid_argument "Keys.mac_finish: accumulator already finished") (fun () ->
+      ignore (Keys.mac_finish keys m));
+  Alcotest.check_raises "mac_accumulate after mac_finish"
+    (Invalid_argument "Keys.mac_accumulate: accumulator already finished") (fun () ->
+      Keys.mac_accumulate keys sk dec m);
+  Alcotest.(check bool) "first result keeps its bits" true ((u0.res, u1.res) = bits);
+  check_pair p "first result = apply" first (Keys.apply keys sk dec)
 
 (* Key-switch error at every level of test_deep, measured exactly: a
    rotation decrypts to aut(m) + e_ks and a relinearized product to
@@ -978,8 +1071,14 @@ let () =
               Alcotest.test_case ("decompose Eval = Coeff, " ^ name) `Quick
                 (test_decompose_domains p);
             ])
-          [ ("test_small", params ()); ("test_deep", Params.test_deep ()) ]
+          [
+            ("test_small", params ());
+            ("test_deep", Params.test_deep ());
+            ("rescale primes below 2^30", Lazy.force tight_chain);
+          ]
         @ [
+            Alcotest.test_case "raw MAC where the bound allows" `Quick test_raw_mac_branches;
+            Alcotest.test_case "mac_finish once" `Quick test_mac_finish_once;
             Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes;
             Alcotest.test_case "error bound at every level, test_deep" `Quick
               test_keyswitch_error_per_level;

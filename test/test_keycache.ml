@@ -110,6 +110,42 @@ let test_regeneration_bit_identity () =
   Alcotest.(check bool) "generation order is irrelevant" true
     (raw_equal before (Keys.rotation_key sib ~offset:4))
 
+(* ------------------------------------------------------------------ *)
+(* Key generation                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Key generation draws every random value first, in one fixed order, then
+   builds the residues across the pool.  The key frame of a fresh set (its
+   relinearization key) and of the set after one rotation key, as digests:
+   the same whether generated sequentially or on the pool, and pinned to
+   the digests of a construction that drew and built each residue in turn,
+   so any draw moved in the stream shows. *)
+let keygen_frames () =
+  let params = Params.test_small () in
+  let keys = Keys.keygen ~seed:0x4E1 params in
+  let frame () =
+    Digest.to_hex
+      (Digest.string (Halo_persist.Codec.to_frame (Halo_persist.Codec.keys params) keys))
+  in
+  let relin = frame () in
+  ignore (Keys.rotation_key keys ~offset:3);
+  [ ("relin key", relin); ("rotation key 3", frame ()) ]
+
+let test_keygen_pool_invariance () =
+  Alcotest.(check (list (pair string string)))
+    "sequential = pooled"
+    (Domain_pool.sequentially keygen_frames)
+    (keygen_frames ())
+
+let test_keygen_golden () =
+  Alcotest.(check (list (pair string string)))
+    "key frame digests"
+    [
+      ("relin key", "049af2483e5ece4e2615d0b9999614d0");
+      ("rotation key 3", "905fa73654edbebdf68715d0cc0e09aa");
+    ]
+    (keygen_frames ())
+
 (* Four domains hammer five offsets under a budget that holds only two
    keys: constant eviction and regeneration must never surface a key that
    differs from the unbounded reference, and the counters must account for
@@ -496,6 +532,11 @@ let () =
             test_regeneration_bit_identity;
           Alcotest.test_case "concurrent eviction race" `Quick
             test_concurrent_eviction_race;
+        ] );
+      ( "keygen",
+        [
+          Alcotest.test_case "sequential = pooled" `Quick test_keygen_pool_invariance;
+          Alcotest.test_case "golden key frames" `Quick test_keygen_golden;
         ] );
       ( "digits",
         [
