@@ -170,19 +170,40 @@ let rescale st a =
 (* Fused rotate-and-sum evaluates the exact unfused sequence — rotations
    (no RNG), then each member's multcp + rescale in term order, then the
    add chain — so the noise-stream draws are identical to the unfused run
-   and fused vs. unfused programs stay bit-identical on this backend. *)
+   and fused vs. unfused programs stay bit-identical on this backend.  A
+   pure group draws nothing, so it is one pass over the slots
+   ({!sum_rotations}); its estimate is the fold's: one key switch if any
+   member rotates. *)
+let sum_rotations a ~offsets =
+  let n = Array.length a in
+  let shifts = Array.of_list (List.map (fun o -> ((o mod n) + n) mod n) offsets) in
+  Array.init n (fun i ->
+      let acc = ref a.((i + shifts.(0)) mod n) in
+      for g = 1 to Array.length shifts - 1 do
+        acc := !acc +. a.((i + shifts.(g)) mod n)
+      done;
+      !acc)
+
 let rot_sum st a ~terms =
   if terms = [] then fail "rot_sum" ~level:a.ct_level "empty term list";
-  let rotated = List.map (fun (o, c) -> (rotate st a ~offset:o, c)) terms in
-  let members =
-    List.map
-      (fun (r, c) ->
-        match c with None -> r | Some m -> rescale st (multcp st r m))
-      rotated
-  in
-  match members with
-  | [] -> assert false
-  | m :: ms -> List.fold_left (addcc st) m ms
+  if List.for_all (fun (_, c) -> c = None) terms then begin
+    check_level "rotate" a 1;
+    let offsets = List.map fst terms in
+    let ks = if List.exists (fun o -> o <> 0) offsets then units.keyswitch else 0.0 in
+    { a with data = sum_rotations a.data ~offsets; noise_est = a.noise_est +. ks }
+  end
+  else begin
+    let rotated = List.map (fun (o, c) -> (rotate st a ~offset:o, c)) terms in
+    let members =
+      List.map
+        (fun (r, c) ->
+          match c with None -> r | Some m -> rescale st (multcp st r m))
+        rotated
+    in
+    match members with
+    | [] -> assert false
+    | m :: ms -> List.fold_left (addcc st) m ms
+  end
 
 let modswitch _st a ~down =
   if down < 0 then fail "modswitch" ~level:a.ct_level "negative drop %d" down;

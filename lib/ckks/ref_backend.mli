@@ -90,7 +90,14 @@ val rot_sum : state -> ct -> terms:(int * float array option) list -> ct
 (** Fused rotate-and-sum; on this backend exactly the unfused per-term
     sequence — rotations, then each member's {!multcp} + {!rescale} in
     term order, then the add chain — so the noise-stream draws match the
-    unfused program and fused vs. unfused runs are bit-identical. *)
+    unfused program and fused vs. unfused runs are bit-identical.  A pure
+    group ({!sum_rotations}) draws nothing. *)
+
+val sum_rotations : float array -> offsets:int list -> float array
+(** [Σ rot(a, o)] over [offsets] in one pass over the slots, each slot
+    added left to right in offset order: the bits of the unfused
+    rotate-and-add chain.  The pure [rot_sum] of this backend and of
+    [Halo_runtime.Clear_backend], so the two agree bit for bit. *)
 
 val rescale : state -> ct -> ct
 val modswitch : state -> ct -> down:int -> ct

@@ -4,6 +4,7 @@ type key =
   | Kconst of string * int
   | Kbinary of Ir.binop * Ir.var * Ir.var
   | Krotate of Ir.var * int
+  | Krotsum of Ir.var * int list
   | Krescale of Ir.var
   | Kmodswitch of Ir.var * int
   | Kpack of Ir.var list * int
@@ -36,9 +37,13 @@ let key_of_op : Ir.op -> key option = function
        Rotate_fuse ever groups them, so fused groups carry no duplicates
        in the standard pipeline. *)
     None
+  | Ir.RotSum { src; terms } when List.for_all (fun (_, c) -> c = None) terms ->
+    (* A pure reduction (as Dsl.sum_slots emits it) is determined by its
+       source and its offsets in term order, the order its adds fold in. *)
+    Some (Krotsum (src, List.map fst terms))
   | Ir.RotSum _ ->
-    (* Built by Lazy_switch after CSE has already run; identical reductions
-       would have been merged at their unfused form. *)
+    (* Weighted reductions are built by Lazy_switch, which runs after the
+       last CSE pass. *)
     None
   | Ir.Bootstrap _ | Ir.For _ -> None
 

@@ -6,6 +6,8 @@
     pass deduplicates structurally identical pure operations within each
     block (loop bodies are processed independently: values must not be
     shared across the loop boundary, where levels differ per iteration).
+    A pure [rot_sum] (a {!Dsl.sum_slots} stage) is keyed by its source and
+    its offsets in term order.
 
     [Bootstrap] is deliberately never deduplicated — placement passes own
     those decisions. *)

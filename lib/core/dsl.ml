@@ -104,8 +104,14 @@ let build ~name ~slots ~max_level f =
 
 let sum_slots b x ~size =
   if size land (size - 1) <> 0 then invalid_arg "Dsl.sum_slots: size not a power of two";
+  let stage acc offsets =
+    emit b (Ir.RotSum { src = acc; terms = List.map (fun o -> (o, None)) offsets })
+  in
   let rec go acc step =
-    if step >= size then acc else go (add b acc (rotate b acc step)) (step * 2)
+    if step >= size then acc
+    else if 4 * step <= size then
+      go (stage acc [ 0; step; 2 * step; 3 * step ]) (4 * step)
+    else go (stage acc [ 0; step ]) (2 * step)
   in
   go x 1
 

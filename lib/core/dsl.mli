@@ -61,8 +61,14 @@ val output : t -> value -> unit
 (** {1 Convenience combinators} *)
 
 val sum_slots : t -> value -> size:int -> value
-(** Rotate-and-add tree summing [size] adjacent slots into every slot
-    ([size] must be a power of two). *)
+(** Sum [size] adjacent slots into every slot ([size] must be a power of
+    two).  Emitted as ⌈log4 size⌉ pure [rot_sum] stages: stage [k] with
+    step [s = 4^k] is [acc <- rot_sum acc, 0, s, 2s, 3s], and an odd
+    [log2 size] ends with one radix-2 stage [rot_sum acc, 0, s].  Each stage
+    keeps the level and scale, and a lattice backend runs it with one shared
+    digit decomposition and one mod-down.  The stages need the rotation
+    keys [s], [2s] and [3s] per radix-4 step ([s] for the final radix-2
+    step): 9 keys for a 64-slot sum, where a radix-2 tree needs 6. *)
 
 val mean_slots : t -> value -> size:int -> value
 (** [sum_slots] divided by [size] (one plaintext multiplication). *)

@@ -9,7 +9,7 @@
 
 val dot : Dsl.t -> Dsl.value -> Dsl.value -> size:int -> Dsl.value
 (** Inner product over [size] adjacent slots, result replicated everywhere
-    (one multiplication + a rotate-and-add tree). *)
+    (one multiplication + the [rot_sum] stages of {!Dsl.sum_slots}). *)
 
 val variance : Dsl.t -> Dsl.value -> size:int -> Dsl.value
 (** Population variance [E(x^2) - E(x)^2] (multiplicative depth 2). *)

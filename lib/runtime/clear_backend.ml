@@ -23,7 +23,8 @@ let rotate_many st a ~offsets =
   List.map (fun offset -> rotate st a ~offset) offsets
 
 (* Σ coeff ⊙ rot(src), folded in term order: the IEEE add order of the
-   unfused add chain. *)
+   unfused add chain, which a pure group keeps in one pass over the
+   slots. *)
 let rot_sum st a ~terms =
   let term (offset, c) =
     let r = rotate st a ~offset in
@@ -31,6 +32,8 @@ let rot_sum st a ~terms =
   in
   match terms with
   | [] -> invalid_arg "Clear_backend.rot_sum: empty term list"
+  | _ when List.for_all (fun (_, c) -> c = None) terms ->
+    Halo_ckks.Ref_backend.sum_rotations a ~offsets:(List.map fst terms)
   | t :: ts ->
     List.fold_left (fun acc t -> Array.map2 ( +. ) acc (term t)) (term t) ts
 

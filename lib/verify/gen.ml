@@ -38,7 +38,7 @@ let generate ?(slots = 256) ?(max_level = 16) seed =
         let half () = Dsl.const b (0.2 +. (0.3 *. flt ())) in
         let combine pool v =
           let w = pick pool in
-          match int 8 with
+          match int 9 with
           | 0 -> Dsl.mul b v w
           | 1 -> Dsl.mul b (Dsl.add b v w) (half ())
           | 2 -> Dsl.mul b (Dsl.sub b v w) (half ())
@@ -67,6 +67,12 @@ let generate ?(slots = 256) ?(max_level = 16) seed =
                  (fun acc r' -> Dsl.add b acc (Dsl.scale_by b r' scale))
                  (Dsl.scale_by b r scale) rs
              | [] -> assert false)
+          | 7 ->
+            (* A slot sum (pure RotSum stages straight from the DSL, radix 4
+               with a radix-2 tail on odd log2 sizes), scaled back into the
+               interval. *)
+            let size = pick [ 2; 4; 8; 16 ] in
+            Dsl.scale_by b (Dsl.sum_slots b v ~size) (0.9 /. float_of_int size)
           | _ -> Dsl.add b (Dsl.mul b v (half ())) (Dsl.mul b w (half ()))
         in
         let rec chain pool v n =

@@ -1,8 +1,9 @@
 (** Deterministic, seeded random program generator over the {!Halo.Dsl}
     surface: straight-line prologues, one or two top-level loops (optionally
     nested), static and dynamic iteration counts, 1-3 loop-carried variables
-    mixing plain and cipher status, all binary operations and rotations, and
-    references to live-in values from enclosing scopes.
+    mixing plain and cipher status, all binary operations, rotations,
+    grouped rotations and slot sums ({!Halo.Dsl.sum_slots}), and references
+    to live-in values from enclosing scopes.
 
     The same seed always yields the same program, so a failing fuzz seed is
     reproducible with [halo_cli verify --seed N]. *)

@@ -33,8 +33,9 @@ let test_rotations_of_compiled_sum () =
         Dsl.output b (Dsl.sum_slots b x ~size:16))
     |> Strategy.compile ~strategy:Strategy.Type_matched
   in
-  (* The rotate-and-add tree needs offsets 1, 2, 4, 8. *)
-  Alcotest.(check (list int)) "log tree offsets" [ 1; 2; 4; 8 ] (Rotations.required p)
+  (* Two radix-4 rot_sum stages: offsets 1, 2, 3, then 4, 8, 12. *)
+  Alcotest.(check (list int)) "radix-4 stage offsets" [ 1; 2; 3; 4; 8; 12 ]
+    (Rotations.required p)
 
 let test_rotations_cover_lowered_packing () =
   let p =

@@ -666,6 +666,50 @@ let test_licm_hoists_invariants () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "verify: %s" m
 
+let count_rot_sums (b : Ir.block) =
+  Ir.count_ops ~p:(function Ir.RotSum _ -> true | _ -> false) b
+
+(* A pure rot_sum is level- and scale-preserving like the rotate/add tree it
+   replaces, so a loop-invariant slot sum leaves the body whole. *)
+let test_licm_hoists_sum () =
+  let p =
+    Dsl.build ~name:"invsum" ~slots:64 ~max_level:16 (fun b ->
+        let x = Dsl.input b "x" ~size:16 in
+        let outs =
+          Dsl.for_ b ~count:(dyn "K") ~init:[ x ] (fun b -> function
+            | [ v ] -> [ Dsl.add b (Dsl.mul b v v) (Dsl.sum_slots b x ~size:16) ]
+            | _ -> assert false)
+        in
+        List.iter (Dsl.output b) outs)
+  in
+  let hoisted = Licm.program p in
+  let fo =
+    List.find_map
+      (fun (i : Ir.instr) -> match i.op with Ir.For fo -> Some fo | _ -> None)
+      hoisted.body.instrs
+    |> Option.get
+  in
+  Alcotest.(check int) "no rot_sum left in the body" 0 (count_rot_sums fo.body);
+  Alcotest.(check int) "both stages hoisted" 2 (count_rot_sums hoisted.body);
+  match Typecheck.verify (Strategy.compile ~strategy:Strategy.Halo p) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "verify: %s" m
+
+(* Identical pure reductions are keyed by (source, offsets) and merged;
+   different offsets are different values. *)
+let test_cse_merges_sums () =
+  let p =
+    Dsl.build ~name:"dupsum" ~slots:64 ~max_level:16 (fun b ->
+        let x = Dsl.input b "x" ~size:4 in
+        let s1 = Dsl.sum_slots b x ~size:4 in
+        let s2 = Dsl.sum_slots b x ~size:4 in
+        Dsl.output b (Dsl.add b s1 s2);
+        Dsl.output b (Dsl.sum_slots b x ~size:2))
+  in
+  Alcotest.(check int) "three sums traced" 3 (count_rot_sums p.body);
+  let cleaned = Dce.program (Cse.program p) in
+  Alcotest.(check int) "identical sums merged" 2 (count_rot_sums cleaned.body)
+
 let test_licm_shrinks_code_size () =
   (* Masks lowered into an unrolled body are hoisted + deduplicated, so the
      HALO artifact stays small (the Table 7 property). *)
@@ -789,6 +833,16 @@ let equal_modulo_renaming (p : Ir.program) (q : Ir.program) =
     | Ir.Rotate x, Ir.Rotate y -> same x.src y.src && x.offset = y.offset
     | Ir.RotateMany x, Ir.RotateMany y ->
       same x.src y.src && x.offsets = y.offsets
+    | Ir.RotSum x, Ir.RotSum y ->
+      let same_term (o, c) (o', c') =
+        o = o'
+        &&
+        match (c, c') with
+        | None, None -> true
+        | Some v, Some w -> same v w
+        | _ -> false
+      in
+      same x.src y.src && all2 same_term x.terms y.terms
     | Ir.Rescale x, Ir.Rescale y -> same x.src y.src
     | Ir.Modswitch x, Ir.Modswitch y -> same x.src y.src && x.down = y.down
     | Ir.Bootstrap x, Ir.Bootstrap y -> same x.src y.src && x.target = y.target
@@ -893,6 +947,8 @@ let () =
           Alcotest.test_case "cse keeps bootstraps" `Quick test_cse_keeps_bootstraps;
           Alcotest.test_case "licm hoists" `Quick test_licm_hoists_invariants;
           Alcotest.test_case "licm shrinks code" `Quick test_licm_shrinks_code_size;
+          Alcotest.test_case "licm hoists invariant sums" `Quick test_licm_hoists_sum;
+          Alcotest.test_case "cse merges identical sums" `Quick test_cse_merges_sums;
           Alcotest.test_case "run-length constants" `Quick test_rle_roundtrip;
         ] );
       ( "properties",

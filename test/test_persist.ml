@@ -1118,7 +1118,7 @@ let golden_digests =
     ("compiled program", "e1af719d1f432ae894ccbd7f04a52746");
     ("run manifest", "b29648d73ffce674d3d0eea1cc95a9bb");
     ("checkpoint entry", "687a0036f206db0ad8510129464ce4a2");
-    ("serve manifest", "83f9fd7f63437018d7dbb0fa7e8526cb");
+    ("serve manifest", "781566df2424b8e64abaa1974dcef356");
     ("serve request", "d77eca010842dda4c2acee18a88fcf28");
     ("serve batch entry", "1e36b3ed9fcc7531c55f5c276c355454");
     ("serve plan record", "5712d3eedc6c605477a861859f180f81");
@@ -1128,7 +1128,7 @@ let golden_digests =
     ("rescue record", "33c8a4dd5c66ceea321b560f2c6407aa");
     ("tuned strategy manifest", "0e6d9f4f37d1767dd3dcf9bd9e78056f");
     ("run manifest fingerprint", "00000d31f3e086eb");
-    ("serve manifest fingerprint", "0000085a5cd4e149");
+    ("serve manifest fingerprint", "0000079723569917");
     ("plan fingerprint", "f48a980a1f428a71");
   ]
 

@@ -429,6 +429,211 @@ let test_unpack_fan_counters () =
     (st_f.Stats.decompositions_saved > 0);
   Alcotest.(check int) "no groups unfused" 0 st_u.Stats.hoisted_groups
 
+(* ------------------------------------------------------------------ *)
+(* Slot sums: radix-4 pure rot_sum stages                              *)
+(* ------------------------------------------------------------------ *)
+
+let sum_sizes = List.init 11 (fun k -> 1 lsl k) (* 1 .. 1024 *)
+
+let ceil_log4 size =
+  let rec go k p = if p >= size then k else go (k + 1) (4 * p) in
+  go 0 1
+
+let sum_program ~slots ~size =
+  Dsl.build ~name:(Printf.sprintf "sum%d" size) ~slots ~max_level:8 (fun b ->
+      let x = Dsl.input b "x" ~size:slots in
+      Dsl.output b (Dsl.sum_slots b x ~size))
+
+(* The rotate-and-add doubling tree: acc <- acc + rot(acc, s) for
+   s = 1, 2, 4, ... < size. *)
+let radix2_sum a ~size =
+  let n = Array.length a in
+  let rec go acc s =
+    if s >= size then acc
+    else go (Array.init n (fun i -> acc.(i) +. acc.((i + s) mod n))) (2 * s)
+  in
+  go a 1
+
+let test_sum_matches_radix2 () =
+  let slots = 1024 in
+  let a = sample_values 5 slots in
+  List.iter
+    (fun size ->
+      let p = sum_program ~slots ~size in
+      Alcotest.(check int)
+        (Printf.sprintf "size %d: stages" size)
+        (ceil_log4 size)
+        (Ir.count_ops ~p:(function Ir.RotSum _ -> true | _ -> false) p.body);
+      let got =
+        List.hd (Halo_runtime.Interp.reference ~inputs:[ ("x", a) ] p)
+      in
+      let want = radix2_sum a ~size in
+      Array.iteri
+        (fun i w ->
+          if Float.abs (w -. got.(i)) > 1e-12 then
+            Alcotest.failf "size %d slot %d: %h vs radix-2 %h" size i got.(i) w)
+        want)
+    sum_sizes
+
+(* Radix-4 stage with step s needs keys s, 2s, 3s; a radix-2 tail step s
+   needs s alone. *)
+let test_sum_rotation_keys () =
+  let slots = 1024 in
+  List.iter
+    (fun size ->
+      let rec keys s =
+        if s >= size then []
+        else if 4 * s <= size then s :: (2 * s) :: (3 * s) :: keys (4 * s)
+        else [ s ]
+      in
+      let want = List.sort_uniq compare (keys 1) in
+      let p = sum_program ~slots ~size in
+      Alcotest.(check (list int))
+        (Printf.sprintf "size %d: traced" size)
+        want (Rotations.required p);
+      Alcotest.(check (list int))
+        (Printf.sprintf "size %d: compiled" size)
+        want
+        (Rotations.required (Strategy.compile ~strategy:Strategy.Halo p)))
+    sum_sizes
+
+(* A pure rot_sum on the cleartext backends is one pass over the slots;
+   it must keep the bits, level, scale and noise estimate of the unfused
+   fold (rotations, then the add chain in term order). *)
+let test_pure_rot_sum_is_the_fold () =
+  let module Ref = Halo_ckks.Ref_backend in
+  let module Clear = Halo_runtime.Clear_backend in
+  let offset_lists =
+    [ [ 0; 1; 2; 3 ]; [ 0; -5; 7 ]; [ 3 ]; [ 0 ]; [ 2; 2; 0; -1 ]; [ 0; 64; 97 ] ]
+  in
+  let st = ref_state () in
+  let ct = Ref.inflate_noise st (Ref.encrypt st ~level:5 (sample_values 21 64)) ~by:3e-9 in
+  List.iter
+    (fun offsets ->
+      let name = String.concat "," (List.map string_of_int offsets) in
+      let terms = List.map (fun o -> (o, None)) offsets in
+      let fused = Ref.rot_sum st ct ~terms in
+      let unfused =
+        match List.map (fun offset -> Ref.rotate st ct ~offset) offsets with
+        | r :: rs -> List.fold_left (Ref.addcc st) r rs
+        | [] -> assert false
+      in
+      Alcotest.(check bool) (name ^ ": ref bits") true
+        (bits_equal [ Ref.decrypt st fused ] [ Ref.decrypt st unfused ]);
+      Alcotest.(check int) (name ^ ": level") (Ref.level st unfused) (Ref.level st fused);
+      Alcotest.(check bool) (name ^ ": scale and noise estimate") true
+        (fused.Ref.scale_bits = unfused.Ref.scale_bits
+        && Ref.noise_estimate st fused = Ref.noise_estimate st unfused);
+      let a = Ref.decrypt st ct and cst = Clear.create ~slots:64 in
+      let clear_unfused =
+        match List.map (fun offset -> Clear.rotate cst a ~offset) offsets with
+        | r :: rs -> List.fold_left (Clear.addcc cst) r rs
+        | [] -> assert false
+      in
+      Alcotest.(check bool) (name ^ ": clear bits") true
+        (bits_equal [ Clear.rot_sum cst a ~terms ] [ clear_unfused ]))
+    offset_lists
+
+(* The lattice backend as the interpreter drives it, counting single and
+   grouped rotations and fused sums, and keeping the noise estimate of the
+   ciphertext it last decrypted. *)
+module Counting = struct
+  module L = Halo_runtime.Lattice_backend
+  include L
+
+  let rotates = ref 0
+  let rot_sums = ref 0
+  let decrypted_noise = ref 0.0
+
+  let rotate st c ~offset =
+    incr rotates;
+    L.rotate st c ~offset
+
+  let rotate_many st c ~offsets =
+    rotates := !rotates + List.length offsets;
+    L.rotate_many st c ~offsets
+
+  let rot_sum st c ~terms =
+    incr rot_sums;
+    L.rot_sum st c ~terms
+
+  let decrypt st c =
+    decrypted_noise := L.noise_estimate st c;
+    L.decrypt st c
+end
+
+module LC = Halo_runtime.Interp.Make (Counting)
+
+(* On real RLWE ciphertexts each stage is one backend rot_sum and no
+   rotation runs on its own, and the noise estimate grows by one key switch
+   per stage.  Inputs are scaled by 1/size so every sum stays in [-1, 1],
+   inside the headroom of level 1, where the compiled output sits.  At
+   these parameters (27-bit scale) a ciphertext decrypts far above its
+   estimate, so the error bound is measured: the size-1 program (input
+   straight to output) gives the per-slot error [e1], and a sum of [size]
+   slots, each member adding a key switch's error, stays within
+   [2 * size * e1].  Sizes above the slot count wrap around the ring, as in
+   the exact reference. *)
+let test_sum_on_lattice () =
+  let keys = Keys.keygen ~seed:0x5A5 (Params.test_small ()) in
+  let slots = keys.Keys.params.Params.slots in
+  let units = Halo_cost.Noise_units.default in
+  let e1 = ref 0.0 in
+  List.iter
+    (fun size ->
+      let a = Array.map (fun v -> v /. float_of_int size) (sample_values 9 slots) in
+      let p = Strategy.compile ~strategy:Strategy.Halo (sum_program ~slots ~size) in
+      Counting.rotates := 0;
+      Counting.rot_sums := 0;
+      let outs, _ = LC.run keys ~inputs:[ ("x", a) ] p in
+      let stages = ceil_log4 size in
+      Alcotest.(check int) (Printf.sprintf "size %d: rotations" size) 0 !Counting.rotates;
+      Alcotest.(check int) (Printf.sprintf "size %d: rot_sums" size) stages !Counting.rot_sums;
+      Alcotest.(check (float 1e-20))
+        (Printf.sprintf "size %d: noise estimate" size)
+        (units.enc +. (float_of_int stages *. units.keyswitch))
+        !Counting.decrypted_noise;
+      let want = List.hd (Halo_runtime.Interp.reference ~inputs:[ ("x", a) ] p) in
+      let err = ref 0.0 in
+      Array.iteri (fun i w -> err := Float.max !err (Float.abs (w -. (List.hd outs).(i)))) want;
+      if size = 1 then e1 := !err
+      else if !err > 2.0 *. float_of_int size *. !e1 then
+        Alcotest.failf "size %d: error %g above 2 x %d x %g" size !err size !e1)
+    sum_sizes
+
+(* Dynamic bootstrap counts of the seven benchmark programs under every
+   strategy at the end-to-end benchmark's geometry (2 iterations, 64
+   samples, 1024 slots): emitting sums as rot_sum stages keeps the level of
+   every value, so placement does not move. *)
+let bench_bootstraps =
+  [
+    ("Linear", [ 0; 5; 4; 4; 4 ]);
+    ("Polynomial", [ 0; 8; 6; 6; 6 ]);
+    ("Multivariate", [ 0; 9; 1; 1; 1 ]);
+    ("Logistic", [ 15; 18; 18; 18; 18 ]);
+    ("K-means", [ 11; 11; 10; 10; 10 ]);
+    ("SVM", [ 11; 12; 10; 10; 10 ]);
+    ("PCA", [ 20; 23; 23; 19; 19 ]);
+  ]
+
+let test_bench_bootstrap_counts () =
+  let got =
+    List.map
+      (fun (b : Halo_ml.Bench_def.t) ->
+        let bindings = Halo_ml.Workloads.default_bindings b ~iters:2 in
+        let src = b.build ~slots:1024 ~size:64 in
+        ( b.name,
+          List.map
+            (fun strategy ->
+              (Halo_tune.Predict.program ~bindings
+                 (Strategy.compile ~bindings ~strategy src))
+                .Halo_tune.Predict.b_bootstraps)
+            Strategy.all ))
+      Halo_ml.Workloads.all
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "bootstraps per program, strategies in Strategy.all order" bench_bootstraps got
+
 let () =
   Alcotest.run "halo_rotations"
     [
@@ -469,5 +674,15 @@ let () =
             test_zero_offset_member;
           Alcotest.test_case "unpack fan counters" `Quick
             test_unpack_fan_counters;
+        ] );
+      ( "sum_slots",
+        [
+          Alcotest.test_case "pure rot_sum = unfused fold" `Quick
+            test_pure_rot_sum_is_the_fold;
+          Alcotest.test_case "clear = radix-2 tree" `Quick test_sum_matches_radix2;
+          Alcotest.test_case "radix-4 rotation keys" `Quick test_sum_rotation_keys;
+          Alcotest.test_case "lattice stages" `Quick test_sum_on_lattice;
+          Alcotest.test_case "bench bootstrap counts" `Quick
+            test_bench_bootstrap_counts;
         ] );
     ]

@@ -674,14 +674,14 @@ let test_golden_serve_bytes () =
   check "fallback+rescue, margin 0.01"
     ~phases:[ ("batch", 6); ("solo", 32); ("replan", 32) ]
     ~rescues:66
-    ~journal:"234a85bb969768ffd73c3b97d2c8005c"
+    ~journal:"46b4b94c1b0c96f52f1a9ae77b37bb49"
     ~report:"7d2284b59a743084bc2738ccb6c31170"
     (golden_serve ~margin:0.01
        { sup with s_fallback = true; s_guard = true; s_rescue = true });
   check "poisoned tenant, fallback, quarantine after 1"
     ~phases:[ ("batch", 6); ("solo", 27); ("replan", 0) ]
     ~rescues:0
-    ~journal:"dd2ac41af4a994d7f84076297d2712fc"
+    ~journal:"29834e8c01803c2bf522a1b108179e52"
     ~report:"5c84d6f19878c9ce1371a297ba51368e"
     (golden_serve
        ~faults:
@@ -697,7 +697,7 @@ let test_golden_serve_bytes () =
   check "deadline 2000us"
     ~phases:[ ("batch", 6); ("solo", 0); ("replan", 0) ]
     ~rescues:0
-    ~journal:"fa078c12643e1ecdc62a1c2f07297a0b"
+    ~journal:"1d758bf06aab31c537c5b50ae036ebc8"
     ~report:"76068edf842a04d340287c64cdc727e4"
     (golden_serve { sup with s_deadline_us = 2000 })
 
