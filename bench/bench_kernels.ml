@@ -12,7 +12,7 @@
    the current pool size, and asserts that both build the same keys.  Each
    key-switch chain also reports the exact bytes of one switching key.
    Results go to stdout and, with [--json PATH], to a halo-bench-kernels/v1
-   JSON report. *)
+   JSON report, which names the host's CPU and core count. *)
 
 open Halo_ckks
 
@@ -491,6 +491,45 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
            && residues_equal r1 (Rns_poly.to_coeff ks_params n1).res)
         ~ref_f:ref_ks ~new_f:new_ks)
     (ks_levels ks_params);
+  (* Rotate-and-sum groups through the group MAC: lazy mode (one digit
+     decomposition of c1, then one visit per chain position for the whole
+     group) against eager mode (one decomposition per member, as a chain of
+     unfused rotations would pay).  The digit memo is off, so each lazy call
+     decomposes once.  Lazy and eager are bit-identical by construction; the
+     row asserts it.  A pure group of 3 members (a radix-4 slot-sum stage)
+     at the top level, a weighted group of 16 (a matrix-vector product) at
+     half of it. *)
+  let rot_sum_row op ~level ~terms =
+    let values = Array.init ks_params.slots (fun _ -> Random.State.float st 1.0 -. 0.5) in
+    let ct = Eval.encrypt keys ~level values in
+    let run mode () = Eval.rot_sum keys ~mode ct ~terms in
+    let same (a : Eval.ct) (b : Eval.ct) =
+      let res p = (Rns_poly.to_coeff ks_params p).Rns_poly.res in
+      residues_equal (res a.c0) (res b.c0) && residues_equal (res a.c1) (res b.c1)
+    in
+    Eval.set_digit_cache false;
+    record op ~limbs:level
+      ~identical:(same (run `Lazy ()) (run `Eager ()))
+      ~ref_f:(run `Eager) ~new_f:(run `Lazy);
+    Eval.set_digit_cache true
+  in
+  let diag () = Some (Array.init ks_params.slots (fun _ -> Random.State.float st 1.0 -. 0.5)) in
+  rot_sum_row "rot_sum_pure" ~level:ks_max ~terms:(List.init 3 (fun i -> (i + 1, None)));
+  rot_sum_row "rot_sum_weighted" ~level:(max 2 (ks_max / 2))
+    ~terms:(List.init 16 (fun i -> (i, diag ())));
+  (* Rescale of an NTT-resident operand: inverse-transform the dropped limb
+     only and stay resident, against rescaling through the coefficient
+     domain and lifting the result back, as a consumer of a Coeff rescale
+     had to. *)
+  let through_coeff () =
+    Rns_poly.to_eval params (Rns_poly.rescale_last params (Rns_poly.to_coeff params pa_eval))
+  in
+  record "rescale_resident" ~limbs
+    ~identical:
+      (residues_equal (through_coeff ()).res (Rns_poly.rescale_last params pa_eval).res
+      && Rns_poly.domain (Rns_poly.rescale_last params pa_eval) = Rns_poly.Eval)
+    ~ref_f:through_coeff
+    ~new_f:(fun () -> Rns_poly.rescale_last params pa_eval);
   (* Rotation-key generation, the same keys built strictly sequentially and
      on the pool.  A one-byte budget keeps only the newest key resident, so
      alternating two offsets regenerates a key on every fetch. *)
@@ -527,10 +566,33 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
     ~new_f:fetch_pool;
   (List.rev !out, size)
 
+(* The machine the timings come from: the CPU model where the OS reports
+   one (Linux), and the cores OCaml sees. *)
+let host () =
+  let model =
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> "unknown CPU"
+    | ic ->
+      let rec find () =
+        match input_line ic with
+        | exception End_of_file -> "unknown CPU"
+        | line -> (
+          match String.index_opt line ':' with
+          | Some i when String.trim (String.sub line 0 i) = "model name" ->
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          | _ -> find ())
+      in
+      let m = find () in
+      close_in ic;
+      m
+  in
+  Printf.sprintf "%s, %d cores" model (Domain.recommended_domain_count ())
+
 let json_of_results ~min_time results sizes =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"halo-bench-kernels/v1\",\n";
+  Buffer.add_string b (Printf.sprintf "  \"host\": %S,\n" (host ()));
   Buffer.add_string b (Printf.sprintf "  \"pool\": %d,\n" (Domain_pool.size ()));
   Buffer.add_string b (Printf.sprintf "  \"min_time_s\": %g,\n" min_time);
   Buffer.add_string b "  \"results\": [\n";

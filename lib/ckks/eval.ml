@@ -302,8 +302,10 @@ let eager_switch_env () =
 (* Fused rotate-and-sum: sum_g coeff_g * rotate(a, o_g), paying the
    mod-down and (with coefficients) the rescale once for the whole group.
    The canonical algebra accumulates every member's key-switch MAC in the
-   extended basis (plaintext factors folded into the MAC over Q*P), mods
-   down once, adds the direct Q-side parts, and rescales the sum once.
+   extended basis (plaintext factors folded into the MAC over Q*P) and the
+   members' Q-side parts sigma_g(c0), times m_g when weighted, in one visit
+   of each chain position ({!Keys.switch_group}), mods down once, and
+   rescales the sum once.
 
    Lazy mode shares one digit decomposition of [c1] across the group (via
    the cross-op memo); eager mode recomputes it per member, exactly as an
@@ -332,65 +334,43 @@ let rot_sum (keys : Keys.t) ?mode a ~terms =
   let term_dec () =
     match shared_dec with Some d -> d | None -> Keys.decompose keys a.c1
   in
-  let mac = ref None in
-  (* Weighted members accumulate their Q-side parts sigma_k(c0) * m_q in
-     place into one Eval-domain sum, permuting c0 lifted once per group. *)
-  let weighted =
-    if with_coeffs then
-      Some (Rns_poly.to_eval params a.c0, Rns_poly.zero ~domain:Rns_poly.Eval params ~level:l)
-    else None
-  in
-  let q0 = ref (Option.map snd weighted) (* direct Q-side contributions to c0 *)
-  and q1 = ref None (* zero-offset contributions to c1 *) in
+  (* Unrotated members need no key switch: their c1 parts add directly,
+     and so do their c0 parts when no member rotates. *)
+  let q0 = ref None and q1 = ref None in
   let add_into r x =
     match !r with None -> r := Some x | Some y -> r := Some (Rns_poly.add params y x)
   in
-  let mac_for dec =
-    match !mac with
-    | Some m -> m
-    | None ->
-      let m = Keys.mac_create keys dec in
-      mac := Some m;
-      m
-  in
-  List.iter
-    (fun (offset, coeff) ->
-      let k = if offset = 0 then 1 else Keys.galois_element params ~offset in
-      match coeff with
-      | None ->
-        if offset = 0 then begin
-          add_into q0 a.c0;
-          add_into q1 a.c1
-        end
-        else begin
-          let sk = Keys.rotation_key keys ~offset in
-          let dec = term_dec () in
-          Keys.mac_accumulate keys ~k sk dec (mac_for dec);
-          add_into q0 (Rns_poly.automorphism params ~k a.c0)
-        end
-      | Some values ->
+  let members =
+    List.map
+      (fun (offset, coeff) ->
         (* One memoized encoding per diagonal: the first [l] rows are its
            mod-Q evaluation-domain residues, the K special rows scale the
            MAC over Q*P. *)
-        let ext = Keys.plain_eval keys ~scale:params.scale ~level:l ~specials:true values in
-        let m_q = Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub ext 0 l) in
-        let c0_eval, acc = Option.get weighted in
-        Rns_poly.automorphism_mul_acc params ~k c0_eval m_q ~into:acc;
-        if offset = 0 then add_into q1 (Rns_poly.mul params a.c1 m_q)
+        let ext =
+          Option.map
+            (fun values -> Keys.plain_eval keys ~scale:params.scale ~level:l ~specials:true values)
+            coeff
+        in
+        let m_q = Option.map (fun ext -> Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub ext 0 l)) ext in
+        if offset = 0 then begin
+          let scaled p = match m_q with None -> p | Some m -> Rns_poly.mul params p m in
+          if not has_rotation then add_into q0 (scaled a.c0);
+          add_into q1 (scaled a.c1);
+          { Keys.galois = 1; switch = None; coeff = ext }
+        end
         else begin
           let sk = Keys.rotation_key keys ~offset in
           let dec = term_dec () in
-          Keys.mac_accumulate keys ~k ~coeff:ext sk dec (mac_for dec)
+          { Keys.galois = Keys.galois_element params ~offset; switch = Some (sk, dec); coeff = ext }
         end)
-    terms;
+      terms
+  in
   let c0, c1 =
-    match !mac with
-    | None -> (Option.get !q0, Option.get !q1)
-    | Some m ->
-      let u0, u1 = Keys.mac_finish keys m in
-      let c0 = match !q0 with None -> u0 | Some q -> Rns_poly.add params q u0 in
-      let c1 = match !q1 with None -> u1 | Some q -> Rns_poly.add params q u1 in
-      (c0, c1)
+    if has_rotation then begin
+      let c0, u1 = Keys.switch_group keys ~c0:(Rns_poly.to_eval params a.c0) members in
+      (c0, match !q1 with None -> u1 | Some q -> Rns_poly.add params q u1)
+    end
+    else (Option.get !q0, Option.get !q1)
   in
   (* Same bound as the static RotSum rule: one key switch if any member
      rotates, plus (for weighted groups) one plaintext multiply's

@@ -88,6 +88,10 @@ val multcp_complex : Keys.t -> ct -> Complex.t array -> ct
     pipeline's homomorphic DFT matrices). *)
 
 val rescale : Keys.t -> ct -> ct
+(** Drops the last prime and divides by it ({!Rns_poly.rescale_last}),
+    keeping each polynomial's domain: an NTT-resident ciphertext stays
+    NTT-resident. *)
+
 val modswitch : Keys.t -> ct -> down:int -> ct
 val negate : Keys.t -> ct -> ct
 
@@ -115,7 +119,8 @@ val set_digit_cache : bool -> unit
 val rot_sum :
   Keys.t -> ?mode:[ `Lazy | `Eager ] -> ct -> terms:(int * float array option) list -> ct
 (** Fused rotate-and-sum reduction: [sum_g coeff_g * rotate(a, o_g)] with
-    the mod-down paid once for the whole group.  Terms must be uniformly
+    one {!Keys.switch_group} (one visit per chain position, the members'
+    Q-side terms included) and the mod-down paid once for the whole group.  Terms must be uniformly
     pure ([None] coefficients: plain rotate-and-sum, level preserved) or
     weighted ([Some] coefficients, encoded at the default scale through
     the key set's plaintext memo: the

@@ -608,11 +608,12 @@ let decompose keys d =
    in place: inverse-transform and scale the K special limbs, convert them
    centered to every ciphertext prime through the domain's scratch limb,
    forward-transform that correction and write (u_t - correction) * P^-1
-   over u_t.  The result is the first l limbs of [u0] and [u1]; the special
-   limbs are left as garbage.  The centered conversion returns the special
-   part up to v * P with |v| < K/2, so the result is the exact division by P
-   up to that rounding (params.ml). *)
-let mod_down (params : Params.t) ~level:l u0 u1 =
+   over u_t, plus [add0.(t)] on the first half when given (a residue below
+   q_t, added modularly in the same pass).  The result is the first l limbs
+   of [u0] and [u1]; the special limbs are left as garbage.  The centered
+   conversion returns the special part up to v * P with |v| < K/2, so the
+   result is the exact division by P up to that rounding (params.ml). *)
+let mod_down (params : Params.t) ~level:l ?add0 u0 u1 =
   let k = Array.length params.specials in
   let basis = params.mod_down in
   par params k (fun i ->
@@ -629,133 +630,240 @@ let mod_down (params : Params.t) ~level:l u0 u1 =
       let p_inv = params.p_inv.(t) and p_inv_shoup = params.p_inv_shoup.(t) in
       let corr = scratch_limb params.n in
       List.iter
-        (fun (u, ys) ->
+        (fun (u, ys, add) ->
           let ut = u.(t) in
           check_len params.n ut;
           convert params basis ys t corr;
           Ntt.forward_in_place (chain_ntt params t) corr;
-          for j = 0 to params.n - 1 do
-            let diff = Array.unsafe_get ut j - Array.unsafe_get corr j in
-            let diff = diff + (q land (diff asr 62)) in
-            Array.unsafe_set ut j (Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup)
-          done)
-        [ (u0, ys0); (u1, ys1) ]);
+          let add = match add with Some a -> a.(t) | None -> [||] in
+          if Array.length add = 0 then
+            for j = 0 to params.n - 1 do
+              let diff = Array.unsafe_get ut j - Array.unsafe_get corr j in
+              let diff = diff + (q land (diff asr 62)) in
+              Array.unsafe_set ut j (Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup)
+            done
+          else begin
+            check_len params.n add;
+            for j = 0 to params.n - 1 do
+              let diff = Array.unsafe_get ut j - Array.unsafe_get corr j in
+              let diff = diff + (q land (diff asr 62)) in
+              let r = Modarith.mul_shoup ~m:q diff p_inv p_inv_shoup + Array.unsafe_get add j - q in
+              Array.unsafe_set ut j (r + (q land (r asr 62)))
+            done
+          end)
+        [ (u0, ys0, add0); (u1, ys1, None) ]);
   ( Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub u0 0 l),
     Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub u1 0 l) )
+
+(* How many terms, each at most [per_term] * (q - 1)^2, can be summed onto
+   a residue below q and stay inside [Modarith.reduce62]'s domain:
+   the largest B with B * per_term * (q - 1)^2 + q < 2^62.  (Dividing twice
+   is the floor of one division and cannot overflow.) *)
+let lazy_terms ~q ~per_term = (max_int - q) / per_term / ((q - 1) * (q - 1))
 
 (* Whether [digits] raw digit/key products mod q, summed onto a residue
    below q, stay inside [Modarith.reduce62]'s domain:
    digits * (q - 1)^2 + q < 2^62.  With dnum <= 4 that holds for every prime
    below 2^30, so at every chain position but a 31-bit base prime. *)
-let raw_mac ~q ~digits = (q - 1) * (q - 1) <= (max_int - q) / digits
+let raw_mac ~q ~digits = lazy_terms ~q ~per_term:digits >= 1
 
-(* --- lazy key switching: accumulate MACs, mod down once ----------------- *)
+(* --- the group MAC: one visit per chain position ------------------------ *)
 
-(* Extended-basis MAC accumulator for a whole rotate-and-sum reduction: each
-   [mac_accumulate] adds one rotation's digit/key inner product (optionally
-   scaled by a plaintext factor) into the running sums mod Q*P, still in the
-   NTT domain; [mac_finish] pays the mod-down once for the whole group, in
-   place, and hands the limbs over to the returned pair.  Modular addition
-   is exact, associative and commutative, so the finished pair is
-   bit-identical whether the digits were shared (lazy) or recomputed per
-   term (eager), for any accumulation partitioning across the domain
-   pool. *)
-type mac = {
-  mac_level : int;
-  mac0 : int array array;
-  mac1 : int array array;
-  mutable finished : bool;  (* the limbs belong to the pair [mac_finish] returned *)
+type member = {
+  galois : int;
+  switch : (switch_key * decomposed) option;
+  coeff : int array array option;
 }
 
-let mac_create keys dec =
-  let n = keys.params.n in
-  let np = Array.length dec.positions in
-  {
-    mac_level = dec.d_level;
-    mac0 = Array.init np (fun _ -> Array.make n 0);
-    mac1 = Array.init np (fun _ -> Array.make n 0);
-    finished = false;
-  }
+(* Adds one member's term into the running sums at slot j: the raw digit/key
+   sums [x0], [x1] themselves (pure), or the plaintext factor times their
+   reductions (weighted), and reduces the sums when [close]. *)
+let[@inline] put red ~close cv acc0 acc1 j x0 x1 =
+  if Array.length cv > 0 then begin
+    let c = Array.unsafe_get cv j in
+    let v0 = Array.unsafe_get acc0 j + (c * Modarith.reduce62 red x0)
+    and v1 = Array.unsafe_get acc1 j + (c * Modarith.reduce62 red x1) in
+    Array.unsafe_set acc0 j (if close then Modarith.reduce62 red v0 else v0);
+    Array.unsafe_set acc1 j (if close then Modarith.reduce62 red v1 else v1)
+  end
+  else begin
+    let v0 = Array.unsafe_get acc0 j + x0 and v1 = Array.unsafe_get acc1 j + x1 in
+    Array.unsafe_set acc0 j (if close then Modarith.reduce62 red v0 else v0);
+    Array.unsafe_set acc1 j (if close then Modarith.reduce62 red v1 else v1)
+  end
 
-(* The one digit/key MAC kernel of every key switch: at chain position
-   [pos], for both key halves and every slot j,
-     s = sum_i d_i.(perm.(j)) * k_i.(j) mod q,
-   then acc.(j) <- acc.(j) + s, or with a plaintext factor [cv]
-   acc.(j) <- acc.(j) + cv.(j) * s, mod q.  [perm] is the slot permutation
-   of a Galois automorphism (identity for k = 1): reading the digits through
-   it applies the automorphism on the fly, with no permuted copies.  Where
-   [raw_mac] holds, the products are summed raw (onto acc.(j), below q, for
-   a pure member) and one [Modarith.reduce62] closes the sum; elsewhere each
-   product is reduced as it is added, since (q - 1) + (q - 1)^2 < 2^62 for
-   any q < 2^31.  The factor goes through the same reducer:
-   acc + c * s <= (q - 1) + (q - 1)^2.  One pass per slot, no per-member
-   limbs; bit-identical to per-step reducing loops. *)
-let mac_into params ~perm ?coeff sk dec pos acc0 acc1 =
-  let t = dec.positions.(pos) in
-  let q = chain_modulus params t in
+(* One member's digit/key inner products at one position, read through its
+   slot permutation [perm] (the Galois automorphism applied on the fly, no
+   permuted copies), for both key halves and every slot:
+     x = sum_i d_i.(perm.(j)) * k_i.(j),
+   added into [acc0]/[acc1] by [put].  [cv] is the member's plaintext row
+   ([||] for a pure member).  Where the raw sum of the digits' products fits
+   [Modarith.reduce62] ([raw]) the digit loop is unrolled (dnum <= 4,
+   params.ml) and the products are summed raw; elsewhere (a 31-bit base
+   prime) each product is reduced as it is added, onto the running sum for
+   a pure member, and the sums are closed after every member. *)
+let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
   let n = Array.length perm in
-  let ds = dec.digits.(pos) in
-  let nd = Array.length ds in
-  let k0 = Array.init nd (fun i -> sk.k0.(i).(t)) and k1 = Array.init nd (fun i -> sk.k1.(i).(t)) in
-  let weighted = Option.is_some coeff in
-  let cv = match coeff with Some c -> c.(pos) | None -> [||] in
-  List.iter (check_len n) (if weighted then [ cv; acc0; acc1 ] else [ acc0; acc1 ]);
-  Array.iter (Array.iter (check_len n)) [| ds; k0; k1 |];
-  let red = Modarith.reducer q in
-  let raw = raw_mac ~q ~digits:nd in
-  for j = 0 to n - 1 do
-    let pj = Array.unsafe_get perm j in
-    let s0 = ref (if weighted then 0 else Array.unsafe_get acc0 j)
-    and s1 = ref (if weighted then 0 else Array.unsafe_get acc1 j) in
-    for i = 0 to nd - 1 do
-      let dj = Array.unsafe_get (Array.unsafe_get ds i) pj in
-      let x0 = !s0 + (dj * Array.unsafe_get (Array.unsafe_get k0 i) j)
-      and x1 = !s1 + (dj * Array.unsafe_get (Array.unsafe_get k1 i) j) in
-      if raw then begin
-        s0 := x0;
-        s1 := x1
+  let get = Array.unsafe_get in
+  match (raw, ds, k0, k1) with
+  | true, [| d0 |], [| a0 |], [| b0 |] ->
+    for j = 0 to n - 1 do
+      let e0 = get d0 (get perm j) in
+      put red ~close cv acc0 acc1 j (e0 * get a0 j) (e0 * get b0 j)
+    done
+  | true, [| d0; d1 |], [| a0; a1 |], [| b0; b1 |] ->
+    for j = 0 to n - 1 do
+      let pj = get perm j in
+      let e0 = get d0 pj and e1 = get d1 pj in
+      put red ~close cv acc0 acc1 j
+        ((e0 * get a0 j) + (e1 * get a1 j))
+        ((e0 * get b0 j) + (e1 * get b1 j))
+    done
+  | true, [| d0; d1; d2 |], [| a0; a1; a2 |], [| b0; b1; b2 |] ->
+    for j = 0 to n - 1 do
+      let pj = get perm j in
+      let e0 = get d0 pj and e1 = get d1 pj and e2 = get d2 pj in
+      put red ~close cv acc0 acc1 j
+        ((e0 * get a0 j) + (e1 * get a1 j) + (e2 * get a2 j))
+        ((e0 * get b0 j) + (e1 * get b1 j) + (e2 * get b2 j))
+    done
+  | true, [| d0; d1; d2; d3 |], [| a0; a1; a2; a3 |], [| b0; b1; b2; b3 |] ->
+    for j = 0 to n - 1 do
+      let pj = get perm j in
+      let e0 = get d0 pj and e1 = get d1 pj and e2 = get d2 pj and e3 = get d3 pj in
+      put red ~close cv acc0 acc1 j
+        ((e0 * get a0 j) + (e1 * get a1 j) + (e2 * get a2 j) + (e3 * get a3 j))
+        ((e0 * get b0 j) + (e1 * get b1 j) + (e2 * get b2 j) + (e3 * get b3 j))
+    done
+  | _ ->
+    let weighted = Array.length cv > 0 in
+    for j = 0 to n - 1 do
+      let pj = get perm j in
+      let s0 = ref (if weighted then 0 else get acc0 j)
+      and s1 = ref (if weighted then 0 else get acc1 j) in
+      for i = 0 to Array.length ds - 1 do
+        let dj = get (get ds i) pj in
+        s0 := Modarith.reduce62 red (!s0 + (dj * get (get k0 i) j));
+        s1 := Modarith.reduce62 red (!s1 + (dj * get (get k1 i) j))
+      done;
+      if weighted then begin
+        let c = get cv j in
+        Array.unsafe_set acc0 j (Modarith.reduce62 red (get acc0 j + (c * !s0)));
+        Array.unsafe_set acc1 j (Modarith.reduce62 red (get acc1 j + (c * !s1)))
       end
       else begin
-        s0 := Modarith.reduce62 red x0;
-        s1 := Modarith.reduce62 red x1
+        Array.unsafe_set acc0 j !s0;
+        Array.unsafe_set acc1 j !s1
       end
-    done;
-    if weighted then begin
-      let cj = Array.unsafe_get cv j in
-      Array.unsafe_set acc0 j
-        (Modarith.reduce62 red (Array.unsafe_get acc0 j + (cj * Modarith.reduce62 red !s0)));
-      Array.unsafe_set acc1 j
-        (Modarith.reduce62 red (Array.unsafe_get acc1 j + (cj * Modarith.reduce62 red !s1)))
-    end
-    else begin
-      Array.unsafe_set acc0 j (Modarith.reduce62 red !s0);
-      Array.unsafe_set acc1 j (Modarith.reduce62 red !s1)
-    end
-  done
+    done
 
-let check_open name mac =
-  if mac.finished then invalid_arg (Printf.sprintf "Keys.%s: accumulator already finished" name)
+(* One member's Q-side term at one ciphertext position: c0 read through
+   [perm], times the plaintext row [m] when weighted, added into [acc] and
+   reduced when [close]. *)
+let q_member red ~close ~perm c0 m acc =
+  let get = Array.unsafe_get in
+  if Array.length m = 0 then
+    for j = 0 to Array.length perm - 1 do
+      let v = get acc j + get c0 (get perm j) in
+      Array.unsafe_set acc j (if close then Modarith.reduce62 red v else v)
+    done
+  else
+    for j = 0 to Array.length perm - 1 do
+      let v = get acc j + (get c0 (get perm j) * get m j) in
+      Array.unsafe_set acc j (if close then Modarith.reduce62 red v else v)
+    done
 
-let mac_accumulate keys ?(k = 1) ?coeff sk dec mac =
+(* Whether the member ending at index [i] of [count] closes the sums: the
+   last one does, and so does every [b]-th, so at most [b] unreduced terms
+   ever sit on a reduced residue. *)
+let closes ~b ~count i = i = count - 1 || (i + 1) mod b = 0
+
+(* The whole group in one pool dispatch: each task owns one extended-chain
+   position and visits every member there, accumulating the MAC of the
+   switching members into fresh limbs and, at the l ciphertext positions,
+   the Q-side terms sigma_g(c0), times m_g when weighted, of every member
+   into a third.  The
+   sums stay unreduced while [lazy_terms] allows: a pure term is dnum raw
+   products, a weighted one c * reduce(s) and a Q-side one below q (pure) or
+   (q - 1)^2 (weighted).  Then one ModDown for the group adds the Q-side sum
+   into the first half.  Every sum is the exact residue whatever the
+   reduction schedule, the pool size or the member order, so a group is
+   bit-identical to a chain of single key switches and adds. *)
+let switch_group keys ?c0 members =
   let params = keys.params in
-  check_open "mac_accumulate" mac;
-  if mac.mac_level <> dec.d_level then invalid_arg "Keys.mac_accumulate: level mismatch";
-  (* Slot orderings depend only on n: every chain position shares it. *)
-  let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
-  let np = Array.length dec.positions in
-  par params np (fun pos -> mac_into params ~perm ?coeff sk dec pos mac.mac0.(pos) mac.mac1.(pos))
+  let n = params.n in
+  let switching =
+    Array.of_list
+      (List.filter_map (fun m -> Option.map (fun (sk, dec) -> (m, sk, dec)) m.switch) members)
+  in
+  let members = Array.of_list members in
+  if Array.length switching = 0 then invalid_arg "Keys.switch_group: no switching member";
+  let _, _, dec0 = switching.(0) in
+  let l = dec0.d_level and positions = dec0.positions in
+  Array.iter
+    (fun (_, _, dec) ->
+      if dec.d_level <> l then invalid_arg "Keys.switch_group: level mismatch")
+    switching;
+  let weighted = Option.is_some members.(0).coeff in
+  Array.iter
+    (fun m ->
+      if Option.is_some m.coeff <> weighted then
+        invalid_arg "Keys.switch_group: mixed plain and pure members")
+    members;
+  let c0 =
+    Option.map
+      (fun (c : Rns_poly.t) ->
+        if Rns_poly.domain c <> Rns_poly.Eval || Rns_poly.level c <> l then
+          invalid_arg "Keys.switch_group: c0 must be Eval-domain at the group's level";
+        c.res)
+      c0
+  in
+  (* Slot orderings depend only on n: every chain position shares them. *)
+  let perm_of m = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k:m.galois in
+  let mac_perms = Array.map (fun (m, _, _) -> perm_of m) switching in
+  let q_perms = Array.map perm_of members in
+  let row m pos = match m.coeff with Some c -> c.(pos) | None -> [||] in
+  let np = Array.length positions in
+  let mac0 = Array.make np [||] and mac1 = Array.make np [||] in
+  let qsum = Array.make l [||] in
+  par params np (fun pos ->
+      let t = positions.(pos) in
+      let q = chain_modulus params t in
+      let red = Modarith.reducer q in
+      let nd = Array.length dec0.digits.(pos) in
+      let raw = raw_mac ~q ~digits:nd in
+      let b = if not raw then 1 else lazy_terms ~q ~per_term:(if weighted then 1 else nd) in
+      let acc0 = Array.make n 0 and acc1 = Array.make n 0 in
+      let count = Array.length switching in
+      Array.iteri
+        (fun i (m, sk, dec) ->
+          let ds = dec.digits.(pos) in
+          let k0 = Array.init nd (fun d -> sk.k0.(d).(t)) and k1 = Array.init nd (fun d -> sk.k1.(d).(t)) in
+          let cv = row m pos in
+          Array.iter (check_len n) (Array.concat [ ds; k0; k1; (if weighted then [| cv |] else [||]) ]);
+          mac_member red ~raw ~close:(closes ~b ~count i) ~perm:mac_perms.(i) cv ds k0 k1 acc0 acc1)
+        switching;
+      mac0.(pos) <- acc0;
+      mac1.(pos) <- acc1;
+      match c0 with
+      | Some c0 when pos < l ->
+        let src = c0.(pos) in
+        check_len n src;
+        let acc = Array.make n 0 in
+        let count = Array.length members in
+        let b = if weighted then lazy_terms ~q ~per_term:1 else (max_int - q) / q in
+        Array.iteri
+          (fun i m ->
+            q_member red ~close:(closes ~b ~count i) ~perm:q_perms.(i) src (row m pos) acc)
+          members;
+        qsum.(pos) <- acc
+      | _ -> ());
+  mod_down params ~level:l ?add0:(Option.map (fun _ -> qsum) c0) mac0 mac1
 
-let mac_finish keys mac =
-  check_open "mac_finish" mac;
-  mac.finished <- true;
-  mod_down keys.params ~level:mac.mac_level mac.mac0 mac.mac1
-
-(* A single key switch is a one-member accumulation: the same MAC kernel
-   and mod-down as a lazy group. *)
+(* A single key switch is a one-member group: the same kernel and ModDown
+   as a rotate-and-sum, with no Q side. *)
 let apply_rotated keys sk ~k dec =
-  let m = mac_create keys dec in
-  mac_accumulate keys ~k sk dec m;
-  mac_finish keys m
+  switch_group keys [ { galois = k; switch = Some (sk, dec); coeff = None } ]
 
 let apply keys sk dec = apply_rotated keys sk ~k:1 dec
 let key_switch keys sk d = apply keys sk (decompose keys d)

@@ -152,40 +152,45 @@ val apply_rotated : t -> switch_key -> k:int -> decomposed -> Rns_poly.t * Rns_p
     [X -> X^k] of the decomposed polynomial, reading the shared digits
     through the evaluation-domain slot permutation of [k] (fused into the
     inner product; the digits are not copied).  [sk] must be the switching
-    key for that automorphism. *)
+    key for that automorphism.  A one-member {!switch_group}. *)
 
-(** {2 Lazy key switching}
+(** {2 Rotate-and-sum groups}
 
-    An extended-basis MAC accumulator for a whole rotate-and-sum reduction:
-    each {!mac_accumulate} adds one rotation's digit/key inner product
-    (optionally scaled by a plaintext factor) into running sums modulo
-    [Q * P], still in the NTT domain; {!mac_finish} pays ModDown {e once}
-    for the whole group instead of once per member.  Modular addition is exact and associative,
-    so the finished pair is bit-identical whether the digits were shared
-    across members (lazy) or recomputed per member (eager). *)
+    One kernel runs every digit/key MAC: {!switch_group} visits each
+    extended-chain position once per group, in one pool dispatch, and at
+    each position adds every member's inner product (read through its
+    Galois permutation, times its plaintext row if weighted) into running
+    sums that stay unreduced while {!lazy_terms} allows.  At the ciphertext
+    positions the same visit sums the members' Q-side terms.  ModDown runs
+    once for the group.  Modular addition is exact and associative, so the
+    result is bit-identical whether the members share one decomposition
+    (lazy) or each brings its own (eager), for any pool size. *)
 
-type mac
+type member = {
+  galois : int;  (** the member's Galois element ([1]: no rotation) *)
+  switch : (switch_key * decomposed) option;
+      (** the key and decomposition it switches with; [None] for a member
+          that contributes only its Q-side term (the unrotated one) *)
+  coeff : int array array option;
+      (** plaintext factor as NTT-domain residues per extended-chain
+          position (see {!plain_eval} with [~specials:true]); all members
+          of a group are weighted or none is *)
+}
 
-val mac_create : t -> decomposed -> mac
-(** A zeroed accumulator shaped for the given decomposition's level. *)
+val switch_group : t -> ?c0:Rns_poly.t -> member list -> Rns_poly.t * Rns_poly.t
+(** [switch_group keys ?c0 members] returns [(u0 + qside, u1)], where
+    [(u0, u1)] is the ModDown of the members' summed key switches and
+    [qside] the sum over every member of [automorphism ~k:galois c0], times
+    its plaintext factor when weighted ([0] without [c0]).  Both results
+    are [Eval]-domain and freshly allocated.  At least one member must
+    switch, every decomposition must have one level and [c0] must be
+    [Eval]-domain at that level; [Invalid_argument] otherwise. *)
 
-val mac_accumulate :
-  t -> ?k:int -> ?coeff:int array array -> switch_key -> decomposed -> mac -> unit
-(** Adds one member's inner product into the accumulator.  [?k] reads the
-    digits through the Galois automorphism's slot permutation (as
-    [apply_rotated]); [?coeff] multiplies the member by a plaintext factor
-    given as NTT-domain residues per extended-chain position (see
-    {!plain_eval}), multiplied and accumulated in the same pass as the
-    digit/key sum.  The decomposition's level must match the
-    accumulator's, and the accumulator must not be finished. *)
-
-val mac_finish : t -> mac -> Rns_poly.t * Rns_poly.t
-(** ModDown, once for the whole group: inverse transforms of the special
-    limbs only, centered conversion to the ciphertext primes, division by
-    [P].  Returns [Eval]-domain polynomials.  Consumes the accumulator: the
-    mod-down runs in place and the returned polynomials are its limbs, so a
-    later [mac_finish] or {!mac_accumulate} on it raises
-    [Invalid_argument]. *)
+val lazy_terms : q:int -> per_term:int -> int
+(** The largest [B] with [B * per_term * (q - 1)^2 + q < 2^62]: how many
+    terms, each at most [per_term] raw products below [q], the group MAC
+    sums onto a reduced residue before it reduces again.  A pure term is
+    dnum products, a weighted one ([c * reduce s]) one. *)
 
 val raw_mac : q:int -> digits:int -> bool
 (** Whether the MAC at modulus [q] sums [digits] raw digit/key products
@@ -219,8 +224,8 @@ val plain_eval :
   t -> scale:float -> level:int -> ?specials:bool -> float array -> int array array
 (** NTT-domain residues of the same plaintext at chain positions
     [0 .. level-1] (the [Eval]-domain mod-Q encoding at [level]) and, with
-    [~specials:true], then at the K special primes: the shape of
-    [mac_accumulate]'s [?coeff]. *)
+    [~specials:true], then at the K special primes: the shape of a group
+    member's [coeff]. *)
 
 val plain_memo_usage : t -> int * int
 (** Resident entries and their bytes. *)

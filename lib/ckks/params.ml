@@ -56,15 +56,19 @@ let paper_spec =
    2^29 can fall short of base * q_1 by a factor 1 - 10^-4 (n = 2^10,
    2^12), which costs nothing in the bound.
 
-   Lazy bounds.  The digit/key MAC multiplies residues below q with no
-   precomputed companions, so switching keys hold only their two halves.
-   At a position with d digits it sums the d raw products onto a residue
-   below q, below d * (q - 1)^2 + q, and closes the sum with one
-   [Modarith.reduce62] when that is below 2^62: with d <= dnum <= 4 this
-   holds for every prime below 2^30, so at every position but a 31-bit base
-   prime (and there too while d = 1).  Elsewhere it reduces after each
-   product, as (q - 1) + (q - 1)^2 < 2^62 for every q < 2^31 ([Keys.raw_mac]
-   decides per position).  A conversion accumulator sums alpha Shoup
+   Lazy bounds.  The group MAC ([Keys.switch_group]) multiplies residues
+   below q with no precomputed companions, so switching keys hold only
+   their two halves.  At a position with d digits a pure member adds d raw
+   products, a weighted one c * reduce(s) <= (q - 1)^2, and the Q side a
+   term below q (pure) or at most (q - 1)^2 (weighted).  Running sums stay
+   unreduced while B terms on a residue below q stay below 2^62, the domain
+   of [Modarith.reduce62]: g members fit while g * d * (q - 1)^2 + q < 2^62
+   (pure) or g * (q - 1)^2 + q < 2^62 (weighted); past that the sums are
+   reduced after every B-th member ([Keys.lazy_terms]).  With d <= dnum <= 4
+   one pure term fits for every prime below 2^30, so at every position but
+   a 31-bit base prime (and there too while d = 1); there each product is
+   reduced as it is added, as (q - 1) + (q - 1)^2 < 2^62 for every q < 2^31
+   ([Keys.raw_mac] decides per position).  A conversion accumulator sums alpha Shoup
    products in [0, 2q) and at most alpha centering corrections below q: it
    stays below 3 * alpha * q, closed the same way. *)
 let special_bits = 29

@@ -16,8 +16,8 @@ let par (params : Params.t) n f =
       f i
     done
 
-let zero ?(domain = Coeff) (params : Params.t) ~level =
-  { level; domain; res = Array.init level (fun _ -> Array.make params.n 0) }
+let zero (params : Params.t) ~level =
+  { level; domain = Coeff; res = Array.init level (fun _ -> Array.make params.n 0) }
 
 let of_centered_coeffs (params : Params.t) ~level coeffs =
   let res = Array.make level [||] in
@@ -191,38 +191,23 @@ let automorphism_add_into (params : Params.t) ~k a ~into =
         Array.unsafe_set acc j (s + (q land (s asr 62)))
       done)
 
-(* One weighted rotate-and-sum member on the Q side: permute, multiply and
-   accumulate each slot in a single pass per limb, with no rotated or
-   product limbs.  acc + c * m <= (q - 1) + (q - 1)^2 < 2^62, so one
-   reduction gives the canonical residue that [automorphism], [mul] and
-   [add] would have produced. *)
-let automorphism_mul_acc (params : Params.t) ~k a m ~into =
-  if a.domain <> Eval || m.domain <> Eval || into.domain <> Eval then
-    invalid_arg "Rns_poly.automorphism_mul_acc: operands must be Eval-domain";
-  if a.level <> into.level || m.level <> into.level then
-    invalid_arg "Rns_poly.automorphism_mul_acc: level mismatch";
-  let n = params.n in
-  let perm = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k in
-  par params into.level (fun i ->
-      let r = a.res.(i) and w = m.res.(i) and acc = into.res.(i) in
-      if Array.length r <> n || Array.length w <> n || Array.length acc <> n then
-        invalid_arg "Rns_poly: length mismatch";
-      let red = Modarith.reducer params.moduli.(i) in
-      for j = 0 to n - 1 do
-        Array.unsafe_set acc j
-          (Modarith.reduce62 red
-             (Array.unsafe_get acc j
-             + (Array.unsafe_get r (Array.unsafe_get perm j) * Array.unsafe_get w j)))
-      done)
-
+(* Exact RNS rescale, (c - [c]_{q_l}) * q_l^-1 mod q_i with a centered
+   representative of the dropped residue (to halve the rounding error).  A
+   [Coeff] operand is rescaled coefficient by coefficient.  An [Eval]
+   operand stays resident: only the dropped limb is inverse-transformed,
+   its centered representative is forward-transformed at each remaining
+   prime, and the subtraction and the multiplication by q_l^-1 run
+   slotwise.  The transform is linear and exact mod q_i, so the result is
+   the NTT image of the [Coeff] path's, bit for bit. *)
 let rescale_last (params : Params.t) a =
   if a.level < 2 then invalid_arg "Rns_poly.rescale_last: level < 2";
-  (* Rescaling needs a centered representative of the dropped residue, so it
-     is the coefficient-domain boundary of NTT-resident pipelines. *)
-  let a = to_coeff params a in
   let last_idx = a.level - 1 in
   let ql = params.moduli.(last_idx) in
-  let last = a.res.(last_idx) in
+  let last =
+    match a.domain with
+    | Coeff -> a.res.(last_idx)
+    | Eval -> Ntt.inverse (Params.ntt_at params ~idx:last_idx) a.res.(last_idx)
+  in
   let n = params.n in
   let out = Array.make (a.level - 1) [||] in
   let half_ql = ql lsr 1 in
@@ -233,33 +218,32 @@ let rescale_last (params : Params.t) a =
       let src = a.res.(i) in
       if Array.length src <> n || Array.length last <> n then
         invalid_arg "Rns_poly: length mismatch";
-      let dst = Array.make n 0 in
-      (* (c - [c]_{q_l}) * q_l^{-1} mod q_i, with a centered representative
-         of the dropped residue to halve the rounding error.  The branchless
-         fast path needs |rep| <= ql/2 < q so the difference sits in
-         (-q, 2q); the chain's primes always satisfy that (scale primes
-         share a narrow band below the base prime), but fall back to the
-         generic reductions if a hand-built chain does not. *)
+      (* The representative mod q, in [0, q).  The branchless fast path
+         needs |rep| <= ql/2 < q; the chain's primes always satisfy that
+         (scale primes share a narrow band below the base prime), but fall
+         back to the generic reductions if a hand-built chain does not. *)
+      let rep = Array.make n 0 in
       if half_ql < q then
         for j = 0 to n - 1 do
           let lj = Array.unsafe_get last j in
-          let rep = lj - (ql land ((half_ql - lj) asr 62)) in
-          let d0 = Array.unsafe_get src j - rep in
-          let d0 = d0 + (q land (d0 asr 62)) in
-          let d1 = d0 - q in
-          let d = d1 + (q land (d1 asr 62)) in
-          let qh = (d * ql_inv_shoup) lsr 31 in
-          let r0 = (d * ql_inv) - (qh * q) - q in
-          Array.unsafe_set dst j (r0 + (q land (r0 asr 62)))
+          let r = lj - (ql land ((half_ql - lj) asr 62)) in
+          Array.unsafe_set rep j (r + (q land (r asr 62)))
         done
       else
         for j = 0 to n - 1 do
-          let rep = Modarith.center ~m:ql last.(j) in
-          let diff = Modarith.sub ~m:q src.(j) (Modarith.reduce ~m:q rep) in
-          dst.(j) <- Modarith.mul_shoup ~m:q diff ql_inv ql_inv_shoup
+          rep.(j) <- Modarith.reduce ~m:q (Modarith.center ~m:ql last.(j))
         done;
-      out.(i) <- dst);
-  { level = a.level - 1; domain = Coeff; res = out }
+      if a.domain = Eval then Ntt.forward_in_place (Params.ntt_at params ~idx:i) rep;
+      (* (src - rep) * q_l^-1 over rep's own limb: the difference lies in
+         (-q, q), one masked add brings it into [0, q). *)
+      for j = 0 to n - 1 do
+        let d = Array.unsafe_get src j - Array.unsafe_get rep j in
+        let d = d + (q land (d asr 62)) in
+        let r = (d * ql_inv) - (((d * ql_inv_shoup) lsr 31) * q) - q in
+        Array.unsafe_set rep j (r + (q land (r asr 62)))
+      done;
+      out.(i) <- rep);
+  { level = a.level - 1; domain = a.domain; res = out }
 
 (* Dropping limbs is valid in either domain: each limb is an independent
    residue vector whatever its representation. *)

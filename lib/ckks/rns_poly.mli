@@ -6,10 +6,12 @@
     in: [Coeff] (coefficients) or [Eval] (the NTT evaluation domain).  The
     kernel-layer invariant is that homomorphic pipelines stay NTT-resident:
     [mul] and the [Eval]-domain [automorphism] never leave the evaluation
-    domain, additions harmonize mixed operands towards [Eval], and inverse
-    transforms happen only at the [rescale_last] / {!centered_coeffs}
-    boundaries.  Both representations are exact, so a value's coefficients
-    are bit-identical whichever path produced them.
+    domain, additions harmonize mixed operands towards [Eval],
+    [rescale_last] keeps its operand's domain (inverse-transforming only
+    the dropped limb), and whole limbs are inverse-transformed only where
+    coefficients are read: the key-switch decomposition and decoding
+    ({!centered_coeffs}).  Both representations are exact, so a value's
+    coefficients are bit-identical whichever path produced them.
 
     The level management operations implement exactly the paper's
     abstraction (Figure 1): [rescale] and [modswitch] drop the last residue
@@ -23,9 +25,9 @@ type t = private { level : int; domain : domain; res : int array array }
 val level : t -> int
 val domain : t -> domain
 
-val zero : ?domain:domain -> Params.t -> level:int -> t
-(** The zero polynomial ([domain] defaults to [Coeff]; zero is zero in
-    either representation). *)
+val zero : Params.t -> level:int -> t
+(** The zero polynomial, [Coeff]-tagged (zero is zero in either
+    representation). *)
 
 val of_centered_coeffs : Params.t -> level:int -> int array -> t
 (** Embed a small-coefficient integer polynomial (coefficients are reduced
@@ -74,17 +76,12 @@ val automorphism_add_into : Params.t -> k:int -> t -> into:t -> unit
     one level; [into] must be owned by the caller (e.g. a fresh key-switch
     result). *)
 
-val automorphism_mul_acc : Params.t -> k:int -> t -> t -> into:t -> unit
-(** [automorphism_mul_acc params ~k a m ~into] adds
-    [mul (automorphism ~k a) m] into [into] in place, in one pass per limb
-    and bit-identical to that composition followed by [add].  All three
-    operands must be [Eval]-domain at one level; [into] must be owned by the
-    caller (e.g. a fresh {!zero}). *)
-
 val rescale_last : Params.t -> t -> t
 (** Exact RNS rescale: drops the last residue and divides by its prime,
-    using the precomputed {!Params.rescale_inv} constants.  Converts to the
-    [Coeff] domain (this is the pipeline's coefficient boundary).  Requires
+    using the precomputed {!Params.rescale_inv} constants.  Keeps the
+    operand's domain: an [Eval] operand pays one inverse transform (the
+    dropped limb) and one forward transform per remaining limb, and its
+    result is the NTT image of the [Coeff] path's, bit for bit.  Requires
     level >= 2. *)
 
 val to_level : Params.t -> level:int -> t -> t

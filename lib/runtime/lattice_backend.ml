@@ -3,8 +3,10 @@
     the decrypt–re-encrypt oracle (see the substitution table in DESIGN.md).
 
     Ciphertext polynomials flowing through this backend are NTT-resident:
-    multiplies and rotations stay in the evaluation domain and only rescale
-    and decrypt pay an inverse transform (DESIGN.md section 10).  Per-limb
+    multiplies, rotations and rescales stay in the evaluation domain.  A
+    rescale inverse-transforms only the dropped limb, a key switch
+    inverse-transforms the limbs it decomposes, and decrypt only the base
+    limb (DESIGN.md section 10).  Per-limb
     kernel loops parallelize across [HALO_DOMAINS] OCaml domains; results
     are bit-identical for any pool size, so interpreter replay and the
     resilience checkpoint tests are unaffected by the setting.

@@ -246,9 +246,8 @@ type breakdown = {
 let pool_parallel_fraction = 0.9
 let pool_spawn_us = 250.0
 
-let price ?(lazy_on = true) ?(pool = 1) ?(key_budget = 0) (w : walk) =
-  let lazy_adj = if lazy_on then w.lazy_adj else 0.0 in
-  let keyswitch = w.rot_flat +. w.hoist_adj +. w.digit_adj +. lazy_adj in
+let price ?(pool = 1) ?(key_budget = 0) (w : walk) =
+  let keyswitch = w.rot_flat +. w.hoist_adj +. w.digit_adj +. w.lazy_adj in
   let base = w.compute +. w.rot_flat +. w.boot in
   let work = w.compute +. keyswitch +. w.boot in
   let cold_keygen =
@@ -288,11 +287,11 @@ let price ?(lazy_on = true) ?(pool = 1) ?(key_budget = 0) (w : walk) =
     b_bootstraps = w.bootstraps;
     b_rotations = w.rotations;
     b_hoisted_groups = w.hoisted_groups;
-    b_lazy_groups = (if lazy_on then w.lazy_groups else 0);
+    b_lazy_groups = w.lazy_groups;
     b_digit_hits = w.digit_hits;
     b_key_count = w.key_count;
     b_working_set_bytes = w.working_set_bytes;
   }
 
-let program ?lazy_on ?pool ?key_budget ~bindings p =
-  price ?lazy_on ?pool ?key_budget (walk_program ~bindings p)
+let program ?pool ?key_budget ~bindings p =
+  price ?pool ?key_budget (walk_program ~bindings p)

@@ -51,15 +51,14 @@ type walk
 
 val walk_program : bindings:(string * int) list -> Ir.program -> walk
 
-val price :
-  ?lazy_on:bool -> ?pool:int -> ?key_budget:int -> walk -> breakdown
-(** [lazy_on] (default [true]) applies the lazy-fusion delta for any fused
-    groups present in the walked program; [pool] (default 1) is the domain
-    pool size; [key_budget] (default 0 = unbounded) is the resident
-    switching-key byte budget. *)
+val price : ?pool:int -> ?key_budget:int -> walk -> breakdown
+(** [pool] (default 1) is the domain pool size; [key_budget] (default 0 =
+    unbounded) is the resident switching-key byte budget.  Every fused
+    group in the walked program is priced with its lazy delta: the compile
+    knobs already decided which [RotSum]s exist, and the lattice backend
+    runs each one lazily whatever they are. *)
 
 val program :
-  ?lazy_on:bool ->
   ?pool:int ->
   ?key_budget:int ->
   bindings:(string * int) list ->

@@ -81,8 +81,7 @@ let compile_for st ~bindings cand p =
 
 (* Price every (budget, pool) refinement of one compiled+walked point. *)
 let sweep_deployment st ~exhaustive cand walk =
-  let lazy_on = cand.c_knobs.lazy_switch in
-  let probe = Predict.price ~lazy_on walk in
+  let probe = Predict.price walk in
   let working_set = probe.Predict.b_working_set_bytes in
   let budgets = budgets_for ~working_set in
   List.iteri
@@ -96,7 +95,7 @@ let sweep_deployment st ~exhaustive cand walk =
         let rec over_pools prev = function
           | [] -> ()
           | pool :: rest ->
-            let b = Predict.price ~lazy_on ~pool ~key_budget:budget walk in
+            let b = Predict.price ~pool ~key_budget:budget walk in
             consider st
               { cand with c_key_budget = budget; c_pool = pool }
               b;
@@ -141,12 +140,22 @@ let search ~exhaustive ~bindings (p : Ir.program) =
                     c_pool = 1;
                   }
                 in
-                (* One fused compile prices both lazy settings: the
-                   predictor's lazy adjustment is the exact cost delta of
-                   the lazy-switch pass (base accounting has interpreter
-                   parity on both sides of the flip). *)
-                let fused = compile_for st ~bindings cand p in
+                (* One pipeline run prices both lazy settings: lazy-switch
+                   is the last pass, so the lazy-off program is the run
+                   without it and the lazy-on program is that pass applied
+                   on top.  Each setting is priced on the program it
+                   compiles to, whose every RotSum the lattice backend runs
+                   lazily. *)
+                let eager =
+                  compile_for st ~bindings
+                    { cand with c_knobs = { cand.c_knobs with lazy_switch = false } }
+                    p
+                in
+                let fused = Strategy.verified ~strategy (Lazy_switch.program eager) in
                 let walk = Predict.walk_program ~bindings fused in
+                let eager_walk =
+                  if fused = eager then walk else Predict.walk_program ~bindings eager
+                in
                 List.iter
                   (fun (rotate_fuse, lazy_switch) ->
                     let point =
@@ -155,7 +164,9 @@ let search ~exhaustive ~bindings (p : Ir.program) =
                         c_knobs = { cand.c_knobs with rotate_fuse; lazy_switch };
                       }
                     in
-                    if rotate_fuse then sweep_deployment st ~exhaustive point walk
+                    if rotate_fuse then
+                      sweep_deployment st ~exhaustive point
+                        (if lazy_switch then walk else eager_walk)
                     else if exhaustive then
                       sweep_deployment st ~exhaustive point
                         (Predict.walk_program ~bindings

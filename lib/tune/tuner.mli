@@ -8,9 +8,9 @@
     persistable {!Plan.t} together with the verified compiled program.
 
     The default search prunes dominated points: rotation fusion is never
-    priced off (hoisted groups only remove digit decompositions), lazy
-    key-switching is decided analytically from one fused compile (the
-    predictor's lazy delta is exact, so no second pipeline run is needed),
+    priced off (hoisted groups only remove digit decompositions), both
+    lazy key-switching settings come from one pipeline run (the lazy-switch
+    pass is its last step, so the lazy-off program is the run without it),
     positive bootstrap slack and sub-working-set key budgets are cut by
     monotonicity, and the pool sweep stops at the first cost increase
     (convexity).  [~exhaustive:true] compiles and prices every point;

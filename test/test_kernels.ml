@@ -432,7 +432,32 @@ let test_domain_ops_agree () =
   check_res "conjugation automorphism" (Rns_poly.automorphism p ~k:conj a)
     (Rns_poly.to_coeff p (Rns_poly.automorphism p ~k:conj ae));
   check_res "rescale of resident operand" (Rns_poly.rescale_last p a)
-    (Rns_poly.rescale_last p ae)
+    (Rns_poly.to_coeff p (Rns_poly.rescale_last p ae))
+
+(* Rescale keeps its operand's domain at every level of test_deep, and the
+   resident result is the coefficient result's NTT image: random residues,
+   and a dropped limb at both sides of the centering threshold q_l / 2. *)
+let test_rescale_resident () =
+  let p = Params.test_deep () in
+  let st = Random.State.make [| 0x5ca1e |] in
+  for level = 2 to p.max_level do
+    let ql = p.moduli.(level - 1) in
+    let edge =
+      Rns_poly.of_residues
+        (Array.init level (fun i ->
+             if i < level - 1 then Array.make p.n (p.moduli.(i) - 1)
+             else Array.init p.n (fun j -> (ql / 2) - 1 + (j mod 3))))
+    in
+    List.iter
+      (fun (name, a) ->
+        let tag = Printf.sprintf "level %d %s" level name in
+        let c = Rns_poly.rescale_last p a and e = Rns_poly.rescale_last p (Rns_poly.to_eval p a) in
+        Alcotest.(check bool) (tag ^ ": Coeff in, Coeff out") true (Rns_poly.domain c = Rns_poly.Coeff);
+        Alcotest.(check bool) (tag ^ ": Eval in, Eval out") true (Rns_poly.domain e = Rns_poly.Eval);
+        Alcotest.(check int) (tag ^ ": level") (level - 1) (Rns_poly.level e);
+        check_res (tag ^ ": residues") c (Rns_poly.to_coeff p e))
+      [ ("random", rand_poly st p ~level); ("centering edge", edge) ]
+  done
 
 let test_automorphism_normalization () =
   let p = params () in
@@ -586,6 +611,22 @@ module Naive = struct
   let create (p : Params.t) digits =
     Array.map (fun _ -> (Array.make p.n 0, Array.make p.n 0)) digits
 
+  (* The Q side of a group: sum over members of c0 (Eval residues) read
+     through each member's permutation, times its row when weighted. *)
+  let qside (p : Params.t) (c0 : Rns_poly.t) members =
+    Rns_poly.of_residues ~domain:Rns_poly.Eval
+      (Array.mapi
+         (fun t r ->
+           let q = p.moduli.(t) in
+           Array.init p.n (fun j ->
+               List.fold_left
+                 (fun acc (perm, coeff) ->
+                   let x = r.(perm.(j)) in
+                   let x = match coeff with None -> x | Some c -> Modarith.mul ~m:q x c.(t).(j) in
+                   Modarith.add ~m:q acc x)
+                 0 members))
+         c0.res)
+
   (* ModDown in the coefficient domain: (u_t - convert(u_specials)) * P^-1. *)
   let finish (p : Params.t) acc =
     let l = Array.length acc - specials p in
@@ -673,6 +714,40 @@ let check_pair p msg (a0, a1) (b0, b1) =
   check_res (msg ^ " u0") (Rns_poly.to_coeff p a0) (Rns_poly.to_coeff p b0);
   check_res (msg ^ " u1") (Rns_poly.to_coeff p a1) (Rns_poly.to_coeff p b1)
 
+(* One group through {!Keys.switch_group} against the naive reference:
+   [size] switching members (the first unrotated, the others rotated by
+   distinct offsets), then one unrotated Q-side-only member when
+   [size > 1], with c0 = the key-switch input [d] lifted to Eval.  Every
+   weighted member gets its own plaintext rows. *)
+let check_group (p : Params.t) keys st ~tag ~worst ~level ~size ~weighted ~sk ~raw ~d ~dec ~digits =
+  let perm_of k = Ntt.eval_perm (Params.ntt_at p ~idx:0) ~k in
+  let row () = if weighted then Some (chain_vecs st p ~worst ~level) else None in
+  let switching =
+    List.init size (fun i ->
+        ((if i = 0 then 1 else Keys.galois_element p ~offset:((2 * i) - 1)), row ()))
+  in
+  let q_only = if size > 1 then [ (1, row ()) ] else [] in
+  let c0 = Rns_poly.to_eval p d in
+  let members =
+    List.map (fun (k, coeff) -> { Keys.galois = k; switch = Some (sk, dec); coeff }) switching
+    @ List.map (fun (k, coeff) -> { Keys.galois = k; switch = None; coeff }) q_only
+  in
+  let acc = Naive.create p digits in
+  List.iter
+    (fun (k, coeff) -> Naive.accumulate p ~perm:(perm_of k) ?coeff raw digits acc)
+    switching;
+  let u0, u1 = Naive.finish p acc in
+  let qside =
+    Naive.qside p c0
+      (List.map (fun (k, coeff) -> (perm_of k, coeff)) (switching @ q_only))
+  in
+  let want = (Rns_poly.add p (Rns_poly.to_eval p u0) qside, u1) in
+  let msg = Printf.sprintf "%s group of %d %s" tag size (if weighted then "weighted" else "pure") in
+  check_pair p msg (Keys.switch_group keys ~c0 members) want;
+  check_pair p (msg ^ ", one domain")
+    (Domain_pool.sequentially (fun () -> Keys.switch_group keys ~c0 members))
+    want
+
 let test_keyswitch_kernels (p : Params.t) () =
   let keys = keys_for p in
   let st = Random.State.make [| 0x5e1f; p.n |] in
@@ -695,25 +770,61 @@ let test_keyswitch_kernels (p : Params.t) () =
           check_pair p (tag ^ " apply_rotated")
             (Keys.apply_rotated keys sk ~k dec)
             (one_member ~perm:(perm_of k) ());
-          (* Pure and weighted groups of three members, one unrotated. *)
-          let ks = [ Some k; None; Some (Keys.galois_element p ~offset:(-5)) ] in
+          (* A pure and a weighted group of three members, one unrotated
+             and key-switching, one unrotated and Q-side only. *)
           List.iter
             (fun weighted ->
-              let m = Keys.mac_create keys dec in
-              let acc = Naive.create p digits in
-              List.iter
-                (fun k ->
-                  let coeff = if weighted then Some (chain_vecs st p ~worst ~level) else None in
-                  Keys.mac_accumulate keys ?k ?coeff sk dec m;
-                  let perm = Option.map perm_of k in
-                  Naive.accumulate p ?perm ?coeff raw digits acc)
-                ks;
-              check_pair p
-                (Printf.sprintf "%s mac %s" tag (if weighted then "with coeff" else "pure"))
-                (Keys.mac_finish keys m) (Naive.finish p acc))
+              check_group p keys st ~tag ~worst ~level ~size:2 ~weighted ~sk ~raw ~d ~dec ~digits)
             [ false; true ])
         (ks_inputs st p ~level))
     (List.sort_uniq compare [ 1; p.alpha; p.alpha + 1; p.max_level ])
+
+(* Groups of 1, 3, 15, 16, 17 and 33 switching members, pure and weighted,
+   on the worst-case inputs, at levels 1, alpha, alpha + 1 and L: at a
+   29-bit special prime the MAC sums about 16 / dnum pure or 16 weighted
+   terms before it must reduce, and the 31-bit base prime reduces per
+   product, so every reduction schedule of the group MAC runs. *)
+let test_group_sizes (p : Params.t) () =
+  let keys = keys_for p in
+  let st = Random.State.make [| 0x6a0c; p.n |] in
+  List.iter
+    (fun level ->
+      List.iter
+        (fun (iname, worst, d) ->
+          if worst then begin
+            let tag = Printf.sprintf "n=%d level=%d %s" p.n level iname in
+            let sk, raw = switch_key_of st p ~worst in
+            let dec = Keys.decompose keys d in
+            let digits = Naive.decompose p d in
+            List.iter
+              (fun size ->
+                List.iter
+                  (fun weighted ->
+                    check_group p keys st ~tag ~worst ~level ~size ~weighted ~sk ~raw ~d ~dec
+                      ~digits)
+                  [ false; true ])
+              [ 1; 3; 15; 16; 17; 33 ]
+          end)
+        (ks_inputs st p ~level))
+    (List.sort_uniq compare [ 1; p.alpha; p.alpha + 1; p.max_level ])
+
+(* The schedules [test_group_sizes] relies on: at test_small's special
+   primes the weighted bound lies between 15 and 17 members and the
+   four-digit pure one below 15; the base prime reduces per product once a
+   level has two digits, and per weighted term. *)
+let test_lazy_bounds () =
+  let p = params () in
+  Array.iter
+    (fun q ->
+      let weighted = Keys.lazy_terms ~q ~per_term:1 in
+      Alcotest.(check bool) (Printf.sprintf "special %d weighted: 15 < B <= 17" q) true
+        (weighted > 15 && weighted <= 17);
+      Alcotest.(check bool) (Printf.sprintf "special %d pure, four digits: B < 15" q) true
+        (Keys.lazy_terms ~q ~per_term:4 < 15))
+    p.specials;
+  let base = p.moduli.(0) in
+  Alcotest.(check int) "base prime, two digits" 0 (Keys.lazy_terms ~q:base ~per_term:2);
+  Alcotest.(check int) "base prime, weighted" 1 (Keys.lazy_terms ~q:base ~per_term:1)
 
 (* [Keys.raw_mac] against the bound it stands for, d * (q - 1)^2 + q < 2^62,
    evaluated in unsigned 64-bit arithmetic (the sum reaches 2^64 for 31-bit
@@ -773,27 +884,35 @@ let test_raw_mac_branches () =
         digits)
     (Naive.decompose p minus_one)
 
-(* A finished accumulator's limbs are the pair [mac_finish] returned:
-   finishing it again, or accumulating into it, raises instead of
-   rewriting them. *)
-let test_mac_finish_once () =
+(* The group kernel writes only limbs it allocates: its inputs (the
+   decomposition, the key, c0 and the plaintext rows) keep their bits, and
+   a second call returns the first call's bits in fresh limbs. *)
+let test_group_fresh_limbs () =
   let p = params () in
   let keys = test_keys () in
   let st = Random.State.make [| 0xf1 |] in
-  let sk = Keys.relin_key keys in
+  let sk, _ = switch_key_of st p ~worst:false in
+  let c0 = Rns_poly.to_eval p (rand_poly st p ~level:5) in
   let dec = Keys.decompose keys (Rns_poly.to_eval p (rand_poly st p ~level:5)) in
-  let m = Keys.mac_create keys dec in
-  Keys.mac_accumulate keys sk dec m;
-  let ((u0, u1) as first) = Keys.mac_finish keys m in
-  let bits = (Array.map Array.copy u0.res, Array.map Array.copy u1.res) in
-  Alcotest.check_raises "second mac_finish"
-    (Invalid_argument "Keys.mac_finish: accumulator already finished") (fun () ->
-      ignore (Keys.mac_finish keys m));
-  Alcotest.check_raises "mac_accumulate after mac_finish"
-    (Invalid_argument "Keys.mac_accumulate: accumulator already finished") (fun () ->
-      Keys.mac_accumulate keys sk dec m);
+  let coeff = chain_vecs st p ~worst:false ~level:5 in
+  let members =
+    [
+      { Keys.galois = Keys.galois_element p ~offset:2; switch = Some (sk, dec); coeff = Some coeff };
+      { Keys.galois = 1; switch = None; coeff = Some coeff };
+    ]
+  in
+  let copy x = Array.map Array.copy x in
+  let held = (copy c0.res, copy coeff, Keys.switch_key_raw sk |> fun (a, b) -> (Array.map copy a, Array.map copy b)) in
+  let dec_bits = Marshal.to_string dec [] in
+  let ((u0, u1) as first) = Keys.switch_group keys ~c0 members in
+  let bits = (copy u0.res, copy u1.res) in
+  let ((v0, v1) as second) = Keys.switch_group keys ~c0 members in
+  Alcotest.(check bool) "inputs keep their bits" true
+    ((copy c0.res, copy coeff, Keys.switch_key_raw sk |> fun (a, b) -> (Array.map copy a, Array.map copy b)) = held);
+  Alcotest.(check bool) "decomposition keeps its bits" true (Marshal.to_string dec [] = dec_bits);
   Alcotest.(check bool) "first result keeps its bits" true ((u0.res, u1.res) = bits);
-  check_pair p "first result = apply" first (Keys.apply keys sk dec)
+  Alcotest.(check bool) "fresh limbs" true (u0.res.(0) != v0.res.(0) && u1.res.(0) != v1.res.(0));
+  check_pair p "second call = first" first second
 
 (* Key-switch error at every level of test_deep, measured exactly: a
    rotation decrypts to aut(m) + e_ks and a relinearized product to
@@ -866,7 +985,43 @@ let test_decompose_domains (p : Params.t) () =
         (Keys.decompose keys ae = Keys.decompose keys a))
     [ 1; 3; p.max_level ]
 
-(* n >= 512, so decompose / apply / mac_accumulate really fan out over the
+(* Lazy (one shared decomposition) = eager (one per member) on test_deep at
+   every group size of [test_group_sizes], pure and weighted (members at
+   offsets 0 .. size - 1), at levels alpha + 1 and L, on the pool and on one
+   domain: residues, domain tags and scale bits. *)
+let test_rot_sum_lazy_eager_sizes () =
+  let p = Params.test_deep () in
+  let keys = keys_for p in
+  let rng = Random.State.make [| 0x1a2e |] in
+  let v () = Array.init p.slots (fun _ -> Random.State.float rng 1.0 -. 0.5) in
+  let same msg (a : Eval.ct) (b : Eval.ct) =
+    check_res (msg ^ " c0") a.c0 b.c0;
+    check_res (msg ^ " c1") a.c1 b.c1;
+    Alcotest.(check bool) (msg ^ " domains") true
+      (Rns_poly.domain a.c0 = Rns_poly.domain b.c0 && Rns_poly.domain a.c1 = Rns_poly.domain b.c1);
+    Alcotest.(check bool) (msg ^ " scale") true
+      (Int64.bits_of_float (Eval.scale a) = Int64.bits_of_float (Eval.scale b))
+  in
+  List.iter
+    (fun level ->
+      let ct = Eval.encrypt keys ~level (v ()) in
+      List.iter
+        (fun size ->
+          List.iter
+            (fun weighted ->
+              let terms = List.init size (fun i -> (i, if weighted then Some (v ()) else None)) in
+              let tag =
+                Printf.sprintf "level %d, %d %s members" level size (if weighted then "weighted" else "pure")
+              in
+              let lazy_ = Eval.rot_sum keys ~mode:`Lazy ct ~terms in
+              same (tag ^ ", lazy = eager") lazy_ (Eval.rot_sum keys ~mode:`Eager ct ~terms);
+              same (tag ^ ", one domain") lazy_
+                (Domain_pool.sequentially (fun () -> Eval.rot_sum keys ~mode:`Lazy ct ~terms)))
+            [ false; true ])
+        [ 1; 3; 15; 16; 17; 33 ])
+    [ p.alpha + 1; p.max_level ]
+
+(* n >= 512, so decompose / apply / switch_group really fan out over the
    pool; a sequential run must agree bit for bit. *)
 let test_keyswitch_pool_sizes () =
   let p = Params.test_deep () in
@@ -878,17 +1033,21 @@ let test_keyswitch_pool_sizes () =
   let k = Keys.galois_element p ~offset:7 in
   let run () =
     let dec = Keys.decompose keys d in
-    let m = Keys.mac_create keys dec in
-    Keys.mac_accumulate keys ~k ~coeff sk dec m;
-    Keys.mac_accumulate keys ~coeff sk dec m;
-    (dec, Keys.apply keys sk dec, Keys.apply_rotated keys sk ~k dec, Keys.mac_finish keys m)
+    let group =
+      Keys.switch_group keys ~c0:d
+        [
+          { Keys.galois = k; switch = Some (sk, dec); coeff = Some coeff };
+          { Keys.galois = 1; switch = Some (sk, dec); coeff = Some coeff };
+        ]
+    in
+    (dec, Keys.apply keys sk dec, Keys.apply_rotated keys sk ~k dec, group)
   in
   let dec_s, a_s, r_s, m_s = Domain_pool.sequentially run in
   let dec_p, a_p, r_p, m_p = run () in
   Alcotest.(check bool) "decompose" true (dec_s = dec_p);
   check_pair p "apply" a_s a_p;
   check_pair p "apply_rotated" r_s r_p;
-  check_pair p "mac" m_s m_p
+  check_pair p "group" m_s m_p
 
 (* ------------------------------------------------------------------ *)
 (* Plaintext path                                                      *)
@@ -1056,6 +1215,7 @@ let () =
         :: Alcotest.test_case "automorphism k mod 2n" `Quick
              test_automorphism_normalization
         :: Alcotest.test_case "to_level" `Quick test_to_level
+        :: Alcotest.test_case "rescale keeps the domain, test_deep" `Quick test_rescale_resident
         :: qsuite [ test_domain_roundtrip ] );
       ( "pipeline",
         [
@@ -1070,6 +1230,8 @@ let () =
                 (test_keyswitch_kernels p);
               Alcotest.test_case ("decompose Eval = Coeff, " ^ name) `Quick
                 (test_decompose_domains p);
+              Alcotest.test_case ("group sizes = naive reference, " ^ name) `Quick
+                (test_group_sizes p);
             ])
           [
             ("test_small", params ());
@@ -1078,8 +1240,11 @@ let () =
           ]
         @ [
             Alcotest.test_case "raw MAC where the bound allows" `Quick test_raw_mac_branches;
-            Alcotest.test_case "mac_finish once" `Quick test_mac_finish_once;
+            Alcotest.test_case "lazy bounds, test_small" `Quick test_lazy_bounds;
+            Alcotest.test_case "group writes only fresh limbs" `Quick test_group_fresh_limbs;
             Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes;
+            Alcotest.test_case "rot_sum lazy = eager at every group size, test_deep" `Quick
+              test_rot_sum_lazy_eager_sizes;
             Alcotest.test_case "error bound at every level, test_deep" `Quick
               test_keyswitch_error_per_level;
           ] );

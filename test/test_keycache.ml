@@ -256,19 +256,29 @@ let test_lazy_equals_eager () =
 let memo_entries keys = fst (Keys.plain_memo_usage keys)
 
 (* Every memoized op on both c0 domains: addcp on an Eval-domain c0 (fresh
-   encryption) and on a Coeff-domain c0 (after rescale), multcp, and a
-   weighted rot_sum that reads the special rows too. *)
+   encryption) and on a Coeff-domain c0 (a rescaled ciphertext forced to
+   coefficients), multcp, and a weighted rot_sum that reads the special
+   rows too. *)
 let plain_ops keys ~v ~diags =
   let params = keys.Keys.params in
   let fresh = Eval.encrypt keys ~level:4 (sample_values 61 params.Params.slots) in
   let rescaled = Eval.rescale keys (Eval.multcp keys fresh (sample_values 62 params.Params.slots)) in
   Alcotest.(check bool) "fresh c0 is Eval" true (Rns_poly.domain fresh.c0 = Rns_poly.Eval);
-  Alcotest.(check bool) "rescaled c0 is Coeff" true (Rns_poly.domain rescaled.c0 = Rns_poly.Coeff);
+  Alcotest.(check bool) "rescaled c0 is Eval" true (Rns_poly.domain rescaled.c0 = Rns_poly.Eval);
+  (* Rescale keeps the NTT domain, so the Coeff-c0 branch of addcp gets the
+     rescaled ciphertext forced to coefficients, as a loaded frame may be. *)
+  let coeff_ct =
+    Eval.of_parts
+      ~c0:(Rns_poly.to_coeff params rescaled.c0)
+      ~c1:(Rns_poly.to_coeff params rescaled.c1)
+      ~scale:(Eval.scale rescaled)
+  in
+  Alcotest.(check bool) "forced c0 is Coeff" true (Rns_poly.domain coeff_ct.c0 = Rns_poly.Coeff);
   let terms = List.mapi (fun i d -> ((2 * i) - 1, Some d)) diags in
   fun () ->
     [
       ("addcp, Eval c0", Eval.addcp keys fresh v);
-      ("addcp, Coeff c0", Eval.addcp keys rescaled v);
+      ("addcp, Coeff c0", Eval.addcp keys coeff_ct v);
       ("multcp", Eval.multcp keys fresh v);
       ("weighted rot_sum", Eval.rot_sum keys fresh ~terms);
     ]

@@ -162,6 +162,62 @@ let test_base_parity () =
         Strategy.all)
     gen_seeds
 
+(* The tuned plan is priced on the program it compiles to.  The lazy knob
+   only decides whether the lazy-switch pass fuses rotation groups: the
+   DSL's slot sums are RotSum stages either way, and the lattice backend
+   runs every RotSum lazily, so a lazy-off point keeps their lazy delta.
+   Under the host profile a stage with one rotating member (a size-2 sum)
+   has a positive delta; pricing the lazy-off point from the lazy-on
+   compile with every delta zeroed, as the search once did, made it win
+   with a predicted cost below the price of its own program. *)
+let slot_sum_loop size =
+  Dsl.build ~name:"slot-sum" ~slots:64 ~max_level:8 (fun b ->
+      let x = Dsl.input b "x" ~size:64 in
+      match
+        Dsl.for_ b ~count:(Ir.Static 4) ~init:[ x ] (fun b -> function
+          | [ v ] -> [ Dsl.scale_by b (Dsl.sum_slots b v ~size) 0.45 ]
+          | _ -> assert false)
+      with
+      | [ y ] -> Dsl.output b y
+      | _ -> assert false)
+
+let test_plan_priced_on_its_program () =
+  let check profile name ~bindings src =
+    Cost.with_profile profile (fun () ->
+        let r, tuned = Tuner.tune ~bindings ~name src in
+        let plan = r.Tuner.r_plan in
+        let own =
+          Predict.program ~bindings ~pool:plan.Plan.p_pool
+            ~key_budget:plan.Plan.p_key_budget tuned
+        in
+        let rel =
+          Float.abs (own.Predict.b_total_us -. r.Tuner.r_breakdown.Predict.b_total_us)
+          /. Float.max 1.0 own.Predict.b_total_us
+        in
+        if rel > 1e-9 then
+          Alcotest.failf "%s, %s profile (%s): plan predicts %.3f us, its program prices at %.3f us"
+            name profile.Cost.profile_name
+            (Tuner.candidate_to_string r.Tuner.r_best)
+            r.Tuner.r_breakdown.Predict.b_total_us own.Predict.b_total_us)
+  in
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun size -> check profile (Printf.sprintf "slot sum %d" size) ~bindings:[] (slot_sum_loop size))
+        [ 2; 8; 32 ];
+      List.iter
+        (fun seed ->
+          let g = Gen.generate seed in
+          check profile (Printf.sprintf "gen-%d" seed) ~bindings:g.Gen.bindings g.Gen.prog)
+        gen_seeds;
+      List.iter
+        (fun (b : Halo_ml.Bench_def.t) ->
+          check profile b.name
+            ~bindings:(Halo_ml.Workloads.default_bindings b ~iters:2)
+            (b.build ~slots:1024 ~size:32))
+        Halo_ml.Workloads.all)
+    Cost.profiles
+
 (* ------------------------------------------------------------------ *)
 (* Search: pruned = exhaustive                                         *)
 (* ------------------------------------------------------------------ *)
@@ -383,8 +439,11 @@ let () =
           Alcotest.test_case "profile lookup" `Quick test_profile_lookup;
         ] );
       ( "predict",
-        [ Alcotest.test_case "base has interp parity" `Quick test_base_parity ]
-      );
+        [
+          Alcotest.test_case "base has interp parity" `Quick test_base_parity;
+          Alcotest.test_case "plan priced on its own program" `Quick
+            test_plan_priced_on_its_program;
+        ] );
       ( "search",
         [
           Alcotest.test_case "pruned = exhaustive" `Quick
