@@ -3,8 +3,10 @@
    [Ref] below is a frozen copy of the pre-optimization kernels (division
    per butterfly, psi-twist + bit-reversal cyclic NTT, Fermat-inverse
    rescale, multiply-per-index automorphism) so the comparison survives
-   further changes to the library; the key switch is compared with a naive
-   hybrid reference (hardware [mod] per step, constants recomputed).
+   further changes to the library, plus the split-Shoup reducer and the
+   per-source base conversion that hardware [mod] and the one-pass
+   conversion replaced; the key switch is compared with a naive hybrid
+   reference (hardware [mod] per step, constants recomputed).
    Every op asserts bit-identity between the two implementations on the
    same inputs before timing; the process exits nonzero if any assertion
    fails.  Rotation-key generation has no frozen copy: its row times the
@@ -283,7 +285,59 @@ module Ref = struct
 
   let of_centered_coeffs ~moduli ~level coeffs =
     Array.init level (fun i -> Array.map (fun c -> Modarith.reduce ~m:moduli.(i) c) coeffs)
+
+  (* The split-Shoup reducer the key-switch kernels and pointwise products
+     used before they reduced by hardware [mod]: for 0 <= x < 2^62 split
+     x = hi * 2^31 + lo and reduce each half as a Shoup product -- hi by
+     r31 = 2^31 mod q, lo by 1 -- then two masked subtractions. *)
+  type reducer = { rq : int; r31 : int; r31_s : int; one_s : int }
+
+  let reducer q =
+    let r31 = (1 lsl 31) mod q in
+    { rq = q; r31; r31_s = Modarith.shoup ~m:q r31; one_s = Modarith.shoup ~m:q 1 }
+
+  let[@inline] reduce62 { rq = q; r31; r31_s; one_s } x =
+    let hi = x lsr 31 and lo = x land ((1 lsl 31) - 1) in
+    let r =
+      (hi * r31) - (((hi * r31_s) lsr 31) * q) + lo - (((lo * one_s) lsr 31) * q) - (2 * q)
+    in
+    let r = r + ((2 * q) land (r asr 62)) - q in
+    r + (q land (r asr 62))
+
+  (* The per-source conversion loop: one read-modify-write pass over [dst]
+     per source, each term a Shoup product left in [0, 2m) plus a masked
+     centering correction (-B mod m), closed by [reduce62]. *)
+  let convert (basis : Params.basis) ~m ys t dst =
+    let n = Array.length dst in
+    let neg = basis.neg_prod.(t) in
+    Array.fill dst 0 n 0;
+    Array.iteri
+      (fun i y ->
+        let half = basis.src_q.(i) / 2 in
+        let w = basis.hat.(t).(i) in
+        let ws = Modarith.shoup ~m w in
+        for j = 0 to n - 1 do
+          let yj = Array.unsafe_get y j in
+          Array.unsafe_set dst j
+            (Array.unsafe_get dst j + (yj * w)
+            - (((yj * ws) lsr 31) * m)
+            + (neg land ((half - yj) asr 62)))
+        done)
+      ys;
+    let red = reducer m in
+    for j = 0 to n - 1 do
+      Array.unsafe_set dst j (reduce62 red (Array.unsafe_get dst j))
+    done
 end
+
+(* A float-quotient Barrett step, the candidate reducer that neither the
+   library nor [Ref] uses: the quotient estimate from one float multiply is
+   off by at most one either way for x < 2^62 and q < 2^31, so two masked
+   corrections finish it. *)
+let[@inline] barrett_reduce ~q ~qinv x =
+  let r = x - (int_of_float (Float.of_int x *. qinv) * q) in
+  let r = r + (q land (r asr 62)) - q in
+  r + (q land (r asr 62))
 
 (* ---------------------------------------------------------------- *)
 (* Harness.                                                          *)
@@ -442,8 +496,9 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
     ~ref_f:(fun () -> Ref.automorphism ~moduli:params.moduli ~n ~k (pa : Rns_poly.t).res)
     ~new_f:(fun () -> Rns_poly.automorphism params ~k pa_eval);
   (* Plaintext path: the unboxed encoder and decoder against the boxed
-     ones, decoded floats compared bit for bit; the pooled division-free
-     embedding against one hardware [mod] per coefficient and limb. *)
+     ones, decoded floats compared bit for bit; the pooled embedding
+     against one hardware [mod] per coefficient and limb, one limb after
+     another. *)
   let values = Array.init params.slots (fun _ -> Random.State.float st 2.0 -. 1.0) in
   let scale = params.scale in
   let coeffs = Encoding.encode_real_centered params ~scale values in
@@ -467,7 +522,7 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
     ~ref_f:(fun () -> Ref.of_centered_coeffs ~moduli:params.moduli ~level:limbs coeffs)
     ~new_f:(fun () -> Rns_poly.of_centered_coeffs params ~level:limbs coeffs);
   (* Key switch on an NTT-resident operand (as the pipeline hands c1 over)
-     at several levels of one chain: division-free, lazily reduced
+     at several levels of one chain: the lazily reduced
      decompose + apply vs the naive hybrid reference, same relinearization
      key.  The level dependence is the point: digits, conversions and
      transforms all grow with the level. *)
@@ -530,6 +585,58 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
       && Rns_poly.domain (Rns_poly.rescale_last params pa_eval) = Rns_poly.Eval)
     ~ref_f:through_coeff
     ~new_f:(fun () -> Rns_poly.rescale_last params pa_eval);
+  (* Reducing one limb of pointwise products of two varying residues, at
+     the 31-bit base prime: the split-Shoup reducer against hardware [mod]
+     ([reduce]) and against a float-quotient Barrett step ([reduce_float]),
+     outputs compared. *)
+  let prods = Array.init n (fun i -> a1.(i) * b1.(i)) in
+  let red = Ref.reducer q and qinv = 1.0 /. Float.of_int q in
+  let dst = Array.make n 0 in
+  let by_shoup () =
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst i (Ref.reduce62 red (Array.unsafe_get prods i))
+    done
+  and by_mod () =
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst i (Array.unsafe_get prods i mod q)
+    done
+  and by_float () =
+    for i = 0 to n - 1 do
+      Array.unsafe_set dst i (barrett_reduce ~q ~qinv (Array.unsafe_get prods i))
+    done
+  in
+  let output f = f (); Array.copy dst in
+  let shoup_out = output by_shoup in
+  record "reduce" ~limbs:1 ~identical:(arrays_equal shoup_out (output by_mod)) ~ref_f:by_shoup
+    ~new_f:by_mod;
+  record "reduce_float" ~limbs:1 ~identical:(arrays_equal shoup_out (output by_float))
+    ~ref_f:by_shoup ~new_f:by_float;
+  (* Centered base conversion of digit 0 (it holds the 31-bit base prime)
+     of a 16-level chain (alpha = 4) into the first special prime, cut to
+     1, 2 and 4 sources: the per-source loop against the one-pass loop.
+     The scaled limbs are random, with every edge value of the centering
+     (0, b - 1, b / 2, b / 2 + 1) in the first slots. *)
+  let cv_params = Params.make ~log_n ~max_level:16 ~base_bits:31 ~scale_bits:27 () in
+  let target = cv_params.max_level in
+  let m = cv_params.specials.(0) in
+  List.iter
+    (fun sources ->
+      let basis = cv_params.mod_up.(0).(sources - 1) in
+      let ys =
+        Array.map
+          (fun b ->
+            let y = rand_vec st ~n ~q:b in
+            List.iteri (fun j e -> y.(j) <- e) [ 0; b - 1; b / 2; (b / 2) + 1 ];
+            y)
+          basis.src_q
+      in
+      let d_ref = Array.make n 0 and d_new = Array.make n 0 in
+      Ref.convert basis ~m ys target d_ref;
+      Keys.convert cv_params basis ys target d_new;
+      record "convert" ~limbs:sources ~identical:(arrays_equal d_ref d_new)
+        ~ref_f:(fun () -> Ref.convert basis ~m ys target d_ref)
+        ~new_f:(fun () -> Keys.convert cv_params basis ys target d_new))
+    [ 1; 2; 4 ];
   (* Rotation-key generation, the same keys built strictly sequentially and
      on the pool.  A one-byte budget keeps only the newest key resident, so
      alternating two offsets regenerates a key on every fetch. *)

@@ -50,8 +50,8 @@ let tables (params : Params.t) =
 let rot_group params = (tables params).group
 
 (* [vre]/[vim]: real and imaginary parts of at most [slots] values; missing
-   slots are zero.  Rounded coefficients must lie in Modarith.embed's
-   domain, |c| < 2^62. *)
+   slots are zero.  Rounded coefficients must lie in |c| < 2^62, where
+   [int_of_float] is exact. *)
 let encode_parts (params : Params.t) ~scale vre vim =
   let n = params.n and len = Array.length vre in
   if len > params.slots then invalid_arg "Encoding.encode: too many values";

@@ -105,10 +105,13 @@ let encrypt (keys : Keys.t) ~level values =
   let c1 = Rns_poly.add params (Rns_poly.mul params v pk1) e1 in
   noised units.enc (mk c0 c1 params.scale)
 
+(* The decoder reads the base residue only, so the phase c0 + c1 * s is
+   computed at the base prime alone: limbs are independent, and this is
+   the first limb of the full-level phase, bit for bit. *)
 let decrypt_poly (keys : Keys.t) ct =
   let params = keys.params in
-  let s = Rns_poly.to_level params ~level:(level ct) keys.s_ntt in
-  Rns_poly.add params ct.c0 (Rns_poly.mul params ct.c1 s)
+  let base p = Rns_poly.to_level params ~level:1 p in
+  Rns_poly.add params (base ct.c0) (Rns_poly.mul params (base ct.c1) (base keys.s_ntt))
 
 let decrypt_complex (keys : Keys.t) ct =
   Encoding.decode keys.params ~scale:ct.scale (decrypt_poly keys ct)
@@ -347,11 +350,13 @@ let rot_sum (keys : Keys.t) ?mode a ~terms =
            mod-Q evaluation-domain residues, the K special rows scale the
            MAC over Q*P. *)
         let ext =
-          Option.map
-            (fun values -> Keys.plain_eval keys ~scale:params.scale ~level:l ~specials:true values)
-            coeff
+          Option.map (fun values -> Keys.plain_weight keys ~scale:params.scale ~level:l values) coeff
         in
-        let m_q = Option.map (fun ext -> Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub ext 0 l)) ext in
+        let m_q =
+          Option.map
+            (fun (w : Keys.weight) -> Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub w.rows 0 l))
+            ext
+        in
         if offset = 0 then begin
           let scaled p = match m_q with None -> p | Some m -> Rns_poly.mul params p m in
           if not has_rotation then add_into q0 (scaled a.c0);

@@ -33,16 +33,19 @@ type cache_snapshot = {
 
 (* One memoized plaintext.  [pe_values] (the padded slot vector) and
    [pe_scale] are the key, compared bit for bit on a hit; [pe_centered] is
-   the encoder's output and [pe_rows.(t)] its NTT image at extended-chain
-   position t, [||] until a caller first needs that position.  The level is
-   not part of the key: row t is the same array at every level.  A published
-   row is never written again; [pe_resident] is false once evicted, so a
-   late row fill is not charged to the memo. *)
+   the encoder's output, [pe_rows.(t)] its NTT image at extended-chain
+   position t and [pe_comp.(t)] that row's companion for weighted
+   rotate-and-sum groups ([Keys.weighted_terms]), each [||] until a caller
+   first needs it.  The level is not part of the key: row t is the same
+   array at every level.  A published row is never written again;
+   [pe_resident] is false once evicted, so a late row fill is not charged
+   to the memo. *)
 type plain_entry = {
   pe_scale : float;
   pe_values : float array;
   pe_centered : int array;
   pe_rows : int array array;
+  pe_comp : int array array;
   mutable pe_bytes : int;
   mutable pe_last_use : int;
   mutable pe_resident : bool;
@@ -123,8 +126,8 @@ let small_negacyclic_mul a b =
   out
 
 let ntt_of_centered params t coeffs =
-  let red = Modarith.reducer (chain_modulus params t) in
-  let a = Array.map (Modarith.embed red) coeffs in
+  let m = chain_modulus params t in
+  let a = Array.map (Modarith.reduce ~m) coeffs in
   Ntt.forward_in_place (chain_ntt params t) a;
   a
 
@@ -166,21 +169,20 @@ let make_switch_key params rng ~s_chain ~source_coeffs =
       let j = idx / len and t = idx mod len in
       let ctx = chain_ntt params t in
       let q = Ntt.q ctx in
-      let red = Modarith.reducer q in
       let a = k1.(j).(t) and s = s_chain.(t) in
       Ntt.forward_in_place ctx a;
       (* b = e - a * s, then + [P]_{q_t} * s' on the digit's own primes (P
          mod q_t is minus the ModDown table's -P mod q_t). *)
       let b = ntt_of_centered params t e.(j) in
       for i = 0 to n - 1 do
-        let d = b.(i) - Modarith.reduce62 red (a.(i) * s.(i)) in
+        let d = b.(i) - (a.(i) * s.(i) mod q) in
         b.(i) <- d + (q land (d asr 62))
       done;
       if t < params.max_level && t / params.alpha = j then begin
         let p_mod = Modarith.neg ~m:q params.mod_down.neg_prod.(t) in
         let src = ntt_of_centered params t source_coeffs in
         for i = 0 to n - 1 do
-          b.(i) <- Modarith.add ~m:q b.(i) (Modarith.reduce62 red (src.(i) * p_mod))
+          b.(i) <- (b.(i) + (src.(i) * p_mod)) mod q
         done
       end;
       k0.(j).(t) <- b);
@@ -505,6 +507,12 @@ let positions (params : Params.t) l =
   Array.init (l + Array.length params.specials) (fun pos ->
       if pos < l then pos else params.max_level + pos - l)
 
+(* Unchecked reads for the kernels below, typed so that the compiler reads
+   an int array directly: a local [let get = Array.unsafe_get] is
+   polymorphic, and every read through it first tests for a float array. *)
+let[@inline] get (a : int array) i = Array.unsafe_get a i
+let[@inline] row (a : int array array) i = Array.unsafe_get a i
+
 (* y.(j) <- y.(j) * (B / b_i)^-1 mod b_i, in place: the first step of a fast
    base conversion from source prime i of [basis]. *)
 let scale_in_place (basis : Params.basis) ~q i y =
@@ -515,36 +523,35 @@ let scale_in_place (basis : Params.basis) ~q i y =
 
 (* Centered fast base conversion of the scaled source limbs [ys] (ys.(i) in
    [0, b_i), one per source prime of [basis]) to chain position [t], written
-   over [dst]: dst.(j) = sum_i center(ys.(i).(j)) * (B / b_i) mod m_t.
-   Centering is a correction, not a branch: center(y) = y - b_i exactly when
-   y > b_i / 2, and b_i * (B / b_i) = B, so such a term adds neg_prod = -B
-   mod m_t.  It makes the conversion an odd function, so it commutes with
-   the Galois automorphisms (signed coefficient permutations).  Each Shoup
-   product is left in [0, 2m) and each correction below m, so the
-   accumulator stays below 3 * alpha * m < 2^62 (params.ml) until one
-   [Modarith.reduce62] closes it.  (The sum may pass max_int before the
-   subtraction; int arithmetic wraps mod 2^63, so the result is exact.) *)
+   over [dst]: dst.(j) = sum_i center(ys.(i).(j)) * (B / b_i) mod m_t, in one
+   pass.  At each slot every source is read once, centred without a branch
+   (center(y) = y - b_i exactly when y > b_i / 2: the mask
+   [(half_i - y) asr 62] is all ones then), multiplied raw by
+   hat_i = (B / b_i) mod m_t and summed as a signed int; one [mod] closes
+   the sum.  Where the worst case of the sum would reach 2^62 the sum also
+   closes after each chunk of [basis.chunks.(t)] (params.ml), so every
+   partial sum is a native int.  Centering makes the conversion an odd
+   function, so it commutes with the Galois automorphisms (signed
+   coefficient permutations). *)
 let convert params (basis : Params.basis) ys t dst =
   let m = chain_modulus params t in
   let n = Array.length dst in
-  let neg = basis.neg_prod.(t) in
-  Array.fill dst 0 n 0;
-  Array.iteri
-    (fun i y ->
-      check_len n y;
-      let half = chain_modulus params basis.src.(i) / 2 in
-      let w = basis.hat.(t).(i) and ws = basis.hat_shoup.(t).(i) in
-      for j = 0 to n - 1 do
-        let yj = Array.unsafe_get y j in
-        Array.unsafe_set dst j
-          (Array.unsafe_get dst j + (yj * w)
-          - (((yj * ws) lsr 31) * m)
-          + (neg land ((half - yj) asr 62)))
-      done)
-    ys;
-  let red = Modarith.reducer m in
+  Array.iter (check_len n) ys;
+  let b = basis.src_q and half = basis.half and hat = basis.hat.(t) in
+  let ends = basis.chunks.(t) in
+  let[@inline] center b h y = y - (b land ((h - y) asr 62)) in
   for j = 0 to n - 1 do
-    Array.unsafe_set dst j (Modarith.reduce62 red (Array.unsafe_get dst j))
+    let s = ref 0 and i = ref 0 in
+    for c = 0 to Array.length ends - 1 do
+      let e = get ends c in
+      for k = !i to e - 1 do
+        s := !s + (center (get b k) (get half k) (get (row ys k) j) * get hat k)
+      done;
+      i := e;
+      s := !s mod m
+    done;
+    let r = !s in
+    Array.unsafe_set dst j (r + (m land (r asr 62)))
   done
 
 (* One scratch limb per domain.  A pool index runs start to finish on one
@@ -656,66 +663,108 @@ let mod_down (params : Params.t) ~level:l ?add0 u0 u1 =
     Rns_poly.of_residues ~domain:Rns_poly.Eval (Array.sub u1 0 l) )
 
 (* How many terms, each at most [per_term] * (q - 1)^2, can be summed onto
-   a residue below q and stay inside [Modarith.reduce62]'s domain:
+   a residue below q and stay a non-negative native int:
    the largest B with B * per_term * (q - 1)^2 + q < 2^62.  (Dividing twice
    is the floor of one division and cannot overflow.) *)
 let lazy_terms ~q ~per_term = (max_int - q) / per_term / ((q - 1) * (q - 1))
 
 (* Whether [digits] raw digit/key products mod q, summed onto a residue
-   below q, stay inside [Modarith.reduce62]'s domain:
-   digits * (q - 1)^2 + q < 2^62.  With dnum <= 4 that holds for every prime
-   below 2^30, so at every chain position but a 31-bit base prime. *)
+   below q, stay a native int: digits * (q - 1)^2 + q < 2^62.  With
+   dnum <= 4 that holds for every prime below 2^30, so at every chain
+   position but a 31-bit base prime. *)
 let raw_mac ~q ~digits = lazy_terms ~q ~per_term:digits >= 1
 
+let low31 = Modarith.max_modulus - 1
+
+(* A weighted member's term with a companion row: its raw digit/key sum
+   x < digits * (q - 1)^2 splits as x = hi * 2^31 + lo, and with the
+   plaintext row c and its companion c' = c * 2^31 mod q the term
+   hi * c' + lo * c is congruent to c * x, with no reduction of x.  Each
+   such term is at most ((x_max lsr 31) + min x_max (2^31 - 1)) * (q - 1);
+   the result is the largest B with B * that + q < 2^62, 0 where no term
+   fits or the raw sum itself does not ([raw_mac]): there a member reduces
+   each product as it adds it ([mac_member]). *)
+let weighted_terms ~q ~digits =
+  if not (raw_mac ~q ~digits) then 0
+  else begin
+    let x = digits * (q - 1) * (q - 1) in
+    let hi = (x lsr 31) * (q - 1) and lo = min x low31 * (q - 1) in
+    let room = max_int - q in
+    if hi > room - lo then 0 else room / (hi + lo)
+  end
+
 (* --- the group MAC: one visit per chain position ------------------------ *)
+
+type weight = { rows : int array array; comp : int array array }
 
 type member = {
   galois : int;
   switch : (switch_key * decomposed) option;
-  coeff : int array array option;
+  coeff : weight option;
 }
 
-(* Adds one member's term into the running sums at slot j: the raw digit/key
-   sums [x0], [x1] themselves (pure), or the plaintext factor times their
-   reductions (weighted), and reduces the sums when [close]. *)
-let[@inline] put red ~close cv acc0 acc1 j x0 x1 =
-  if Array.length cv > 0 then begin
-    let c = Array.unsafe_get cv j in
-    let v0 = Array.unsafe_get acc0 j + (c * Modarith.reduce62 red x0)
-    and v1 = Array.unsafe_get acc1 j + (c * Modarith.reduce62 red x1) in
-    Array.unsafe_set acc0 j (if close then Modarith.reduce62 red v0 else v0);
-    Array.unsafe_set acc1 j (if close then Modarith.reduce62 red v1 else v1)
-  end
-  else begin
-    let v0 = Array.unsafe_get acc0 j + x0 and v1 = Array.unsafe_get acc1 j + x1 in
-    Array.unsafe_set acc0 j (if close then Modarith.reduce62 red v0 else v0);
-    Array.unsafe_set acc1 j (if close then Modarith.reduce62 red v1 else v1)
-  end
+(* The companion of a plaintext row at modulus q: c' = c * 2^31 mod q
+   (c < 2^31, so c * 2^31 < 2^62). *)
+let companion_row ~q row = Array.map (fun c -> (c lsl 31) mod q) row
+
+(* Companion rows at the positions of a level-[level] group whose weighted
+   bound admits them, [||] elsewhere. *)
+let needs_companion (params : Params.t) ~level t =
+  weighted_terms ~q:(chain_modulus params t) ~digits:(Params.digits params ~level) >= 1
+
+let weight_of_rows params ~level rows =
+  let positions = positions params level in
+  {
+    rows;
+    comp =
+      Array.mapi
+        (fun pos row ->
+          let t = positions.(pos) in
+          if needs_companion params ~level t then companion_row ~q:(chain_modulus params t) row
+          else [||])
+        rows;
+  }
+
+(* Adds one member's term into the running sums at slot j and reduces the
+   sums when [close].  Pure ([cv] empty): the raw digit/key sums [x0], [x1]
+   themselves.  Weighted: hi * c' + lo * c with the companion row [cc]
+   ([weighted_terms]). *)
+let[@inline] put ~q ~close cv cc acc0 acc1 j x0 x1 =
+  let v0 = get acc0 j and v1 = get acc1 j in
+  let v0, v1 =
+    if Array.length cv = 0 then (v0 + x0, v1 + x1)
+    else
+      let c = get cv j and c' = get cc j in
+      (v0 + ((x0 lsr 31) * c') + ((x0 land low31) * c), v1 + ((x1 lsr 31) * c') + ((x1 land low31) * c))
+  in
+  Array.unsafe_set acc0 j (if close then v0 mod q else v0);
+  Array.unsafe_set acc1 j (if close then v1 mod q else v1)
 
 (* One member's digit/key inner products at one position, read through its
    slot permutation [perm] (the Galois automorphism applied on the fly, no
    permuted copies), for both key halves and every slot:
      x = sum_i d_i.(perm.(j)) * k_i.(j),
    added into [acc0]/[acc1] by [put].  [cv] is the member's plaintext row
-   ([||] for a pure member).  Where the raw sum of the digits' products fits
-   [Modarith.reduce62] ([raw]) the digit loop is unrolled (dnum <= 4,
-   params.ml) and the products are summed raw; elsewhere (a 31-bit base
-   prime) each product is reduced as it is added, onto the running sum for
-   a pure member, and the sums are closed after every member. *)
-let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
+   ([||] for a pure member) and [cc] its companion row.  Where [raw] (the
+   raw sum of the digits' products is a native int and, for a weighted
+   member, its companion term fits: [weighted_terms]) the digit loop is
+   unrolled (dnum <= 4, params.ml) and the products are summed raw;
+   elsewhere (a 31-bit base prime) each product is reduced as it is added,
+   onto the running sum for a pure member, and the sums are closed after
+   every member. *)
+let mac_member ~q ~raw ~close ~perm cv cc ds k0 k1 acc0 acc1 =
   let n = Array.length perm in
-  let get = Array.unsafe_get in
   match (raw, ds, k0, k1) with
   | true, [| d0 |], [| a0 |], [| b0 |] ->
     for j = 0 to n - 1 do
       let e0 = get d0 (get perm j) in
-      put red ~close cv acc0 acc1 j (e0 * get a0 j) (e0 * get b0 j)
+      put ~q ~close cv cc acc0 acc1 j (e0 * get a0 j) (e0 * get b0 j)
     done
   | true, [| d0; d1 |], [| a0; a1 |], [| b0; b1 |] ->
     for j = 0 to n - 1 do
       let pj = get perm j in
       let e0 = get d0 pj and e1 = get d1 pj in
-      put red ~close cv acc0 acc1 j
+      put ~q ~close cv cc acc0 acc1 j
         ((e0 * get a0 j) + (e1 * get a1 j))
         ((e0 * get b0 j) + (e1 * get b1 j))
     done
@@ -723,7 +772,7 @@ let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
     for j = 0 to n - 1 do
       let pj = get perm j in
       let e0 = get d0 pj and e1 = get d1 pj and e2 = get d2 pj in
-      put red ~close cv acc0 acc1 j
+      put ~q ~close cv cc acc0 acc1 j
         ((e0 * get a0 j) + (e1 * get a1 j) + (e2 * get a2 j))
         ((e0 * get b0 j) + (e1 * get b1 j) + (e2 * get b2 j))
     done
@@ -731,7 +780,7 @@ let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
     for j = 0 to n - 1 do
       let pj = get perm j in
       let e0 = get d0 pj and e1 = get d1 pj and e2 = get d2 pj and e3 = get d3 pj in
-      put red ~close cv acc0 acc1 j
+      put ~q ~close cv cc acc0 acc1 j
         ((e0 * get a0 j) + (e1 * get a1 j) + (e2 * get a2 j) + (e3 * get a3 j))
         ((e0 * get b0 j) + (e1 * get b1 j) + (e2 * get b2 j) + (e3 * get b3 j))
     done
@@ -742,14 +791,14 @@ let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
       let s0 = ref (if weighted then 0 else get acc0 j)
       and s1 = ref (if weighted then 0 else get acc1 j) in
       for i = 0 to Array.length ds - 1 do
-        let dj = get (get ds i) pj in
-        s0 := Modarith.reduce62 red (!s0 + (dj * get (get k0 i) j));
-        s1 := Modarith.reduce62 red (!s1 + (dj * get (get k1 i) j))
+        let dj = get (row ds i) pj in
+        s0 := (!s0 + (dj * get (row k0 i) j)) mod q;
+        s1 := (!s1 + (dj * get (row k1 i) j)) mod q
       done;
       if weighted then begin
         let c = get cv j in
-        Array.unsafe_set acc0 j (Modarith.reduce62 red (get acc0 j + (c * !s0)));
-        Array.unsafe_set acc1 j (Modarith.reduce62 red (get acc1 j + (c * !s1)))
+        Array.unsafe_set acc0 j ((get acc0 j + (c * !s0)) mod q);
+        Array.unsafe_set acc1 j ((get acc1 j + (c * !s1)) mod q)
       end
       else begin
         Array.unsafe_set acc0 j !s0;
@@ -760,17 +809,16 @@ let mac_member red ~raw ~close ~perm cv ds k0 k1 acc0 acc1 =
 (* One member's Q-side term at one ciphertext position: c0 read through
    [perm], times the plaintext row [m] when weighted, added into [acc] and
    reduced when [close]. *)
-let q_member red ~close ~perm c0 m acc =
-  let get = Array.unsafe_get in
+let q_member ~q ~close ~perm c0 m acc =
   if Array.length m = 0 then
     for j = 0 to Array.length perm - 1 do
       let v = get acc j + get c0 (get perm j) in
-      Array.unsafe_set acc j (if close then Modarith.reduce62 red v else v)
+      Array.unsafe_set acc j (if close then v mod q else v)
     done
   else
     for j = 0 to Array.length perm - 1 do
       let v = get acc j + (get c0 (get perm j) * get m j) in
-      Array.unsafe_set acc j (if close then Modarith.reduce62 red v else v)
+      Array.unsafe_set acc j (if close then v mod q else v)
     done
 
 (* Whether the member ending at index [i] of [count] closes the sums: the
@@ -782,13 +830,14 @@ let closes ~b ~count i = i = count - 1 || (i + 1) mod b = 0
    position and visits every member there, accumulating the MAC of the
    switching members into fresh limbs and, at the l ciphertext positions,
    the Q-side terms sigma_g(c0), times m_g when weighted, of every member
-   into a third.  The
-   sums stay unreduced while [lazy_terms] allows: a pure term is dnum raw
-   products, a weighted one c * reduce(s) and a Q-side one below q (pure) or
-   (q - 1)^2 (weighted).  Then one ModDown for the group adds the Q-side sum
-   into the first half.  Every sum is the exact residue whatever the
-   reduction schedule, the pool size or the member order, so a group is
-   bit-identical to a chain of single key switches and adds. *)
+   into a third.  The sums stay unreduced while the bounds allow: a pure
+   term is dnum raw products ([lazy_terms]), a weighted one hi * c' + lo * c
+   ([weighted_terms]; where that bound admits no term, the member reduces
+   per product), and a Q-side one below q (pure) or (q - 1)^2 (weighted).  Then one
+   ModDown for the group adds the Q-side sum into the first half.  Every
+   sum is the exact residue whatever the reduction schedule, the pool size
+   or the member order, so a group is bit-identical to a chain of single
+   key switches and adds. *)
 let switch_group keys ?c0 members =
   let params = keys.params in
   let n = params.n in
@@ -822,26 +871,36 @@ let switch_group keys ?c0 members =
   let perm_of m = Ntt.eval_perm (Params.ntt_at params ~idx:0) ~k:m.galois in
   let mac_perms = Array.map (fun (m, _, _) -> perm_of m) switching in
   let q_perms = Array.map perm_of members in
-  let row m pos = match m.coeff with Some c -> c.(pos) | None -> [||] in
+  let row m pos = match m.coeff with Some w -> w.rows.(pos) | None -> [||] in
   let np = Array.length positions in
   let mac0 = Array.make np [||] and mac1 = Array.make np [||] in
   let qsum = Array.make l [||] in
   par params np (fun pos ->
       let t = positions.(pos) in
       let q = chain_modulus params t in
-      let red = Modarith.reducer q in
       let nd = Array.length dec0.digits.(pos) in
-      let raw = raw_mac ~q ~digits:nd in
-      let b = if not raw then 1 else lazy_terms ~q ~per_term:(if weighted then 1 else nd) in
+      let wb = weighted_terms ~q ~digits:nd in
+      let raw = if weighted then wb >= 1 else raw_mac ~q ~digits:nd in
+      let comp m =
+        match m.coeff with
+        | Some w when raw ->
+          let cc = w.comp.(pos) in
+          if Array.length cc = 0 then invalid_arg "Keys.switch_group: missing companion row";
+          cc
+        | _ -> [||]
+      in
+      let b = if not raw then 1 else if weighted then wb else lazy_terms ~q ~per_term:nd in
       let acc0 = Array.make n 0 and acc1 = Array.make n 0 in
       let count = Array.length switching in
       Array.iteri
         (fun i (m, sk, dec) ->
           let ds = dec.digits.(pos) in
           let k0 = Array.init nd (fun d -> sk.k0.(d).(t)) and k1 = Array.init nd (fun d -> sk.k1.(d).(t)) in
-          let cv = row m pos in
-          Array.iter (check_len n) (Array.concat [ ds; k0; k1; (if weighted then [| cv |] else [||]) ]);
-          mac_member red ~raw ~close:(closes ~b ~count i) ~perm:mac_perms.(i) cv ds k0 k1 acc0 acc1)
+          let cv = row m pos and cc = comp m in
+          Array.iter (check_len n) (Array.concat [ ds; k0; k1 ]);
+          if weighted then check_len n cv;
+          if raw && weighted then check_len n cc;
+          mac_member ~q ~raw ~close:(closes ~b ~count i) ~perm:mac_perms.(i) cv cc ds k0 k1 acc0 acc1)
         switching;
       mac0.(pos) <- acc0;
       mac1.(pos) <- acc1;
@@ -854,7 +913,7 @@ let switch_group keys ?c0 members =
         let b = if weighted then lazy_terms ~q ~per_term:1 else (max_int - q) / q in
         Array.iteri
           (fun i m ->
-            q_member red ~close:(closes ~b ~count i) ~perm:q_perms.(i) src (row m pos) acc)
+            q_member ~q ~close:(closes ~b ~count i) ~perm:q_perms.(i) src (row m pos) acc)
           members;
         qsum.(pos) <- acc
       | _ -> ());
@@ -902,10 +961,11 @@ let plain_matches ~slots ~scale values e =
   let rec go j = j >= slots || (same_bits (padded values j) e.pe_values.(j) && go (j + 1)) in
   go 0
 
-(* Heap words of an entry with [rows] filled rows: the key vector, the
-   coefficients, the row table, the record and its bucket cell. *)
+(* Heap words of an entry with [rows] filled rows, NTT and companion rows
+   alike: the key vector, the coefficients, the two row tables, the record
+   and its bucket cell. *)
 let plain_entry_bytes (params : Params.t) ~rows =
-  8 * (params.slots + params.n + Params.chain_len params + 13 + (rows * (params.n + 1)))
+  8 * (params.slots + params.n + (2 * Params.chain_len params) + 15 + (rows * (params.n + 1)))
 
 (* Caller holds the mutex. *)
 let plain_bucket memo h = Option.value ~default:[] (Hashtbl.find_opt memo.pm_table h)
@@ -967,6 +1027,7 @@ let plain_entry keys ~scale values =
         pe_values = padded_values;
         pe_centered = centered;
         pe_rows = Array.make (Params.chain_len params) [||];
+        pe_comp = Array.make (Params.chain_len params) [||];
         pe_bytes = plain_entry_bytes params ~rows:0;
         pe_last_use = 0;
         pe_resident = true;
@@ -989,45 +1050,66 @@ let plain_entry keys ~scale values =
 
 let plain_centered keys ~scale values = (plain_entry keys ~scale values).pe_centered
 
-(* Rows at [positions params level] (or only the first [level] ones without
-   [specials]).  Missing rows are transformed outside the mutex, one per
-   position across the domain pool, then published; a row another caller
-   published first wins. *)
-let plain_eval keys ~scale ~level ?(specials = false) values =
+(* The NTT rows at [positions] and, where [companion] holds, their
+   companion rows.  Missing rows are built outside the mutex, one position
+   per pool task, then published and charged to the memo; a row another
+   caller published first wins. *)
+let plain_rows keys e ~positions ~companion =
   let params = keys.params and memo = keys.plain in
-  let e = plain_entry keys ~scale values in
-  let positions =
-    if specials then positions params level else Array.init level Fun.id
-  in
+  let np = Array.length positions in
+  let need = Array.init np (fun i -> companion positions.(i)) in
   Mutex.lock memo.pm_mutex;
   let rows = Array.map (fun t -> e.pe_rows.(t)) positions in
+  let comp = Array.mapi (fun i t -> if need.(i) then e.pe_comp.(t) else [||]) positions in
   Mutex.unlock memo.pm_mutex;
   let missing =
-    List.filter (fun i -> Array.length rows.(i) = 0) (List.init (Array.length rows) Fun.id)
+    List.filter
+      (fun i -> Array.length rows.(i) = 0 || (need.(i) && Array.length comp.(i) = 0))
+      (List.init np Fun.id)
     |> Array.of_list
   in
   if Array.length missing > 0 then begin
-    par params (Array.length missing) (fun m ->
-        let i = missing.(m) in
-        rows.(i) <- ntt_of_centered params positions.(i) e.pe_centered);
+    par params (Array.length missing) (fun k ->
+        let i = missing.(k) in
+        let t = positions.(i) in
+        if Array.length rows.(i) = 0 then rows.(i) <- ntt_of_centered params t e.pe_centered;
+        if need.(i) then comp.(i) <- companion_row ~q:(chain_modulus params t) rows.(i));
     Mutex.lock memo.pm_mutex;
+    let publish table i fresh =
+      let t = positions.(i) in
+      if Array.length table.(t) = 0 then begin
+        table.(t) <- fresh;
+        if e.pe_resident then begin
+          let grown = 8 * (params.n + 1) in
+          e.pe_bytes <- e.pe_bytes + grown;
+          memo.pm_bytes <- memo.pm_bytes + grown
+        end;
+        fresh
+      end
+      else table.(t)
+    in
     Array.iter
       (fun i ->
-        let t = positions.(i) in
-        if Array.length e.pe_rows.(t) = 0 then begin
-          e.pe_rows.(t) <- rows.(i);
-          if e.pe_resident then begin
-            let grown = params.n + 1 in
-            e.pe_bytes <- e.pe_bytes + (8 * grown);
-            memo.pm_bytes <- memo.pm_bytes + (8 * grown)
-          end
-        end
-        else rows.(i) <- e.pe_rows.(t))
+        rows.(i) <- publish e.pe_rows i rows.(i);
+        if need.(i) then comp.(i) <- publish e.pe_comp i comp.(i))
       missing;
     plain_evict memo;
     Mutex.unlock memo.pm_mutex
   end;
-  rows
+  (rows, comp)
+
+let plain_eval keys ~scale ~level values =
+  fst
+    (plain_rows keys (plain_entry keys ~scale values) ~positions:(Array.init level Fun.id)
+       ~companion:(fun _ -> false))
+
+let plain_weight keys ~scale ~level values =
+  let params = keys.params in
+  let rows, comp =
+    plain_rows keys (plain_entry keys ~scale values) ~positions:(positions params level)
+      ~companion:(needs_companion params ~level)
+  in
+  { rows; comp }
 
 let plain_memo_usage keys =
   let memo = keys.plain in

@@ -160,21 +160,31 @@ val apply_rotated : t -> switch_key -> k:int -> decomposed -> Rns_poly.t * Rns_p
     extended-chain position once per group, in one pool dispatch, and at
     each position adds every member's inner product (read through its
     Galois permutation, times its plaintext row if weighted) into running
-    sums that stay unreduced while {!lazy_terms} allows.  At the ciphertext
+    sums that stay unreduced while {!lazy_terms} and {!weighted_terms}
+    allow, and closes them with one hardware [mod] each.  At the ciphertext
     positions the same visit sums the members' Q-side terms.  ModDown runs
     once for the group.  Modular addition is exact and associative, so the
     result is bit-identical whether the members share one decomposition
     (lazy) or each brings its own (eager), for any pool size. *)
+
+type weight = {
+  rows : int array array;
+      (** plaintext factor as NTT-domain residues per extended-chain
+          position of the group's level (see {!plain_weight}) *)
+  comp : int array array;
+      (** [comp.(pos)]: the companion row [c * 2^31 mod q] of [rows.(pos)]
+          where the group's {!weighted_terms} is at least 1 (required
+          there), [[||]] elsewhere: where no companion term fits, the member
+          reduces each product as it adds it. *)
+}
 
 type member = {
   galois : int;  (** the member's Galois element ([1]: no rotation) *)
   switch : (switch_key * decomposed) option;
       (** the key and decomposition it switches with; [None] for a member
           that contributes only its Q-side term (the unrotated one) *)
-  coeff : int array array option;
-      (** plaintext factor as NTT-domain residues per extended-chain
-          position (see {!plain_eval} with [~specials:true]); all members
-          of a group are weighted or none is *)
+  coeff : weight option;
+      (** plaintext factor; all members of a group are weighted or none is *)
 }
 
 val switch_group : t -> ?c0:Rns_poly.t -> member list -> Rns_poly.t * Rns_poly.t
@@ -183,14 +193,20 @@ val switch_group : t -> ?c0:Rns_poly.t -> member list -> Rns_poly.t * Rns_poly.t
     [qside] the sum over every member of [automorphism ~k:galois c0], times
     its plaintext factor when weighted ([0] without [c0]).  Both results
     are [Eval]-domain and freshly allocated.  At least one member must
-    switch, every decomposition must have one level and [c0] must be
-    [Eval]-domain at that level; [Invalid_argument] otherwise. *)
+    switch, every decomposition must have one level, [c0] must be
+    [Eval]-domain at that level and a weighted member must carry a
+    companion row wherever {!weighted_terms} is at least 1;
+    [Invalid_argument] otherwise. *)
+
+val weight_of_rows : Params.t -> level:int -> int array array -> weight
+(** The weight of NTT-domain rows at the positions of a level-[level]
+    group, with the companion rows that group uses. *)
 
 val lazy_terms : q:int -> per_term:int -> int
 (** The largest [B] with [B * per_term * (q - 1)^2 + q < 2^62]: how many
     terms, each at most [per_term] raw products below [q], the group MAC
-    sums onto a reduced residue before it reduces again.  A pure term is
-    dnum products, a weighted one ([c * reduce s]) one. *)
+    sums onto a reduced residue before it reduces again: [per_term] is
+    dnum for a pure term, one for a weighted Q-side term. *)
 
 val raw_mac : q:int -> digits:int -> bool
 (** Whether the MAC at modulus [q] sums [digits] raw digit/key products
@@ -198,13 +214,30 @@ val raw_mac : q:int -> digits:int -> bool
     not, each product is reduced as it is added.  Either way the result is
     the exact residue. *)
 
+val weighted_terms : q:int -> digits:int -> int
+(** How many weighted terms with a companion row the group MAC sums onto a
+    reduced residue before it reduces again.  A term splits the raw sum
+    [x < digits * (q - 1)^2] as [hi * 2^31 + lo] and adds
+    [hi * c' + lo * c], at most [((x_max lsr 31) + min x_max (2^31 - 1)) *
+    (q - 1)]; the result is the largest [B] with [B] such terms [+ q < 2^62],
+    and [0] where none fits or {!raw_mac} fails (the 31-bit base prime). *)
+
+val convert : Params.t -> Params.basis -> int array array -> int -> int array -> unit
+(** [convert params basis ys t dst] writes over [dst] the centered fast
+    base conversion of the scaled source limbs [ys] ([ys.(i)] in
+    [[0, b_i)], one per source prime of [basis]) to extended-chain
+    position [t]: [sum_i center(ys.(i).(j)) * (B / b_i) mod m_t], one pass
+    over the slots, each slot's sum closed with one [mod] per chunk of
+    [basis.chunks.(t)]. *)
+
 (** {2 Plaintext memo}
 
     Each key set keeps one content-keyed memo of encoded real plaintexts.
     The key is the exact bits of the scale and of the slot values padded
     with zeros to [slots] ([-0.0] and [0.0] are different keys), compared in
     full on a hit.  An entry holds the encoder's centred coefficients and,
-    filled on first use, their NTT image at each extended-chain position;
+    filled on first use, their NTT image at each extended-chain position
+    and, for weighted rotate-and-sum groups, the companions of those rows;
     the level is not part of the key, since row [t] is the same at every
     level.  The memo is bounded by {!plain_memo_cap} bytes with LRU
     eviction, is safe under concurrent callers, and is never persisted.
@@ -220,12 +253,15 @@ val plain_centered : t -> scale:float -> float array -> int array
     {!Encoding.encode_real_centered} computes them (values past [slots] are
     dropped). *)
 
-val plain_eval :
-  t -> scale:float -> level:int -> ?specials:bool -> float array -> int array array
+val plain_eval : t -> scale:float -> level:int -> float array -> int array array
 (** NTT-domain residues of the same plaintext at chain positions
-    [0 .. level-1] (the [Eval]-domain mod-Q encoding at [level]) and, with
-    [~specials:true], then at the K special primes: the shape of a group
-    member's [coeff]. *)
+    [0 .. level-1]: the [Eval]-domain mod-Q encoding at [level]. *)
+
+val plain_weight : t -> scale:float -> level:int -> float array -> weight
+(** The plaintext as a group member's [coeff] at [level]: its rows at every
+    extended-chain position of that level, and the companion rows the
+    group uses, built the first time a weighted group needs them and
+    charged to the memo's cap with the rows. *)
 
 val plain_memo_usage : t -> int * int
 (** Resident entries and their bytes. *)

@@ -26,39 +26,21 @@ val shoup : m:int -> int -> int
 val mul_shoup : m:int -> int -> int -> int -> int
 (** [mul_shoup ~m a w w_shoup] is [a * w mod m] computed without a hardware
     division, where [w_shoup = shoup ~m w].  Requires [0 <= a < 2^31] and
-    [w < m]; this is the hot-path multiply of the NTT butterflies and of the
-    precomputed-inverse rescale paths.  With [w = 1] it is a division-free
-    reduction: [mul_shoup ~m a 1 (shoup ~m 1) = a mod m] for any
-    [0 <= a < 2^31], which is how the key-switch kernels reduce. *)
-
-(** {2 Division-free reduction}
-
-    A [reducer] fixes a modulus [q < 2^31] together with the Shoup
-    companions of 1 and of [2^31 mod q]; it reduces values wider than a
-    residue with multiply-shift-subtract steps and masked corrections, no
-    hardware division and no data-dependent branch.  Build one per
-    modulus outside the hot loop. *)
-
-type reducer
-
-val reducer : int -> reducer
-(** [reducer q] for an odd modulus [1 < q < 2^31]. *)
-
-val reduce31 : reducer -> int -> int
-(** [reduce31 r x = x mod q].  Requires [0 <= x < 2^31]. *)
-
-val reduce62 : reducer -> int -> int
-(** [reduce62 r x = x mod q].  Requires [0 <= x < 2^62]: every product of
-    two residues below [2^31] qualifies, and so does a sum of such products
-    that stays below [2^62] (the lazily accumulated key-switch MAC). *)
-
-val embed : reducer -> int -> int
-(** [embed r x] is the residue of a signed integer: [Modarith.reduce ~m:q x]
-    without the division.  Requires [x > min_int] (so [|x| < 2^62]); this
-    is how centered coefficients enter the residue ring. *)
+    [w < m].  It is the multiply by a fixed constant that carries a stored
+    companion: the NTT twiddles, the base-conversion scalings
+    [(B / b_i)^-1], [P^-1] and the rescale inverses [q_l^-1].  A product
+    whose two factors both vary reduces with {!reduce} instead. *)
 
 val reduce : m:int -> int -> int
-(** Reduce an arbitrary (possibly negative) integer into [0, m). *)
+(** [reduce ~m a] is the residue of any integer [a] in [[0, m)]: one
+    hardware [mod], then one branchless correction of a negative remainder.
+    Every int qualifies, [min_int] and [max_int] included.  This is the
+    one reduction of a value whose factors both vary -- pointwise products,
+    the closes of the key-switch MAC and of the base conversion, the
+    embedding of centred coefficients and the key-generation products;
+    Shoup multiplication ({!mul_shoup}) stays where one factor is a fixed
+    constant with a stored companion.  On a CPU with a slow 64-bit divider
+    (before Ice Lake) this rule costs more than a multiply-based reducer. *)
 
 val center : m:int -> int -> int
 (** [center ~m a] maps a residue [a] in [0, m) to its centered representative

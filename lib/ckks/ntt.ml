@@ -9,7 +9,8 @@
    most of every chain -- run lazy radix-4 kernels that keep values in
    [0, 4q) / [0, 2q) between butterflies; the 31-bit base and special
    primes run fully reduced radix-2 loops (see [lazy_bound]).  Pointwise
-   products reduce with [Modarith.reduce62], division-free. *)
+   products have two varying factors and no companion to precompute: each
+   reduces with one hardware [mod]. *)
 
 type ctx = {
   q : int;
@@ -21,7 +22,6 @@ type ctx = {
   n_inv : int;
   n_inv_shoup : int;
   lazy_kernels : bool; (* q < lazy_bound: the lazy radix-4 transforms fit *)
-  red : Modarith.reducer; (* division-free reduction of pointwise products *)
   slot_exp : int array; (* slot i of the eval domain holds p(psi^slot_exp.(i)) *)
   idx_of_exp : int array; (* inverse of slot_exp over odd exponents, size 2n *)
 }
@@ -292,15 +292,14 @@ let inverse ctx values =
   inverse_in_place ctx a;
   a
 
-(* Residues are below 2^31, so a product is below 2^62: one division-free
-   [Modarith.reduce62] per slot.  [dst] has length n (it is [a] or fresh). *)
+(* Residues are below 2^31, so a product is a non-negative int below 2^62:
+   one hardware [mod] per slot.  [dst] has length n (it is [a] or fresh). *)
 let mul_into ctx dst a b =
   check_len ctx a;
   check_len ctx b;
-  let red = ctx.red in
+  let q = ctx.q in
   for i = 0 to ctx.n - 1 do
-    Array.unsafe_set dst i
-      (Modarith.reduce62 red (Array.unsafe_get a i * Array.unsafe_get b i))
+    Array.unsafe_set dst i (Array.unsafe_get a i * Array.unsafe_get b i mod q)
   done
 
 let pointwise_mul ctx a b =
@@ -340,7 +339,6 @@ let make_ctx ~q ~n =
       n_inv;
       n_inv_shoup = Modarith.shoup ~m:q n_inv;
       lazy_kernels = q < lazy_bound;
-      red = Modarith.reducer q;
       slot_exp = [||];
       idx_of_exp = [||];
     }

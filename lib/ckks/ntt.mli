@@ -13,7 +13,8 @@
     [[0, 4q)] forward and [[0, 2q)] inverse, reduced once at the end), and
     for larger moduli fully reduced radix-2.  Both produce the same exact
     residues in [[0, q)], so the choice is invisible to callers.  Pointwise
-    products are division-free ({!Modarith.reduce62}).
+    products reduce by one hardware [mod] each ({!Modarith.reduce}): both
+    factors vary, so there is no companion to precompute.
 
     The in-place variants are the kernel-layer entry points: they mutate
     their argument and allocate nothing. *)

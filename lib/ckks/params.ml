@@ -1,9 +1,11 @@
 type basis = {
   src : int array;
+  src_q : int array;
+  half : int array;
   hat_inv : int array;
   hat_inv_shoup : int array;
   hat : int array array;
-  hat_shoup : int array array;
+  chunks : int array array;
   neg_prod : int array;
 }
 
@@ -56,21 +58,42 @@ let paper_spec =
    2^29 can fall short of base * q_1 by a factor 1 - 10^-4 (n = 2^10,
    2^12), which costs nothing in the bound.
 
-   Lazy bounds.  The group MAC ([Keys.switch_group]) multiplies residues
-   below q with no precomputed companions, so switching keys hold only
-   their two halves.  At a position with d digits a pure member adds d raw
-   products, a weighted one c * reduce(s) <= (q - 1)^2, and the Q side a
-   term below q (pure) or at most (q - 1)^2 (weighted).  Running sums stay
-   unreduced while B terms on a residue below q stay below 2^62, the domain
-   of [Modarith.reduce62]: g members fit while g * d * (q - 1)^2 + q < 2^62
-   (pure) or g * (q - 1)^2 + q < 2^62 (weighted); past that the sums are
-   reduced after every B-th member ([Keys.lazy_terms]).  With d <= dnum <= 4
-   one pure term fits for every prime below 2^30, so at every position but
-   a 31-bit base prime (and there too while d = 1); there each product is
-   reduced as it is added, as (q - 1) + (q - 1)^2 < 2^62 for every q < 2^31
-   ([Keys.raw_mac] decides per position).  A conversion accumulator sums alpha Shoup
-   products in [0, 2q) and at most alpha centering corrections below q: it
-   stays below 3 * alpha * q, closed the same way. *)
+   Lazy bounds.  Every product whose two factors both vary closes with one
+   hardware [mod] ([Modarith.reduce]); Shoup products stay where one factor
+   is a fixed constant with a stored companion (twiddles, hat_inv, P^-1,
+   q_l^-1).  The bounds below keep each unreduced sum a native int, so the
+   one [mod] per output sees the exact integer.
+
+   The group MAC ([Keys.switch_group]) multiplies residues below q with no
+   precomputed companions, so switching keys hold only their two halves.
+   At a position with d digits a pure member adds d raw products x, at
+   most d * (q - 1)^2.  A weighted member with plaintext row c adds
+   hi * c' + lo * c, where x = hi * 2^31 + lo and c' = c * 2^31 mod q is
+   the row's companion, kept in the plaintext memo: at most
+   ((x_max lsr 31) + min x_max (2^31 - 1)) * (q - 1), about 2^60 at a
+   29-bit special prime and 2^58 at a 27-bit scale prime.  The Q side adds
+   a term below q (pure) or at most (q - 1)^2 (weighted).  Running sums
+   stay unreduced while B terms on a residue below q stay below 2^62, and
+   close after every B-th member: B = [Keys.lazy_terms] for pure members
+   (g * d * (q - 1)^2 + q < 2^62) and [Keys.weighted_terms] for weighted
+   ones (3 at test_deep's special primes, 15 or 16 at its scale primes).
+   With d <= dnum <= 4 one pure term fits for every prime below 2^30, so at
+   every position but a 31-bit base prime (and there too while d = 1);
+   there each product is reduced as it is added, as (q - 1) + (q - 1)^2 <
+   2^62 for every q < 2^31 ([Keys.raw_mac] decides per position).  Where
+   no weighted term fits -- the base prime, and any position where
+   [raw_mac] fails -- a weighted member reduces each product the same way
+   and closes its sums after every member.
+
+   The base conversion ([Keys.convert]) sums the signed products
+   center(y_i) * hat_i of its alpha sources, each of magnitude at most
+   floor(b_i / 2) * (m - 1), and closes with one [mod].  Where
+   sum_i floor(b_i / 2) * (m - 1) < 2^62 that is one close per output:
+   at test_deep the largest pair is ModDown into the base prime, 2^61.0.
+   With a 31-bit base prime and 29-bit special primes alpha = 8 still fits
+   everywhere, and alpha = 9 (L = 33 .. 36) overflows in one pair, ModDown
+   into the base prime; there the sum closes after each chunk of
+   [conversion_chunks] below. *)
 let special_bits = 29
 
 (* alpha = K: a quarter of the chain, rounded up, so the full chain splits
@@ -78,30 +101,56 @@ let special_bits = 29
    cover the 31-bit base prime. *)
 let digit_width ~max_level = max 2 ((max_level + 3) / 4)
 
+(* Where the one-pass conversion into a modulus [m] closes its signed sum.
+   A source term center(y_i) * hat_i has magnitude at most
+   half_i * (m - 1) (half_i = floor(b_i / 2)), and a closed sum is a
+   remainder in (-m, m).  Sources are taken greedily: a chunk grows while
+   its bound, plus m - 1 for the carried remainder after the first chunk,
+   stays below 2^62, so every partial sum is a native int.  The result
+   lists the exclusive ends of the chunks, the last one the source count:
+   [| k |] where the whole sum fits, which is every (basis, target) pair of
+   a chain with alpha <= 8 under a 31-bit base prime.  (The comparison
+   [term > max_int - bound] cannot overflow: both sides are below 2^62.) *)
+let conversion_chunks ~half m =
+  let k = Array.length half in
+  let ends = ref [] and bound = ref 0 in
+  for i = 0 to k - 1 do
+    let term = half.(i) * (m - 1) in
+    if term > max_int - !bound then begin
+      ends := i :: !ends;
+      bound := m - 1 + term
+    end
+    else bound := !bound + term
+  done;
+  Array.of_list (List.rev (k :: !ends))
+
 (* Fast base conversion tables from the source primes [chain.(src.(i))]
    (product B) to every extended-chain modulus m_t:
-   hat_inv.(i) = (B / b_i)^-1 mod b_i, hat.(t).(i) = (B / b_i) mod m_t and
-   neg_prod.(t) = -B mod m_t, with Shoup companions for the fixed
-   multiplicands. *)
+   hat_inv.(i) = (B / b_i)^-1 mod b_i, with its Shoup companion (a fixed
+   multiplicand), hat.(t).(i) = (B / b_i) mod m_t, the chunk ends of the
+   conversion into m_t, and neg_prod.(t) = -B mod m_t. *)
 let make_basis chain src =
   let k = Array.length src in
-  let b i = chain.(src.(i)) in
+  let src_q = Array.map (fun t -> chain.(t)) src in
+  let half = Array.map (fun b -> b / 2) src_q in
   (* Product of the source primes but [skip] (-1: all of them) mod m. *)
   let prod_mod m ~skip =
     let acc = ref 1 in
     for i = 0 to k - 1 do
-      if i <> skip then acc := Modarith.mul ~m !acc (b i mod m)
+      if i <> skip then acc := Modarith.mul ~m !acc (src_q.(i) mod m)
     done;
     !acc
   in
   let hat = Array.map (fun m -> Array.init k (fun i -> prod_mod m ~skip:i)) chain in
-  let hat_inv = Array.init k (fun i -> Modarith.inv ~m:(b i) hat.(src.(i)).(i)) in
+  let hat_inv = Array.init k (fun i -> Modarith.inv ~m:src_q.(i) hat.(src.(i)).(i)) in
   {
     src;
+    src_q;
+    half;
     hat_inv;
-    hat_inv_shoup = Array.mapi (fun i w -> Modarith.shoup ~m:(b i) w) hat_inv;
+    hat_inv_shoup = Array.mapi (fun i w -> Modarith.shoup ~m:src_q.(i) w) hat_inv;
     hat;
-    hat_shoup = Array.mapi (fun t row -> Array.map (Modarith.shoup ~m:chain.(t)) row) hat;
+    chunks = Array.map (conversion_chunks ~half) chain;
     neg_prod = Array.map (fun m -> Modarith.neg ~m (prod_mod m ~skip:(-1))) chain;
   }
 

@@ -23,11 +23,19 @@
     to every position of the extended chain ([moduli] then [specials]). *)
 type basis = private {
   src : int array;  (** extended-chain positions of the source primes *)
+  src_q : int array;  (** the source primes [b_i] *)
+  half : int array;  (** [half.(i) = b_i / 2], the centering threshold *)
   hat_inv : int array;  (** [hat_inv.(i) = (B / b_i)^-1 mod b_i] *)
   hat_inv_shoup : int array;  (** Shoup companions of [hat_inv] *)
   hat : int array array;  (** [hat.(t).(i) = (B / b_i) mod m_t] *)
-  hat_shoup : int array array;  (** Shoup companions of [hat] *)
-  neg_prod : int array;  (** [neg_prod.(t) = -B mod m_t], the centering correction *)
+  chunks : int array array;
+      (** [chunks.(t)]: exclusive ends of the source chunks after which the
+          one-pass conversion into [m_t] reduces its signed sum, the last
+          one the source count.  A chunk is the longest run whose worst
+          case, [sum half_i * (m_t - 1)] plus [m_t - 1] for a carried
+          remainder, stays below [2^62] ([params.ml]); [[| k |]] where the
+          whole sum fits. *)
+  neg_prod : int array;  (** [neg_prod.(t) = -B mod m_t] *)
 }
 
 type t = private {

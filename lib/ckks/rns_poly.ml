@@ -22,10 +22,10 @@ let zero (params : Params.t) ~level =
 let of_centered_coeffs (params : Params.t) ~level coeffs =
   let res = Array.make level [||] in
   par params level (fun i ->
-      let red = Modarith.reducer params.moduli.(i) in
+      let m = params.moduli.(i) in
       let dst = Array.make (Array.length coeffs) 0 in
       for j = 0 to Array.length coeffs - 1 do
-        Array.unsafe_set dst j (Modarith.embed red (Array.unsafe_get coeffs j))
+        Array.unsafe_set dst j (Modarith.reduce ~m (Array.unsafe_get coeffs j))
       done;
       res.(i) <- dst);
   { level; domain = Coeff; res }

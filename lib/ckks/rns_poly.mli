@@ -30,9 +30,9 @@ val zero : Params.t -> level:int -> t
     representation). *)
 
 val of_centered_coeffs : Params.t -> level:int -> int array -> t
-(** Embed a small-coefficient integer polynomial (coefficients are reduced
-    into each modulus by {!Modarith.embed}, so each must exceed [min_int]).
-    Result is in the [Coeff] domain. *)
+(** Embed an integer polynomial: each coefficient, of any sign and size, is
+    reduced into each modulus by {!Modarith.reduce}.  Result is in the
+    [Coeff] domain. *)
 
 val of_residues : ?domain:domain -> int array array -> t
 (** Takes ownership of the given residue vectors ([domain] defaults to

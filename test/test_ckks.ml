@@ -314,7 +314,7 @@ let test_encrypt_decrypt () =
 
 (* [int_of_float] maps NaN and 1e30 to 0 and wraps past 2^62, so one bad
    slot would silently decrypt every slot to garbage.  The encoder rejects
-   non-finite slots and coefficients outside Modarith.embed's domain, and
+   non-finite slots and coefficients of magnitude 2^62 or more, and
    the lattice adapter reports the op that encoded as a backend error. *)
 let rejects msg f =
   Alcotest.(check bool) msg true

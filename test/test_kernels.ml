@@ -233,44 +233,49 @@ let test_ntt_golden () =
     (List.map (fun ctx -> (Ntt.q ctx, ntt_digest ctx)) ctxs)
 
 (* ------------------------------------------------------------------ *)
-(* Division-free reduction                                             *)
+(* Reduction                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_reducer =
-  QCheck.Test.make ~name:"reduce31 / reduce62 / embed = mod over the chain and edge primes"
+(* [Modarith.reduce] against its definition, r in [0, q) with x = r mod q,
+   checked through OCaml's truncated [mod], whose remainder keeps x's sign:
+   it is r for x >= 0 and r - q (or 0) for x < 0.  Forming x - r instead
+   would overflow at min_int. *)
+let reduce_ok ~q x =
+  let r = Modarith.reduce ~m:q x in
+  0 <= r && r < q && (if x >= 0 then x mod q = r else x mod q = if r = 0 then 0 else r - q)
+
+let low31 = Modarith.max_modulus - 1
+
+let test_reduce_signed =
+  QCheck.Test.make ~name:"reduce = signed residue over the chain and edge primes"
     ~count:2000
-    QCheck.(quad (int_range 0 max_int) (int_range 0 max_int) (int_range 0 20) bool)
-    (fun (a, b, pick, neg) ->
+    QCheck.(triple int (int_range 0 20) (int_range 0 62))
+    (fun (x, pick, shift) ->
       let moduli = chain_moduli () @ List.map snd (edge_primes ()) in
       let q = List.nth moduli (pick mod List.length moduli) in
-      let red = Modarith.reducer q in
-      let x31 = a land (Modarith.max_modulus - 1) in
-      let x62 = a lsr 1 in
-      let s = if neg then -b else b in
-      Modarith.reduce31 red x31 = x31 mod q
-      && Modarith.reduce62 red x62 = x62 mod q
-      && Modarith.embed red s = Modarith.reduce ~m:q s)
+      (* Magnitudes of every width, not only ~2^62. *)
+      let x = x asr shift in
+      reduce_ok ~q x && Modarith.reduce ~m:q x = ((x mod q) + q) mod q)
 
-let test_reducer_edges () =
+let test_reduce_edges () =
   List.iter
     (fun q ->
-      let red = Modarith.reducer q in
-      let top62 = (1 lsl 62) - 1 in
       List.iter
         (fun x ->
-          Alcotest.(check int) (Printf.sprintf "q=%d reduce62 %d" q x) (x mod q)
-            (Modarith.reduce62 red x))
-        [ 0; 1; q - 1; q; (q - 1) * (q - 1); top62; (1 lsl 31) - 1; 1 lsl 31 ];
-      List.iter
-        (fun x ->
-          Alcotest.(check int) (Printf.sprintf "q=%d reduce31 %d" q x) (x mod q)
-            (Modarith.reduce31 red x))
-        [ 0; q - 1; q; (1 lsl 31) - 1 ];
-      List.iter
-        (fun x ->
-          Alcotest.(check int) (Printf.sprintf "q=%d embed %d" q x) (Modarith.reduce ~m:q x)
-            (Modarith.embed red x))
-        [ 0; 1; -1; q; -q; -(q - 1); max_int; min_int + 1; -top62 ])
+          Alcotest.(check bool) (Printf.sprintf "q=%d reduce %d" q x) true (reduce_ok ~q x))
+        [
+          0; 1; -1; q - 1; q; q + 1; -q; -(q - 1); -(q + 1); (q - 1) * (q - 1);
+          -((q - 1) * (q - 1)); max_int; max_int - 1; min_int; min_int + 1;
+        ];
+      Alcotest.(check int) (Printf.sprintf "q=%d reduce -1" q) (q - 1) (Modarith.reduce ~m:q (-1));
+      Alcotest.(check int) (Printf.sprintf "q=%d reduce -q" q) 0 (Modarith.reduce ~m:q (-q));
+      Alcotest.(check int) (Printf.sprintf "q=%d reduce max_int" q) (max_int mod q)
+        (Modarith.reduce ~m:q max_int);
+      (* min_int = -(max_int + 1): its residue is q - (max_int mod q + 1),
+         or 0 when max_int + 1 is a multiple of q. *)
+      Alcotest.(check int) (Printf.sprintf "q=%d reduce min_int" q)
+        ((q - ((max_int mod q) + 1)) mod q)
+        (Modarith.reduce ~m:q min_int))
     (chain_moduli () @ List.map snd (edge_primes ()))
 
 (* ------------------------------------------------------------------ *)
@@ -365,9 +370,7 @@ let test_keyswitch_tables () =
             Array.iteri
               (fun i _ ->
                 Alcotest.(check int) (Printf.sprintf "%s hat.(%d).(%d)" tag t i)
-                  (prod ~m (without i)) b.hat.(t).(i);
-                Alcotest.(check int) (Printf.sprintf "%s hat_shoup.(%d).(%d)" tag t i)
-                  (Modarith.shoup ~m b.hat.(t).(i)) b.hat_shoup.(t).(i))
+                  (prod ~m (without i)) b.hat.(t).(i))
               src)
           chain;
         Array.iteri
@@ -536,13 +539,13 @@ let test_pipeline_domain_equivalence () =
     resident
 
 (* ------------------------------------------------------------------ *)
-(* Key switching: division-free kernels vs a naive reference          *)
+(* Key switching: lazily reduced kernels vs a naive reference         *)
 (* ------------------------------------------------------------------ *)
 
 (* The hybrid key switch spelled out with Modarith.mul / add / reduce /
    center, one full reduction per step and every constant recomputed from
-   the primes: the semantics the lazily reduced, division-free kernels of
-   Keys must reproduce bit for bit. *)
+   the primes: the semantics the lazily reduced kernels of Keys must
+   reproduce bit for bit. *)
 module Naive = struct
   let chain_q (p : Params.t) t = Ntt.q (Params.ntt_at p ~idx:t)
   let specials (p : Params.t) = Array.length p.specials
@@ -728,9 +731,10 @@ let check_group (p : Params.t) keys st ~tag ~worst ~level ~size ~weighted ~sk ~r
   in
   let q_only = if size > 1 then [ (1, row ()) ] else [] in
   let c0 = Rns_poly.to_eval p d in
+  let weight = Option.map (Keys.weight_of_rows p ~level) in
   let members =
-    List.map (fun (k, coeff) -> { Keys.galois = k; switch = Some (sk, dec); coeff }) switching
-    @ List.map (fun (k, coeff) -> { Keys.galois = k; switch = None; coeff }) q_only
+    List.map (fun (k, coeff) -> { Keys.galois = k; switch = Some (sk, dec); coeff = weight coeff }) switching
+    @ List.map (fun (k, coeff) -> { Keys.galois = k; switch = None; coeff = weight coeff }) q_only
   in
   let acc = Naive.create p digits in
   List.iter
@@ -781,9 +785,10 @@ let test_keyswitch_kernels (p : Params.t) () =
 
 (* Groups of 1, 3, 15, 16, 17 and 33 switching members, pure and weighted,
    on the worst-case inputs, at levels 1, alpha, alpha + 1 and L: at a
-   29-bit special prime the MAC sums about 16 / dnum pure or 16 weighted
-   terms before it must reduce, and the 31-bit base prime reduces per
-   product, so every reduction schedule of the group MAC runs. *)
+   29-bit special prime the MAC sums about 16 / dnum pure or 3 weighted
+   terms before it must reduce, at a 27-bit rescale prime 15 or 16
+   weighted ones, and the 31-bit base prime reduces per product and takes
+   no companion row, so every reduction schedule of the group MAC runs. *)
 let test_group_sizes (p : Params.t) () =
   let keys = keys_for p in
   let st = Random.State.make [| 0x6a0c; p.n |] in
@@ -808,22 +813,30 @@ let test_group_sizes (p : Params.t) () =
         (ks_inputs st p ~level))
     (List.sort_uniq compare [ 1; p.alpha; p.alpha + 1; p.max_level ])
 
-(* The schedules [test_group_sizes] relies on: at test_small's special
-   primes the weighted bound lies between 15 and 17 members and the
-   four-digit pure one below 15; the base prime reduces per product once a
-   level has two digits, and per weighted term. *)
+(* The schedules [test_group_sizes] relies on: at test_small's rescale
+   primes the weighted (companion-row) bound lies between 14 and 17
+   members, at its special primes it is 3 and the four-digit pure one is
+   below 15; the base prime takes no companion row, reduces per product
+   once a level has two digits, and per weighted term. *)
 let test_lazy_bounds () =
   let p = params () in
+  let digits = Params.digits p ~level:p.max_level in
+  Array.iteri
+    (fun t q ->
+      if t > 0 then
+        Alcotest.(check bool) (Printf.sprintf "rescale prime %d weighted: 14 < B <= 17" q) true
+          (let b = Keys.weighted_terms ~q ~digits in
+           b > 14 && b <= 17))
+    p.moduli;
   Array.iter
     (fun q ->
-      let weighted = Keys.lazy_terms ~q ~per_term:1 in
-      Alcotest.(check bool) (Printf.sprintf "special %d weighted: 15 < B <= 17" q) true
-        (weighted > 15 && weighted <= 17);
+      Alcotest.(check int) (Printf.sprintf "special %d weighted" q) 3 (Keys.weighted_terms ~q ~digits);
       Alcotest.(check bool) (Printf.sprintf "special %d pure, four digits: B < 15" q) true
         (Keys.lazy_terms ~q ~per_term:4 < 15))
     p.specials;
   let base = p.moduli.(0) in
   Alcotest.(check int) "base prime, two digits" 0 (Keys.lazy_terms ~q:base ~per_term:2);
+  Alcotest.(check int) "base prime, no companion row" 0 (Keys.weighted_terms ~q:base ~digits:1);
   Alcotest.(check int) "base prime, weighted" 1 (Keys.lazy_terms ~q:base ~per_term:1)
 
 (* [Keys.raw_mac] against the bound it stands for, d * (q - 1)^2 + q < 2^62,
@@ -884,9 +897,162 @@ let test_raw_mac_branches () =
         digits)
     (Naive.decompose p minus_one)
 
+(* A chain of 36 levels: alpha = K = 9, and the ModDown sum of nine
+   29-bit specials into the 31-bit base prime is the one (basis, target)
+   pair whose worst case passes 2^62. *)
+let chunked_chain =
+  lazy (Params.make ~log_n:6 ~max_level:36 ~base_bits:31 ~scale_bits:27 ())
+
+(* Every (basis, target) pair of a chain: the ModUp bases of every digit
+   and width, then ModDown, each into every extended-chain position. *)
+let conversion_pairs (p : Params.t) =
+  let chain = Array.append p.moduli p.specials in
+  let bases =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun j widths -> Array.to_list (Array.mapi (fun s b -> (Printf.sprintf "mod_up.(%d).(%d)" j s, b)) widths))
+            p.mod_up))
+    @ [ ("mod_down", p.mod_down) ]
+  in
+  List.concat_map
+    (fun (name, b) -> List.init (Array.length chain) (fun t -> (name, (b : Params.basis), t, chain.(t))))
+    bases
+
+(* The chunk ends [conversion_chunks] must produce, in unsigned 64-bit
+   arithmetic: a chunk takes the next source while its worst case -- the
+   carried remainder bound m - 1 after the first chunk, plus
+   half_i * (m - 1) per source -- stays below 2^62. *)
+let predicted_chunks ~half m =
+  let limit = Int64.shift_left 1L 62 in
+  let below x = Int64.unsigned_compare x limit < 0 in
+  let ends = ref [] and bound = ref 0L in
+  Array.iteri
+    (fun i h ->
+      let term = Int64.(mul (of_int h) (of_int (m - 1))) in
+      if below (Int64.add !bound term) then bound := Int64.add !bound term
+      else begin
+        ends := i :: !ends;
+        bound := Int64.(add (of_int (m - 1)) term)
+      end)
+    half;
+  Array.of_list (List.rev (Array.length half :: !ends))
+
+let test_conversion_chunks () =
+  List.iter
+    (fun (name, (p : Params.t), chunked) ->
+      let split = ref [] in
+      List.iter
+        (fun (bname, (b : Params.basis), t, m) ->
+          let tag = Printf.sprintf "%s %s -> %d" name bname t in
+          Alcotest.(check (array int)) (tag ^ ": half") (Array.map (fun b -> b / 2) b.src_q) b.half;
+          Alcotest.(check (array int)) (tag ^ ": chunks") (predicted_chunks ~half:b.half m) b.chunks.(t);
+          if Array.length b.chunks.(t) > 1 then split := (bname, t) :: !split)
+        (conversion_pairs p);
+      Alcotest.(check (list (pair string int))) (name ^ ": pairs that chunk") chunked !split)
+    [
+      ("test_small", params (), []);
+      ("test_deep", Params.test_deep (), []);
+      ("rescale primes below 2^30", Lazy.force tight_chain, []);
+      ("alpha = 8", Params.make ~log_n:6 ~max_level:32 ~base_bits:31 ~scale_bits:27 (), []);
+      ("alpha = 9", Lazy.force chunked_chain, [ ("mod_down", 0) ]);
+    ];
+  Alcotest.(check (array int)) "alpha = 9: ModDown into the base prime closes after 8 sources"
+    [| 8; 9 |] (Lazy.force chunked_chain).mod_down.chunks.(0)
+
+(* The one-pass conversion against a reference that reduces after every
+   step, sum_i center(y_i) * (B / b_i) mod m with every constant recomputed
+   from the primes, for every (basis, target) pair.  Slots 0 .. 3 put every
+   source at one centering edge at once -- 0, b - 1, b / 2 (the largest
+   positive centred value) and b / 2 + 1 (the most negative) -- so the
+   signed sum reaches its worst case both ways; the other slots are
+   random. *)
+let test_conversion_reference () =
+  let st = Random.State.make [| 0xc0de |] in
+  let len = 32 in
+  List.iter
+    (fun (name, (p : Params.t)) ->
+      List.iter
+        (fun (bname, (b : Params.basis), t, m) ->
+          let ys =
+            Array.map
+              (fun bi ->
+                Array.init len (fun j ->
+                    match j with
+                    | 0 -> 0
+                    | 1 -> bi - 1
+                    | 2 -> bi / 2
+                    | 3 -> (bi / 2) + 1
+                    | _ -> Random.State.full_int st bi))
+              b.src_q
+          in
+          let want =
+            Array.init len (fun j ->
+                let acc = ref 0 in
+                Array.iteri
+                  (fun i bi ->
+                    let hat = Naive.prod ~m (Naive.without b.src_q i) in
+                    let y = Modarith.center ~m:bi ys.(i).(j) in
+                    acc := Modarith.add ~m !acc (Modarith.mul ~m (Modarith.reduce ~m y) hat))
+                  b.src_q;
+                !acc)
+          in
+          let got = Array.make len 0 in
+          Keys.convert p b ys t got;
+          Alcotest.(check (array int)) (Printf.sprintf "%s %s -> %d" name bname t) want got)
+        (conversion_pairs p))
+    [
+      ("test_small", params ());
+      ("test_deep", Params.test_deep ());
+      ("rescale primes below 2^30", Lazy.force tight_chain);
+      ("alpha = 9", Lazy.force chunked_chain);
+    ]
+
+(* [Keys.weighted_terms] against its bound in unsigned 64-bit arithmetic
+   (digits * (q - 1)^2 reaches 2^64 for 31-bit primes): 0 where the raw sum
+   is not a native int, else the largest B with
+   B * ((x_max lsr 31) + min x_max (2^31 - 1)) * (q - 1) + q < 2^62, at
+   every position and level of the four chains.  The base prime never takes
+   a companion row; every other position of test_deep does. *)
+let test_weighted_bound () =
+  let limit = Int64.shift_left 1L 62 in
+  let predicted ~q ~digits =
+    let qm1 = Int64.of_int (q - 1) in
+    let x = Int64.(mul (of_int digits) (mul qm1 qm1)) in
+    if Int64.unsigned_compare (Int64.add x (Int64.of_int q)) limit >= 0 then 0
+    else begin
+      let lo = if Int64.compare x (Int64.of_int low31) < 0 then x else Int64.of_int low31 in
+      let per = Int64.(add (mul (shift_right_logical x 31) qm1) (mul lo qm1)) in
+      let room = Int64.(sub (sub limit 1L) (of_int q)) in
+      if Int64.unsigned_compare per room > 0 then 0 else Int64.to_int (Int64.unsigned_div room per)
+    end
+  in
+  List.iter
+    (fun (name, (p : Params.t)) ->
+      for level = 1 to p.max_level do
+        let digits = Params.digits p ~level in
+        Array.iter
+          (fun t ->
+            let q = Naive.chain_q p t in
+            let b = Keys.weighted_terms ~q ~digits in
+            Alcotest.(check int) (Printf.sprintf "%s level %d position %d" name level t)
+              (predicted ~q ~digits) b;
+            if t = 0 then Alcotest.(check int) (name ^ ": base prime falls back") 0 b;
+            if name = "test_deep" && t > 0 then
+              Alcotest.(check bool) (Printf.sprintf "test_deep position %d takes a companion" t) true (b >= 1))
+          (Naive.positions p level)
+      done)
+    [
+      ("test_small", params ());
+      ("test_deep", Params.test_deep ());
+      ("rescale primes below 2^30", Lazy.force tight_chain);
+      ("alpha = 9", Lazy.force chunked_chain);
+    ]
+
 (* The group kernel writes only limbs it allocates: its inputs (the
    decomposition, the key, c0 and the plaintext rows) keep their bits, and
-   a second call returns the first call's bits in fresh limbs. *)
+   a second call returns the first call's bits in fresh limbs.  A weighted
+   member stripped of its companion rows is refused. *)
 let test_group_fresh_limbs () =
   let p = params () in
   let keys = test_keys () in
@@ -895,10 +1061,11 @@ let test_group_fresh_limbs () =
   let c0 = Rns_poly.to_eval p (rand_poly st p ~level:5) in
   let dec = Keys.decompose keys (Rns_poly.to_eval p (rand_poly st p ~level:5)) in
   let coeff = chain_vecs st p ~worst:false ~level:5 in
+  let w = Keys.weight_of_rows p ~level:5 coeff in
   let members =
     [
-      { Keys.galois = Keys.galois_element p ~offset:2; switch = Some (sk, dec); coeff = Some coeff };
-      { Keys.galois = 1; switch = None; coeff = Some coeff };
+      { Keys.galois = Keys.galois_element p ~offset:2; switch = Some (sk, dec); coeff = Some w };
+      { Keys.galois = 1; switch = None; coeff = Some w };
     ]
   in
   let copy x = Array.map Array.copy x in
@@ -912,7 +1079,13 @@ let test_group_fresh_limbs () =
   Alcotest.(check bool) "decomposition keeps its bits" true (Marshal.to_string dec [] = dec_bits);
   Alcotest.(check bool) "first result keeps its bits" true ((u0.res, u1.res) = bits);
   Alcotest.(check bool) "fresh limbs" true (u0.res.(0) != v0.res.(0) && u1.res.(0) != v1.res.(0));
-  check_pair p "second call = first" first second
+  check_pair p "second call = first" first second;
+  let bare = { w with Keys.comp = Array.map (fun _ -> [||]) w.Keys.comp } in
+  Alcotest.check_raises "a weighted member needs its companion rows"
+    (Invalid_argument "Keys.switch_group: missing companion row") (fun () ->
+      ignore
+        (Keys.switch_group keys
+           [ { Keys.galois = Keys.galois_element p ~offset:2; switch = Some (sk, dec); coeff = Some bare } ]))
 
 (* Key-switch error at every level of test_deep, measured exactly: a
    rotation decrypts to aut(m) + e_ks and a relinearized product to
@@ -1029,15 +1202,15 @@ let test_keyswitch_pool_sizes () =
   let st = Random.State.make [| 0x9001 |] in
   let sk, _ = switch_key_of st p ~worst:false in
   let d = Rns_poly.to_eval p (rand_poly st p ~level:p.max_level) in
-  let coeff = chain_vecs st p ~worst:false ~level:p.max_level in
+  let coeff = Some (Keys.weight_of_rows p ~level:p.max_level (chain_vecs st p ~worst:false ~level:p.max_level)) in
   let k = Keys.galois_element p ~offset:7 in
   let run () =
     let dec = Keys.decompose keys d in
     let group =
       Keys.switch_group keys ~c0:d
         [
-          { Keys.galois = k; switch = Some (sk, dec); coeff = Some coeff };
-          { Keys.galois = 1; switch = Some (sk, dec); coeff = Some coeff };
+          { Keys.galois = k; switch = Some (sk, dec); coeff };
+          { Keys.galois = 1; switch = Some (sk, dec); coeff };
         ]
     in
     (dec, Keys.apply keys sk dec, Keys.apply_rotated keys sk ~k dec, group)
@@ -1162,6 +1335,104 @@ let test_plaintext_pool_sizes () =
     (plaintext_outputs ())
 
 (* ------------------------------------------------------------------ *)
+(* Lattice op sequence                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One digest per op kind over a fixed sequence on test_deep: encryption,
+   multcc + rescale, multcp, addcp on an Eval and a Coeff c0, rotate,
+   rotate_many, pure and weighted rot_sum (1, 3 and 16 members, lazy and
+   eager), the oracle bootstrap and decryption.  Ciphertexts are hashed as
+   coefficient-domain residues with their scale bits, decryptions as IEEE
+   bit patterns.  The key set's RNG is pinned for the run and restored
+   after, so the digests do not depend on test order. *)
+let lattice_outputs () =
+  let p = Params.test_deep () in
+  let keys = keys_for p in
+  let saved = Keys.rng_state keys in
+  Keys.set_rng_state keys (Random.State.make [| 0x1a771 |]);
+  let st = Random.State.make [| 0x1a772 |] in
+  let v () = Array.init p.slots (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let buf = Buffer.create (1 lsl 16) in
+  let ints a = Array.iter (fun x -> Buffer.add_string buf (string_of_int x); Buffer.add_char buf ',') a in
+  let floats a = ints (Array.map (fun x -> Int64.to_int (Int64.bits_of_float x)) a) in
+  let ct (c : Eval.ct) =
+    Array.iter ints (Rns_poly.to_coeff p c.c0).res;
+    Array.iter ints (Rns_poly.to_coeff p c.c1).res;
+    floats [| Eval.scale c |]
+  in
+  let digest name cts =
+    Buffer.clear buf;
+    List.iter ct cts;
+    (name, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  let a = Eval.encrypt keys ~level:p.max_level (v ()) in
+  let b = Eval.encrypt keys ~level:p.max_level (v ()) in
+  let low = Eval.encrypt keys ~level:5 (v ()) in
+  let m = Eval.rescale keys (Eval.multcc keys a b) in
+  let mp = Eval.rescale keys (Eval.multcp keys m (v ())) in
+  let coeff_c0 =
+    Eval.of_parts ~c0:(Rns_poly.to_coeff p a.c0) ~c1:a.c1 ~scale:(Eval.scale a)
+  in
+  let adds = [ Eval.addcp keys a (v ()); Eval.addcp keys coeff_c0 (v ()) ] in
+  let rot = [ Eval.rotate keys a ~offset:1; Eval.rotate keys low ~offset:(-3) ] in
+  let many = Eval.rotate_many keys m ~offsets:[ 0; 1; 5; -2 ] in
+  let sums weighted =
+    List.concat_map
+      (fun (c, size) ->
+        let terms = List.init size (fun i -> ((if i = 1 then 0 else (3 * i) - 1), if weighted then Some (v ()) else None)) in
+        List.map (fun mode -> Eval.rot_sum keys ~mode c ~terms) [ `Lazy; `Eager ])
+      [ (a, 1); (a, 3); (a, 16); (low, 3); (mp, 16) ]
+  in
+  let pure = sums false and weighted = sums true in
+  let boot =
+    List.map (fun c -> Bootstrap_oracle.bootstrap keys c ~target:p.max_level) [ mp; low ]
+  in
+  let decrypted = a :: mp :: low :: (many @ weighted @ boot) in
+  let digests =
+    [
+      digest "encrypt" [ a; b; low ];
+      digest "multcc + rescale" [ m ];
+      digest "multcp + rescale" [ mp ];
+      digest "addcp" adds;
+      digest "rotate" rot;
+      digest "rotate_many" many;
+      digest "rot_sum pure" pure;
+      digest "rot_sum weighted" weighted;
+      digest "oracle bootstrap" boot;
+      (Buffer.clear buf;
+       List.iter (fun c -> floats (Eval.decrypt keys c)) decrypted;
+       ("decrypt", Digest.to_hex (Digest.string (Buffer.contents buf))));
+    ]
+  in
+  Keys.set_rng_state keys saved;
+  digests
+
+(* Recorded before the key-switch kernels reduced by hardware division,
+   the conversion summed its sources in one pass and weighted members
+   gained companion rows; every kernel since must reproduce them. *)
+let lattice_golden =
+  [
+    ("encrypt", "383810274b7321c7b4f4963ee1cea3b2");
+    ("multcc + rescale", "557c00af6ac690a6e371b7a73faae9e7");
+    ("multcp + rescale", "596ec4a5c009635f47f3af67ad4e332d");
+    ("addcp", "8ce1363654ee72d7f0c081e6510d089e");
+    ("rotate", "307e6f68dd4a6a5bf5d54a660f405228");
+    ("rotate_many", "08d87738a2ea2be196d4a1745c21ea9f");
+    ("rot_sum pure", "f16c6f55cecbfad117c2b168650a69f8");
+    ("rot_sum weighted", "037b87db3b258f79ade069ed9b0337c9");
+    ("oracle bootstrap", "789f2192a2763d32605c5cd9ee3af1bc");
+    ("decrypt", "bb92609a65b15232d81ef3fbbe43fefb");
+  ]
+
+let test_lattice_golden () =
+  Alcotest.(check (list (pair string string))) "test_deep op digests" lattice_golden
+    (lattice_outputs ())
+
+let test_lattice_golden_sequential () =
+  Alcotest.(check (list (pair string string))) "test_deep op digests, one domain" lattice_golden
+    (Domain_pool.sequentially lattice_outputs)
+
+(* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1201,8 +1472,8 @@ let () =
         :: Alcotest.test_case "test_deep golden digests" `Quick test_ntt_golden
         :: qsuite [ test_ntt_roundtrip; test_negacyclic_vs_schoolbook ] );
       ( "reduce",
-        Alcotest.test_case "edge values" `Quick test_reducer_edges
-        :: qsuite [ test_reducer ] );
+        Alcotest.test_case "edge values" `Quick test_reduce_edges
+        :: qsuite [ test_reduce_signed ] );
       ( "params",
         [
           Alcotest.test_case "rescale tables" `Quick test_rescale_tables;
@@ -1237,9 +1508,14 @@ let () =
             ("test_small", params ());
             ("test_deep", Params.test_deep ());
             ("rescale primes below 2^30", Lazy.force tight_chain);
+            ("alpha = 9", Lazy.force chunked_chain);
           ]
         @ [
             Alcotest.test_case "raw MAC where the bound allows" `Quick test_raw_mac_branches;
+            Alcotest.test_case "conversion chunks where the bound fails" `Quick test_conversion_chunks;
+            Alcotest.test_case "conversion = per-step reference, every pair" `Quick
+              test_conversion_reference;
+            Alcotest.test_case "weighted bound at every position" `Quick test_weighted_bound;
             Alcotest.test_case "lazy bounds, test_small" `Quick test_lazy_bounds;
             Alcotest.test_case "group writes only fresh limbs" `Quick test_group_fresh_limbs;
             Alcotest.test_case "pool size invariance" `Quick test_keyswitch_pool_sizes;
@@ -1252,6 +1528,12 @@ let () =
         [
           Alcotest.test_case "test_deep golden digests" `Quick test_plaintext_golden;
           Alcotest.test_case "pool size invariance" `Quick test_plaintext_pool_sizes;
+        ] );
+      ( "lattice",
+        [
+          Alcotest.test_case "test_deep golden digests" `Quick test_lattice_golden;
+          Alcotest.test_case "test_deep golden digests, one domain" `Quick
+            test_lattice_golden_sequential;
         ] );
       ( "pool",
         [

@@ -314,7 +314,7 @@ let test_plain_memo_cold_warm_evicted () =
      used, must go.  (Looking v up meanwhile would keep it fresh.) *)
   let fill i =
     ignore
-      (Keys.plain_eval keys ~scale ~level:params.Params.max_level ~specials:true
+      (Keys.plain_weight keys ~scale ~level:params.Params.max_level
          (sample_values (1000 + i) params.Params.slots))
   in
   let _, b0 = Keys.plain_memo_usage keys in
@@ -332,6 +332,60 @@ let test_plain_memo_cold_warm_evicted () =
   Alcotest.(check bool) "the re-encoded coefficients are equal" true
     (Keys.plain_centered keys ~scale v = held);
   check_same "cold = after eviction" cold (run ())
+
+(* A weighted group's plaintext: its companion rows c * 2^31 mod q sit
+   exactly at the positions whose weighted bound admits them, cost one row
+   each in the memo's accounting, and come back bit-identical after the
+   entry is evicted and refilled. *)
+let test_plain_memo_companions () =
+  let params = Params.test_small () in
+  let keys = Keys.keygen ~seed:55 params in
+  let scale = params.Params.scale and slots = params.Params.slots in
+  let level = params.Params.max_level and specials = Array.length params.Params.specials in
+  let v = sample_values 95 slots in
+  let bytes () = snd (Keys.plain_memo_usage keys) in
+  let row_bytes = 8 * (params.Params.n + 1) in
+  let rows = Keys.plain_eval keys ~scale ~level v in
+  let b_rows = bytes () in
+  let w = Keys.plain_weight keys ~scale ~level v in
+  let digits = Params.digits params ~level in
+  let used = ref 0 in
+  Array.iteri
+    (fun pos row ->
+      let t = if pos < level then pos else params.Params.max_level + pos - level in
+      let q = Ntt.q (Params.ntt_at params ~idx:t) in
+      if pos < level then
+        Alcotest.(check bool) (Printf.sprintf "position %d: the memoized row" t) true (row == rows.(pos));
+      if Keys.weighted_terms ~q ~digits >= 1 then begin
+        incr used;
+        Alcotest.(check (array int)) (Printf.sprintf "position %d: companion" t)
+          (Array.map (fun c -> Modarith.mul ~m:q c ((1 lsl 31) mod q)) row)
+          w.comp.(pos)
+      end
+      else Alcotest.(check int) (Printf.sprintf "position %d: no companion" t) 0 (Array.length w.comp.(pos)))
+    w.rows;
+  (* test_small's base prime takes no companion; its other positions do. *)
+  Alcotest.(check int) "companion rows" (level + specials - 1) !used;
+  let grown = (specials + !used) * row_bytes in
+  Alcotest.(check int) "special and companion rows counted" grown (bytes () - b_rows);
+  let again = Keys.plain_weight keys ~scale ~level v in
+  Alcotest.(check int) "warm lookup adds nothing" grown (bytes () - b_rows);
+  Alcotest.(check bool) "warm companions are the memoized rows" true
+    (Array.for_all2 ( == ) again.comp w.comp);
+  (* Fill past the cap without touching v: its entry, the least recently
+     used, is evicted, and a refill rebuilds both kinds of row with the
+     same bits. *)
+  let fill i = ignore (Keys.plain_weight keys ~scale ~level (sample_values (2000 + i) slots)) in
+  let b0 = bytes () in
+  fill 0;
+  let per_entry = bytes () - b0 in
+  for i = 1 to (Keys.plain_memo_cap / per_entry) + 1 do
+    fill i
+  done;
+  let refilled = Keys.plain_weight keys ~scale ~level v in
+  Alcotest.(check bool) "refilled rows are new arrays" true (refilled.rows.(0) != rows.(0));
+  Alcotest.(check bool) "refilled rows, same bits" true (refilled.rows = w.rows);
+  Alcotest.(check bool) "refilled companions, same bits" true (refilled.comp = w.comp)
 
 (* Keys are the exact bits: -0.0 and 0.0 are different entries, while a
    short vector and its zero-padded form are the same content. *)
@@ -419,7 +473,7 @@ let test_plain_memo_restore () =
   for i = 0 to 3 do
     let v = sample_values (90 + i) params.Params.slots in
     ignore (Keys.plain_centered keys ~scale v);
-    ignore (Keys.plain_eval keys ~scale ~level:3 ~specials:true v)
+    ignore (Keys.plain_weight keys ~scale ~level:3 v)
   done;
   Alcotest.(check bool) "memo entries are resident" true (memo_entries keys >= 4);
   Alcotest.(check bool) "the key frame ignores the memo" true (String.equal cold_frame (frame keys));
@@ -560,6 +614,7 @@ let () =
           Alcotest.test_case "cold = warm = evicted" `Quick
             test_plain_memo_cold_warm_evicted;
           Alcotest.test_case "signed zeros" `Quick test_plain_memo_signed_zero;
+          Alcotest.test_case "companion rows" `Quick test_plain_memo_companions;
           Alcotest.test_case "concurrent lookup race" `Quick
             test_plain_memo_concurrent_race;
           Alcotest.test_case "restore starts empty" `Quick test_plain_memo_restore;
