@@ -5,8 +5,10 @@
    rescale, multiply-per-index automorphism) so the comparison survives
    further changes to the library, plus the split-Shoup reducer and the
    per-source base conversion that hardware [mod] and the one-pass
-   conversion replaced; the key switch is compared with a naive hybrid
-   reference (hardware [mod] per step, constants recomputed).
+   conversion replaced, and the reference backend's per-slot noise path
+   that its draw/transform kernel replaced; the key switch is compared
+   with a naive hybrid reference (hardware [mod] per step, constants
+   recomputed).
    Every op asserts bit-identity between the two implementations on the
    same inputs before timing; the process exits nonzero if any assertion
    fails.  Rotation-key generation has no frozen copy: its row times the
@@ -328,6 +330,18 @@ module Ref = struct
     for j = 0 to n - 1 do
       Array.unsafe_set dst j (reduce62 red (Array.unsafe_get dst j))
     done
+
+  (* The reference backend's noisy [multcp] before the draw/transform
+     kernel: one Box–Muller Gaussian per slot, drawn and transformed in a
+     closure called by [Array.map2]. *)
+  let gaussian rng sigma =
+    let u1 = Random.State.float rng 1.0 +. 1e-12 in
+    let u2 = Random.State.float rng 1.0 in
+    sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) *. sigma
+
+  let multcp_noise rng ~sigma x y =
+    let noisy v = v +. (Float.abs v *. gaussian rng sigma) in
+    Array.map2 (fun x y -> noisy (x *. y)) x y
 end
 
 (* A float-quotient Barrett step, the candidate reducer that neither the
@@ -367,6 +381,11 @@ let time_ns ~min_time f =
     else go (iters * 4)
   in
   go 1
+
+let print_result r =
+  Printf.printf "%-18s n=%-5d limbs=%-2d  ref %10.0f ns/op  new %10.0f ns/op  %5.2fx  %s\n%!"
+    r.op r.rn r.limbs r.ref_ns r.ns (r.ref_ns /. r.ns)
+    (if r.identical then "bit-identical" else "MISMATCH")
 
 let rand_vec st ~n ~q = Array.init n (fun _ -> Random.State.full_int st q)
 
@@ -431,9 +450,7 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
         identical;
       }
     in
-    Printf.printf "%-18s n=%-5d limbs=%-2d  ref %10.0f ns/op  new %10.0f ns/op  %5.2fx  %s\n%!"
-      r.op r.rn r.limbs r.ref_ns r.ns (r.ref_ns /. r.ns)
-      (if r.identical then "bit-identical" else "MISMATCH");
+    print_result r;
     out := r :: !out
   in
   let ntt_row op ~inverse ref_ctx new_ctx v =
@@ -673,6 +690,36 @@ let bench_size ~min_time ~limbs ~ks_max ~ks_levels log_n =
     ~new_f:fetch_pool;
   (List.rev !out, size)
 
+(* A noisy reference-backend [multcp] over [slots] slots: the frozen
+   per-slot path against the draw/transform kernel, from the same RNG
+   position.  The row asserts equal output bits and an equal next draw
+   (the two RNGs advanced alike). *)
+let bench_ref_noise ~min_time slots =
+  let sigma = 1e-8 in
+  let st = Ref_backend.create ~mult_noise:sigma ~slots ~max_level:2 ~scale_bits:30 () in
+  let rng = Ref_backend.rng_state st in
+  let x = Array.init slots (fun i -> sin (float_of_int i)) in
+  let w = Array.init slots (fun i -> cos (float_of_int i)) in
+  let ct = Ref_backend.make_ct ~data:x ~level:2 ~scale_bits:30.0 () in
+  let bits a = Array.map Int64.bits_of_float a in
+  let identical =
+    let want = Ref.multcp_noise rng ~sigma x w in
+    let got = (Ref_backend.multcp st ct w).data in
+    bits want = bits got && Random.State.bits rng = Random.State.bits (Ref_backend.rng_state st)
+  in
+  let r =
+    {
+      op = "ref_noise";
+      rn = slots;
+      limbs = 0;
+      ns = time_ns ~min_time (fun () -> Ref_backend.multcp st ct w);
+      ref_ns = time_ns ~min_time (fun () -> Ref.multcp_noise rng ~sigma x w);
+      identical;
+    }
+  in
+  print_result r;
+  r
+
 (* The machine the timings come from: the CPU model where the OS reports
    one (Linux), and the cores OCaml sees. *)
 let host () =
@@ -763,7 +810,9 @@ let () =
          (bench_size ~min_time:!min_time ~limbs:!limbs ~ks_max:!ks_max ~ks_levels:!ks_levels)
          !log_sizes)
   in
-  let results = List.concat results in
+  let results =
+    List.concat results @ List.map (bench_ref_noise ~min_time:!min_time) [ 1024; 4096 ]
+  in
   if !json_path <> "" then begin
     let oc = open_out !json_path in
     output_string oc (json_of_results ~min_time:!min_time results sizes);

@@ -42,7 +42,10 @@ let default_size () =
   | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* Workers set this flag so a parallel_for reached from inside a job falls
-   back to a plain loop instead of deadlocking on its own pool. *)
+   back to a plain loop instead of deadlocking on its own pool.  The calling
+   domain does not: a job it posts while draining another replaces
+   [current], and since it drains that nested job itself, neither job
+   depends on a worker picking it up. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
 let drain job =

@@ -26,5 +26,9 @@ val parallel_for : n:int -> (int -> unit) -> unit
     re-raised in the caller after all workers have quiesced on the job;
     the remaining indices are claimed and skipped (not run), the job
     reference is released (no closure leak), and the pool remains fully
-    usable for subsequent calls.  Calls from inside a pool job degrade to
-    a plain sequential loop. *)
+    usable for subsequent calls.  Calls from a worker domain (inside a
+    pool job) degrade to a plain sequential loop.  A call from the calling
+    domain while it drains a job of its own (a nested job) is posted like
+    any other: the caller drains it itself, so it completes even while
+    every worker is busy with the outer job, and the outer job's remaining
+    indices run on whichever domains are still draining it. *)

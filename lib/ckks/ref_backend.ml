@@ -57,11 +57,6 @@ let fail op ?level fmt =
            { site = Halo_error.site ?level ~backend:name op; reason }))
     fmt
 
-let gaussian st sigma =
-  let u1 = Random.State.float st.rng 1.0 +. 1e-12 in
-  let u2 = Random.State.float st.rng 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) *. sigma
-
 let pad st values =
   if Array.length values = st.slots then values
   else begin
@@ -81,10 +76,69 @@ let check_match op a b =
     fail op ~level:a.ct_level "scale mismatch (%g vs %g bits)" a.scale_bits
       b.scale_bits
 
+let same_slots op x y =
+  let n = Array.length x in
+  if Array.length y <> n then invalid_arg (op ^ ": slot counts differ");
+  n
+
+(* Noise kernel.  A noisy op adds one Box–Muller Gaussian per slot, from
+   two uniform draws [u1], [u2] of [st.rng].  It runs in two steps:
+   - draw: the calling domain draws every slot's (u1, u2) in slot order,
+     into a per-domain buffer reused across ops;
+   - transform: [sqrt (-2 log (u1 + 1e-12)) · cos (2π u2) · σ] and the op's
+     own arithmetic run over chunks of [noise_chunk] slots on the domain
+     pool.  A slot count that fits in one chunk stays on the caller.
+   The draws are exactly those of a per-slot loop, in the same order, and
+   each slot evaluates the same float expression from them, so outputs
+   and the RNG position do not depend on the pool size or the schedule. *)
+let noise_chunk = 256
+
+let draws_key : float array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+(* Slot i's (u1, u2) at [2i], [2i + 1]. *)
+let draw rng n =
+  let buf = Domain.DLS.get draws_key in
+  if Array.length !buf < 2 * n then buf := Array.create_float (2 * n);
+  let u = !buf in
+  for i = 0 to n - 1 do
+    let u1 = Random.State.float rng 1.0 in
+    Array.unsafe_set u (2 * i) u1;
+    Array.unsafe_set u ((2 * i) + 1) (Random.State.float rng 1.0)
+  done;
+  u
+
+let[@inline] gaussian u i sigma =
+  let u1 = Array.unsafe_get u (2 * i) +. 1e-12 in
+  let u2 = Array.unsafe_get u ((2 * i) + 1) in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) *. sigma
+
+(* [x + g] per slot, or with [~by:y] the relative error of a product,
+   [p + |p| g] with [p = x y]. *)
+let noisy rng ~sigma ?by x =
+  let n = match by with None -> Array.length x | Some y -> same_slots "noisy" x y in
+  let u = draw rng n in
+  let out = Array.create_float n in
+  let chunk c =
+    let lo = c * noise_chunk in
+    let hi = min n (lo + noise_chunk) - 1 in
+    match by with
+    | None ->
+      for i = lo to hi do
+        Array.unsafe_set out i (Array.unsafe_get x i +. gaussian u i sigma)
+      done
+    | Some y ->
+      for i = lo to hi do
+        let p = Array.unsafe_get x i *. Array.unsafe_get y i in
+        Array.unsafe_set out i (p +. (Float.abs p *. gaussian u i sigma))
+      done
+  in
+  Domain_pool.parallel_for ~n:((n + noise_chunk - 1) / noise_chunk) chunk;
+  out
+
 let encrypt st ~level values =
   if level < 1 || level > st.max_level then
     fail "encrypt" ~level "level out of range (max %d)" st.max_level;
-  let data = Array.map (fun v -> v +. gaussian st st.enc_noise) (pad st values) in
+  let data = noisy st.rng ~sigma:st.enc_noise (pad st values) in
   {
     data;
     ct_level = level;
@@ -94,25 +148,34 @@ let encrypt st ~level values =
 
 let decrypt _st ct = Array.copy ct.data
 
+let add_slots op x y =
+  let n = same_slots op x y in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set out i (Array.unsafe_get x i +. Array.unsafe_get y i)
+  done;
+  out
+
 let addcc _st a b =
   check_match "addcc" a b;
   {
     a with
-    data = Array.map2 ( +. ) a.data b.data;
+    data = add_slots "addcc" a.data b.data;
     noise_est = Float.max a.noise_est b.noise_est;
   }
 
 let subcc _st a b =
   check_match "subcc" a b;
-  {
-    a with
-    data = Array.map2 ( -. ) a.data b.data;
-    noise_est = Float.max a.noise_est b.noise_est;
-  }
+  let n = same_slots "subcc" a.data b.data in
+  let data = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set data i (Array.unsafe_get a.data i -. Array.unsafe_get b.data i)
+  done;
+  { a with data; noise_est = Float.max a.noise_est b.noise_est }
 
 let addcp st a values =
   check_level "addcp" a 1;
-  { a with data = Array.map2 ( +. ) a.data (pad st values) }
+  { a with data = add_slots "addcp" a.data (pad st values) }
 
 let multcc st a b =
   (* The paper (section 2.2): multiplication constrains only the operand
@@ -121,34 +184,36 @@ let multcc st a b =
     fail "multcc" ~level:a.ct_level "level mismatch (%d vs %d)" a.ct_level
       b.ct_level;
   check_level "multcc" a 1;
-  let noisy v = v +. (Float.abs v *. gaussian st st.mult_noise) in
   {
     a with
-    data = Array.map2 (fun x y -> noisy (x *. y)) a.data b.data;
+    data = noisy st.rng ~sigma:st.mult_noise a.data ~by:b.data;
     scale_bits = a.scale_bits +. b.scale_bits;
     noise_est = a.noise_est +. b.noise_est +. units.keyswitch;
   }
 
 let multcp st a values =
   check_level "multcp" a 1;
-  let noisy v = v +. (Float.abs v *. gaussian st st.mult_noise) in
   {
     a with
-    data = Array.map2 (fun x y -> noisy (x *. y)) a.data (pad st values);
+    data = noisy st.rng ~sigma:st.mult_noise a.data ~by:(pad st values);
     scale_bits = a.scale_bits +. st.default_scale_bits;
     noise_est = a.noise_est +. units.keyswitch;
   }
+
+(* [out.(i) = a.(i + shift)] for [i < n], indices wrapped at [n]
+   ([0 <= shift < n]): two blits. *)
+let rotate_slots a ~shift n =
+  let out = Array.create_float n in
+  Array.blit a shift out 0 (n - shift);
+  Array.blit a 0 out (n - shift) shift;
+  out
 
 let rotate st a ~offset =
   check_level "rotate" a 1;
   let n = st.slots in
   let shift = ((offset mod n) + n) mod n in
   let ks = if offset = 0 then 0.0 else units.keyswitch in
-  {
-    a with
-    data = Array.init n (fun i -> a.data.((i + shift) mod n));
-    noise_est = a.noise_est +. ks;
-  }
+  { a with data = rotate_slots a.data ~shift n; noise_est = a.noise_est +. ks }
 
 (* Cleartext rotations have no shared key-switch work to hoist: the grouped
    form is exactly the sequence of single rotates (which consume no RNG, so
@@ -159,7 +224,7 @@ let rescale st a =
   check_level "rescale" a 2;
   (* Dropping one prime divides the scale by ~2^scale_bits and adds rounding
      error at the scale's resolution. *)
-  let data = Array.map (fun v -> v +. gaussian st st.rescale_noise) a.data in
+  let data = noisy st.rng ~sigma:st.rescale_noise a.data in
   {
     data;
     ct_level = a.ct_level - 1;
@@ -176,13 +241,22 @@ let rescale st a =
    member rotates. *)
 let sum_rotations a ~offsets =
   let n = Array.length a in
-  let shifts = Array.of_list (List.map (fun o -> ((o mod n) + n) mod n) offsets) in
-  Array.init n (fun i ->
-      let acc = ref a.((i + shifts.(0)) mod n) in
-      for g = 1 to Array.length shifts - 1 do
-        acc := !acc +. a.((i + shifts.(g)) mod n)
-      done;
-      !acc)
+  let shift o = ((o mod n) + n) mod n in
+  match offsets with
+  | [] -> invalid_arg "sum_rotations: no offsets"
+  | o :: os ->
+    let out = rotate_slots a ~shift:(shift o) n in
+    List.iter
+      (fun o ->
+        let s = shift o in
+        for i = 0 to n - s - 1 do
+          Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get a (i + s))
+        done;
+        for i = n - s to n - 1 do
+          Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get a (i + s - n))
+        done)
+      os;
+    out
 
 let rot_sum st a ~terms =
   if terms = [] then fail "rot_sum" ~level:a.ct_level "empty term list";
@@ -215,10 +289,16 @@ let bootstrap st a ~target =
     fail "bootstrap" ~level:a.ct_level "target %d out of range (max %d)" target
       st.max_level;
   {
-    data = Array.map (fun v -> v +. gaussian st st.boot_noise) a.data;
+    data = noisy st.rng ~sigma:st.boot_noise a.data;
     ct_level = target;
     scale_bits = st.default_scale_bits;
     noise_est = units.bootstrap;
   }
 
-let negate _st a = { a with data = Array.map Float.neg a.data }
+let negate _st a =
+  let n = Array.length a.data in
+  let data = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set data i (-.Array.unsafe_get a.data i)
+  done;
+  { a with data }

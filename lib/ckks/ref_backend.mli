@@ -10,7 +10,19 @@
     validate that programs run unchanged on genuine RLWE ciphertexts.
 
     Level/scale discipline violations raise {!Halo_error.Backend_error}
-    with operation and level context. *)
+    with operation and level context.
+
+    {b Noise.}  [encrypt], [multcc], [multcp], [rescale] and [bootstrap]
+    (and a weighted [rot_sum], through [multcp] and [rescale]) add one
+    Box–Muller Gaussian per slot.  The calling domain draws every slot's
+    two uniforms from the state's RNG in slot order; the Gaussians and the
+    op's arithmetic then run over fixed chunks of slots on {!Domain_pool}.
+    Outputs and the RNG position are those of a per-slot loop, for any
+    pool size.  Under serving, a batch that runs on a pool worker
+    transforms its slots on that worker (nested calls there are plain
+    loops); a batch that the calling domain drains posts a nested pool job
+    and drains it itself.  Either way the bits are the same, and a state
+    must not be shared by two domains at once (its RNG is not). *)
 
 type ct = private {
   data : float array;

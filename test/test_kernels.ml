@@ -1433,6 +1433,205 @@ let test_lattice_golden_sequential () =
     (Domain_pool.sequentially lattice_outputs)
 
 (* ------------------------------------------------------------------ *)
+(* Reference-backend noise kernel                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A frozen copy of the reference backend's per-slot noise path, from
+   before the draw/transform kernel: one Box–Muller Gaussian per slot
+   through a closure, [Array.map]/[map2] in slot order.  It runs on its
+   own copy of the backend's RNG, so after each op the two RNGs must sit at
+   the same position. *)
+module Frozen_ref = struct
+  type ct = { data : float array; level : int; scale_bits : float; noise_est : float }
+
+  type sigmas = { enc : float; mult : float; boot : float; resc : float }
+
+  let units = Halo_cost.Noise_units.default
+
+  let gaussian rng sigma =
+    let u1 = Random.State.float rng 1.0 +. 1e-12 in
+    let u2 = Random.State.float rng 1.0 in
+    sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) *. sigma
+
+  let noisy rng sigma v = v +. (Float.abs v *. gaussian rng sigma)
+
+  let encrypt rng s ~scale_bits ~level values =
+    let data = Array.map (fun v -> v +. gaussian rng s.enc) values in
+    { data; level; scale_bits; noise_est = units.enc }
+
+  let multcc rng s a b =
+    {
+      a with
+      data = Array.map2 (fun x y -> noisy rng s.mult (x *. y)) a.data b.data;
+      scale_bits = a.scale_bits +. b.scale_bits;
+      noise_est = a.noise_est +. b.noise_est +. units.keyswitch;
+    }
+
+  let multcp rng s ~scale_bits a values =
+    {
+      a with
+      data = Array.map2 (fun x y -> noisy rng s.mult (x *. y)) a.data values;
+      scale_bits = a.scale_bits +. scale_bits;
+      noise_est = a.noise_est +. units.keyswitch;
+    }
+
+  let rescale rng s ~scale_bits a =
+    {
+      data = Array.map (fun v -> v +. gaussian rng s.resc) a.data;
+      level = a.level - 1;
+      scale_bits = a.scale_bits -. scale_bits;
+      noise_est = a.noise_est +. units.rescale;
+    }
+
+  let bootstrap rng s ~scale_bits a ~target =
+    {
+      data = Array.map (fun v -> v +. gaussian rng s.boot) a.data;
+      level = target;
+      scale_bits;
+      noise_est = units.bootstrap;
+    }
+
+  let rotate a ~offset =
+    let n = Array.length a.data in
+    let shift = ((offset mod n) + n) mod n in
+    let ks = if offset = 0 then 0.0 else units.keyswitch in
+    {
+      a with
+      data = Array.init n (fun i -> a.data.((i + shift) mod n));
+      noise_est = a.noise_est +. ks;
+    }
+
+  let addcc a b =
+    { a with data = Array.map2 ( +. ) a.data b.data; noise_est = Float.max a.noise_est b.noise_est }
+
+  (* Weighted terms only: rotations, then multcp + rescale per member in
+     term order, then the add chain. *)
+  let rot_sum rng s ~scale_bits a ~terms =
+    let members =
+      List.map
+        (fun (o, m) -> rescale rng s ~scale_bits (multcp rng s ~scale_bits (rotate a ~offset:o) m))
+        terms
+    in
+    List.fold_left addcc (List.hd members) (List.tl members)
+end
+
+let noise_sigmas =
+  [
+    ( "default sigmas",
+      { Frozen_ref.enc = 1e-7; mult = 1e-8; boot = 1e-5; resc = Float.ldexp 1.0 (-25) } );
+    ("zero sigmas", { Frozen_ref.enc = 0.0; mult = 0.0; boot = 0.0; resc = 0.0 });
+  ]
+
+(* encrypt, multcc, multcp, rescale, bootstrap and a weighted rot_sum on the
+   backend and on the frozen copy, from the same RNG position: every output
+   (IEEE bits, level, scale bits, noise estimate) and the RNG position after
+   each op must match. *)
+let check_noise_kernel ~tag ~slots (s : Frozen_ref.sigmas) =
+  let scale_bits = 30 in
+  let sb = float_of_int scale_bits in
+  let st =
+    Ref_backend.create ~seed:(slots + 7) ~enc_noise:s.enc ~mult_noise:s.mult ~boot_noise:s.boot
+      ~rescale_noise:s.resc ~slots ~max_level:4 ~scale_bits ()
+  in
+  let rng = Ref_backend.rng_state st in
+  let vec k = Array.init slots (fun i -> sin (float_of_int ((k * slots) + i)) *. 0.75) in
+  let bits a = Array.map Int64.bits_of_float a in
+  let check op (got : Ref_backend.ct) (want : Frozen_ref.ct) =
+    let msg = Printf.sprintf "%s, %d slots: %s" tag slots op in
+    Alcotest.(check (array int64)) (msg ^ " bits") (bits want.data) (bits got.data);
+    Alcotest.(check int) (msg ^ " level") want.level got.ct_level;
+    Alcotest.(check int64) (msg ^ " scale bits")
+      (Int64.bits_of_float want.scale_bits) (Int64.bits_of_float got.scale_bits);
+    Alcotest.(check int64) (msg ^ " noise_est")
+      (Int64.bits_of_float want.noise_est) (Int64.bits_of_float got.noise_est);
+    Alcotest.(check int) (msg ^ " next draw")
+      (Random.State.bits (Random.State.copy rng))
+      (Random.State.bits (Ref_backend.rng_state st));
+    (got, want)
+  in
+  let x, fx =
+    check "encrypt" (Ref_backend.encrypt st ~level:4 (vec 0))
+      (Frozen_ref.encrypt rng s ~scale_bits:sb ~level:4 (vec 0))
+  in
+  let y, fy =
+    check "encrypt" (Ref_backend.encrypt st ~level:4 (vec 1))
+      (Frozen_ref.encrypt rng s ~scale_bits:sb ~level:4 (vec 1))
+  in
+  let m, fm = check "multcc" (Ref_backend.multcc st x y) (Frozen_ref.multcc rng s fx fy) in
+  let r, fr =
+    check "rescale" (Ref_backend.rescale st m) (Frozen_ref.rescale rng s ~scale_bits:sb fm)
+  in
+  let p, fp =
+    check "multcp" (Ref_backend.multcp st r (vec 2))
+      (Frozen_ref.multcp rng s ~scale_bits:sb fr (vec 2))
+  in
+  let b, fb =
+    check "bootstrap" (Ref_backend.bootstrap st p ~target:4)
+      (Frozen_ref.bootstrap rng s ~scale_bits:sb fp ~target:4)
+  in
+  let terms = [ (0, vec 3); (1, vec 4); (-3, vec 5); (slots + 2, vec 6) ] in
+  ignore
+    (check "weighted rot_sum"
+       (Ref_backend.rot_sum st b ~terms:(List.map (fun (o, w) -> (o, Some w)) terms))
+       (Frozen_ref.rot_sum rng s ~scale_bits:sb fb ~terms))
+
+let noise_slot_counts = [ 1; 255; 256; 257; 1000; 1024; 4096 ]
+
+let test_ref_noise_kernel ~sequential () =
+  List.iter
+    (fun (tag, s) ->
+      List.iter
+        (fun slots ->
+          let run () = check_noise_kernel ~tag ~slots s in
+          if sequential then Domain_pool.sequentially run else run ())
+        noise_slot_counts)
+    noise_sigmas
+
+(* The noiseless ops: closure-free loops and blits against the per-slot
+   definitions, bit for bit. *)
+let test_ref_noiseless_ops () =
+  List.iter
+    (fun slots ->
+      let st = Ref_backend.create ~slots ~max_level:3 ~scale_bits:30 () in
+      let vec k = Array.init slots (fun i -> cos (float_of_int ((k * slots) + i))) in
+      let ct k = Ref_backend.make_ct ~data:(vec k) ~level:2 ~scale_bits:30.0 () in
+      let a = ct 0 and b = ct 1 in
+      let bits = Array.map Int64.bits_of_float in
+      let check op want (got : Ref_backend.ct) =
+        Alcotest.(check (array int64))
+          (Printf.sprintf "%d slots: %s" slots op)
+          (bits want) (bits got.data)
+      in
+      check "addcc" (Array.map2 ( +. ) a.data b.data) (Ref_backend.addcc st a b);
+      check "subcc" (Array.map2 ( -. ) a.data b.data) (Ref_backend.subcc st a b);
+      check "addcp" (Array.map2 ( +. ) a.data (vec 2)) (Ref_backend.addcp st a (vec 2));
+      check "negate" (Array.map Float.neg a.data) (Ref_backend.negate st a);
+      let offsets = [ 0; 1; -1; 5; slots; -slots - 3; 3 * slots + 1 ] in
+      let fa = { Frozen_ref.data = a.data; level = 2; scale_bits = 30.0; noise_est = 0.0 } in
+      List.iter
+        (fun offset ->
+          check
+            (Printf.sprintf "rotate %d" offset)
+            (Frozen_ref.rotate fa ~offset).data
+            (Ref_backend.rotate st a ~offset))
+        offsets;
+      let n = slots in
+      let want =
+        let shifts = Array.of_list (List.map (fun o -> ((o mod n) + n) mod n) offsets) in
+        Array.init n (fun i ->
+            let acc = ref a.data.((i + shifts.(0)) mod n) in
+            for g = 1 to Array.length shifts - 1 do
+              acc := !acc +. a.data.((i + shifts.(g)) mod n)
+            done;
+            !acc)
+      in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "%d slots: sum_rotations" slots)
+        (bits want)
+        (bits (Ref_backend.sum_rotations a.data ~offsets)))
+    noise_slot_counts
+
+(* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1458,6 +1657,49 @@ let test_pool_exception_recovery () =
           1 (Atomic.get h))
       hits
   done
+
+(* A served wave runs batches on the pool, and the calling domain drains
+   the wave too: a reference op it runs there posts a nested job from the
+   caller (workers degrade theirs to plain loops).  Each wave index runs a
+   seeded op sequence on its own backend state; the nested calls must
+   complete with the sequential run's bits, an exception raised inside a
+   nested job must reach the caller, and the pool must stay usable. *)
+let test_pool_nested_from_caller () =
+  let wave = 6 and slots = 1024 in
+  let run k =
+    let st = Ref_backend.create ~seed:k ~slots ~max_level:3 ~scale_bits:30 () in
+    let v = Array.init slots (fun i -> float_of_int (i + k) /. 1024.0) in
+    let x = Ref_backend.encrypt st ~level:3 v in
+    let y = Ref_backend.rescale st (Ref_backend.multcc st x x) in
+    let z = Ref_backend.multcp st y v in
+    Array.map Int64.bits_of_float (Ref_backend.bootstrap st z ~target:3).data
+  in
+  let wave_outputs () =
+    let out = Array.make wave [||] in
+    Domain_pool.parallel_for ~n:wave (fun k -> out.(k) <- run k);
+    out
+  in
+  let sequential = Domain_pool.sequentially wave_outputs in
+  for round = 1 to 3 do
+    Alcotest.(check (array (array int64)))
+      (Printf.sprintf "round %d: nested = sequential" round)
+      sequential (wave_outputs ())
+  done;
+  (match
+     Domain_pool.parallel_for ~n:wave (fun k ->
+         Domain_pool.parallel_for ~n:16 (fun i -> if i = 11 then raise (Boom k)))
+   with
+   | () -> Alcotest.fail "the nested task exception was swallowed"
+   | exception Boom _ -> ()
+   | exception e -> Alcotest.failf "expected Boom, got %s" (Printexc.to_string e));
+  let hits = Array.init 64 (fun _ -> Atomic.make 0) in
+  Domain_pool.parallel_for ~n:8 (fun k ->
+      Domain_pool.parallel_for ~n:8 (fun i -> Atomic.incr hits.((8 * k) + i)));
+  Array.iteri
+    (fun i h -> Alcotest.(check int) (Printf.sprintf "index %d ran once" i) 1 (Atomic.get h))
+    hits;
+  Alcotest.(check (array (array int64))) "after the failure: nested = sequential" sequential
+    (wave_outputs ())
 
 let () =
   Alcotest.run "halo_kernels"
@@ -1539,5 +1781,16 @@ let () =
         [
           Alcotest.test_case "exception propagates, pool stays usable" `Quick
             test_pool_exception_recovery;
+          Alcotest.test_case "nested jobs from the calling domain" `Quick
+            test_pool_nested_from_caller;
+        ] );
+      ( "ref_noise",
+        [
+          Alcotest.test_case "kernel = frozen per-slot path, pooled" `Quick
+            (test_ref_noise_kernel ~sequential:false);
+          Alcotest.test_case "kernel = frozen per-slot path, one domain" `Quick
+            (test_ref_noise_kernel ~sequential:true);
+          Alcotest.test_case "noiseless ops = per-slot definitions" `Quick
+            test_ref_noiseless_ops;
         ] );
     ]
