@@ -5,8 +5,10 @@
    rescale, multiply-per-index automorphism) so the comparison survives
    further changes to the library, plus the split-Shoup reducer and the
    per-source base conversion that hardware [mod] and the one-pass
-   conversion replaced, and the reference backend's per-slot noise path
-   that its draw/transform kernel replaced; the key switch is compared
+   conversion replaced, the reference backend's per-slot noise path
+   that its draw/transform kernel replaced, the cleartext backend's
+   polymorphic slot ops that the shared {!Slots} kernels replaced and
+   CSE's [%h] constant key; the key switch is compared
    with a naive hybrid reference (hardware [mod] per step, constants
    recomputed).
    Every op asserts bit-identity between the two implementations on the
@@ -342,6 +344,26 @@ module Ref = struct
   let multcp_noise rng ~sigma x y =
     let noisy v = v +. (Float.abs v *. gaussian rng sigma) in
     Array.map2 (fun x y -> noisy (x *. y)) x y
+
+  (* The cleartext backend's ops before the shared slot kernels: the
+     polymorphic [Array.map2] / [Array.init], a closure call and a boxed
+     float per slot. *)
+  let clear_add = Array.map2 ( +. )
+  let clear_mul = Array.map2 ( *. )
+
+  let clear_rotate a ~offset =
+    let n = Array.length a in
+    let shift = ((offset mod n) + n) mod n in
+    Array.init n (fun i -> a.((i + shift) mod n))
+
+  (* CSE's constant key before the bit key: the [%h] text of every
+     element, digested. *)
+  let cse_key = function
+    | Halo.Ir.Splat x -> Printf.sprintf "s%h" x
+    | Halo.Ir.Vector xs ->
+      let buf = Buffer.create (Array.length xs * 8) in
+      Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h," x)) xs;
+      Digest.string (Buffer.contents buf)
 end
 
 (* A float-quotient Barrett step, the candidate reducer that neither the
@@ -369,7 +391,10 @@ type result = {
 (* One switching key's exact heap footprint on a key-switch chain. *)
 type key_size = { kn : int; klevels : int; kdigits : int; kbytes : int }
 
+(* Every measurement starts from a compacted heap, so a row's time does not
+   depend on the garbage the rows before it left. *)
 let time_ns ~min_time f =
+  Gc.compact ();
   ignore (Sys.opaque_identity (f ()));
   let rec go iters =
     let t0 = Unix.gettimeofday () in
@@ -720,6 +745,70 @@ let bench_ref_noise ~min_time slots =
   print_result r;
   r
 
+(* The cleartext ops ([Halo_runtime.Clear_backend], the interpreter's
+   plaintext values) over [slots] slots: the frozen [Array.map2] /
+   [Array.init] forms against the shared {!Slots} kernels, bits asserted. *)
+let bench_clear_ops ~min_time slots =
+  let x = Array.init slots (fun i -> sin (float_of_int i)) in
+  let y = Array.init slots (fun i -> cos (float_of_int i)) in
+  let bits a = Array.map Int64.bits_of_float a in
+  let offset = (slots / 2) + 3 in
+  List.map
+    (fun (op, ref_f, new_f) ->
+      let r =
+        {
+          op;
+          rn = slots;
+          limbs = 0;
+          ns = time_ns ~min_time new_f;
+          ref_ns = time_ns ~min_time ref_f;
+          identical = bits (ref_f ()) = bits (new_f ());
+        }
+      in
+      print_result r;
+      r)
+    [
+      ("clear_add", (fun () -> Ref.clear_add x y), fun () -> Slots.add x y);
+      ("clear_mul", (fun () -> Ref.clear_mul x y), fun () -> Slots.mul x y);
+      ( "clear_rotate",
+        (fun () -> Ref.clear_rotate x ~offset),
+        fun () -> Slots.rotate x ~offset );
+    ]
+
+(* CSE's key for an [n]-element vector constant: the frozen [%h] digest
+   against [Cse.const_fingerprint]'s bit key.  The row asserts that both
+   keys make the same merge decisions over every pair of a set of splats
+   and vectors that includes both zeros, one-ulp neighbours, subnormals,
+   infinities and repeats. *)
+let bench_cse_key ~min_time n =
+  let module Ir = Halo.Ir in
+  let xs = Array.init n (fun i -> sin (float_of_int i)) in
+  let v = Ir.Vector xs in
+  let scalars =
+    [ 0.0; -0.0; 1.0; Float.succ 1.0; Float.pred 1.0; 0.5; 0.5; Float.min_float;
+      Float.succ 0.0; Float.infinity; Float.neg_infinity; -1.0; -0.0 ]
+  in
+  let with_slot x = Ir.Vector (Array.mapi (fun i y -> if i = 3 then x else y) xs) in
+  let consts =
+    List.map (fun x -> Ir.Splat x) scalars @ List.map with_slot scalars @ [ v; Ir.Vector [||] ]
+  in
+  let decisions key =
+    let keys = List.map key consts in
+    List.concat_map (fun a -> List.map (fun b -> String.equal a b) keys) keys
+  in
+  let r =
+    {
+      op = "cse_key";
+      rn = n;
+      limbs = 0;
+      ns = time_ns ~min_time (fun () -> Halo.Cse.const_fingerprint v);
+      ref_ns = time_ns ~min_time (fun () -> Ref.cse_key v);
+      identical = decisions Ref.cse_key = decisions Halo.Cse.const_fingerprint;
+    }
+  in
+  print_result r;
+  r
+
 (* The machine the timings come from: the CPU model where the OS reports
    one (Linux), and the cores OCaml sees. *)
 let host () =
@@ -810,9 +899,11 @@ let () =
          (bench_size ~min_time:!min_time ~limbs:!limbs ~ks_max:!ks_max ~ks_levels:!ks_levels)
          !log_sizes)
   in
-  let results =
-    List.concat results @ List.map (bench_ref_noise ~min_time:!min_time) [ 1024; 4096 ]
-  in
+  let cleartext = [ 1024; 4096 ] in
+  let noise = List.map (bench_ref_noise ~min_time:!min_time) cleartext in
+  let clear = List.concat_map (bench_clear_ops ~min_time:!min_time) cleartext in
+  let cse = List.map (bench_cse_key ~min_time:!min_time) cleartext in
+  let results = List.concat results @ noise @ clear @ cse in
   if !json_path <> "" then begin
     let oc = open_out !json_path in
     output_string oc (json_of_results ~min_time:!min_time results sizes);

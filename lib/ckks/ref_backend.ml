@@ -95,15 +95,28 @@ let noise_chunk = 256
 
 let draws_key : float array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
 
+(* [Random.State.float rng 1.0], restated over [Random.State.bits64] so the
+   draw loop stores each value unboxed: the top 53 bits of the next 64-bit
+   output times 2^-53, redrawn when they are all zero.  This is the
+   stdlib's own [rawfloat], and multiplying by a bound of 1.0 is exact, so
+   the values and the RNG position are the same. *)
+let rec redraw rng =
+  let b = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if b <> 0L then Int64.to_float b *. 0x1.p-53 else redraw rng
+
+let[@inline] uniform rng =
+  let b = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if b <> 0L then Int64.to_float b *. 0x1.p-53 else redraw rng
+
 (* Slot i's (u1, u2) at [2i], [2i + 1]. *)
 let draw rng n =
   let buf = Domain.DLS.get draws_key in
   if Array.length !buf < 2 * n then buf := Array.create_float (2 * n);
   let u = !buf in
   for i = 0 to n - 1 do
-    let u1 = Random.State.float rng 1.0 in
+    let u1 = uniform rng in
     Array.unsafe_set u (2 * i) u1;
-    Array.unsafe_set u ((2 * i) + 1) (Random.State.float rng 1.0)
+    Array.unsafe_set u ((2 * i) + 1) (uniform rng)
   done;
   u
 
@@ -148,34 +161,17 @@ let encrypt st ~level values =
 
 let decrypt _st ct = Array.copy ct.data
 
-let add_slots op x y =
-  let n = same_slots op x y in
-  let out = Array.create_float n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set out i (Array.unsafe_get x i +. Array.unsafe_get y i)
-  done;
-  out
-
 let addcc _st a b =
   check_match "addcc" a b;
-  {
-    a with
-    data = add_slots "addcc" a.data b.data;
-    noise_est = Float.max a.noise_est b.noise_est;
-  }
+  { a with data = Slots.add a.data b.data; noise_est = Float.max a.noise_est b.noise_est }
 
 let subcc _st a b =
   check_match "subcc" a b;
-  let n = same_slots "subcc" a.data b.data in
-  let data = Array.create_float n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set data i (Array.unsafe_get a.data i -. Array.unsafe_get b.data i)
-  done;
-  { a with data; noise_est = Float.max a.noise_est b.noise_est }
+  { a with data = Slots.sub a.data b.data; noise_est = Float.max a.noise_est b.noise_est }
 
 let addcp st a values =
   check_level "addcp" a 1;
-  { a with data = add_slots "addcp" a.data (pad st values) }
+  { a with data = Slots.add a.data (pad st values) }
 
 let multcc st a b =
   (* The paper (section 2.2): multiplication constrains only the operand
@@ -200,20 +196,10 @@ let multcp st a values =
     noise_est = a.noise_est +. units.keyswitch;
   }
 
-(* [out.(i) = a.(i + shift)] for [i < n], indices wrapped at [n]
-   ([0 <= shift < n]): two blits. *)
-let rotate_slots a ~shift n =
-  let out = Array.create_float n in
-  Array.blit a shift out 0 (n - shift);
-  Array.blit a 0 out (n - shift) shift;
-  out
-
-let rotate st a ~offset =
+let rotate _st a ~offset =
   check_level "rotate" a 1;
-  let n = st.slots in
-  let shift = ((offset mod n) + n) mod n in
   let ks = if offset = 0 then 0.0 else units.keyswitch in
-  { a with data = rotate_slots a.data ~shift n; noise_est = a.noise_est +. ks }
+  { a with data = Slots.rotate a.data ~offset; noise_est = a.noise_est +. ks }
 
 (* Cleartext rotations have no shared key-switch work to hoist: the grouped
    form is exactly the sequence of single rotates (which consume no RNG, so
@@ -236,35 +222,16 @@ let rescale st a =
    (no RNG), then each member's multcp + rescale in term order, then the
    add chain — so the noise-stream draws are identical to the unfused run
    and fused vs. unfused programs stay bit-identical on this backend.  A
-   pure group draws nothing, so it is one pass over the slots
-   ({!sum_rotations}); its estimate is the fold's: one key switch if any
-   member rotates. *)
-let sum_rotations a ~offsets =
-  let n = Array.length a in
-  let shift o = ((o mod n) + n) mod n in
-  match offsets with
-  | [] -> invalid_arg "sum_rotations: no offsets"
-  | o :: os ->
-    let out = rotate_slots a ~shift:(shift o) n in
-    List.iter
-      (fun o ->
-        let s = shift o in
-        for i = 0 to n - s - 1 do
-          Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get a (i + s))
-        done;
-        for i = n - s to n - 1 do
-          Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get a (i + s - n))
-        done)
-      os;
-    out
-
+   pure group draws nothing, so it is one pass per member over the slots
+   ({!Slots.sum_rotations}); its estimate is the fold's: one key switch if
+   any member rotates. *)
 let rot_sum st a ~terms =
   if terms = [] then fail "rot_sum" ~level:a.ct_level "empty term list";
   if List.for_all (fun (_, c) -> c = None) terms then begin
     check_level "rotate" a 1;
     let offsets = List.map fst terms in
     let ks = if List.exists (fun o -> o <> 0) offsets then units.keyswitch else 0.0 in
-    { a with data = sum_rotations a.data ~offsets; noise_est = a.noise_est +. ks }
+    { a with data = Slots.sum_rotations a.data ~offsets; noise_est = a.noise_est +. ks }
   end
   else begin
     let rotated = List.map (fun (o, c) -> (rotate st a ~offset:o, c)) terms in
@@ -295,10 +262,4 @@ let bootstrap st a ~target =
     noise_est = units.bootstrap;
   }
 
-let negate _st a =
-  let n = Array.length a.data in
-  let data = Array.create_float n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set data i (-.Array.unsafe_get a.data i)
-  done;
-  { a with data }
+let negate _st a = { a with data = Slots.neg a.data }

@@ -15,8 +15,9 @@
     {b Noise.}  [encrypt], [multcc], [multcp], [rescale] and [bootstrap]
     (and a weighted [rot_sum], through [multcp] and [rescale]) add one
     Box–Muller Gaussian per slot.  The calling domain draws every slot's
-    two uniforms from the state's RNG in slot order; the Gaussians and the
-    op's arithmetic then run over fixed chunks of slots on {!Domain_pool}.
+    two uniforms ({!uniform}) from the state's RNG in slot order; the
+    Gaussians and the op's arithmetic then run over fixed chunks of slots
+    on {!Domain_pool}.
     Outputs and the RNG position are those of a per-slot loop, for any
     pool size.  Under serving, a batch that runs on a pool worker
     transforms its slots on that worker (nested calls there are plain
@@ -83,6 +84,10 @@ val inflate_noise : state -> ct -> by:float -> ct
     the hook fault injection uses to make silent corruption visible to the
     runtime monitor. *)
 
+val uniform : Random.State.t -> float
+(** [Random.State.float rng 1.0] without allocating: the draw the noise
+    kernel makes twice per slot.  Same value, same RNG position. *)
+
 val encrypt : state -> level:int -> float array -> ct
 val decrypt : state -> ct -> float array
 
@@ -103,13 +108,8 @@ val rot_sum : state -> ct -> terms:(int * float array option) list -> ct
     sequence — rotations, then each member's {!multcp} + {!rescale} in
     term order, then the add chain — so the noise-stream draws match the
     unfused program and fused vs. unfused runs are bit-identical.  A pure
-    group ({!sum_rotations}) draws nothing. *)
-
-val sum_rotations : float array -> offsets:int list -> float array
-(** [Σ rot(a, o)] over [offsets] in one pass over the slots, each slot
-    added left to right in offset order: the bits of the unfused
-    rotate-and-add chain.  The pure [rot_sum] of this backend and of
-    [Halo_runtime.Clear_backend], so the two agree bit for bit. *)
+    group ({!Slots.sum_rotations}, shared with
+    [Halo_runtime.Clear_backend]) draws nothing. *)
 
 val rescale : state -> ct -> ct
 val modswitch : state -> ct -> down:int -> ct

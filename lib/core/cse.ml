@@ -10,12 +10,21 @@ type key =
   | Kpack of Ir.var list * int
   | Kunpack of Ir.var * int * int * int
 
+(* A splat is its 9-byte tag-and-bits string; a vector the 16-byte digest
+   of its elements' bits, so the two never collide. *)
 let const_fingerprint = function
-  | Ir.Splat x -> Printf.sprintf "s%h" x
+  | Ir.Splat x ->
+    let b = Bytes.create 9 in
+    Bytes.set b 0 's';
+    Bytes.set_int64_le b 1 (Int64.bits_of_float x);
+    Bytes.unsafe_to_string b
   | Ir.Vector xs ->
-    let buf = Buffer.create (Array.length xs * 8) in
-    Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h," x)) xs;
-    Digest.string (Buffer.contents buf)
+    let n = Array.length xs in
+    let b = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (Array.unsafe_get xs i))
+    done;
+    Digest.bytes b
 
 let key_of_op : Ir.op -> key option = function
   | Ir.Const { value; size } -> Some (Kconst (const_fingerprint value, size))

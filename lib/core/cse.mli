@@ -12,4 +12,11 @@
     [Bootstrap] is deliberately never deduplicated — placement passes own
     those decisions. *)
 
+val const_fingerprint : Ir.const -> string
+(** The key a constant is merged on (with its declared size): the IEEE bits
+    of its elements, so two constants merge exactly when every element has
+    the same bits.  [0.0] and [-0.0] stay apart, as do one-ulp neighbours;
+    NaNs merge only with the same payload.  A vector is keyed by the digest
+    of its bits. *)
+
 val program : Ir.program -> Ir.program

@@ -191,3 +191,88 @@ let eval_count ~bindings = function
     let k = List.assoc name bindings + add in
     if k < 0 then invalid_arg "Ir.eval_count: negative count";
     if rem then k mod div else k / div
+
+(* Bit-exact equality, with a physical-equality short-cut at every node: a
+   block or instruction a pass returned as it found it is not walked. *)
+let vars_equal = List.equal Int.equal
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let const_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Splat x, Splat y -> bits_equal x y
+  | Vector xs, Vector ys ->
+    xs == ys
+    || Array.length xs = Array.length ys
+       &&
+       let rec go i = i < 0 || (bits_equal xs.(i) ys.(i) && go (i - 1)) in
+       go (Array.length xs - 1)
+  | (Splat _ | Vector _), _ -> false
+
+let count_equal a b =
+  match (a, b) with
+  | Static m, Static n -> m = n
+  | Dyn x, Dyn y ->
+    String.equal x.name y.name && x.add = y.add && x.div = y.div && Bool.equal x.rem y.rem
+  | (Static _ | Dyn _), _ -> false
+
+let binop_equal a b =
+  match (a, b) with
+  | Add, Add | Sub, Sub | Mul, Mul -> true
+  | (Add | Sub | Mul), _ -> false
+
+let status_equal a b =
+  match (a, b) with Plain, Plain | Cipher, Cipher -> true | (Plain | Cipher), _ -> false
+
+let rec op_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Const x, Const y -> x.size = y.size && const_equal x.value y.value
+  | Binary x, Binary y -> binop_equal x.kind y.kind && x.lhs = y.lhs && x.rhs = y.rhs
+  | Rotate x, Rotate y -> x.src = y.src && x.offset = y.offset
+  | RotateMany x, RotateMany y -> x.src = y.src && vars_equal x.offsets y.offsets
+  | RotSum x, RotSum y ->
+    x.src = y.src
+    && List.equal
+         (fun (o, c) (o', c') -> o = o' && Option.equal Int.equal c c')
+         x.terms y.terms
+  | Rescale x, Rescale y -> x.src = y.src
+  | Modswitch x, Modswitch y -> x.src = y.src && x.down = y.down
+  | Bootstrap x, Bootstrap y -> x.src = y.src && x.target = y.target
+  | Pack x, Pack y -> vars_equal x.srcs y.srcs && x.num_e = y.num_e
+  | Unpack x, Unpack y ->
+    x.src = y.src && x.index = y.index && x.num_e = y.num_e && x.count = y.count
+  | For x, For y ->
+    count_equal x.count y.count
+    && vars_equal x.inits y.inits
+    && block_equal x.body y.body
+    && Option.equal Int.equal x.boundary y.boundary
+  | ( ( Const _ | Binary _ | Rotate _ | RotateMany _ | RotSum _ | Rescale _
+      | Modswitch _ | Bootstrap _ | Pack _ | Unpack _ | For _ ),
+      _ ) ->
+    false
+
+and block_equal a b =
+  a == b
+  || vars_equal a.params b.params
+     && List.equal
+          (fun i j -> i == j || (vars_equal i.results j.results && op_equal i.op j.op))
+          a.instrs b.instrs
+     && vars_equal a.yields b.yields
+
+let input_equal a b =
+  String.equal a.in_name b.in_name
+  && a.in_var = b.in_var
+  && status_equal a.in_status b.in_status
+  && a.in_size = b.in_size
+
+let equal_program a b =
+  a == b
+  || String.equal a.prog_name b.prog_name
+     && a.slots = b.slots
+     && a.max_level = b.max_level
+     && List.equal input_equal a.inputs b.inputs
+     && block_equal a.body b.body
+     && a.next_var = b.next_var

@@ -137,3 +137,9 @@ val count_to_string : count -> string
 val eval_count : bindings:(string * int) list -> count -> int
 (** Evaluate an iteration count; raises [Not_found] if a dynamic binding is
     missing, [Invalid_argument] on a negative result. *)
+
+val equal_program : program -> program -> bool
+(** Bit-exact equality: every field, instruction and name equal, with
+    float constants compared by their IEEE bits ([0.0] and [-0.0] differ;
+    a NaN equals a NaN of the same bits).  Two equal programs therefore
+    compute the same bits on any backend. *)

@@ -1,5 +1,6 @@
 open Halo
 module Cost = Halo_cost.Cost_model
+module Slots = Halo_ckks.Slots
 
 module Make (B : Backend.S) = struct
   type value = Plain of float array | Cipher of B.ct
@@ -34,9 +35,7 @@ module Make (B : Backend.S) = struct
       let period = Sizes.round_pow2 len in
       if slots mod period <> 0 then
         err "input period %d does not divide slot count %d" period slots;
-      Array.init slots (fun i ->
-          let j = i mod period in
-          if j < len then values.(j) else 0.0)
+      Slots.replicate values ~period slots
     end
 
   let site_of (i : Ir.instr) =
@@ -78,9 +77,9 @@ module Make (B : Backend.S) = struct
       p.inputs;
     let binary kind lhs rhs =
       match (kind, lhs, rhs) with
-      | Ir.Add, Plain a, Plain b -> Plain (Array.map2 ( +. ) a b)
-      | Ir.Sub, Plain a, Plain b -> Plain (Array.map2 ( -. ) a b)
-      | Ir.Mul, Plain a, Plain b -> Plain (Array.map2 ( *. ) a b)
+      | Ir.Add, Plain a, Plain b -> Plain (Slots.add a b)
+      | Ir.Sub, Plain a, Plain b -> Plain (Slots.sub a b)
+      | Ir.Mul, Plain a, Plain b -> Plain (Slots.mul a b)
       | Ir.Add, Cipher a, Cipher b ->
         record Cost.Addcc a;
         Cipher (B.addcc st a b)
@@ -96,7 +95,7 @@ module Make (B : Backend.S) = struct
         Cipher (B.addcp st a b)
       | Ir.Sub, Cipher a, Plain b ->
         record Cost.Addcp a;
-        Cipher (B.addcp st a (Array.map Float.neg b))
+        Cipher (B.addcp st a (Slots.neg b))
       | Ir.Sub, Plain a, Cipher b ->
         record Cost.Addcp b;
         Cipher (B.addcp st (B.negate st b) a)
@@ -117,9 +116,11 @@ module Make (B : Backend.S) = struct
        the same [binary] and [rotate] paths: a zero/one mask selecting
        segment [index] of each [period]-slot block. *)
     let mask ~period ~num_e index =
-      Plain
-        (Array.init slots (fun j ->
-             if j mod period / num_e = index then 1.0 else 0.0))
+      let block = Array.make period 0.0 in
+      for j = 0 to period - 1 do
+        if j / num_e = index then block.(j) <- 1.0
+      done;
+      Plain (Slots.replicate block ~period slots)
     in
     let pack srcs ~num_e =
       let period = Sizes.round_pow2 (List.length srcs) * num_e in

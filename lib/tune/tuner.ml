@@ -228,11 +228,24 @@ let tune ?(exhaustive = false) ?(bindings = []) ?(name = "program") ?tol
   in
   (* Ship nothing unverified: the winner goes back through the checked
      pipeline (every pass validated, fingerprint drift bounded), then its
-     output is compared against the untuned source reference once more. *)
-  let tuned, _reports = compile_plan ?tol ~bindings plan p in
-  let reference = Pipeline.fingerprint ~bindings p in
+     output is compared against the untuned source reference once more.
+     The checked run already interpreted both programs on the same inputs;
+     only a stage it could not evaluate is interpreted again here, so that
+     failure raises. *)
+  let checked =
+    Pipeline.compile_checked ?tol ~bindings ~knobs:plan.Plan.p_knobs
+      ~strategy:plan.Plan.p_strategy p
+  in
+  let tuned = checked.Pipeline.program in
+  let reference =
+    match checked.Pipeline.source_fp with
+    | Some fp -> fp
+    | None -> Pipeline.fingerprint ~bindings p
+  in
   let tuned_fp =
-    Pipeline.fingerprint ~bindings ~inputs:(Pipeline.fixed_inputs p) tuned
+    match checked.Pipeline.final_fp with
+    | Some fp -> fp
+    | None -> Pipeline.fingerprint ~bindings ~inputs:(Pipeline.fixed_inputs p) tuned
   in
   let drift = Pipeline.max_deviation reference tuned_fp in
   let tol = Option.value tol ~default:1e-6 in

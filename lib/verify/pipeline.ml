@@ -56,6 +56,10 @@ type state = {
   tol : float;
   mutable milestone : Strategy.milestone;
   mutable last_fp : float array list option;
+      (* the last evaluable stage's fingerprint: what drift is measured to *)
+  mutable prev : Ir.program;
+  mutable prev_fp : float array list option;
+      (* the previous stage and its fingerprint, [None] if unevaluable *)
   mutable reports : pass_report list;
 }
 
@@ -93,13 +97,16 @@ let init_state ?(bindings = []) ?inputs ?(tol = 1e-6) ~strategy p =
       tol;
       milestone = Strategy.Structure;
       last_fp = None;
+      prev = p;
+      prev_fp = None;
       reports = [];
     }
   in
-  st.last_fp <- try_fingerprint st p;
+  st.prev_fp <- try_fingerprint st p;
+  st.last_fp <- st.prev_fp;
   st
 
-let observe st ~(pass : Strategy.pass) ~before:_ ~after =
+let observe st ~(pass : Strategy.pass) ~after =
   (match pass.milestone with
    | Some m when Strategy.milestone_rank m > Strategy.milestone_rank st.milestone
      ->
@@ -110,7 +117,14 @@ let observe st ~(pass : Strategy.pass) ~before:_ ~after =
    | vs ->
      fail ~strategy:st.strategy ~pass_name:pass.pass_name "%s"
        (Ir_check.violations_to_string vs));
-  let fp = try_fingerprint st after in
+  (* The reference interpreter is deterministic, so a pass that returns its
+     input bit for bit has the input's fingerprint (or is as unevaluable):
+     reuse it rather than interpret the same program again. *)
+  let fp =
+    if Ir.equal_program after st.prev then st.prev_fp else try_fingerprint st after
+  in
+  st.prev <- after;
+  st.prev_fp <- fp;
   let drift =
     match (st.last_fp, fp) with
     | Some a, Some b ->
@@ -151,7 +165,7 @@ let run_passes st ~(passes : Strategy.pass list) p =
           fail ~strategy:st.strategy ~pass_name:pass.pass_name
             "pass raised: %s" (Printexc.to_string e)
       in
-      observe st ~pass ~before:p ~after;
+      observe st ~pass ~after;
       after)
     p passes
 
@@ -161,21 +175,31 @@ let check_passes ?bindings ?inputs ?tol ?(strategy = "custom")
   let q = run_passes st ~passes p in
   (q, List.rev st.reports)
 
+type compiled = {
+  program : Ir.program;
+  reports : pass_report list;
+  source_fp : float array list option;
+  final_fp : float array list option;
+}
+
+let compile_checked ?(bindings = []) ?dacapo_config ?lower ?knobs ?tol ~strategy p =
+  let name = Strategy.to_string strategy in
+  let st = init_state ~bindings ?tol ~strategy:name p in
+  let source_fp = st.prev_fp in
+  let passes = Strategy.passes ~bindings ?dacapo_config ?lower ?knobs ~strategy () in
+  let q = run_passes st ~passes p in
+  match Strategy.verified ~strategy q with
+  | program -> { program; reports = List.rev st.reports; source_fp; final_fp = st.prev_fp }
+  | exception Typecheck.Type_error msg ->
+    fail ~strategy:name ~pass_name:"final-verify" "%s" msg
+
 let compile ?(bindings = []) ?dacapo_config ?lower ?knobs ?(verify = true) ?tol
     ~strategy p =
   if not verify then
     (Strategy.compile ~bindings ?dacapo_config ?lower ?knobs ~strategy p, [])
   else begin
-    let name = Strategy.to_string strategy in
-    let st = init_state ~bindings ?tol ~strategy:name p in
-    let passes =
-      Strategy.passes ~bindings ?dacapo_config ?lower ?knobs ~strategy ()
-    in
-    let q = run_passes st ~passes p in
-    match Strategy.verified ~strategy q with
-    | q -> (q, List.rev st.reports)
-    | exception Typecheck.Type_error msg ->
-      fail ~strategy:name ~pass_name:"final-verify" "%s" msg
+    let c = compile_checked ~bindings ?dacapo_config ?lower ?knobs ?tol ~strategy p in
+    (c.program, c.reports)
   end
 
 let report_to_string r =

@@ -7,7 +7,12 @@
     program's outputs under {!Halo_runtime.Interp.reference}, the single
     cleartext semantics, on fixed inputs — across consecutive evaluable
     stages.  The first broken invariant or fingerprint
-    drift raises {!Verification_failure} naming the offending pass. *)
+    drift raises {!Verification_failure} naming the offending pass.
+
+    Every pass output is checked and compared, but a pass that returns its
+    input bit for bit ({!Halo.Ir.equal_program}) is not interpreted again:
+    the interpreter is deterministic, so the input's fingerprint (or its
+    failure to evaluate) is the output's. *)
 
 open Halo
 
@@ -62,6 +67,27 @@ val compile :
     {!Halo.Strategy.verified}, reported as pass ["final-verify"].  Raises
     {!Verification_failure} attributing the first violation to a pass by
     name; [~verify:false] is exactly [Strategy.compile] (empty report). *)
+
+type compiled = {
+  program : Ir.program;
+  reports : pass_report list;
+  source_fp : float array list option;
+      (** {!fingerprint} of the input program, [None] if it raised *)
+  final_fp : float array list option;  (** {!fingerprint} of [program] *)
+}
+
+val compile_checked :
+  ?bindings:(string * int) list ->
+  ?dacapo_config:Dacapo.config ->
+  ?lower:bool ->
+  ?knobs:Strategy.knobs ->
+  ?tol:float ->
+  strategy:Strategy.t ->
+  Ir.program ->
+  compiled
+(** [compile ~verify:true], also returning the source and final
+    fingerprints the checked run computed, so a caller that compares them
+    need not interpret either program again. *)
 
 val check_passes :
   ?bindings:(string * int) list ->

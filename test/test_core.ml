@@ -101,6 +101,41 @@ let test_ir_clone_fresh () =
         Alcotest.failf "cloned binding %%%d collides" v)
     (Ir.defined_vars cloned)
 
+(* Bit-exact program equality: float constants compare by their bits, so
+   0.0 and -0.0 differ and a NaN equals a NaN with the same payload (never
+   under IEEE [=]); any other field change is a difference too. *)
+let test_ir_equal () =
+  let eq a b = Ir.equal_program a b in
+  let other_nan = Int64.float_of_bits (Int64.logxor (Int64.bits_of_float Float.nan) 2L) in
+  Alcotest.(check bool) "other payload is a nan" true (Float.is_nan other_nan);
+  List.iter
+    (fun (tag, const) ->
+      let prog c =
+        Dsl.build ~name:"eq" ~slots:64 ~max_level:16 (fun b ->
+            let x = Dsl.input b "x" ~size:4 in
+            Dsl.output b (Dsl.mul b x (const b c)))
+      in
+      let check what want a b = Alcotest.(check bool) (tag ^ ": " ^ what) want (eq a b) in
+      let p = prog 0.0 in
+      check "physically equal" true p p;
+      check "rebuilt equal" true p (prog 0.0);
+      check "0.0 <> -0.0" false p (prog (-0.0));
+      check "one ulp apart" false (prog 1.0) (prog (Float.succ 1.0));
+      check "nan = nan, same bits" true (prog Float.nan) (prog Float.nan);
+      check "nan payloads differ" false (prog Float.nan) (prog other_nan))
+    [ ("splat", fun b c -> Dsl.const b c); ("vector", fun b c -> Dsl.const_vec b [| 1.0; c |]) ];
+  let p =
+    Dsl.build ~name:"eq" ~slots:64 ~max_level:16 (fun b ->
+        Dsl.output b (Dsl.rotate b (Dsl.input b "x" ~size:4) 1))
+  in
+  Alcotest.(check bool) "renamed" false (eq p { p with prog_name = "other" });
+  Alcotest.(check bool) "next_var" false (eq p { p with next_var = p.next_var + 1 });
+  let f = figure2_program () in
+  Alcotest.(check bool) "loop program, copy" true
+    (eq f (Ir.substitute_block Fun.id f.body |> fun body -> { f with body }));
+  Alcotest.(check bool) "loop program vs compiled" false
+    (eq f (Strategy.compile ~bindings:[ ("K", 6) ] ~strategy:Strategy.Halo f))
+
 let test_eval_count () =
   Alcotest.(check int) "static" 7 (Ir.eval_count ~bindings:[] (Ir.Static 7));
   Alcotest.(check int) "dynamic" 39
@@ -710,6 +745,34 @@ let test_cse_merges_sums () =
   let cleaned = Dce.program (Cse.program p) in
   Alcotest.(check int) "identical sums merged" 2 (count_rot_sums cleaned.body)
 
+(* CSE keys constants on their IEEE bits: a splat or a vector that differs
+   from another only in the sign of a zero or by one ulp is a different
+   value; a bit-identical one (a NaN with the same payload included) merges. *)
+let test_cse_constant_keys () =
+  let consts build cs =
+    let p =
+      Dsl.build ~name:"consts" ~slots:64 ~max_level:16 (fun b ->
+          let x = Dsl.input b "x" ~size:4 in
+          List.iter (fun c -> Dsl.output b (Dsl.mul b x (build b c))) cs)
+    in
+    Ir.count_ops ~p:(function Ir.Const _ -> true | _ -> false) (Dce.program (Cse.program p)).body
+  in
+  let splat b c = Dsl.const b c and vec b c = Dsl.const_vec b [| 1.5; c; -2.0; c |] in
+  let one_ulp = Float.succ 0.75 in
+  List.iter
+    (fun (tag, build) ->
+      let check what want cs = Alcotest.(check int) (tag ^ ": " ^ what) want (consts build cs) in
+      check "0.0 and -0.0 kept apart" 2 [ 0.0; -0.0 ];
+      check "one-ulp neighbours kept apart" 2 [ 0.75; one_ulp ];
+      check "equal constants merged" 1 [ 0.75; 0.75 ];
+      check "equal negative zeros merged" 1 [ -0.0; -0.0 ];
+      check "same-bits NaNs merged" 1 [ Float.nan; Float.nan ];
+      check "mixed" 3 [ 0.0; -0.0; 0.0; one_ulp; one_ulp ])
+    [ ("splat", splat); ("vector", vec) ];
+  let fp = Cse.const_fingerprint in
+  Alcotest.(check bool) "splat and vector keys differ" false
+    (String.equal (fp (Ir.Splat 1.0)) (fp (Ir.Vector [| 1.0 |])))
+
 let test_licm_shrinks_code_size () =
   (* Masks lowered into an unrolled body are hoisted + deduplicated, so the
      HALO artifact stays small (the Table 7 property). *)
@@ -884,6 +947,7 @@ let () =
           Alcotest.test_case "free vars" `Quick test_ir_free_vars;
           Alcotest.test_case "clone freshness" `Quick test_ir_clone_fresh;
           Alcotest.test_case "eval_count" `Quick test_eval_count;
+          Alcotest.test_case "bit-exact equality" `Quick test_ir_equal;
         ] );
       ( "printer_parser",
         [
@@ -949,6 +1013,7 @@ let () =
           Alcotest.test_case "licm shrinks code" `Quick test_licm_shrinks_code_size;
           Alcotest.test_case "licm hoists invariant sums" `Quick test_licm_hoists_sum;
           Alcotest.test_case "cse merges identical sums" `Quick test_cse_merges_sums;
+          Alcotest.test_case "cse keys constants on their bits" `Quick test_cse_constant_keys;
           Alcotest.test_case "run-length constants" `Quick test_rle_roundtrip;
         ] );
       ( "properties",

@@ -1628,8 +1628,113 @@ let test_ref_noiseless_ops () =
       Alcotest.(check (array int64))
         (Printf.sprintf "%d slots: sum_rotations" slots)
         (bits want)
-        (bits (Ref_backend.sum_rotations a.data ~offsets)))
+        (bits (Slots.sum_rotations a.data ~offsets)))
     noise_slot_counts
+
+(* [Ref_backend.uniform] is [Random.State.float rng 1.0] restated without
+   allocation: at every slot count the noise kernel draws for, two draws
+   per slot give the same values, and the RNG ends at the same position. *)
+let test_uniform_draws () =
+  List.iter
+    (fun slots ->
+      let rng = Random.State.make [| 0x5eed; slots |] in
+      let mine = Random.State.copy rng in
+      let want = Array.init (2 * slots) (fun _ -> Random.State.float rng 1.0) in
+      let got = Array.init (2 * slots) (fun _ -> Ref_backend.uniform mine) in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "%d slots: draws" slots)
+        (Array.map Int64.bits_of_float want) (Array.map Int64.bits_of_float got);
+      Alcotest.(check int64)
+        (Printf.sprintf "%d slots: next draw" slots)
+        (Random.State.bits64 rng) (Random.State.bits64 mine))
+    [ 1; 255; 1024; 4096 ]
+
+(* Clear_backend (the interpreter's cleartext semantics) runs the same slot
+   kernels: every op against its per-slot definition, bit for bit. *)
+let test_clear_ops () =
+  let module C = Halo_runtime.Clear_backend in
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun n ->
+      let st = C.create ~slots:n in
+      let vec k = Array.init n (fun i -> cos (float_of_int ((k * n) + i)) *. 1.25) in
+      let a = vec 0 and b = vec 1 in
+      let check op want got =
+        Alcotest.(check (array int64)) (Printf.sprintf "%d slots: %s" n op) (bits want) (bits got)
+      in
+      check "addcc" (Array.map2 ( +. ) a b) (C.addcc st a b);
+      check "subcc" (Array.map2 ( -. ) a b) (C.subcc st a b);
+      check "addcp" (Array.map2 ( +. ) a b) (C.addcp st a b);
+      check "multcc" (Array.map2 ( *. ) a b) (C.multcc st a b);
+      check "multcp" (Array.map2 ( *. ) a b) (C.multcp st a b);
+      check "negate" (Array.map Float.neg a) (C.negate st a);
+      let wrap i = ((i mod n) + n) mod n in
+      let rot o = Array.init n (fun i -> a.(wrap (i + o))) in
+      let offsets = [ 0; 1; -1; n / 2; -(n / 2); n + 3; -(n + 3) ] in
+      List.iter
+        (fun o -> check (Printf.sprintf "rotate %d" o) (rot o) (C.rotate st a ~offset:o))
+        offsets;
+      List.iter2
+        (fun o got -> check (Printf.sprintf "rotate_many %d" o) (rot o) got)
+        offsets (C.rotate_many st a ~offsets);
+      let fold term =
+        Array.init n (fun i ->
+            List.fold_left
+              (fun acc (g, o) -> acc +. term g o i)
+              (term 0 (List.hd offsets) i)
+              (List.tl (List.mapi (fun g o -> (g, o)) offsets)))
+      in
+      check "pure rot_sum" (fold (fun _ o i -> a.(wrap (i + o))))
+        (C.rot_sum st a ~terms:(List.map (fun o -> (o, None)) offsets));
+      let weights = Array.init (List.length offsets) (fun g -> vec (g + 2)) in
+      check "weighted rot_sum"
+        (fold (fun g o i -> a.(wrap (i + o)) *. weights.(g).(i)))
+        (C.rot_sum st a ~terms:(List.mapi (fun g o -> (o, Some weights.(g))) offsets)))
+    noise_slot_counts
+
+(* [Slots.replicate] (the interpreter's input replication and pack masks)
+   at every power-of-two period of a slot count, for short and full
+   inputs. *)
+let test_replicate () =
+  let n = 64 in
+  let rec periods p = if p > n then [] else p :: periods (2 * p) in
+  List.iter
+    (fun period ->
+      List.iter
+        (fun len ->
+          let x = Array.init len (fun i -> float_of_int (i + 1)) in
+          let want =
+            Array.init n (fun i ->
+                let j = i mod period in
+                if j < len then x.(j) else 0.0)
+          in
+          Alcotest.(check (array (float 0.0)))
+            (Printf.sprintf "period %d, %d values" period len)
+            want (Slots.replicate x ~period n))
+        (List.sort_uniq compare [ 1; (period / 2) + 1; period ]))
+    (periods 1)
+
+(* Binary kernels refuse unequal lengths on both backends. *)
+let test_unequal_lengths () =
+  let module C = Halo_runtime.Clear_backend in
+  let st = C.create ~slots:8 in
+  let a = Array.make 8 1.0 and b = Array.make 7 1.0 in
+  let raises op f =
+    match f () with
+    | (_ : float array) -> Alcotest.failf "%s accepted unequal lengths" op
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Slots.add" (fun () -> Slots.add a b);
+  raises "Slots.sub" (fun () -> Slots.sub b a);
+  raises "Slots.mul" (fun () -> Slots.mul a b);
+  raises "Clear addcc" (fun () -> C.addcc st a b);
+  raises "Clear subcc" (fun () -> C.subcc st a b);
+  raises "Clear multcp" (fun () -> C.multcp st b a);
+  raises "Clear weighted rot_sum" (fun () -> C.rot_sum st a ~terms:[ (1, Some b) ]);
+  let rs = Ref_backend.create ~slots:8 ~max_level:3 ~scale_bits:30 () in
+  let ct data = Ref_backend.make_ct ~data ~level:2 ~scale_bits:30.0 () in
+  raises "Ref addcc" (fun () -> (Ref_backend.addcc rs (ct a) (ct b)).data);
+  raises "Ref subcc" (fun () -> (Ref_backend.subcc rs (ct a) (ct b)).data)
 
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
@@ -1792,5 +1897,12 @@ let () =
             (test_ref_noise_kernel ~sequential:true);
           Alcotest.test_case "noiseless ops = per-slot definitions" `Quick
             test_ref_noiseless_ops;
+          Alcotest.test_case "uniform = Random.State.float" `Quick test_uniform_draws;
+        ] );
+      ( "slots",
+        [
+          Alcotest.test_case "clear ops = per-slot definitions" `Quick test_clear_ops;
+          Alcotest.test_case "replicate at every period" `Quick test_replicate;
+          Alcotest.test_case "unequal lengths raise" `Quick test_unequal_lengths;
         ] );
     ]

@@ -482,6 +482,37 @@ let test_golden_digest () =
   Alcotest.(check string) "drift and fingerprint digest" golden_digest
     (semantic_digest ())
 
+(* The compiled program text of every [corpus] program under every strategy
+   and the tuned plan of each ML program, as one digest.  The drift digest
+   above pins fingerprints only; this one pins what the passes emit, so a
+   change to a pass's merge or placement decisions (a CSE key, a fold
+   order) shows even when the outputs do not move. *)
+let compile_golden_digest = "ada0becf394036901c1adf752c51ffd8"
+
+let compile_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun strategy ->
+          Printf.bprintf buf "%s %s\n" tag (Strategy.to_string strategy);
+          match Pipeline.compile ~bindings ~strategy p with
+          | q, _ -> Buffer.add_string buf (Printer.program_to_string q)
+          | exception e -> Printf.bprintf buf "raised %s\n" (Printexc.to_string e))
+        Strategy.all)
+    (corpus ());
+  List.iter
+    (fun (b : Halo_ml.Bench_def.t) ->
+      let bindings = Halo_ml.Workloads.default_bindings b ~iters:4 in
+      let r, _ = Halo_tune.Tuner.tune ~bindings ~name:b.name (b.build ~slots:1024 ~size:64) in
+      Printf.bprintf buf "%s tuned %s\n" b.name (Halo_tune.Tuner.candidate_to_string r.r_best))
+    Halo_ml.Workloads.all;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_compile_golden () =
+  Alcotest.(check string) "compiled program and tuned plan digest" compile_golden_digest
+    (compile_digest ())
+
 (* ------------------------------------------------------------------ *)
 (* Demand-driven level placement                                       *)
 (* ------------------------------------------------------------------ *)
@@ -596,6 +627,7 @@ let () =
           Alcotest.test_case "unlowered pack = lowered" `Quick
             test_unlowered_pack_matches_lowered;
           Alcotest.test_case "golden drift digest" `Quick test_golden_digest;
+          Alcotest.test_case "golden compile digest" `Quick test_compile_golden;
           Alcotest.test_case "50-seed differential fuzz" `Slow test_fuzz_50_seeds;
         ] );
       ( "levels",
