@@ -809,33 +809,11 @@ let bench_cse_key ~min_time n =
   print_result r;
   r
 
-(* The machine the timings come from: the CPU model where the OS reports
-   one (Linux), and the cores OCaml sees. *)
-let host () =
-  let model =
-    match open_in "/proc/cpuinfo" with
-    | exception Sys_error _ -> "unknown CPU"
-    | ic ->
-      let rec find () =
-        match input_line ic with
-        | exception End_of_file -> "unknown CPU"
-        | line -> (
-          match String.index_opt line ':' with
-          | Some i when String.trim (String.sub line 0 i) = "model name" ->
-            String.trim (String.sub line (i + 1) (String.length line - i - 1))
-          | _ -> find ())
-      in
-      let m = find () in
-      close_in ic;
-      m
-  in
-  Printf.sprintf "%s, %d cores" model (Domain.recommended_domain_count ())
-
 let json_of_results ~min_time results sizes =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"schema\": \"halo-bench-kernels/v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"host\": %S,\n" (host ()));
+  Buffer.add_string b (Printf.sprintf "  \"host\": %S,\n" (Host.describe ()));
   Buffer.add_string b (Printf.sprintf "  \"pool\": %d,\n" (Domain_pool.size ()));
   Buffer.add_string b (Printf.sprintf "  \"min_time_s\": %g,\n" min_time);
   Buffer.add_string b "  \"results\": [\n";

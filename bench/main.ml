@@ -61,10 +61,7 @@ let run cfg (b : Halo_ml.Bench_def.t) strategy ~iters =
 
 let compile_only cfg (b : Halo_ml.Bench_def.t) strategy ~iters =
   let program = b.build ~slots:cfg.slots ~size:cfg.size in
-  let bindings = W.default_bindings b ~iters in
-  let t0 = Unix.gettimeofday () in
-  let compiled = Strategy.compile ~bindings ~strategy program in
-  (compiled, Unix.gettimeofday () -. t0)
+  Strategy.compile ~bindings:(W.default_bindings b ~iters) ~strategy program
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: FHE parameters                                             *)
@@ -206,31 +203,11 @@ let fig4 cfg =
     (exp (!tm_gain /. float_of_int (List.length W.flat)))
 
 (* ------------------------------------------------------------------ *)
-(* Table 6 / Table 7: compile time and code size scaling               *)
+(* Table 7: code size scaling (Table 6, compile time, is              *)
+(* bench/bench_compile.ml)                                             *)
 (* ------------------------------------------------------------------ *)
 
 let iteration_grid = [ 10; 20; 30; 40 ]
-
-let table6 cfg =
-  header "Table 6: compile time (s) -- DaCapo fully unrolled vs HALO";
-  Printf.printf "%-13s" "benchmark";
-  List.iter (fun k -> Printf.printf " %10s" (Printf.sprintf "DaCapo@%d" k)) iteration_grid;
-  Printf.printf " %10s %12s\n" "HALO" "improv@40";
-  List.iter
-    (fun (b : Halo_ml.Bench_def.t) ->
-      Printf.printf "%-13s%!" b.name;
-      let dacapo_times =
-        List.map
-          (fun iters ->
-            let _, t = compile_only cfg b Strategy.Dacapo ~iters in
-            Printf.printf " %10.3f%!" t;
-            t)
-          iteration_grid
-      in
-      let _, halo_t = compile_only cfg b Strategy.Halo ~iters:cfg.iters in
-      let last = List.nth dacapo_times (List.length dacapo_times - 1) in
-      Printf.printf " %10.4f %11.1fx\n" halo_t (last /. Float.max 1e-9 halo_t))
-    W.flat
 
 let table7 cfg =
   header "Table 7: code size (KB) -- DaCapo fully unrolled vs HALO";
@@ -244,13 +221,13 @@ let table7 cfg =
       let dacapo_sizes =
         List.map
           (fun iters ->
-            let p, _ = compile_only cfg b Strategy.Dacapo ~iters in
+            let p = compile_only cfg b Strategy.Dacapo ~iters in
             let s = kb p in
             Printf.printf " %10.1f%!" s;
             s)
           iteration_grid
       in
-      let p, _ = compile_only cfg b Strategy.Halo ~iters:cfg.iters in
+      let p = compile_only cfg b Strategy.Halo ~iters:cfg.iters in
       let halo_kb = kb p in
       let last = List.nth dacapo_sizes (List.length dacapo_sizes - 1) in
       Printf.printf " %10.1f %11.1fx\n" halo_kb (last /. halo_kb))
@@ -451,7 +428,6 @@ let sections =
     ("table4", table4);
     ("table5", table5);
     ("fig4", fig4);
-    ("table6", table6);
     ("table7", table7);
     ("fig5", fig5);
     ("table8", table8);

@@ -6,26 +6,25 @@ let default_config = { filter_width = 4 }
 
 let terr fmt = Printf.ksprintf (fun s -> raise (Typecheck.Type_error s)) fmt
 
-(* Forward level simulation over [instrs] starting at [start], with variable
-   types in [tys] (a scratch Hashtbl).  Returns [Some index] of the first
-   instruction that underflows, [None] if the suffix completes, including
-   the boundary check on yields. *)
-let simulate ~max_level ~boundary ~tys ~instrs ~yields ~start =
-  let ty_of v =
-    match Hashtbl.find_opt tys v with
-    | Some t -> t
-    | None -> terr "Dacapo: use of undefined %%%d" v
-  in
+(* The one forward level walk over [instrs] from [start]: operand types are
+   read through [ty_of], result types recorded through [set].  Returns
+   [Some index] of the first instruction that underflows, [None] if the
+   suffix completes, including the boundary check on yields.  With
+   [~saturate] nothing stops the walk: a loop whose inits sit below its
+   boundary still returns at it, an underflowing result is recorded at
+   [max_level], and the result is [None]. *)
+let walk ~max_level ~boundary ~saturate ~ty_of ~set ~instrs ~yields ~start =
   let n = Array.length instrs in
   let rec go index =
     if index >= n then begin
       let bad =
-        List.exists
-          (fun v ->
-            match (boundary, ty_of v) with
-            | Some m, Tcipher { level; _ } -> level < m
-            | _ -> false)
-          yields
+        (not saturate)
+        && List.exists
+             (fun v ->
+               match (boundary, ty_of v) with
+               | Some m, Tcipher { level; _ } -> level < m
+               | _ -> false)
+             yields
       in
       if bad then Some n else None
     end
@@ -36,15 +35,16 @@ let simulate ~max_level ~boundary ~tys ~instrs ~yields ~start =
         let init_tys = List.map ty_of fo.inits in
         let m = match fo.boundary with Some m -> m | None -> 1 in
         let ok =
-          List.for_all
-            (function Tcipher { level; _ } -> level >= m | Tplain -> true)
-            init_tys
+          saturate
+          || List.for_all
+               (function Tcipher { level; _ } -> level >= m | Tplain -> true)
+               init_tys
         in
         if not ok then Some index
         else begin
           List.iter2
             (fun r t ->
-              Hashtbl.replace tys r
+              set r
                 (match t with
                  | Tplain -> Tplain
                  | Tcipher _ -> Tcipher { level = m; scale = 1 }))
@@ -54,7 +54,7 @@ let simulate ~max_level ~boundary ~tys ~instrs ~yields ~start =
       | Ir.RotateMany { src; _ } ->
         (* Level-preserving; never underflows. *)
         let t = ty_of src in
-        List.iter (fun r -> Hashtbl.replace tys r t) i.results;
+        List.iter (fun r -> set r t) i.results;
         go (index + 1)
       | op ->
         (match
@@ -62,9 +62,14 @@ let simulate ~max_level ~boundary ~tys ~instrs ~yields ~start =
              ~operand_tys:(List.map ty_of (Ir.op_operands op))
          with
          | t ->
-           Hashtbl.replace tys (Ir.result i) t;
+           set (Ir.result i) t;
            go (index + 1)
-         | exception Levels.Underflow _ -> Some index)
+         | exception Levels.Underflow _ ->
+           if saturate then begin
+             set (Ir.result i) (Tcipher { level = max_level; scale = 1 });
+             go (index + 1)
+           end
+           else Some index)
     end
   in
   go start
@@ -73,78 +78,69 @@ let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
     ~boundary (b : Ir.block) =
   let instrs = Array.of_list b.instrs in
   let n = Array.length instrs in
-  let base_tys () =
-    let tys = Hashtbl.copy env in
-    List.iter2 (fun v t -> Hashtbl.replace tys v t) b.params param_tys;
-    tys
-  in
-  let is_cipher_at tys v =
-    match Hashtbl.find_opt tys v with Some (Tcipher _) -> true | _ -> false
+  let nvars = fresh.Ir.next in
+  let params = Hashtbl.create 8 in
+  List.iter2 (Hashtbl.replace params) b.params param_tys;
+  (* Types of the variables the block does not define: its parameters,
+     then [env]. *)
+  let outer_ty v =
+    match Hashtbl.find_opt params v with
+    | Some t -> Some t
+    | None -> Hashtbl.find_opt env v
   in
   (* Types with every instruction executed optimistically (bootstrapping
      whenever needed) — used only to classify variables as cipher/plain for
      liveness, which is level-independent. *)
-  let full_tys =
-    let tys = base_tys () in
-    let bump v =
-      (* Saturate underflowed values back to max level: statuses stay right. *)
-      Hashtbl.replace tys v (Tcipher { level = max_level; scale = 1 })
+  let full = Array.make nvars Tplain and in_full = Array.make nvars false in
+  let full_ty v = if in_full.(v) then Some full.(v) else outer_ty v in
+  ignore
+    (walk ~max_level ~boundary ~saturate:true
+       ~ty_of:(fun v -> Option.value (full_ty v) ~default:Tplain)
+       ~set:(fun v t ->
+         full.(v) <- t;
+         in_full.(v) <- true)
+       ~instrs ~yields:b.yields ~start:0);
+  (* A simulation from [start] keeps the types it computes here, stamped
+     with [start]; an unstamped read is of a value defined before [start]
+     or outside the block. *)
+  let cur = Array.make nvars Tplain and stamp = Array.make nvars (-1) in
+  let sim ~start ~before =
+    let ty_of v =
+      if stamp.(v) = start then cur.(v)
+      else
+        match before v with
+        | Some t -> t
+        | None -> terr "Dacapo: use of undefined %%%d" v
     in
-    Array.iteri
-      (fun index (i : Ir.instr) ->
-        let ty_of v =
-          match Hashtbl.find_opt tys v with Some t -> t | None -> Tplain
-        in
-        match i.op with
-        | Ir.For fo ->
-          let m = match fo.boundary with Some m -> m | None -> 1 in
-          List.iter2
-            (fun r init ->
-              Hashtbl.replace tys r
-                (match ty_of init with
-                 | Tplain -> Tplain
-                 | Tcipher _ -> Tcipher { level = m; scale = 1 }))
-            i.results fo.inits
-        | Ir.RotateMany { src; _ } ->
-          let t = ty_of src in
-          List.iter (fun r -> Hashtbl.replace tys r t) i.results
-        | op ->
-          (match
-             Levels.op_result ~max_level ~index op
-               ~operand_tys:(List.map ty_of (Ir.op_operands op))
-           with
-           | t -> Hashtbl.replace tys (Ir.result i) t
-           | exception Levels.Underflow _ -> bump (Ir.result i)))
-      instrs;
-    tys
-  in
-  let sim_from ~live start =
-    (* Pre-[start] definitions keep their optimistic classification (their
-       levels only matter if they are used later, in which case they are in
-       the live set and get raised to the maximum level, exactly what a
-       bootstrap at [start] does); post-[start] definitions are recomputed
-       by the simulation before any use. *)
-    let tys = Hashtbl.copy full_tys in
-    Liveness.VarSet.iter
-      (fun v -> Hashtbl.replace tys v (Tcipher { level = max_level; scale = 1 }))
-      live;
-    simulate ~max_level ~boundary ~tys ~instrs ~yields:b.yields ~start
+    let set v t =
+      cur.(v) <- t;
+      stamp.(v) <- start
+    in
+    walk ~max_level ~boundary ~saturate:false ~ty_of ~set ~instrs ~yields:b.yields
+      ~start
   in
   (* No placement needed? *)
-  let entry_sim () =
-    let tys = base_tys () in
-    simulate ~max_level ~boundary ~tys ~instrs ~yields:b.yields ~start:0
-  in
-  match entry_sim () with
+  match sim ~start:0 ~before:outer_ty with
   | None -> b
   | Some entry_reach ->
-    let live_sets = Liveness.live_at_points b ~is_cipher:(is_cipher_at full_tys) in
+    let is_cipher v = match full_ty v with Some (Tcipher _) -> true | _ -> false in
+    let live_sets = Liveness.live_at_points b ~is_cipher in
+    (* From candidate [j], every value defined earlier (or outside the
+       block) that is read at [j] or later is live at [j], and a bootstrap
+       at [j] raises every live ciphertext to the maximum level: so such a
+       value reads as a maximum-level ciphertext if it is one, and keeps
+       its type otherwise. *)
+    let at_max v =
+      match full_ty v with
+      | Some (Tcipher _) -> Some (Tcipher { level = max_level; scale = 1 })
+      | t -> t
+    in
     let reach_of = Array.make (n + 1) (-1) in
     let reach j =
       if reach_of.(j) >= 0 then reach_of.(j)
       else begin
         let r =
-          match sim_from ~live:live_sets.(j) j with
+          match sim ~start:j ~before:at_max with
           | None -> n + 1 (* covers the whole block *)
           | Some idx -> idx
         in
@@ -152,29 +148,27 @@ let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
         r
       end
     in
+    let live_count = Array.map Liveness.VarSet.cardinal live_sets in
     let boot_cost = Halo_cost.Cost_model.bootstrap_latency_us ~target:max_level in
-    let cost_at j = float_of_int (Liveness.VarSet.cardinal live_sets.(j)) *. boot_cost in
+    let cost_at = Array.map (fun c -> float_of_int c *. boot_cost) live_count in
     (* DP over candidate points filtered by live count. *)
     let try_plan width =
-      let candidate j =
-        Liveness.VarSet.cardinal live_sets.(j) <= width
-        && not (Liveness.VarSet.is_empty live_sets.(j))
-      in
+      let candidate = Array.map (fun c -> c <= width && c > 0) live_count in
       let dp = Array.make (n + 1) infinity in
       let prev = Array.make (n + 1) (-1) in
       for j = 0 to n do
-        if candidate j then begin
+        if candidate.(j) then begin
           (* Reachable directly from entry? *)
           if j <= entry_reach then begin
-            let c = cost_at j in
+            let c = cost_at.(j) in
             if c < dp.(j) then begin
               dp.(j) <- c;
               prev.(j) <- -1
             end
           end;
           for i = 0 to j - 1 do
-            if candidate i && dp.(i) < infinity && reach i >= j then begin
-              let c = dp.(i) +. cost_at j in
+            if candidate.(i) && dp.(i) < infinity && reach i >= j then begin
+              let c = dp.(i) +. cost_at.(j) in
               if c < dp.(j) then begin
                 dp.(j) <- c;
                 prev.(j) <- i
@@ -186,23 +180,25 @@ let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
       (* Best finishing point: covers through the end. *)
       let best = ref (-1) in
       for j = 0 to n do
-        if candidate j && dp.(j) < infinity && reach j > n then
+        if candidate.(j) && dp.(j) < infinity && reach j > n then
           if !best < 0 || dp.(j) < dp.(!best) then best := j
       done;
       if !best < 0 then None
       else begin
-        let rec chain j acc = if j < 0 then acc else chain prev.(j) (j :: acc) in
-        Some (chain !best [])
+        let chosen = Array.make (n + 1) false in
+        let rec mark j = if j >= 0 then (chosen.(j) <- true; mark prev.(j)) in
+        mark !best;
+        Some chosen
       end
     in
     let rec widen width =
       match try_plan width with
-      | Some pts -> pts
+      | Some chosen -> chosen
       | None ->
         if width > n + 2 then terr "Dacapo: no feasible bootstrap plan"
         else widen (width * 2)
     in
-    let points = widen config.filter_width in
+    let chosen = widen config.filter_width in
     (* Materialize: walk forward, inserting bootstraps at chosen points and
        renaming subsequent uses. *)
     let rename : (Ir.var, Ir.var) Hashtbl.t = Hashtbl.create 32 in
@@ -221,7 +217,7 @@ let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
     in
     Array.iteri
       (fun j (i : Ir.instr) ->
-        if List.mem j points then insert_point j;
+        if chosen.(j) then insert_point j;
         let op =
           match i.op with
           | Ir.For fo ->
@@ -233,5 +229,5 @@ let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
         in
         out := { i with op } :: !out)
       instrs;
-    if List.mem n points then insert_point n;
+    if chosen.(n) then insert_point n;
     { b with instrs = List.rev !out; yields = List.map resolve b.yields }

@@ -19,7 +19,27 @@
 
     Nested loops are treated as black boxes (inits must reach their
     boundary, results return at it), matching the paper's recursive
-    treatment of nested loops. *)
+    treatment of nested loops.
+
+    {b Cost.}  For a block of [n] instructions, one optimistic walk types
+    every value (the cipher/plain split liveness needs), one backward pass
+    gives the live sets, and their sizes and costs are kept as arrays.
+    Each candidate's reach is one forward simulation from the candidate to
+    where it underflows, at most [n] instructions, run once and memoized;
+    nothing is copied per candidate.  The simulation keeps the types it
+    computes in arrays indexed by variable (sized by [fresh]) and stamped
+    with the candidate.  The DP is then [O(n^2)] array reads per width
+    tried.
+
+    {b Reads from before the candidate.}  A simulation from [j] reads a
+    value it did not compute itself (one defined before [j] in the block,
+    a parameter or a free variable) as a maximum-level ciphertext if the
+    optimistic walk typed it a ciphertext, and with that type otherwise.
+    This is exactly "bootstrap everything live at [j]": the IR is SSA, so
+    such a value read at [j] or later is not defined at or after [j], hence
+    it is live at [j] if it is a ciphertext, and the bootstrap at [j] raises
+    it to the maximum level.  A ciphertext that is not live at [j] is never
+    read by the simulation. *)
 
 type config = { filter_width : int }
 

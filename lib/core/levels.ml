@@ -68,13 +68,17 @@ let op_result ~max_level ~index op ~operand_tys =
 
 let rec walk_block ~max_level ~env ~param_tys ~boundary (b : Ir.block) =
   List.iter2 (fun v t -> Hashtbl.replace env v t) b.params param_tys;
+  walk_suffix ~max_level ~env ~boundary ~start:0 b.instrs ~yields:b.yields
+
+and walk_suffix ~max_level ~env ~boundary ~start instrs ~yields =
   let ty_of v =
     match Hashtbl.find_opt env v with
     | Some t -> t
     | None -> terr "Levels: use of undefined %%%d" v
   in
   List.iteri
-    (fun index (i : Ir.instr) ->
+    (fun k (i : Ir.instr) ->
+      let index = start + k in
       match i.op with
       | Ir.For fo ->
         let init_tys = List.map ty_of fo.inits in
@@ -115,15 +119,16 @@ let rec walk_block ~max_level ~env ~param_tys ~boundary (b : Ir.block) =
         (match i.results with
          | [ r ] -> Hashtbl.replace env r t
          | _ -> terr "Levels: non-loop op with several results"))
-    b.instrs;
-  let yield_tys = List.map ty_of b.yields in
+    instrs;
+  let yield_tys = List.map ty_of yields in
   (match boundary with
    | None -> ()
    | Some m ->
      List.iteri
        (fun k -> function
          | Tcipher { level; _ } when level < m ->
-           underflow (List.length b.instrs) "yield %d at level %d, boundary %d" k level m
+           underflow (start + List.length instrs) "yield %d at level %d, boundary %d" k
+             level m
          | _ -> ())
        yield_tys);
   yield_tys

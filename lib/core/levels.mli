@@ -30,3 +30,17 @@ val walk_block :
     boxes: cipher inits must reach their boundary, results come back at it).
     Extends [env] with every definition and returns the yield types; raises
     {!Underflow} like {!op_result}, also for yields below [boundary]. *)
+
+val walk_suffix :
+  max_level:int ->
+  env:(Ir.var, Typecheck.ty) Hashtbl.t ->
+  boundary:int option ->
+  start:int ->
+  Ir.instr list ->
+  yields:Ir.var list ->
+  Typecheck.ty list
+(** [walk_suffix ~start instrs ~yields] is the tail of {!walk_block}: it
+    walks [instrs], the instructions of a block from index [start] on
+    (indices in {!Underflow} count from the block's start), then checks the
+    block's [yields] against [boundary].  The block's parameters and every
+    value defined before [start] must already be in [env]. *)

@@ -579,6 +579,516 @@ let test_corpus_rotation_groups_whole () =
         Strategy.all)
     (corpus ())
 
+(* ------------------------------------------------------------------ *)
+(* Placement: the library's searches against frozen references        *)
+(* ------------------------------------------------------------------ *)
+
+(* Verbatim copies of [Dacapo.place_in_block] and [Tuning.program] from
+   before their searches were made incremental (a table copy and a forward
+   simulation per DaCapo candidate; a whole-program walk per tuning probe).
+   The library must print the same programs on every input below. *)
+module Frozen_dacapo = struct
+  open Typecheck
+
+  type config = { filter_width : int }
+
+  let default_config = { filter_width = 4 }
+
+  let terr fmt = Printf.ksprintf (fun s -> raise (Typecheck.Type_error s)) fmt
+
+  (* Forward level simulation over [instrs] starting at [start], with variable
+     types in [tys] (a scratch Hashtbl).  Returns [Some index] of the first
+     instruction that underflows, [None] if the suffix completes, including
+     the boundary check on yields. *)
+  let simulate ~max_level ~boundary ~tys ~instrs ~yields ~start =
+    let ty_of v =
+      match Hashtbl.find_opt tys v with
+      | Some t -> t
+      | None -> terr "Dacapo: use of undefined %%%d" v
+    in
+    let n = Array.length instrs in
+    let rec go index =
+      if index >= n then begin
+        let bad =
+          List.exists
+            (fun v ->
+              match (boundary, ty_of v) with
+              | Some m, Tcipher { level; _ } -> level < m
+              | _ -> false)
+            yields
+        in
+        if bad then Some n else None
+      end
+      else begin
+        let i : Ir.instr = instrs.(index) in
+        match i.op with
+        | Ir.For fo ->
+          let init_tys = List.map ty_of fo.inits in
+          let m = match fo.boundary with Some m -> m | None -> 1 in
+          let ok =
+            List.for_all
+              (function Tcipher { level; _ } -> level >= m | Tplain -> true)
+              init_tys
+          in
+          if not ok then Some index
+          else begin
+            List.iter2
+              (fun r t ->
+                Hashtbl.replace tys r
+                  (match t with
+                   | Tplain -> Tplain
+                   | Tcipher _ -> Tcipher { level = m; scale = 1 }))
+              i.results init_tys;
+            go (index + 1)
+          end
+        | Ir.RotateMany { src; _ } ->
+          (* Level-preserving; never underflows. *)
+          let t = ty_of src in
+          List.iter (fun r -> Hashtbl.replace tys r t) i.results;
+          go (index + 1)
+        | op ->
+          (match
+             Levels.op_result ~max_level ~index op
+               ~operand_tys:(List.map ty_of (Ir.op_operands op))
+           with
+           | t ->
+             Hashtbl.replace tys (Ir.result i) t;
+             go (index + 1)
+           | exception Levels.Underflow _ -> Some index)
+      end
+    in
+    go start
+
+  let place_in_block ?(config = default_config) ~fresh ~max_level ~env ~param_tys
+      ~boundary (b : Ir.block) =
+    let instrs = Array.of_list b.instrs in
+    let n = Array.length instrs in
+    let base_tys () =
+      let tys = Hashtbl.copy env in
+      List.iter2 (fun v t -> Hashtbl.replace tys v t) b.params param_tys;
+      tys
+    in
+    let is_cipher_at tys v =
+      match Hashtbl.find_opt tys v with Some (Tcipher _) -> true | _ -> false
+    in
+    (* Types with every instruction executed optimistically (bootstrapping
+       whenever needed) — used only to classify variables as cipher/plain for
+       liveness, which is level-independent. *)
+    let full_tys =
+      let tys = base_tys () in
+      let bump v =
+        (* Saturate underflowed values back to max level: statuses stay right. *)
+        Hashtbl.replace tys v (Tcipher { level = max_level; scale = 1 })
+      in
+      Array.iteri
+        (fun index (i : Ir.instr) ->
+          let ty_of v =
+            match Hashtbl.find_opt tys v with Some t -> t | None -> Tplain
+          in
+          match i.op with
+          | Ir.For fo ->
+            let m = match fo.boundary with Some m -> m | None -> 1 in
+            List.iter2
+              (fun r init ->
+                Hashtbl.replace tys r
+                  (match ty_of init with
+                   | Tplain -> Tplain
+                   | Tcipher _ -> Tcipher { level = m; scale = 1 }))
+              i.results fo.inits
+          | Ir.RotateMany { src; _ } ->
+            let t = ty_of src in
+            List.iter (fun r -> Hashtbl.replace tys r t) i.results
+          | op ->
+            (match
+               Levels.op_result ~max_level ~index op
+                 ~operand_tys:(List.map ty_of (Ir.op_operands op))
+             with
+             | t -> Hashtbl.replace tys (Ir.result i) t
+             | exception Levels.Underflow _ -> bump (Ir.result i)))
+        instrs;
+      tys
+    in
+    let sim_from ~live start =
+      (* Pre-[start] definitions keep their optimistic classification (their
+         levels only matter if they are used later, in which case they are in
+         the live set and get raised to the maximum level, exactly what a
+         bootstrap at [start] does); post-[start] definitions are recomputed
+         by the simulation before any use. *)
+      let tys = Hashtbl.copy full_tys in
+      Liveness.VarSet.iter
+        (fun v -> Hashtbl.replace tys v (Tcipher { level = max_level; scale = 1 }))
+        live;
+      simulate ~max_level ~boundary ~tys ~instrs ~yields:b.yields ~start
+    in
+    (* No placement needed? *)
+    let entry_sim () =
+      let tys = base_tys () in
+      simulate ~max_level ~boundary ~tys ~instrs ~yields:b.yields ~start:0
+    in
+    match entry_sim () with
+    | None -> b
+    | Some entry_reach ->
+      let live_sets = Liveness.live_at_points b ~is_cipher:(is_cipher_at full_tys) in
+      let reach_of = Array.make (n + 1) (-1) in
+      let reach j =
+        if reach_of.(j) >= 0 then reach_of.(j)
+        else begin
+          let r =
+            match sim_from ~live:live_sets.(j) j with
+            | None -> n + 1 (* covers the whole block *)
+            | Some idx -> idx
+          in
+          reach_of.(j) <- r;
+          r
+        end
+      in
+      let boot_cost = Halo_cost.Cost_model.bootstrap_latency_us ~target:max_level in
+      let cost_at j = float_of_int (Liveness.VarSet.cardinal live_sets.(j)) *. boot_cost in
+      (* DP over candidate points filtered by live count. *)
+      let try_plan width =
+        let candidate j =
+          Liveness.VarSet.cardinal live_sets.(j) <= width
+          && not (Liveness.VarSet.is_empty live_sets.(j))
+        in
+        let dp = Array.make (n + 1) infinity in
+        let prev = Array.make (n + 1) (-1) in
+        for j = 0 to n do
+          if candidate j then begin
+            (* Reachable directly from entry? *)
+            if j <= entry_reach then begin
+              let c = cost_at j in
+              if c < dp.(j) then begin
+                dp.(j) <- c;
+                prev.(j) <- -1
+              end
+            end;
+            for i = 0 to j - 1 do
+              if candidate i && dp.(i) < infinity && reach i >= j then begin
+                let c = dp.(i) +. cost_at j in
+                if c < dp.(j) then begin
+                  dp.(j) <- c;
+                  prev.(j) <- i
+                end
+              end
+            done
+          end
+        done;
+        (* Best finishing point: covers through the end. *)
+        let best = ref (-1) in
+        for j = 0 to n do
+          if candidate j && dp.(j) < infinity && reach j > n then
+            if !best < 0 || dp.(j) < dp.(!best) then best := j
+        done;
+        if !best < 0 then None
+        else begin
+          let rec chain j acc = if j < 0 then acc else chain prev.(j) (j :: acc) in
+          Some (chain !best [])
+        end
+      in
+      let rec widen width =
+        match try_plan width with
+        | Some pts -> pts
+        | None ->
+          if width > n + 2 then terr "Dacapo: no feasible bootstrap plan"
+          else widen (width * 2)
+      in
+      let points = widen config.filter_width in
+      (* Materialize: walk forward, inserting bootstraps at chosen points and
+         renaming subsequent uses. *)
+      let rename : (Ir.var, Ir.var) Hashtbl.t = Hashtbl.create 32 in
+      let resolve v = match Hashtbl.find_opt rename v with Some v' -> v' | None -> v in
+      let out = ref [] in
+      let insert_point j =
+        Liveness.VarSet.iter
+          (fun v ->
+            let fresh_v = Ir.fresh_var fresh in
+            out :=
+              { Ir.results = [ fresh_v ];
+                op = Ir.Bootstrap { src = resolve v; target = max_level } }
+              :: !out;
+            Hashtbl.replace rename v fresh_v)
+          live_sets.(j)
+      in
+      Array.iteri
+        (fun j (i : Ir.instr) ->
+          if List.mem j points then insert_point j;
+          let op =
+            match i.op with
+            | Ir.For fo ->
+              Ir.For
+                { fo with
+                  inits = List.map resolve fo.inits;
+                  body = Ir.substitute_block resolve fo.body }
+            | op -> Ir.map_op_operands resolve op
+          in
+          out := { i with op } :: !out)
+        instrs;
+      if List.mem n points then insert_point n;
+      { b with instrs = List.rev !out; yields = List.map resolve b.yields }
+end
+
+module Frozen_tuning = struct
+  (* Bootstrap instructions are identified by their (unique) result variable. *)
+
+  let rec rewrite_block target_of (b : Ir.block) =
+    let instrs =
+      List.map
+        (fun (i : Ir.instr) ->
+          match i.op with
+          | Ir.Bootstrap { src; target } ->
+            let target =
+              match target_of (Ir.result i) with Some t -> t | None -> target
+            in
+            { i with op = Ir.Bootstrap { src; target } }
+          | Ir.For fo -> { i with op = Ir.For { fo with body = rewrite_block target_of fo.body } }
+          | _ -> i)
+        b.instrs
+    in
+    { b with instrs }
+
+  let collect_bootstraps (p : Ir.program) =
+    let acc = ref [] in
+    Ir.iter_blocks
+      (fun b ->
+        List.iter
+          (fun (i : Ir.instr) ->
+            match i.op with
+            | Ir.Bootstrap { target; _ } -> acc := (Ir.result i, target) :: !acc
+            | _ -> ())
+          b.instrs)
+      p.body;
+    List.rev !acc
+
+  let feasible (p : Ir.program) overrides =
+    let target_of v = Hashtbl.find_opt overrides v in
+    let body = rewrite_block target_of p.body in
+    match
+      Levels.walk_block ~max_level:p.max_level ~env:(Hashtbl.create 256)
+        ~param_tys:(Pass_util.input_tys p) ~boundary:None body
+    with
+    | _ -> true
+    | exception Levels.Underflow _ -> false
+
+  let program ?(slack = 0) (p : Ir.program) =
+    let bootstraps = collect_bootstraps p in
+    let overrides : (Ir.var, int) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (v, current) ->
+        (* Lowest feasible target in [1, current]: feasibility is monotone in
+           the target, binary search on the smallest feasible value. *)
+        let rec search lo hi =
+          if lo >= hi then lo
+          else begin
+            let mid = (lo + hi) / 2 in
+            Hashtbl.replace overrides v mid;
+            if feasible p overrides then search lo mid else search (mid + 1) hi
+          end
+        in
+        let best = search 1 current in
+        (* [slack] extra levels above the minimum (clamped to the original
+           target, which is feasible by construction): a knob for trading
+           bootstrap latency against noise headroom that the autotuner sweeps. *)
+        let best = min current (best + max 0 slack) in
+        Hashtbl.replace overrides v best;
+        (* Keep the override only if it survives a final check (it should,
+           by monotonicity). *)
+        if not (feasible p overrides) then Hashtbl.remove overrides v)
+      bootstraps;
+    { p with body = rewrite_block (Hashtbl.find_opt overrides) p.body }
+end
+
+(* The corpus with the ML programs at 2, 4 and 10 iterations. *)
+let placement_corpus () =
+  List.init 40 (fun seed ->
+      let g = Gen.generate seed in
+      (Printf.sprintf "seed %d" seed, g.bindings, g.prog))
+  @ List.concat_map
+      (fun iters ->
+        List.map
+          (fun (b : Halo_ml.Bench_def.t) ->
+            ( Printf.sprintf "%s@%d" b.name iters,
+              Halo_ml.Workloads.default_bindings b ~iters,
+              b.build ~slots:1024 ~size:64 ))
+          Halo_ml.Workloads.all)
+      [ 2; 4; 10 ]
+
+let filter_widths = [ 1; 4; 64 ]
+
+let printed_or_raised f =
+  match f () with
+  | q -> Printer.program_to_string q
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let check_same what lib frozen =
+  let l = printed_or_raised lib and f = printed_or_raised frozen in
+  if l <> f then
+    Alcotest.failf "%s: library and frozen reference differ\nlibrary:\n%s\nfrozen:\n%s"
+      what l f
+
+let run_passes passes p =
+  List.fold_left (fun p (ps : Strategy.pass) -> ps.run p) p passes
+
+(* [passes] up to the first one named [name], and from it on. *)
+let split_at name passes =
+  let rec go acc = function
+    | (ps : Strategy.pass) :: rest when ps.pass_name <> name -> go (ps :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] passes
+
+(* The DaCapo strategy end to end, with [loop-codegen] (a walk of the
+   loop-free, fully unrolled program, then placement over its body if it
+   underflows) running the frozen placement. *)
+let test_dacapo_strategy_frozen () =
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun filter_width ->
+          let dacapo_config = { Dacapo.filter_width } in
+          let frozen_codegen (q : Ir.program) =
+            if Ir.count_ops ~p:(function Ir.For _ -> true | _ -> false) q.body > 0 then
+              Alcotest.failf "%s: a loop survives full unrolling" tag;
+            let param_tys = Pass_util.input_tys q in
+            match
+              Levels.walk_block ~max_level:q.max_level ~env:(Hashtbl.create 256)
+                ~param_tys ~boundary:None q.body
+            with
+            | _ -> q
+            | exception Levels.Underflow _ ->
+              let fresh = Ir.fresh_of_program q in
+              let body =
+                Frozen_dacapo.place_in_block
+                  ~config:{ Frozen_dacapo.filter_width }
+                  ~fresh ~max_level:q.max_level ~env:(Hashtbl.create 256) ~param_tys
+                  ~boundary:None q.body
+              in
+              { q with body; next_var = fresh.Ir.next }
+          in
+          let passes =
+            List.map
+              (fun (ps : Strategy.pass) ->
+                if ps.pass_name = "loop-codegen" then { ps with run = frozen_codegen }
+                else ps)
+              (Strategy.passes ~bindings ~dacapo_config ~strategy:Strategy.Dacapo ())
+          in
+          check_same
+            (Printf.sprintf "%s dacapo width %d" tag filter_width)
+            (fun () -> Strategy.compile ~bindings ~dacapo_config ~strategy:Strategy.Dacapo p)
+            (fun () -> Strategy.verified ~strategy:Strategy.Dacapo (run_passes passes p)))
+        filter_widths)
+    (placement_corpus ())
+
+(* Every block of a program at its entry to [loop-codegen], typed by an
+   optimistic walk (an underflowing result is a max-level ciphertext, a
+   loop body starts from max-level ciphertext parameters, as after
+   Algorithm 1's head bootstraps), at the program's level budget and at a
+   smaller one, so the placement of every strategy's blocks runs. *)
+let blocks_of ~max_level (p : Ir.program) =
+  let open Typecheck in
+  let env = Hashtbl.create 256 in
+  let top = Tcipher { level = max_level; scale = 1 } in
+  let blocks = ref [] in
+  let rec walk (b : Ir.block) ~param_tys ~boundary =
+    List.iter2 (Hashtbl.replace env) b.params param_tys;
+    blocks := (b, param_tys, boundary) :: !blocks;
+    let ty v = Option.value (Hashtbl.find_opt env v) ~default:Tplain in
+    List.iteri
+      (fun index (i : Ir.instr) ->
+        match i.op with
+        | Ir.For fo ->
+          let m = Option.value fo.boundary ~default:1 in
+          let init_tys = List.map ty fo.inits in
+          List.iter2
+            (fun r t ->
+              Hashtbl.replace env r
+                (match t with Tplain -> Tplain | Tcipher _ -> Tcipher { level = m; scale = 1 }))
+            i.results init_tys;
+          walk fo.body ~boundary:(Some m)
+            ~param_tys:(List.map (function Tplain -> Tplain | Tcipher _ -> top) init_tys)
+        | Ir.RotateMany { src; _ } -> List.iter (fun r -> Hashtbl.replace env r (ty src)) i.results
+        | op ->
+          Hashtbl.replace env (Ir.result i)
+            (match
+               Levels.op_result ~max_level ~index op
+                 ~operand_tys:(List.map ty (Ir.op_operands op))
+             with
+             | t -> t
+             | exception Levels.Underflow _ -> top))
+      b.instrs
+  in
+  walk p.body ~boundary:None
+    ~param_tys:
+      (List.map
+         (fun (i : Ir.input) -> if i.in_status = Ir.Cipher then top else Tplain)
+         p.inputs);
+  (env, List.rev !blocks)
+
+let test_block_placement_frozen () =
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun strategy ->
+          let before, _ =
+            split_at "loop-codegen" (Strategy.passes ~bindings ~strategy ())
+          in
+          let q = run_passes before p in
+          List.iter
+            (fun max_level ->
+              let env, blocks = blocks_of ~max_level q in
+              List.iteri
+                (fun k (b, param_tys, boundary) ->
+                  List.iter
+                    (fun filter_width ->
+                      let place f () =
+                        let fresh = Ir.fresh_of_program q in
+                        let body = f ~fresh in
+                        { q with body; next_var = fresh.Ir.next }
+                      in
+                      check_same
+                        (Printf.sprintf "%s %s block %d max level %d width %d" tag
+                           (Strategy.to_string strategy) k max_level filter_width)
+                        (place (fun ~fresh ->
+                             Dacapo.place_in_block ~config:{ Dacapo.filter_width } ~fresh
+                               ~max_level ~env ~param_tys ~boundary b))
+                        (place (fun ~fresh ->
+                             Frozen_dacapo.place_in_block
+                               ~config:{ Frozen_dacapo.filter_width } ~fresh ~max_level ~env
+                               ~param_tys ~boundary b)))
+                    filter_widths)
+                blocks)
+            [ q.max_level; 5 ])
+        [ Strategy.Dacapo; Strategy.Type_matched ])
+    (placement_corpus ())
+
+(* Target tuning of every strategy's placed program: HALO's input to its
+   [tuning] pass, the others' output of their last placement pass.
+   [Strategy.all] starts with DaCapo. *)
+let test_tuning_frozen () =
+  List.iter
+    (fun (tag, bindings, p) ->
+      List.iter
+        (fun filter_width ->
+          let dacapo_config = { Dacapo.filter_width } in
+          List.iter
+            (fun strategy ->
+              let passes = Strategy.passes ~bindings ~dacapo_config ~strategy () in
+              let before, _ = split_at "lower-pack" passes in
+              let before = List.filter (fun (ps : Strategy.pass) -> ps.pass_name <> "tuning") before in
+              let q = run_passes before p in
+              List.iter
+                (fun slack ->
+                  check_same
+                    (Printf.sprintf "%s %s width %d slack %d" tag
+                       (Strategy.to_string strategy) filter_width slack)
+                    (fun () -> Tuning.program ~slack q)
+                    (fun () -> Frozen_tuning.program ~slack q))
+                [ 0; 1; 2 ])
+            (* The unrolled DaCapo programs are the slowest to tune with the
+               frozen walk; their placement at every width is checked above. *)
+            (if filter_width = 4 then Strategy.all else List.tl Strategy.all))
+        filter_widths)
+    (placement_corpus ())
+
 let test_fuzz_50_seeds () =
   let reports = Oracle.fuzz ~seeds:(List.init 50 (fun i -> i)) () in
   List.iter
@@ -635,5 +1145,12 @@ let () =
           Alcotest.test_case "no level waste on the corpus" `Quick test_corpus_no_level_waste;
           Alcotest.test_case "rotation groups stay whole" `Quick
             test_corpus_rotation_groups_whole;
+        ] );
+      ( "placement",
+        [
+          Alcotest.test_case "dacapo strategy = frozen placement" `Quick
+            test_dacapo_strategy_frozen;
+          Alcotest.test_case "block placement = frozen" `Quick test_block_placement_frozen;
+          Alcotest.test_case "target tuning = frozen" `Quick test_tuning_frozen;
         ] );
     ]
